@@ -49,7 +49,10 @@ class ChartField:
     ----------
     m : complex dimension of the chart.
     shape : size of the square Gram matrix.
-    eval_fn : z -> (shape, shape) complex matrix.
+    eval_fn : z -> (shape, shape) complex matrix.  A curvature evaluation
+        reads it 4m + 2 times per point (the 4m + 1 reads of the
+        constant-rank gate and the Gram matrix itself), so it should
+        return the Gram matrix only and compute no derivatives.
     center, radius : polydisc domain; radius may be per-coordinate.
     d_fn : optional analytic first derivatives, z -> (m, shape, shape)
         with d_fn(z)[a] = d_a G.
@@ -150,11 +153,15 @@ class ChartField:
             [self._fd_dir(self.gram, z, a, self.fd_step, False) for a in range(self.m)]
         )
 
-    def dbar(self, z):
-        """All antiholomorphic first derivatives, shape (m, shape, shape)."""
+    def dbar(self, z, d=None):
+        """All antiholomorphic first derivatives, shape (m, shape, shape).
+
+        On an analytic hermitized field dbar_a G = (d_a G)^H; a caller that
+        has already read ``d`` at z passes it to avoid a second read.
+        """
         if self.d_fn is not None and self.hermitize_reads:
-            d = self.d(z)
-            return np.stack([d[a].conj().T for a in range(self.m)])
+            d = self.d(z) if d is None else d
+            return d.conj().transpose(0, 2, 1)
         z = _as_point(z, self.m)
         self._require_domain(z, self.fd_step)
         return np.stack(
@@ -327,7 +334,7 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
     _check_constant_rank(field, z)
     g = field.gram(z)
     dg = field.d(z)
-    dbg = field.dbar(z)
+    dbg = field.dbar(z, d=dg)
     ddg = field.dd(z)
     gp = np.linalg.pinv(g, rcond=field.rank_tol, hermitian=True)
     residual = max(

@@ -81,26 +81,30 @@ class MonomialMap:
         return out
 
 
-def _potential_tensors(w, jac, hess):
-    """Gram matrix and derivatives of d dbar log ||w||^2 at one point.
+# The Gram matrix of d dbar log ||w||^2 and its derivatives, at one point,
+# as contractions of w, its Jacobian J and its Hessian H.  Each function
+# computes only the order it returns: the Gram matrix needs no Hessian.
+# Arrays follow the package index convention gram[j, k] = b(e_k, conj(e_j)).
 
-    Everything is expressed through contractions of w, its Jacobian J and
-    Hessian H; the returned arrays follow the package index convention
-    gram[j, k] = b(e_k, conj(e_j)).
-    """
+
+def _potential_moments(w, jac):
     f = float(np.real(np.vdot(w, w)))
-    cw = w.conj()
-    cj = jac.conj()
-    fa = np.einsum("ia,i->a", jac, cw)
-    fab = np.einsum("ia,ib->ab", jac, cj)
-    faa = np.einsum("iag,i->ag", hess, cw)
-    faab = np.einsum("iag,ib->agb", hess, cj)
-    fabd = np.einsum("ia,ibd->abd", jac, hess.conj())
-    faabb = np.einsum("iag,ibd->agbd", hess, hess.conj())
+    fa = np.einsum("ia,i->a", jac, w.conj())
+    fab = np.einsum("ia,ib->ab", jac, jac.conj())
+    return f, fa, fab
+
+
+def _potential_gram(w, jac):
+    f, fa, fab = _potential_moments(w, jac)
+    t2 = fab / f - np.einsum("a,b->ab", fa, fa.conj()) / f**2
+    return t2.T
+
+
+def _potential_d(w, jac, hess):
+    f, fa, fab = _potential_moments(w, jac)
     cfa = fa.conj()
-
-    t2 = fab / f - np.einsum("a,b->ab", fa, cfa) / f**2
-
+    faa = np.einsum("iag,i->ag", hess, w.conj())
+    faab = np.einsum("iag,ib->agb", hess, jac.conj())
     t3 = (
         faab / f
         - (
@@ -111,7 +115,16 @@ def _potential_tensors(w, jac, hess):
         / f**2
         + 2.0 * np.einsum("a,b,g->agb", fa, cfa, fa) / f**3
     )
+    return t3.transpose(1, 2, 0)
 
+
+def _potential_dd(w, jac, hess):
+    f, fa, fab = _potential_moments(w, jac)
+    cfa = fa.conj()
+    faa = np.einsum("iag,i->ag", hess, w.conj())
+    faab = np.einsum("iag,ib->agb", hess, jac.conj())
+    fabd = np.einsum("ia,ibd->abd", jac, hess.conj())
+    faabb = np.einsum("iag,ibd->agbd", hess, hess.conj())
     t4 = (
         faabb / f
         - (
@@ -139,24 +152,20 @@ def _potential_tensors(w, jac, hess):
         / f**3
         - 6.0 * np.einsum("a,b,g,d->agbd", fa, cfa, fa, cfa) / f**4
     )
-
-    gram = t2.T
-    d_gram = t3.transpose(1, 2, 0)
-    dd_gram = t4.transpose(1, 3, 2, 0)
-    return gram, d_gram, dd_gram
+    return t4.transpose(1, 3, 2, 0)
 
 
 def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", **kw):
     """Metric field of the potential log ||w(z)||^2 with exact derivatives."""
 
     def eval_fn(z):
-        return _potential_tensors(mono_map.value(z), mono_map.jac(z), mono_map.hess(z))[0]
+        return _potential_gram(mono_map.value(z), mono_map.jac(z))
 
     def d_fn(z):
-        return _potential_tensors(mono_map.value(z), mono_map.jac(z), mono_map.hess(z))[1]
+        return _potential_d(mono_map.value(z), mono_map.jac(z), mono_map.hess(z))
 
     def dd_fn(z):
-        return _potential_tensors(mono_map.value(z), mono_map.jac(z), mono_map.hess(z))[2]
+        return _potential_dd(mono_map.value(z), mono_map.jac(z), mono_map.hess(z))
 
     return ChartField(
         mono_map.m,

@@ -103,64 +103,72 @@ def pluecker_pullback(k, n):
 # Grassmannian: closed-form route
 
 
-def _unit(rows, cols, i, j):
-    e = np.zeros((rows, cols), dtype=complex)
-    e[i, j] = 1.0
-    return e
-
-
-def _grassmann_tensors(z, k, n):
-    """gram, d_gram, dd_gram of the closed-form chart metric at Z."""
-    q_dim = n - k
-    zm = z.reshape(k, q_dim)
+def _grassmann_pq(z, k, n):
+    """Z, P = (I + Z Z*)^-1 and Q = (I + Z* Z)^-1 at a chart point."""
+    zm = z.reshape(k, n - k)
     p = np.linalg.inv(np.eye(k) + zm @ zm.conj().T)
-    q = np.linalg.inv(np.eye(q_dim) + zm.conj().T @ zm)
-    m = k * q_dim
+    q = np.linalg.inv(np.eye(n - k) + zm.conj().T @ zm)
+    return zm, p, q
 
-    def split(e):
-        return divmod(e, q_dim)
 
-    dp = np.empty((m, k, k), dtype=complex)
-    dq = np.empty((m, q_dim, q_dim), dtype=complex)
-    dbp = np.empty((m, k, k), dtype=complex)
-    dbq = np.empty((m, q_dim, q_dim), dtype=complex)
-    for e in range(m):
-        a, b = split(e)
-        eab = _unit(k, q_dim, a, b)
-        eba = _unit(q_dim, k, b, a)
-        dp[e] = -p @ eab @ zm.conj().T @ p
-        dq[e] = -q @ zm.conj().T @ eab @ q
-        dbp[e] = -p @ zm @ eba @ p
-        dbq[e] = -q @ eba @ zm @ q
+def _grassmann_gram(z, k, n):
+    _, p, q = _grassmann_pq(z, k, n)
+    return np.kron(p, q.T)
 
-    gram = np.kron(p, q.T)
-    d_gram = np.stack([np.kron(dp[e], q.T) + np.kron(p, dq[e].T) for e in range(m)])
-    dd_gram = np.empty((m, m, m, m), dtype=complex)
-    for e in range(m):
-        a, b = split(e)
-        eab = _unit(k, q_dim, a, b)
-        for f in range(m):
-            c, d = split(f)
-            edc = _unit(q_dim, k, d, c)
-            ddp = (
-                p @ eab @ zm.conj().T @ p @ zm @ edc @ p
-                + p @ zm @ edc @ p @ eab @ zm.conj().T @ p
-            )
-            if b == d:
-                ddp = ddp - p @ _unit(k, k, a, c) @ p
-            ddq = (
-                q @ zm.conj().T @ eab @ q @ edc @ zm @ q
-                + q @ edc @ zm @ q @ zm.conj().T @ eab @ q
-            )
-            if c == a:
-                ddq = ddq - q @ _unit(q_dim, q_dim, d, b) @ q
-            dd_gram[e, f] = (
-                np.kron(ddp, q.T)
-                + np.kron(dp[e], dbq[f].T)
-                + np.kron(dbp[f], dq[e].T)
-                + np.kron(p, ddq.T)
-            )
-    return gram, d_gram, dd_gram
+
+# The Gram entry in row i*(n-k)+j and column s*(n-k)+t is P[i,s] Q[t,j],
+# and chart coordinate a*(n-k)+b is Z[a,b].  A derivative in z_ab inserts
+# the unit matrix E_ab, whose contraction turns each matrix product into a
+# product of entries:
+#
+#   d_ab P    = -P E_ab Z* P  = -P[i,a] (Z*P)[b,s]
+#   d_ab Q    = -Q Z* E_ab Q  = -(QZ*)[t,a] Q[b,j]
+#   dbar_cd P = -P Z E_dc P   = -(PZ)[i,d] P[c,s]
+#   dbar_cd Q = -Q E_dc Z Q   = -Q[t,d] (ZQ)[c,j]
+#
+# and, with Z* P Z = I - Q and Z Q Z* = I - P,
+#
+#   d_ab dbar_cd P = (PZ)[i,d] P[c,a] (Z*P)[b,s] - P[i,a] Q[b,d] P[c,s]
+#   d_ab dbar_cd Q = (QZ*)[t,a] Q[b,d] (ZQ)[c,j] - Q[t,d] P[c,a] Q[b,j].
+
+
+def _grassmann_first(zm, p, q):
+    """d_ab P as [a,b,i,s] and d_ab Q as [a,b,t,j]."""
+    zh = zm.conj().T
+    dp = -np.einsum("ia,bs->abis", p, zh @ p)
+    dq = -np.einsum("ta,bj->abtj", q @ zh, q)
+    return dp, dq
+
+
+def _grassmann_d(z, k, n):
+    zm, p, q = _grassmann_pq(z, k, n)
+    dp, dq = _grassmann_first(zm, p, q)
+    d = np.einsum("abis,tj->abijst", dp, q) + np.einsum("is,abtj->abijst", p, dq)
+    m = k * (n - k)
+    return d.reshape(m, m, m)
+
+
+def _grassmann_dd(z, k, n):
+    zm, p, q = _grassmann_pq(z, k, n)
+    zh = zm.conj().T
+    pz, zhp, qzh, zq = p @ zm, zh @ p, q @ zh, zm @ q
+    dp, dq = _grassmann_first(zm, p, q)
+    dbp = -np.einsum("id,cs->cdis", pz, p)
+    dbq = -np.einsum("td,cj->cdtj", q, zq)
+    ddp = np.einsum("id,ca,bs->abcdis", pz, p, zhp) - np.einsum(
+        "ia,bd,cs->abcdis", p, q, p
+    )
+    ddq = np.einsum("ta,bd,cj->abcdtj", qzh, q, zq) - np.einsum(
+        "td,ca,bj->abcdtj", q, p, q
+    )
+    dd = (
+        np.einsum("abcdis,tj->abcdijst", ddp, q)
+        + np.einsum("abis,cdtj->abcdijst", dp, dbq)
+        + np.einsum("cdis,abtj->abcdijst", dbp, dq)
+        + np.einsum("is,abcdtj->abcdijst", p, ddq)
+    )
+    m = k * (n - k)
+    return dd.reshape(m, m, m, m)
 
 
 @dataclass
@@ -184,7 +192,10 @@ class GrassmannChartModel:
 
     @property
     def hsc_lower(self):
-        return 2.0 / self.k**2
+        """2 / r with r = min(k, n - k), the rank of Gr(k, n) as a symmetric
+        space: attained at the center by a direction with r equal singular
+        values, since H = 2 sum(s^4) / (sum(s^2))^2 there."""
+        return 2.0 / min(self.k, self.n - self.k)
 
     @property
     def hsc_upper(self):
@@ -198,13 +209,13 @@ def grassmannian_chart(k, n, certify=True):
     m = k * (n - k)
 
     def eval_fn(z):
-        return _grassmann_tensors(z, k, n)[0]
+        return _grassmann_gram(z, k, n)
 
     def d_fn(z):
-        return _grassmann_tensors(z, k, n)[1]
+        return _grassmann_d(z, k, n)
 
     def dd_fn(z):
-        return _grassmann_tensors(z, k, n)[2]
+        return _grassmann_dd(z, k, n)
 
     field = ChartField(
         m,
@@ -243,7 +254,7 @@ def ricci(field: ChartField, z):
         raise NotPositiveAtPoint("Ricci form needs a positive-definite metric")
     gi = np.linalg.inv(g)
     dg = field.d(z)
-    dbg = field.dbar(z)
+    dbg = field.dbar(z, d=dg)
     ddg = field.dd(z)
     m = field.m
     ric = np.empty((m, m), dtype=complex)

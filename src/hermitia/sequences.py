@@ -152,7 +152,8 @@ class ExactSeqChart:
             if amb.dd_fn is not None:
                 def dd_fn(z):
                     j, dj = self.j_at(z), self.dj_at(z)
-                    g, dg, dbg, ddg = amb.gram(z), amb.d(z), amb.dbar(z), amb.dd(z)
+                    g, dg, ddg = amb.gram(z), amb.d(z), amb.dd(z)
+                    dbg = amb.dbar(z, d=dg)
                     out = np.empty((self.m, self.m, self.k, self.k), dtype=complex)
                     for a in range(self.m):
                         for b in range(self.m):

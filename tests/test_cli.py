@@ -145,10 +145,10 @@ def test_bad_criteria_list_is_config_error(capsys):
 
 
 def test_failed_check_exits_one(capsys):
-    # the declared lower bound on this chart is far below the sampled
-    # minimum, so a tight tolerance cannot pass
+    # finite-difference curvature misses the declared window edges by
+    # about 1e-6, so a 1e-9 tolerance cannot pass
     code, out, _ = run(capsys, "hsc", "--model", "gr:2:4", "--samples", "40",
-                       "--tol", "1e-5")
+                       "--derivatives", "fd", "--tol", "1e-9")
     assert code == 1
     assert "FAIL" in out
 

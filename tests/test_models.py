@@ -3,7 +3,12 @@ import pytest
 
 from hermitia import ConfigError, NotPositiveAtPoint
 from hermitia.charts import hsc
-from hermitia.fields import constant_field
+from hermitia.fields import (
+    constant_field,
+    from_potential_map,
+    fs_monomials,
+    twisted_fiber_monomials,
+)
 from hermitia.instances import random_degenerate_field
 from hermitia.models import (
     GrassmannChartModel,
@@ -118,11 +123,91 @@ def test_grassmann_closed_form_matches_minor_route_2_5():
         assert np.linalg.norm(g1 - g2) <= 1e-8 * (1 + np.linalg.norm(g2))
 
 
-def test_grassmann_derivatives_match_minor_route(gr24):
-    oracle = pluecker_pullback(2, 4)
-    z = np.array([0.31 - 0.2j, 0.11 + 0.07j, -0.23 + 0.14j, 0.05 - 0.4j])
-    assert np.linalg.norm(gr24.field.d(z) - oracle.d(z)) < 1e-8
-    assert np.linalg.norm(gr24.field.dd(z) - oracle.dd(z)) < 1e-8
+def _rel(got, want):
+    return np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 4), (2, 5), (3, 5)])
+def test_grassmann_derivatives_match_minor_route(k, n):
+    field = grassmannian_chart(k, n, certify=False).field
+    oracle = pluecker_pullback(k, n)
+    for z in sample_points(k * (n - k), 4, scale=0.5, seed=100 * k + n):
+        assert _rel(field.gram(z), oracle.gram(z)) <= 1e-8
+        assert _rel(field.d(z), oracle.d(z)) <= 1e-8
+        assert _rel(field.dd(z), oracle.dd(z)) <= 1e-8
+
+
+def _potential_jet_reference(w, jac, hess):
+    """The whole 2-jet of d dbar log ||w||^2 in one pass: gram, d_gram, dd_gram."""
+    f = float(np.real(np.vdot(w, w)))
+    cw = w.conj()
+    cj = jac.conj()
+    fa = np.einsum("ia,i->a", jac, cw)
+    fab = np.einsum("ia,ib->ab", jac, cj)
+    faa = np.einsum("iag,i->ag", hess, cw)
+    faab = np.einsum("iag,ib->agb", hess, cj)
+    fabd = np.einsum("ia,ibd->abd", jac, hess.conj())
+    faabb = np.einsum("iag,ibd->agbd", hess, hess.conj())
+    cfa = fa.conj()
+
+    t2 = fab / f - np.einsum("a,b->ab", fa, cfa) / f**2
+
+    t3 = (
+        faab / f
+        - (
+            np.einsum("ab,g->agb", fab, fa)
+            + np.einsum("ag,b->agb", faa, cfa)
+            + np.einsum("a,gb->agb", fa, fab)
+        )
+        / f**2
+        + 2.0 * np.einsum("a,b,g->agb", fa, cfa, fa) / f**3
+    )
+
+    t4 = (
+        faabb / f
+        - (
+            np.einsum("agb,d->agbd", faab, cfa)
+            + np.einsum("abd,g->agbd", fabd, fa)
+            + np.einsum("agd,b->agbd", faab, cfa)
+            + np.einsum("gbd,a->agbd", fabd, fa)
+        )
+        / f**2
+        - (
+            np.einsum("ab,gd->agbd", fab, fab)
+            + np.einsum("ag,bd->agbd", faa, faa.conj())
+            + np.einsum("ad,gb->agbd", fab, fab)
+        )
+        / f**2
+        + 2.0
+        * (
+            np.einsum("ab,g,d->agbd", fab, fa, cfa)
+            + np.einsum("ag,b,d->agbd", faa, cfa, cfa)
+            + np.einsum("ad,b,g->agbd", fab, cfa, fa)
+            + np.einsum("gb,a,d->agbd", fab, fa, cfa)
+            + np.einsum("gd,a,b->agbd", fab, fa, cfa)
+            + np.einsum("bd,a,g->agbd", faa.conj(), fa, fa)
+        )
+        / f**3
+        - 6.0 * np.einsum("a,b,g,d->agbd", fa, cfa, fa, cfa) / f**4
+    )
+    return t2.T, t3.transpose(1, 2, 0), t4.transpose(1, 3, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "mono_map",
+    [fs_monomials(2), twisted_fiber_monomials(1)],
+    ids=["fs:2", "hirz:1"],
+)
+def test_potential_reads_match_the_full_jet(mono_map):
+    """Each order-specific evaluator returns what the one-pass 2-jet returns."""
+    field = from_potential_map(mono_map, radius=2.0)
+    for z in sample_points(2, 4, scale=0.6, seed=47):
+        gram, d_gram, dd_gram = _potential_jet_reference(
+            mono_map.value(z), mono_map.jac(z), mono_map.hess(z)
+        )
+        assert np.array_equal(field.eval_fn(z), gram)
+        assert _rel(field.d(z), d_gram) <= 1e-12
+        assert _rel(field.dd(z), dd_gram) <= 1e-12
 
 
 def test_projective_line_is_one_plane_grassmannian(fs1):
@@ -143,7 +228,7 @@ def test_grassmann_model_indexing(gr24):
     assert gr24.flat_index(1, 1) == 3
     v = gr24.direction([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(v, [1.0, 2.0, 3.0, 4.0])
-    assert gr24.hsc_lower == 0.5
+    assert gr24.hsc_lower == 1.0
     assert gr24.hsc_upper == 2.0
 
 
@@ -164,6 +249,29 @@ def test_rank_one_direction_attains_the_top(gr24):
 def test_balanced_direction_attains_the_bottom(gr24):
     v = gr24.direction(np.eye(2) / np.sqrt(2))
     assert abs(hsc(gr24.field, np.zeros(4), v) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (3, 6)])
+def test_center_curvature_follows_the_singular_values(k, n):
+    """At Z = 0, H along U diag(s) V* is 2 sum(s^4) / (sum(s^2))^2, whatever
+    the rank of the direction; equal singular values of full rank r give
+    the declared lower bound 2 / r."""
+    model = grassmannian_chart(k, n, certify=False)
+    r = min(k, n - k)
+    rng = np.random.default_rng(np.random.SeedSequence([53, k, n]))
+    u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    v = np.linalg.qr(
+        rng.standard_normal((n - k, n - k)) + 1j * rng.standard_normal((n - k, n - k))
+    )[0]
+    center = np.zeros(model.m)
+    for rank in range(1, r + 1):
+        s = np.zeros(r)
+        s[:rank] = rng.uniform(0.5, 2.0, rank)
+        direction = u[:, :r] @ np.diag(s) @ v[:, :r].conj().T
+        want = 2.0 * np.sum(s**4) / np.sum(s**2) ** 2
+        assert abs(hsc(model.field, center, model.direction(direction)) - want) < 1e-12
+    balanced = u[:, :r] @ v[:, :r].conj().T
+    assert abs(hsc(model.field, center, model.direction(balanced)) - model.hsc_lower) < 1e-12
 
 
 def test_sampled_directions_stay_in_the_window(gr24):
@@ -262,7 +370,7 @@ def test_registry_grassmannian():
     assert entry.kind == "metric"
     assert entry.einstein_constant == 4.0
     assert isinstance(entry.grassmann, GrassmannChartModel)
-    assert entry.hsc_lower == 0.5
+    assert entry.hsc_lower == 1.0
 
 
 @pytest.mark.parametrize("bad", ["fs", "fs:x", "gr:4:4", "gr:2", "nope:1", "fs:0"])
