@@ -30,6 +30,7 @@ from .forms import (
     orthogonal_complement,
     projection_limit_gram,
     quotient_form,
+    rank_of,
     sum_quotient_form,
 )
 from .models import (
@@ -515,12 +516,12 @@ def form_calculus_properties(threads=None):
         s = Subspace(dim, _cvec(rng, (dim, d)))
         perp = orthogonal_complement(s, b)
         sv = np.linalg.svd(np.hstack([s.basis, perp.basis]), compute_uv=False)
-        dim_sum = int(np.sum(sv > 1e-9 * sv[0]))
+        dim_sum = rank_of(sv, 1e-9)
         dim_int = s.dim + perp.dim - dim_sum
         kb = kernel(b).basis
         joint = np.hstack([s.basis, kb]) if kb.shape[1] else s.basis
         sv2 = np.linalg.svd(joint, compute_uv=False)
-        dim_int_kernel = s.dim + kb.shape[1] - int(np.sum(sv2 > 1e-9 * sv2[0]))
+        dim_int_kernel = s.dim + kb.shape[1] - rank_of(sv2, 1e-9)
         if dim_sum != dim or dim_int != dim_int_kernel:
             failures.append("complement decomposition broke at dim %d" % dim)
             break

@@ -2,14 +2,15 @@
 
 A :class:`ChartField` is a smooth Hermitian-matrix-valued function of a
 point z in C^m.  Derivatives are either supplied analytically or taken by
-central finite differences in Wirtinger form:
+the one central Wirtinger stencil of :func:`wirtinger_fd`:
 
     d_a    = (F(z+h) - F(z-h) - i F(z+ih) + i F(z-ih)) / (4h)
     dbar_a = (F(z+h) - F(z-h) + i F(z+ih) - i F(z-ih)) / (4h)
 
 Connections solve G @ A_a = d_a G in the minimum-norm (pseudoinverse)
-sense, which requires the rank of G to be constant across the stencil; a
-rank change is a first-class error, not a warning.
+sense, from one eigendecomposition of G per point, which requires the
+rank of G to be constant across the stencil; a rank change is a
+first-class error, not a warning.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -30,9 +31,12 @@ from .errors import (
     SolverResidual,
     ZeroVector,
 )
-from .forms import HermitianForm, Subspace, hermitize
+from .forms import HermitianForm, Subspace, gram_pinv, gram_rank, hermitize, rank_of, require_finite
 
-DEFAULT_SOLVER_TOL = 1e-7
+# Relative rank cutoff of every chart Gram matrix (see forms.rank_of).
+RANK_TOL = 1e-8
+# Largest relative residual of the connection solve G A = dG.
+SOLVER_TOL = 1e-7
 
 
 def _as_point(z, m):
@@ -42,22 +46,43 @@ def _as_point(z, m):
     return z
 
 
+def wirtinger_fd(fn, z, a, step, conjugate=False):
+    """Central Wirtinger difference of an array-valued ``fn`` along z_a:
+    d_a (or dbar_a when ``conjugate``) from four reads at z +- step and
+    z +- i step."""
+    e = np.zeros(len(z), dtype=complex)
+    e[a] = 1.0
+    h = step
+    fp, fm = fn(z + h * e), fn(z - h * e)
+    fip, fim = fn(z + 1j * h * e), fn(z - 1j * h * e)
+    if conjugate:
+        return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
+    return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
+
+
 class ChartField:
     """Hermitian Gram-matrix field on a polydisc chart.
+
+    Every read is Hermitian-averaged; rank decisions use the relative
+    cutoff ``RANK_TOL`` and connection solves must meet ``SOLVER_TOL``.
 
     Parameters
     ----------
     m : complex dimension of the chart.
     shape : size of the square Gram matrix.
-    eval_fn : z -> (shape, shape) complex matrix.  A curvature evaluation
-        reads it 4m + 2 times per point (the 4m + 1 reads of the
-        constant-rank gate and the Gram matrix itself), so it should
-        return the Gram matrix only and compute no derivatives.
+    eval_fn : z -> (shape, shape) complex matrix.  On a field with
+        analytic derivatives, :func:`curvature_tensor` and
+        :func:`chern_connection` each read it 4m + 2 times per point (the
+        4m + 1 reads of the constant-rank gate and the Gram matrix
+        itself), so it should return the Gram matrix only and compute no
+        derivatives.
     center, radius : polydisc domain; radius may be per-coordinate.
     d_fn : optional analytic first derivatives, z -> (m, shape, shape)
         with d_fn(z)[a] = d_a G.
     dd_fn : optional analytic mixed second derivatives, z -> (m, m,
         shape, shape) with dd_fn(z)[a][b] = d_a dbar_b G.
+    fd_step, fd_outer_step : steps of the inner (first derivative) and
+        outer (second derivative) Wirtinger differences.
     self_check : compare analytic derivatives against finite differences
         at a few deterministic points on construction.
     """
@@ -73,9 +98,6 @@ class ChartField:
         dd_fn=None,
         fd_step=1e-4,
         fd_outer_step=1e-3,
-        rank_tol=1e-8,
-        solver_tol=DEFAULT_SOLVER_TOL,
-        hermitize_reads=True,
         name="",
         self_check=True,
     ):
@@ -92,9 +114,6 @@ class ChartField:
         self.dd_fn = dd_fn
         self.fd_step = float(fd_step)
         self.fd_outer_step = float(fd_outer_step)
-        self.rank_tol = float(rank_tol)
-        self.solver_tol = float(solver_tol)
-        self.hermitize_reads = bool(hermitize_reads)
         self.name = name
         if self_check and self.d_fn is not None:
             self._self_check()
@@ -105,10 +124,10 @@ class ChartField:
         g = np.asarray(self.eval_fn(_as_point(z, self.m)), dtype=complex)
         if g.shape != (self.shape, self.shape):
             raise HermitiaError("field evaluator returned shape %s" % (g.shape,))
-        return hermitize(g) if self.hermitize_reads else g
+        return hermitize(g)
 
     def form_at(self, z):
-        return HermitianForm(self.gram(z), rank_tol=self.rank_tol)
+        return HermitianForm(self.gram(z), rank_tol=RANK_TOL)
 
     def in_domain(self, z, margin=0.0):
         z = _as_point(z, self.m)
@@ -122,10 +141,7 @@ class ChartField:
             )
 
     def rank_at(self, z):
-        s = np.linalg.svd(self.gram(z), compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s > self.rank_tol * s[0]))
+        return gram_rank(self.gram(z), RANK_TOL, "Gram matrix of the rank gate", z)
 
     # -- derivatives --------------------------------------------------------
 
@@ -133,40 +149,47 @@ class ChartField:
     def analytic(self):
         return self.d_fn is not None
 
-    def _fd_dir(self, fn, z, a, step, conjugate):
-        e = np.zeros(self.m, dtype=complex)
-        e[a] = 1.0
-        h = step
-        fp, fm = fn(z + h * e), fn(z - h * e)
-        fip, fim = fn(z + 1j * h * e), fn(z - 1j * h * e)
-        if conjugate:
-            return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
-        return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
+    def _fd(self, z, conjugate):
+        self._require_domain(z, self.fd_step)
+        return np.stack(
+            [wirtinger_fd(self.gram, z, a, self.fd_step, conjugate) for a in range(self.m)]
+        )
 
     def d(self, z):
         """All holomorphic first derivatives, shape (m, shape, shape)."""
         z = _as_point(z, self.m)
         if self.d_fn is not None:
             return np.asarray(self.d_fn(z), dtype=complex)
-        self._require_domain(z, self.fd_step)
-        return np.stack(
-            [self._fd_dir(self.gram, z, a, self.fd_step, False) for a in range(self.m)]
-        )
+        return self._fd(z, False)
 
     def dbar(self, z, d=None):
         """All antiholomorphic first derivatives, shape (m, shape, shape).
 
-        On an analytic hermitized field dbar_a G = (d_a G)^H; a caller that
-        has already read ``d`` at z passes it to avoid a second read.
+        On an analytic field dbar_a G = (d_a G)^H, as reads are
+        hermitized; a caller that has already read ``d`` at z passes it to
+        avoid a second read.
         """
-        if self.d_fn is not None and self.hermitize_reads:
+        if self.d_fn is not None:
             d = self.d(z) if d is None else d
             return d.conj().transpose(0, 2, 1)
-        z = _as_point(z, self.m)
-        self._require_domain(z, self.fd_step)
-        return np.stack(
-            [self._fd_dir(self.gram, z, a, self.fd_step, True) for a in range(self.m)]
-        )
+        return self._fd(_as_point(z, self.m), True)
+
+    def _dd_fd(self, z):
+        """d_a dbar_b G by an outer difference of dbar_b G, which comes from
+        d_fn when the field has one."""
+
+        def dbar_b(w, b):
+            if self.d_fn is not None:
+                return np.asarray(self.d_fn(w), dtype=complex)[b].conj().T
+            return wirtinger_fd(self.gram, w, b, self.fd_step, True)
+
+        out = np.empty((self.m, self.m, self.shape, self.shape), dtype=complex)
+        for b in range(self.m):
+            for a in range(self.m):
+                out[a, b] = wirtinger_fd(
+                    lambda w: dbar_b(w, b), z, a, self.fd_outer_step, False
+                )
+        return out
 
     def dd(self, z):
         """Mixed second derivatives d_a dbar_b G, shape (m, m, shape, shape)."""
@@ -174,16 +197,7 @@ class ChartField:
         if self.dd_fn is not None:
             return np.asarray(self.dd_fn(z), dtype=complex)
         self._require_domain(z, self.fd_outer_step + self.fd_step)
-        out = np.empty((self.m, self.m, self.shape, self.shape), dtype=complex)
-        for b in range(self.m):
-            def dbar_b(w, b=b):
-                if self.d_fn is not None and self.hermitize_reads:
-                    return np.asarray(self.d_fn(w), dtype=complex)[b].conj().T
-                return self._fd_dir(self.gram, w, b, self.fd_step, True)
-
-            for a in range(self.m):
-                out[a, b] = self._fd_dir(dbar_b, z, a, self.fd_outer_step, False)
-        return out
+        return self._dd_fd(z)
 
     def finite_difference_copy(self):
         """The same field with analytic evaluators dropped."""
@@ -195,49 +209,28 @@ class ChartField:
             radius=self.radius,
             fd_step=self.fd_step,
             fd_outer_step=self.fd_outer_step,
-            rank_tol=self.rank_tol,
-            solver_tol=self.solver_tol,
-            hermitize_reads=self.hermitize_reads,
             name=self.name,
             self_check=False,
         )
 
     def _self_check(self):
         rng = np.random.default_rng(np.random.SeedSequence([7, self.m, self.shape]))
-        worst_d = 0.0
-        for _ in range(10):
-            z = self.center + 0.5 * self.radius * (
-                rng.uniform(-1, 1, self.m) + 1j * rng.uniform(-1, 1, self.m)
-            ) / np.sqrt(2.0)
-            ana = np.asarray(self.d_fn(z), dtype=complex)
-            for a in range(self.m):
-                fd = self._fd_dir(self.gram, z, a, self.fd_step, False)
-                err = np.linalg.norm(ana[a] - fd) / (1.0 + np.linalg.norm(fd))
-                worst_d = max(worst_d, err)
-        if worst_d > 1e-6:
-            raise HermitiaError(
-                "analytic first derivatives disagree with finite differences "
-                "(relative error %.2e)" % worst_d
-            )
+        checks = [("first", self.d_fn, lambda z: self._fd(z, False), 10, 0.5, 1e-6)]
         if self.dd_fn is not None:
+            checks.append(("second", self.dd_fn, self._dd_fd, 3, 0.4, 1e-5))
+        for order, exact, approx, points, spread, tol in checks:
             worst = 0.0
-            for _ in range(3):
-                z = self.center + 0.4 * self.radius * (
+            for _ in range(points):
+                z = self.center + spread * self.radius * (
                     rng.uniform(-1, 1, self.m) + 1j * rng.uniform(-1, 1, self.m)
                 ) / np.sqrt(2.0)
-                ana = np.asarray(self.dd_fn(z), dtype=complex)
-                for a in range(self.m):
-                    for b in range(self.m):
-                        def dbar_b(w, b=b):
-                            return np.asarray(self.d_fn(w), dtype=complex)[b].conj().T
-
-                        fd = self._fd_dir(dbar_b, z, a, self.fd_outer_step, False)
-                        err = np.linalg.norm(ana[a, b] - fd) / (1.0 + np.linalg.norm(fd))
-                        worst = max(worst, err)
-            if worst > 1e-5:
+                fd = approx(z)
+                err = np.linalg.norm(np.asarray(exact(z), dtype=complex) - fd, axis=(-2, -1))
+                worst = max(worst, float(np.max(err / (1.0 + np.linalg.norm(fd, axis=(-2, -1))))))
+            if worst > tol:
                 raise HermitiaError(
-                    "analytic second derivatives disagree with finite differences "
-                    "(relative error %.2e)" % worst
+                    "analytic %s derivatives disagree with finite differences "
+                    "(relative error %.2e)" % (order, worst)
                 )
 
     def __repr__(self):
@@ -273,7 +266,7 @@ def wirtinger(field: ChartField, z, direction, conjugate=False, step=None):
         return (field.dbar(z) if conjugate else field.d(z))[direction]
     h = field.fd_step if step is None else float(step)
     field._require_domain(z, h)
-    return field._fd_dir(field.gram, z, direction, h, conjugate)
+    return wirtinger_fd(field.gram, z, direction, h, conjugate)
 
 
 def _check_constant_rank(field: ChartField, z):
@@ -293,33 +286,39 @@ def _check_constant_rank(field: ChartField, z):
     return r0
 
 
-def chern_connection(field: ChartField, z, solver_tol=None) -> ConnectionAt:
+def _solve(field: ChartField, z):
+    """The constant-rank gate, then one factorization of G at z and the
+    minimum-norm solve G @ A_a = d_a G with its residual gate.
+
+    Returns (G, dG, G^+, kernel basis of G, A, residual).
+    """
+    _check_constant_rank(field, z)
+    g = field.gram(z)
+    dg = field.d(z)
+    require_finite(dg, "first derivative", z)
+    gp, kernel = gram_pinv(g, RANK_TOL, "Gram matrix of the connection solve", z)
+    a = np.stack([gp @ dg[i] for i in range(field.m)])
+    residual = max(
+        np.linalg.norm(g @ a[i] - dg[i]) / (1.0 + np.linalg.norm(dg[i]))
+        for i in range(field.m)
+    )
+    if residual > SOLVER_TOL:
+        raise SolverResidual(
+            "G A = dG has no solution to %.1e (residual %.2e); "
+            "the field is not admissible here" % (SOLVER_TOL, residual)
+        )
+    return g, dg, gp, kernel, a, residual
+
+
+def chern_connection(field: ChartField, z) -> ConnectionAt:
     """Minimum-norm solution A of G @ A_a = d_a G at a point.
 
     For nondegenerate G this is the usual G^-1 dG; in general A is unique
     only modulo matrices with columns in Ker G.
     """
     z = _as_point(z, field.m)
-    _check_constant_rank(field, z)
-    tol = field.solver_tol if solver_tol is None else float(solver_tol)
-    g = field.gram(z)
-    dg = field.d(z)
-    gp = np.linalg.pinv(g, rcond=field.rank_tol, hermitian=True)
-    a = np.stack([gp @ dg[i] for i in range(field.m)])
-    residual = 0.0
-    for i in range(field.m):
-        r = np.linalg.norm(g @ a[i] - dg[i]) / (1.0 + np.linalg.norm(dg[i]))
-        residual = max(residual, r)
-    if residual > tol:
-        raise SolverResidual(
-            "G A = dG has no solution to %.1e (residual %.2e); "
-            "the field is not admissible here" % (tol, residual)
-        )
-    kernel_basis = Subspace(
-        field.shape,
-        np.linalg.svd(g)[2][field.rank_at(z):].conj().T,
-        rank_tol=field.rank_tol,
-    )
+    _, _, _, kernel, a, residual = _solve(field, z)
+    kernel_basis = Subspace(field.shape, kernel, rank_tol=RANK_TOL)
     return ConnectionAt(point=z, a=a, residual=residual, kernel_basis=kernel_basis)
 
 
@@ -331,20 +330,10 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
     compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
     """
     z = _as_point(z, field.m)
-    _check_constant_rank(field, z)
-    g = field.gram(z)
-    dg = field.d(z)
+    g, dg, gp, _, _, _ = _solve(field, z)
     dbg = field.dbar(z, d=dg)
     ddg = field.dd(z)
-    gp = np.linalg.pinv(g, rcond=field.rank_tol, hermitian=True)
-    residual = max(
-        np.linalg.norm(g @ (gp @ dg[i]) - dg[i]) / (1.0 + np.linalg.norm(dg[i]))
-        for i in range(field.m)
-    )
-    if residual > field.solver_tol:
-        raise SolverResidual(
-            "field is not admissible at this point (residual %.2e)" % residual
-        )
+    require_finite(ddg, "mixed second derivative", z)
     m, r = field.m, field.shape
     tensor = np.empty((m, m, r, r), dtype=complex)
     for a in range(m):
@@ -354,7 +343,7 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
     return CurvatureAt(
         point=z,
         tensor=tensor,
-        form_at_point=HermitianForm(g, rank_tol=field.rank_tol),
+        form_at_point=HermitianForm(g, rank_tol=RANK_TOL),
     )
 
 
@@ -371,7 +360,7 @@ def curvature_from_connection(field: ChartField, z, a_fn, step=1e-4) -> np.ndarr
     m, r = field.m, field.shape
     tensor = np.empty((m, m, r, r), dtype=complex)
     for b in range(m):
-        dbar_a = field._fd_dir(lambda w: np.asarray(a_fn(w), dtype=complex), z, b, step, True)
+        dbar_a = wirtinger_fd(lambda w: np.asarray(a_fn(w), dtype=complex), z, b, step, True)
         for a in range(m):
             tensor[a, b] = -(g @ dbar_a[a]).T
     return tensor
@@ -385,13 +374,12 @@ def smooth_kernel_perturbation(field: ChartField, z, seed=0):
     the zero function for nondegenerate fields.
     """
     z0 = _as_point(z, field.m)
-    g0 = field.gram(z0)
-    s = np.linalg.svd(g0, compute_uv=False)
-    rank0 = int(np.sum(s > field.rank_tol * s[0])) if s[0] > 0 else 0
+    _, s, vh = np.linalg.svd(field.gram(z0))
+    rank0 = rank_of(s, RANK_TOL, "Gram matrix", z0)
     jk = field.shape - rank0
     if jk == 0:
         return lambda w: np.zeros((field.shape, field.shape), dtype=complex)
-    k0 = np.linalg.svd(g0)[2][rank0:].conj().T
+    k0 = vh[rank0:].conj().T
     rng = np.random.default_rng(np.random.SeedSequence([seed, field.shape, field.m]))
     c0 = rng.standard_normal((jk, field.shape)) + 1j * rng.standard_normal((jk, field.shape))
     c1 = rng.standard_normal((field.m, jk, field.shape)) + 1j * rng.standard_normal(
@@ -404,7 +392,7 @@ def smooth_kernel_perturbation(field: ChartField, z, seed=0):
     def k(w):
         w = _as_point(w, field.m)
         g = field.gram(w)
-        gp = np.linalg.pinv(g, rcond=field.rank_tol, hermitian=True)
+        gp, _ = gram_pinv(g, RANK_TOL, "Gram matrix", w)
         p_ker = np.eye(field.shape, dtype=complex) - gp @ g
         dw = w - z0
         phi = c0 + np.tensordot(dw, c1, axes=1) + np.tensordot(dw.conj(), c2, axes=1)
@@ -445,12 +433,11 @@ def hsc(field: ChartField, z, v):
     v = np.asarray(v, dtype=complex).reshape(field.m)
     if np.linalg.norm(v) == 0.0:
         raise ZeroVector("direction must be nonzero")
-    g = field.gram(z)
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= field.rank_tol * max(abs(w[-1]), 1e-300):
+    form = field.form_at(z)
+    if not form.is_positive_definite():
         raise NotPositiveAtPoint("metric is not positive-definite at this point")
     curv = curvature_tensor(field, z)
-    return hsc_of_tensor(curv.tensor, g, v)
+    return hsc_of_tensor(curv.tensor, form.gram, v)
 
 
 def hsc_of_tensor(tensor, g, v):
@@ -504,7 +491,7 @@ def curvature_20_defect(field: ChartField, z, step=1e-4):
 
     a0 = a_fn(z)
     da = np.stack(
-        [field._fd_dir(lambda w: np.asarray(a_fn(w)), z, c, step, False) for c in range(field.m)]
+        [wirtinger_fd(lambda w: np.asarray(a_fn(w)), z, c, step) for c in range(field.m)]
     )  # da[c][a] = d_c A_a
     defect = 0.0
     scale = 1.0 + max(np.linalg.norm(g @ da[c][a]) for c in range(field.m) for a in range(field.m))
@@ -535,15 +522,11 @@ class HolomorphicMap:
             raise HermitiaError("map returned shape %s" % (w.shape,))
         return w
 
-    def _fd_column(self, z, j, conjugate):
-        h = self.fd_step
-        e = np.zeros(self.m_in, dtype=complex)
-        e[j] = 1.0
-        fp, fm = self(z + h * e), self(z - h * e)
-        fip, fim = self(z + 1j * h * e), self(z - 1j * h * e)
-        if conjugate:
-            return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
-        return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
+    def _fd_columns(self, z, conjugate):
+        return np.stack(
+            [wirtinger_fd(self, z, j, self.fd_step, conjugate) for j in range(self.m_in)],
+            axis=1,
+        )
 
     def jacobian(self, z):
         z = _as_point(z, self.m_in)
@@ -552,12 +535,10 @@ class HolomorphicMap:
             if j.shape != (self.m_out, self.m_in):
                 raise HermitiaError("jacobian returned shape %s" % (j.shape,))
             return j
-        return np.stack([self._fd_column(z, j, False) for j in range(self.m_in)], axis=1)
+        return self._fd_columns(z, False)
 
     def holomorphy_defect(self, z):
-        z = _as_point(z, self.m_in)
-        dbar = np.stack([self._fd_column(z, j, True) for j in range(self.m_in)], axis=1)
-        return float(np.linalg.norm(dbar))
+        return float(np.linalg.norm(self._fd_columns(_as_point(z, self.m_in), True)))
 
 
 def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z, tol_holo=1e-8):
@@ -595,8 +576,7 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z, tol_holo
     ) / scale
 
     if map_obj.m_in == map_obj.m_out:
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] > 1e-8 * max(sv[0], 1.0):
+        if rank_of(np.linalg.svd(jac, compute_uv=False), RANK_TOL) == map_obj.m_in:
             def transported(u):
                 ju = map_obj.jacobian(u)
                 return ju.conj().T @ field.gram(map_obj(u)) @ ju
@@ -607,19 +587,11 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z, tol_holo
                 transported,
                 center=z,
                 radius=0.05,
-                rank_tol=field.rank_tol,
                 self_check=False,
             )
             t_conn = chern_connection(tfield, z)
             jinv = np.linalg.inv(jac)
-            h = 1e-4
-            djac = []
-            for j in range(map_obj.m_in):
-                e = np.zeros(map_obj.m_in, dtype=complex)
-                e[j] = 1.0
-                jp, jm = map_obj.jacobian(z + h * e), map_obj.jacobian(z - h * e)
-                jip, jim = map_obj.jacobian(z + 1j * h * e), map_obj.jacobian(z - 1j * h * e)
-                djac.append((jp - jm - 1j * jip + 1j * jim) / (4.0 * h))
+            djac = [wirtinger_fd(map_obj.jacobian, z, j, 1e-4) for j in range(map_obj.m_in)]
             g_t = tfield.gram(z)
             scale_t = 1.0 + np.linalg.norm(g_t) * (1.0 + np.linalg.norm(t_conn.a))
             for j in range(map_obj.m_in):

@@ -48,3 +48,8 @@ class NotHolomorphic(HermitiaError):
 
 class ConfigError(HermitiaError):
     """Invalid run configuration (bad model id, malformed flag, ...)."""
+
+
+class NonFinite(HermitiaError):
+    """An evaluator returned NaN or inf: a Gram matrix, or the first or
+    mixed second derivatives assembled at a point."""

@@ -239,8 +239,8 @@ def q_lambda_limit(model: FibrationModel, z, lambda_grid=(2.0, 4.0, 6.0, 8.0)) -
     ``positive_on_vertical`` is an honest finding, not a requirement.
     """
     z = np.asarray(z, dtype=complex)
-    b1 = HermitianForm(model.b1_field.gram(z), rank_tol=model.b1_field.rank_tol)
-    b2 = HermitianForm(model.b2_field.gram(z), rank_tol=model.b2_field.rank_tol)
+    b1 = model.b1_field.form_at(z)
+    b2 = model.b2_field.form_at(z)
     q_values, q_inf = limit_form(b1, b2, lambda_grid)
 
     errors = [float(np.linalg.norm(q.gram - q_inf.gram)) for q in q_values]

@@ -286,8 +286,6 @@ def scaled_field(field: ChartField, c, name="", **kw):
         radius=field.radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
-        rank_tol=field.rank_tol,
-        solver_tol=field.solver_tol,
         name=name or field.name,
         self_check=False,
         **kw,
@@ -310,7 +308,6 @@ def sum_field(f1: ChartField, f2: ChartField, c1=1.0, c2=1.0, name="", **kw):
         if (f1.dd_fn is not None and f2.dd_fn is not None)
         else None
     )
-    kw.setdefault("rank_tol", max(f1.rank_tol, f2.rank_tol))
     return ChartField(
         f1.m,
         f1.shape,
@@ -390,7 +387,6 @@ def pullback_field(field: ChartField, map_obj: HolomorphicMap, center, radius, n
                 ddamb = field.dd(map_obj(z))
                 return np.einsum("ilrs,ij,lk->jkrs", ddamb, jac, jac.conj())
 
-    kw.setdefault("rank_tol", field.rank_tol)
     return ChartField(
         m,
         field.shape,

@@ -10,18 +10,83 @@ b(e_k, conj(e_j))``, so that for coordinate columns ``s``, ``t``
 With this index order the compatibility equation of a Chern connection
 reads ``dG = G @ A`` with no transposes (see :mod:`hermitia.charts`).
 
-All rank decisions use a relative singular-value cutoff ``rank_tol``:
-singular values below ``rank_tol * smax`` count as zero.
+All rank decisions go through :func:`rank_of`: a singular value (or, for
+a Hermitian Gram matrix, an eigenvalue modulus) counts when it lies above
+``rank_tol`` times the largest one, and the zero matrix has rank 0.
+NaN or inf met there raise :class:`~hermitia.errors.NonFinite`.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NoAdjoint, NotPositive, NotSurjective, HermitiaError
+from .errors import NoAdjoint, NonFinite, NotPositive, NotSurjective, HermitiaError
 
 DEFAULT_RANK_TOL = 1e-10
+
+
+def _non_finite(what, point):
+    where = "" if point is None else " at %s" % np.array2string(np.asarray(point), precision=3)
+    return NonFinite("%s is not finite%s" % (what, where))
+
+
+def require_finite(values, what, point=None):
+    """Raise NonFinite naming ``what`` and the chart point when ``values``
+    hold a NaN or an inf."""
+    if not np.isfinite(values).all():
+        raise _non_finite(what, point)
+
+
+def rank_of(values, rank_tol, what="spectrum", point=None):
+    """The one rank rule: how many of ``values`` (singular values or
+    eigenvalue moduli, in any order) lie above ``rank_tol`` times the
+    largest.  The zero matrix has rank 0."""
+    values = np.asarray(values)
+    top = values.max(initial=0.0)
+    if not math.isfinite(top):
+        raise _non_finite(what, point)
+    return int(np.count_nonzero(values > rank_tol * top))
+
+
+def _eig(g, what, point, vectors):
+    """``eigvalsh(g)``, or ``svd(conj(g), hermitian=True)`` when
+    ``vectors``; a NaN or inf in g raises NonFinite.  The solvers fail on
+    most such matrices, but return a finite spectrum for some with a NaN on
+    the diagonal, which the trace (the sum of the eigenvalues) exposes."""
+    try:
+        if vectors:
+            out = np.linalg.svd(np.conj(g), full_matrices=False, hermitian=True)
+        else:
+            out = np.linalg.eigvalsh(g)
+    except np.linalg.LinAlgError:
+        out = None
+    if out is None or not cmath.isfinite(g.trace()):
+        raise _non_finite(what, point)
+    return out
+
+
+def gram_rank(g, rank_tol, what="Gram matrix", point=None):
+    """Rank of a Hermitian matrix from the moduli of its eigenvalues."""
+    return rank_of(np.abs(_eig(g, what, point, False)), rank_tol, what, point)
+
+
+def gram_pinv(g, rank_tol, what="Gram matrix", point=None):
+    """Pseudoinverse and kernel basis of a Hermitian matrix from one
+    eigendecomposition.
+
+    The steps are those of ``np.linalg.pinv(g, rcond=rank_tol,
+    hermitian=True)``, so the pseudoinverse equals it bit for bit.  The
+    kernel basis holds, as orthonormal columns, the eigenvectors whose
+    eigenvalues the rank rule discards.
+    """
+    u, s, vt = _eig(g, what, point, True)
+    r = rank_of(s, rank_tol, what, point)
+    inv = np.zeros_like(s)
+    inv[:r] = 1.0 / s[:r]
+    return vt.T @ (inv[:, None] * u.T), vt[r:].T
 
 
 def hermitize(m):
@@ -52,9 +117,7 @@ def _nullspace(m, rank_tol):
     if m.shape[0] == 0 or not np.any(m):
         return np.eye(n, dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    cutoff = rank_tol * s[0] if s.size else 0.0
-    r = int(np.sum(s > cutoff))
-    return _phase_fix(vh[r:].conj().T)
+    return _phase_fix(vh[rank_of(s, rank_tol):].conj().T)
 
 
 def _rangespace(m, rank_tol):
@@ -64,9 +127,7 @@ def _rangespace(m, rank_tol):
     if not np.any(m):
         return np.zeros((m.shape[1], 0), dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    cutoff = rank_tol * s[0]
-    r = int(np.sum(s > cutoff))
-    return _phase_fix(vh[:r].conj().T)
+    return _phase_fix(vh[:rank_of(s, rank_tol)].conj().T)
 
 
 class HermitianForm:
@@ -89,10 +150,7 @@ class HermitianForm:
 
     @property
     def rank(self):
-        s = np.linalg.svd(self.gram, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s > self.rank_tol * s[0]))
+        return gram_rank(self.gram, self.rank_tol)
 
     @property
     def kernel_dim(self):
@@ -129,7 +187,7 @@ class Subspace:
             raise ValueError("basis must be ambient_dim x d")
         if basis.shape[1] > 0:
             s = np.linalg.svd(basis, compute_uv=False)
-            if s[-1] <= rank_tol * s[0]:
+            if rank_of(s, rank_tol) < basis.shape[1]:
                 raise ValueError("basis columns are not linearly independent")
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -232,7 +290,7 @@ def adjoint(f: LinearMap, bV: HermitianForm, bW: HermitianForm) -> LinearMap:
     """
     if not admits_adjoint(f, bV, bW):
         raise NoAdjoint("f does not map Ker b_V into Ker b_W")
-    gv_pinv = np.linalg.pinv(bV.gram, rcond=bV.rank_tol, hermitian=True)
+    gv_pinv, _ = gram_pinv(bV.gram, bV.rank_tol)
     fdag = gv_pinv @ f.matrix.conj().T @ bW.gram
     return LinearMap(fdag, domain_form=bW, codomain_form=bV)
 
@@ -262,11 +320,9 @@ def adjoint_freedom_dims(f: LinearMap, bV: HermitianForm, bW: HermitianForm):
     kw = kernel(bW).basis
     p = np.eye(dim_w, dtype=complex) - kw @ kw.conj().T
     system = np.kron(p, kv.T)
+    rank = 0
     if system.size:
-        s = np.linalg.svd(system, compute_uv=False)
-        rank = int(np.sum(s > max(bV.rank_tol, bW.rank_tol) * s[0])) if s[0] > 0 else 0
-    else:
-        rank = 0
+        rank = rank_of(np.linalg.svd(system, compute_uv=False), max(bV.rank_tol, bW.rank_tol))
     if rank != codim:
         raise HermitiaError(
             "adjointability codimension mismatch: formula %d, rank %d" % (codim, rank)
@@ -307,8 +363,7 @@ def quotient_form(qmap: LinearMap, bV: HermitianForm) -> HermitianForm:
     dim_q, dim_v = q.shape
     if dim_v != bV.dim:
         raise ValueError("quotient map does not match the form's space")
-    s = np.linalg.svd(q, compute_uv=False)
-    if s.size == 0 or s[0] == 0 or int(np.sum(s > bV.rank_tol * s[0])) < dim_q:
+    if rank_of(np.linalg.svd(q, compute_uv=False), bV.rank_tol) < dim_q:
         raise NotSurjective("quotient map does not have full row rank")
 
     ker_q = Subspace(dim_v, _nullspace(q, bV.rank_tol), rank_tol=bV.rank_tol)
@@ -361,9 +416,8 @@ def sum_quotient_form(b1: HermitianForm, b2: HermitianForm) -> HermitianForm:
     if b1.dim != b2.dim:
         raise ValueError("forms must share a space")
     h = b1.gram + b2.gram
-    w = np.linalg.eigvalsh(h)
     tol = max(b1.rank_tol, b2.rank_tol)
-    if w[0] <= tol * max(abs(w[-1]), 1e-300):
+    if not HermitianForm(h, rank_tol=tol).is_positive_definite():
         raise NotPositive("b1 + b2 is not positive-definite")
     m1 = np.linalg.solve(h, b1.gram)
     m2 = np.linalg.solve(h, b2.gram)
@@ -410,8 +464,7 @@ def limit_form(b1: HermitianForm, b2: HermitianForm, lambda_grid):
         if not b.is_positive_semidefinite():
             raise NotPositive("%s is not positive-semidefinite" % name)
     h0 = b1.gram + b2.gram
-    w = np.linalg.eigvalsh(h0)
-    if w[0] <= tol * max(abs(w[-1]), 1e-300):
+    if not HermitianForm(h0, rank_tol=tol).is_positive_definite():
         raise NotPositive("b1 + b2 is not positive-definite")
 
     q_values = [

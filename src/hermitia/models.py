@@ -248,10 +248,10 @@ def grassmannian_chart(k, n, certify=True):
 def ricci(field: ChartField, z):
     """Ricci Gram matrix -d dbar log det G at a point (analytic route)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g = field.gram(z)
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= field.rank_tol * max(abs(w[-1]), 1e-300):
+    form = field.form_at(z)
+    if not form.is_positive_definite():
         raise NotPositiveAtPoint("Ricci form needs a positive-definite metric")
+    g = form.gram
     gi = np.linalg.inv(g)
     dg = field.d(z)
     dbg = field.dbar(z, d=dg)

@@ -21,24 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartField, CurvatureAt, chern_connection, curvature_tensor
+from .charts import (
+    RANK_TOL,
+    ChartField,
+    CurvatureAt,
+    chern_connection,
+    curvature_tensor,
+    wirtinger_fd,
+)
 from .errors import HermitiaError, NotHolomorphic
-from .forms import HermitianForm, LinearMap, adjoint, admits_adjoint, quotient_form, sum_quotient_form
+from .forms import (
+    HermitianForm,
+    LinearMap,
+    adjoint,
+    admits_adjoint,
+    quotient_form,
+    rank_of,
+    sum_quotient_form,
+)
 
 SIGMA_DBAR_TOL = 1e-6
 HOLOMORPHY_TOL = 1e-8
-
-
-def _wirt_fd(fn, z, a, step, conjugate=False):
-    """Central Wirtinger stencil for an arbitrary array-valued function."""
-    e = np.zeros(len(z), dtype=complex)
-    e[a] = 1.0
-    h = step
-    fp, fm = fn(z + h * e), fn(z - h * e)
-    fip, fim = fn(z + 1j * h * e), fn(z - 1j * h * e)
-    if conjugate:
-        return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
-    return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
 
 
 class ExactSeqChart:
@@ -71,13 +74,12 @@ class ExactSeqChart:
         self.k = j0.shape[1]
         if self.k >= self.r:
             raise HermitiaError("inclusion must be a proper subbundle")
-        sv = np.linalg.svd(j0, compute_uv=False)
-        if sv[-1] <= 1e-8 * sv[0]:
+        u, sv, _ = np.linalg.svd(j0)
+        if rank_of(sv, RANK_TOL) < self.k:
             raise HermitiaError("inclusion is not full column rank at the chart center")
         self._check_holomorphic()
 
         # holomorphic quotient frame by continuation from the center
-        u, _, _ = np.linalg.svd(j0)
         self._n0h = u[:, self.k:].conj().T  # (r-k, r), orthonormal rows
         self._w0 = np.linalg.pinv(j0)  # (k, r)
 
@@ -94,7 +96,7 @@ class ExactSeqChart:
         if self._dj_fn is not None:
             return np.asarray(self._dj_fn(z), dtype=complex)
         return np.stack(
-            [_wirt_fd(self.j_at, z, a, self.ambient.fd_step) for a in range(self.m)]
+            [wirtinger_fd(self.j_at, z, a, self.ambient.fd_step) for a in range(self.m)]
         )
 
     def q_at(self, z):
@@ -124,7 +126,7 @@ class ExactSeqChart:
             )
         for z in pts:
             for a in range(self.m):
-                db = _wirt_fd(self.j_at, z, a, self.ambient.fd_step, conjugate=True)
+                db = wirtinger_fd(self.j_at, z, a, self.ambient.fd_step, conjugate=True)
                 if np.linalg.norm(db) > HOLOMORPHY_TOL * (1.0 + np.linalg.norm(self.j_at(z))):
                     raise NotHolomorphic(
                         "inclusion has antiholomorphic derivative %.2e" % np.linalg.norm(db)
@@ -171,8 +173,6 @@ class ExactSeqChart:
             radius=amb.radius,
             d_fn=d_fn,
             dd_fn=dd_fn,
-            rank_tol=amb.rank_tol,
-            solver_tol=amb.solver_tol,
             name=self.name + ".sub",
             self_check=False,
         )
@@ -181,10 +181,7 @@ class ExactSeqChart:
         amb = self.ambient
 
         def ev(z):
-            bq = quotient_form(
-                LinearMap(self.q_at(z)), HermitianForm(amb.gram(z), rank_tol=amb.rank_tol)
-            )
-            return bq.gram
+            return quotient_form(LinearMap(self.q_at(z)), amb.form_at(z)).gram
 
         return ChartField(
             self.m,
@@ -192,8 +189,6 @@ class ExactSeqChart:
             ev,
             center=amb.center,
             radius=amb.radius,
-            rank_tol=amb.rank_tol,
-            solver_tol=amb.solver_tol,
             name=self.name + ".quot",
             self_check=False,
         )
@@ -218,9 +213,9 @@ class _SeqAt:
         self.a_e = chern_connection(seq.ambient, z).a
         self.a_s = chern_connection(seq.sub_field, z).a
         self.a_q = chern_connection(seq.quot_field, z).a
-        self.b_s = HermitianForm(self.g_s, rank_tol=seq.sub_field.rank_tol)
-        self.b_q = HermitianForm(self.g_q, rank_tol=seq.quot_field.rank_tol)
-        self.b_e = HermitianForm(self.g_e, rank_tol=seq.ambient.rank_tol)
+        self.b_s = HermitianForm(self.g_s, rank_tol=RANK_TOL)
+        self.b_q = HermitianForm(self.g_q, rank_tol=RANK_TOL)
+        self.b_e = HermitianForm(self.g_e, rank_tol=RANK_TOL)
         self.jdag = adjoint(LinearMap(self.j), self.b_s, self.b_e).matrix
         self.qdag = adjoint(LinearMap(self.q), self.b_e, self.b_q).matrix
         self.sigma = np.stack(
@@ -248,7 +243,7 @@ def second_fundamental_form(seq: ExactSeqChart, z) -> SecondFundamentalFormAt:
     at = seq.at(z)
     worst = 0.0
     for a in range(seq.m):
-        db = _wirt_fd(seq.j_at, at.z, a, seq.ambient.fd_step, conjugate=True)
+        db = wirtinger_fd(seq.j_at, at.z, a, seq.ambient.fd_step, conjugate=True)
         worst = max(worst, float(np.linalg.norm(at.q @ db)))
     scale = 1.0 + float(np.linalg.norm(at.sigma))
     if worst > SIGMA_DBAR_TOL * scale:
@@ -321,29 +316,29 @@ def demailly_residuals(seq: ExactSeqChart, z, step=1e-4):
 
     r3 = 0.0
     for a in range(m):
-        djdag = _wirt_fd(jdag_at, at.z, a, step)
+        djdag = wirtinger_fd(jdag_at, at.z, a, step)
         dpjdag = djdag + at.a_s[a] @ at.jdag - at.jdag @ at.a_e[a]
         r3 = max(r3, _rel(at.g_s @ dpjdag, at.g_s @ djdag))
-        dbjdag = _wirt_fd(jdag_at, at.z, a, step, conjugate=True)
+        dbjdag = wirtinger_fd(jdag_at, at.z, a, step, conjugate=True)
         rhs = at.sigma_dagger[a] @ at.q
         r3 = max(r3, _rel(at.g_s @ (dbjdag - rhs), at.g_s @ dbjdag, at.g_s @ rhs))
     out["inclusion_adjoint"] = r3
 
     r4 = 0.0
     for a in range(m):
-        dqdag = _wirt_fd(qdag_at, at.z, a, step)
+        dqdag = wirtinger_fd(qdag_at, at.z, a, step)
         dpqdag = dqdag + at.a_e[a] @ at.qdag - at.qdag @ at.a_q[a]
         r4 = max(r4, _rel(at.g_e @ dpqdag, at.g_e @ dqdag))
-        dbqdag = _wirt_fd(qdag_at, at.z, a, step, conjugate=True)
+        dbqdag = wirtinger_fd(qdag_at, at.z, a, step, conjugate=True)
         rhs = -at.j @ at.sigma_dagger[a]
         r4 = max(r4, _rel(at.g_e @ (dbqdag - rhs), at.g_e @ dbqdag, at.g_e @ rhs))
     out["projection_adjoint"] = r4
 
     r5 = 0.0
     if m > 1:
-        dsig = np.stack([_wirt_fd(sigma_at, at.z, a, step) for a in range(m)])
+        dsig = np.stack([wirtinger_fd(sigma_at, at.z, a, step) for a in range(m)])
         dbsigdag = np.stack(
-            [_wirt_fd(sigdag_at, at.z, a, step, conjugate=True) for a in range(m)]
+            [wirtinger_fd(sigdag_at, at.z, a, step, conjugate=True) for a in range(m)]
         )
         for a in range(m):
             for b in range(a + 1, m):
@@ -427,8 +422,8 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z, step=1e-4) -> SplittingBlo
     def sigdag_at(w):
         return seq.at(w).sigma_dagger
 
-    dsig = np.stack([_wirt_fd(sigma_at, at.z, a, step, conjugate=True) for a in range(m)])
-    dpsigdag = np.stack([_wirt_fd(sigdag_at, at.z, a, step) for a in range(m)])
+    dsig = np.stack([wirtinger_fd(sigma_at, at.z, a, step, conjugate=True) for a in range(m)])
+    dpsigdag = np.stack([wirtinger_fd(sigdag_at, at.z, a, step) for a in range(m)])
 
     ss = np.empty((m, m, k, k), dtype=complex)
     sq = np.empty((m, m, k, rk), dtype=complex)
@@ -487,8 +482,7 @@ def sum_curvature(
     g1 = b1_field.gram(z)
     g2 = b2_field.gram(z)
     gq = sum_quotient_form(
-        HermitianForm(g1, rank_tol=b1_field.rank_tol),
-        HermitianForm(g2, rank_tol=b2_field.rank_tol),
+        HermitianForm(g1, rank_tol=RANK_TOL), HermitianForm(g2, rank_tol=RANK_TOL)
     ).gram
     m, r = b1_field.m, b1_field.shape
     tensor = np.empty((m, m, r, r), dtype=complex)
@@ -501,5 +495,5 @@ def sum_curvature(
     return CurvatureAt(
         point=z,
         tensor=tensor,
-        form_at_point=HermitianForm(g1 + g2, rank_tol=min(b1_field.rank_tol, b2_field.rank_tol)),
+        form_at_point=HermitianForm(g1 + g2, rank_tol=RANK_TOL),
     )

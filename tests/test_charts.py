@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermitia import HermitiaError, NotHolomorphic, OutOfDomain, RankJump, SolverResidual, ZeroVector
+from hermitia import (
+    HermitiaError,
+    NonFinite,
+    NotHolomorphic,
+    OutOfDomain,
+    RankJump,
+    SolverResidual,
+    ZeroVector,
+)
 from hermitia.charts import (
     ChartField,
     HolomorphicMap,
@@ -18,6 +26,7 @@ from hermitia.charts import (
     smooth_kernel_perturbation,
     torsion_defect,
     wirtinger,
+    wirtinger_fd,
 )
 from hermitia.errors import NotPositiveAtPoint
 from hermitia.fields import (
@@ -114,6 +123,55 @@ def test_rank_at_counts_significant_singular_values():
     f = ChartField(1, 2, lambda z: np.diag([1.0, abs(z[0]) ** 2]), self_check=False)
     assert f.rank_at([0.0]) == 1
     assert f.rank_at([0.5]) == 2
+
+
+# ---------------------------------------------------------------------------
+# non-finite input and read counts
+
+
+@pytest.mark.parametrize("solve", [chern_connection, curvature_tensor])
+def test_nan_gram_raises_non_finite(solve):
+    # eigvalsh returns the finite spectrum [0, -0] for this matrix
+    f = ChartField(1, 2, lambda z: np.diag([np.nan, 1.0]), d_fn=lambda z: np.zeros((1, 2, 2)),
+                   self_check=False)
+    with pytest.raises(NonFinite, match="rank gate is not finite at"):
+        solve(f, [0.1])
+    with pytest.raises(NonFinite):
+        f.form_at([0.1]).rank
+
+
+@pytest.mark.parametrize("solve", [chern_connection, curvature_tensor])
+def test_inf_gram_raises_non_finite(solve):
+    f = ChartField(1, 2, lambda z: np.diag([np.inf, 1.0]), d_fn=lambda z: np.zeros((1, 2, 2)),
+                   self_check=False)
+    with pytest.raises(NonFinite, match="Gram matrix"):
+        solve(f, [0.1])
+
+
+@pytest.mark.parametrize("which", ["d_fn", "dd_fn"])
+def test_nan_derivative_raises_non_finite(which):
+    base = fs_line()
+    evaluators = {"d_fn": base.d_fn, "dd_fn": base.dd_fn}
+    evaluators[which] = lambda z: np.full((1,) * (2 if which == "d_fn" else 3) + (1,), np.nan)
+    f = ChartField(1, 1, base.eval_fn, radius=3.0, self_check=False, **evaluators)
+    stage = "first derivative" if which == "d_fn" else "mixed second derivative"
+    with pytest.raises(NonFinite, match=stage + r" is not finite at \[0\.2"):
+        curvature_tensor(f, [0.2])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("solve", [chern_connection, curvature_tensor])
+def test_one_solve_reads_the_gram_4m_plus_2_times(solve, m):
+    base = from_potential_map(fs_monomials(m), radius=3.0)
+    reads = []
+
+    def counted(z):
+        reads.append(z)
+        return base.eval_fn(z)
+
+    f = ChartField(m, m, counted, radius=3.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
+    solve(f, np.full(m, 0.2 + 0.1j))
+    assert len(reads) == 4 * m + 2
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +538,9 @@ def test_pullback_field_chain_rule():
     pb = pullback_field(amb, mp, center=[0.2], radius=0.3)
     assert pb.analytic
     z = np.array([0.25 + 0.05j])
-    fd = pb._fd_dir(pb.gram, z, 0, 1e-5, False)
+    fd = wirtinger_fd(pb.gram, z, 0, 1e-5, False)
     assert np.linalg.norm(pb.d(z)[0] - fd) < 1e-8
-    fd2 = pb._fd_dir(lambda w: pb.d(w)[0].conj().T, z, 0, 1e-4, False)
+    fd2 = wirtinger_fd(lambda w: pb.d(w)[0].conj().T, z, 0, 1e-4, False)
     assert np.linalg.norm(pb.dd(z)[0, 0] - fd2) < 1e-6
 
 

@@ -22,6 +22,8 @@ from hermitia import (
     quotient_form,
     sum_quotient_form,
 )
+from hermitia.errors import NonFinite
+from hermitia.forms import gram_pinv, rank_of
 
 
 def form(entries, **kw):
@@ -49,6 +51,31 @@ def same_span(basis_a, basis_b, tol=1e-9):
     sa = Subspace(basis_a.shape[0], basis_a)
     sb = Subspace(basis_b.shape[0], basis_b)
     return np.linalg.norm(sa.projector() - sb.projector()) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the rank rule and the shared factorization
+
+
+def test_rank_rule_is_relative_and_order_free():
+    assert rank_of([3.0, 1e-9, 2.0], 1e-8) == 2
+    assert rank_of([1e-9, 3.0, 1e-7], 1e-8) == 2
+    assert rank_of([0.0, 0.0], 1e-8) == 0
+    assert rank_of([], 1e-8) == 0
+    with pytest.raises(NonFinite):
+        rank_of([1.0, np.nan], 1e-8)
+
+
+@pytest.mark.parametrize("make", [random_psd_form, random_hermitian_form])
+def test_gram_pinv_is_numpy_pinv_and_spans_the_kernel(make):
+    rng = np.random.default_rng(31)
+    for dim in range(1, 6):
+        for rank in range(dim + 1):
+            for _ in range(5):
+                g = make(rng, dim, rank=rank).gram
+                gp, kernel_basis = gram_pinv(g, 1e-8)
+                assert np.array_equal(gp, np.linalg.pinv(g, rcond=1e-8, hermitian=True))
+                assert same_span(kernel_basis, kernel(HermitianForm(g, rank_tol=1e-8)).basis)
 
 
 # ---------------------------------------------------------------------------
