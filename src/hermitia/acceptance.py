@@ -99,7 +99,7 @@ def _pair(tensor, a, b, s, t):
     return complex(np.einsum("st,s,t->", tensor[a, b], s, np.conj(t)))
 
 
-def round_metric_calibration(threads=None):
+def round_metric_calibration():
     """H is identically 2 for the round metric on the line chart.
 
     Checked on a 5x5 grid inside |z| <= 0.9, in the analytic mode to
@@ -127,7 +127,7 @@ def round_metric_calibration(threads=None):
     return _finish(1, "round metric calibration", t0, 1.0, details, failures)
 
 
-def grassmannian_curvature_window(threads=None):
+def grassmannian_curvature_window():
     """Sampled curvature extremes on the (2, 4) chart match its declared bounds.
 
     A 2000-sample scan with refinement must land within 0.025 of the
@@ -137,9 +137,7 @@ def grassmannian_curvature_window(threads=None):
     t0 = time.perf_counter()
     details, failures = {}, []
     model = grassmannian_chart(2, 4)
-    scan = hsc_extremes(
-        model.field, region=0.7, samples=2000, optimizer_steps=200, seed=0, threads=threads
-    )
+    scan = hsc_extremes(model.field, region=0.7, samples=2000, optimizer_steps=200, seed=0)
     details["min_H"] = scan.min_H
     details["max_H"] = scan.max_H
     details["declared_lower"] = model.hsc_lower
@@ -161,7 +159,7 @@ def grassmannian_curvature_window(threads=None):
     return _finish(2, "grassmannian curvature window", t0, 30.0, details, failures)
 
 
-def einstein_constants(threads=None):
+def einstein_constants():
     """The three bundled homogeneous models satisfy their Einstein equations.
 
     Ricci minus the stated constant times the metric stays below 1e-6
@@ -182,7 +180,7 @@ def einstein_constants(threads=None):
     return _finish(3, "einstein constants", t0, None, details, failures)
 
 
-def two_chart_constructions_agree(threads=None):
+def two_chart_constructions_agree():
     """The closed-form (2, 4) chart metric equals the minor-embedding route.
 
     Both Grams agree to a relative 1e-8 at twenty seeded points in the
@@ -251,7 +249,7 @@ def identity_table_instance(seed):
     return demailly_residuals(seq, z)
 
 
-def sub_quotient_curvature_suite(threads=None):
+def sub_quotient_curvature_suite():
     """Second-form curvature corrections match intrinsic curvature.
 
     The tautological line pins the signs (-1 on the sub side, +1 on the
@@ -283,7 +281,7 @@ def sub_quotient_curvature_suite(threads=None):
     return _finish(5, "sub and quotient curvature suite", t0, None, details, failures)
 
 
-def sum_of_forms_suite(threads=None):
+def sum_of_forms_suite():
     """Assembled curvature of a sum of forms matches the direct route.
 
     25 seeded instances, cycling through both-definite, one-degenerate
@@ -306,7 +304,7 @@ def sum_of_forms_suite(threads=None):
     return _finish(6, "sum of forms suite", t0, None, details, failures)
 
 
-def gauge_independence_suite(threads=None):
+def gauge_independence_suite():
     """Curvature of degenerate fields ignores kernel-valued connection gauge.
 
     20 seeded degenerate instances, each perturbed by a random smooth
@@ -326,7 +324,7 @@ def gauge_independence_suite(threads=None):
     return _finish(7, "gauge independence", t0, None, details, failures)
 
 
-def derivative_identity_table(threads=None):
+def derivative_identity_table():
     """All five derivative identities of a metrized sequence hold.
 
     Each line of the table stays below 1e-5 across the seeded instance
@@ -345,7 +343,7 @@ def derivative_identity_table(threads=None):
     return _finish(8, "derivative identity table", t0, None, details, failures)
 
 
-def quotient_limit_decay(threads=None):
+def quotient_limit_decay():
     """The scaled quotient family converges at the advertised rate.
 
     Over seeded positive pairs, the error to the limit contracts by
@@ -389,7 +387,7 @@ def quotient_limit_decay(threads=None):
     return _finish(9, "quotient limit decay", t0, None, details, failures)
 
 
-def fibration_positivity(threads=None):
+def fibration_positivity():
     """The threshold scan certifies positivity for both bundled families.
 
     For the product of round metrics and the twist-one family on the
@@ -404,7 +402,7 @@ def fibration_positivity(threads=None):
         ("twist_one", hirzebruch_model(1)),
     )
     for label, model in candidates:
-        scan = find_lambda0(model, sphere_samples=200, seed=0, threads=threads)
+        scan = find_lambda0(model, sphere_samples=200, seed=0)
         if not scan.found:
             failures.append("%s: schedule exhausted without a threshold" % label)
             continue
@@ -413,21 +411,14 @@ def fibration_positivity(threads=None):
 
         minima = []
         for lam in (lam0, lam0 + 1.0, lam0 + 3.0):
-            one = find_lambda0(
-                model,
-                sphere_samples=200,
-                lambda_schedule=(lam,),
-                margin=0.0,
-                seed=0,
-                threads=threads,
-            )
+            one = find_lambda0(model, sphere_samples=200, lambda_schedule=(lam,), margin=0.0, seed=0)
             record = one.records[-1]
             minima.append(record["min_H"])
             if not (one.found and record["min_H"] is not None and record["min_H"] > 0.0):
                 failures.append("%s: refined minimum not positive at lambda=%.2f" % (label, lam))
         details[label + "_min_H"] = minima
 
-        double = find_lambda0(model, sphere_samples=400, seed=0, threads=threads)
+        double = find_lambda0(model, sphere_samples=400, seed=0)
         details[label + "_lambda0_doubled"] = double.lambda0
         if (not double.found) or double.lambda0 != lam0:
             failures.append("%s: threshold moved when the sample count doubled" % label)
@@ -435,7 +426,7 @@ def fibration_positivity(threads=None):
     return _finish(10, "fibration positivity", t0, 120.0, details, failures)
 
 
-def form_calculus_properties(threads=None):
+def form_calculus_properties():
     """The six basic laws of the degenerate-form calculus, 100 draws each.
 
     Adjoint defining identity, kernel-torsor structure of adjoints,
@@ -579,12 +570,12 @@ CRITERIA = (
 )
 
 
-def run_all(numbers=None, threads=None):
+def run_all(numbers=None):
     """Run the numbered criteria (all by default) and return their results."""
     wanted = None if numbers is None else {int(n) for n in numbers}
     results = []
     for index, criterion in enumerate(CRITERIA, start=1):
         if wanted is not None and index not in wanted:
             continue
-        results.append(criterion(threads=threads))
+        results.append(criterion())
     return results

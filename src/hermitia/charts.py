@@ -37,6 +37,15 @@ from .forms import HermitianForm, Subspace, gram_pinv, gram_rank, hermitize, ran
 RANK_TOL = 1e-8
 # Largest relative residual of the connection solve G A = dG.
 SOLVER_TOL = 1e-7
+# Step of the Wirtinger probes that difference a connection, a Jacobian or
+# per-point sequence data (curvature_from_connection, curvature_20_defect,
+# pullback_consistency, the identity table and the splitting blocks).
+PROBE_STEP = 1e-4
+# Step of the finite-difference Jacobian of a HolomorphicMap.
+MAP_FD_STEP = 1e-5
+# Largest antiholomorphic derivative of a holomorphic map or inclusion,
+# relative to 1 + the norm of its value (or Jacobian).
+HOLOMORPHY_TOL = 1e-8
 
 
 def _as_point(z, m):
@@ -347,7 +356,7 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
     )
 
 
-def curvature_from_connection(field: ChartField, z, a_fn, step=1e-4) -> np.ndarray:
+def curvature_from_connection(field: ChartField, z, a_fn) -> np.ndarray:
     """R[a][b][s][t] = -(G dbar_b A_a)[t][s] for a supplied connection map.
 
     ``a_fn`` maps a chart point to the full (m, shape, shape) stack of
@@ -360,7 +369,7 @@ def curvature_from_connection(field: ChartField, z, a_fn, step=1e-4) -> np.ndarr
     m, r = field.m, field.shape
     tensor = np.empty((m, m, r, r), dtype=complex)
     for b in range(m):
-        dbar_a = wirtinger_fd(lambda w: np.asarray(a_fn(w), dtype=complex), z, b, step, True)
+        dbar_a = wirtinger_fd(lambda w: np.asarray(a_fn(w), dtype=complex), z, b, PROBE_STEP, True)
         for a in range(m):
             tensor[a, b] = -(g @ dbar_a[a]).T
     return tensor
@@ -401,7 +410,7 @@ def smooth_kernel_perturbation(field: ChartField, z, seed=0):
     return k
 
 
-def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None, step=1e-4):
+def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None):
     """Relative change of the curvature tensor under a kernel-valued
     perturbation of the connection; expected at finite-difference noise
     level (<= 1e-6)."""
@@ -416,8 +425,8 @@ def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None,
     def a_pert(w):
         return a_fn(w) + perturbation(w)
 
-    r0 = curvature_from_connection(field, z, a_fn, step=step)
-    r1 = curvature_from_connection(field, z, a_pert, step=step)
+    r0 = curvature_from_connection(field, z, a_fn)
+    r1 = curvature_from_connection(field, z, a_pert)
     return float(np.linalg.norm(r0 - r1) / (1.0 + np.linalg.norm(r0)))
 
 
@@ -476,7 +485,7 @@ def torsion_defect(field: ChartField, z):
     return defect
 
 
-def curvature_20_defect(field: ChartField, z, step=1e-4):
+def curvature_20_defect(field: ChartField, z):
     """Norm of the (2,0)-type curvature after contraction with G.
 
     G (d_a A_b - d_b A_a + [A_a, A_b]) vanishes identically for admissible
@@ -491,7 +500,7 @@ def curvature_20_defect(field: ChartField, z, step=1e-4):
 
     a0 = a_fn(z)
     da = np.stack(
-        [wirtinger_fd(lambda w: np.asarray(a_fn(w)), z, c, step) for c in range(field.m)]
+        [wirtinger_fd(lambda w: np.asarray(a_fn(w)), z, c, PROBE_STEP) for c in range(field.m)]
     )  # da[c][a] = d_c A_a
     defect = 0.0
     scale = 1.0 + max(np.linalg.norm(g @ da[c][a]) for c in range(field.m) for a in range(field.m))
@@ -506,15 +515,15 @@ class HolomorphicMap:
     """A holomorphic chart map f: C^m_in -> C^m_out with a Jacobian.
 
     The Jacobian J[i][j] = d f_i / d z_j is analytic when supplied,
-    otherwise a Wirtinger finite difference of ``func``.
+    otherwise a Wirtinger finite difference of ``func`` with step
+    ``MAP_FD_STEP``.
     """
 
-    def __init__(self, func, m_in, m_out, jacobian=None, fd_step=1e-5):
+    def __init__(self, func, m_in, m_out, jacobian=None):
         self.func = func
         self.m_in = int(m_in)
         self.m_out = int(m_out)
         self._jacobian = jacobian
-        self.fd_step = float(fd_step)
 
     def __call__(self, z):
         w = np.atleast_1d(np.asarray(self.func(_as_point(z, self.m_in)), dtype=complex))
@@ -524,7 +533,7 @@ class HolomorphicMap:
 
     def _fd_columns(self, z, conjugate):
         return np.stack(
-            [wirtinger_fd(self, z, j, self.fd_step, conjugate) for j in range(self.m_in)],
+            [wirtinger_fd(self, z, j, MAP_FD_STEP, conjugate) for j in range(self.m_in)],
             axis=1,
         )
 
@@ -541,7 +550,7 @@ class HolomorphicMap:
         return float(np.linalg.norm(self._fd_columns(_as_point(z, self.m_in), True)))
 
 
-def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z, tol_holo=1e-8):
+def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z):
     """Residual between the pullback of the connection and the connection
     of the pulled-back form field, measured after contracting with G.
 
@@ -555,7 +564,7 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z, tol_holo
     z = _as_point(z, map_obj.m_in)
     defect = map_obj.holomorphy_defect(z)
     jac = map_obj.jacobian(z)
-    if defect > tol_holo * (1.0 + np.linalg.norm(jac)):
+    if defect > HOLOMORPHY_TOL * (1.0 + np.linalg.norm(jac)):
         raise NotHolomorphic("map has antiholomorphic derivative %.2e" % defect)
 
     w = map_obj(z)
@@ -591,7 +600,7 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z, tol_holo
             )
             t_conn = chern_connection(tfield, z)
             jinv = np.linalg.inv(jac)
-            djac = [wirtinger_fd(map_obj.jacobian, z, j, 1e-4) for j in range(map_obj.m_in)]
+            djac = [wirtinger_fd(map_obj.jacobian, z, j, PROBE_STEP) for j in range(map_obj.m_in)]
             g_t = tfield.gram(z)
             scale_t = 1.0 + np.linalg.norm(g_t) * (1.0 + np.linalg.norm(t_conn.a))
             for j in range(map_obj.m_in):

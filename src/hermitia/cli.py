@@ -42,7 +42,6 @@ _COERCE = {
     "seed": int,
     "samples": int,
     "instances": int,
-    "threads": int,
     "dim": int,
     "rank": int,
     "dimv": int,
@@ -176,8 +175,7 @@ def cmd_hsc(cfg, report):
     entry = _metric_entry(cfg)
     field = _field_for(entry, cfg)
     region = cfg.get("region", entry.default_region)
-    scan = hsc_extremes(field, region, samples=cfg["samples"], seed=cfg["seed"],
-                        threads=cfg.get("threads"))
+    scan = hsc_extremes(field, region, samples=cfg["samples"], seed=cfg["seed"])
     if entry.hsc_lower is not None:
         report.add("min_H", value=scan.min_H,
                    residual=abs(scan.min_H - entry.hsc_lower), tolerance=cfg["tol"],
@@ -212,8 +210,7 @@ def cmd_grassmannian(cfg, report):
     report.add("einstein_constant", value=entry.einstein_constant,
                residual=float(resid), tolerance=1e-6)
 
-    scan = hsc_extremes(entry.field, region, samples=400, optimizer_steps=60,
-                        seed=cfg["seed"], threads=cfg.get("threads"))
+    scan = hsc_extremes(entry.field, region, samples=400, optimizer_steps=60, seed=cfg["seed"])
     inside = entry.hsc_lower - 1e-3 <= scan.min_H and scan.max_H <= entry.hsc_upper + 1e-3
     report.add("curvature_window", value=[scan.min_H, scan.max_H], passed=bool(inside),
                declared=[entry.hsc_lower, entry.hsc_upper])
@@ -247,7 +244,7 @@ def cmd_fibration_scan(cfg, report):
     schedule = tuple(range(int(cfg["lambda_max"]) + 1))
     scan = find_lambda0(entry.fibration, region=cfg.get("region"),
                         sphere_samples=cfg["samples"], lambda_schedule=schedule,
-                        seed=cfg["seed"], threads=cfg.get("threads"))
+                        seed=cfg["seed"])
     report.add("lambda0", value=scan.lambda0, passed=scan.found)
     for record in scan.records:
         report.add("lambda_%g_min_H" % record["lambda"],
@@ -265,7 +262,7 @@ def cmd_acceptance(cfg, report):
         unknown = [n for n in numbers if not 1 <= n <= len(acceptance.CRITERIA)]
         if unknown:
             raise ConfigError("no such criterion: %s" % unknown)
-    for result in acceptance.run_all(numbers=numbers, threads=cfg.get("threads")):
+    for result in acceptance.run_all(numbers=numbers):
         report.add("criterion_%02d_%s" % (result.number, result.name.replace(" ", "_")),
                    value="%.2fs" % result.elapsed, passed=result.passed,
                    failures=result.failures, details=result.as_dict()["details"])
@@ -297,7 +294,6 @@ def _build_parser():
         p.add_argument("--tol", type=float)
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--threads", type=int)
         if model:
             p.add_argument("--model", help="model id, e.g. fs:1, gr:2:4, hirz:1")
             p.add_argument("--region", type=float)

@@ -35,6 +35,12 @@ from .models import (
 )
 
 VERTICAL_LEAK_TOL = 1e-12
+# Relative floors of the positive-definiteness test _is_pd: the lowest
+# eigenvalue must exceed the floor times max(|largest eigenvalue|, 1).
+# PD_FLOOR gates h_lambda before a curvature read; VERTICAL_PD_FLOOR gates
+# the vertical block of the fiberwise form and of the limit form.
+PD_FLOOR = 1e-12
+VERTICAL_PD_FLOOR = 1e-10
 DEFAULT_LAMBDA_SCHEDULE = tuple(range(13))
 
 
@@ -85,11 +91,10 @@ class FibrationModel:
         for _ in range(points):
             z = _sample_polydisc(rng, self.total_m, self.region)
             g1 = self.b1_field.gram(z)
-            w = np.linalg.eigvalsh(g1[v, v])
-            if w[0] <= 1e-10 * max(abs(w[-1]), 1.0):
+            if not _is_pd(g1[v, v], VERTICAL_PD_FLOOR):
                 raise NotPositive(
                     "fiberwise form is not positive-definite on the vertical "
-                    "block (min eigenvalue %.2e)" % w[0]
+                    "block (min eigenvalue %.2e)" % np.linalg.eigvalsh(g1[v, v])[0]
                 )
             g2 = self.b2_field.gram(z)
             leak = np.linalg.norm(g2[:, v])
@@ -161,13 +166,9 @@ def h_lambda(model: FibrationModel, lam) -> ChartField:
     )
 
 
-def _min_eig(gram):
-    return float(np.linalg.eigvalsh(gram)[0])
-
-
-def _is_pd(gram, tol=1e-12):
+def _is_pd(gram, floor):
     w = np.linalg.eigvalsh(gram)
-    return bool(w[0] > tol * max(abs(w[-1]), 1.0))
+    return bool(w[0] > floor * max(abs(w[-1]), 1.0))
 
 
 @dataclass
@@ -189,7 +190,7 @@ def r_lambda_decomposed(model: FibrationModel, lam, z) -> DecomposedCurvature:
     """
     z = np.asarray(z, dtype=complex)
     field = h_lambda(model, lam)
-    if not _is_pd(field.gram(z)):
+    if not _is_pd(field.gram(z), PD_FLOOR):
         raise NotPositive("h_lambda is not positive-definite at the point")
     direct = curvature_tensor(field, z)
     from .sequences import sum_curvature
@@ -245,21 +246,17 @@ def q_lambda_limit(model: FibrationModel, z, lambda_grid=(2.0, 4.0, 6.0, 8.0)) -
 
     errors = [float(np.linalg.norm(q.gram - q_inf.gram)) for q in q_values]
     scale = 1.0 + float(np.linalg.norm(q_inf.gram))
-    ratios = []
-    for prev, cur in zip(errors, errors[1:]):
-        if prev > 1e-13 * scale and cur > 1e-13 * scale:
-            ratios.append(cur / prev)
-        else:
-            ratios.append(None)
+    ratios = [
+        cur / prev if prev > 1e-13 * scale and cur > 1e-13 * scale else None
+        for prev, cur in zip(errors, errors[1:])
+    ]
 
     # independent projection route, same recipe the form layer certifies
     check = projection_limit_gram(b1, b2)
     projection_residual = float(np.linalg.norm(check - q_inf.gram)) / scale
 
     v = slice(model.base_dim, model.total_m)
-    vert_block = q_inf.gram[v, v]
-    wv = np.linalg.eigvalsh(vert_block)
-    positive_on_vertical = bool(wv[0] > 1e-10 * max(abs(wv[-1]), 1.0))
+    positive_on_vertical = _is_pd(q_inf.gram[v, v], VERTICAL_PD_FLOOR)
 
     return QuotientLimitRecord(
         point=z,
@@ -374,7 +371,7 @@ def _scan_one_lambda(model, lam, region, n_points, directions_per_point, steps, 
         rng = np.random.default_rng(np.random.SeedSequence([seed, lam_key, idx]))
         z = _sample_polydisc(rng, model.total_m, region)
         g = field.gram(z)
-        if not _is_pd(g):
+        if not _is_pd(g, PD_FLOOR):
             return None, z
         curv = curvature_tensor(field, z)
         local = []

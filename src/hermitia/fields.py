@@ -210,7 +210,7 @@ class MatrixPolynomial:
         return out
 
 
-def from_factor(poly: MatrixPolynomial, m, center=None, radius=1.0, name="", **kw):
+def from_factor(poly: MatrixPolynomial, m, center=None, radius=1.0, name=""):
     """The positive-semidefinite field G = L^H L for a holomorphic factor L.
 
     First and mixed second derivatives are exact:
@@ -244,11 +244,10 @@ def from_factor(poly: MatrixPolynomial, m, center=None, radius=1.0, name="", **k
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
-        **kw,
     )
 
 
-def constant_field(gram, m, center=None, radius=1.0, name="", **kw):
+def constant_field(gram, m, center=None, radius=1.0, name=""):
     gram = np.asarray(gram, dtype=complex)
     r = gram.shape[0]
 
@@ -268,11 +267,10 @@ def constant_field(gram, m, center=None, radius=1.0, name="", **kw):
         dd_fn=zeros_dd,
         name=name,
         self_check=False,
-        **kw,
     )
 
 
-def scaled_field(field: ChartField, c, name="", **kw):
+def scaled_field(field: ChartField, c, name=""):
     """Constant real multiple c G of a field on the same chart."""
     c = float(c)
 
@@ -288,11 +286,10 @@ def scaled_field(field: ChartField, c, name="", **kw):
         dd_fn=dd_fn,
         name=name or field.name,
         self_check=False,
-        **kw,
     )
 
 
-def sum_field(f1: ChartField, f2: ChartField, c1=1.0, c2=1.0, name="", **kw):
+def sum_field(f1: ChartField, f2: ChartField, c1=1.0, c2=1.0, name=""):
     """Pointwise combination c1 G1 + c2 G2 on the common chart."""
     if f1.m != f2.m or f1.shape != f2.shape:
         raise ValueError("fields are not compatible")
@@ -318,11 +315,10 @@ def sum_field(f1: ChartField, f2: ChartField, c1=1.0, c2=1.0, name="", **kw):
         dd_fn=dd_fn,
         name=name,
         self_check=False,
-        **kw,
     )
 
 
-def embedded_factor_field(factor: ChartField, total_m, offset, radius, name="", **kw):
+def embedded_factor_field(factor: ChartField, total_m, offset, radius, name=""):
     """Zero-pad a tangent-bundle factor field into a product chart.
 
     The factor's chart coordinates (and bundle indices) occupy the slots
@@ -358,11 +354,10 @@ def embedded_factor_field(factor: ChartField, total_m, offset, radius, name="", 
         dd_fn=dd_fn if (factor.dd_fn is not None) else None,
         name=name,
         self_check=False,
-        **kw,
     )
 
 
-def pullback_field(field: ChartField, map_obj: HolomorphicMap, center, radius, name="", **kw):
+def pullback_field(field: ChartField, map_obj: HolomorphicMap, center, radius, name=""):
     """The field z -> G(f(z)) over the source chart of a holomorphic map.
 
     Derivatives follow the chain rule; since f is holomorphic no Hessian
@@ -397,7 +392,6 @@ def pullback_field(field: ChartField, map_obj: HolomorphicMap, center, radius, n
         dd_fn=dd_fn,
         name=name,
         self_check=False,
-        **kw,
     )
 
 

@@ -19,6 +19,7 @@ NaN or inf met there raise :class:`~hermitia.errors.NonFinite`.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +27,9 @@ import scipy.linalg
 from .errors import NoAdjoint, NonFinite, NotPositive, NotSurjective, HermitiaError
 
 DEFAULT_RANK_TOL = 1e-10
+# A form is positive-semidefinite when its lowest eigenvalue lies above
+# -PSD_SLACK * rank_tol times its largest eigenvalue modulus (floored at 1).
+PSD_SLACK = 100.0
 
 
 def _non_finite(what, point):
@@ -169,10 +173,10 @@ class HermitianForm:
         w = np.linalg.eigvalsh(self.gram)
         return bool(w[0] > self.rank_tol * max(abs(w[-1]), 1e-300))
 
-    def is_positive_semidefinite(self, slack=100.0):
+    def is_positive_semidefinite(self):
         w = np.linalg.eigvalsh(self.gram)
         scale = max(abs(w[0]), abs(w[-1]), 1.0)
-        return bool(w[0] > -slack * self.rank_tol * scale)
+        return bool(w[0] > -PSD_SLACK * self.rank_tol * scale)
 
     def __repr__(self):
         return "HermitianForm(dim=%d, rank=%d)" % (self.dim, self.rank)
@@ -342,11 +346,14 @@ def orthogonal_complement(s: Subspace, b: HermitianForm) -> Subspace:
     return Subspace(b.dim, basis, rank_tol=b.rank_tol)
 
 
+@lru_cache(maxsize=None)
 def _mixing_unitary(d, tag):
-    """A fixed, reproducible unitary used to build an independent lift."""
+    """A fixed, reproducible unitary used to build an independent lift;
+    built once per (d, tag) and shared read-only."""
     rng = np.random.default_rng(np.random.SeedSequence([d, tag]))
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, _ = np.linalg.qr(m)
+    q.flags.writeable = False
     return q
 
 

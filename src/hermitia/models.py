@@ -30,6 +30,8 @@ GR_CHART_RADIUS = 2.0
 DEFAULT_FS_REGION = 0.9
 DEFAULT_GR_REGION = 0.7
 DEFAULT_FIBRATION_REGION = 0.7
+# Step of the central differences in the direction refinement's gradient.
+REFINE_FD_STEP = 1e-5
 
 
 def fubini_study_chart(n):
@@ -55,14 +57,8 @@ def _minor_monomials(k, n, cols):
     m = k * (n - k)
     terms = {}
     for perm in itertools.permutations(range(k)):
-        sign = 1.0
-        seen = list(perm)
         # signature by counting inversions
-        inv = sum(
-            1 for i in range(k) for j in range(i + 1, k) if seen[i] > seen[j]
-        )
-        sign = -1.0 if inv % 2 else 1.0
-        coeff = sign
+        inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
         exps = [0] * m
         dead = False
         for row in range(k):
@@ -73,10 +69,10 @@ def _minor_monomials(k, n, cols):
                     break
             else:
                 exps[row * (n - k) + (col - k)] += 1
-        if dead or coeff == 0.0:
+        if dead:
             continue
         key = tuple(exps)
-        terms[key] = terms.get(key, 0.0) + coeff
+        terms[key] = terms.get(key, 0.0) + (-1.0 if inv % 2 else 1.0)
     return [(c, e) for e, c in terms.items() if c != 0.0]
 
 
@@ -315,7 +311,7 @@ def _unit_direction(rng, m):
     return v / np.linalg.norm(v)
 
 
-def _refine_direction(tensor, g, v0, steps, sign, eps=1e-5):
+def _refine_direction(tensor, g, v0, steps, sign):
     """Projected finite-difference gradient walk of H on the direction sphere."""
     v = v0 / np.linalg.norm(v0)
     best = hsc_of_tensor(tensor, g, v)
@@ -325,14 +321,14 @@ def _refine_direction(tensor, g, v0, steps, sign, eps=1e-5):
         grad = np.zeros(m, dtype=complex)
         for i in range(m):
             e = np.zeros(m, dtype=complex)
-            e[i] = eps
+            e[i] = REFINE_FD_STEP
             grad[i] = (hsc_of_tensor(tensor, g, v + e) - hsc_of_tensor(tensor, g, v - e)) / (
-                2 * eps
+                2 * REFINE_FD_STEP
             )
             grad[i] += (
                 1j
                 * (hsc_of_tensor(tensor, g, v + 1j * e) - hsc_of_tensor(tensor, g, v - 1j * e))
-                / (2 * eps)
+                / (2 * REFINE_FD_STEP)
             )
         grad -= np.real(np.vdot(v, grad)) * v  # tangent to the sphere
         if np.linalg.norm(grad) < 1e-14:

@@ -18,10 +18,13 @@ which satisfies q j = 0, q(z0) = N0^H, and dbar q = 0 by construction.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .charts import (
+    HOLOMORPHY_TOL,
+    PROBE_STEP,
     RANK_TOL,
     ChartField,
     CurvatureAt,
@@ -41,7 +44,6 @@ from .forms import (
 )
 
 SIGMA_DBAR_TOL = 1e-6
-HOLOMORPHY_TOL = 1e-8
 
 
 class ExactSeqChart:
@@ -198,31 +200,83 @@ class ExactSeqChart:
 
 
 class _SeqAt:
-    """All pointwise sequence data at one chart point."""
+    """All pointwise sequence data at one chart point, each computed on
+    first read, so a probe of one quantity solves only what it needs."""
 
     def __init__(self, seq: ExactSeqChart, z):
         self.seq = seq
         self.z = z
-        self.j = seq.j_at(z)
-        self.dj = seq.dj_at(z)
-        self.q = seq.q_at(z)
-        self.dq = seq.dq_at(z)
-        self.g_e = seq.ambient.gram(z)
-        self.g_s = seq.sub_field.gram(z)
-        self.g_q = seq.quot_field.gram(z)
-        self.a_e = chern_connection(seq.ambient, z).a
-        self.a_s = chern_connection(seq.sub_field, z).a
-        self.a_q = chern_connection(seq.quot_field, z).a
-        self.b_s = HermitianForm(self.g_s, rank_tol=RANK_TOL)
-        self.b_q = HermitianForm(self.g_q, rank_tol=RANK_TOL)
-        self.b_e = HermitianForm(self.g_e, rank_tol=RANK_TOL)
-        self.jdag = adjoint(LinearMap(self.j), self.b_s, self.b_e).matrix
-        self.qdag = adjoint(LinearMap(self.q), self.b_e, self.b_q).matrix
-        self.sigma = np.stack(
-            [self.q @ (self.dj[a] + self.a_e[a] @ self.j - self.j @ self.a_s[a]) for a in range(seq.m)]
+
+    @cached_property
+    def j(self):
+        return self.seq.j_at(self.z)
+
+    @cached_property
+    def dj(self):
+        return self.seq.dj_at(self.z)
+
+    @cached_property
+    def q(self):
+        return self.seq.q_at(self.z)
+
+    @cached_property
+    def dq(self):
+        return self.seq.dq_at(self.z)
+
+    @cached_property
+    def g_e(self):
+        return self.seq.ambient.gram(self.z)
+
+    @cached_property
+    def g_s(self):
+        return self.seq.sub_field.gram(self.z)
+
+    @cached_property
+    def g_q(self):
+        return self.seq.quot_field.gram(self.z)
+
+    @cached_property
+    def a_e(self):
+        return chern_connection(self.seq.ambient, self.z).a
+
+    @cached_property
+    def a_s(self):
+        return chern_connection(self.seq.sub_field, self.z).a
+
+    @cached_property
+    def a_q(self):
+        return chern_connection(self.seq.quot_field, self.z).a
+
+    @cached_property
+    def b_s(self):
+        return HermitianForm(self.g_s, rank_tol=RANK_TOL)
+
+    @cached_property
+    def b_q(self):
+        return HermitianForm(self.g_q, rank_tol=RANK_TOL)
+
+    @cached_property
+    def b_e(self):
+        return HermitianForm(self.g_e, rank_tol=RANK_TOL)
+
+    @cached_property
+    def jdag(self):
+        return adjoint(LinearMap(self.j), self.b_s, self.b_e).matrix
+
+    @cached_property
+    def qdag(self):
+        return adjoint(LinearMap(self.q), self.b_e, self.b_q).matrix
+
+    @cached_property
+    def sigma(self):
+        return np.stack(
+            [self.q @ (self.dj[a] + self.a_e[a] @ self.j - self.j @ self.a_s[a]) for a in range(self.seq.m)]
         )
-        self.sigma_dagger = np.stack(
-            [adjoint(LinearMap(self.sigma[a]), self.b_s, self.b_q).matrix for a in range(seq.m)]
+
+    @cached_property
+    def sigma_dagger(self):
+        return np.stack(
+            [adjoint(LinearMap(self.sigma[a]), self.b_s, self.b_q).matrix for a in range(self.seq.m)]
         )
 
 
@@ -270,7 +324,7 @@ def _rel(contracted, *scales):
     return float(np.linalg.norm(contracted)) / s
 
 
-def demailly_residuals(seq: ExactSeqChart, z, step=1e-4):
+def demailly_residuals(seq: ExactSeqChart, z):
     """Residuals of the five derivative identities, contracted with Grams.
 
     Lines: (1) D'j ~ qdag sigma; (2) D'q ~ -sigma jdag; (3) D'jdag ~ 0 and
@@ -279,22 +333,6 @@ def demailly_residuals(seq: ExactSeqChart, z, step=1e-4):
     """
     at = seq.at(z)
     m = seq.m
-
-    def jdag_at(w):
-        a = seq.at(w)
-        return a.jdag
-
-    def qdag_at(w):
-        a = seq.at(w)
-        return a.qdag
-
-    def sigma_at(w):
-        a = seq.at(w)
-        return a.sigma
-
-    def sigdag_at(w):
-        a = seq.at(w)
-        return a.sigma_dagger
 
     out = {}
 
@@ -316,29 +354,29 @@ def demailly_residuals(seq: ExactSeqChart, z, step=1e-4):
 
     r3 = 0.0
     for a in range(m):
-        djdag = wirtinger_fd(jdag_at, at.z, a, step)
+        djdag = wirtinger_fd(lambda w: seq.at(w).jdag, at.z, a, PROBE_STEP)
         dpjdag = djdag + at.a_s[a] @ at.jdag - at.jdag @ at.a_e[a]
         r3 = max(r3, _rel(at.g_s @ dpjdag, at.g_s @ djdag))
-        dbjdag = wirtinger_fd(jdag_at, at.z, a, step, conjugate=True)
+        dbjdag = wirtinger_fd(lambda w: seq.at(w).jdag, at.z, a, PROBE_STEP, conjugate=True)
         rhs = at.sigma_dagger[a] @ at.q
         r3 = max(r3, _rel(at.g_s @ (dbjdag - rhs), at.g_s @ dbjdag, at.g_s @ rhs))
     out["inclusion_adjoint"] = r3
 
     r4 = 0.0
     for a in range(m):
-        dqdag = wirtinger_fd(qdag_at, at.z, a, step)
+        dqdag = wirtinger_fd(lambda w: seq.at(w).qdag, at.z, a, PROBE_STEP)
         dpqdag = dqdag + at.a_e[a] @ at.qdag - at.qdag @ at.a_q[a]
         r4 = max(r4, _rel(at.g_e @ dpqdag, at.g_e @ dqdag))
-        dbqdag = wirtinger_fd(qdag_at, at.z, a, step, conjugate=True)
+        dbqdag = wirtinger_fd(lambda w: seq.at(w).qdag, at.z, a, PROBE_STEP, conjugate=True)
         rhs = -at.j @ at.sigma_dagger[a]
         r4 = max(r4, _rel(at.g_e @ (dbqdag - rhs), at.g_e @ dbqdag, at.g_e @ rhs))
     out["projection_adjoint"] = r4
 
     r5 = 0.0
     if m > 1:
-        dsig = np.stack([wirtinger_fd(sigma_at, at.z, a, step) for a in range(m)])
+        dsig = np.stack([wirtinger_fd(lambda w: seq.at(w).sigma, at.z, a, PROBE_STEP) for a in range(m)])
         dbsigdag = np.stack(
-            [wirtinger_fd(sigdag_at, at.z, a, step, conjugate=True) for a in range(m)]
+            [wirtinger_fd(lambda w: seq.at(w).sigma_dagger, at.z, a, PROBE_STEP, True) for a in range(m)]
         )
         for a in range(m):
             for b in range(a + 1, m):
@@ -400,7 +438,7 @@ class SplittingBlocks:
     reassembly_residual: float
 
 
-def splitting_curvature_blocks(seq: ExactSeqChart, z, step=1e-4) -> SplittingBlocks:
+def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
     """Contracted ambient curvature in the smooth splitting e -> (jdag e, q e).
 
     The diagonal blocks are the intrinsic contracted curvatures of sub
@@ -416,14 +454,10 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z, step=1e-4) -> SplittingBlo
     r_s = curvature_tensor(seq.sub_field, z).tensor
     r_q = curvature_tensor(seq.quot_field, z).tensor
 
-    def sigma_at(w):
-        return seq.at(w).sigma
-
-    def sigdag_at(w):
-        return seq.at(w).sigma_dagger
-
-    dsig = np.stack([wirtinger_fd(sigma_at, at.z, a, step, conjugate=True) for a in range(m)])
-    dpsigdag = np.stack([wirtinger_fd(sigdag_at, at.z, a, step) for a in range(m)])
+    dsig = np.stack([wirtinger_fd(lambda w: seq.at(w).sigma, at.z, a, PROBE_STEP, True) for a in range(m)])
+    dpsigdag = np.stack(
+        [wirtinger_fd(lambda w: seq.at(w).sigma_dagger, at.z, a, PROBE_STEP) for a in range(m)]
+    )
 
     ss = np.empty((m, m, k, k), dtype=complex)
     sq = np.empty((m, m, k, rk), dtype=complex)

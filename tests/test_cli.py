@@ -134,6 +134,21 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_removed_threads_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hsc", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_removed_threads_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("threads = 2\n")
+    code, _, err = run(capsys, "acceptance", "--config", str(cfg), "--criteria", "1")
+    assert code == 2
+    assert "threads" in err
+
+
 def test_rank_above_dim_is_config_error(capsys):
     code, _, _ = run(capsys, "purge", "--dim", "2", "--rank", "3")
     assert code == 2

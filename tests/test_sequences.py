@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermitia import HermitiaError, NotHolomorphic
-from hermitia.charts import ChartField, curvature_tensor, smooth_kernel_perturbation
+from hermitia import HermitiaError, NotHolomorphic, sequences
+from hermitia.charts import (
+    RANK_TOL,
+    ChartField,
+    chern_connection,
+    curvature_tensor,
+    smooth_kernel_perturbation,
+)
 from hermitia.fields import MatrixPolynomial, constant_field, from_factor, sum_field
+from hermitia.forms import HermitianForm, LinearMap, adjoint
 from hermitia.instances import (
     random_pd_field,
     sequence_instance,
@@ -127,6 +134,65 @@ def test_pointwise_adjoints_are_one_sided_inverses():
     at = seq.at(z)
     assert np.linalg.norm(at.jdag @ at.j - np.eye(seq.k)) < 1e-10
     assert np.linalg.norm(at.q @ at.qdag - np.eye(seq.r - seq.k)) < 1e-10
+
+
+def eager_seq_data(seq, z):
+    """Every pointwise sequence quantity, built in one pass in dependency
+    order: the reference the lazily computed record must reproduce."""
+    out = {"j": seq.j_at(z), "dj": seq.dj_at(z), "q": seq.q_at(z), "dq": seq.dq_at(z)}
+    out["g_e"] = seq.ambient.gram(z)
+    out["g_s"] = seq.sub_field.gram(z)
+    out["g_q"] = seq.quot_field.gram(z)
+    out["a_e"] = chern_connection(seq.ambient, z).a
+    out["a_s"] = chern_connection(seq.sub_field, z).a
+    out["a_q"] = chern_connection(seq.quot_field, z).a
+    b = {key: HermitianForm(out["g_" + key], rank_tol=RANK_TOL) for key in ("e", "s", "q")}
+    out.update({"b_" + key: form.gram for key, form in b.items()})
+    out["jdag"] = adjoint(LinearMap(out["j"]), b["s"], b["e"]).matrix
+    out["qdag"] = adjoint(LinearMap(out["q"]), b["e"], b["q"]).matrix
+    out["sigma"] = np.stack(
+        [
+            out["q"] @ (out["dj"][a] + out["a_e"][a] @ out["j"] - out["j"] @ out["a_s"][a])
+            for a in range(seq.m)
+        ]
+    )
+    out["sigma_dagger"] = np.stack(
+        [adjoint(LinearMap(out["sigma"][a]), b["s"], b["q"]).matrix for a in range(seq.m)]
+    )
+    return out
+
+
+def _seq_cases():
+    cases = [sequence_instance(seed) for seed in range(6)]
+    cases.append((kernel_compat_sequence(), np.array([0.15 + 0.1j])))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_lazy_seq_data_equals_eager_oracle(case):
+    seq, z = _seq_cases()[case]
+    want = eager_seq_data(seq, z)
+    at = seq.at(z)
+    for name, value in want.items():
+        got = getattr(at, name)
+        got = got.gram if isinstance(got, HermitianForm) else got
+        assert np.array_equal(got, value), name
+
+
+@pytest.mark.parametrize("name", ["jdag", "qdag"])
+def test_adjoint_probe_solves_no_connection(monkeypatch, name):
+    seq, z = sequence_instance(3)
+    calls = []
+
+    def counting(field, w):
+        calls.append(field)
+        return chern_connection(field, w)
+
+    monkeypatch.setattr(sequences, "chern_connection", counting)
+    getattr(seq.at(z + 1e-4), name)
+    assert calls == []
+    seq.at(z).sigma  # the second fundamental form does need A_E and A_S
+    assert len(calls) == 2
 
 
 def test_inclusion_shape_mismatch_rejected():
