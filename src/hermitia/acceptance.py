@@ -173,7 +173,7 @@ def einstein_constants():
         ("gr:2:4", grassmannian_chart(2, 4).field, 4.0),
     )
     for label, field, constant in cases:
-        resid = einstein_residual(field, constant, points=10)
+        resid = einstein_residual(field, constant)
         details[label] = resid
         if resid > 1e-6:
             failures.append("%s residual %.2e exceeds 1e-6" % (label, resid))

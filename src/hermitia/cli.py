@@ -205,8 +205,7 @@ def cmd_grassmannian(cfg, report):
         worst = max(worst, np.linalg.norm(g1 - g2) / (1.0 + np.linalg.norm(g2)))
     report.add("route_agreement", residual=float(worst), tolerance=cfg["tol"])
 
-    resid = einstein_residual(entry.field, entry.einstein_constant, points=10,
-                              seed=cfg["seed"])
+    resid = einstein_residual(entry.field, entry.einstein_constant, seed=cfg["seed"])
     report.add("einstein_constant", value=entry.einstein_constant,
                residual=float(resid), tolerance=1e-6)
 

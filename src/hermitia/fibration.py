@@ -41,6 +41,8 @@ VERTICAL_LEAK_TOL = 1e-12
 # the vertical block of the fiberwise form and of the limit form.
 PD_FLOOR = 1e-12
 VERTICAL_PD_FLOOR = 1e-10
+# Seeded sample points at which FibrationModel checks its two invariants.
+VALIDATION_POINTS = 5
 DEFAULT_LAMBDA_SCHEDULE = tuple(range(13))
 
 
@@ -83,12 +85,12 @@ class FibrationModel:
     def vertical(self):
         return slice(self.base_dim, self.total_m)
 
-    def _validate(self, points=5):
+    def _validate(self):
         rng = np.random.default_rng(
             np.random.SeedSequence([37, self.base_dim, self.fiber_dim])
         )
         v = self.vertical
-        for _ in range(points):
+        for _ in range(VALIDATION_POINTS):
             z = _sample_polydisc(rng, self.total_m, self.region)
             g1 = self.b1_field.gram(z)
             if not _is_pd(g1[v, v], VERTICAL_PD_FLOOR):

@@ -207,11 +207,6 @@ class Subspace:
         b = self.basis
         return b @ np.linalg.solve(b.conj().T @ b, b.conj().T)
 
-    def contains(self, v, tol=1e-9):
-        v = np.asarray(v, dtype=complex)
-        resid = v - self.projector() @ v
-        return bool(np.linalg.norm(resid) <= tol * (1.0 + np.linalg.norm(v)))
-
     def __repr__(self):
         return "Subspace(ambient=%d, dim=%d)" % (self.ambient_dim, self.dim)
 

@@ -32,6 +32,10 @@ DEFAULT_GR_REGION = 0.7
 DEFAULT_FIBRATION_REGION = 0.7
 # Step of the central differences in the direction refinement's gradient.
 REFINE_FD_STEP = 1e-5
+# Sampling of einstein_residual: this many points in the polydisc of this
+# relative radius.
+EINSTEIN_POINTS = 10
+EINSTEIN_REGION = 0.5
 
 
 def fubini_study_chart(n):
@@ -260,12 +264,12 @@ def ricci(field: ChartField, z):
     return 0.5 * (ric + ric.conj().T)
 
 
-def einstein_residual(field: ChartField, constant, region=0.5, points=10, seed=0):
-    """max over sampled points of ||Ric - c G|| / ||G||."""
+def einstein_residual(field: ChartField, constant, seed=0):
+    """max over EINSTEIN_POINTS sampled points of ||Ric - c G|| / ||G||."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     worst = 0.0
-    for _ in range(points):
-        z = _sample_polydisc(rng, field.m, region)
+    for _ in range(EINSTEIN_POINTS):
+        z = _sample_polydisc(rng, field.m, EINSTEIN_REGION)
         g = field.gram(z)
         resid = np.linalg.norm(ricci(field, z) - constant * g) / np.linalg.norm(g)
         worst = max(worst, float(resid))

@@ -15,6 +15,20 @@ space at the chart center,
     q(z) = N0^H (I - j(z) (w0 j(z))^-1 w0),        w0 = pinv(j(z0)),
 
 which satisfies q j = 0, q(z0) = N0^H, and dbar q = 0 by construction.
+
+Quotient metric: when the ambient Gram matrix G is positive-definite the
+quotient form is the dual of the sub form of the dual sequence,
+
+    G_Q = (q H q^H)^-1,        H = G^-1,
+
+and its first and mixed second derivatives follow in closed form from
+d(M^-1) = -M^-1 dM M^-1 (q is holomorphic, so no second derivative of q
+appears).  The closed-form jet is used when the ambient field has
+analytic first and mixed second derivatives, the inclusion has analytic
+derivatives and G is positive-definite at the chart center; any other
+ambient (degenerate, derivatives by finite differences) reads G_Q from
+:func:`~hermitia.forms.quotient_form` at each point and differentiates
+those reads by finite differences.
 """
 
 from dataclasses import dataclass
@@ -32,7 +46,7 @@ from .charts import (
     curvature_tensor,
     wirtinger_fd,
 )
-from .errors import HermitiaError, NotHolomorphic
+from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
 from .forms import (
     HermitianForm,
     LinearMap,
@@ -40,6 +54,7 @@ from .forms import (
     admits_adjoint,
     quotient_form,
     rank_of,
+    require_finite,
     sum_quotient_form,
 )
 
@@ -86,7 +101,7 @@ class ExactSeqChart:
         self._w0 = np.linalg.pinv(j0)  # (k, r)
 
         self.sub_field = self._build_sub_field()
-        self.quot_field = self._build_quot_field()
+        self._last_at = None  # (key of z, _SeqAt) of the latest base point
 
     # -- frames ---------------------------------------------------------
 
@@ -179,11 +194,23 @@ class ExactSeqChart:
             self_check=False,
         )
 
-    def _build_quot_field(self):
+    @cached_property
+    def quot_field(self):
+        """The quotient form field, built on first use: the closed-form jet
+        when it applies (see the module docstring), else reads of
+        :func:`~hermitia.forms.quotient_form` differenced by the chart."""
         amb = self.ambient
-
-        def ev(z):
-            return quotient_form(LinearMap(self.q_at(z)), amb.form_at(z)).gram
+        d_fn = dd_fn = None
+        if (
+            amb.d_fn is not None
+            and amb.dd_fn is not None
+            and self._dj_fn is not None
+            and amb.form_at(self.center).is_positive_definite()
+        ):
+            ev, d_fn, dd_fn = self._quot_jet()
+        else:
+            def ev(z):
+                return quotient_form(LinearMap(self.q_at(z)), amb.form_at(z)).gram
 
         return ChartField(
             self.m,
@@ -191,17 +218,95 @@ class ExactSeqChart:
             ev,
             center=amb.center,
             radius=amb.radius,
+            d_fn=d_fn,
+            dd_fn=dd_fn,
             name=self.name + ".quot",
             self_check=False,
         )
 
+    def _quot_jet(self):
+        """Gram, d and dd evaluators of G_Q = P^-1, P = q H q^H, H = G^-1.
+
+        With K = H q^H, E_a = d_a q - K^H d_a G and F_a = (d_a G) K:
+
+            d_a P         = E_a K
+            d_a dbar_b P  = E_a H E_b^H + F_b^H H F_a - K^H (d_a dbar_b G) K
+            d_a G_Q       = -G_Q (d_a P) G_Q
+            d_a dbar_b G_Q = G_Q (d_a P G_Q dbar_b P + dbar_b P G_Q d_a P
+                                 - d_a dbar_b P) G_Q
+
+        where dbar_b P = (d_b P)^H.
+        """
+        amb = self.ambient
+
+        def common(z):
+            h = _pd_inverse(amb.gram(z), z)
+            q = self.q_at(z)
+            k = h @ q.conj().T
+            return h, k, np.linalg.inv(q @ k)
+
+        def ev(z):
+            return common(z)[2]
+
+        def first_order(z):
+            h, k, x = common(z)
+            dg = amb.d(z)
+            e = self.dq_at(z) - k.conj().T @ dg
+            return h, k, x, dg, e, e @ k
+
+        def d_fn(z):
+            _, _, x, _, _, dp = first_order(z)
+            return -x @ dp @ x
+
+        def dd_fn(z):
+            h, k, x, dg, e, dp = first_order(z)
+            f = dg @ k
+            ddp = (
+                e[:, None] @ (h @ _ct(e))[None, :]
+                + _ct(f)[None, :] @ (h @ f)[:, None]
+                - k.conj().T @ amb.dd(z) @ k
+            )
+            dph = _ct(dp)
+            inner = dp[:, None] @ x @ dph[None, :] + dph[None, :] @ x @ dp[:, None] - ddp
+            return x @ inner @ x
+
+        return ev, d_fn, dd_fn
+
     def at(self, z):
-        return _SeqAt(self, np.asarray(z, dtype=complex))
+        """The per-point record at z.  The latest one is kept, so every
+        reader at one base point shares its solves; the chart never
+        changes, so a kept record never goes stale."""
+        z = np.array(z, dtype=complex)
+        key = (z.shape, z.tobytes())
+        if self._last_at is None or self._last_at[0] != key:
+            self._last_at = (key, _SeqAt(self, z))
+        return self._last_at[1]
+
+
+def _ct(stack):
+    """Conjugate transpose of each matrix in a stack."""
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _pd_inverse(g, z):
+    """G^-1 from one Cholesky factorization G = L L^H."""
+    require_finite(g, "ambient Gram matrix of the quotient jet", z)
+    try:
+        low = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise NotPositiveAtPoint(
+            "ambient Gram matrix is not positive-definite at %s, which the "
+            "closed-form quotient metric needs" % np.array2string(z, precision=3)
+        ) from None
+    inv_low = np.linalg.inv(low)
+    return inv_low.conj().T @ inv_low
 
 
 class _SeqAt:
     """All pointwise sequence data at one chart point, each computed on
-    first read, so a probe of one quantity solves only what it needs."""
+    first read, so a probe of one quantity solves only what it needs.
+    Probes build their own record, so they never replace the base point's
+    record kept by :meth:`ExactSeqChart.at`."""
 
     def __init__(self, seq: ExactSeqChart, z):
         self.seq = seq
@@ -246,6 +351,10 @@ class _SeqAt:
     @cached_property
     def a_q(self):
         return chern_connection(self.seq.quot_field, self.z).a
+
+    @cached_property
+    def r_e(self):
+        return curvature_tensor(self.seq.ambient, self.z).tensor
 
     @cached_property
     def b_s(self):
@@ -308,9 +417,9 @@ def second_fundamental_form(seq: ExactSeqChart, z) -> SecondFundamentalFormAt:
         if not admits_adjoint(LinearMap(at.sigma[a]), at.b_s, at.b_q):
             raise HermitiaError("second fundamental form does not admit an adjoint")
     return SecondFundamentalFormAt(
-        point=at.z,
-        sigma=at.sigma,
-        sigma_dagger=at.sigma_dagger,
+        point=at.z.copy(),
+        sigma=at.sigma.copy(),
+        sigma_dagger=at.sigma_dagger.copy(),
         dbar_part_residual=worst / scale,
     )
 
@@ -354,29 +463,29 @@ def demailly_residuals(seq: ExactSeqChart, z):
 
     r3 = 0.0
     for a in range(m):
-        djdag = wirtinger_fd(lambda w: seq.at(w).jdag, at.z, a, PROBE_STEP)
+        djdag = wirtinger_fd(lambda w: _SeqAt(seq, w).jdag, at.z, a, PROBE_STEP)
         dpjdag = djdag + at.a_s[a] @ at.jdag - at.jdag @ at.a_e[a]
         r3 = max(r3, _rel(at.g_s @ dpjdag, at.g_s @ djdag))
-        dbjdag = wirtinger_fd(lambda w: seq.at(w).jdag, at.z, a, PROBE_STEP, conjugate=True)
+        dbjdag = wirtinger_fd(lambda w: _SeqAt(seq, w).jdag, at.z, a, PROBE_STEP, conjugate=True)
         rhs = at.sigma_dagger[a] @ at.q
         r3 = max(r3, _rel(at.g_s @ (dbjdag - rhs), at.g_s @ dbjdag, at.g_s @ rhs))
     out["inclusion_adjoint"] = r3
 
     r4 = 0.0
     for a in range(m):
-        dqdag = wirtinger_fd(lambda w: seq.at(w).qdag, at.z, a, PROBE_STEP)
+        dqdag = wirtinger_fd(lambda w: _SeqAt(seq, w).qdag, at.z, a, PROBE_STEP)
         dpqdag = dqdag + at.a_e[a] @ at.qdag - at.qdag @ at.a_q[a]
         r4 = max(r4, _rel(at.g_e @ dpqdag, at.g_e @ dqdag))
-        dbqdag = wirtinger_fd(lambda w: seq.at(w).qdag, at.z, a, PROBE_STEP, conjugate=True)
+        dbqdag = wirtinger_fd(lambda w: _SeqAt(seq, w).qdag, at.z, a, PROBE_STEP, conjugate=True)
         rhs = -at.j @ at.sigma_dagger[a]
         r4 = max(r4, _rel(at.g_e @ (dbqdag - rhs), at.g_e @ dbqdag, at.g_e @ rhs))
     out["projection_adjoint"] = r4
 
     r5 = 0.0
     if m > 1:
-        dsig = np.stack([wirtinger_fd(lambda w: seq.at(w).sigma, at.z, a, PROBE_STEP) for a in range(m)])
+        dsig = np.stack([wirtinger_fd(lambda w: _SeqAt(seq, w).sigma, at.z, a, PROBE_STEP) for a in range(m)])
         dbsigdag = np.stack(
-            [wirtinger_fd(lambda w: seq.at(w).sigma_dagger, at.z, a, PROBE_STEP, True) for a in range(m)]
+            [wirtinger_fd(lambda w: _SeqAt(seq, w).sigma_dagger, at.z, a, PROBE_STEP, True) for a in range(m)]
         )
         for a in range(m):
             for b in range(a + 1, m):
@@ -407,8 +516,7 @@ def codazzi_sub(seq: ExactSeqChart, z, alpha, beta, s, t):
     at = seq.at(z)
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    r_e = curvature_tensor(seq.ambient, z).tensor
-    ambient_term = _contract(r_e[alpha, beta], at.j @ s, at.j @ t)
+    ambient_term = _contract(at.r_e[alpha, beta], at.j @ s, at.j @ t)
     sq = np.vdot(at.sigma[beta] @ t, at.g_q @ (at.sigma[alpha] @ s))
     return ambient_term - complex(sq)
 
@@ -418,8 +526,7 @@ def codazzi_quot(seq: ExactSeqChart, z, alpha, beta, u, v):
     at = seq.at(z)
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    r_e = curvature_tensor(seq.ambient, z).tensor
-    ambient_term = _contract(r_e[alpha, beta], at.qdag @ u, at.qdag @ v)
+    ambient_term = _contract(at.r_e[alpha, beta], at.qdag @ u, at.qdag @ v)
     sq = np.vdot(at.sigma_dagger[alpha] @ v, at.g_s @ (at.sigma_dagger[beta] @ u))
     return ambient_term + complex(sq)
 
@@ -450,13 +557,13 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
     at = seq.at(z)
     m, k, rk = seq.m, seq.k, seq.r - seq.k
 
-    r_e = curvature_tensor(seq.ambient, z).tensor
+    r_e = at.r_e
     r_s = curvature_tensor(seq.sub_field, z).tensor
     r_q = curvature_tensor(seq.quot_field, z).tensor
 
-    dsig = np.stack([wirtinger_fd(lambda w: seq.at(w).sigma, at.z, a, PROBE_STEP, True) for a in range(m)])
+    dsig = np.stack([wirtinger_fd(lambda w: _SeqAt(seq, w).sigma, at.z, a, PROBE_STEP, True) for a in range(m)])
     dpsigdag = np.stack(
-        [wirtinger_fd(lambda w: seq.at(w).sigma_dagger, at.z, a, PROBE_STEP) for a in range(m)]
+        [wirtinger_fd(lambda w: _SeqAt(seq, w).sigma_dagger, at.z, a, PROBE_STEP) for a in range(m)]
     )
 
     ss = np.empty((m, m, k, k), dtype=complex)
@@ -484,7 +591,7 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
             )
             worst = max(worst, _rel(rebuilt - m_e, m_e, rebuilt))
     return SplittingBlocks(
-        point=at.z, ss=ss, sq=sq, qs=qs, qq=qq, reassembly_residual=worst
+        point=at.z.copy(), ss=ss, sq=sq, qs=qs, qq=qq, reassembly_residual=worst
     )
 
 

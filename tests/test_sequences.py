@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermitia import HermitiaError, NotHolomorphic, sequences
+from hermitia import HermitiaError, NonFinite, NotHolomorphic, NotPositiveAtPoint, sequences
 from hermitia.charts import (
     RANK_TOL,
     ChartField,
@@ -12,7 +12,7 @@ from hermitia.charts import (
     smooth_kernel_perturbation,
 )
 from hermitia.fields import MatrixPolynomial, constant_field, from_factor, sum_field
-from hermitia.forms import HermitianForm, LinearMap, adjoint
+from hermitia.forms import HermitianForm, LinearMap, adjoint, hermitize, quotient_form
 from hermitia.instances import (
     random_pd_field,
     sequence_instance,
@@ -193,6 +193,166 @@ def test_adjoint_probe_solves_no_connection(monkeypatch, name):
     assert calls == []
     seq.at(z).sigma  # the second fundamental form does need A_E and A_S
     assert len(calls) == 2
+
+
+def _stack_error(exact, fd):
+    """Largest relative error over a stack of matrices, measured as the
+    analytic-derivative self-check of a ChartField measures it."""
+    err = np.linalg.norm(exact - fd, axis=(-2, -1))
+    return float(np.max(err / (1.0 + np.linalg.norm(fd, axis=(-2, -1)))))
+
+
+# sequence_instance seeds: m = 1 moving, m = 2 moving, m = 2 constant and
+# m = 1 constant inclusion
+JET_SEEDS = (0, 1, 5, 17)
+
+
+@pytest.mark.parametrize("seed", JET_SEEDS)
+def test_quotient_jet_matches_quotient_form_and_finite_differences(seed):
+    seq, z = sequence_instance(seed)
+    assert seq.quot_field.analytic
+    oracle = quotient_form(LinearMap(seq.q_at(z)), seq.ambient.form_at(z)).gram
+    gram = seq.quot_field.gram(z)
+    assert np.linalg.norm(gram - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    fd = seq.quot_field.finite_difference_copy()
+    assert _stack_error(seq.quot_field.d(z), fd.d(z)) <= 1e-6
+    assert _stack_error(seq.quot_field.dd(z), fd.dd(z)) <= 1e-5
+    r_jet = curvature_tensor(seq.quot_field, z).tensor
+    r_fd = curvature_tensor(fd, z).tensor
+    assert np.linalg.norm(r_jet - r_fd) <= 1e-5 * (1.0 + np.linalg.norm(r_fd))
+
+
+def test_jet_seeds_cover_both_dimensions_and_inclusion_kinds():
+    kinds = set()
+    for seed in JET_SEEDS:
+        seq, z = sequence_instance(seed)
+        kinds.add((seq.m, bool(np.any(seq.dj_at(z)))))
+    assert kinds == {(1, False), (1, True), (2, False), (2, True)}
+
+
+@pytest.mark.parametrize("make", [block_split_sequence, kernel_compat_sequence])
+def test_quotient_form_route_without_a_full_positive_jet(make):
+    """No ambient dd_fn, or a degenerate ambient: the quotient field reads
+    quotient_form and differences it, exactly as a field built here does."""
+    seq = make()
+    seq = seq[0] if isinstance(seq, tuple) else seq
+    z = np.array([0.15 + 0.1j])
+    assert not seq.quot_field.analytic
+
+    def ev(w):
+        return quotient_form(LinearMap(seq.q_at(w)), seq.ambient.form_at(w)).gram
+
+    oracle = ChartField(
+        seq.m, seq.r - seq.k, ev, center=seq.center, radius=seq.ambient.radius, self_check=False
+    )
+    assert np.array_equal(seq.quot_field.gram(z), hermitize(ev(z)))
+    assert np.array_equal(seq.quot_field.gram(z), oracle.gram(z))
+    assert np.array_equal(seq.quot_field.d(z), oracle.d(z))
+    assert np.array_equal(seq.quot_field.dd(z), oracle.dd(z))
+    assert np.array_equal(
+        curvature_tensor(seq.quot_field, z).tensor, curvature_tensor(oracle, z).tensor
+    )
+
+
+def test_quotient_jet_off_the_positive_locus_raises_not_positive():
+    """Positive-definite at the center; at z = 0.5 the factor's last
+    column vanishes, so the Gram matrix is singular there and the jet's
+    Cholesky factorization fails with a typed error naming the point."""
+    l0 = np.diag([1.0, 1.0, -0.5]).astype(complex)
+    l0[0, 1] = 0.2
+    l1 = np.zeros((1, 3, 3), dtype=complex)
+    l1[0, 2, 2] = 1.0
+    l1[0, 0, 1] = 0.3
+    amb = from_factor(MatrixPolynomial(l0, c1=l1), 1, radius=0.9)
+    seq = ExactSeqChart(amb, np.eye(3, 1))
+    assert seq.quot_field.analytic
+    assert seq.quot_field.gram(np.array([0.2 - 0.1j])).shape == (2, 2)
+    singular = np.array([0.5 + 0.0j])
+    assert not np.any(amb.gram(singular)[:, 2])
+    for read in (seq.quot_field.gram, seq.quot_field.d, seq.quot_field.dd):
+        with pytest.raises(NotPositiveAtPoint, match=r"0\.5"):
+            read(singular)
+
+
+def test_quotient_jet_of_a_non_finite_gram_raises_non_finite():
+    def ev(z):
+        return np.full((2, 2), np.nan) if abs(z[0] - 0.5) < 1e-9 else np.eye(2)
+
+    amb = ChartField(
+        1,
+        2,
+        ev,
+        radius=0.9,
+        d_fn=lambda z: np.zeros((1, 2, 2)),
+        dd_fn=lambda z: np.zeros((1, 1, 2, 2)),
+        self_check=False,
+    )
+    seq = ExactSeqChart(amb, np.eye(2, 1))
+    assert seq.quot_field.analytic
+    with pytest.raises(NonFinite, match=r"0\.5"):
+        seq.quot_field.gram(np.array([0.5 + 0.0j]))
+
+
+def test_base_point_record_is_shared():
+    seq, z = sequence_instance(3)
+    assert seq.at(z) is seq.at(z)
+    assert seq.at(z.copy()) is seq.at(z)
+
+
+def test_probes_keep_the_base_point_record():
+    seq, z = sequence_instance(1)
+    base = seq.at(z)
+    demailly_residuals(seq, z)
+    splitting_curvature_blocks(seq, z)
+    assert seq.at(z) is base
+    assert seq.at(z + 1e-3) is not base
+
+
+def test_results_do_not_alias_the_shared_record():
+    seq, z = sequence_instance(3)
+    first = second_fundamental_form(seq, z)
+    want = first.sigma.copy()
+    first.sigma[...] = 0.0
+    first.sigma_dagger[...] = 0.0
+    first.point[...] = 0.0
+    again = second_fundamental_form(seq, z)
+    assert np.array_equal(again.sigma, want)
+    assert np.array_equal(again.point, z)
+
+
+def test_codazzi_reads_the_ambient_curvature_once(monkeypatch):
+    seq, z = sequence_instance(1)
+    assert seq.m == 2
+    calls = []
+
+    def counting(field, w):
+        calls.append(field)
+        return curvature_tensor(field, w)
+
+    monkeypatch.setattr(sequences, "curvature_tensor", counting)
+    rng = np.random.default_rng(5)
+    for a in range(seq.m):
+        for b in range(seq.m):
+            codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
+            rk = seq.r - seq.k
+            codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
+    assert calls == [seq.ambient]
+
+
+def test_constructing_a_sequence_reads_no_quotient_form(monkeypatch):
+    calls = []
+
+    def counting(qmap, form):
+        calls.append(qmap)
+        return quotient_form(qmap, form)
+
+    monkeypatch.setattr(sequences, "quotient_form", counting)
+    for seed in range(6):
+        sequence_instance(seed)
+    seq = kernel_compat_sequence()
+    assert calls == []
+    seq.quot_field.gram(np.array([0.15 + 0.1j]))
+    assert len(calls) == 1
 
 
 def test_inclusion_shape_mismatch_rejected():
