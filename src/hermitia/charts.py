@@ -261,6 +261,7 @@ class CurvatureAt:
     point: np.ndarray
     tensor: np.ndarray  # (m, m, shape, shape), R[a][b][s][t]
     form_at_point: HermitianForm
+    a: np.ndarray  # (m, shape, shape) connection of the same solve, or None
 
     def pair_symmetry_residual(self):
         r = self.tensor
@@ -339,7 +340,7 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
     compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
     """
     z = _as_point(z, field.m)
-    g, dg, gp, _, _, _ = _solve(field, z)
+    g, dg, gp, _, a_conn, _ = _solve(field, z)
     dbg = field.dbar(z, d=dg)
     ddg = field.dd(z)
     require_finite(ddg, "mixed second derivative", z)
@@ -353,6 +354,7 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
         point=z,
         tensor=tensor,
         form_at_point=HermitianForm(g, rank_tol=RANK_TOL),
+        a=a_conn,
     )
 
 
@@ -450,11 +452,18 @@ def hsc(field: ChartField, z, v):
 
 
 def hsc_of_tensor(tensor, g, v):
-    """H(v) from a precomputed curvature tensor and Gram matrix."""
+    """H(v) from a precomputed curvature tensor and Gram matrix.
+
+    ``v`` is one direction, giving a float, or an (n, m) stack of
+    directions, giving the (n,) array of their H; each entry equals the
+    single-direction call bit for bit.
+    """
     v = np.asarray(v, dtype=complex)
-    num = np.einsum("abst,a,b,s,t->", tensor, v, v.conj(), v, v.conj())
-    den = np.real(v.conj() @ g @ v) ** 2
-    return float(np.real(num) / den)
+    vc = v.conj()
+    num = np.einsum("abst,...a,...b,...s,...t->...", tensor, v, vc, v, vc)
+    den = np.real(vc[..., None, :] @ g @ v[..., :, None])[..., 0, 0] ** 2
+    h = np.real(num) / den
+    return float(h) if v.ndim == 1 else h
 
 
 def torsion_defect(field: ChartField, z):

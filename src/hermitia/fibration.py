@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartField, curvature_tensor, hsc, hsc_of_tensor
-from .errors import ConfigError, HermitiaError, NotPositive, RankJump
+from .charts import ChartField, curvature_tensor, hsc_of_tensor
+from .errors import ConfigError, HermitiaError, NotPositive, NotPositiveAtPoint, RankJump
 from .fields import (
     MonomialMap,
     embedded_factor_field,
@@ -27,9 +27,8 @@ from .fields import (
 from .forms import HermitianForm, limit_form, projection_limit_gram
 from .models import (
     DEFAULT_FIBRATION_REGION,
-    _map_ordered,
-    _refine_direction,
     _sample_polydisc,
+    _scan,
     _unit_direction,
     fubini_study_chart,
 )
@@ -44,6 +43,16 @@ VERTICAL_PD_FLOOR = 1e-10
 # Seeded sample points at which FibrationModel checks its two invariants.
 VALIDATION_POINTS = 5
 DEFAULT_LAMBDA_SCHEDULE = tuple(range(13))
+# The lambda grid along which q_lambda_limit follows the quotient family.
+Q_LAMBDA_GRID = (2.0, 4.0, 6.0, 8.0)
+# vertical_hsc_check: the lambdas of h_lambda and the number of seeded
+# vertical directions scored at every grid point.
+VERTICAL_LAMBDAS = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+VERTICAL_DIRECTIONS = 4
+# find_lambda0: directions per sampled point, and the most refinement
+# steps at the minimizing direction of each scanned lambda.
+LAMBDA_SCAN_DIRECTIONS = 20
+LAMBDA_SCAN_STEPS = 40
 
 
 class FibrationModel:
@@ -61,7 +70,6 @@ class FibrationModel:
         fiber_dim,
         b1_field: ChartField,
         b2_field: ChartField,
-        region=DEFAULT_FIBRATION_REGION,
         fiber_field_factory=None,
         name="",
     ):
@@ -76,7 +84,6 @@ class FibrationModel:
             raise HermitiaError("summand fields are not tangent-bundle sized")
         self.b1_field = b1_field
         self.b2_field = b2_field
-        self.region = float(region)
         self.fiber_field_factory = fiber_field_factory
         self.name = name
         self._validate()
@@ -91,7 +98,7 @@ class FibrationModel:
         )
         v = self.vertical
         for _ in range(VALIDATION_POINTS):
-            z = _sample_polydisc(rng, self.total_m, self.region)
+            z = _sample_polydisc(rng, self.total_m, DEFAULT_FIBRATION_REGION)
             g1 = self.b1_field.gram(z)
             if not _is_pd(g1[v, v], VERTICAL_PD_FLOOR):
                 raise NotPositive(
@@ -106,7 +113,7 @@ class FibrationModel:
                 )
 
 
-def product_model(base_field: ChartField, fiber_field: ChartField, region=DEFAULT_FIBRATION_REGION, name=""):
+def product_model(base_field: ChartField, fiber_field: ChartField, name=""):
     """Product metric data: fiber form and base form, each zero-padded."""
     mb, mf = base_field.m, fiber_field.m
     total = mb + mf
@@ -120,13 +127,12 @@ def product_model(base_field: ChartField, fiber_field: ChartField, region=DEFAUL
         mf,
         b1,
         b2,
-        region=region,
         fiber_field_factory=lambda zb: fiber_field,
         name=name or "prod",
     )
 
 
-def hirzebruch_model(k, region=DEFAULT_FIBRATION_REGION):
+def hirzebruch_model(k):
     """Twisted line family over the projective line, chart (z, w).
 
     b1 is the Gram field of log(1 + (1 + |z|^2)^k |w|^2): fiberwise the
@@ -148,9 +154,7 @@ def hirzebruch_model(k, region=DEFAULT_FIBRATION_REGION):
         mono = MonomialMap(1, [[(1.0, (0,))], [(np.sqrt(c), (1,))]])
         return from_potential_map(mono, radius=2.0, self_check=False)
 
-    return FibrationModel(
-        1, 1, b1, b2, region=region, fiber_field_factory=fiber_at, name="hirz:%d" % k
-    )
+    return FibrationModel(1, 1, b1, b2, fiber_field_factory=fiber_at, name="hirz:%d" % k)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +236,9 @@ class QuotientLimitRecord:
     trivial: bool  # the whole family is zero
 
 
-def q_lambda_limit(model: FibrationModel, z, lambda_grid=(2.0, 4.0, 6.0, 8.0)) -> QuotientLimitRecord:
-    """Pointwise quotient family of (b1, e^lambda b2) and its limit.
+def q_lambda_limit(model: FibrationModel, z) -> QuotientLimitRecord:
+    """Pointwise quotient family of (b1, e^lambda b2) along Q_LAMBDA_GRID
+    and its limit.
 
     Delegates to the form-level limit machinery and reports convergence
     errors, the limit's positivity properties, and the residual of the
@@ -244,7 +249,7 @@ def q_lambda_limit(model: FibrationModel, z, lambda_grid=(2.0, 4.0, 6.0, 8.0)) -
     z = np.asarray(z, dtype=complex)
     b1 = model.b1_field.form_at(z)
     b2 = model.b2_field.form_at(z)
-    q_values, q_inf = limit_form(b1, b2, lambda_grid)
+    q_values, q_inf = limit_form(b1, b2, Q_LAMBDA_GRID)
 
     errors = [float(np.linalg.norm(q.gram - q_inf.gram)) for q in q_values]
     scale = 1.0 + float(np.linalg.norm(q_inf.gram))
@@ -262,7 +267,7 @@ def q_lambda_limit(model: FibrationModel, z, lambda_grid=(2.0, 4.0, 6.0, 8.0)) -
 
     return QuotientLimitRecord(
         point=z,
-        lambda_grid=tuple(float(l) for l in lambda_grid),
+        lambda_grid=Q_LAMBDA_GRID,
         errors=errors,
         ratios=ratios,
         q_inf=q_inf,
@@ -287,51 +292,49 @@ class VerticalHscReport:
     positive: bool
 
 
-def vertical_hsc_check(
-    model: FibrationModel, z_grid, lambdas=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
-    directions=4, seed=0,
-) -> VerticalHscReport:
+def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
     """Sectional curvature of h_lambda along vertical directions.
 
-    For every grid point and sampled vertical direction, H must stay
-    positive for all tested lambda, and the gap to the intrinsic fiber
-    curvature must shrink as lambda grows.  A flat fiber metric is
-    reported via ``fiber_flat`` instead of failing.
+    At every grid point, VERTICAL_DIRECTIONS seeded vertical directions
+    are scored in one stacked contraction per curvature tensor: H must
+    stay positive for every lambda in VERTICAL_LAMBDAS, and the gap to the
+    intrinsic fiber curvature, read from one fiber curvature tensor per
+    point, must shrink as lambda grows.  A flat fiber metric is reported
+    via ``fiber_flat`` instead of failing.
     """
     z_grid = [np.asarray(z, dtype=complex) for z in z_grid]
-    mb, mf = model.base_dim, model.fiber_dim
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 53]))
-    dirs = [_unit_direction(rng, mf) for _ in range(directions)]
+    mb = model.base_dim
+    rng = np.random.default_rng(np.random.SeedSequence([0, 53]))
+    dirs = np.stack([_unit_direction(rng, model.fiber_dim) for _ in range(VERTICAL_DIRECTIONS)])
+    vfull = np.zeros((VERTICAL_DIRECTIONS, model.total_m), dtype=complex)
+    vfull[:, mb:] = dirs
 
     fiber_h = {}
     if model.fiber_field_factory is not None:
         for i, z in enumerate(z_grid):
             fib = model.fiber_field_factory(z[:mb])
-            fiber_h[i] = [hsc(fib, z[mb:], v) for v in dirs]
+            if not fib.form_at(z[mb:]).is_positive_definite():
+                raise NotPositiveAtPoint("fiber metric is not positive-definite at this point")
+            curv = curvature_tensor(fib, z[mb:])
+            fiber_h[i] = hsc_of_tensor(curv.tensor, curv.form_at_point.gram, dirs)
 
     min_h = np.inf
     gap_by_lambda = {}
-    for lam in lambdas:
+    for lam in VERTICAL_LAMBDAS:
         field = h_lambda(model, lam)
         worst_gap = 0.0
         for i, z in enumerate(z_grid):
             curv = curvature_tensor(field, z)
-            g = curv.form_at_point.gram
-            for n, v in enumerate(dirs):
-                vfull = np.zeros(model.total_m, dtype=complex)
-                vfull[mb:] = v
-                h_val = float(np.real(hsc_of_tensor(curv.tensor, g, vfull)))
-                min_h = min(min_h, h_val)
-                if i in fiber_h:
-                    worst_gap = max(worst_gap, abs(h_val - fiber_h[i][n]))
-        gap_by_lambda[float(lam)] = worst_gap
+            h = hsc_of_tensor(curv.tensor, curv.form_at_point.gram, vfull)
+            min_h = min(min_h, float(np.min(h)))
+            if i in fiber_h:
+                worst_gap = max(worst_gap, float(np.max(np.abs(h - fiber_h[i]))))
+        gap_by_lambda[lam] = worst_gap
 
-    flat = bool(
-        fiber_h and max(abs(h) for row in fiber_h.values() for h in row) < 1e-8
-    )
+    flat = bool(fiber_h and max(np.max(np.abs(h)) for h in fiber_h.values()) < 1e-8)
     return VerticalHscReport(
         points=len(z_grid),
-        lambdas=tuple(float(l) for l in lambdas),
+        lambdas=VERTICAL_LAMBDAS,
         min_vertical_h=float(min_h),
         gap_by_lambda=gap_by_lambda,
         fiber_flat=flat,
@@ -365,41 +368,21 @@ class LambdaScanResult:
         }
 
 
-def _scan_one_lambda(model, lam, region, n_points, directions_per_point, steps, seed, threads):
-    field = h_lambda(model, lam)
+def _scan_one_lambda(model, lam, region, n_points, seed, threads):
     lam_key = int(round(float(lam) * 1000.0)) % 2**32
-
-    def scan_point(idx):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, lam_key, idx]))
-        z = _sample_polydisc(rng, model.total_m, region)
-        g = field.gram(z)
-        if not _is_pd(g, PD_FLOOR):
-            return None, z
-        curv = curvature_tensor(field, z)
-        local = []
-        for _ in range(directions_per_point):
-            v = _unit_direction(rng, model.total_m)
-            local.append((float(np.real(hsc_of_tensor(curv.tensor, g, v))), z, v))
-        return local, curv
-
-    results = _map_ordered(scan_point, range(n_points), threads)
-    record = {"lambda": float(lam), "positive_definite": True}
-    lo = None
-    for local, curv in results:
-        if local is None:
-            record["positive_definite"] = False
-            record["min_H"] = None
-            record["argmin"] = None
-            return record
-        for h, z, v in local:
-            if lo is None or h < lo[0]:
-                lo = (h, z, v, curv)
-    v_min, h_min = _refine_direction(
-        lo[3].tensor, lo[3].form_at_point.gram, lo[2], steps, sign=-1.0
+    found = _scan(
+        h_lambda(model, lam), region, n_points, LAMBDA_SCAN_DIRECTIONS, [seed, lam_key],
+        LAMBDA_SCAN_STEPS, threads, signs=(-1.0,), gate=lambda g: _is_pd(g, PD_FLOOR),
     )
-    record["min_H"] = float(h_min)
+    record = {"lambda": float(lam), "positive_definite": found is not None}
+    if found is None:
+        record["min_H"] = None
+        record["argmin"] = None
+        return record
+    [(h_min, z, v_min)] = found
+    record["min_H"] = h_min
     record["argmin"] = {
-        "point": [[float(c.real), float(c.imag)] for c in lo[1]],
+        "point": [[float(c.real), float(c.imag)] for c in z],
         "direction": [[float(c.real), float(c.imag)] for c in v_min],
     }
     return record
@@ -412,29 +395,29 @@ def find_lambda0(
     lambda_schedule=DEFAULT_LAMBDA_SCHEDULE,
     margin=1e-3,
     seed=0,
-    directions_per_point=20,
-    optimizer_steps=40,
     threads=None,
 ) -> LambdaScanResult:
     """First lambda in the schedule with min sampled-and-refined H > margin.
 
-    Directions are drawn from the unit sphere of the standard chart
-    Hermitian structure; curvature is measured with h_lambda itself.  One
-    bisection pass between the last failing and first passing schedule
-    entries sharpens the reported threshold.  Everything is deterministic
-    in (seed, schedule, sample counts); thread count never changes the
-    result, only the wall time.
+    Each scanned lambda runs :func:`models._scan` on h_lambda with seed key
+    [seed, round(1000 lambda) mod 2^32]: ``sphere_samples //
+    LAMBDA_SCAN_DIRECTIONS`` points of the polydisc of relative radius
+    ``region`` (DEFAULT_FIBRATION_REGION when None), each gated by
+    positive-definiteness of h_lambda before its curvature read, with
+    directions drawn from the unit sphere of the standard chart Hermitian
+    structure; the lowest H is refined for at most LAMBDA_SCAN_STEPS
+    steps.  One bisection pass between the last failing
+    and first passing schedule entries sharpens the reported threshold.
+    Everything is deterministic in (seed, schedule, sample counts); thread
+    count never changes the result, only the wall time.
     """
-    region = model.region if region is None else float(region)
-    n_points = max(1, int(sphere_samples) // directions_per_point)
+    region = DEFAULT_FIBRATION_REGION if region is None else float(region)
+    n_points = max(1, int(sphere_samples) // LAMBDA_SCAN_DIRECTIONS)
     records = []
     passing = None
     failing = None
     for lam in lambda_schedule:
-        rec = _scan_one_lambda(
-            model, lam, region, n_points, directions_per_point,
-            optimizer_steps, seed, threads,
-        )
+        rec = _scan_one_lambda(model, lam, region, n_points, seed, threads)
         records.append(rec)
         if rec["positive_definite"] and rec["min_H"] is not None and rec["min_H"] > margin:
             passing = float(lam)
@@ -444,10 +427,7 @@ def find_lambda0(
     lambda0 = passing
     if passing is not None and failing is not None:
         mid = 0.5 * (failing + passing)
-        rec = _scan_one_lambda(
-            model, mid, region, n_points, directions_per_point,
-            optimizer_steps, seed, threads,
-        )
+        rec = _scan_one_lambda(model, mid, region, n_points, seed, threads)
         records.append(rec)
         if rec["positive_definite"] and rec["min_H"] is not None and rec["min_H"] > margin:
             lambda0 = mid
@@ -455,6 +435,6 @@ def find_lambda0(
         lambda0=lambda0,
         records=records,
         seed=int(seed),
-        sphere_samples=n_points * directions_per_point,
+        sphere_samples=n_points * LAMBDA_SCAN_DIRECTIONS,
         region=region,
     )

@@ -190,11 +190,14 @@ class MatrixPolynomial:
         self.c1 = None if c1 is None else np.asarray(c1, dtype=complex)
         self.c2 = None if c2 is None else np.asarray(c2, dtype=complex)
         self.shape = (p, r)
+        # c1 as an (m, p * r) matrix: one dot product per read, equal to
+        # tensordot(z, c1, axes=1) bit for bit
+        self._c1_flat = None if c1 is None else self.c1.reshape(self.m, p * r)
 
     def value(self, z):
         out = self.c0.copy()
         if self.c1 is not None:
-            out = out + np.tensordot(z, self.c1, axes=1)
+            out = out + np.dot(z, self._c1_flat).reshape(self.shape)
         if self.c2 is not None:
             out = out + np.einsum("a,b,abpr->pr", z, z, self.c2)
         return out

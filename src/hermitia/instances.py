@@ -16,6 +16,10 @@ from .forms import HermitianForm, LinearMap, kernel
 from .sequences import ExactSeqChart
 
 INSTANCE_RADIUS = 0.9
+# Size of the linear term of the random factor fields, relative to their
+# well-conditioned constant term.
+PD_CURVATURE_SCALE = 0.35
+DEGENERATE_CURVATURE_SCALE = 0.3
 
 
 def _cnormal(rng, shape):
@@ -66,20 +70,20 @@ def balanced_limit_pair(rng, dim):
     return b1, b2
 
 
-def random_pd_field(rng, m, r, curvature_scale=0.35, radius=INSTANCE_RADIUS):
+def random_pd_field(rng, m, r):
     """Positive-definite analytic Gram field, curved, safely conditioned."""
     c0 = 0.3 * _cnormal(rng, (r, r)) + 2.0 * np.eye(r)
-    c1 = curvature_scale * _cnormal(rng, (m, r, r))
-    return from_factor(MatrixPolynomial(c0, c1=c1), m, radius=radius)
+    c1 = PD_CURVATURE_SCALE * _cnormal(rng, (m, r, r))
+    return from_factor(MatrixPolynomial(c0, c1=c1), m, radius=INSTANCE_RADIUS)
 
 
-def random_degenerate_field(rng, m, r, rank, curvature_scale=0.3, radius=INSTANCE_RADIUS):
+def random_degenerate_field(rng, m, r, rank):
     """Constant-rank analytic field with a curved range, rank < r."""
     d0 = 0.3 * _cnormal(rng, (r, rank)) + 1.5 * np.eye(r, rank)
-    d1 = curvature_scale * _cnormal(rng, (m, r, rank))
+    d1 = DEGENERATE_CURVATURE_SCALE * _cnormal(rng, (m, r, rank))
     k = _cnormal(rng, (rank, r)) + np.eye(rank, r)
     poly = MatrixPolynomial(d0 @ k, c1=np.stack([d1[a] @ k for a in range(m)]))
-    return from_factor(poly, m, radius=radius)
+    return from_factor(poly, m, radius=INSTANCE_RADIUS)
 
 
 def random_inclusion(rng, r, k, m, constant=False):

@@ -30,8 +30,6 @@ GR_CHART_RADIUS = 2.0
 DEFAULT_FS_REGION = 0.9
 DEFAULT_GR_REGION = 0.7
 DEFAULT_FIBRATION_REGION = 0.7
-# Step of the central differences in the direction refinement's gradient.
-REFINE_FD_STEP = 1e-5
 # Sampling of einstein_residual: this many points in the polydisc of this
 # relative radius.
 EINSTEIN_POINTS = 10
@@ -315,25 +313,36 @@ def _unit_direction(rng, m):
     return v / np.linalg.norm(v)
 
 
+def _hsc_gradient(tensor, g, v):
+    """2 dH/dconj(v), the gradient of H over the real and imaginary parts
+    of v, in closed form.
+
+    With N = R(v, conj(v), v, conj(v)) and D = v^H G v, H = Re N / D^2 and
+    2 dH/dconj(v) = (dN/dconj(v) + conj(dN/dv)) / D^2 - 4 Re N (G v) / D^3,
+    where N = conj(v) . dN/dconj(v) / 2 because N has degree two in conj(v).
+    """
+    vc = v.conj()
+    dn_dvbar = np.einsum("akst,a,s,t->k", tensor, v, v, vc) + np.einsum(
+        "absk,a,b,s->k", tensor, v, vc, v
+    )
+    dn_dv = np.einsum("kbst,b,s,t->k", tensor, vc, v, vc) + np.einsum(
+        "abkt,a,b,t->k", tensor, v, vc, vc
+    )
+    num = 0.5 * np.real(vc @ dn_dvbar)
+    gv = g @ v
+    den = np.real(vc @ gv)
+    return (dn_dvbar + dn_dv.conj()) / den**2 - 4.0 * num * gv / den**3
+
+
 def _refine_direction(tensor, g, v0, steps, sign):
-    """Projected finite-difference gradient walk of H on the direction sphere."""
+    """Projected gradient walk of H on the direction sphere, with the
+    closed-form gradient of :func:`_hsc_gradient` and a halving line
+    search; ``sign`` -1 descends, +1 ascends."""
     v = v0 / np.linalg.norm(v0)
     best = hsc_of_tensor(tensor, g, v)
     alpha = 0.1
-    m = v.size
     for _ in range(steps):
-        grad = np.zeros(m, dtype=complex)
-        for i in range(m):
-            e = np.zeros(m, dtype=complex)
-            e[i] = REFINE_FD_STEP
-            grad[i] = (hsc_of_tensor(tensor, g, v + e) - hsc_of_tensor(tensor, g, v - e)) / (
-                2 * REFINE_FD_STEP
-            )
-            grad[i] += (
-                1j
-                * (hsc_of_tensor(tensor, g, v + 1j * e) - hsc_of_tensor(tensor, g, v - 1j * e))
-                / (2 * REFINE_FD_STEP)
-            )
+        grad = _hsc_gradient(tensor, g, v)
         grad -= np.real(np.vdot(v, grad)) * v  # tangent to the sphere
         if np.linalg.norm(grad) < 1e-14:
             break
@@ -355,9 +364,50 @@ def _refine_direction(tensor, g, v0, steps, sign):
 
 def _map_ordered(fn, items, threads):
     if threads is None or threads <= 1:
-        return [fn(x) for x in items]
+        return map(fn, items)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def _scan(field, region, n_points, directions_per_point, seed_key, steps, threads, signs, gate=None):
+    """The seeded sample-then-refine pass of every HSC scan.
+
+    Point idx is drawn from SeedSequence(seed_key + [idx]), then its
+    ``directions_per_point`` unit directions from the same stream.  The
+    curvature is read once per point and all of that point's directions
+    are scored in one stacked contraction.  For each sign in ``signs``
+    (-1 for the minimum, +1 for the maximum) the incumbent is the first
+    strictly lower (higher) H in (point, direction) order; its direction
+    is then refined on its point's curvature tensor by
+    :func:`_refine_direction` for at most ``steps`` steps.  Returns one
+    (H, point, direction) per sign.  When ``gate`` is given it sees the
+    Gram matrix at each point before the curvature read, and the scan
+    returns None at the first point it rejects.
+    """
+
+    def scan_point(idx):
+        rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
+        z = _sample_polydisc(rng, field.m, region)
+        if gate is not None and not gate(field.gram(z)):
+            return None
+        curv = curvature_tensor(field, z)
+        dirs = np.stack([_unit_direction(rng, field.m) for _ in range(directions_per_point)])
+        return z, dirs, hsc_of_tensor(curv.tensor, curv.form_at_point.gram, dirs), curv
+
+    incumbents = [None] * len(signs)
+    for point in _map_ordered(scan_point, range(n_points), threads):
+        if point is None:
+            return None
+        z, dirs, h, curv = point
+        for k, sign in enumerate(signs):
+            i = np.argmax(sign * h)
+            if incumbents[k] is None or sign * h[i] > sign * incumbents[k][0]:
+                incumbents[k] = (h[i], z, dirs[i], curv)
+    extremes = []
+    for sign, (_, z, v, curv) in zip(signs, incumbents):
+        v, h = _refine_direction(curv.tensor, curv.form_at_point.gram, v, steps, sign)
+        extremes.append((float(h), z, v))
+    return extremes
 
 
 def hsc_extremes(
@@ -371,40 +421,24 @@ def hsc_extremes(
 ):
     """Seeded sample-then-refine scan for extremal sectional curvature.
 
-    The curvature tensor is computed once per sampled point and reused
-    across that point's direction batch; refinement runs projected
-    gradient descent/ascent on the direction sphere at the incumbent
-    minimizer and maximizer.
+    ``samples // directions_per_point`` points of the polydisc of
+    relative radius ``region``, each with ``directions_per_point``
+    directions, go through :func:`_scan` with seed key [seed]; the
+    directions of the lowest and of the highest sampled H are refined by
+    descent and ascent for at most ``optimizer_steps`` steps.  The result
+    depends on the seed and the sample counts only; ``threads`` changes
+    the wall time, not the result.
     """
     n_points = max(1, samples // directions_per_point)
-
-    def scan_point(idx):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        z = _sample_polydisc(rng, field.m, region)
-        curv = curvature_tensor(field, z)
-        g = curv.form_at_point.gram
-        local = []
-        for _ in range(directions_per_point):
-            v = _unit_direction(rng, field.m)
-            local.append((hsc_of_tensor(curv.tensor, g, v), z, v))
-        return local, curv.tensor, g
-
-    results = _map_ordered(scan_point, range(n_points), threads)
-    lo, hi = None, None
-    for local, tensor, g in results:
-        for h, z, v in local:
-            if lo is None or h < lo[0]:
-                lo = (h, z, v, tensor, g)
-            if hi is None or h > hi[0]:
-                hi = (h, z, v, tensor, g)
-
-    v_min, h_min = _refine_direction(lo[3], lo[4], lo[2], optimizer_steps, sign=-1.0)
-    v_max, h_max = _refine_direction(hi[3], hi[4], hi[2], optimizer_steps, sign=+1.0)
+    (h_min, z_min, v_min), (h_max, z_max, v_max) = _scan(
+        field, region, n_points, directions_per_point, [seed], optimizer_steps, threads,
+        signs=(-1.0, 1.0),
+    )
     return HscScanResult(
-        min_H=float(h_min),
-        max_H=float(h_max),
-        argmin=(lo[1], v_min),
-        argmax=(hi[1], v_max),
+        min_H=h_min,
+        max_H=h_max,
+        argmin=(z_min, v_min),
+        argmax=(z_max, v_max),
         samples=n_points * directions_per_point,
         region=float(region),
         seed=int(seed),

@@ -614,17 +614,14 @@ def sum_curvature(
     z = np.asarray(z, dtype=complex)
     t1 = curvature_tensor(b1_field, z)
     t2 = curvature_tensor(b2_field, z)
-    a1 = chern_connection(b1_field, z).a
-    a2 = chern_connection(b2_field, z).a
+    a1, a2 = t1.a, t2.a
     if perturb1 is not None:
         a1 = a1 + np.asarray(perturb1(z), dtype=complex)
     if perturb2 is not None:
         a2 = a2 + np.asarray(perturb2(z), dtype=complex)
-    g1 = b1_field.gram(z)
-    g2 = b2_field.gram(z)
-    gq = sum_quotient_form(
-        HermitianForm(g1, rank_tol=RANK_TOL), HermitianForm(g2, rank_tol=RANK_TOL)
-    ).gram
+    g1 = t1.form_at_point.gram
+    g2 = t2.form_at_point.gram
+    gq = sum_quotient_form(t1.form_at_point, t2.form_at_point).gram
     m, r = b1_field.m, b1_field.shape
     tensor = np.empty((m, m, r, r), dtype=complex)
     for a in range(m):
@@ -637,4 +634,5 @@ def sum_curvature(
         point=z,
         tensor=tensor,
         form_at_point=HermitianForm(g1 + g2, rank_tol=RANK_TOL),
+        a=None,
     )

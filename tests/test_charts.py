@@ -41,6 +41,7 @@ from hermitia.fields import (
     sum_field,
     twisted_fiber_monomials,
 )
+from hermitia.instances import random_pd_field
 
 
 def fs_line(radius=3.0):
@@ -426,6 +427,32 @@ def test_hsc_of_tensor_matches_direct_contraction():
     r = curvature_tensor(f, z)
     v = np.array([1.0, 0.5 - 0.25j])
     assert abs(hsc_of_tensor(r.tensor, f.gram(z), v) - hsc(f, z, v)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_hsc_equals_one_direction_at_a_time(m):
+    rng = np.random.default_rng(np.random.SeedSequence([41, m]))
+    f = random_pd_field(rng, m, m)
+    z = 0.3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    r = curvature_tensor(f, z)
+    g = r.form_at_point.gram
+    dirs = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
+    stacked = hsc_of_tensor(r.tensor, g, dirs)
+    assert stacked.shape == (20,)
+    single = np.array([hsc_of_tensor(r.tensor, g, v) for v in dirs])
+    assert all(isinstance(hsc_of_tensor(r.tensor, g, v), float) for v in dirs)
+    assert np.max(np.abs(stacked - single)) <= 1e-14
+
+
+def test_matrix_polynomial_value_equals_tensordot_oracle():
+    rng = np.random.default_rng(np.random.SeedSequence([43]))
+    for _ in range(300):
+        m, p, r = (int(k) for k in rng.integers(1, 5, size=3))
+        c0 = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
+        c1 = rng.standard_normal((m, p, r)) + 1j * rng.standard_normal((m, p, r))
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        oracle = c0.copy() + np.tensordot(z, c1, axes=1)
+        assert np.array_equal(MatrixPolynomial(c0, c1=c1).value(z), oracle)
 
 
 @settings(max_examples=25, deadline=None)

@@ -212,6 +212,26 @@ def test_vertical_hsc_flags_flat_fiber():
     assert abs(rep.min_vertical_h) < 1e-10
 
 
+@pytest.mark.parametrize("which", ["prod", "hirz1"])
+def test_vertical_check_reads_one_fiber_curvature_per_point(which, prod, hirz1, monkeypatch):
+    from hermitia import charts, fibration
+
+    model = {"prod": prod, "hirz1": hirz1}[which]
+    calls = []
+    original = charts.curvature_tensor
+
+    def counted(field, z):
+        calls.append(field.m)
+        return original(field, z)
+
+    monkeypatch.setattr(charts, "curvature_tensor", counted)
+    monkeypatch.setattr(fibration, "curvature_tensor", counted)
+    grid = vertical_grid(n=3)
+    rep = vertical_hsc_check(model, grid)
+    assert calls.count(model.fiber_dim) == len(grid)
+    assert calls.count(model.total_m) == len(grid) * len(rep.lambdas)
+
+
 # ---------------------------------------------------------------------------
 # threshold search
 

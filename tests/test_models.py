@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia import ConfigError, NotPositiveAtPoint
-from hermitia.charts import hsc
+from hermitia.charts import curvature_tensor, hsc, hsc_of_tensor
 from hermitia.fields import (
     constant_field,
     from_potential_map,
@@ -12,6 +12,7 @@ from hermitia.fields import (
 from hermitia.instances import random_degenerate_field
 from hermitia.models import (
     GrassmannChartModel,
+    _hsc_gradient,
     einstein_residual,
     fubini_study_chart,
     grassmannian_chart,
@@ -311,6 +312,49 @@ def test_scan_is_deterministic_across_threads(gr24):
     assert serial.max_H == pooled.max_H
     assert np.array_equal(serial.argmin[0], pooled.argmin[0])
     assert np.array_equal(serial.argmax[1], pooled.argmax[1])
+
+
+# Step of the central differences the closed-form direction gradient is
+# checked against.
+GRADIENT_FD_STEP = 1e-5
+
+
+def _hsc_gradient_fd(tensor, g, v):
+    """dH/dRe(v_k) + i dH/dIm(v_k) by central differences of H."""
+    grad = np.zeros(v.size, dtype=complex)
+    for k in range(v.size):
+        e = np.zeros(v.size, dtype=complex)
+        e[k] = GRADIENT_FD_STEP
+        for unit in (1.0, 1j):
+            diff = hsc_of_tensor(tensor, g, v + unit * e) - hsc_of_tensor(tensor, g, v - unit * e)
+            grad[k] += unit * diff / (2 * GRADIENT_FD_STEP)
+    return grad
+
+
+def _h0_of_hirz1():
+    from hermitia.fibration import h_lambda, hirzebruch_model
+
+    return h_lambda(hirzebruch_model(1), 0.0)
+
+
+@pytest.mark.parametrize(
+    "make_field",
+    [lambda: grassmannian_chart(2, 4).field, lambda: grassmannian_chart(2, 5).field, _h0_of_hirz1],
+    ids=["gr:2:4", "gr:2:5", "hirz:1-h0"],
+)
+def test_direction_gradient_matches_central_differences(make_field):
+    field = make_field()
+    rng = np.random.default_rng(np.random.SeedSequence([47, field.m]))
+    for _ in range(4):
+        z = 0.6 * np.sqrt(rng.random(field.m)) * np.exp(2j * np.pi * rng.random(field.m))
+        curv = curvature_tensor(field, z)
+        g = curv.form_at_point.gram
+        for _ in range(3):
+            v = rng.standard_normal(field.m) + 1j * rng.standard_normal(field.m)
+            v /= np.linalg.norm(v)
+            exact = _hsc_gradient(curv.tensor, g, v)
+            fd = _hsc_gradient_fd(curv.tensor, g, v)
+            assert np.linalg.norm(exact - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
 def test_scan_result_serializes(fs1):

@@ -581,6 +581,33 @@ def test_sum_curvature_blind_to_kernel_gauge(seed):
     assert err <= 1e-8 * (1 + np.linalg.norm(base.tensor))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_sum_curvature_reuses_the_summand_solves(m, monkeypatch):
+    rng = np.random.default_rng(np.random.SeedSequence([59, m]))
+    reads = []
+
+    def counted(base):
+        def eval_fn(z):
+            reads.append(z)
+            return base.eval_fn(z)
+
+        return ChartField(
+            m, 2, eval_fn, radius=base.radius, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False
+        )
+
+    solves = []
+
+    def counted_solve(field, z):
+        solves.append(z)
+        return chern_connection(field, z)
+
+    monkeypatch.setattr(sequences, "chern_connection", counted_solve)
+    b1, b2 = counted(random_pd_field(rng, m, 2)), counted(random_pd_field(rng, m, 2))
+    sum_curvature(b1, b2, np.full(m, 0.1 + 0.05j))
+    assert solves == []
+    assert len(reads) == 2 * (4 * m + 2)
+
+
 def test_sum_curvature_form_is_the_sum():
     b1, b2, z, _ = sum_instance(3)
     out = sum_curvature(b1, b2, z)
