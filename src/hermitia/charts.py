@@ -31,7 +31,16 @@ from .errors import (
     SolverResidual,
     ZeroVector,
 )
-from .forms import HermitianForm, Subspace, gram_pinv, gram_rank, hermitize, rank_of, require_finite
+from .forms import (
+    HermitianForm,
+    Subspace,
+    gram_pinv,
+    gram_rank,
+    gram_ranks,
+    hermitize,
+    rank_of,
+    require_finite,
+)
 
 # Relative rank cutoff of every chart Gram matrix (see forms.rank_of).
 RANK_TOL = 1e-8
@@ -46,6 +55,9 @@ MAP_FD_STEP = 1e-5
 # Largest antiholomorphic derivative of a holomorphic map or inclusion,
 # relative to 1 + the norm of its value (or Jacobian).
 HOLOMORPHY_TOL = 1e-8
+# Largest disagreement of the two torsion routes of torsion_defect,
+# relative to 1 + the defect.
+TORSION_CROSS_TOL = 1e-5
 
 
 def _as_point(z, m):
@@ -81,10 +93,10 @@ class ChartField:
     shape : size of the square Gram matrix.
     eval_fn : z -> (shape, shape) complex matrix.  On a field with
         analytic derivatives, :func:`curvature_tensor` and
-        :func:`chern_connection` each read it 4m + 2 times per point (the
-        4m + 1 reads of the constant-rank gate and the Gram matrix
-        itself), so it should return the Gram matrix only and compute no
-        derivatives.
+        :func:`chern_connection` each read the Gram matrix 4m + 1 times per
+        point: the stencil of the constant-rank gate, whose centre read the
+        solve reuses.  It should return the Gram matrix only and compute
+        no derivatives.
     center, radius : polydisc domain; radius may be per-coordinate.
     d_fn : optional analytic first derivatives, z -> (m, shape, shape)
         with d_fn(z)[a] = d_a G.
@@ -94,6 +106,10 @@ class ChartField:
         outer (second derivative) Wirtinger differences.
     self_check : compare analytic derivatives against finite differences
         at a few deterministic points on construction.
+    stack_fn : optional stacked evaluator, (B, m) points -> (B, shape,
+        shape) Gram matrices, each equal bit for bit to ``eval_fn`` at its
+        point.  :meth:`gram_stack` uses it for the 4m + 1 reads of the
+        gate; without it, :meth:`gram_stack` calls ``eval_fn`` per point.
     """
 
     def __init__(
@@ -109,10 +125,12 @@ class ChartField:
         fd_outer_step=1e-3,
         name="",
         self_check=True,
+        stack_fn=None,
     ):
         self.m = int(m)
         self.shape = int(shape)
         self.eval_fn = eval_fn
+        self.stack_fn = stack_fn
         self.center = (
             np.zeros(self.m, dtype=complex)
             if center is None
@@ -129,10 +147,28 @@ class ChartField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def gram(self, z):
-        g = np.asarray(self.eval_fn(_as_point(z, self.m)), dtype=complex)
-        if g.shape != (self.shape, self.shape):
+    @staticmethod
+    def _checked(g, shape):
+        g = np.asarray(g, dtype=complex)
+        if g.shape != shape:
             raise HermitiaError("field evaluator returned shape %s" % (g.shape,))
+        return g
+
+    def gram(self, z):
+        r = self.shape
+        return hermitize(self._checked(self.eval_fn(_as_point(z, self.m)), (r, r)))
+
+    def gram_stack(self, zs):
+        """The Gram matrices at a (B, m) stack of points, shape (B, shape,
+        shape); row i equals ``gram(zs[i])`` bit for bit."""
+        zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 2 or zs.shape[1] != self.m:
+            raise ValueError("point stack has shape %s, chart has dimension %d" % (zs.shape, self.m))
+        r = self.shape
+        if self.stack_fn is None:
+            g = np.stack([self._checked(self.eval_fn(z), (r, r)) for z in zs])
+        else:
+            g = self._checked(self.stack_fn(zs), (len(zs), r, r))
         return hermitize(g)
 
     def form_at(self, z):
@@ -220,6 +256,7 @@ class ChartField:
             fd_outer_step=self.fd_outer_step,
             name=self.name,
             self_check=False,
+            stack_fn=self.stack_fn,
         )
 
     def _self_check(self):
@@ -279,31 +316,46 @@ def wirtinger(field: ChartField, z, direction, conjugate=False, step=None):
     return wirtinger_fd(field.gram, z, direction, h, conjugate)
 
 
+def _gate_stencil(z, s):
+    """z, then z + s e_a, z - s e_a, z + i s e_a and z - i s e_a for each
+    coordinate a: the 4m + 1 points of the constant-rank gate."""
+    e = np.eye(len(z), dtype=complex)
+    se, ise = s * e, 1j * s * e
+    ring = np.stack([z + se, z - se, z + ise, z - ise], axis=1).reshape(-1, len(z))
+    return np.concatenate([z[None], ring])
+
+
 def _check_constant_rank(field: ChartField, z):
+    """The constant-rank gate: G read at the 4m + 1 stencil points in one
+    :meth:`ChartField.gram_stack` call and ranked by one batched
+    ``eigvalsh``.  Raises RankJump at the first neighbor whose rank
+    differs from the centre's, NonFinite naming the first point read as
+    non-finite; returns G(z)."""
     z = _as_point(z, field.m)
     s = field.fd_outer_step
     field._require_domain(z, s + field.fd_step)
-    r0 = field.rank_at(z)
-    for a in range(field.m):
-        e = np.zeros(field.m, dtype=complex)
-        e[a] = 1.0
-        for w in (z + s * e, z - s * e, z + 1j * s * e, z - 1j * s * e):
-            r = field.rank_at(w)
-            if r != r0:
-                raise RankJump(
-                    "rank %d at the point but %d at a stencil neighbor" % (r0, r)
-                )
-    return r0
+    zs = _gate_stencil(z, s)
+    grams = field.gram_stack(zs)
+    ranks = gram_ranks(grams, RANK_TOL)
+    stops = np.flatnonzero((ranks < 0) | (ranks != ranks[0]))
+    if stops.size:
+        i = stops[0]
+        if ranks[i] < 0:
+            # the one-matrix rule raises NonFinite naming the point
+            gram_rank(grams[i], RANK_TOL, "Gram matrix of the rank gate", zs[i])
+        raise RankJump(
+            "rank %d at the point but %d at a stencil neighbor" % (ranks[0], ranks[i])
+        )
+    return grams[0]
 
 
 def _solve(field: ChartField, z):
-    """The constant-rank gate, then one factorization of G at z and the
-    minimum-norm solve G @ A_a = d_a G with its residual gate.
+    """The constant-rank gate, then one factorization of the gate's G(z)
+    and the minimum-norm solve G @ A_a = d_a G with its residual gate.
 
     Returns (G, dG, G^+, kernel basis of G, A, residual).
     """
-    _check_constant_rank(field, z)
-    g = field.gram(z)
+    g = _check_constant_rank(field, z)
     dg = field.d(z)
     require_finite(dg, "first derivative", z)
     gp, kernel = gram_pinv(g, RANK_TOL, "Gram matrix of the connection solve", z)
@@ -444,11 +496,26 @@ def hsc(field: ChartField, z, v):
     v = np.asarray(v, dtype=complex).reshape(field.m)
     if np.linalg.norm(v) == 0.0:
         raise ZeroVector("direction must be nonzero")
-    form = field.form_at(z)
-    if not form.is_positive_definite():
-        raise NotPositiveAtPoint("metric is not positive-definite at this point")
-    curv = curvature_tensor(field, z)
-    return hsc_of_tensor(curv.tensor, form.gram, v)
+    curv = metric_curvature(field, z)
+    return hsc_of_tensor(curv.tensor, curv.form_at_point.gram, v)
+
+
+def metric_curvature(field: ChartField, z, what="metric"):
+    """:func:`curvature_tensor` of a field that must be positive-definite
+    at z, checked on the solve's own G(z).
+
+    When the solve fails, G(z) is read once more, so a form that is not
+    positive-definite raises NotPositiveAtPoint whatever else is wrong.
+    """
+    try:
+        curv = curvature_tensor(field, z)
+    except HermitiaError:
+        if not field.form_at(z).is_positive_definite():
+            raise NotPositiveAtPoint("%s is not positive-definite at this point" % what) from None
+        raise
+    if not curv.form_at_point.is_positive_definite():
+        raise NotPositiveAtPoint("%s is not positive-definite at this point" % what)
+    return curv
 
 
 def hsc_of_tensor(tensor, g, v):
@@ -487,7 +554,7 @@ def torsion_defect(field: ChartField, z):
             via_conn = g @ (conn.a[a][:, b] - conn.a[b][:, a])
             defect = max(defect, float(np.max(np.abs(direct))))
             cross = max(cross, float(np.max(np.abs(direct - via_conn))))
-    if cross > 1e-5 * (1.0 + defect):
+    if cross > TORSION_CROSS_TOL * (1.0 + defect):
         raise HermitiaError(
             "torsion routes disagree (%.2e); connection solve is suspect" % cross
         )
@@ -501,8 +568,7 @@ def curvature_20_defect(field: ChartField, z):
     fields; the returned defect is finite-difference noise.
     """
     z = _as_point(z, field.m)
-    _check_constant_rank(field, z)
-    g = field.gram(z)
+    g = _check_constant_rank(field, z)
 
     def a_fn(w):
         return chern_connection(field, w).a

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartField, curvature_tensor, hsc_of_tensor
-from .errors import ConfigError, HermitiaError, NotPositive, NotPositiveAtPoint, RankJump
+from .charts import ChartField, curvature_tensor, hsc_of_tensor, metric_curvature
+from .errors import ConfigError, HermitiaError, NotPositive, RankJump
 from .fields import (
     MonomialMap,
     embedded_factor_field,
@@ -312,10 +312,7 @@ def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
     fiber_h = {}
     if model.fiber_field_factory is not None:
         for i, z in enumerate(z_grid):
-            fib = model.fiber_field_factory(z[:mb])
-            if not fib.form_at(z[mb:]).is_positive_definite():
-                raise NotPositiveAtPoint("fiber metric is not positive-definite at this point")
-            curv = curvature_tensor(fib, z[mb:])
+            curv = metric_curvature(model.fiber_field_factory(z[:mb]), z[mb:], "fiber metric")
             fiber_h[i] = hsc_of_tensor(curv.tensor, curv.form_at_point.gram, dirs)
 
     min_h = np.inf

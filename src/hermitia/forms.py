@@ -77,6 +77,26 @@ def gram_rank(g, rank_tol, what="Gram matrix", point=None):
     return rank_of(np.abs(_eig(g, what, point, False)), rank_tol, what, point)
 
 
+def gram_ranks(grams, rank_tol):
+    """Ranks of a (B, n, n) stack of Hermitian matrices from one batched
+    ``eigvalsh``; row i is ``gram_rank(grams[i], rank_tol)``, or -1 where
+    that call raises NonFinite."""
+    try:
+        moduli = np.abs(np.linalg.eigvalsh(grams))
+    except np.linalg.LinAlgError:
+        ranks = []
+        for g in grams:
+            try:
+                ranks.append(gram_rank(g, rank_tol))
+            except NonFinite:
+                ranks.append(-1)
+        return np.array(ranks)
+    top = moduli.max(axis=-1, initial=0.0)
+    ranks = np.count_nonzero(moduli > rank_tol * top[:, None], axis=-1)
+    finite = np.isfinite(top) & np.isfinite(np.trace(grams, axis1=-2, axis2=-1))
+    return np.where(finite, ranks, -1)
+
+
 def gram_pinv(g, rank_tol, what="Gram matrix", point=None):
     """Pseudoinverse and kernel basis of a Hermitian matrix from one
     eigendecomposition.
@@ -94,9 +114,10 @@ def gram_pinv(g, rank_tol, what="Gram matrix", point=None):
 
 
 def hermitize(m):
-    """Average a square matrix with its conjugate transpose."""
+    """Average a square matrix, or each of a stack of them, with its
+    conjugate transpose."""
     m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def _phase_fix(columns):

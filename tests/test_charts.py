@@ -13,8 +13,10 @@ from hermitia import (
     ZeroVector,
 )
 from hermitia.charts import (
+    RANK_TOL,
     ChartField,
     HolomorphicMap,
+    _check_constant_rank,
     chern_connection,
     curvature_20_defect,
     curvature_from_connection,
@@ -41,7 +43,8 @@ from hermitia.fields import (
     sum_field,
     twisted_fiber_monomials,
 )
-from hermitia.instances import random_pd_field
+from hermitia.forms import gram_rank
+from hermitia.instances import random_degenerate_field, random_pd_field
 
 
 def fs_line(radius=3.0):
@@ -162,7 +165,7 @@ def test_nan_derivative_raises_non_finite(which):
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("solve", [chern_connection, curvature_tensor])
-def test_one_solve_reads_the_gram_4m_plus_2_times(solve, m):
+def test_one_solve_reads_the_gram_4m_plus_1_times(solve, m):
     base = from_potential_map(fs_monomials(m), radius=3.0)
     reads = []
 
@@ -172,7 +175,148 @@ def test_one_solve_reads_the_gram_4m_plus_2_times(solve, m):
 
     f = ChartField(m, m, counted, radius=3.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
     solve(f, np.full(m, 0.2 + 0.1j))
-    assert len(reads) == 4 * m + 2
+    assert len(reads) == 4 * m + 1
+
+
+# ---------------------------------------------------------------------------
+# the stacked constant-rank gate
+
+
+def gate_points(z, s=1e-3):
+    """The gate's stencil around z, centre first, as the loop visits it."""
+    z = np.asarray(z, dtype=complex)
+    points = [z]
+    for a in range(len(z)):
+        e = np.zeros(len(z), dtype=complex)
+        e[a] = 1.0
+        points += [z + s * e, z - s * e, z + 1j * s * e, z - 1j * s * e]
+    return points
+
+
+def loop_gate_rank(field, z):
+    """The per-point gate: one ``rank_at`` read per stencil point, centre
+    first, stopping at the first neighbor whose rank differs."""
+    center, *neighbors = gate_points(z, field.fd_outer_step)
+    r0 = field.rank_at(center)
+    for w in neighbors:
+        r = field.rank_at(w)
+        if r != r0:
+            raise RankJump("rank %d at the point but %d at a stencil neighbor" % (r0, r))
+    return r0
+
+
+def gate_outcomes(field, z):
+    """(stacked gate, per-point loop), each as a rank or the RankJump text."""
+    out = []
+    for gate in (lambda: gram_rank(_check_constant_rank(field, z), RANK_TOL), lambda: loop_gate_rank(field, z)):
+        try:
+            out.append(gate())
+        except RankJump as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_gate_ranks_as_the_per_point_loop(seed):
+    rng = np.random.default_rng(np.random.SeedSequence([83, seed]))
+    m, r = 1 + seed % 3, 2 + seed % 2
+    fields = [random_pd_field(rng, m, r)] + [random_degenerate_field(rng, m, r, k) for k in range(1, r)]
+    for f in fields:
+        for _ in range(3):
+            z = 0.4 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+            stacked, loop = gate_outcomes(f, z)
+            assert stacked == loop
+            assert np.array_equal(_check_constant_rank(f, z), f.gram(z))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_stacked_gate_jumps_where_the_loop_does(m):
+    z = np.full(m, 0.3 - 0.1j)
+    for i, p in enumerate(gate_points(z)):
+        f = ChartField(m, 2, lambda w, p=p: np.diag([1.0, np.linalg.norm(w - p) ** 2]), self_check=False)
+        stacked, loop = gate_outcomes(f, z)
+        assert stacked == loop
+        assert stacked == ("rank 1 at the point but 2 at a stencil neighbor" if i == 0
+                           else "rank 2 at the point but 1 at a stencil neighbor")
+
+
+def test_stacked_gate_on_the_hirzebruch_zero_section():
+    from hermitia.fibration import hirzebruch_model
+
+    b1 = hirzebruch_model(1).b1_field
+    on, off = np.array([0.2 + 0.1j, 0.0]), np.array([0.2 + 0.1j, 0.3 - 0.2j])
+    stacked, loop = gate_outcomes(b1, on)
+    assert stacked == loop and isinstance(stacked, str)
+    with pytest.raises(RankJump):
+        curvature_tensor(b1, on)
+    stacked, loop = gate_outcomes(b1, off)
+    assert stacked == loop == 2
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_nan_in_one_stencil_read_names_that_point(m):
+    base = from_potential_map(fs_monomials(m), radius=3.0)
+    z = np.full(m, 0.2 + 0.1j)
+    for p in gate_points(z):
+        def ev(w, p=p):
+            return np.full((m, m), np.nan) if np.array_equal(w, p) else base.eval_fn(w)
+
+        f = ChartField(m, m, ev, radius=3.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
+        where = np.array2string(p, precision=3)
+        with pytest.raises(NonFinite) as info:
+            curvature_tensor(f, z)
+        assert str(info.value) == "Gram matrix of the rank gate is not finite at %s" % where
+
+
+def test_gram_stack_without_stack_fn_equals_gram_reads():
+    f = random_pd_field(np.random.default_rng(3), 2, 3)
+    zs = np.stack(gate_points([0.1 + 0.2j, -0.3j]))
+    assert np.array_equal(f.gram_stack(zs), np.stack([f.gram(w) for w in zs]))
+
+
+@pytest.mark.parametrize("rows, size", [(0, 3), (-1, 2)])
+def test_stack_fn_of_the_wrong_shape_is_an_error(rows, size):
+    def stack_fn(zs):
+        return np.zeros((len(zs) + rows, size, size))
+
+    f = ChartField(2, 2, lambda z: np.eye(2), stack_fn=stack_fn, self_check=False)
+    with pytest.raises(HermitiaError, match="field evaluator returned shape"):
+        curvature_tensor(f, [0.1, 0.2])
+    with pytest.raises(HermitiaError, match="field evaluator returned shape"):
+        f.gram_stack(np.zeros((3, 2)))
+
+
+def test_hsc_reads_the_gram_4m_plus_1_times():
+    base = fs_plane()
+    reads = []
+
+    def counted(z):
+        reads.append(z)
+        return base.eval_fn(z)
+
+    f = ChartField(2, 2, counted, radius=3.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
+    assert abs(hsc(f, [0.2 + 0.1j, -0.1j], [1.0, 0.5j]) - 2.0) < 1e-10
+    assert len(reads) == 4 * 2 + 1
+
+
+def test_hsc_positivity_comes_before_a_failed_solve():
+    # not positive-definite, and the rank jumps at the centre
+    jump = ChartField(1, 1, lambda z: np.array([[-abs(z[0]) ** 2]]), self_check=False)
+    # rank one everywhere, and G A = dG has no solution (see
+    # test_connection_rejects_non_admissible_field)
+    residual = ChartField(
+        2, 2, lambda z: np.outer([1.0, z[0]], np.conj([1.0, z[0]])), radius=1.0, self_check=False
+    )
+    # indefinite, with the stencil outside the chart
+    edge = constant_field(np.diag([1.0, -1.0]), 2, radius=0.5)
+    for f, z, v in ((jump, [0.0], [1.0]), (residual, [0.5, 0.0], [1.0, 0.0]), (edge, [0.4995, 0.0], [1.0, 0.0])):
+        with pytest.raises(NotPositiveAtPoint, match="metric is not positive-definite"):
+            hsc(f, z, v)
+    # positive-definite at the centre: the solve's own error stands
+    p = gate_points([0.3])[2]
+    pd_jump = ChartField(1, 1, lambda w: np.array([[abs(w[0] - p[0]) ** 2]]), self_check=False)
+    with pytest.raises(RankJump):
+        hsc(pd_jump, [0.3], [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
-from hermitia import ConfigError, HermitiaError, NotPositive
-from hermitia.charts import curvature_tensor, hsc_of_tensor, torsion_defect
+from hermitia import ConfigError, HermitiaError, NotPositive, NotPositiveAtPoint
+from hermitia.charts import ChartField, curvature_tensor, hsc_of_tensor, torsion_defect
 from hermitia.fibration import (
     FibrationModel,
     LambdaScanResult,
@@ -230,6 +232,32 @@ def test_vertical_check_reads_one_fiber_curvature_per_point(which, prod, hirz1, 
     rep = vertical_hsc_check(model, grid)
     assert calls.count(model.fiber_dim) == len(grid)
     assert calls.count(model.total_m) == len(grid) * len(rep.lambdas)
+
+
+def test_vertical_check_reads_each_fiber_gram_4m_plus_1_times(hirz1):
+    model = copy.copy(hirz1)
+    reads = []
+
+    def fiber_at(zb):
+        base = hirz1.fiber_field_factory(zb)
+
+        def counted(w):
+            reads.append(w)
+            return base.eval_fn(w)
+
+        return ChartField(1, 1, counted, radius=2.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
+
+    model.fiber_field_factory = fiber_at
+    grid = vertical_grid(n=3)
+    vertical_hsc_check(model, grid)
+    assert len(reads) == len(grid) * (4 * model.fiber_dim + 1)
+
+
+def test_vertical_check_rejects_a_fiber_that_is_not_positive(hirz1):
+    model = copy.copy(hirz1)
+    model.fiber_field_factory = lambda zb: constant_field(np.diag([-1.0]), 1, radius=2.0)
+    with pytest.raises(NotPositiveAtPoint, match="fiber metric is not positive-definite"):
+        vertical_hsc_check(model, vertical_grid(n=2))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from hermitia import (
     sum_quotient_form,
 )
 from hermitia.errors import NonFinite
-from hermitia.forms import gram_pinv, rank_of
+from hermitia.forms import gram_pinv, gram_rank, gram_ranks, rank_of
 
 
 def form(entries, **kw):
@@ -64,6 +64,36 @@ def test_rank_rule_is_relative_and_order_free():
     assert rank_of([], 1e-8) == 0
     with pytest.raises(NonFinite):
         rank_of([1.0, np.nan], 1e-8)
+
+
+def one_by_one_ranks(grams, tol):
+    """gram_rank per matrix, -1 where it raises NonFinite."""
+    out = []
+    for g in grams:
+        try:
+            out.append(gram_rank(g, tol))
+        except NonFinite:
+            out.append(-1)
+    return out
+
+
+@pytest.mark.parametrize("batched_solver_fails", [False, True])
+def test_stacked_ranks_equal_one_matrix_ranks(batched_solver_fails, monkeypatch):
+    rng = np.random.default_rng(37)
+    grams = [make(rng, 4, rank=rank).gram for make in (random_psd_form, random_hermitian_form) for rank in range(5)]
+    grams += [np.diag([np.nan, 1.0, 1.0, 1.0]), np.diag([np.inf, 1.0, 1.0, 1.0]), np.full((4, 4), np.nan)]
+    grams = np.stack(grams).astype(complex)
+    if batched_solver_fails:
+        eigvalsh = np.linalg.eigvalsh
+
+        def one_at_a_time(a):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("batched solve failed")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", one_at_a_time)
+    assert list(gram_ranks(grams, 1e-8)) == one_by_one_ranks(grams, 1e-8)
+    assert list(gram_ranks(grams, 1e-8))[-3:] == [-1, -1, -1]
 
 
 @pytest.mark.parametrize("make", [random_psd_form, random_hermitian_form])

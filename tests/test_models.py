@@ -12,6 +12,7 @@ from hermitia.fields import (
 from hermitia.instances import random_degenerate_field
 from hermitia.models import (
     GrassmannChartModel,
+    _grassmann_gram,
     _hsc_gradient,
     einstein_residual,
     fubini_study_chart,
@@ -136,6 +137,20 @@ def test_grassmann_derivatives_match_minor_route(k, n):
         assert _rel(field.gram(z), oracle.gram(z)) <= 1e-8
         assert _rel(field.d(z), oracle.d(z)) <= 1e-8
         assert _rel(field.dd(z), oracle.dd(z)) <= 1e-8
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (3, 6)])
+def test_stacked_grassmann_gram_equals_per_point_reads(k, n):
+    field = grassmannian_chart(k, n, certify=False).field
+    m = k * (n - k)
+    rng = np.random.default_rng(np.random.SeedSequence([89, k, n]))
+    for _ in range(20):
+        zs = 0.7 * (rng.uniform(-1, 1, (4 * m + 1, m)) + 1j * rng.uniform(-1, 1, (4 * m + 1, m)))
+        stacked = field.stack_fn(zs)
+        assert np.array_equal(stacked, np.stack([_grassmann_gram(z, k, n) for z in zs]))
+        assert np.array_equal(field.gram_stack(zs), np.stack([field.gram(z) for z in zs]))
+        grams = field.gram_stack(zs)
+        assert np.array_equal(np.linalg.eigvalsh(grams), np.stack([np.linalg.eigvalsh(g) for g in grams]))
 
 
 def _potential_jet_reference(w, jac, hess):
