@@ -33,6 +33,7 @@ from .forms import (
     rank_of,
     sum_quotient_form,
 )
+from .instances import _cnormal
 from .models import (
     einstein_residual,
     fubini_study_chart,
@@ -40,8 +41,10 @@ from .models import (
     hsc_extremes,
     pluecker_pullback,
 )
+from .report import _plain
 from .sequences import (
     ExactSeqChart,
+    _contract,
     codazzi_quot,
     codazzi_sub,
     demailly_residuals,
@@ -75,28 +78,11 @@ class CriterionResult:
         }
 
 
-def _plain(value):
-    """Strip numpy scalar and container types for JSON output."""
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def _finish(number, name, t0, budget, details, failures):
     elapsed = time.perf_counter() - t0
     if budget is not None and elapsed > budget:
         failures.append("runtime %.2fs is over the %.0fs budget" % (elapsed, budget))
     return CriterionResult(number, name, not failures, elapsed, budget, details, failures)
-
-
-def _cvec(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _pair(tensor, a, b, s, t):
-    return complex(np.einsum("st,s,t->", tensor[a, b], s, np.conj(t)))
 
 
 def round_metric_calibration():
@@ -222,13 +208,13 @@ def codazzi_instance_residual(seed):
     worst = 0.0
     for a in range(seq.m):
         for b in range(seq.m):
-            s, t = _cvec(rng, seq.k), _cvec(rng, seq.k)
+            s, t = _cnormal(rng, seq.k), _cnormal(rng, seq.k)
             got = codazzi_sub(seq, z, a, b, s, t)
-            want = _pair(r_s, a, b, s, t)
+            want = _contract(r_s[a, b], s, t)
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
-            u, v = _cvec(rng, seq.r - seq.k), _cvec(rng, seq.r - seq.k)
+            u, v = _cnormal(rng, seq.r - seq.k), _cnormal(rng, seq.r - seq.k)
             got = codazzi_quot(seq, z, a, b, u, v)
-            want = _pair(r_q, a, b, u, v)
+            want = _contract(r_q[a, b], u, v)
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     return worst
 
@@ -463,7 +449,7 @@ def form_calculus_properties():
         f = instances.adjointable_map(rng, bV, bW)
         fd = adjoint(f, bV, bW).matrix
         kv = kernel(bV).basis
-        other = fd + kv @ _cvec(rng, (kv.shape[1], bW.dim))
+        other = fd + kv @ _cnormal(rng, (kv.shape[1], bW.dim))
         worst_ident = max(
             worst_ident, np.max(np.abs(bV.gram @ other - f.matrix.conj().T @ bW.gram))
         )
@@ -504,7 +490,7 @@ def form_calculus_properties():
         dim = int(rng.integers(2, 7))
         b = instances.hermitian_form(rng, dim, rank=int(rng.integers(1, dim + 1)))
         d = int(rng.integers(1, dim + 1))
-        s = Subspace(dim, _cvec(rng, (dim, d)))
+        s = Subspace(dim, _cnormal(rng, (dim, d)))
         perp = orthogonal_complement(s, b)
         sv = np.linalg.svd(np.hstack([s.basis, perp.basis]), compute_uv=False)
         dim_sum = rank_of(sv, 1e-9)
@@ -524,7 +510,7 @@ def form_calculus_properties():
     for _ in range(100):
         dw = int(rng.integers(1, 4))
         dv = dw + int(rng.integers(0, 3))
-        qmat = _cvec(rng, (dw, dv))
+        qmat = _cnormal(rng, (dw, dv))
         h = instances.hermitian_form(rng, dw).gram
         bV = HermitianForm(qmat.conj().T @ h @ qmat)
         got = quotient_form(LinearMap(qmat), bV).gram

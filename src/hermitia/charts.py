@@ -34,7 +34,6 @@ from .errors import (
 from .forms import (
     HermitianForm,
     Subspace,
-    gram_pinv,
     gram_rank,
     gram_ranks,
     hermitize,
@@ -172,7 +171,10 @@ class ChartField:
         return hermitize(g)
 
     def form_at(self, z):
-        return HermitianForm(self.gram(z), rank_tol=RANK_TOL)
+        """The form of G(z); a NaN or inf in G(z) raises NonFinite naming z."""
+        g = self.gram(z)
+        require_finite(g, "Gram matrix", z)
+        return HermitianForm(g, rank_tol=RANK_TOL)
 
     def in_domain(self, z, margin=0.0):
         z = _as_point(z, self.m)
@@ -350,15 +352,16 @@ def _check_constant_rank(field: ChartField, z):
 
 
 def _solve(field: ChartField, z):
-    """The constant-rank gate, then one factorization of the gate's G(z)
-    and the minimum-norm solve G @ A_a = d_a G with its residual gate.
+    """The constant-rank gate, then the form of the gate's G(z), whose one
+    factorization gives the minimum-norm solve G @ A_a = d_a G, with its
+    residual gate.
 
-    Returns (G, dG, G^+, kernel basis of G, A, residual).
+    Returns (form of G, dG, A, residual).
     """
-    g = _check_constant_rank(field, z)
+    form = HermitianForm(_check_constant_rank(field, z), rank_tol=RANK_TOL)
     dg = field.d(z)
     require_finite(dg, "first derivative", z)
-    gp, kernel = gram_pinv(g, RANK_TOL, "Gram matrix of the connection solve", z)
+    g, gp = form.gram, form.pinv
     a = np.stack([gp @ dg[i] for i in range(field.m)])
     residual = max(
         np.linalg.norm(g @ a[i] - dg[i]) / (1.0 + np.linalg.norm(dg[i]))
@@ -369,7 +372,7 @@ def _solve(field: ChartField, z):
             "G A = dG has no solution to %.1e (residual %.2e); "
             "the field is not admissible here" % (SOLVER_TOL, residual)
         )
-    return g, dg, gp, kernel, a, residual
+    return form, dg, a, residual
 
 
 def chern_connection(field: ChartField, z) -> ConnectionAt:
@@ -379,8 +382,8 @@ def chern_connection(field: ChartField, z) -> ConnectionAt:
     only modulo matrices with columns in Ker G.
     """
     z = _as_point(z, field.m)
-    _, _, _, kernel, a, residual = _solve(field, z)
-    kernel_basis = Subspace(field.shape, kernel, rank_tol=RANK_TOL)
+    form, _, a, residual = _solve(field, z)
+    kernel_basis = Subspace(field.shape, form.kernel_basis, rank_tol=RANK_TOL)
     return ConnectionAt(point=z, a=a, residual=residual, kernel_basis=kernel_basis)
 
 
@@ -392,7 +395,8 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
     compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
     """
     z = _as_point(z, field.m)
-    g, dg, gp, _, a_conn, _ = _solve(field, z)
+    form, dg, a_conn, _ = _solve(field, z)
+    gp = form.pinv
     dbg = field.dbar(z, d=dg)
     ddg = field.dd(z)
     require_finite(ddg, "mixed second derivative", z)
@@ -405,7 +409,7 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
     return CurvatureAt(
         point=z,
         tensor=tensor,
-        form_at_point=HermitianForm(g, rank_tol=RANK_TOL),
+        form_at_point=form,
         a=a_conn,
     )
 
@@ -437,12 +441,10 @@ def smooth_kernel_perturbation(field: ChartField, z, seed=0):
     the zero function for nondegenerate fields.
     """
     z0 = _as_point(z, field.m)
-    _, s, vh = np.linalg.svd(field.gram(z0))
-    rank0 = rank_of(s, RANK_TOL, "Gram matrix", z0)
-    jk = field.shape - rank0
+    k0 = field.form_at(z0).kernel_basis
+    jk = k0.shape[1]
     if jk == 0:
         return lambda w: np.zeros((field.shape, field.shape), dtype=complex)
-    k0 = vh[rank0:].conj().T
     rng = np.random.default_rng(np.random.SeedSequence([seed, field.shape, field.m]))
     c0 = rng.standard_normal((jk, field.shape)) + 1j * rng.standard_normal((jk, field.shape))
     c1 = rng.standard_normal((field.m, jk, field.shape)) + 1j * rng.standard_normal(
@@ -454,9 +456,8 @@ def smooth_kernel_perturbation(field: ChartField, z, seed=0):
 
     def k(w):
         w = _as_point(w, field.m)
-        g = field.gram(w)
-        gp, _ = gram_pinv(g, RANK_TOL, "Gram matrix", w)
-        p_ker = np.eye(field.shape, dtype=complex) - gp @ g
+        form = field.form_at(w)
+        p_ker = np.eye(field.shape, dtype=complex) - form.pinv @ form.gram
         dw = w - z0
         phi = c0 + np.tensordot(dw, c1, axes=1) + np.tensordot(dw.conj(), c2, axes=1)
         return p_ker @ k0 @ phi

@@ -31,6 +31,7 @@ from .models import (
     _scan,
     _unit_direction,
     fubini_study_chart,
+    single_threaded,
 )
 
 VERTICAL_LEAK_TOL = 1e-12
@@ -53,6 +54,12 @@ VERTICAL_DIRECTIONS = 4
 # steps at the minimizing direction of each scanned lambda.
 LAMBDA_SCAN_DIRECTIONS = 20
 LAMBDA_SCAN_STEPS = 40
+# q_lambda_limit: a convergence error at or below UNDERFLOW_FLOOR (times
+# 1 + |q_inf| for the ratios) is rounding, not a rate, and a family whose
+# errors and limit all lie below it is trivial.
+UNDERFLOW_FLOOR = 1e-13
+# vertical_hsc_check: a fiber whose sampled H stay below this is flat.
+FLAT_FIBER_TOL = 1e-8
 
 
 class FibrationModel:
@@ -254,7 +261,7 @@ def q_lambda_limit(model: FibrationModel, z) -> QuotientLimitRecord:
     errors = [float(np.linalg.norm(q.gram - q_inf.gram)) for q in q_values]
     scale = 1.0 + float(np.linalg.norm(q_inf.gram))
     ratios = [
-        cur / prev if prev > 1e-13 * scale and cur > 1e-13 * scale else None
+        cur / prev if prev > UNDERFLOW_FLOOR * scale and cur > UNDERFLOW_FLOOR * scale else None
         for prev, cur in zip(errors, errors[1:])
     ]
 
@@ -274,7 +281,7 @@ def q_lambda_limit(model: FibrationModel, z) -> QuotientLimitRecord:
         semipositive=q_inf.is_positive_semidefinite(),
         positive_on_vertical=positive_on_vertical,
         projection_residual=projection_residual,
-        trivial=bool(max(errors, default=0.0) < 1e-13 and np.linalg.norm(q_inf.gram) < 1e-13),
+        trivial=bool(max(errors + [np.linalg.norm(q_inf.gram)]) < UNDERFLOW_FLOOR),
     )
 
 
@@ -328,7 +335,7 @@ def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
                 worst_gap = max(worst_gap, float(np.max(np.abs(h - fiber_h[i]))))
         gap_by_lambda[lam] = worst_gap
 
-    flat = bool(fiber_h and max(np.max(np.abs(h)) for h in fiber_h.values()) < 1e-8)
+    flat = bool(fiber_h and max(np.max(np.abs(h)) for h in fiber_h.values()) < FLAT_FIBER_TOL)
     return VerticalHscReport(
         points=len(z_grid),
         lambdas=VERTICAL_LAMBDAS,
@@ -365,11 +372,11 @@ class LambdaScanResult:
         }
 
 
-def _scan_one_lambda(model, lam, region, n_points, seed, threads):
+def _scan_one_lambda(model, lam, region, n_points, seed):
     lam_key = int(round(float(lam) * 1000.0)) % 2**32
     found = _scan(
         h_lambda(model, lam), region, n_points, LAMBDA_SCAN_DIRECTIONS, [seed, lam_key],
-        LAMBDA_SCAN_STEPS, threads, signs=(-1.0,), gate=lambda g: _is_pd(g, PD_FLOOR),
+        LAMBDA_SCAN_STEPS, signs=(-1.0,), gate=lambda g: _is_pd(g, PD_FLOOR),
     )
     record = {"lambda": float(lam), "positive_definite": found is not None}
     if found is None:
@@ -405,16 +412,18 @@ def find_lambda0(
     structure; the lowest H is refined for at most LAMBDA_SCAN_STEPS
     steps.  One bisection pass between the last failing
     and first passing schedule entries sharpens the reported threshold.
-    Everything is deterministic in (seed, schedule, sample counts); thread
-    count never changes the result, only the wall time.
+    Everything is deterministic in (seed, schedule, sample counts).
+    ``threads`` is accepted only as None (see
+    :func:`models.single_threaded`).
     """
+    single_threaded(threads)
     region = DEFAULT_FIBRATION_REGION if region is None else float(region)
     n_points = max(1, int(sphere_samples) // LAMBDA_SCAN_DIRECTIONS)
     records = []
     passing = None
     failing = None
     for lam in lambda_schedule:
-        rec = _scan_one_lambda(model, lam, region, n_points, seed, threads)
+        rec = _scan_one_lambda(model, lam, region, n_points, seed)
         records.append(rec)
         if rec["positive_definite"] and rec["min_H"] is not None and rec["min_H"] > margin:
             passing = float(lam)
@@ -424,7 +433,7 @@ def find_lambda0(
     lambda0 = passing
     if passing is not None and failing is not None:
         mid = 0.5 * (failing + passing)
-        rec = _scan_one_lambda(model, mid, region, n_points, seed, threads)
+        rec = _scan_one_lambda(model, mid, region, n_points, seed)
         records.append(rec)
         if rec["positive_definite"] and rec["min_H"] is not None and rec["min_H"] > margin:
             lambda0 = mid

@@ -14,12 +14,21 @@ All rank decisions go through :func:`rank_of`: a singular value (or, for
 a Hermitian Gram matrix, an eigenvalue modulus) counts when it lies above
 ``rank_tol`` times the largest one, and the zero matrix has rank 0.
 NaN or inf met there raise :class:`~hermitia.errors.NonFinite`.
+
+A :class:`HermitianForm` is the one place where a Hermitian Gram matrix
+is factorized: one cached ``eigh`` decides its rank, positivity, kernel,
+range and pseudoinverse, so :func:`kernel`, :func:`purge` and
+:func:`adjoint` can never disagree about where the kernel lies.  The SVD
+null space :func:`_nullspace` serves only matrices that are not Hermitian
+forms (quotient maps and products such as S^H G).  The constant-rank gate
+of :mod:`hermitia.charts` ranks whole stencils by one batched
+``eigvalsh`` (:func:`gram_ranks`) and factorizes nothing.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +39,18 @@ DEFAULT_RANK_TOL = 1e-10
 # A form is positive-semidefinite when its lowest eigenvalue lies above
 # -PSD_SLACK * rank_tol times its largest eigenvalue modulus (floored at 1).
 PSD_SLACK = 100.0
+# The two lifts of quotient_form must give Gram matrices within this
+# distance, relative to 1 + the norm of the first.
+LIFT_AGREEMENT_TOL = 1e-10
+# limit_form keeps a generalized eigenvalue x_j of (b1, h0) in the limit
+# when |1 - x_j| lies above this cut.
+LIMIT_COEFF_CUT = 1e-8
+# limit_form's limit and its projection formula must agree to this,
+# relative to 1 + the norm of the limit.
+LIMIT_PROJECTION_TOL = 1e-8
+# equiv_mod_kernel: largest distance of s - t from Ker b, relative to
+# 1 + |s - t|.
+KERNEL_EQUIV_TOL = 1e-9
 
 
 def _non_finite(what, point):
@@ -55,16 +76,13 @@ def rank_of(values, rank_tol, what="spectrum", point=None):
     return int(np.count_nonzero(values > rank_tol * top))
 
 
-def _eig(g, what, point, vectors):
-    """``eigvalsh(g)``, or ``svd(conj(g), hermitian=True)`` when
-    ``vectors``; a NaN or inf in g raises NonFinite.  The solvers fail on
-    most such matrices, but return a finite spectrum for some with a NaN on
-    the diagonal, which the trace (the sum of the eigenvalues) exposes."""
+def _eig(solver, g, what="Gram matrix", point=None):
+    """``solver(g)`` (``eigvalsh`` or ``eigh``); a NaN or inf in g raises
+    NonFinite.  The solvers fail on most such matrices, but return a finite
+    spectrum for some with a NaN on the diagonal, which the trace (the sum
+    of the eigenvalues) exposes."""
     try:
-        if vectors:
-            out = np.linalg.svd(np.conj(g), full_matrices=False, hermitian=True)
-        else:
-            out = np.linalg.eigvalsh(g)
+        out = solver(g)
     except np.linalg.LinAlgError:
         out = None
     if out is None or not cmath.isfinite(g.trace()):
@@ -74,7 +92,7 @@ def _eig(g, what, point, vectors):
 
 def gram_rank(g, rank_tol, what="Gram matrix", point=None):
     """Rank of a Hermitian matrix from the moduli of its eigenvalues."""
-    return rank_of(np.abs(_eig(g, what, point, False)), rank_tol, what, point)
+    return rank_of(np.abs(_eig(np.linalg.eigvalsh, g, what, point)), rank_tol, what, point)
 
 
 def gram_ranks(grams, rank_tol):
@@ -95,22 +113,6 @@ def gram_ranks(grams, rank_tol):
     ranks = np.count_nonzero(moduli > rank_tol * top[:, None], axis=-1)
     finite = np.isfinite(top) & np.isfinite(np.trace(grams, axis1=-2, axis2=-1))
     return np.where(finite, ranks, -1)
-
-
-def gram_pinv(g, rank_tol, what="Gram matrix", point=None):
-    """Pseudoinverse and kernel basis of a Hermitian matrix from one
-    eigendecomposition.
-
-    The steps are those of ``np.linalg.pinv(g, rcond=rank_tol,
-    hermitian=True)``, so the pseudoinverse equals it bit for bit.  The
-    kernel basis holds, as orthonormal columns, the eigenvectors whose
-    eigenvalues the rank rule discards.
-    """
-    u, s, vt = _eig(g, what, point, True)
-    r = rank_of(s, rank_tol, what, point)
-    inv = np.zeros_like(s)
-    inv[:r] = 1.0 / s[:r]
-    return vt.T @ (inv[:, None] * u.T), vt[r:].T
 
 
 def hermitize(m):
@@ -136,7 +138,8 @@ def _phase_fix(columns):
 
 
 def _nullspace(m, rank_tol):
-    """Orthonormal basis (columns) of the null space of a matrix."""
+    """Orthonormal basis (columns) of the null space of a general matrix,
+    from its SVD.  A Hermitian form's kernel comes from the form."""
     m = np.asarray(m, dtype=complex)
     n = m.shape[1]
     if m.shape[0] == 0 or not np.any(m):
@@ -145,21 +148,16 @@ def _nullspace(m, rank_tol):
     return _phase_fix(vh[rank_of(s, rank_tol):].conj().T)
 
 
-def _rangespace(m, rank_tol):
-    """Orthonormal basis (columns) of the row space; for Hermitian m this
-    is also the column space."""
-    m = np.asarray(m, dtype=complex)
-    if not np.any(m):
-        return np.zeros((m.shape[1], 0), dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    return _phase_fix(vh[:rank_of(s, rank_tol)].conj().T)
-
-
 class HermitianForm:
     """A Hermitian form given by its Gram matrix in a fixed frame.
 
     The matrix is Hermitian-averaged on construction to absorb
-    floating-point asymmetry.
+    floating-point asymmetry.  Every decision about the form (rank,
+    positivity, kernel, range, pseudoinverse) reads one cached
+    ``eigh(conj(gram))``, the factorization ``np.linalg.pinv(gram,
+    hermitian=True)`` starts from; ``gram`` and ``pinv`` are read-only.
+    The eigenpairs are sorted by modulus only when a basis or the
+    pseudoinverse is asked for.
     """
 
     def __init__(self, gram, rank_tol=DEFAULT_RANK_TOL):
@@ -167,7 +165,21 @@ class HermitianForm:
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("gram must be a square matrix")
         self.gram = hermitize(gram)
+        self.gram.flags.writeable = False
         self.rank_tol = float(rank_tol)
+
+    @cached_property
+    def _eigh(self):
+        return _eig(np.linalg.eigh, np.conj(self.gram))
+
+    @cached_property
+    def _by_modulus(self):
+        """Eigenvalue moduli in descending order, their eigenvectors of
+        conj(gram) as columns and their signs, in the order of numpy's
+        Hermitian SVD."""
+        w, u = self._eigh
+        order = np.argsort(np.abs(w))[::-1]
+        return np.abs(w)[order], u[:, order], np.copysign(1.0, w)[order]
 
     @property
     def dim(self):
@@ -175,11 +187,35 @@ class HermitianForm:
 
     @property
     def rank(self):
-        return gram_rank(self.gram, self.rank_tol)
+        return rank_of(np.abs(self._eigh[0]), self.rank_tol)
 
     @property
     def kernel_dim(self):
         return self.dim - self.rank
+
+    @cached_property
+    def pinv(self):
+        """Pseudoinverse, equal bit for bit to ``np.linalg.pinv(gram,
+        rcond=rank_tol, hermitian=True)``, whose steps it repeats."""
+        s, u, sgn = self._by_modulus
+        inv = np.zeros_like(s)
+        r = self.rank
+        inv[:r] = 1.0 / s[:r]
+        gp = np.conj(u * sgn) @ (inv[:, None] * u.T)
+        gp.flags.writeable = False
+        return gp
+
+    @property
+    def kernel_basis(self):
+        """Orthonormal columns spanning Ker b: the eigenvectors whose
+        eigenvalues the rank rule discards."""
+        return np.conj(self._by_modulus[1][:, self.rank:])
+
+    @property
+    def range_basis(self):
+        """Orthonormal columns spanning the range of the Gram matrix: the
+        eigenvectors the rank rule keeps, largest modulus first."""
+        return np.conj(self._by_modulus[1][:, :self.rank])
 
     def value(self, s, t):
         """b(s, conj(t)) for coordinate columns s and t."""
@@ -191,11 +227,11 @@ class HermitianForm:
         return HermitianForm(c * self.gram, rank_tol=self.rank_tol)
 
     def is_positive_definite(self):
-        w = np.linalg.eigvalsh(self.gram)
+        w = self._eigh[0]
         return bool(w[0] > self.rank_tol * max(abs(w[-1]), 1e-300))
 
     def is_positive_semidefinite(self):
-        w = np.linalg.eigvalsh(self.gram)
+        w = self._eigh[0]
         scale = max(abs(w[0]), abs(w[-1]), 1.0)
         return bool(w[0] > -PSD_SLACK * self.rank_tol * scale)
 
@@ -266,21 +302,20 @@ class PurgeResult:
 
 def kernel(b: HermitianForm) -> Subspace:
     """Orthonormal basis of Ker b = {x : b(x, conj(y)) = 0 for all y}."""
-    return Subspace(b.dim, _nullspace(b.gram, b.rank_tol), rank_tol=b.rank_tol)
+    return Subspace(b.dim, b.kernel_basis, rank_tol=b.rank_tol)
 
 
 def purge(b: HermitianForm) -> PurgeResult:
     """Quotient by the kernel, with the induced nondegenerate form.
 
-    The quotient basis is the singular-vector complement of the kernel,
-    so the quotient map is q = C^H for an orthonormal injection C and the
-    purged Gram matrix is C^H G C.
+    The quotient basis is the eigenvector complement of the kernel, so
+    the quotient map is q = C^H for an orthonormal injection C, and the
+    purged Gram matrix C^H G C is the diagonal of the kept eigenvalues,
+    read from the form's one factorization: its rank is b's rank.
     """
-    c = _rangespace(b.gram, b.rank_tol)
-    q = c.conj().T
-    purged = HermitianForm(q @ b.gram @ c, rank_tol=b.rank_tol)
-    if purged.rank != purged.dim:
-        raise HermitiaError("purged form is degenerate; rank_tol too loose?")
+    q = b.range_basis.conj().T
+    s, _, sgn = b._by_modulus
+    purged = HermitianForm(np.diag((sgn * s)[:b.rank]), rank_tol=b.rank_tol)
     qmap = LinearMap(q, domain_form=b, codomain_form=purged)
     return PurgeResult(quotient_map=qmap, purged_form=purged)
 
@@ -292,10 +327,10 @@ def _adjoint_tol(f_matrix, bV, bW):
 
 def admits_adjoint(f: LinearMap, bV: HermitianForm, bW: HermitianForm) -> bool:
     """True iff f maps Ker bV into Ker bW (so an adjoint exists)."""
-    kv = kernel(bV).basis
+    kv = bV.kernel_basis
     if kv.shape[1] == 0:
         return True
-    kw = kernel(bW).basis
+    kw = bW.kernel_basis
     image = f.matrix @ kv
     resid = image - kw @ (kw.conj().T @ image)
     return bool(np.linalg.norm(resid) <= _adjoint_tol(f.matrix, bV, bW))
@@ -310,8 +345,7 @@ def adjoint(f: LinearMap, bV: HermitianForm, bW: HermitianForm) -> LinearMap:
     """
     if not admits_adjoint(f, bV, bW):
         raise NoAdjoint("f does not map Ker b_V into Ker b_W")
-    gv_pinv, _ = gram_pinv(bV.gram, bV.rank_tol)
-    fdag = gv_pinv @ f.matrix.conj().T @ bW.gram
+    fdag = bV.pinv @ f.matrix.conj().T @ bW.gram
     return LinearMap(fdag, domain_form=bW, codomain_form=bV)
 
 
@@ -336,8 +370,8 @@ def adjoint_freedom_dims(f: LinearMap, bV: HermitianForm, bW: HermitianForm):
     # Constraint on F in Hom(V, W): P F K_V = 0, with P the projector onto
     # the orthogonal complement of Ker b_W.  Row-major vec gives the system
     # kron(P, K_V^T) vec(F) = 0, whose rank is the codimension.
-    kv = kernel(bV).basis
-    kw = kernel(bW).basis
+    kv = bV.kernel_basis
+    kw = bW.kernel_basis
     p = np.eye(dim_w, dtype=complex) - kw @ kw.conj().T
     system = np.kron(p, kv.T)
     rank = 0
@@ -380,7 +414,7 @@ def quotient_form(qmap: LinearMap, bV: HermitianForm) -> HermitianForm:
     two representatives of the same class then differ by an element of
     Ker q intersected with Ker b_V, so the value is well defined.  The
     construction is re-run with a second, independently mixed lift and the
-    two Gram matrices must agree to 1e-10.
+    two Gram matrices must agree to LIFT_AGREEMENT_TOL.
     """
     q = qmap.matrix
     dim_q, dim_v = q.shape
@@ -399,7 +433,7 @@ def quotient_form(qmap: LinearMap, bV: HermitianForm) -> HermitianForm:
 
     gram_a = compressed(perp)
     gram_b = compressed(perp @ _mixing_unitary(perp.shape[1], 23))
-    if np.linalg.norm(gram_a - gram_b) > 1e-10 * (1.0 + np.linalg.norm(gram_a)):
+    if np.linalg.norm(gram_a - gram_b) > LIFT_AGREEMENT_TOL * (1.0 + np.linalg.norm(gram_a)):
         raise HermitiaError("quotient form depends on the complement lift")
     return HermitianForm(gram_a, rank_tol=bV.rank_tol)
 
@@ -458,7 +492,7 @@ def projection_limit_gram(b1: HermitianForm, b2: HermitianForm) -> np.ndarray:
     """
     tol = max(b1.rank_tol, b2.rank_tol)
     h0 = b1.gram + b2.gram
-    k2 = kernel(b2).basis
+    k2 = b2.kernel_basis
     j = _nullspace(k2.conj().T @ h0, tol)
     if j.shape[1] == 0:
         return np.zeros_like(h0)
@@ -472,10 +506,11 @@ def limit_form(b1: HermitianForm, b2: HermitianForm, lambda_grid):
 
     Simultaneous diagonalization against h0 = b1 + b2 gives eigenpairs
     (x_j, y_j = 1 - x_j); the family has coefficients
-    e^lambda x y / (x + e^lambda y), whose limit is x_j when y_j != 0 and
-    0 otherwise.  The limit is cross-checked against the projection form
-    (j j_dag)^* b1, where j includes the h0-orthogonal complement of
-    Ker b2 and j_dag is its h0-adjoint, to 1e-8.
+    e^lambda x y / (x + e^lambda y), whose limit is x_j when |y_j| >
+    LIMIT_COEFF_CUT and 0 otherwise.  The limit is cross-checked against
+    the projection form (j j_dag)^* b1, where j includes the h0-orthogonal
+    complement of Ker b2 and j_dag is its h0-adjoint, to
+    LIMIT_PROJECTION_TOL.
 
     Both forms must be positive-semidefinite with h0 positive-definite
     (then b1 + e^lambda b2 stays positive-definite for all lambda >= 0).
@@ -496,21 +531,22 @@ def limit_form(b1: HermitianForm, b2: HermitianForm, lambda_grid):
 
     x, v = scipy.linalg.eigh(b1.gram, h0)
     y = 1.0 - x
-    coeff = np.where(np.abs(y) > 1e-8, x, 0.0)
+    coeff = np.where(np.abs(y) > LIMIT_COEFF_CUT, x, 0.0)
     hv = h0 @ v
     gram_inf = hermitize(hv @ np.diag(coeff) @ hv.conj().T)
     q_inf = HermitianForm(gram_inf, rank_tol=tol)
 
     gram_check = projection_limit_gram(b1, b2)
-    if np.linalg.norm(gram_check - gram_inf) > 1e-8 * (1.0 + np.linalg.norm(gram_inf)):
+    if np.linalg.norm(gram_check - gram_inf) > LIMIT_PROJECTION_TOL * (1.0 + np.linalg.norm(gram_inf)):
         raise HermitiaError("limit form disagrees with its projection formula")
 
     return q_values, q_inf
 
 
 def equiv_mod_kernel(s, t, b: HermitianForm) -> bool:
-    """True iff s - t lies in Ker b up to a relative tolerance of 1e-9."""
+    """True iff s - t lies in Ker b up to the relative tolerance
+    KERNEL_EQUIV_TOL."""
     d = np.asarray(s, dtype=complex) - np.asarray(t, dtype=complex)
-    k = kernel(b).basis
+    k = b.kernel_basis
     resid = d - k @ (k.conj().T @ d)
-    return bool(np.linalg.norm(resid) <= 1e-9 * (1.0 + np.linalg.norm(d)))
+    return bool(np.linalg.norm(resid) <= KERNEL_EQUIV_TOL * (1.0 + np.linalg.norm(d)))

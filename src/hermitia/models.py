@@ -16,7 +16,6 @@ acceptance suite rechecks at scale.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,14 +380,15 @@ def _refine_direction(tensor, g, v0, steps, sign):
     return v, best
 
 
-def _map_ordered(fn, items, threads):
-    if threads is None or threads <= 1:
-        return map(fn, items)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def single_threaded(threads):
+    """Scans run on the calling thread; the ``threads`` keyword of
+    :func:`hsc_extremes` and :func:`fibration.find_lambda0` remains for
+    callers that pass None, and any other value is a ConfigError."""
+    if threads is not None:
+        raise ConfigError("scans run on one thread; threads must be None, got %r" % (threads,))
 
 
-def _scan(field, region, n_points, directions_per_point, seed_key, steps, threads, signs, gate=None):
+def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs, gate=None):
     """The seeded sample-then-refine pass of every HSC scan.
 
     Point idx is drawn from SeedSequence(seed_key + [idx]), then its
@@ -403,21 +403,15 @@ def _scan(field, region, n_points, directions_per_point, seed_key, steps, thread
     Gram matrix at each point before the curvature read, and the scan
     returns None at the first point it rejects.
     """
-
-    def scan_point(idx):
+    incumbents = [None] * len(signs)
+    for idx in range(n_points):
         rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
         z = _sample_polydisc(rng, field.m, region)
         if gate is not None and not gate(field.gram(z)):
             return None
         curv = curvature_tensor(field, z)
         dirs = np.stack([_unit_direction(rng, field.m) for _ in range(directions_per_point)])
-        return z, dirs, hsc_of_tensor(curv.tensor, curv.form_at_point.gram, dirs), curv
-
-    incumbents = [None] * len(signs)
-    for point in _map_ordered(scan_point, range(n_points), threads):
-        if point is None:
-            return None
-        z, dirs, h, curv = point
+        h = hsc_of_tensor(curv.tensor, curv.form_at_point.gram, dirs)
         for k, sign in enumerate(signs):
             i = np.argmax(sign * h)
             if incumbents[k] is None or sign * h[i] > sign * incumbents[k][0]:
@@ -445,12 +439,13 @@ def hsc_extremes(
     directions, go through :func:`_scan` with seed key [seed]; the
     directions of the lowest and of the highest sampled H are refined by
     descent and ascent for at most ``optimizer_steps`` steps.  The result
-    depends on the seed and the sample counts only; ``threads`` changes
-    the wall time, not the result.
+    depends on the seed and the sample counts only.  ``threads`` is
+    accepted only as None (see :func:`single_threaded`).
     """
+    single_threaded(threads)
     n_points = max(1, samples // directions_per_point)
     (h_min, z_min, v_min), (h_max, z_max, v_max) = _scan(
-        field, region, n_points, directions_per_point, [seed], optimizer_steps, threads,
+        field, region, n_points, directions_per_point, [seed], optimizer_steps,
         signs=(-1.0, 1.0),
     )
     return HscScanResult(

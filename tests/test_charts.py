@@ -299,6 +299,21 @@ def test_hsc_reads_the_gram_4m_plus_1_times():
     assert len(reads) == 4 * 2 + 1
 
 
+def test_hsc_factorizes_the_gram_once_after_the_gate(monkeypatch):
+    f = fs_plane()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert abs(hsc(f, [0.2 + 0.1j, -0.1j], [1.0, 0.5j]) - 2.0) < 1e-10
+    # the solve's pseudoinverse and the positivity check share one eigh
+    assert calls == [(2, 2)]
+
+
 def test_hsc_positivity_comes_before_a_failed_solve():
     # not positive-definite, and the rank jumps at the centre
     jump = ChartField(1, 1, lambda z: np.array([[-abs(z[0]) ** 2]]), self_check=False)

@@ -279,11 +279,13 @@ def test_hirzebruch_threshold_found_and_stable(hirz1):
     assert doubled.records[-1]["min_H"] > 0.0
 
 
-def test_scan_deterministic_across_threads(hirz1):
+def test_threshold_rerun_is_identical_and_a_thread_count_is_rejected(hirz1):
     a = find_lambda0(hirz1, sphere_samples=200, seed=3)
-    b = find_lambda0(hirz1, sphere_samples=200, seed=3, threads=4)
+    b = find_lambda0(hirz1, sphere_samples=200, seed=3, threads=None)
     assert a.lambda0 == b.lambda0
-    assert a.records[-1]["min_H"] == b.records[-1]["min_H"]
+    assert a.records == b.records
+    with pytest.raises(ConfigError, match="threads"):
+        find_lambda0(hirz1, sphere_samples=200, seed=3, threads=3)
 
 
 def test_scan_not_found_when_schedule_exhausted():

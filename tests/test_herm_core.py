@@ -23,7 +23,7 @@ from hermitia import (
     sum_quotient_form,
 )
 from hermitia.errors import NonFinite
-from hermitia.forms import gram_pinv, gram_rank, gram_ranks, rank_of
+from hermitia.forms import gram_rank, gram_ranks, rank_of
 
 
 def form(entries, **kw):
@@ -97,15 +97,60 @@ def test_stacked_ranks_equal_one_matrix_ranks(batched_solver_fails, monkeypatch)
 
 
 @pytest.mark.parametrize("make", [random_psd_form, random_hermitian_form])
-def test_gram_pinv_is_numpy_pinv_and_spans_the_kernel(make):
+def test_form_pinv_is_numpy_pinv_and_spans_the_kernel(make):
     rng = np.random.default_rng(31)
     for dim in range(1, 6):
         for rank in range(dim + 1):
             for _ in range(5):
                 g = make(rng, dim, rank=rank).gram
-                gp, kernel_basis = gram_pinv(g, 1e-8)
-                assert np.array_equal(gp, np.linalg.pinv(g, rcond=1e-8, hermitian=True))
-                assert same_span(kernel_basis, kernel(HermitianForm(g, rank_tol=1e-8)).basis)
+                b = HermitianForm(g, rank_tol=1e-8)
+                assert np.array_equal(b.pinv, np.linalg.pinv(g, rcond=1e-8, hermitian=True))
+                # independent oracle: the null space from an SVD of the Gram matrix
+                _, s, vh = np.linalg.svd(g)
+                svd_kernel = vh[np.count_nonzero(s > 1e-8 * s[0]):].conj().T
+                assert kernel(b).dim == svd_kernel.shape[1] == dim - rank
+                assert same_span(kernel(b).basis, svd_kernel)
+
+
+def near_cutoff_form(rng):
+    """A seeded 3x3 form with spectrum (1, 0.5, 1e-10 (1 + 1e-8 eps)): its
+    smallest eigenvalue lies within rounding of DEFAULT_RANK_TOL."""
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    w = np.array([1.0, 0.5, 1e-10 * (1.0 + 1e-8 * rng.standard_normal())])
+    return HermitianForm(q @ np.diag(w) @ q.conj().T)
+
+
+def test_one_factorization_decides_rank_kernel_and_purge_near_the_cutoff():
+    rng = np.random.default_rng(41)
+    ranks = set()
+    for _ in range(400):
+        b = near_cutoff_form(rng)
+        ranks.add(b.rank)
+        assert b.rank + kernel(b).dim == b.dim
+        assert purge(b).purged_form.dim == b.rank
+        f = LinearMap(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        adjoint_freedom_dims(f, b, near_cutoff_form(rng))
+    assert ranks == {2, 3}  # the cutoff really is straddled
+
+
+def test_one_eigh_per_form_across_repeated_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(43)
+    bV, bW = random_psd_form(rng, 4, rank=2), random_psd_form(rng, 3, rank=2)
+    f = LinearMap(np.zeros((3, 4)))
+    for _ in range(3):
+        assert bV.rank == 2 and bW.kernel_dim == 1
+        kernel(bV), kernel(bW), purge(bV), purge(bW)
+        adjoint(f, bV, bW), admits_adjoint(f, bV, bW), adjoint_freedom_dims(f, bV, bW)
+        assert bV.is_positive_semidefinite() and not bW.is_positive_definite()
+    assert calls == [(4, 4), (3, 3)]
 
 
 # ---------------------------------------------------------------------------

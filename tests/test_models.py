@@ -318,15 +318,15 @@ def test_grassmann_scan_finds_the_window(gr24):
     assert abs(scan.min_H - 1.0) < 1e-3
 
 
-def test_scan_is_deterministic_across_threads(gr24):
-    serial = hsc_extremes(gr24.field, region=0.7, samples=200, optimizer_steps=25, seed=5)
-    pooled = hsc_extremes(
-        gr24.field, region=0.7, samples=200, optimizer_steps=25, seed=5, threads=3
-    )
-    assert serial.min_H == pooled.min_H
-    assert serial.max_H == pooled.max_H
-    assert np.array_equal(serial.argmin[0], pooled.argmin[0])
-    assert np.array_equal(serial.argmax[1], pooled.argmax[1])
+def test_scan_rerun_is_identical_and_a_thread_count_is_rejected(gr24):
+    first = hsc_extremes(gr24.field, region=0.7, samples=200, optimizer_steps=25, seed=5)
+    again = hsc_extremes(gr24.field, region=0.7, samples=200, optimizer_steps=25, seed=5, threads=None)
+    assert first.min_H == again.min_H
+    assert first.max_H == again.max_H
+    assert np.array_equal(first.argmin[0], again.argmin[0])
+    assert np.array_equal(first.argmax[1], again.argmax[1])
+    with pytest.raises(ConfigError, match="threads"):
+        hsc_extremes(gr24.field, region=0.7, samples=200, optimizer_steps=25, seed=5, threads=3)
 
 
 # Step of the central differences the closed-form direction gradient is
