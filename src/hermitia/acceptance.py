@@ -52,6 +52,38 @@ from .sequences import (
 )
 
 
+# The gates of the criteria, each a bound on the quantity named (relative
+# where the criterion's docstring says so): a criterion fails when its
+# quantity is above the gate.  LIMIT_EXACT_CUT and SPAN_RANK_TOL are cuts
+# that decide what is measured, not gates.
+CALIBRATION_TOL = 1e-5  # |H - 2| of the round line metric, analytic jets
+CALIBRATION_FD_TOL = 1e-3  # the same through the finite-difference copy
+WINDOW_LOWER_TOL = 0.025  # refined min H to the declared Gr(2, 4) lower bound
+WINDOW_UPPER_TOL = 0.02  # refined max H to the declared upper bound
+WINDOW_ESCAPE_TOL = 1e-3  # sampled H outside the declared window
+EINSTEIN_TOL = 1e-6  # Ricci minus the Einstein constant times the metric
+CHART_ROUTES_TOL = 1e-8  # closed-form and minor-embedding Gr(2, 4) Grams
+LINE_CURVATURE_TOL = 1e-9  # tautological line: sub curvature -1, quotient +1
+CODAZZI_SUITE_TOL = 1e-4  # corrected ambient pairing to intrinsic curvature
+SUM_SUITE_TOL = 1e-4  # assembled to direct curvature of a sum of forms
+GAUGE_TOL = 1e-6  # curvature change under a kernel-valued gauge
+IDENTITY_TOL = 1e-5  # each line of the derivative identity table
+LIMIT_EXACT_CUT = 1e-13  # below this the quotient family is exact: no rate
+DECAY_RATIO_TOL = 0.2  # drift of the error ratio from exp(-2)
+PROJECTION_FORMULA_TOL = 1e-8  # limit form to its projection formula
+ADJOINT_IDENTITY_TOL = 1e-9  # b_V f^dag - f^H b_W
+TORSOR_IDENTITY_TOL = 1e-8  # the same for an adjoint moved by the kernel
+TORSOR_KERNEL_TOL = 1e-10  # difference of two adjoints outside Ker b_V
+DOUBLE_ADJOINT_TOL = 1e-8  # f^dag dag - f modulo Ker b_W
+SPAN_RANK_TOL = 1e-9  # rank_of cutoff of the complement decomposition spans
+QUOTIENT_LIFT_TOL = 1e-9  # descended form against the form it came from
+KERNEL_CONTAINMENT_TOL = 1e-9  # sum quotient on the summand kernels
+
+
+def _sci(tol):
+    """A gate as the failure messages print it: 1e-5, not 1e-05."""
+    return ("%.0e" % tol).replace("e-0", "e-")
+
 @dataclass
 class CriterionResult:
     number: int
@@ -101,14 +133,16 @@ def round_metric_calibration():
 
     worst = max(abs(hsc(field, z, v) - 2.0) for z in points)
     details["analytic_worst"] = worst
-    if worst > 1e-5:
-        failures.append("analytic deviation %.2e from 2 exceeds 1e-5" % worst)
+    if worst > CALIBRATION_TOL:
+        failures.append("analytic deviation %.2e from 2 exceeds %s" % (worst, _sci(CALIBRATION_TOL)))
 
     fd = field.finite_difference_copy()
     worst_fd = max(abs(hsc(fd, z, v) - 2.0) for z in points)
     details["finite_difference_worst"] = worst_fd
-    if worst_fd > 1e-3:
-        failures.append("finite-difference deviation %.2e from 2 exceeds 1e-3" % worst_fd)
+    if worst_fd > CALIBRATION_FD_TOL:
+        failures.append(
+            "finite-difference deviation %.2e from 2 exceeds %s" % (worst_fd, _sci(CALIBRATION_FD_TOL))
+        )
 
     return _finish(1, "round metric calibration", t0, 1.0, details, failures)
 
@@ -129,18 +163,18 @@ def grassmannian_curvature_window():
     details["declared_lower"] = model.hsc_lower
     details["declared_upper"] = model.hsc_upper
 
-    if abs(scan.min_H - model.hsc_lower) > 0.025:
+    if abs(scan.min_H - model.hsc_lower) > WINDOW_LOWER_TOL:
         failures.append(
-            "refined minimum %.4f is not within 0.025 of the declared lower bound %.4f"
-            % (scan.min_H, model.hsc_lower)
+            "refined minimum %.4f is not within %g of the declared lower bound %.4f"
+            % (scan.min_H, WINDOW_LOWER_TOL, model.hsc_lower)
         )
-    if abs(scan.max_H - model.hsc_upper) > 0.02:
+    if abs(scan.max_H - model.hsc_upper) > WINDOW_UPPER_TOL:
         failures.append(
-            "refined maximum %.4f is not within 0.02 of the declared upper bound %.4f"
-            % (scan.max_H, model.hsc_upper)
+            "refined maximum %.4f is not within %g of the declared upper bound %.4f"
+            % (scan.max_H, WINDOW_UPPER_TOL, model.hsc_upper)
         )
-    if scan.min_H < model.hsc_lower - 1e-3 or scan.max_H > model.hsc_upper + 1e-3:
-        failures.append("scan escapes the declared window by more than 1e-3")
+    if scan.min_H < model.hsc_lower - WINDOW_ESCAPE_TOL or scan.max_H > model.hsc_upper + WINDOW_ESCAPE_TOL:
+        failures.append("scan escapes the declared window by more than %s" % _sci(WINDOW_ESCAPE_TOL))
 
     return _finish(2, "grassmannian curvature window", t0, 30.0, details, failures)
 
@@ -161,8 +195,8 @@ def einstein_constants():
     for label, field, constant in cases:
         resid = einstein_residual(field, constant)
         details[label] = resid
-        if resid > 1e-6:
-            failures.append("%s residual %.2e exceeds 1e-6" % (label, resid))
+        if resid > EINSTEIN_TOL:
+            failures.append("%s residual %.2e exceeds %s" % (label, resid, _sci(EINSTEIN_TOL)))
     return _finish(3, "einstein constants", t0, None, details, failures)
 
 
@@ -183,8 +217,8 @@ def two_chart_constructions_agree():
         g1, g2 = model.field.gram(z), oracle.gram(z)
         worst = max(worst, np.linalg.norm(g1 - g2) / (1.0 + np.linalg.norm(g2)))
     details["worst_relative"] = worst
-    if worst > 1e-8:
-        failures.append("routes disagree by %.2e relative, above 1e-8" % worst)
+    if worst > CHART_ROUTES_TOL:
+        failures.append("routes disagree by %.2e relative, above %s" % (worst, _sci(CHART_ROUTES_TOL)))
     return _finish(4, "two chart constructions agree", t0, None, details, failures)
 
 
@@ -252,17 +286,17 @@ def sub_quotient_curvature_suite():
     r_quot = codazzi_quot(taut, z0, 0, 0, [1.0], [1.0])
     details["line_sub_center"] = float(r_sub.real)
     details["line_quot_center"] = float(r_quot.real)
-    if abs(r_sub + 1.0) > 1e-9:
+    if abs(r_sub + 1.0) > LINE_CURVATURE_TOL:
         failures.append("sub curvature at the center is %.6f, want -1" % r_sub.real)
-    if abs(r_quot - 1.0) > 1e-9:
+    if abs(r_quot - 1.0) > LINE_CURVATURE_TOL:
         failures.append("quotient curvature at the center is %.6f, want +1" % r_quot.real)
 
     worst = 0.0
     for seed in range(25):
         worst = max(worst, codazzi_instance_residual(seed))
     details["suite_worst_relative"] = worst
-    if worst > 1e-4:
-        failures.append("suite residual %.2e exceeds 1e-4" % worst)
+    if worst > CODAZZI_SUITE_TOL:
+        failures.append("suite residual %.2e exceeds %s" % (worst, _sci(CODAZZI_SUITE_TOL)))
 
     return _finish(5, "sub and quotient curvature suite", t0, None, details, failures)
 
@@ -283,8 +317,8 @@ def sum_of_forms_suite():
         worst = max(worst, resid)
     details["suite_worst_relative"] = worst
     details["summand_kinds"] = sorted(kinds)
-    if worst > 1e-4:
-        failures.append("suite residual %.2e exceeds 1e-4" % worst)
+    if worst > SUM_SUITE_TOL:
+        failures.append("suite residual %.2e exceeds %s" % (worst, _sci(SUM_SUITE_TOL)))
     if kinds != {0, 1, 2}:
         failures.append("instance suite does not cover all degeneracy kinds")
     return _finish(6, "sum of forms suite", t0, None, details, failures)
@@ -305,8 +339,8 @@ def gauge_independence_suite():
         resid = gauge_independence_residual(field, z, seed=seed)
         worst = max(worst, resid)
     details["worst_residual"] = worst
-    if worst > 1e-6:
-        failures.append("gauge residual %.2e exceeds 1e-6" % worst)
+    if worst > GAUGE_TOL:
+        failures.append("gauge residual %.2e exceeds %s" % (worst, _sci(GAUGE_TOL)))
     return _finish(7, "gauge independence", t0, None, details, failures)
 
 
@@ -324,8 +358,10 @@ def derivative_identity_table():
             worst[key] = max(worst.get(key, 0.0), value)
     details.update(worst)
     for key, value in sorted(worst.items()):
-        if value > 1e-5:
-            failures.append("identity line '%s' residual %.2e exceeds 1e-5" % (key, value))
+        if value > IDENTITY_TOL:
+            failures.append(
+                "identity line '%s' residual %.2e exceeds %s" % (key, value, _sci(IDENTITY_TOL))
+            )
     return _finish(8, "derivative identity table", t0, None, details, failures)
 
 
@@ -354,7 +390,7 @@ def quotient_limit_decay():
             np.linalg.norm(check - q_inf.gram) / (1.0 + np.linalg.norm(q_inf.gram)),
         )
         errors = [np.linalg.norm(q.gram - q_inf.gram) for q in q_values]
-        if max(errors) < 1e-13:
+        if max(errors) < LIMIT_EXACT_CUT:
             continue  # the family is already exact; no rate to measure
         tested += 1
         for prev, cur in zip(errors, errors[1:]):
@@ -364,12 +400,15 @@ def quotient_limit_decay():
     details["worst_projection_residual"] = worst_projection
     if tested < 5:
         failures.append("only %d instances had a measurable rate, want >= 5" % tested)
-    if worst_ratio_dev > 0.2:
+    if worst_ratio_dev > DECAY_RATIO_TOL:
         failures.append(
-            "decay ratio drifts %.0f%% from exp(-2), above 20%%" % (100 * worst_ratio_dev)
+            "decay ratio drifts %.0f%% from exp(-2), above %.0f%%"
+            % (100 * worst_ratio_dev, 100 * DECAY_RATIO_TOL)
         )
-    if worst_projection > 1e-8:
-        failures.append("projection-formula residual %.2e exceeds 1e-8" % worst_projection)
+    if worst_projection > PROJECTION_FORMULA_TOL:
+        failures.append(
+            "projection-formula residual %.2e exceeds %s" % (worst_projection, _sci(PROJECTION_FORMULA_TOL))
+        )
     return _finish(9, "quotient limit decay", t0, None, details, failures)
 
 
@@ -436,8 +475,8 @@ def form_calculus_properties():
         resid = np.max(np.abs(bV.gram @ fd - f.matrix.conj().T @ bW.gram))
         worst = max(worst, resid / (1.0 + np.linalg.norm(f.matrix)))
     details["adjoint_identity"] = worst
-    if worst > 1e-9:
-        failures.append("adjoint identity residual %.2e exceeds 1e-9" % worst)
+    if worst > ADJOINT_IDENTITY_TOL:
+        failures.append("adjoint identity residual %.2e exceeds %s" % (worst, _sci(ADJOINT_IDENTITY_TOL)))
 
     # adjoints form a torsor under kernel-valued maps
     rng = np.random.default_rng(101)
@@ -457,9 +496,9 @@ def form_calculus_properties():
         worst_kernel = max(worst_kernel, np.linalg.norm(diff - kv @ (kv.conj().T @ diff)))
     details["torsor_identity"] = worst_ident
     details["torsor_kernel"] = worst_kernel
-    if worst_ident > 1e-8:
+    if worst_ident > TORSOR_IDENTITY_TOL:
         failures.append("perturbed adjoint breaks the identity at %.2e" % worst_ident)
-    if worst_kernel > 1e-10:
+    if worst_kernel > TORSOR_KERNEL_TOL:
         failures.append("adjoint difference leaves the kernel by %.2e" % worst_kernel)
 
     # double adjoint returns f modulo Ker b_W
@@ -481,7 +520,7 @@ def form_calculus_properties():
         resid = np.linalg.norm(diff - kw @ (kw.conj().T @ diff))
         worst = max(worst, resid / (1.0 + np.linalg.norm(f.matrix)))
     details["double_adjoint"] = worst
-    if worst > 1e-8:
+    if worst > DOUBLE_ADJOINT_TOL:
         failures.append("double adjoint drifts from f by %.2e mod kernel" % worst)
 
     # S + S_perp is everything; S meet S_perp is S meet Ker b
@@ -493,12 +532,12 @@ def form_calculus_properties():
         s = Subspace(dim, _cnormal(rng, (dim, d)))
         perp = orthogonal_complement(s, b)
         sv = np.linalg.svd(np.hstack([s.basis, perp.basis]), compute_uv=False)
-        dim_sum = rank_of(sv, 1e-9)
+        dim_sum = rank_of(sv, SPAN_RANK_TOL)
         dim_int = s.dim + perp.dim - dim_sum
         kb = kernel(b).basis
         joint = np.hstack([s.basis, kb]) if kb.shape[1] else s.basis
         sv2 = np.linalg.svd(joint, compute_uv=False)
-        dim_int_kernel = s.dim + kb.shape[1] - rank_of(sv2, 1e-9)
+        dim_int_kernel = s.dim + kb.shape[1] - rank_of(sv2, SPAN_RANK_TOL)
         if dim_sum != dim or dim_int != dim_int_kernel:
             failures.append("complement decomposition broke at dim %d" % dim)
             break
@@ -516,7 +555,7 @@ def form_calculus_properties():
         got = quotient_form(LinearMap(qmat), bV).gram
         worst = max(worst, np.linalg.norm(got - h) / (1.0 + np.linalg.norm(h)))
     details["quotient_lift"] = worst
-    if worst > 1e-9:
+    if worst > QUOTIENT_LIFT_TOL:
         failures.append("descended form depends on the lift by %.2e" % worst)
 
     # the sum quotient is psd and kills both summand kernels
@@ -535,7 +574,7 @@ def form_calculus_properties():
             if kb.shape[1]:
                 worst = max(worst, np.linalg.norm(q.gram @ kb))
     details["kernel_containment"] = worst
-    if worst > 1e-9:
+    if worst > KERNEL_CONTAINMENT_TOL:
         failures.append("sum quotient leaks onto a summand kernel by %.2e" % worst)
 
     return _finish(11, "form calculus properties", t0, 5.0, details, failures)

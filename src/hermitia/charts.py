@@ -7,10 +7,15 @@ the one central Wirtinger stencil of :func:`wirtinger_fd`:
     d_a    = (F(z+h) - F(z-h) - i F(z+ih) + i F(z-ih)) / (4h)
     dbar_a = (F(z+h) - F(z-h) + i F(z+ih) - i F(z-ih)) / (4h)
 
+whose points (:func:`wirtinger_stencil`) and combination of reads
+(:func:`wirtinger_combine`) are also available apart, for callers that
+share reads between several differences.
+
 Connections solve G @ A_a = d_a G in the minimum-norm (pseudoinverse)
 sense, from one eigendecomposition of G per point, which requires the
 rank of G to be constant across the stencil; a rank change is a
-first-class error, not a warning.
+first-class error, not a warning.  :func:`solve_connection` is that
+solve; :func:`assemble_curvature` builds the curvature from it.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -19,6 +24,7 @@ curvature identically 2.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,18 +72,31 @@ def _as_point(z, m):
     return z
 
 
+def wirtinger_stencil(z, a, step):
+    """The four points z + step e_a, z - step e_a, z + i step e_a and
+    z - i step e_a of the Wirtinger stencil along z_a, in the order
+    :func:`wirtinger_combine` takes their reads."""
+    e = np.zeros(len(z), dtype=complex)
+    e[a] = 1.0
+    h = step
+    return z + h * e, z - h * e, z + 1j * h * e, z - 1j * h * e
+
+
+def wirtinger_combine(fp, fm, fip, fim, step, conjugate=False):
+    """d_a (or dbar_a when ``conjugate``) from the four reads at the
+    points of :func:`wirtinger_stencil`."""
+    h = step
+    if conjugate:
+        return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
+    return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
+
+
 def wirtinger_fd(fn, z, a, step, conjugate=False):
     """Central Wirtinger difference of an array-valued ``fn`` along z_a:
     d_a (or dbar_a when ``conjugate``) from four reads at z +- step and
     z +- i step."""
-    e = np.zeros(len(z), dtype=complex)
-    e[a] = 1.0
-    h = step
-    fp, fm = fn(z + h * e), fn(z - h * e)
-    fip, fim = fn(z + 1j * h * e), fn(z - 1j * h * e)
-    if conjugate:
-        return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
-    return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
+    reads = [fn(w) for w in wirtinger_stencil(z, a, step)]
+    return wirtinger_combine(*reads, step, conjugate)
 
 
 class ChartField:
@@ -351,14 +370,28 @@ def _check_constant_rank(field: ChartField, z):
     return grams[0]
 
 
-def _solve(field: ChartField, z):
-    """The constant-rank gate, then the form of the gate's G(z), whose one
-    factorization gives the minimum-norm solve G @ A_a = d_a G, with its
-    residual gate.
+class ConnectionSolve(NamedTuple):
+    form: HermitianForm  # the form of G(z)
+    dg: np.ndarray  # (m, shape, shape) first derivatives d_a G
+    a: np.ndarray  # (m, shape, shape) minimum-norm connection
+    residual: float
 
-    Returns (form of G, dG, A, residual).
+
+def solve_connection(field: ChartField, z, form=None) -> ConnectionSolve:
+    """The constant-rank gate, then the minimum-norm solve G @ A_a = d_a G
+    from the one factorization of the form of G(z), with its residual gate.
+
+    A caller that already holds the form of G(z) passes it as ``form``, so
+    that it and the solve share one factorization; its Gram matrix must
+    equal the gate's centre read bit for bit, else HermitiaError.  Without
+    it the form is built from the gate's centre read.
     """
-    form = HermitianForm(_check_constant_rank(field, z), rank_tol=RANK_TOL)
+    z = _as_point(z, field.m)
+    g = _check_constant_rank(field, z)
+    if form is None:
+        form = HermitianForm(g, rank_tol=RANK_TOL)
+    elif form.rank_tol != RANK_TOL or not np.array_equal(form.gram, g):
+        raise HermitiaError("the form given to the solve is not the gate's G(z) at this point")
     dg = field.d(z)
     require_finite(dg, "first derivative", z)
     g, gp = form.gram, form.pinv
@@ -372,7 +405,7 @@ def _solve(field: ChartField, z):
             "G A = dG has no solution to %.1e (residual %.2e); "
             "the field is not admissible here" % (SOLVER_TOL, residual)
         )
-    return form, dg, a, residual
+    return ConnectionSolve(form, dg, a, residual)
 
 
 def chern_connection(field: ChartField, z) -> ConnectionAt:
@@ -382,21 +415,20 @@ def chern_connection(field: ChartField, z) -> ConnectionAt:
     only modulo matrices with columns in Ker G.
     """
     z = _as_point(z, field.m)
-    form, _, a, residual = _solve(field, z)
-    kernel_basis = Subspace(field.shape, form.kernel_basis, rank_tol=RANK_TOL)
-    return ConnectionAt(point=z, a=a, residual=residual, kernel_basis=kernel_basis)
+    solve = solve_connection(field, z)
+    kernel_basis = Subspace(field.shape, solve.form.kernel_basis, rank_tol=RANK_TOL)
+    return ConnectionAt(point=z, a=solve.a, residual=solve.residual, kernel_basis=kernel_basis)
 
 
-def curvature_tensor(field: ChartField, z) -> CurvatureAt:
-    """Contracted curvature tensor R[a][b][s][t] at a point.
+def assemble_curvature(field: ChartField, z, solve: ConnectionSolve) -> CurvatureAt:
+    """The contracted curvature tensor at z from the solve there.
 
-    Computed from M_ab = (dbar_b G) G^+ (d_a G) - d_a dbar_b G, which on
-    admissible constant-rank fields equals -G dbar_b A_a for any choice of
-    compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
+    M_ab = (dbar_b G) G^+ (d_a G) - d_a dbar_b G, which on admissible
+    constant-rank fields equals -G dbar_b A_a for any choice of compatible
+    connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
     """
     z = _as_point(z, field.m)
-    form, dg, a_conn, _ = _solve(field, z)
-    gp = form.pinv
+    gp, dg = solve.form.pinv, solve.dg
     dbg = field.dbar(z, d=dg)
     ddg = field.dd(z)
     require_finite(ddg, "mixed second derivative", z)
@@ -409,9 +441,15 @@ def curvature_tensor(field: ChartField, z) -> CurvatureAt:
     return CurvatureAt(
         point=z,
         tensor=tensor,
-        form_at_point=form,
-        a=a_conn,
+        form_at_point=solve.form,
+        a=solve.a,
     )
+
+
+def curvature_tensor(field: ChartField, z) -> CurvatureAt:
+    """Contracted curvature tensor R[a][b][s][t] at a point:
+    :func:`solve_connection`, then :func:`assemble_curvature`."""
+    return assemble_curvature(field, z, solve_connection(field, z))
 
 
 def curvature_from_connection(field: ChartField, z, a_fn) -> np.ndarray:

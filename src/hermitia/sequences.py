@@ -29,6 +29,15 @@ derivatives and G is positive-definite at the chart center; any other
 ambient (degenerate, derivatives by finite differences) reads G_Q from
 :func:`~hermitia.forms.quotient_form` at each point and differentiates
 those reads by finite differences.
+
+Per-point data: :meth:`ExactSeqChart.at` keeps one record of everything
+at a base point.  Each record solves each field (ambient, sub, quotient)
+at most once, from its own form of that field, and reads both the
+connection and the curvature from that solve.  The derivatives of
+jdag, qdag, sigma and sigma dagger in the identity table and the
+splitting blocks are finite differences, the independent side of each
+identity; they all read one probe ring, the 4m records at the points of
+the Wirtinger stencil of step ``PROBE_STEP`` around the base point.
 """
 
 from dataclasses import dataclass
@@ -42,9 +51,12 @@ from .charts import (
     RANK_TOL,
     ChartField,
     CurvatureAt,
-    chern_connection,
+    assemble_curvature,
     curvature_tensor,
+    solve_connection,
+    wirtinger_combine,
     wirtinger_fd,
+    wirtinger_stencil,
 )
 from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
 from .forms import (
@@ -274,8 +286,8 @@ class ExactSeqChart:
 
     def at(self, z):
         """The per-point record at z.  The latest one is kept, so every
-        reader at one base point shares its solves; the chart never
-        changes, so a kept record never goes stale."""
+        reader at one base point shares its solves and its probe ring; the
+        chart never changes, so a kept record never goes stale."""
         z = np.array(z, dtype=complex)
         key = (z.shape, z.tobytes())
         if self._last_at is None or self._last_at[0] != key:
@@ -304,13 +316,36 @@ def _pd_inverse(g, z):
 
 class _SeqAt:
     """All pointwise sequence data at one chart point, each computed on
-    first read, so a probe of one quantity solves only what it needs.
-    Probes build their own record, so they never replace the base point's
-    record kept by :meth:`ExactSeqChart.at`."""
+    first read, so a read of one quantity solves only what it needs.
+
+    Each field (ambient, sub, quotient) is solved at most once per record,
+    from the record's own form of it: the connection ``a_*`` and the
+    curvature ``r_*`` read that one solve.  A base record built by
+    :meth:`ExactSeqChart.at` also owns a probe ring, the records at the 4m
+    Wirtinger stencil points around it, from which :meth:`probe`
+    differences any quantity; ring records never replace the base record.
+    """
 
     def __init__(self, seq: ExactSeqChart, z):
         self.seq = seq
         self.z = z
+
+    @cached_property
+    def ring(self):
+        """ring[a]: the records at z + h e_a, z - h e_a, z + ih e_a and
+        z - ih e_a, h = PROBE_STEP, built as :func:`wirtinger_fd` builds
+        its points."""
+        return [
+            [_SeqAt(self.seq, w) for w in wirtinger_stencil(self.z, a, PROBE_STEP)]
+            for a in range(self.seq.m)
+        ]
+
+    def probe(self, name, a, conjugate=False):
+        """d_a (or dbar_a when ``conjugate``) of the quantity ``name`` by
+        the Wirtinger stencil over the probe ring; equal bit for bit to
+        ``wirtinger_fd`` of that quantity on fresh records."""
+        reads = [getattr(record, name) for record in self.ring[a]]
+        return wirtinger_combine(*reads, PROBE_STEP, conjugate)
 
     @cached_property
     def j(self):
@@ -341,20 +376,40 @@ class _SeqAt:
         return self.seq.quot_field.gram(self.z)
 
     @cached_property
+    def solve_e(self):
+        return solve_connection(self.seq.ambient, self.z, self.b_e)
+
+    @cached_property
+    def solve_s(self):
+        return solve_connection(self.seq.sub_field, self.z, self.b_s)
+
+    @cached_property
+    def solve_q(self):
+        return solve_connection(self.seq.quot_field, self.z, self.b_q)
+
+    @property
     def a_e(self):
-        return chern_connection(self.seq.ambient, self.z).a
+        return self.solve_e.a
 
-    @cached_property
+    @property
     def a_s(self):
-        return chern_connection(self.seq.sub_field, self.z).a
+        return self.solve_s.a
 
-    @cached_property
+    @property
     def a_q(self):
-        return chern_connection(self.seq.quot_field, self.z).a
+        return self.solve_q.a
 
     @cached_property
     def r_e(self):
-        return curvature_tensor(self.seq.ambient, self.z).tensor
+        return assemble_curvature(self.seq.ambient, self.z, self.solve_e).tensor
+
+    @cached_property
+    def r_s(self):
+        return assemble_curvature(self.seq.sub_field, self.z, self.solve_s).tensor
+
+    @cached_property
+    def r_q(self):
+        return assemble_curvature(self.seq.quot_field, self.z, self.solve_q).tensor
 
     @cached_property
     def b_s(self):
@@ -463,30 +518,28 @@ def demailly_residuals(seq: ExactSeqChart, z):
 
     r3 = 0.0
     for a in range(m):
-        djdag = wirtinger_fd(lambda w: _SeqAt(seq, w).jdag, at.z, a, PROBE_STEP)
+        djdag = at.probe("jdag", a)
         dpjdag = djdag + at.a_s[a] @ at.jdag - at.jdag @ at.a_e[a]
         r3 = max(r3, _rel(at.g_s @ dpjdag, at.g_s @ djdag))
-        dbjdag = wirtinger_fd(lambda w: _SeqAt(seq, w).jdag, at.z, a, PROBE_STEP, conjugate=True)
+        dbjdag = at.probe("jdag", a, conjugate=True)
         rhs = at.sigma_dagger[a] @ at.q
         r3 = max(r3, _rel(at.g_s @ (dbjdag - rhs), at.g_s @ dbjdag, at.g_s @ rhs))
     out["inclusion_adjoint"] = r3
 
     r4 = 0.0
     for a in range(m):
-        dqdag = wirtinger_fd(lambda w: _SeqAt(seq, w).qdag, at.z, a, PROBE_STEP)
+        dqdag = at.probe("qdag", a)
         dpqdag = dqdag + at.a_e[a] @ at.qdag - at.qdag @ at.a_q[a]
         r4 = max(r4, _rel(at.g_e @ dpqdag, at.g_e @ dqdag))
-        dbqdag = wirtinger_fd(lambda w: _SeqAt(seq, w).qdag, at.z, a, PROBE_STEP, conjugate=True)
+        dbqdag = at.probe("qdag", a, conjugate=True)
         rhs = -at.j @ at.sigma_dagger[a]
         r4 = max(r4, _rel(at.g_e @ (dbqdag - rhs), at.g_e @ dbqdag, at.g_e @ rhs))
     out["projection_adjoint"] = r4
 
     r5 = 0.0
     if m > 1:
-        dsig = np.stack([wirtinger_fd(lambda w: _SeqAt(seq, w).sigma, at.z, a, PROBE_STEP) for a in range(m)])
-        dbsigdag = np.stack(
-            [wirtinger_fd(lambda w: _SeqAt(seq, w).sigma_dagger, at.z, a, PROBE_STEP, True) for a in range(m)]
-        )
+        dsig = np.stack([at.probe("sigma", a) for a in range(m)])
+        dbsigdag = np.stack([at.probe("sigma_dagger", a, conjugate=True) for a in range(m)])
         for a in range(m):
             for b in range(a + 1, m):
                 dpsab = dsig[a][b] + at.a_q[a] @ at.sigma[b] - at.sigma[b] @ at.a_s[a]
@@ -557,14 +610,9 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
     at = seq.at(z)
     m, k, rk = seq.m, seq.k, seq.r - seq.k
 
-    r_e = at.r_e
-    r_s = curvature_tensor(seq.sub_field, z).tensor
-    r_q = curvature_tensor(seq.quot_field, z).tensor
-
-    dsig = np.stack([wirtinger_fd(lambda w: _SeqAt(seq, w).sigma, at.z, a, PROBE_STEP, True) for a in range(m)])
-    dpsigdag = np.stack(
-        [wirtinger_fd(lambda w: _SeqAt(seq, w).sigma_dagger, at.z, a, PROBE_STEP) for a in range(m)]
-    )
+    r_e, r_s, r_q = at.r_e, at.r_s, at.r_q
+    dsig = np.stack([at.probe("sigma", a, conjugate=True) for a in range(m)])
+    dpsigdag = np.stack([at.probe("sigma_dagger", a) for a in range(m)])
 
     ss = np.empty((m, m, k, k), dtype=complex)
     sq = np.empty((m, m, k, rk), dtype=complex)

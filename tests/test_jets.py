@@ -3,7 +3,9 @@ copy of its own field, at points drawn by hypothesis.
 
 The bounds are those of ChartField's construction-time self-check:
 first derivatives to 1e-6 and mixed second derivatives to 1e-5, each
-relative to 1 + the norm of the finite-difference value.
+relative to 1 + the norm of the finite-difference value.  The quotient
+jet of an arbitrary sequence instance meets its mixed second derivatives
+against a Richardson extrapolation of the copy over two outer steps.
 """
 
 from functools import lru_cache
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermitia.charts import ChartField
 from hermitia.instances import sequence_instance
 from hermitia.models import grassmannian_chart, pluecker_pullback, resolve_model
 
@@ -64,17 +67,54 @@ def test_analytic_jet_matches_finite_differences(name, coords):
     _assert_jet_matches(field, fd, _point(field, coords))
 
 
-# The sequence_instance seeds of test_sequences.JET_SEEDS: m = 1 and 2, moving
-# and constant inclusions.  Across other seeds the finite-difference copy is
-# itself the coarser side: on seed 2720 at its own point it is 1.4e-5 from
-# the jet, and that gap falls as the square of the outer step.
-QUOTIENT_SEEDS = (0, 1, 5, 17)
+def _richardson_dd(field, z):
+    """A test-local oracle for d_a dbar_b G: the finite-difference copy's
+    mixed derivatives at outer steps h and h/2 (h the field's
+    ``fd_outer_step``), combined as (4 D(h/2) - D(h)) / 3.  The central
+    stencil's error is even in h, so this cancels its h^2 term."""
+    h = field.fd_outer_step
+    reads = []
+    for step in (h, h / 2.0):
+        fd = ChartField(
+            field.m,
+            field.shape,
+            field.eval_fn,
+            center=field.center,
+            radius=field.radius,
+            fd_step=field.fd_step,
+            fd_outer_step=step,
+            self_check=False,
+        )
+        reads.append(fd.dd(z))
+    return (4.0 * reads[1] - reads[0]) / 3.0
 
 
+# Any sequence_instance seed: m = 1 and 2, moving and constant inclusions.
+# The plain finite-difference copy (outer step 1e-3) is itself the coarser
+# side on some of them: 1.4e-5 from the jet on seed 2720 at its own point,
+# 1.1e-4 on seed 451 at a corner of the region.  The Richardson oracle is
+# within 4e-7 of the jet on seeds 0-2999 (own point, two corners and one
+# random point each) and within 1.2e-6 at every corner of seed 451.
 @settings(max_examples=20, deadline=None)
-@given(seed=st.sampled_from(QUOTIENT_SEEDS), coords=COORDS)
+@given(seed=st.integers(0, 10**6), coords=COORDS)
 def test_quotient_jet_matches_finite_differences(seed, coords):
     seq, _ = sequence_instance(seed)
     field = seq.quot_field
     assert field.analytic
-    _assert_jet_matches(field, field.finite_difference_copy(), _point(field, coords))
+    z = _point(field, coords)
+    assert _stack_error(field.d(z), field.finite_difference_copy().d(z)) <= D_TOL
+    assert _stack_error(field.dd(z), _richardson_dd(field, z)) <= DD_TOL
+
+
+# seed, point coordinates (None: the instance's own point)
+PLAIN_COPY_MISSES = ((2720, None), (451, [1.0, -1.0, -1.0, -1.0] + [0.0] * 4))
+
+
+@pytest.mark.parametrize("seed, coords", PLAIN_COPY_MISSES)
+def test_richardson_oracle_where_the_plain_copy_misses(seed, coords):
+    seq, z = sequence_instance(seed)
+    field = seq.quot_field
+    z = z if coords is None else _point(field, coords)
+    dd = field.dd(z)
+    assert _stack_error(dd, field.finite_difference_copy().dd(z)) > DD_TOL
+    assert _stack_error(dd, _richardson_dd(field, z)) <= DD_TOL

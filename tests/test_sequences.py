@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from hermitia import HermitiaError, NonFinite, NotHolomorphic, NotPositiveAtPoint, sequences
 from hermitia.charts import (
+    PROBE_STEP,
     RANK_TOL,
     ChartField,
     chern_connection,
     curvature_tensor,
     smooth_kernel_perturbation,
+    solve_connection,
+    wirtinger_fd,
 )
 from hermitia.fields import MatrixPolynomial, constant_field, from_factor, sum_field
 from hermitia.forms import HermitianForm, LinearMap, adjoint, hermitize, quotient_form
@@ -146,6 +149,9 @@ def eager_seq_data(seq, z):
     out["a_e"] = chern_connection(seq.ambient, z).a
     out["a_s"] = chern_connection(seq.sub_field, z).a
     out["a_q"] = chern_connection(seq.quot_field, z).a
+    out["r_e"] = curvature_tensor(seq.ambient, z).tensor
+    out["r_s"] = curvature_tensor(seq.sub_field, z).tensor
+    out["r_q"] = curvature_tensor(seq.quot_field, z).tensor
     b = {key: HermitianForm(out["g_" + key], rank_tol=RANK_TOL) for key in ("e", "s", "q")}
     out.update({"b_" + key: form.gram for key, form in b.items()})
     out["jdag"] = adjoint(LinearMap(out["j"]), b["s"], b["e"]).matrix
@@ -179,20 +185,31 @@ def test_lazy_seq_data_equals_eager_oracle(case):
         assert np.array_equal(got, value), name
 
 
+def _count_solves(monkeypatch):
+    """Record the field of every solve the sequence records make."""
+    calls = []
+
+    def counting(field, w, form=None):
+        calls.append(field)
+        return solve_connection(field, w, form)
+
+    monkeypatch.setattr(sequences, "solve_connection", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["jdag", "qdag"])
 def test_adjoint_probe_solves_no_connection(monkeypatch, name):
     seq, z = sequence_instance(3)
-    calls = []
-
-    def counting(field, w):
-        calls.append(field)
-        return chern_connection(field, w)
-
-    monkeypatch.setattr(sequences, "chern_connection", counting)
+    calls = _count_solves(monkeypatch)
     getattr(seq.at(z + 1e-4), name)
+    at = seq.at(z)
+    for a in range(seq.m):
+        at.probe(name, a)
+        at.probe(name, a, conjugate=True)
     assert calls == []
-    seq.at(z).sigma  # the second fundamental form does need A_E and A_S
+    at.sigma  # the second fundamental form does need A_E and A_S
     assert len(calls) == 2
+    assert calls == [seq.ambient, seq.sub_field]
 
 
 def _stack_error(exact, fd):
@@ -228,6 +245,60 @@ def test_jet_seeds_cover_both_dimensions_and_inclusion_kinds():
         seq, z = sequence_instance(seed)
         kinds.add((seq.m, bool(np.any(seq.dj_at(z)))))
     assert kinds == {(1, False), (1, True), (2, False), (2, True)}
+
+
+@pytest.mark.parametrize("seed", JET_SEEDS)
+def test_probe_ring_equals_fresh_records(seed):
+    """The fast path (one ring of shared records) against the slow one (a
+    fresh record at each stencil point of wirtinger_fd)."""
+    seq, z = sequence_instance(seed)
+    at = seq.at(z)
+    for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
+        for a in range(seq.m):
+            for conj in (False, True):
+                slow = wirtinger_fd(lambda w: getattr(sequences._SeqAt(seq, w), name), at.z, a, PROBE_STEP, conj)
+                assert np.array_equal(at.probe(name, a, conj), slow), (name, a, conj)
+
+
+def test_solve_rejects_a_form_that_is_not_the_gate_read():
+    seq, z = sequence_instance(0)
+    g = seq.ambient.gram(z)
+    solve = solve_connection(seq.ambient, z, HermitianForm(g, rank_tol=RANK_TOL))
+    assert np.array_equal(solve.a, chern_connection(seq.ambient, z).a)
+    with pytest.raises(HermitiaError, match="gate"):
+        solve_connection(seq.ambient, z, HermitianForm(g * (1.0 + 1e-15), rank_tol=RANK_TOL))
+    with pytest.raises(HermitiaError, match="gate"):
+        solve_connection(seq.ambient, z, HermitianForm(g))
+
+
+@pytest.mark.parametrize("seed", JET_SEEDS)
+def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
+    """Identities, splitting, sigma and Codazzi at one point: the base
+    record and its 4m ring records, three solves at the base and the
+    ambient and sub solves of sigma at each ring record."""
+    seq, z = sequence_instance(seed)
+    m = seq.m
+    solves = _count_solves(monkeypatch)
+    records = []
+    init = sequences._SeqAt.__init__
+
+    def counting_init(self, seq, w):
+        records.append(w)
+        init(self, seq, w)
+
+    monkeypatch.setattr(sequences._SeqAt, "__init__", counting_init)
+    demailly_residuals(seq, z)
+    splitting_curvature_blocks(seq, z)
+    second_fundamental_form(seq, z)
+    rng = np.random.default_rng(seed)
+    for a in range(m):
+        for b in range(m):
+            codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
+            rk = seq.r - seq.k
+            codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
+    assert len(records) == 4 * m + 1
+    assert len(solves) == 2 * 4 * m + 3
+    assert solves.count(seq.quot_field) == 1
 
 
 @pytest.mark.parametrize("make", [block_split_sequence, kernel_compat_sequence])
@@ -323,20 +394,16 @@ def test_results_do_not_alias_the_shared_record():
 def test_codazzi_reads_the_ambient_curvature_once(monkeypatch):
     seq, z = sequence_instance(1)
     assert seq.m == 2
-    calls = []
-
-    def counting(field, w):
-        calls.append(field)
-        return curvature_tensor(field, w)
-
-    monkeypatch.setattr(sequences, "curvature_tensor", counting)
+    calls = _count_solves(monkeypatch)
     rng = np.random.default_rng(5)
     for a in range(seq.m):
         for b in range(seq.m):
             codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
-    assert calls == [seq.ambient]
+    # one ambient solve gives A_E and the curvature; sigma adds the sub solve
+    assert calls.count(seq.ambient) == 1
+    assert calls == [seq.ambient, seq.sub_field]
 
 
 def test_constructing_a_sequence_reads_no_quotient_form(monkeypatch):
@@ -595,13 +662,7 @@ def test_sum_curvature_reuses_the_summand_solves(m, monkeypatch):
             m, 2, eval_fn, radius=base.radius, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False
         )
 
-    solves = []
-
-    def counted_solve(field, z):
-        solves.append(z)
-        return chern_connection(field, z)
-
-    monkeypatch.setattr(sequences, "chern_connection", counted_solve)
+    solves = _count_solves(monkeypatch)
     b1, b2 = counted(random_pd_field(rng, m, 2)), counted(random_pd_field(rng, m, 2))
     sum_curvature(b1, b2, np.full(m, 0.1 + 0.05j))
     assert solves == []
