@@ -9,7 +9,9 @@ the one central Wirtinger stencil of :func:`wirtinger_fd`:
 
 whose points (:func:`wirtinger_stencil`) and combination of reads
 (:func:`wirtinger_combine`) are also available apart, for callers that
-share reads between several differences.
+share reads between several differences.  A chart field reads all the
+points of one difference, or of one constant-rank gate, in one
+:meth:`ChartField.gram_stack` call.
 
 Connections solve G @ A_a = d_a G in the minimum-norm (pseudoinverse)
 sense, from one eigendecomposition of G per point, which requires the
@@ -40,6 +42,7 @@ from .errors import (
 from .forms import (
     HermitianForm,
     Subspace,
+    conj_transpose,
     gram_rank,
     gram_ranks,
     hermitize,
@@ -82,6 +85,24 @@ def wirtinger_stencil(z, a, step):
     return z + h * e, z - h * e, z + 1j * h * e, z - 1j * h * e
 
 
+def _stencil_ring(z, step):
+    """The 4m points of :func:`wirtinger_stencil` for every coordinate a
+    in turn, shape (4m, m); for a (..., m) stack of centres, the rings of
+    all of them, shape (..., 4m, m)."""
+    m = z.shape[-1]
+    e = np.eye(m, dtype=complex)
+    se, ise = step * e, 1j * step * e
+    offsets = np.stack([se, -se, ise, -ise], axis=1).reshape(4 * m, m)
+    return z[..., None, :] + offsets
+
+
+def _combine_ring(reads, step, conjugate=False):
+    """:func:`wirtinger_combine` of the reads at a ring of
+    :func:`_stencil_ring`, shape (..., 4m, r, r) -> (..., m, r, r)."""
+    quads = reads.reshape(reads.shape[:-3] + (-1, 4) + reads.shape[-2:])
+    return wirtinger_combine(*np.moveaxis(quads, -3, 0), step, conjugate)
+
+
 def wirtinger_combine(fp, fm, fip, fim, step, conjugate=False):
     """d_a (or dbar_a when ``conjugate``) from the four reads at the
     points of :func:`wirtinger_stencil`."""
@@ -105,16 +126,20 @@ class ChartField:
     Every read is Hermitian-averaged; rank decisions use the relative
     cutoff ``RANK_TOL`` and connection solves must meet ``SOLVER_TOL``.
 
+    The Gram matrices come from one kernel, ``stack_fn``, which evaluates
+    a whole stack of points; a read at one point is the kernel on a
+    one-row stack, so :meth:`gram_stack` rows equal :meth:`gram` reads bit
+    for bit.  The package's constructors pass only ``stack_fn`` and derive
+    the per-point read from it.  A field given only a per-point
+    ``eval_fn`` reads a stack one point at a time.
+
     Parameters
     ----------
     m : complex dimension of the chart.
     shape : size of the square Gram matrix.
-    eval_fn : z -> (shape, shape) complex matrix.  On a field with
-        analytic derivatives, :func:`curvature_tensor` and
-        :func:`chern_connection` each read the Gram matrix 4m + 1 times per
-        point: the stencil of the constant-rank gate, whose centre read the
-        solve reuses.  It should return the Gram matrix only and compute
-        no derivatives.
+    eval_fn : z -> (shape, shape) complex matrix, the per-point read.
+        Without it, the read is ``stack_fn`` on a one-row stack.  It
+        should return the Gram matrix only and compute no derivatives.
     center, radius : polydisc domain; radius may be per-coordinate.
     d_fn : optional analytic first derivatives, z -> (m, shape, shape)
         with d_fn(z)[a] = d_a G.
@@ -124,17 +149,23 @@ class ChartField:
         outer (second derivative) Wirtinger differences.
     self_check : compare analytic derivatives against finite differences
         at a few deterministic points on construction.
-    stack_fn : optional stacked evaluator, (B, m) points -> (B, shape,
-        shape) Gram matrices, each equal bit for bit to ``eval_fn`` at its
-        point.  :meth:`gram_stack` uses it for the 4m + 1 reads of the
-        gate; without it, :meth:`gram_stack` calls ``eval_fn`` per point.
+    stack_fn : the kernel, (B, m) points -> (B, shape, shape) Gram
+        matrices, where row i depends on point i only.  With an
+        ``eval_fn`` as well, each row must equal ``eval_fn`` at its point
+        bit for bit.
+
+    On a field with analytic derivatives, :func:`curvature_tensor` and
+    :func:`chern_connection` read the Gram matrix at the 4m + 1 points of
+    the constant-rank gate in one :meth:`gram_stack` call, and the solve
+    reuses the centre read; a finite-difference derivative reads its
+    stencil in one call too.
     """
 
     def __init__(
         self,
         m,
         shape,
-        eval_fn,
+        eval_fn=None,
         center=None,
         radius=1.0,
         d_fn=None,
@@ -147,6 +178,10 @@ class ChartField:
     ):
         self.m = int(m)
         self.shape = int(shape)
+        if eval_fn is None:
+            if stack_fn is None:
+                raise HermitiaError("a chart field needs a stack_fn or an eval_fn")
+            eval_fn = _one_row(stack_fn, self.shape)
         self.eval_fn = eval_fn
         self.stack_fn = stack_fn
         self.center = (
@@ -216,10 +251,11 @@ class ChartField:
         return self.d_fn is not None
 
     def _fd(self, z, conjugate):
+        """All first derivatives by the stencil, its 4m points read in one
+        :meth:`gram_stack` call."""
         self._require_domain(z, self.fd_step)
-        return np.stack(
-            [wirtinger_fd(self.gram, z, a, self.fd_step, conjugate) for a in range(self.m)]
-        )
+        reads = self.gram_stack(_stencil_ring(z, self.fd_step))
+        return _combine_ring(reads, self.fd_step, conjugate)
 
     def d(self, z):
         """All holomorphic first derivatives, shape (m, shape, shape)."""
@@ -241,21 +277,20 @@ class ChartField:
         return self._fd(_as_point(z, self.m), True)
 
     def _dd_fd(self, z):
-        """d_a dbar_b G by an outer difference of dbar_b G, which comes from
-        d_fn when the field has one."""
-
-        def dbar_b(w, b):
-            if self.d_fn is not None:
-                return np.asarray(self.d_fn(w), dtype=complex)[b].conj().T
-            return wirtinger_fd(self.gram, w, b, self.fd_step, True)
-
-        out = np.empty((self.m, self.m, self.shape, self.shape), dtype=complex)
-        for b in range(self.m):
-            for a in range(self.m):
-                out[a, b] = wirtinger_fd(
-                    lambda w: dbar_b(w, b), z, a, self.fd_outer_step, False
-                )
-        return out
+        """d_a dbar_b G by an outer difference of dbar_b G at the 4m outer
+        stencil points.  dbar_b G comes from d_fn when the field has one,
+        else from the inner stencils around the outer points, whose 16 m^2
+        points are read in one :meth:`gram_stack` call."""
+        outer = _stencil_ring(z, self.fd_outer_step)
+        if self.d_fn is not None:
+            dbar = conj_transpose(np.stack([np.asarray(self.d_fn(w), dtype=complex) for w in outer]))
+        else:
+            inner = _stencil_ring(outer, self.fd_step)
+            reads = self.gram_stack(inner.reshape(-1, self.m))
+            reads = reads.reshape(inner.shape[:2] + reads.shape[-2:])
+            dbar = _combine_ring(reads, self.fd_step, True)
+        # dbar[4a + k, b] is dbar_b G at outer point k along z_a
+        return _combine_ring(dbar.swapaxes(0, 1), self.fd_outer_step).swapaxes(0, 1)
 
     def dd(self, z):
         """Mixed second derivatives d_a dbar_b G, shape (m, m, shape, shape)."""
@@ -306,6 +341,15 @@ class ChartField:
         return "ChartField(m=%d, shape=%d, %s%s)" % (self.m, self.shape, mode, label)
 
 
+def _one_row(stack_fn, r):
+    """The per-point read of a kernel: ``stack_fn`` on a one-row stack."""
+
+    def eval_fn(z):
+        return ChartField._checked(stack_fn(z[None]), (1, r, r))[0]
+
+    return eval_fn
+
+
 @dataclass
 class ConnectionAt:
     point: np.ndarray
@@ -334,16 +378,14 @@ def wirtinger(field: ChartField, z, direction, conjugate=False, step=None):
         return (field.dbar(z) if conjugate else field.d(z))[direction]
     h = field.fd_step if step is None else float(step)
     field._require_domain(z, h)
-    return wirtinger_fd(field.gram, z, direction, h, conjugate)
+    reads = field.gram_stack(np.stack(wirtinger_stencil(z, direction, h)))
+    return wirtinger_combine(*reads, h, conjugate)
 
 
 def _gate_stencil(z, s):
     """z, then z + s e_a, z - s e_a, z + i s e_a and z - i s e_a for each
     coordinate a: the 4m + 1 points of the constant-rank gate."""
-    e = np.eye(len(z), dtype=complex)
-    se, ise = s * e, 1j * s * e
-    ring = np.stack([z + se, z - se, z + ise, z - ise], axis=1).reshape(-1, len(z))
-    return np.concatenate([z[None], ring])
+    return np.concatenate([z[None], _stencil_ring(z, s)])
 
 
 def _check_constant_rank(field: ChartField, z):
@@ -700,17 +742,18 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z):
 
     if map_obj.m_in == map_obj.m_out:
         if rank_of(np.linalg.svd(jac, compute_uv=False), RANK_TOL) == map_obj.m_in:
-            def transported(u):
-                ju = map_obj.jacobian(u)
-                return ju.conj().T @ field.gram(map_obj(u)) @ ju
+            def transported(us):
+                ju = np.stack([map_obj.jacobian(u) for u in us])
+                g = field.gram_stack(np.stack([map_obj(u) for u in us]))
+                return conj_transpose(ju) @ g @ ju
 
             tfield = ChartField(
                 map_obj.m_in,
                 map_obj.m_out,
-                transported,
                 center=z,
                 radius=0.05,
                 self_check=False,
+                stack_fn=transported,
             )
             t_conn = chern_connection(tfield, z)
             jinv = np.linalg.inv(jac)

@@ -12,6 +12,10 @@ Most model metrics here arise in one of two ways:
 Both routes carry exact first and mixed second derivatives, so the
 resulting fields run in analytic mode and self-check against finite
 differences on construction.
+
+Every field built here has one Gram kernel, a function of a (B, m) stack
+of points whose row i depends on point i only (``ChartField``'s
+``stack_fn``); composite fields compose their parts' kernels.
 """
 
 import math
@@ -19,13 +23,32 @@ import math
 import numpy as np
 
 from .charts import ChartField, HolomorphicMap
+from .forms import conj_transpose
+
+
+def _derivative(terms, j):
+    """d/dz_j of a sum of monomials c z^e, as the same number of terms:
+    (c e_j, e - 1_j), or (0, e) where e_j = 0."""
+    out = []
+    for c, exps in terms:
+        if exps[j]:
+            lower = list(exps)
+            lower[j] -= 1
+            out.append((c * exps[j], tuple(lower)))
+        else:
+            out.append((0j, exps))
+    return out
 
 
 class MonomialMap:
     """Holomorphic polynomial map C^m -> C^N given by monomial lists.
 
-    ``components[i]`` is a list of (coefficient, exponent-tuple) pairs;
-    value, Jacobian, and symmetric Hessian are evaluated exactly.
+    ``components[i]`` is a list of (coefficient, exponent-tuple) pairs.
+    The value, Jacobian and symmetric Hessian are exact, at a point (m,)
+    or at each row of a (B, m) stack.  Each entry of each order is a sum
+    of monomials (a derivative of c z^e is the monomial e_j c z^(e - 1_j)),
+    so all of them are read from one table of coordinate powers through
+    coefficient and exponent tables built on construction.
     """
 
     def __init__(self, m, components):
@@ -35,69 +58,81 @@ class MonomialMap:
             for comp in components
         ]
         self.n = len(self.components)
+        # the entries of the value, then of the Jacobian, then of the
+        # Hessian, in row-major order, each a list of terms
+        jac = [_derivative(comp, j) for comp in self.components for j in range(self.m)]
+        hess = [_derivative(terms, k) for terms in jac for k in range(self.m)]
+        entries = self.components + jac + hess
+        width = max(len(terms) for terms in entries)
+        top = max([1] + [max(e, default=0) for terms in entries for _, e in terms])
+        self._powers = np.arange(top + 1, dtype=complex)
+        coef = np.zeros((width, len(entries)), dtype=complex)
+        index = np.zeros((width, len(entries), self.m), dtype=np.intp)
+        offsets = np.arange(self.m) * (top + 1)
+        for i, terms in enumerate(entries):
+            for k, (c, exps) in enumerate(terms):
+                coef[k, i] = c
+                index[k, i] = offsets + exps
+        # the tables of the entries of the orders up to 0, 1 and 2
+        ends = np.cumsum([self.n * self.m**o for o in range(3)])
+        self._tables = [(coef[:, :end].copy(), index[:, :end].copy()) for end in ends]
 
-    def _mono(self, z, exps):
-        out = 1.0 + 0.0j
-        for zi, e in zip(z, exps):
-            if e:
-                out *= zi**e
+    def jet(self, z, order):
+        """[value, Jacobian, Hessian][: order + 1] at a point (m,) or at
+        each row of a (B, m) stack: shapes (..., N), (..., N, m) and
+        (..., N, m, m), with jac[i, j] = d_j w_i."""
+        z = np.asarray(z, dtype=complex)
+        lead = z.shape[:-1]
+        rows = z.reshape(-1, self.m)
+        coef, index = self._tables[order]
+        powers = (rows[:, :, None] ** self._powers).reshape(len(rows), -1)
+        factors = powers[:, index]  # (B, terms, entries, m)
+        mono = factors[..., 0]
+        for j in range(1, self.m):
+            mono = mono * factors[..., j]
+        terms = coef * mono
+        total = terms[:, 0]
+        for k in range(1, terms.shape[1]):
+            total = total + terms[:, k]
+        out, start = [], 0
+        for o in range(order + 1):
+            size = self.n * self.m**o
+            out.append(total[:, start:start + size].reshape(lead + (self.n,) + (self.m,) * o))
+            start += size
         return out
 
     def value(self, z):
-        out = np.zeros(self.n, dtype=complex)
-        for i, comp in enumerate(self.components):
-            out[i] = sum(c * self._mono(z, e) for c, e in comp)
-        return out
+        return self.jet(z, 0)[0]
 
     def jac(self, z):
-        out = np.zeros((self.n, self.m), dtype=complex)
-        for i, comp in enumerate(self.components):
-            for c, exps in comp:
-                for j, ej in enumerate(exps):
-                    if ej:
-                        de = list(exps)
-                        de[j] -= 1
-                        out[i, j] += c * ej * self._mono(z, de)
-        return out
+        return self.jet(z, 1)[1]
 
     def hess(self, z):
-        out = np.zeros((self.n, self.m, self.m), dtype=complex)
-        for i, comp in enumerate(self.components):
-            for c, exps in comp:
-                for j, ej in enumerate(exps):
-                    if not ej:
-                        continue
-                    for k, ek in enumerate(exps):
-                        if j == k:
-                            if ej >= 2:
-                                de = list(exps)
-                                de[j] -= 2
-                                out[i, j, j] += c * ej * (ej - 1) * self._mono(z, de)
-                        elif ek:
-                            de = list(exps)
-                            de[j] -= 1
-                            de[k] -= 1
-                            out[i, j, k] += c * ej * ek * self._mono(z, de)
-        return out
+        return self.jet(z, 2)[2]
 
 
-# The Gram matrix of d dbar log ||w||^2 and its derivatives, at one point,
-# as contractions of w, its Jacobian J and its Hessian H.  Each function
-# computes only the order it returns: the Gram matrix needs no Hessian.
-# Arrays follow the package index convention gram[j, k] = b(e_k, conj(e_j)).
+# The Gram matrix of d dbar log ||w||^2 and its derivatives as contractions
+# of w, its Jacobian J and its Hessian H.  Each function computes only the
+# order it returns: the Gram matrix needs no Hessian.  The moments take a
+# point or a stack of points (leading axes), the Gram matrix a stack and
+# the derivatives one point.  Arrays follow the package index convention
+# gram[j, k] = b(e_k, conj(e_j)).
 
 
 def _potential_moments(w, jac):
-    f = float(np.real(np.vdot(w, w)))
-    fa = np.einsum("ia,i->a", jac, w.conj())
-    fab = np.einsum("ia,ib->ab", jac, jac.conj())
+    f = np.real(w.conj()[..., None, :] @ w[..., :, None])[..., 0, 0]
+    fa = np.einsum("...ia,...i->...a", jac, w.conj())
+    fab = np.einsum("...ia,...ib->...ab", jac, jac.conj())
     return f, fa, fab
 
 
 def _potential_gram(w, jac):
     f, fa, fab = _potential_moments(w, jac)
-    t2 = fab / f - np.einsum("a,b->ab", fa, fa.conj()) / f**2
-    return t2.T
+    # f**2 as the float power of each row, as the derivatives take it: an
+    # array square differs from it in the last bit for about one f in 1500
+    f2 = np.array([x**2 for x in f.tolist()])[:, None, None]
+    t2 = fab / f[:, None, None] - np.einsum("na,nb->nab", fa, fa.conj()) / f2
+    return t2.swapaxes(1, 2)
 
 
 def _potential_d(w, jac, hess):
@@ -158,24 +193,24 @@ def _potential_dd(w, jac, hess):
 def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", **kw):
     """Metric field of the potential log ||w(z)||^2 with exact derivatives."""
 
-    def eval_fn(z):
-        return _potential_gram(mono_map.value(z), mono_map.jac(z))
+    def stack_fn(zs):
+        return _potential_gram(*mono_map.jet(zs, 1))
 
     def d_fn(z):
-        return _potential_d(mono_map.value(z), mono_map.jac(z), mono_map.hess(z))
+        return _potential_d(*mono_map.jet(z, 2))
 
     def dd_fn(z):
-        return _potential_dd(mono_map.value(z), mono_map.jac(z), mono_map.hess(z))
+        return _potential_dd(*mono_map.jet(z, 2))
 
     return ChartField(
         mono_map.m,
         mono_map.m,
-        eval_fn,
         center=center,
         radius=radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
+        stack_fn=stack_fn,
         **kw,
     )
 
@@ -195,12 +230,22 @@ class MatrixPolynomial:
         self._c1_flat = None if c1 is None else self.c1.reshape(self.m, p * r)
 
     def value(self, z):
-        out = self.c0.copy()
+        """L at a point (m,), or at each row of a (B, m) stack, shape
+        (B, p, r).  Each row is one product with ``c1`` as at a point,
+        because a stacked product differs from it in the last bit and
+        depends on the other rows."""
+        z = np.asarray(z, dtype=complex)
+        if z.ndim == 1:
+            return self.value(z[None])[0]
+        out = self.c0
         if self.c1 is not None:
-            out = out + np.dot(z, self._c1_flat).reshape(self.shape)
+            lin = np.empty((len(z), self._c1_flat.shape[1]), dtype=complex)
+            for w, row in zip(z, lin):
+                np.dot(w, self._c1_flat, out=row)
+            out = out + lin.reshape((len(z),) + self.shape)
         if self.c2 is not None:
-            out = out + np.einsum("a,b,abpr->pr", z, z, self.c2)
-        return out
+            out = out + np.stack([np.einsum("a,b,abpr->pr", w, w, self.c2) for w in z])
+        return out if out.ndim == 3 else np.repeat(out[None], len(z), axis=0)
 
     def d(self, z):
         """All holomorphic derivatives, shape (m, p, r)."""
@@ -221,32 +266,26 @@ def from_factor(poly: MatrixPolynomial, m, center=None, radius=1.0, name=""):
     The field is admissible with constant rank equal to rank L.
     """
 
-    def eval_fn(z):
-        l = poly.value(z)
-        return l.conj().T @ l
+    def stack_fn(zs):
+        l = poly.value(zs)
+        return conj_transpose(l) @ l
 
     def d_fn(z):
-        l = poly.value(z)
-        dl = poly.d(z)
-        return np.stack([l.conj().T @ dl[a] for a in range(m)])
+        return conj_transpose(poly.value(z)) @ poly.d(z)
 
     def dd_fn(z):
         dl = poly.d(z)
-        out = np.empty((m, m, poly.shape[1], poly.shape[1]), dtype=complex)
-        for a in range(m):
-            for b in range(m):
-                out[a, b] = dl[b].conj().T @ dl[a]
-        return out
+        return conj_transpose(dl)[None, :] @ dl[:, None]
 
     return ChartField(
         m,
         poly.shape[1],
-        eval_fn,
         center=center,
         radius=radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
+        stack_fn=stack_fn,
     )
 
 
@@ -263,13 +302,13 @@ def constant_field(gram, m, center=None, radius=1.0, name=""):
     return ChartField(
         m,
         r,
-        lambda z: gram,
         center=center,
         radius=radius,
         d_fn=zeros_d,
         dd_fn=zeros_dd,
         name=name,
         self_check=False,
+        stack_fn=lambda zs: np.broadcast_to(gram, (len(zs), r, r)),
     )
 
 
@@ -282,13 +321,13 @@ def scaled_field(field: ChartField, c, name=""):
     return ChartField(
         field.m,
         field.shape,
-        lambda z: c * field.gram(z),
         center=field.center,
         radius=field.radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name or field.name,
         self_check=False,
+        stack_fn=lambda zs: c * field.gram_stack(zs),
     )
 
 
@@ -299,8 +338,8 @@ def sum_field(f1: ChartField, f2: ChartField, c1=1.0, c2=1.0, name=""):
     radius = np.minimum(f1.radius, f2.radius)
     analytic = f1.analytic and f2.analytic
 
-    def eval_fn(z):
-        return c1 * f1.gram(z) + c2 * f2.gram(z)
+    def stack_fn(zs):
+        return c1 * f1.gram_stack(zs) + c2 * f2.gram_stack(zs)
 
     d_fn = (lambda z: c1 * f1.d(z) + c2 * f2.d(z)) if analytic else None
     dd_fn = (
@@ -311,13 +350,13 @@ def sum_field(f1: ChartField, f2: ChartField, c1=1.0, c2=1.0, name=""):
     return ChartField(
         f1.m,
         f1.shape,
-        eval_fn,
         center=f1.center,
         radius=radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
         self_check=False,
+        stack_fn=stack_fn,
     )
 
 
@@ -331,9 +370,9 @@ def embedded_factor_field(factor: ChartField, total_m, offset, radius, name=""):
     mf = factor.m
     sl = slice(offset, offset + mf)
 
-    def eval_fn(z):
-        out = np.zeros((total_m, total_m), dtype=complex)
-        out[sl, sl] = factor.gram(z[sl])
+    def stack_fn(zs):
+        out = np.zeros((len(zs), total_m, total_m), dtype=complex)
+        out[:, sl, sl] = factor.gram_stack(zs[:, sl])
         return out
 
     def d_fn(z):
@@ -350,13 +389,13 @@ def embedded_factor_field(factor: ChartField, total_m, offset, radius, name=""):
     return ChartField(
         total_m,
         total_m,
-        eval_fn,
         center=np.zeros(total_m, dtype=complex),
         radius=radius,
         d_fn=d_fn if analytic else None,
         dd_fn=dd_fn if (factor.dd_fn is not None) else None,
         name=name,
         self_check=False,
+        stack_fn=stack_fn,
     )
 
 
@@ -368,8 +407,8 @@ def pullback_field(field: ChartField, map_obj: HolomorphicMap, center, radius, n
     """
     m = map_obj.m_in
 
-    def eval_fn(z):
-        return field.gram(map_obj(z))
+    def stack_fn(zs):
+        return field.gram_stack(np.stack([map_obj(z) for z in zs]))
 
     d_fn = None
     dd_fn = None
@@ -388,13 +427,13 @@ def pullback_field(field: ChartField, map_obj: HolomorphicMap, center, radius, n
     return ChartField(
         m,
         field.shape,
-        eval_fn,
         center=center,
         radius=radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
         self_check=False,
+        stack_fn=stack_fn,
     )
 
 

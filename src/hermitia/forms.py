@@ -115,11 +115,16 @@ def gram_ranks(grams, rank_tol):
     return np.where(finite, ranks, -1)
 
 
+def conj_transpose(m):
+    """The conjugate transpose of a matrix, or of each of a stack of them."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitize(m):
     """Average a square matrix, or each of a stack of them, with its
     conjugate transpose."""
     m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    return 0.5 * (m + conj_transpose(m))
 
 
 def _phase_fix(columns):

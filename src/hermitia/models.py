@@ -112,14 +112,17 @@ def _grassmann_pq(z, k, n):
 
 
 def _grassmann_gram(z, k, n):
+    """kron(P, Q^T) at one point by np.kron: the per-point oracle of the
+    field's kernel :func:`_grassmann_gram_stack`."""
     _, p, q = _grassmann_pq(z, k, n)
     return np.kron(p, q.T)
 
 
 def _grassmann_gram_stack(zs, k, n):
-    """kron(P, Q^T) at a (B, m) stack of points, equal bit for bit to
-    :func:`_grassmann_gram` at each point: batched inverses, and the
-    Kronecker product as the broadcast product np.kron itself forms."""
+    """kron(P, Q^T) at a (B, m) stack of points, the Gram kernel of
+    :func:`grassmannian_chart`, equal bit for bit to :func:`_grassmann_gram`
+    at each point: batched inverses, and the Kronecker product as the
+    broadcast product np.kron itself forms."""
     zm = zs.reshape(-1, k, n - k)
     zh = zm.conj().swapaxes(-1, -2)
     p = np.linalg.inv(np.eye(k) + zm @ zh)
@@ -220,9 +223,6 @@ def grassmannian_chart(k, n, certify=True):
         raise ConfigError("need 1 <= k < n")
     m = k * (n - k)
 
-    def eval_fn(z):
-        return _grassmann_gram(z, k, n)
-
     def stack_fn(zs):
         return _grassmann_gram_stack(zs, k, n)
 
@@ -235,7 +235,6 @@ def grassmannian_chart(k, n, certify=True):
     field = ChartField(
         m,
         m,
-        eval_fn,
         radius=GR_CHART_RADIUS,
         d_fn=d_fn,
         dd_fn=dd_fn,

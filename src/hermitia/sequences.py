@@ -30,6 +30,12 @@ ambient (degenerate, derivatives by finite differences) reads G_Q from
 :func:`~hermitia.forms.quotient_form` at each point and differentiates
 those reads by finite differences.
 
+Gram kernels: the sub field's Gram matrices j^H G j and the closed-form
+quotient Gram matrices are computed for a whole stack of points from one
+stacked read of the ambient field (batched Cholesky factorizations and
+inverses for the quotient), so the constant-rank gate of either field
+makes one ambient read.
+
 Per-point data: :meth:`ExactSeqChart.at` keeps one record of everything
 at a base point.  Each record solves each field (ambient, sub, quotient)
 at most once, from its own form of that field, and reads both the
@@ -64,6 +70,7 @@ from .forms import (
     LinearMap,
     adjoint,
     admits_adjoint,
+    conj_transpose,
     quotient_form,
     rank_of,
     require_finite,
@@ -128,8 +135,15 @@ class ExactSeqChart:
             [wirtinger_fd(self.j_at, z, a, self.ambient.fd_step) for a in range(self.m)]
         )
 
+    def _j_stack(self, zs):
+        """j at each row of a (B, m) stack, shape (B, r, k)."""
+        return np.stack([self.j_at(z) for z in zs])
+
     def q_at(self, z):
-        j = self.j_at(z)
+        return self._q_of(self.j_at(z))
+
+    def _q_of(self, j):
+        """q from j, for one inclusion matrix or a stack of them."""
         core = np.linalg.inv(self._w0 @ j)
         return self._n0h @ (np.eye(self.r) - j @ core @ self._w0)
 
@@ -166,9 +180,9 @@ class ExactSeqChart:
     def _build_sub_field(self):
         amb = self.ambient
 
-        def ev(z):
-            j = self.j_at(z)
-            return j.conj().T @ amb.gram(z) @ j
+        def stack_fn(zs):
+            j = self._j_stack(zs)
+            return conj_transpose(j) @ amb.gram_stack(zs) @ j
 
         d_fn = None
         dd_fn = None
@@ -197,13 +211,13 @@ class ExactSeqChart:
         return ChartField(
             self.m,
             self.k,
-            ev,
             center=amb.center,
             radius=amb.radius,
             d_fn=d_fn,
             dd_fn=dd_fn,
             name=self.name + ".sub",
             self_check=False,
+            stack_fn=stack_fn,
         )
 
     @cached_property
@@ -212,14 +226,14 @@ class ExactSeqChart:
         when it applies (see the module docstring), else reads of
         :func:`~hermitia.forms.quotient_form` differenced by the chart."""
         amb = self.ambient
-        d_fn = dd_fn = None
+        ev = stack_fn = d_fn = dd_fn = None
         if (
             amb.d_fn is not None
             and amb.dd_fn is not None
             and self._dj_fn is not None
             and amb.form_at(self.center).is_positive_definite()
         ):
-            ev, d_fn, dd_fn = self._quot_jet()
+            stack_fn, d_fn, dd_fn = self._quot_jet()
         else:
             def ev(z):
                 return quotient_form(LinearMap(self.q_at(z)), amb.form_at(z)).gram
@@ -234,10 +248,12 @@ class ExactSeqChart:
             dd_fn=dd_fn,
             name=self.name + ".quot",
             self_check=False,
+            stack_fn=stack_fn,
         )
 
     def _quot_jet(self):
-        """Gram, d and dd evaluators of G_Q = P^-1, P = q H q^H, H = G^-1.
+        """Gram kernel, d and dd evaluators of G_Q = P^-1, P = q H q^H,
+        H = G^-1.
 
         With K = H q^H, E_a = d_a q - K^H d_a G and F_a = (d_a G) K:
 
@@ -251,17 +267,17 @@ class ExactSeqChart:
         """
         amb = self.ambient
 
-        def common(z):
-            h = _pd_inverse(amb.gram(z), z)
-            q = self.q_at(z)
-            k = h @ q.conj().T
+        def common(zs):
+            h = _pd_inverse(amb.gram_stack(zs), zs)
+            q = self._q_of(self._j_stack(zs))
+            k = h @ conj_transpose(q)
             return h, k, np.linalg.inv(q @ k)
 
-        def ev(z):
-            return common(z)[2]
+        def stack_fn(zs):
+            return common(zs)[2]
 
         def first_order(z):
-            h, k, x = common(z)
+            h, k, x = (part[0] for part in common(z[None]))
             dg = amb.d(z)
             e = self.dq_at(z) - k.conj().T @ dg
             return h, k, x, dg, e, e @ k
@@ -274,15 +290,15 @@ class ExactSeqChart:
             h, k, x, dg, e, dp = first_order(z)
             f = dg @ k
             ddp = (
-                e[:, None] @ (h @ _ct(e))[None, :]
-                + _ct(f)[None, :] @ (h @ f)[:, None]
+                e[:, None] @ (h @ conj_transpose(e))[None, :]
+                + conj_transpose(f)[None, :] @ (h @ f)[:, None]
                 - k.conj().T @ amb.dd(z) @ k
             )
-            dph = _ct(dp)
+            dph = conj_transpose(dp)
             inner = dp[:, None] @ x @ dph[None, :] + dph[None, :] @ x @ dp[:, None] - ddp
             return x @ inner @ x
 
-        return ev, d_fn, dd_fn
+        return stack_fn, d_fn, dd_fn
 
     def at(self, z):
         """The per-point record at z.  The latest one is kept, so every
@@ -295,23 +311,29 @@ class ExactSeqChart:
         return self._last_at[1]
 
 
-def _ct(stack):
-    """Conjugate transpose of each matrix in a stack."""
-    return stack.conj().swapaxes(-1, -2)
-
-
-def _pd_inverse(g, z):
-    """G^-1 from one Cholesky factorization G = L L^H."""
-    require_finite(g, "ambient Gram matrix of the quotient jet", z)
+def _pd_inverse(g, zs):
+    """G^-1 at each of a (B, m) stack of points from one batched Cholesky
+    factorization G = L L^H.  A NaN or inf raises NonFinite, and a factor
+    that fails raises NotPositiveAtPoint, naming the first point where it
+    happens."""
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        require_finite(g[i], "ambient Gram matrix of the quotient jet", zs[i])
     try:
         low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise NotPositiveAtPoint(
-            "ambient Gram matrix is not positive-definite at %s, which the "
-            "closed-form quotient metric needs" % np.array2string(z, precision=3)
-        ) from None
+        for i, gi in enumerate(g):
+            try:
+                np.linalg.cholesky(gi)
+            except np.linalg.LinAlgError:
+                raise NotPositiveAtPoint(
+                    "ambient Gram matrix is not positive-definite at %s, which the "
+                    "closed-form quotient metric needs" % np.array2string(zs[i], precision=3)
+                ) from None
+        raise
     inv_low = np.linalg.inv(low)
-    return inv_low.conj().T @ inv_low
+    return conj_transpose(inv_low) @ inv_low
 
 
 class _SeqAt:

@@ -1,0 +1,286 @@
+"""One Gram kernel per field constructor.
+
+Every field the package builds reads its Gram matrices through one
+stacked kernel (``ChartField.stack_fn``); a read at one point is that
+kernel on a one-row stack.  These tests hold the stacked reads of the
+constant-rank gate and of the finite-difference stencils to the per-point
+reads, bit for bit, count the kernel calls of a solve, and check the
+typed errors a stack raises.
+"""
+
+import numpy as np
+import pytest
+
+from hermitia import NonFinite, NotPositiveAtPoint, charts, fibration, models
+from hermitia.charts import ChartField, HolomorphicMap, curvature_tensor, wirtinger_fd
+from hermitia.fields import (
+    MatrixPolynomial,
+    MonomialMap,
+    constant_field,
+    from_factor,
+    from_potential_map,
+    fs_monomials,
+    pullback_field,
+    scaled_field,
+    sum_field,
+    twisted_fiber_monomials,
+)
+from hermitia.instances import random_degenerate_field, random_pd_field, sequence_instance
+from hermitia.models import pluecker_monomials
+from hermitia.sequences import ExactSeqChart
+
+# the seeds of test_sequences.JET_SEEDS: m = 1 and 2, moving and constant
+# inclusions
+JET_SEEDS = (0, 1, 5, 17)
+Z2 = np.array([0.2 + 0.1j, 0.4 - 0.2j])
+
+
+def _fibration(model_id):
+    return models.resolve_model(model_id).fibration
+
+
+def _square_map():
+    """A holomorphic self-map of C^2 with its Jacobian."""
+
+    def func(z):
+        return np.array([z[0] + 0.5 * z[1] ** 2, 0.3 * z[0] * z[1] + z[1]])
+
+    def jac(z):
+        return np.array([[1.0, z[1]], [0.3 * z[1], 0.3 * z[0] + 1.0]])
+
+    return HolomorphicMap(func, 2, 2, jacobian=jac)
+
+
+def _rng(*key):
+    return np.random.default_rng(np.random.SeedSequence([71, *key]))
+
+
+FIELDS = {
+    "fs:1": lambda: (models.fubini_study_chart(1), np.array([0.3 - 0.2j])),
+    "fs:2": lambda: (models.fubini_study_chart(2), Z2),
+    "fs:3": lambda: (models.fubini_study_chart(3), np.array([0.1j, -0.2, 0.3 + 0.1j])),
+    "pluecker:2:4": lambda: (models.pluecker_pullback(2, 4), 0.1 * np.array([1, 2j, -1, 1 + 1j])),
+    "gr:2:4": lambda: (models.grassmannian_chart(2, 4).field, 0.1 * np.array([1, 2j, -1, 1 + 1j])),
+    "hirz:1.b1": lambda: (_fibration("hirz:1").b1_field, Z2),
+    "hirz:1.b2": lambda: (_fibration("hirz:1").b2_field, Z2),
+    "prod.b1": lambda: (_fibration("prod:fs1:fs1").b1_field, Z2),
+    "prod.b2": lambda: (_fibration("prod:fs1:fs1").b2_field, Z2),
+    "h_lambda": lambda: (fibration.h_lambda(_fibration("hirz:1"), 2.0), Z2),
+    "scaled": lambda: (scaled_field(models.fubini_study_chart(2), 3.0), Z2),
+    "sum": lambda: (
+        sum_field(random_pd_field(_rng(1), 2, 3), random_degenerate_field(_rng(2), 2, 3, 2), c2=0.5),
+        0.3 * Z2,
+    ),
+    "pullback": lambda: (
+        pullback_field(models.fubini_study_chart(2), _square_map(), center=np.zeros(2), radius=0.9),
+        0.3 * Z2,
+    ),
+    "constant": lambda: (constant_field([[2.0, 0.5j], [-0.5j, 1.0]], 2), 0.3 * Z2),
+    "pd": lambda: (random_pd_field(_rng(3), 2, 4), 0.3 * Z2),
+    **{
+        "degenerate:%d:%d" % (r, rank): (
+            lambda r=r, rank=rank: (random_degenerate_field(_rng(4, r, rank), 2, r, rank), 0.3 * Z2)
+        )
+        for r in (2, 3, 4)
+        for rank in range(1, r)
+    },
+    **{
+        "seq%d.%s" % (seed, part): (
+            lambda seed=seed, part=part: (
+                getattr(sequence_instance(seed)[0], part),
+                sequence_instance(seed)[1],
+            )
+        )
+        for seed in JET_SEEDS
+        for part in ("sub_field", "quot_field")
+    },
+}
+
+
+@pytest.fixture(params=sorted(FIELDS), ids=sorted(FIELDS))
+def field_at(request):
+    return FIELDS[request.param]()
+
+
+def _reads(field, zs):
+    return np.stack([field.gram(w) for w in zs])
+
+
+def test_stacked_gate_and_stencil_reads_equal_point_reads(field_at):
+    field, z = field_at
+    assert field.stack_fn is not None
+    for zs in (
+        charts._gate_stencil(z, field.fd_outer_step),
+        charts._stencil_ring(z, field.fd_step),
+    ):
+        assert np.array_equal(field.gram_stack(zs), _reads(field, zs))
+
+
+def test_one_row_equals_a_row_of_seventeen(field_at):
+    field, z = field_at
+    rng = np.random.default_rng(3)
+    zs = z + 0.05 * (rng.uniform(-1, 1, (17, field.m)) + 1j * rng.uniform(-1, 1, (17, field.m)))
+    stacked = field.gram_stack(zs)
+    for i in range(len(zs)):
+        assert np.array_equal(field.gram_stack(zs[i : i + 1])[0], stacked[i])
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        fs_monomials(2),
+        twisted_fiber_monomials(2),
+        pluecker_monomials(2, 4),
+        MonomialMap(2, [[(1.0, (2, 1))], [(3.0, (0, 3)), (1.0 - 2j, (1, 0))], [(0.5j, (4, 2))]]),
+    ],
+    ids=["fs:2", "hirz:2", "pluecker:2:4", "mixed"],
+)
+def test_monomial_jets_of_a_stack_are_the_point_jets(mono):
+    rng = np.random.default_rng(5)
+    zs = 0.6 * (rng.uniform(-1, 1, (17, mono.m)) + 1j * rng.uniform(-1, 1, (17, mono.m)))
+    stacked = mono.jet(zs, 2)
+    for i, z in enumerate(zs):
+        for order, part in enumerate(mono.jet(z, 2)):
+            assert np.array_equal(stacked[order][i], part)
+    assert [p.shape for p in stacked] == [(17, mono.n), (17, mono.n, mono.m), (17, mono.n, mono.m, mono.m)]
+
+
+@pytest.mark.parametrize("name", ["fs:2", "h_lambda", "pd", "seq1.quot_field"])
+def test_stencil_derivatives_equal_the_per_point_stencils(name):
+    """The stacked finite differences against the per-point Wirtinger
+    stencils they replace: d, dbar and the nested mixed second derivative
+    of the finite-difference copy, and the outer difference of d_fn."""
+    field, z = FIELDS[name]()
+    fd = field.finite_difference_copy()
+    m, h, outer = field.m, field.fd_step, field.fd_outer_step
+    for conj in (False, True):
+        slow = np.stack([wirtinger_fd(fd.gram, z, a, h, conj) for a in range(m)])
+        assert np.array_equal(fd._fd(z, conj), slow)
+    slow = np.empty_like(fd.dd(z))
+    slow_d = np.empty_like(slow)
+    for a in range(m):
+        for b in range(m):
+            slow[a, b] = wirtinger_fd(lambda w: wirtinger_fd(fd.gram, w, b, h, True), z, a, outer)
+            slow_d[a, b] = wirtinger_fd(lambda w: field.d(w)[b].conj().T, z, a, outer)
+    assert np.array_equal(fd.dd(z), slow)
+    assert np.array_equal(field._dd_fd(z), slow_d)
+    for a in range(m):
+        assert np.array_equal(charts.wirtinger(field, z, a, step=h), wirtinger_fd(field.gram, z, a, h))
+
+
+# ---------------------------------------------------------------------------
+# read counts
+
+
+@pytest.mark.parametrize("name", ["fs:2", "h_lambda", "pd"])
+def test_one_curvature_makes_one_kernel_call_and_no_point_read(name):
+    field, z = FIELDS[name]()
+    rows, points = [], []
+    kernel, point = field.stack_fn, field.eval_fn
+    field.stack_fn = lambda zs: rows.append(len(zs)) or kernel(zs)
+    field.eval_fn = lambda w: points.append(w) or point(w)
+    curvature_tensor(field, z)
+    assert rows == [4 * field.m + 1]
+    assert points == []
+
+
+def _count_stacks(monkeypatch):
+    rows = []
+    stack = ChartField.gram_stack
+
+    def counting(self, zs):
+        rows.append(len(zs))
+        return stack(self, zs)
+
+    monkeypatch.setattr(ChartField, "gram_stack", counting)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["fs:2", "pd"])
+def test_finite_differences_read_one_stack_per_point(name, monkeypatch):
+    field, z = FIELDS[name]()
+    fd = field.finite_difference_copy()
+    m = field.m
+    rows = _count_stacks(monkeypatch)
+    fd.d(z)
+    fd.dbar(z)
+    assert rows == [4 * m, 4 * m]
+    rows.clear()
+    fd.dd(z)
+    assert rows == [16 * m * m]
+    rows.clear()
+    curvature_tensor(fd, z)
+    assert rows == [4 * m + 1, 4 * m, 4 * m, 16 * m * m]
+
+
+def test_self_check_reads_one_stack_per_point(monkeypatch):
+    rows = _count_stacks(monkeypatch)
+    random_pd_field(_rng(9), 2, 3)
+    assert rows == [8] * 10
+
+
+# ---------------------------------------------------------------------------
+# typed errors on stacks
+
+
+def _nan_at(p, m):
+    """The identity map of C^m, except that it sends p to NaN."""
+
+    def func(w):
+        return np.full(m, np.nan, dtype=complex) if np.array_equal(w, p) else w
+
+    return HolomorphicMap(func, m, m, jacobian=lambda w: np.eye(m, dtype=complex))
+
+
+@pytest.mark.parametrize("kind", ["potential", "factor"])
+def test_nan_in_one_stacked_row_names_that_point(kind):
+    """A NaN entering a potential-map or a factor kernel as one row of the
+    gate's stack: the other rows stay finite and the gate names the row's
+    chart point."""
+    inner = models.fubini_study_chart(2) if kind == "potential" else random_pd_field(_rng(6), 2, 3)
+    z = 0.3 * Z2
+    gate = charts._gate_stencil(z, inner.fd_outer_step)
+    for i in (0, 3, len(gate) - 1):
+        field = pullback_field(inner, _nan_at(gate[i], 2), center=np.zeros(2), radius=0.9)
+        with np.errstate(invalid="ignore"):
+            grams = field.gram_stack(gate)
+            finite = np.isfinite(grams).all(axis=(1, 2))
+            assert np.flatnonzero(~finite).tolist() == [i]
+            with pytest.raises(NonFinite) as info:
+                curvature_tensor(field, z)
+        where = np.array2string(gate[i], precision=3)
+        assert str(info.value) == "Gram matrix of the rank gate is not finite at %s" % where
+
+
+def test_potential_zero_at_one_gate_point_names_that_point():
+    """log |w|^2 with w = (z - 3/4)(1, z): the Gram matrix is 0/0 where w
+    vanishes, which the gate meets at its neighbour 1/2 + 1/4."""
+    mono = MonomialMap(1, [[(1.0, (1,)), (-0.75, (0,))], [(1.0, (2,)), (-0.75, (1,))]])
+    field = from_potential_map(mono, radius=2.0, fd_outer_step=0.25, self_check=False)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(NonFinite) as info:
+            curvature_tensor(field, [0.5])
+    assert str(info.value) == "Gram matrix of the rank gate is not finite at [0.75+0.j]"
+
+
+def _singular_quotient():
+    """The quotient of the sequence of test_sequences' non-positive fixture:
+    its ambient Gram matrix is singular at z = 0.5 only."""
+    l0 = np.diag([1.0, 1.0, -0.5]).astype(complex)
+    l0[0, 1] = 0.2
+    l1 = np.zeros((1, 3, 3), dtype=complex)
+    l1[0, 2, 2] = 1.0
+    l1[0, 0, 1] = 0.3
+    amb = from_factor(MatrixPolynomial(l0, c1=l1), 1, radius=0.9)
+    return ExactSeqChart(amb, np.eye(3, 1)).quot_field
+
+
+def test_batched_quotient_read_across_the_singular_point_names_it():
+    quot = _singular_quotient()
+    assert quot.analytic
+    with pytest.raises(NotPositiveAtPoint, match=r"at \[0\.5\+0\.j\]"):
+        quot.gram_stack(np.array([[0.2], [0.6], [0.5], [0.4]], dtype=complex))
+    # the gate's last stencil point, z - i s, is 0.5 exactly
+    with pytest.raises(NotPositiveAtPoint, match=r"at \[0\.5\+0\.j\]"):
+        curvature_tensor(quot, [0.5 + 1e-3j])
+    assert np.isfinite(quot.gram_stack(np.array([[0.2], [0.6], [0.4]], dtype=complex))).all()
