@@ -2,22 +2,26 @@
 
 A :class:`ChartField` is a smooth Hermitian-matrix-valued function of a
 point z in C^m.  Derivatives are either supplied analytically or taken by
-the one central Wirtinger stencil of :func:`wirtinger_fd`:
+the one central Wirtinger stencil
 
     d_a    = (F(z+h) - F(z-h) - i F(z+ih) + i F(z-ih)) / (4h)
     dbar_a = (F(z+h) - F(z-h) + i F(z+ih) - i F(z-ih)) / (4h)
 
-whose points (:func:`wirtinger_stencil`) and combination of reads
-(:func:`wirtinger_combine`) are also available apart, for callers that
-share reads between several differences.  A chart field reads all the
-points of one difference, or of one constant-rank gate, in one
+whose 4m points for all coordinates come from :func:`_stencil_ring` and
+whose reads :func:`_combine_ring` combines.  :func:`wirtinger_fd` is the
+same stencil along one coordinate, for an arbitrary array-valued
+function, and the per-direction oracle of the ring.  A chart field reads
+all the points of one difference, or of one constant-rank gate, in one
 :meth:`ChartField.gram_stack` call.
 
-Connections solve G @ A_a = d_a G in the minimum-norm (pseudoinverse)
-sense, from one eigendecomposition of G per point, which requires the
-rank of G to be constant across the stencil; a rank change is a
-first-class error, not a warning.  :func:`solve_connection` is that
-solve; :func:`assemble_curvature` builds the curvature from it.
+A :class:`FieldAt` is one field at one point, and the only place where
+the gate, the connection solve and the curvature assembly run: the form
+of G(z), then the minimum-norm solve G @ A_a = d_a G from the one
+eigendecomposition of that form, which requires the rank of G to be
+constant across the stencil (a rank change is a first-class error, not a
+warning), then the curvature tensor, each on first read.
+:func:`chern_connection` and :func:`curvature_tensor` return such a
+record with its solve or its tensor already run.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -25,8 +29,7 @@ invariant: the standard projective-line metric has holomorphic sectional
 curvature identically 2.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -75,20 +78,11 @@ def _as_point(z, m):
     return z
 
 
-def wirtinger_stencil(z, a, step):
-    """The four points z + step e_a, z - step e_a, z + i step e_a and
-    z - i step e_a of the Wirtinger stencil along z_a, in the order
-    :func:`wirtinger_combine` takes their reads."""
-    e = np.zeros(len(z), dtype=complex)
-    e[a] = 1.0
-    h = step
-    return z + h * e, z - h * e, z + 1j * h * e, z - 1j * h * e
-
-
 def _stencil_ring(z, step):
-    """The 4m points of :func:`wirtinger_stencil` for every coordinate a
-    in turn, shape (4m, m); for a (..., m) stack of centres, the rings of
-    all of them, shape (..., 4m, m)."""
+    """The 4m points z + step e_a, z - step e_a, z + i step e_a and
+    z - i step e_a of the Wirtinger stencil, for every coordinate a in
+    turn, shape (4m, m); for a (..., m) stack of centres, the rings of all
+    of them, shape (..., 4m, m)."""
     m = z.shape[-1]
     e = np.eye(m, dtype=complex)
     se, ise = step * e, 1j * step * e
@@ -97,15 +91,10 @@ def _stencil_ring(z, step):
 
 
 def _combine_ring(reads, step, conjugate=False):
-    """:func:`wirtinger_combine` of the reads at a ring of
-    :func:`_stencil_ring`, shape (..., 4m, r, r) -> (..., m, r, r)."""
-    quads = reads.reshape(reads.shape[:-3] + (-1, 4) + reads.shape[-2:])
-    return wirtinger_combine(*np.moveaxis(quads, -3, 0), step, conjugate)
-
-
-def wirtinger_combine(fp, fm, fip, fim, step, conjugate=False):
-    """d_a (or dbar_a when ``conjugate``) from the four reads at the
-    points of :func:`wirtinger_stencil`."""
+    """d_a (or dbar_a when ``conjugate``) for every coordinate a from the
+    reads at the points of :func:`_stencil_ring`, stacked on the leading
+    axis: shape (4m, ...) -> (m, ...)."""
+    fp, fm, fip, fim = reads[0::4], reads[1::4], reads[2::4], reads[3::4]
     h = step
     if conjugate:
         return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
@@ -114,10 +103,16 @@ def wirtinger_combine(fp, fm, fip, fim, step, conjugate=False):
 
 def wirtinger_fd(fn, z, a, step, conjugate=False):
     """Central Wirtinger difference of an array-valued ``fn`` along z_a:
-    d_a (or dbar_a when ``conjugate``) from four reads at z +- step and
-    z +- i step."""
-    reads = [fn(w) for w in wirtinger_stencil(z, a, step)]
-    return wirtinger_combine(*reads, step, conjugate)
+    d_a (or dbar_a when ``conjugate``) from four reads at z +- step e_a
+    and z +- i step e_a.  It builds its points and combines its reads on
+    its own, so it is also the per-direction oracle of the ring."""
+    e = np.zeros(len(z), dtype=complex)
+    e[a] = 1.0
+    h = step
+    fp, fm, fip, fim = (fn(w) for w in (z + h * e, z - h * e, z + 1j * h * e, z - 1j * h * e))
+    if conjugate:
+        return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
+    return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
 
 
 class ChartField:
@@ -288,9 +283,9 @@ class ChartField:
             inner = _stencil_ring(outer, self.fd_step)
             reads = self.gram_stack(inner.reshape(-1, self.m))
             reads = reads.reshape(inner.shape[:2] + reads.shape[-2:])
-            dbar = _combine_ring(reads, self.fd_step, True)
+            dbar = _combine_ring(reads.swapaxes(0, 1), self.fd_step, True).swapaxes(0, 1)
         # dbar[4a + k, b] is dbar_b G at outer point k along z_a
-        return _combine_ring(dbar.swapaxes(0, 1), self.fd_outer_step).swapaxes(0, 1)
+        return _combine_ring(dbar, self.fd_outer_step)
 
     def dd(self, z):
         """Mixed second derivatives d_a dbar_b G, shape (m, m, shape, shape)."""
@@ -350,38 +345,6 @@ def _one_row(stack_fn, r):
     return eval_fn
 
 
-@dataclass
-class ConnectionAt:
-    point: np.ndarray
-    a: np.ndarray  # (m, shape, shape), a[alpha] in the frame
-    residual: float
-    kernel_basis: Subspace
-
-
-@dataclass
-class CurvatureAt:
-    point: np.ndarray
-    tensor: np.ndarray  # (m, m, shape, shape), R[a][b][s][t]
-    form_at_point: HermitianForm
-    a: np.ndarray  # (m, shape, shape) connection of the same solve, or None
-
-    def pair_symmetry_residual(self):
-        r = self.tensor
-        sym = r - np.conj(np.transpose(r, (1, 0, 3, 2)))
-        return float(np.linalg.norm(sym) / (1.0 + np.linalg.norm(r)))
-
-
-def wirtinger(field: ChartField, z, direction, conjugate=False, step=None):
-    """Single Wirtinger derivative of the Gram field at z."""
-    z = _as_point(z, field.m)
-    if step is None and field.d_fn is not None:
-        return (field.dbar(z) if conjugate else field.d(z))[direction]
-    h = field.fd_step if step is None else float(step)
-    field._require_domain(z, h)
-    reads = field.gram_stack(np.stack(wirtinger_stencil(z, direction, h)))
-    return wirtinger_combine(*reads, h, conjugate)
-
-
 def _gate_stencil(z, s):
     """z, then z + s e_a, z - s e_a, z + i s e_a and z - i s e_a for each
     coordinate a: the 4m + 1 points of the constant-rank gate."""
@@ -412,86 +375,112 @@ def _check_constant_rank(field: ChartField, z):
     return grams[0]
 
 
-class ConnectionSolve(NamedTuple):
-    form: HermitianForm  # the form of G(z)
-    dg: np.ndarray  # (m, shape, shape) first derivatives d_a G
-    a: np.ndarray  # (m, shape, shape) minimum-norm connection
-    residual: float
+class FieldAt:
+    """One field at one point: the form of G(z), the gated connection
+    solve and the curvature tensor, each computed on first read.
 
-
-def solve_connection(field: ChartField, z, form=None) -> ConnectionSolve:
-    """The constant-rank gate, then the minimum-norm solve G @ A_a = d_a G
-    from the one factorization of the form of G(z), with its residual gate.
-
-    A caller that already holds the form of G(z) passes it as ``form``, so
-    that it and the solve share one factorization; its Gram matrix must
-    equal the gate's centre read bit for bit, else HermitiaError.  Without
-    it the form is built from the gate's centre read.
+    ``form`` is the :class:`HermitianForm` of G(z).  The solve (``dg``,
+    ``a``, ``residual``) runs the constant-rank gate, then solves
+    G @ A_a = d_a G in the minimum-norm sense from the form's one
+    factorization, and raises RankJump or SolverResidual on first read.
+    Solved first, the form is the gate's centre read, so a solve reads G
+    in one kernel call.  Read first, from its own read of G(z), the form
+    must equal the gate's centre read bit for bit, else HermitiaError.
+    ``tensor`` is R[a][b][s][t] from the solve.  ``kernel_basis`` (a
+    :class:`Subspace`) is built only when read.
     """
-    z = _as_point(z, field.m)
-    g = _check_constant_rank(field, z)
-    if form is None:
-        form = HermitianForm(g, rank_tol=RANK_TOL)
-    elif form.rank_tol != RANK_TOL or not np.array_equal(form.gram, g):
-        raise HermitiaError("the form given to the solve is not the gate's G(z) at this point")
-    dg = field.d(z)
-    require_finite(dg, "first derivative", z)
-    g, gp = form.gram, form.pinv
-    a = np.stack([gp @ dg[i] for i in range(field.m)])
-    residual = max(
-        np.linalg.norm(g @ a[i] - dg[i]) / (1.0 + np.linalg.norm(dg[i]))
-        for i in range(field.m)
-    )
-    if residual > SOLVER_TOL:
-        raise SolverResidual(
-            "G A = dG has no solution to %.1e (residual %.2e); "
-            "the field is not admissible here" % (SOLVER_TOL, residual)
+
+    def __init__(self, field: ChartField, z):
+        self.field = field
+        self.point = _as_point(z, field.m)
+
+    @cached_property
+    def form(self):
+        return self.field.form_at(self.point)
+
+    @cached_property
+    def _solved(self):
+        field, z = self.field, self.point
+        g = _check_constant_rank(field, z)
+        if "form" not in self.__dict__:
+            self.form = HermitianForm(g, rank_tol=RANK_TOL)
+        elif not np.array_equal(self.form.gram, g):
+            raise HermitiaError("the form read at this point is not the gate's G(z)")
+        dg = field.d(z)
+        require_finite(dg, "first derivative", z)
+        g, gp = self.form.gram, self.form.pinv
+        a = np.stack([gp @ dg[i] for i in range(field.m)])
+        residual = max(
+            np.linalg.norm(g @ a[i] - dg[i]) / (1.0 + np.linalg.norm(dg[i]))
+            for i in range(field.m)
         )
-    return ConnectionSolve(form, dg, a, residual)
+        if residual > SOLVER_TOL:
+            raise SolverResidual(
+                "G A = dG has no solution to %.1e (residual %.2e); "
+                "the field is not admissible here" % (SOLVER_TOL, residual)
+            )
+        return dg, a, residual
+
+    @property
+    def dg(self):
+        """(m, shape, shape) first derivatives d_a G."""
+        return self._solved[0]
+
+    @property
+    def a(self):
+        """(m, shape, shape) minimum-norm connection; for nondegenerate G
+        the usual G^-1 dG, in general unique only modulo matrices with
+        columns in Ker G."""
+        return self._solved[1]
+
+    @property
+    def residual(self):
+        return self._solved[2]
+
+    @cached_property
+    def tensor(self):
+        """(m, m, shape, shape) contracted curvature R[a][b][s][t].
+
+        M_ab = (dbar_b G) G^+ (d_a G) - d_a dbar_b G, which on admissible
+        constant-rank fields equals -G dbar_b A_a for any choice of
+        compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
+        """
+        field, z = self.field, self.point
+        dg, gp = self.dg, self.form.pinv
+        dbg = field.dbar(z, d=dg)
+        ddg = field.dd(z)
+        require_finite(ddg, "mixed second derivative", z)
+        m, r = field.m, field.shape
+        tensor = np.empty((m, m, r, r), dtype=complex)
+        for a in range(m):
+            for b in range(m):
+                mab = dbg[b] @ gp @ dg[a] - ddg[a, b]
+                tensor[a, b] = mab.T
+        return tensor
+
+    @cached_property
+    def kernel_basis(self):
+        return Subspace(self.field.shape, self.form.kernel_basis, rank_tol=RANK_TOL)
+
+    def pair_symmetry_residual(self):
+        r = self.tensor
+        sym = r - np.conj(np.transpose(r, (1, 0, 3, 2)))
+        return float(np.linalg.norm(sym) / (1.0 + np.linalg.norm(r)))
 
 
-def chern_connection(field: ChartField, z) -> ConnectionAt:
-    """Minimum-norm solution A of G @ A_a = d_a G at a point.
-
-    For nondegenerate G this is the usual G^-1 dG; in general A is unique
-    only modulo matrices with columns in Ker G.
-    """
-    z = _as_point(z, field.m)
-    solve = solve_connection(field, z)
-    kernel_basis = Subspace(field.shape, solve.form.kernel_basis, rank_tol=RANK_TOL)
-    return ConnectionAt(point=z, a=solve.a, residual=solve.residual, kernel_basis=kernel_basis)
+def chern_connection(field: ChartField, z) -> FieldAt:
+    """The record of ``field`` at z with its connection solve run, so a
+    RankJump or SolverResidual raises here."""
+    record = FieldAt(field, z)
+    record.a  # runs the solve
+    return record
 
 
-def assemble_curvature(field: ChartField, z, solve: ConnectionSolve) -> CurvatureAt:
-    """The contracted curvature tensor at z from the solve there.
-
-    M_ab = (dbar_b G) G^+ (d_a G) - d_a dbar_b G, which on admissible
-    constant-rank fields equals -G dbar_b A_a for any choice of compatible
-    connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
-    """
-    z = _as_point(z, field.m)
-    gp, dg = solve.form.pinv, solve.dg
-    dbg = field.dbar(z, d=dg)
-    ddg = field.dd(z)
-    require_finite(ddg, "mixed second derivative", z)
-    m, r = field.m, field.shape
-    tensor = np.empty((m, m, r, r), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            mab = dbg[b] @ gp @ dg[a] - ddg[a, b]
-            tensor[a, b] = mab.T
-    return CurvatureAt(
-        point=z,
-        tensor=tensor,
-        form_at_point=solve.form,
-        a=solve.a,
-    )
-
-
-def curvature_tensor(field: ChartField, z) -> CurvatureAt:
-    """Contracted curvature tensor R[a][b][s][t] at a point:
-    :func:`solve_connection`, then :func:`assemble_curvature`."""
-    return assemble_curvature(field, z, solve_connection(field, z))
+def curvature_tensor(field: ChartField, z) -> FieldAt:
+    """The record of ``field`` at z with its curvature tensor assembled."""
+    record = FieldAt(field, z)
+    record.tensor  # runs the solve and the assembly
+    return record
 
 
 def curvature_from_connection(field: ChartField, z, a_fn) -> np.ndarray:
@@ -578,7 +567,7 @@ def hsc(field: ChartField, z, v):
     if np.linalg.norm(v) == 0.0:
         raise ZeroVector("direction must be nonzero")
     curv = metric_curvature(field, z)
-    return hsc_of_tensor(curv.tensor, curv.form_at_point.gram, v)
+    return hsc_of_tensor(curv.tensor, curv.form.gram, v)
 
 
 def metric_curvature(field: ChartField, z, what="metric"):
@@ -594,7 +583,7 @@ def metric_curvature(field: ChartField, z, what="metric"):
         if not field.form_at(z).is_positive_definite():
             raise NotPositiveAtPoint("%s is not positive-definite at this point" % what) from None
         raise
-    if not curv.form_at_point.is_positive_definite():
+    if not curv.form.is_positive_definite():
         raise NotPositiveAtPoint("%s is not positive-definite at this point" % what)
     return curv
 
@@ -625,8 +614,7 @@ def torsion_defect(field: ChartField, z):
         raise HermitiaError("torsion needs a tangent-bundle field")
     z = _as_point(z, field.m)
     conn = chern_connection(field, z)
-    g = field.gram(z)
-    dg = field.d(z)
+    g, dg = conn.form.gram, conn.dg
     defect = 0.0
     cross = 0.0
     for a in range(field.m):
@@ -649,12 +637,12 @@ def curvature_20_defect(field: ChartField, z):
     fields; the returned defect is finite-difference noise.
     """
     z = _as_point(z, field.m)
-    g = _check_constant_rank(field, z)
+    conn = chern_connection(field, z)
+    g, a0 = conn.form.gram, conn.a
 
     def a_fn(w):
         return chern_connection(field, w).a
 
-    a0 = a_fn(z)
     da = np.stack(
         [wirtinger_fd(lambda w: np.asarray(a_fn(w)), z, c, PROBE_STEP) for c in range(field.m)]
     )  # da[c][a] = d_c A_a
@@ -725,7 +713,7 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z):
 
     w = map_obj(z)
     amb_conn = chern_connection(field, w)
-    g_at = field.gram(w)
+    g_at = amb_conn.form.gram
     pulled_a = np.stack(
         [
             sum(jac[i, j] * amb_conn.a[i] for i in range(map_obj.m_out))
@@ -758,7 +746,7 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z):
             t_conn = chern_connection(tfield, z)
             jinv = np.linalg.inv(jac)
             djac = [wirtinger_fd(map_obj.jacobian, z, j, PROBE_STEP) for j in range(map_obj.m_in)]
-            g_t = tfield.gram(z)
+            g_t = t_conn.form.gram
             scale_t = 1.0 + np.linalg.norm(g_t) * (1.0 + np.linalg.norm(t_conn.a))
             for j in range(map_obj.m_in):
                 target = jinv @ pulled_a[j] @ jac + jinv @ djac[j]

@@ -188,8 +188,8 @@ def _is_pd(gram, floor):
 class DecomposedCurvature:
     point: np.ndarray
     lam: float
-    direct: object  # CurvatureAt of h_lambda
-    formula: object  # CurvatureAt assembled from the summands, or None
+    direct: object  # charts.FieldAt of h_lambda
+    formula: object  # FieldAt of the sum assembled from the summands, or None
     residual: float  # relative gap between the two routes, or None
     applicable: bool  # False when a rank jump blocks the formula route
 
@@ -320,7 +320,7 @@ def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
     if model.fiber_field_factory is not None:
         for i, z in enumerate(z_grid):
             curv = metric_curvature(model.fiber_field_factory(z[:mb]), z[mb:], "fiber metric")
-            fiber_h[i] = hsc_of_tensor(curv.tensor, curv.form_at_point.gram, dirs)
+            fiber_h[i] = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
 
     min_h = np.inf
     gap_by_lambda = {}
@@ -329,7 +329,7 @@ def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
         worst_gap = 0.0
         for i, z in enumerate(z_grid):
             curv = curvature_tensor(field, z)
-            h = hsc_of_tensor(curv.tensor, curv.form_at_point.gram, vfull)
+            h = hsc_of_tensor(curv.tensor, curv.form.gram, vfull)
             min_h = min(min_h, float(np.min(h)))
             if i in fiber_h:
                 worst_gap = max(worst_gap, float(np.max(np.abs(h - fiber_h[i]))))

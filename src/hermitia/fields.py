@@ -216,18 +216,16 @@ def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", 
 
 
 class MatrixPolynomial:
-    """L(z) = C0 + sum_a z_a C1[a] + sum_{a,b} z_a z_b C2[a,b], all p x r."""
+    """L(z) = C0 + sum_a z_a C1[a], all p x r."""
 
-    def __init__(self, c0, c1=None, c2=None):
+    def __init__(self, c0, c1):
         self.c0 = np.asarray(c0, dtype=complex)
-        p, r = self.c0.shape
-        self.m = 0 if c1 is None else len(c1)
-        self.c1 = None if c1 is None else np.asarray(c1, dtype=complex)
-        self.c2 = None if c2 is None else np.asarray(c2, dtype=complex)
-        self.shape = (p, r)
+        self.c1 = np.asarray(c1, dtype=complex)
+        self.m = len(self.c1)
+        self.shape = self.c0.shape
         # c1 as an (m, p * r) matrix: one dot product per read, equal to
         # tensordot(z, c1, axes=1) bit for bit
-        self._c1_flat = None if c1 is None else self.c1.reshape(self.m, p * r)
+        self._c1_flat = self.c1.reshape(self.m, -1)
 
     def value(self, z):
         """L at a point (m,), or at each row of a (B, m) stack, shape
@@ -237,25 +235,14 @@ class MatrixPolynomial:
         z = np.asarray(z, dtype=complex)
         if z.ndim == 1:
             return self.value(z[None])[0]
-        out = self.c0
-        if self.c1 is not None:
-            lin = np.empty((len(z), self._c1_flat.shape[1]), dtype=complex)
-            for w, row in zip(z, lin):
-                np.dot(w, self._c1_flat, out=row)
-            out = out + lin.reshape((len(z),) + self.shape)
-        if self.c2 is not None:
-            out = out + np.stack([np.einsum("a,b,abpr->pr", w, w, self.c2) for w in z])
-        return out if out.ndim == 3 else np.repeat(out[None], len(z), axis=0)
+        lin = np.empty((len(z), self._c1_flat.shape[1]), dtype=complex)
+        for w, row in zip(z, lin):
+            np.dot(w, self._c1_flat, out=row)
+        return self.c0 + lin.reshape((len(z),) + self.shape)
 
     def d(self, z):
         """All holomorphic derivatives, shape (m, p, r)."""
-        m = len(z)
-        out = np.zeros((m,) + self.shape, dtype=complex)
-        if self.c1 is not None:
-            out += self.c1
-        if self.c2 is not None:
-            out += np.einsum("b,abpr->apr", z, self.c2 + self.c2.transpose(1, 0, 2, 3))
-        return out
+        return self.c1.copy()
 
 
 def from_factor(poly: MatrixPolynomial, m, center=None, radius=1.0, name=""):

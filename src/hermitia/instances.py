@@ -92,14 +92,8 @@ def random_inclusion(rng, r, k, m, constant=False):
     if constant:
         return j0, None
     j1 = 0.2 * _cnormal(rng, (m, r, k))
-
-    def j_fn(z):
-        return j0 + np.tensordot(z, j1, axes=1)
-
-    def dj_fn(z):
-        return j1.copy()
-
-    return j_fn, dj_fn
+    poly = MatrixPolynomial(j0, c1=j1)
+    return poly.value, poly.d
 
 
 def sequence_instance(seed):

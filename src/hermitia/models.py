@@ -410,14 +410,14 @@ def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs,
             return None
         curv = curvature_tensor(field, z)
         dirs = np.stack([_unit_direction(rng, field.m) for _ in range(directions_per_point)])
-        h = hsc_of_tensor(curv.tensor, curv.form_at_point.gram, dirs)
+        h = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
         for k, sign in enumerate(signs):
             i = np.argmax(sign * h)
             if incumbents[k] is None or sign * h[i] > sign * incumbents[k][0]:
                 incumbents[k] = (h[i], z, dirs[i], curv)
     extremes = []
     for sign, (_, z, v, curv) in zip(signs, incumbents):
-        v, h = _refine_direction(curv.tensor, curv.form_at_point.gram, v, steps, sign)
+        v, h = _refine_direction(curv.tensor, curv.form.gram, v, steps, sign)
         extremes.append((float(h), z, v))
     return extremes
 

@@ -37,13 +37,14 @@ inverses for the quotient), so the constant-rank gate of either field
 makes one ambient read.
 
 Per-point data: :meth:`ExactSeqChart.at` keeps one record of everything
-at a base point.  Each record solves each field (ambient, sub, quotient)
-at most once, from its own form of that field, and reads both the
-connection and the curvature from that solve.  The derivatives of
-jdag, qdag, sigma and sigma dagger in the identity table and the
-splitting blocks are finite differences, the independent side of each
-identity; they all read one probe ring, the 4m records at the points of
-the Wirtinger stencil of step ``PROBE_STEP`` around the base point.
+at a base point.  It holds one :class:`~hermitia.charts.FieldAt` for each
+of the ambient, sub and quotient fields, so each field is solved at most
+once per point, and its form, connection and curvature all come from
+that one record.  The derivatives of jdag, qdag, sigma and sigma dagger
+in the identity table and the splitting blocks are finite differences,
+the independent side of each identity; they all read one probe ring, the
+4m records at the points of the Wirtinger stencil of step ``PROBE_STEP``
+around the base point.
 """
 
 from dataclasses import dataclass
@@ -56,17 +57,15 @@ from .charts import (
     PROBE_STEP,
     RANK_TOL,
     ChartField,
-    CurvatureAt,
-    assemble_curvature,
+    FieldAt,
+    _combine_ring,
+    _stencil_ring,
     curvature_tensor,
-    solve_connection,
-    wirtinger_combine,
     wirtinger_fd,
-    wirtinger_stencil,
 )
 from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
+from .fields import sum_field
 from .forms import (
-    HermitianForm,
     LinearMap,
     adjoint,
     admits_adjoint,
@@ -340,12 +339,13 @@ class _SeqAt:
     """All pointwise sequence data at one chart point, each computed on
     first read, so a read of one quantity solves only what it needs.
 
-    Each field (ambient, sub, quotient) is solved at most once per record,
-    from the record's own form of it: the connection ``a_*`` and the
-    curvature ``r_*`` read that one solve.  A base record built by
-    :meth:`ExactSeqChart.at` also owns a probe ring, the records at the 4m
-    Wirtinger stencil points around it, from which :meth:`probe`
-    differences any quantity; ring records never replace the base record.
+    ``ambient``, ``sub`` and ``quot`` are the :class:`FieldAt` records of
+    the three fields at z: each field is solved at most once per point,
+    and its form, connection and curvature are read from its record.  A
+    base record built by :meth:`ExactSeqChart.at` also owns a probe ring,
+    the records at the 4m Wirtinger stencil points around it, from which
+    :meth:`probe` differences any quantity; ring records never replace the
+    base record.
     """
 
     def __init__(self, seq: ExactSeqChart, z):
@@ -354,20 +354,28 @@ class _SeqAt:
 
     @cached_property
     def ring(self):
-        """ring[a]: the records at z + h e_a, z - h e_a, z + ih e_a and
-        z - ih e_a, h = PROBE_STEP, built as :func:`wirtinger_fd` builds
-        its points."""
-        return [
-            [_SeqAt(self.seq, w) for w in wirtinger_stencil(self.z, a, PROBE_STEP)]
-            for a in range(self.seq.m)
-        ]
+        """The records at z + h e_a, z - h e_a, z + ih e_a and z - ih e_a,
+        h = PROBE_STEP, for each coordinate a in turn."""
+        return [_SeqAt(self.seq, w) for w in _stencil_ring(self.z, PROBE_STEP)]
 
     def probe(self, name, a, conjugate=False):
         """d_a (or dbar_a when ``conjugate``) of the quantity ``name`` by
         the Wirtinger stencil over the probe ring; equal bit for bit to
         ``wirtinger_fd`` of that quantity on fresh records."""
-        reads = [getattr(record, name) for record in self.ring[a]]
-        return wirtinger_combine(*reads, PROBE_STEP, conjugate)
+        reads = np.stack([getattr(record, name) for record in self.ring[4 * a : 4 * a + 4]])
+        return _combine_ring(reads, PROBE_STEP, conjugate)[0]
+
+    @cached_property
+    def ambient(self):
+        return FieldAt(self.seq.ambient, self.z)
+
+    @cached_property
+    def sub(self):
+        return FieldAt(self.seq.sub_field, self.z)
+
+    @cached_property
+    def quot(self):
+        return FieldAt(self.seq.quot_field, self.z)
 
     @cached_property
     def j(self):
@@ -386,84 +394,25 @@ class _SeqAt:
         return self.seq.dq_at(self.z)
 
     @cached_property
-    def g_e(self):
-        return self.seq.ambient.gram(self.z)
-
-    @cached_property
-    def g_s(self):
-        return self.seq.sub_field.gram(self.z)
-
-    @cached_property
-    def g_q(self):
-        return self.seq.quot_field.gram(self.z)
-
-    @cached_property
-    def solve_e(self):
-        return solve_connection(self.seq.ambient, self.z, self.b_e)
-
-    @cached_property
-    def solve_s(self):
-        return solve_connection(self.seq.sub_field, self.z, self.b_s)
-
-    @cached_property
-    def solve_q(self):
-        return solve_connection(self.seq.quot_field, self.z, self.b_q)
-
-    @property
-    def a_e(self):
-        return self.solve_e.a
-
-    @property
-    def a_s(self):
-        return self.solve_s.a
-
-    @property
-    def a_q(self):
-        return self.solve_q.a
-
-    @cached_property
-    def r_e(self):
-        return assemble_curvature(self.seq.ambient, self.z, self.solve_e).tensor
-
-    @cached_property
-    def r_s(self):
-        return assemble_curvature(self.seq.sub_field, self.z, self.solve_s).tensor
-
-    @cached_property
-    def r_q(self):
-        return assemble_curvature(self.seq.quot_field, self.z, self.solve_q).tensor
-
-    @cached_property
-    def b_s(self):
-        return HermitianForm(self.g_s, rank_tol=RANK_TOL)
-
-    @cached_property
-    def b_q(self):
-        return HermitianForm(self.g_q, rank_tol=RANK_TOL)
-
-    @cached_property
-    def b_e(self):
-        return HermitianForm(self.g_e, rank_tol=RANK_TOL)
-
-    @cached_property
     def jdag(self):
-        return adjoint(LinearMap(self.j), self.b_s, self.b_e).matrix
+        return adjoint(LinearMap(self.j), self.sub.form, self.ambient.form).matrix
 
     @cached_property
     def qdag(self):
-        return adjoint(LinearMap(self.q), self.b_e, self.b_q).matrix
+        return adjoint(LinearMap(self.q), self.ambient.form, self.quot.form).matrix
 
     @cached_property
     def sigma(self):
+        a_e, a_s = self.ambient.a, self.sub.a
         return np.stack(
-            [self.q @ (self.dj[a] + self.a_e[a] @ self.j - self.j @ self.a_s[a]) for a in range(self.seq.m)]
+            [self.q @ (self.dj[a] + a_e[a] @ self.j - self.j @ a_s[a]) for a in range(self.seq.m)]
         )
 
     @cached_property
     def sigma_dagger(self):
-        return np.stack(
-            [adjoint(LinearMap(self.sigma[a]), self.b_s, self.b_q).matrix for a in range(self.seq.m)]
-        )
+        sigma = self.sigma
+        b_s, b_q = self.sub.form, self.quot.form
+        return np.stack([adjoint(LinearMap(sigma[a]), b_s, b_q).matrix for a in range(self.seq.m)])
 
 
 @dataclass
@@ -491,7 +440,7 @@ def second_fundamental_form(seq: ExactSeqChart, z) -> SecondFundamentalFormAt:
             "second fundamental form has a (0,1)-part of size %.2e" % worst
         )
     for a in range(seq.m):
-        if not admits_adjoint(LinearMap(at.sigma[a]), at.b_s, at.b_q):
+        if not admits_adjoint(LinearMap(at.sigma[a]), at.sub.form, at.quot.form):
             raise HermitiaError("second fundamental form does not admit an adjoint")
     return SecondFundamentalFormAt(
         point=at.z.copy(),
@@ -519,43 +468,45 @@ def demailly_residuals(seq: ExactSeqChart, z):
     """
     at = seq.at(z)
     m = seq.m
+    a_e, a_s, a_q = at.ambient.a, at.sub.a, at.quot.a
+    g_e, g_s, g_q = at.ambient.form.gram, at.sub.form.gram, at.quot.form.gram
 
     out = {}
 
     r1 = 0.0
     for a in range(m):
-        dpj = at.dj[a] + at.a_e[a] @ at.j - at.j @ at.a_s[a]
-        lhs = at.g_e @ dpj
-        rhs = at.g_e @ (at.qdag @ at.sigma[a])
+        dpj = at.dj[a] + a_e[a] @ at.j - at.j @ a_s[a]
+        lhs = g_e @ dpj
+        rhs = g_e @ (at.qdag @ at.sigma[a])
         r1 = max(r1, _rel(lhs - rhs, lhs, rhs))
     out["inclusion"] = r1
 
     r2 = 0.0
     for a in range(m):
-        dpq = at.dq[a] + at.a_q[a] @ at.q - at.q @ at.a_e[a]
-        lhs = at.g_q @ dpq
-        rhs = -at.g_q @ (at.sigma[a] @ at.jdag)
+        dpq = at.dq[a] + a_q[a] @ at.q - at.q @ a_e[a]
+        lhs = g_q @ dpq
+        rhs = -g_q @ (at.sigma[a] @ at.jdag)
         r2 = max(r2, _rel(lhs - rhs, lhs, rhs))
     out["projection"] = r2
 
     r3 = 0.0
     for a in range(m):
         djdag = at.probe("jdag", a)
-        dpjdag = djdag + at.a_s[a] @ at.jdag - at.jdag @ at.a_e[a]
-        r3 = max(r3, _rel(at.g_s @ dpjdag, at.g_s @ djdag))
+        dpjdag = djdag + a_s[a] @ at.jdag - at.jdag @ a_e[a]
+        r3 = max(r3, _rel(g_s @ dpjdag, g_s @ djdag))
         dbjdag = at.probe("jdag", a, conjugate=True)
         rhs = at.sigma_dagger[a] @ at.q
-        r3 = max(r3, _rel(at.g_s @ (dbjdag - rhs), at.g_s @ dbjdag, at.g_s @ rhs))
+        r3 = max(r3, _rel(g_s @ (dbjdag - rhs), g_s @ dbjdag, g_s @ rhs))
     out["inclusion_adjoint"] = r3
 
     r4 = 0.0
     for a in range(m):
         dqdag = at.probe("qdag", a)
-        dpqdag = dqdag + at.a_e[a] @ at.qdag - at.qdag @ at.a_q[a]
-        r4 = max(r4, _rel(at.g_e @ dpqdag, at.g_e @ dqdag))
+        dpqdag = dqdag + a_e[a] @ at.qdag - at.qdag @ a_q[a]
+        r4 = max(r4, _rel(g_e @ dpqdag, g_e @ dqdag))
         dbqdag = at.probe("qdag", a, conjugate=True)
         rhs = -at.j @ at.sigma_dagger[a]
-        r4 = max(r4, _rel(at.g_e @ (dbqdag - rhs), at.g_e @ dbqdag, at.g_e @ rhs))
+        r4 = max(r4, _rel(g_e @ (dbqdag - rhs), g_e @ dbqdag, g_e @ rhs))
     out["projection_adjoint"] = r4
 
     r5 = 0.0
@@ -564,12 +515,12 @@ def demailly_residuals(seq: ExactSeqChart, z):
         dbsigdag = np.stack([at.probe("sigma_dagger", a, conjugate=True) for a in range(m)])
         for a in range(m):
             for b in range(a + 1, m):
-                dpsab = dsig[a][b] + at.a_q[a] @ at.sigma[b] - at.sigma[b] @ at.a_s[a]
-                dpsba = dsig[b][a] + at.a_q[b] @ at.sigma[a] - at.sigma[a] @ at.a_s[b]
-                r5 = max(r5, _rel(at.g_q @ (dpsab - dpsba), at.g_q @ dpsab, at.g_q @ dpsba))
+                dpsab = dsig[a][b] + a_q[a] @ at.sigma[b] - at.sigma[b] @ a_s[a]
+                dpsba = dsig[b][a] + a_q[b] @ at.sigma[a] - at.sigma[a] @ a_s[b]
+                r5 = max(r5, _rel(g_q @ (dpsab - dpsba), g_q @ dpsab, g_q @ dpsba))
                 dbsab = dbsigdag[a][b]
                 dbsba = dbsigdag[b][a]
-                r5 = max(r5, _rel(at.g_s @ (dbsab - dbsba), at.g_s @ dbsab, at.g_s @ dbsba))
+                r5 = max(r5, _rel(g_s @ (dbsab - dbsba), g_s @ dbsab, g_s @ dbsba))
     out["second_form_closed"] = r5
     return out
 
@@ -591,8 +542,8 @@ def codazzi_sub(seq: ExactSeqChart, z, alpha, beta, s, t):
     at = seq.at(z)
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    ambient_term = _contract(at.r_e[alpha, beta], at.j @ s, at.j @ t)
-    sq = np.vdot(at.sigma[beta] @ t, at.g_q @ (at.sigma[alpha] @ s))
+    ambient_term = _contract(at.ambient.tensor[alpha, beta], at.j @ s, at.j @ t)
+    sq = np.vdot(at.sigma[beta] @ t, at.quot.form.gram @ (at.sigma[alpha] @ s))
     return ambient_term - complex(sq)
 
 
@@ -601,8 +552,8 @@ def codazzi_quot(seq: ExactSeqChart, z, alpha, beta, u, v):
     at = seq.at(z)
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    ambient_term = _contract(at.r_e[alpha, beta], at.qdag @ u, at.qdag @ v)
-    sq = np.vdot(at.sigma_dagger[alpha] @ v, at.g_s @ (at.sigma_dagger[beta] @ u))
+    ambient_term = _contract(at.ambient.tensor[alpha, beta], at.qdag @ u, at.qdag @ v)
+    sq = np.vdot(at.sigma_dagger[alpha] @ v, at.sub.form.gram @ (at.sigma_dagger[beta] @ u))
     return ambient_term + complex(sq)
 
 
@@ -632,7 +583,9 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
     at = seq.at(z)
     m, k, rk = seq.m, seq.k, seq.r - seq.k
 
-    r_e, r_s, r_q = at.r_e, at.r_s, at.r_q
+    r_e, r_s, r_q = at.ambient.tensor, at.sub.tensor, at.quot.tensor
+    a_s, a_q = at.sub.a, at.quot.a
+    g_s, g_q = at.sub.form.gram, at.quot.form.gram
     dsig = np.stack([at.probe("sigma", a, conjugate=True) for a in range(m)])
     dpsigdag = np.stack([at.probe("sigma_dagger", a) for a in range(m)])
 
@@ -648,11 +601,11 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
             m_q = r_q[a, b].T
             ss[a, b] = m_s
             qq[a, b] = m_q
-            dps = dpsigdag[a][b] + at.a_s[a] @ at.sigma_dagger[b] - at.sigma_dagger[b] @ at.a_q[a]
-            sq[a, b] = at.g_s @ dps
-            qs[a, b] = at.g_q @ dsig[b][a]
-            sig_sq = at.sigma[b].conj().T @ at.g_q @ at.sigma[a]
-            sigdag_sq = at.sigma_dagger[a].conj().T @ at.g_s @ at.sigma_dagger[b]
+            dps = dpsigdag[a][b] + a_s[a] @ at.sigma_dagger[b] - at.sigma_dagger[b] @ a_q[a]
+            sq[a, b] = g_s @ dps
+            qs[a, b] = g_q @ dsig[b][a]
+            sig_sq = at.sigma[b].conj().T @ g_q @ at.sigma[a]
+            sigdag_sq = at.sigma_dagger[a].conj().T @ g_s @ at.sigma_dagger[b]
             rebuilt = (
                 at.jdag.conj().T @ (m_s + sig_sq) @ at.jdag
                 - at.jdag.conj().T @ sq[a, b] @ at.q
@@ -671,8 +624,9 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
 
 def sum_curvature(
     b1_field: ChartField, b2_field: ChartField, z, perturb1=None, perturb2=None
-) -> CurvatureAt:
-    """Contracted curvature of b1 + b2 assembled from the summands.
+) -> FieldAt:
+    """Contracted curvature of b1 + b2 assembled from the summands: the
+    record of the sum field at z, its ``tensor`` from this formula.
 
     M^h_ab = M^1_ab + M^2_ab - sigma_b^H G_q sigma_a with sigma_a =
     A_1(d_a) - A_2(d_a) and G_q the Gram matrix of the induced sum
@@ -689,9 +643,7 @@ def sum_curvature(
         a1 = a1 + np.asarray(perturb1(z), dtype=complex)
     if perturb2 is not None:
         a2 = a2 + np.asarray(perturb2(z), dtype=complex)
-    g1 = t1.form_at_point.gram
-    g2 = t2.form_at_point.gram
-    gq = sum_quotient_form(t1.form_at_point, t2.form_at_point).gram
+    gq = sum_quotient_form(t1.form, t2.form).gram
     m, r = b1_field.m, b1_field.shape
     tensor = np.empty((m, m, r, r), dtype=complex)
     for a in range(m):
@@ -700,9 +652,6 @@ def sum_curvature(
             sig_b = a1[b] - a2[b]
             m_h = t1.tensor[a, b].T + t2.tensor[a, b].T - sig_b.conj().T @ gq @ sig_a
             tensor[a, b] = m_h.T
-    return CurvatureAt(
-        point=z,
-        tensor=tensor,
-        form_at_point=HermitianForm(g1 + g2, rank_tol=RANK_TOL),
-        a=None,
-    )
+    out = FieldAt(sum_field(b1_field, b2_field), z)
+    out.tensor = tensor
+    return out

@@ -11,6 +11,7 @@ from hermitia import (
     RankJump,
     SolverResidual,
     ZeroVector,
+    charts,
 )
 from hermitia.charts import (
     RANK_TOL,
@@ -27,7 +28,6 @@ from hermitia.charts import (
     pullback_consistency,
     smooth_kernel_perturbation,
     torsion_defect,
-    wirtinger,
     wirtinger_fd,
 )
 from hermitia.errors import NotPositiveAtPoint
@@ -44,7 +44,7 @@ from hermitia.fields import (
     twisted_fiber_monomials,
 )
 from hermitia.forms import gram_rank
-from hermitia.instances import random_degenerate_field, random_pd_field
+from hermitia.instances import gauge_instance, random_degenerate_field, random_pd_field
 
 
 def fs_line(radius=3.0):
@@ -103,14 +103,16 @@ def test_eval_shape_mismatch_is_an_error():
 def test_wirtinger_holomorphic_and_conjugate_directions():
     f = ChartField(1, 1, lambda z: np.array([[1.0 + abs(z[0]) ** 2]]), self_check=False)
     z = [0.3 - 0.2j]
-    assert abs(wirtinger(f, z, 0)[0, 0] - (0.3 + 0.2j)) < 1e-9
-    assert abs(wirtinger(f, z, 0, conjugate=True)[0, 0] - (0.3 - 0.2j)) < 1e-9
+    assert abs(f.d(z)[0, 0, 0] - (0.3 + 0.2j)) < 1e-9
+    assert abs(f.dbar(z)[0, 0, 0] - (0.3 - 0.2j)) < 1e-9
 
 
 def test_fd_derivatives_require_stencil_room():
-    f = ChartField(1, 1, lambda z: np.eye(1), radius=1.0, self_check=False)
+    f = ChartField(1, 1, lambda z: np.eye(1), radius=1.0, fd_step=1e-2, self_check=False)
     with pytest.raises(OutOfDomain):
-        wirtinger(f, [0.9999], 0, step=1e-2)
+        f.d([0.9999])
+    with pytest.raises(OutOfDomain):
+        f.dbar([0.9999])
 
 
 def test_self_check_rejects_wrong_analytic_derivative():
@@ -358,8 +360,7 @@ def test_matrix_polynomial_derivative():
     rng = np.random.default_rng(0)
     c0 = rng.standard_normal((2, 2)) + 0j
     c1 = rng.standard_normal((2, 2, 2)) + 0j
-    c2 = rng.standard_normal((2, 2, 2, 2)) + 0j
-    poly = MatrixPolynomial(c0, c1=c1, c2=c2)
+    poly = MatrixPolynomial(c0, c1=c1)
     z = np.array([0.3 + 0.1j, -0.2j])
     h = 1e-6
     for a in range(2):
@@ -425,6 +426,23 @@ def test_connection_degenerate_min_norm():
     assert abs(conn.a[0][0, 0] - (0.3 - 0.2j)) < 1e-6
     assert abs(conn.a[0][1, 1]) < 1e-10  # min-norm puts nothing in the kernel slot
     assert conn.kernel_basis.dim == 1
+
+
+def test_kernel_basis_is_built_only_when_read(monkeypatch):
+    """A connection solve, and the gauge check's many of them, build no
+    Subspace and run no SVD; reading kernel_basis builds one of each."""
+    field, z = gauge_instance(0)
+    built, svds = [], []
+    subspace, svd = charts.Subspace, np.linalg.svd
+    monkeypatch.setattr(charts, "Subspace", lambda *a, **k: built.append(a) or subspace(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
+    conn = chern_connection(field, z)
+    assert gauge_independence_residual(field, z, seed=0) <= 1e-6
+    assert built == [] and svds == []
+    assert conn.kernel_basis.dim == field.shape - conn.form.rank == 1
+    assert len(built) == 1 and len(svds) == 1
+    conn.kernel_basis
+    assert len(built) == 1
 
 
 def test_connection_rejects_non_admissible_field():
@@ -594,7 +612,7 @@ def test_stacked_hsc_equals_one_direction_at_a_time(m):
     f = random_pd_field(rng, m, m)
     z = 0.3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     r = curvature_tensor(f, z)
-    g = r.form_at_point.gram
+    g = r.form.gram
     dirs = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
     stacked = hsc_of_tensor(r.tensor, g, dirs)
     assert stacked.shape == (20,)

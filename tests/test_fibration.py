@@ -308,7 +308,7 @@ def test_scan_bisection_tightens_threshold(prod):
 def test_zero_section_direction_minimum_is_flat(hirz1):
     """At w = 0 the curvature of h_0 has an exactly flat mixed direction."""
     curv = curvature_tensor(h_lambda(hirz1, 0.0), np.array([0.7, 0.0]))
-    g = curv.form_at_point.gram
+    g = curv.form.gram
     assert abs(hsc_of_tensor(curv.tensor, g, np.array([1.0, 0.0])) - 2.0) < 1e-12
     assert abs(hsc_of_tensor(curv.tensor, g, np.array([0.0, 1.0])) - 2.0) < 1e-12
     rng = np.random.default_rng(7)

@@ -165,7 +165,7 @@ def test_stencil_derivatives_equal_the_per_point_stencils(name):
     assert np.array_equal(fd.dd(z), slow)
     assert np.array_equal(field._dd_fd(z), slow_d)
     for a in range(m):
-        assert np.array_equal(charts.wirtinger(field, z, a, step=h), wirtinger_fd(field.gram, z, a, h))
+        assert np.array_equal(fd.d(z)[a], wirtinger_fd(field.gram, z, a, h))
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def test_direction_gradient_matches_central_differences(make_field):
     for _ in range(4):
         z = 0.6 * np.sqrt(rng.random(field.m)) * np.exp(2j * np.pi * rng.random(field.m))
         curv = curvature_tensor(field, z)
-        g = curv.form_at_point.gram
+        g = curv.form.gram
         for _ in range(3):
             v = rng.standard_normal(field.m) + 1j * rng.standard_normal(field.m)
             v /= np.linalg.norm(v)

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermitia import HermitiaError, NonFinite, NotHolomorphic, NotPositiveAtPoint, sequences
+from hermitia import HermitiaError, NonFinite, NotHolomorphic, NotPositiveAtPoint, charts, sequences
 from hermitia.charts import (
     PROBE_STEP,
     RANK_TOL,
     ChartField,
+    FieldAt,
     chern_connection,
     curvature_tensor,
     smooth_kernel_perturbation,
-    solve_connection,
     wirtinger_fd,
 )
 from hermitia.fields import MatrixPolynomial, constant_field, from_factor, sum_field
@@ -143,27 +143,23 @@ def eager_seq_data(seq, z):
     """Every pointwise sequence quantity, built in one pass in dependency
     order: the reference the lazily computed record must reproduce."""
     out = {"j": seq.j_at(z), "dj": seq.dj_at(z), "q": seq.q_at(z), "dq": seq.dq_at(z)}
-    out["g_e"] = seq.ambient.gram(z)
-    out["g_s"] = seq.sub_field.gram(z)
-    out["g_q"] = seq.quot_field.gram(z)
-    out["a_e"] = chern_connection(seq.ambient, z).a
-    out["a_s"] = chern_connection(seq.sub_field, z).a
-    out["a_q"] = chern_connection(seq.quot_field, z).a
-    out["r_e"] = curvature_tensor(seq.ambient, z).tensor
-    out["r_s"] = curvature_tensor(seq.sub_field, z).tensor
-    out["r_q"] = curvature_tensor(seq.quot_field, z).tensor
-    b = {key: HermitianForm(out["g_" + key], rank_tol=RANK_TOL) for key in ("e", "s", "q")}
-    out.update({"b_" + key: form.gram for key, form in b.items()})
-    out["jdag"] = adjoint(LinearMap(out["j"]), b["s"], b["e"]).matrix
-    out["qdag"] = adjoint(LinearMap(out["q"]), b["e"], b["q"]).matrix
+    fields = {"ambient": seq.ambient, "sub": seq.sub_field, "quot": seq.quot_field}
+    b = {}
+    for key, field in fields.items():
+        out[key + ".form"] = field.gram(z)
+        out[key + ".a"] = chern_connection(field, z).a
+        out[key + ".tensor"] = curvature_tensor(field, z).tensor
+        b[key] = HermitianForm(out[key + ".form"], rank_tol=RANK_TOL)
+    out["jdag"] = adjoint(LinearMap(out["j"]), b["sub"], b["ambient"]).matrix
+    out["qdag"] = adjoint(LinearMap(out["q"]), b["ambient"], b["quot"]).matrix
     out["sigma"] = np.stack(
         [
-            out["q"] @ (out["dj"][a] + out["a_e"][a] @ out["j"] - out["j"] @ out["a_s"][a])
+            out["q"] @ (out["dj"][a] + out["ambient.a"][a] @ out["j"] - out["j"] @ out["sub.a"][a])
             for a in range(seq.m)
         ]
     )
     out["sigma_dagger"] = np.stack(
-        [adjoint(LinearMap(out["sigma"][a]), b["s"], b["q"]).matrix for a in range(seq.m)]
+        [adjoint(LinearMap(out["sigma"][a]), b["sub"], b["quot"]).matrix for a in range(seq.m)]
     )
     return out
 
@@ -180,20 +176,24 @@ def test_lazy_seq_data_equals_eager_oracle(case):
     want = eager_seq_data(seq, z)
     at = seq.at(z)
     for name, value in want.items():
-        got = getattr(at, name)
+        got = at
+        for part in name.split("."):
+            got = getattr(got, part)
         got = got.gram if isinstance(got, HermitianForm) else got
         assert np.array_equal(got, value), name
 
 
 def _count_solves(monkeypatch):
-    """Record the field of every solve the sequence records make."""
+    """Record the field of every connection solve, by its constant-rank
+    gate."""
     calls = []
+    gate = charts._check_constant_rank
 
-    def counting(field, w, form=None):
+    def counting(field, w):
         calls.append(field)
-        return solve_connection(field, w, form)
+        return gate(field, w)
 
-    monkeypatch.setattr(sequences, "solve_connection", counting)
+    monkeypatch.setattr(charts, "_check_constant_rank", counting)
     return calls
 
 
@@ -239,6 +239,28 @@ def test_quotient_jet_matches_quotient_form_and_finite_differences(seed):
     assert np.linalg.norm(r_jet - r_fd) <= 1e-5 * (1.0 + np.linalg.norm(r_fd))
 
 
+# every sequence_instance seed drawn in this file
+SEQUENCE_SEEDS = sorted(set(range(12)) | set(JET_SEEDS))
+
+
+def test_random_inclusion_equals_its_tensordot_oracle():
+    """The moving inclusions of the seeded instances read j0 + z . j1 and
+    j1 exactly as a tensordot over the inclusion's coefficients does."""
+    moving = 0
+    for seed in SEQUENCE_SEEDS:
+        seq, z = sequence_instance(seed)
+        poly = getattr(seq._j_fn, "__self__", None)
+        if poly is None:
+            continue  # a constant inclusion
+        moving += 1
+        rng = np.random.default_rng(seed)
+        spread = 0.4 * (rng.uniform(-1, 1, (5, seq.m)) + 1j * rng.uniform(-1, 1, (5, seq.m)))
+        for w in np.concatenate([z[None], charts._stencil_ring(z, PROBE_STEP), spread]):
+            assert np.array_equal(seq.j_at(w), poly.c0 + np.tensordot(w, poly.c1, axes=1))
+            assert np.array_equal(seq.dj_at(w), poly.c1)
+    assert moving >= 5
+
+
 def test_jet_seeds_cover_both_dimensions_and_inclusion_kinds():
     kinds = set()
     for seed in JET_SEEDS:
@@ -261,14 +283,29 @@ def test_probe_ring_equals_fresh_records(seed):
 
 
 def test_solve_rejects_a_form_that_is_not_the_gate_read():
+    """A form read before the solve must be the gate's centre read: here a
+    per-point read that is off the kernel's row in the last bits."""
     seq, z = sequence_instance(0)
-    g = seq.ambient.gram(z)
-    solve = solve_connection(seq.ambient, z, HermitianForm(g, rank_tol=RANK_TOL))
-    assert np.array_equal(solve.a, chern_connection(seq.ambient, z).a)
+    amb = seq.ambient
+    record = FieldAt(amb, z)
+    record.form  # read first, by the field's per-point read
+    assert np.array_equal(record.a, chern_connection(amb, z).a)
+    off = ChartField(
+        amb.m,
+        amb.shape,
+        lambda w: amb.gram(w) * (1.0 + 1e-15),
+        radius=amb.radius,
+        d_fn=amb.d_fn,
+        dd_fn=amb.dd_fn,
+        self_check=False,
+        stack_fn=amb.stack_fn,
+    )
+    record = FieldAt(off, z)
+    record.form
     with pytest.raises(HermitiaError, match="gate"):
-        solve_connection(seq.ambient, z, HermitianForm(g * (1.0 + 1e-15), rank_tol=RANK_TOL))
-    with pytest.raises(HermitiaError, match="gate"):
-        solve_connection(seq.ambient, z, HermitianForm(g))
+        record.a
+    # solved first, the form is the gate's centre read
+    assert np.array_equal(FieldAt(off, z).a, chern_connection(amb, z).a)
 
 
 @pytest.mark.parametrize("seed", JET_SEEDS)
@@ -665,11 +702,11 @@ def test_sum_curvature_reuses_the_summand_solves(m, monkeypatch):
     solves = _count_solves(monkeypatch)
     b1, b2 = counted(random_pd_field(rng, m, 2)), counted(random_pd_field(rng, m, 2))
     sum_curvature(b1, b2, np.full(m, 0.1 + 0.05j))
-    assert solves == []
+    assert solves == [b1, b2]
     assert len(reads) == 2 * (4 * m + 1)
 
 
 def test_sum_curvature_form_is_the_sum():
     b1, b2, z, _ = sum_instance(3)
     out = sum_curvature(b1, b2, z)
-    assert np.allclose(out.form_at_point.gram, b1.gram(z) + b2.gram(z))
+    assert np.allclose(out.form.gram, b1.gram(z) + b2.gram(z))
