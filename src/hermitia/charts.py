@@ -8,11 +8,15 @@ the one central Wirtinger stencil
     dbar_a = (F(z+h) - F(z-h) + i F(z+ih) - i F(z-ih)) / (4h)
 
 whose 4m points for all coordinates come from :func:`_stencil_ring` and
-whose reads :func:`_combine_ring` combines.  :func:`wirtinger_fd` is the
-same stencil along one coordinate, for an arbitrary array-valued
-function, and the per-direction oracle of the ring.  A chart field reads
-all the points of one difference, or of one constant-rank gate, in one
-:meth:`ChartField.gram_stack` call.
+whose reads :func:`_combine_ring` combines.  :func:`ring_fd` is that pair
+for any array-valued function: it reads the function once at each ring
+point and returns the difference along every coordinate, and every
+finite difference of a connection, a Jacobian, an inclusion or per-point
+sequence data goes through it.  A chart field reads all the points of
+one difference of its Gram matrix, or of one constant-rank gate, in one
+:meth:`ChartField.gram_stack` call.  :func:`wirtinger_fd` is the same
+stencil along one coordinate; no module of the package calls it, and it
+serves the tests as the per-direction oracle of the ring.
 
 A :class:`FieldAt` is one field at one point, and the only place where
 the gate, the connection solve and the curvature assembly run: the form
@@ -29,7 +33,7 @@ invariant: the standard projective-line metric has holomorphic sectional
 curvature identically 2.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,6 +73,10 @@ HOLOMORPHY_TOL = 1e-8
 # Largest disagreement of the two torsion routes of torsion_defect,
 # relative to 1 + the defect.
 TORSION_CROSS_TOL = 1e-5
+# Largest relative disagreement of analytic first (mixed second)
+# derivatives with the stencil in a field's construction self-check.
+SELF_CHECK_D_TOL = 1e-6
+SELF_CHECK_DD_TOL = 1e-5
 
 
 def _as_point(z, m):
@@ -83,11 +91,16 @@ def _stencil_ring(z, step):
     z - i step e_a of the Wirtinger stencil, for every coordinate a in
     turn, shape (4m, m); for a (..., m) stack of centres, the rings of all
     of them, shape (..., 4m, m)."""
-    m = z.shape[-1]
+    return z[..., None, :] + _ring_offsets(z.shape[-1], step)
+
+
+@lru_cache(maxsize=64)
+def _ring_offsets(m, step):
+    """The (4m, m) offsets of :func:`_stencil_ring`, built once per chart
+    dimension and step: a probe ring is differenced many times per point."""
     e = np.eye(m, dtype=complex)
     se, ise = step * e, 1j * step * e
-    offsets = np.stack([se, -se, ise, -ise], axis=1).reshape(4 * m, m)
-    return z[..., None, :] + offsets
+    return np.stack([se, -se, ise, -ise], axis=1).reshape(4 * m, m)
 
 
 def _combine_ring(reads, step, conjugate=False):
@@ -101,11 +114,21 @@ def _combine_ring(reads, step, conjugate=False):
     return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
 
 
+def ring_fd(fn, z, step, conjugate=False):
+    """d_a (or dbar_a when ``conjugate``) of an array-valued ``fn`` for
+    every coordinate a, shape (m, ...): ``fn`` read once at each of the
+    4m points of :func:`_stencil_ring`, in ring order, the reads combined
+    by :func:`_combine_ring`.  Row a equals :func:`wirtinger_fd` along z_a
+    bit for bit."""
+    reads = np.stack([np.asarray(fn(w), dtype=complex) for w in _stencil_ring(z, step)])
+    return _combine_ring(reads, step, conjugate)
+
+
 def wirtinger_fd(fn, z, a, step, conjugate=False):
     """Central Wirtinger difference of an array-valued ``fn`` along z_a:
     d_a (or dbar_a when ``conjugate``) from four reads at z +- step e_a
     and z +- i step e_a.  It builds its points and combines its reads on
-    its own, so it is also the per-direction oracle of the ring."""
+    its own: the per-direction test oracle of :func:`ring_fd`."""
     e = np.zeros(len(z), dtype=complex)
     e[a] = 1.0
     h = step
@@ -273,18 +296,20 @@ class ChartField:
 
     def _dd_fd(self, z):
         """d_a dbar_b G by an outer difference of dbar_b G at the 4m outer
-        stencil points.  dbar_b G comes from d_fn when the field has one,
-        else from the inner stencils around the outer points, whose 16 m^2
-        points are read in one :meth:`gram_stack` call."""
-        outer = _stencil_ring(z, self.fd_outer_step)
+        stencil points.  dbar_b G comes from d_fn when the field has one
+        (through :func:`ring_fd`), else from the inner stencils around the
+        outer points, whose 16 m^2 points are read in one
+        :meth:`gram_stack` call."""
         if self.d_fn is not None:
-            dbar = conj_transpose(np.stack([np.asarray(self.d_fn(w), dtype=complex) for w in outer]))
-        else:
-            inner = _stencil_ring(outer, self.fd_step)
-            reads = self.gram_stack(inner.reshape(-1, self.m))
-            reads = reads.reshape(inner.shape[:2] + reads.shape[-2:])
-            dbar = _combine_ring(reads.swapaxes(0, 1), self.fd_step, True).swapaxes(0, 1)
+            return ring_fd(
+                lambda w: conj_transpose(np.asarray(self.d_fn(w), dtype=complex)), z, self.fd_outer_step
+            )
+        outer = _stencil_ring(z, self.fd_outer_step)
+        inner = _stencil_ring(outer, self.fd_step)
+        reads = self.gram_stack(inner.reshape(-1, self.m))
+        reads = reads.reshape(inner.shape[:2] + reads.shape[-2:])
         # dbar[4a + k, b] is dbar_b G at outer point k along z_a
+        dbar = _combine_ring(reads.swapaxes(0, 1), self.fd_step, True).swapaxes(0, 1)
         return _combine_ring(dbar, self.fd_outer_step)
 
     def dd(self, z):
@@ -312,9 +337,9 @@ class ChartField:
 
     def _self_check(self):
         rng = np.random.default_rng(np.random.SeedSequence([7, self.m, self.shape]))
-        checks = [("first", self.d_fn, lambda z: self._fd(z, False), 10, 0.5, 1e-6)]
+        checks = [("first", self.d_fn, lambda z: self._fd(z, False), 10, 0.5, SELF_CHECK_D_TOL)]
         if self.dd_fn is not None:
-            checks.append(("second", self.dd_fn, self._dd_fd, 3, 0.4, 1e-5))
+            checks.append(("second", self.dd_fn, self._dd_fd, 3, 0.4, SELF_CHECK_DD_TOL))
         for order, exact, approx, points, spread, tol in checks:
             worst = 0.0
             for _ in range(points):
@@ -493,13 +518,13 @@ def curvature_from_connection(field: ChartField, z, a_fn) -> np.ndarray:
     """
     z = _as_point(z, field.m)
     g = field.gram(z)
-    m, r = field.m, field.shape
-    tensor = np.empty((m, m, r, r), dtype=complex)
-    for b in range(m):
-        dbar_a = wirtinger_fd(lambda w: np.asarray(a_fn(w), dtype=complex), z, b, PROBE_STEP, True)
-        for a in range(m):
-            tensor[a, b] = -(g @ dbar_a[a]).T
-    return tensor
+    return _tensor_of_dbar(g, ring_fd(a_fn, z, PROBE_STEP, conjugate=True))
+
+
+def _tensor_of_dbar(g, dbar):
+    """R[a][b] = -(G dbar_b A_a)^T from dbar[b][a] = dbar_b A_a."""
+    m = len(dbar)
+    return np.array([[-(g @ dbar[b][a]).T for b in range(m)] for a in range(m)])
 
 
 def smooth_kernel_perturbation(field: ChartField, z, seed=0):
@@ -537,20 +562,22 @@ def smooth_kernel_perturbation(field: ChartField, z, seed=0):
 def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None):
     """Relative change of the curvature tensor under a kernel-valued
     perturbation of the connection; expected at finite-difference noise
-    level (<= 1e-6)."""
+    level (<= 1e-6).
+
+    Both candidates, A and A + K, go through the pipeline of
+    :func:`curvature_from_connection`, and both take their differences
+    from one solve at each probe point."""
     z = _as_point(z, field.m)
-    _check_constant_rank(field, z)
+    g = _check_constant_rank(field, z)
     if perturbation is None:
         perturbation = smooth_kernel_perturbation(field, z, seed=seed)
 
-    def a_fn(w):
-        return chern_connection(field, w).a
+    def both(w):
+        a = chern_connection(field, w).a
+        return np.stack([a, a + perturbation(w)])
 
-    def a_pert(w):
-        return a_fn(w) + perturbation(w)
-
-    r0 = curvature_from_connection(field, z, a_fn)
-    r1 = curvature_from_connection(field, z, a_pert)
+    dbar = ring_fd(both, z, PROBE_STEP, conjugate=True)
+    r0, r1 = (_tensor_of_dbar(g, dbar[:, k]) for k in (0, 1))
     return float(np.linalg.norm(r0 - r1) / (1.0 + np.linalg.norm(r0)))
 
 
@@ -610,19 +637,21 @@ def torsion_defect(field: ChartField, z):
     dG[b][c, a]; it is cross-checked against the connection route
     G(A_a e_b - A_b e_a).
     """
+    return _torsion(FieldAt(field, z))
+
+
+def _torsion(conn: FieldAt):
+    """:func:`torsion_defect` from the record of a field at a point; the
+    record's solve runs here unless it has run already."""
+    field = conn.field
     if field.shape != field.m:
         raise HermitiaError("torsion needs a tangent-bundle field")
-    z = _as_point(z, field.m)
-    conn = chern_connection(field, z)
-    g, dg = conn.form.gram, conn.dg
-    defect = 0.0
-    cross = 0.0
-    for a in range(field.m):
-        for b in range(a + 1, field.m):
-            direct = dg[a][:, b] - dg[b][:, a]
-            via_conn = g @ (conn.a[a][:, b] - conn.a[b][:, a])
-            defect = max(defect, float(np.max(np.abs(direct))))
-            cross = max(cross, float(np.max(np.abs(direct - via_conn))))
+    dg, g = conn.dg, conn.form.gram
+    pairs = [(a, b) for a in range(field.m) for b in range(a + 1, field.m)]
+    direct = [dg[a][:, b] - dg[b][:, a] for a, b in pairs]
+    via_conn = [g @ (conn.a[a][:, b] - conn.a[b][:, a]) for a, b in pairs]
+    defect = max((float(np.max(np.abs(d))) for d in direct), default=0.0)
+    cross = max((float(np.max(np.abs(d - v))) for d, v in zip(direct, via_conn)), default=0.0)
     if cross > TORSION_CROSS_TOL * (1.0 + defect):
         raise HermitiaError(
             "torsion routes disagree (%.2e); connection solve is suspect" % cross
@@ -640,12 +669,7 @@ def curvature_20_defect(field: ChartField, z):
     conn = chern_connection(field, z)
     g, a0 = conn.form.gram, conn.a
 
-    def a_fn(w):
-        return chern_connection(field, w).a
-
-    da = np.stack(
-        [wirtinger_fd(lambda w: np.asarray(a_fn(w)), z, c, PROBE_STEP) for c in range(field.m)]
-    )  # da[c][a] = d_c A_a
+    da = ring_fd(lambda w: chern_connection(field, w).a, z, PROBE_STEP)  # da[c][a] = d_c A_a
     defect = 0.0
     scale = 1.0 + max(np.linalg.norm(g @ da[c][a]) for c in range(field.m) for a in range(field.m))
     for a in range(field.m):
@@ -676,10 +700,7 @@ class HolomorphicMap:
         return w
 
     def _fd_columns(self, z, conjugate):
-        return np.stack(
-            [wirtinger_fd(self, z, j, MAP_FD_STEP, conjugate) for j in range(self.m_in)],
-            axis=1,
-        )
+        return np.ascontiguousarray(ring_fd(self, z, MAP_FD_STEP, conjugate).T)
 
     def jacobian(self, z):
         z = _as_point(z, self.m_in)
@@ -745,7 +766,7 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z):
             )
             t_conn = chern_connection(tfield, z)
             jinv = np.linalg.inv(jac)
-            djac = [wirtinger_fd(map_obj.jacobian, z, j, PROBE_STEP) for j in range(map_obj.m_in)]
+            djac = ring_fd(map_obj.jacobian, z, PROBE_STEP)
             g_t = t_conn.form.gram
             scale_t = 1.0 + np.linalg.norm(g_t) * (1.0 + np.linalg.norm(t_conn.a))
             for j in range(map_obj.m_in):

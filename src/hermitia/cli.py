@@ -6,7 +6,8 @@ write the versioned JSON report with --out.  Configuration comes from
 flags, optionally layered over a plain key=value file (flags win).
 
 Exit codes: 0 all checks passed, 1 a check failed or aborted, 2 bad
-configuration, 3 unexpected internal error.
+configuration (including a value out of range, see _check_ranges), 3
+unexpected internal error.
 """
 
 import argparse
@@ -15,13 +16,22 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .charts import curvature_tensor, hsc, torsion_defect
+from .charts import _torsion, hsc_of_tensor, metric_curvature
 from .errors import ConfigError, HermitiaError
 from .forms import HermitianForm, LinearMap, adjoint, adjoint_freedom_dims, kernel, purge
 from .instances import adjointable_map, hermitian_form
 from .models import einstein_residual, hsc_extremes, pluecker_pullback, resolve_model
 from .fibration import find_lambda0
 from .report import Report, encode_matrix, fmt_matrix
+
+# Largest norm of the purge quotient map on the kernel of the form.
+PURGE_ANNIHILATION_TOL = 1e-9
+# Default pair-symmetry and torsion tolerances of `curvature`, with
+# analytic and with finite-difference derivatives; the torsion check
+# allows at least TORSION_FLOOR.
+CURVATURE_TOL = 1e-8
+CURVATURE_FD_TOL = 1e-4
+TORSION_FLOOR = 1e-6
 
 # Per-command defaults, applied under the config file and the flags.
 _DEFAULTS = {
@@ -90,7 +100,25 @@ def _effective_config(args):
         if key in ("command", "config") or value is None:
             continue
         cfg[key] = value
+    _check_ranges(cfg)
     return cfg
+
+
+def _check_ranges(cfg):
+    """Raise ConfigError for a value out of its range: seed >= 0; dim,
+    dimv, dimw, samples and instances >= 1; 0 <= rank <= dim; lambda_max
+    finite and >= 0; region finite and > 0."""
+    lowest = dict(seed=0, rank=0, lambda_max=0.0, dim=1, dimv=1, dimw=1, samples=1, instances=1)
+    for key, low in lowest.items():
+        if key in cfg and not cfg[key] >= low:
+            raise ConfigError("%s must be at least %s, got %r" % (key, low, cfg[key]))
+    if "rank" in cfg and "dim" in cfg and cfg["rank"] > cfg["dim"]:
+        raise ConfigError("rank cannot exceed dim")
+    for key in ("lambda_max", "region"):
+        if key in cfg and not np.isfinite(cfg[key]):
+            raise ConfigError("%s must be finite, got %r" % (key, cfg[key]))
+    if "region" in cfg and not cfg["region"] > 0:
+        raise ConfigError("region must be positive, got %r" % cfg["region"])
 
 
 def _metric_entry(cfg):
@@ -113,8 +141,6 @@ def _sample_box(rng, m, scale):
 
 def cmd_purge(cfg, report):
     rng = np.random.default_rng(cfg["seed"])
-    if cfg["rank"] > cfg["dim"]:
-        raise ConfigError("rank cannot exceed dim")
     b = hermitian_form(rng, cfg["dim"], rank=cfg["rank"])
     result = purge(b)
     report.add("input_rank", value=b.rank, passed=b.rank == cfg["rank"])
@@ -122,7 +148,7 @@ def cmd_purge(cfg, report):
                passed=result.purged_form.dim == cfg["rank"])
     kb = kernel(b).basis
     resid = float(np.linalg.norm(result.quotient_map.matrix @ kb)) if kb.size else 0.0
-    report.add("kernel_annihilation", residual=resid, tolerance=1e-9)
+    report.add("kernel_annihilation", residual=resid, tolerance=PURGE_ANNIHILATION_TOL)
     report.add("purged_gram", value=fmt_matrix(result.purged_form.gram),
                matrix=encode_matrix(result.purged_form.gram))
 
@@ -157,18 +183,17 @@ def cmd_curvature(cfg, report):
     entry = _metric_entry(cfg)
     field = _field_for(entry, cfg)
     region = cfg.get("region", entry.default_region)
-    tol = cfg.get("tol", 1e-8 if cfg["derivatives"] == "analytic" else 1e-4)
+    tol = cfg.get("tol", CURVATURE_TOL if cfg["derivatives"] == "analytic" else CURVATURE_FD_TOL)
     for idx in range(cfg["samples"]):
         rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], idx]))
         z = _sample_box(rng, field.m, region)
-        curv = curvature_tensor(field, z)
+        curv = metric_curvature(field, z)  # the one solve at z
         report.add("point_%02d_pair_symmetry" % idx,
                    residual=float(curv.pair_symmetry_residual()), tolerance=tol)
         report.add("point_%02d_torsion" % idx,
-                   residual=float(torsion_defect(field, z)),
-                   tolerance=max(tol, 1e-6))
+                   residual=float(_torsion(curv)), tolerance=max(tol, TORSION_FLOOR))
         v = rng.standard_normal(field.shape) + 1j * rng.standard_normal(field.shape)
-        report.add("point_%02d_H" % idx, value=float(hsc(field, z, v).real))
+        report.add("point_%02d_H" % idx, value=hsc_of_tensor(curv.tensor, curv.form.gram, v))
 
 
 def cmd_hsc(cfg, report):
@@ -207,10 +232,11 @@ def cmd_grassmannian(cfg, report):
 
     resid = einstein_residual(entry.field, entry.einstein_constant, seed=cfg["seed"])
     report.add("einstein_constant", value=entry.einstein_constant,
-               residual=float(resid), tolerance=1e-6)
+               residual=float(resid), tolerance=acceptance.EINSTEIN_TOL)
 
     scan = hsc_extremes(entry.field, region, samples=400, optimizer_steps=60, seed=cfg["seed"])
-    inside = entry.hsc_lower - 1e-3 <= scan.min_H and scan.max_H <= entry.hsc_upper + 1e-3
+    escape = acceptance.WINDOW_ESCAPE_TOL
+    inside = entry.hsc_lower - escape <= scan.min_H and scan.max_H <= entry.hsc_upper + escape
     report.add("curvature_window", value=[scan.min_H, scan.max_H], passed=bool(inside),
                declared=[entry.hsc_lower, entry.hsc_upper])
 

@@ -20,6 +20,9 @@ INSTANCE_RADIUS = 0.9
 # well-conditioned constant term.
 PD_CURVATURE_SCALE = 0.35
 DEGENERATE_CURVATURE_SCALE = 0.3
+# sum_instance redraws b2 as positive-definite when the lowest eigenvalue
+# of b1 + b2 at the test point is at most this.
+SUM_NUDGE_CUT = 1e-8
 
 
 def _cnormal(rng, shape):
@@ -127,7 +130,7 @@ def sum_instance(seed):
         b2 = random_degenerate_field(rng, m, r, rank=r - 1)
     z = 0.15 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
     h = b1.gram(z) + b2.gram(z)
-    if np.linalg.eigvalsh(h)[0] <= 1e-8:
+    if np.linalg.eigvalsh(h)[0] <= SUM_NUDGE_CUT:
         # complementary-kernel overlap left the sum degenerate; nudge with
         # a second draw that keeps the instance deterministic in the seed
         b2 = random_pd_field(rng, m, r)

@@ -36,6 +36,9 @@ EINSTEIN_REGION = 0.5
 # Largest relative gap between the closed-form Grassmannian Gram and the
 # minor-potential Gram at the certification points of grassmannian_chart.
 PLUECKER_CERT_TOL = 1e-8
+# The direction walk of _refine_direction stops at a tangent gradient
+# below this norm.
+GRADIENT_FLOOR = 1e-14
 
 
 def fubini_study_chart(n):
@@ -361,7 +364,7 @@ def _refine_direction(tensor, g, v0, steps, sign):
     for _ in range(steps):
         grad = _hsc_gradient(tensor, g, v)
         grad -= np.real(np.vdot(v, grad)) * v  # tangent to the sphere
-        if np.linalg.norm(grad) < 1e-14:
+        if np.linalg.norm(grad) < GRADIENT_FLOOR:
             break
         improved = False
         step = alpha

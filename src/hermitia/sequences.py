@@ -42,9 +42,12 @@ of the ambient, sub and quotient fields, so each field is solved at most
 once per point, and its form, connection and curvature all come from
 that one record.  The derivatives of jdag, qdag, sigma and sigma dagger
 in the identity table and the splitting blocks are finite differences,
-the independent side of each identity; they all read one probe ring, the
-4m records at the points of the Wirtinger stencil of step ``PROBE_STEP``
-around the base point.
+the independent side of each identity.  Each is taken along every
+coordinate at once by :func:`~hermitia.charts.ring_fd` with step
+``PROBE_STEP``, reading one probe ring: the records at the 4m points of
+that stencil around the base point, each built once and shared by every
+probe.  The finite-difference dj of an inclusion given without dj, and
+the holomorphy checks of j, go through ``ring_fd`` too.
 """
 
 from dataclasses import dataclass
@@ -58,10 +61,8 @@ from .charts import (
     RANK_TOL,
     ChartField,
     FieldAt,
-    _combine_ring,
-    _stencil_ring,
     curvature_tensor,
-    wirtinger_fd,
+    ring_fd,
 )
 from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
 from .fields import sum_field
@@ -130,9 +131,7 @@ class ExactSeqChart:
         z = np.asarray(z, dtype=complex)
         if self._dj_fn is not None:
             return np.asarray(self._dj_fn(z), dtype=complex)
-        return np.stack(
-            [wirtinger_fd(self.j_at, z, a, self.ambient.fd_step) for a in range(self.m)]
-        )
+        return ring_fd(self.j_at, z, self.ambient.fd_step)
 
     def _j_stack(self, zs):
         """j at each row of a (B, m) stack, shape (B, r, k)."""
@@ -158,17 +157,10 @@ class ExactSeqChart:
 
     def _check_holomorphic(self):
         rng = np.random.default_rng(np.random.SeedSequence([13, self.r, self.m]))
-        pts = [self.center]
-        for _ in range(2):
-            pts.append(
-                self.center
-                + 0.3
-                * np.min(self.ambient.radius)
-                * (rng.uniform(-1, 1, self.m) + 1j * rng.uniform(-1, 1, self.m))
-            )
-        for z in pts:
-            for a in range(self.m):
-                db = wirtinger_fd(self.j_at, z, a, self.ambient.fd_step, conjugate=True)
+        s, m = 0.3 * np.min(self.ambient.radius), self.m
+        spread = [s * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)) for _ in range(2)]
+        for z in [self.center] + [self.center + dz for dz in spread]:
+            for db in ring_fd(self.j_at, z, self.ambient.fd_step, conjugate=True):
                 if np.linalg.norm(db) > HOLOMORPHY_TOL * (1.0 + np.linalg.norm(self.j_at(z))):
                     raise NotHolomorphic(
                         "inclusion has antiholomorphic derivative %.2e" % np.linalg.norm(db)
@@ -343,27 +335,29 @@ class _SeqAt:
     the three fields at z: each field is solved at most once per point,
     and its form, connection and curvature are read from its record.  A
     base record built by :meth:`ExactSeqChart.at` also owns a probe ring,
-    the records at the 4m Wirtinger stencil points around it, from which
-    :meth:`probe` differences any quantity; ring records never replace the
-    base record.
+    ``ring``, the records at the 4m Wirtinger stencil points around it,
+    from which :meth:`probe` differences any quantity; ring records never
+    replace the base record.
     """
 
     def __init__(self, seq: ExactSeqChart, z):
         self.seq = seq
         self.z = z
+        self.ring = {}  # point bytes -> record at that point of the probe ring
 
-    @cached_property
-    def ring(self):
-        """The records at z + h e_a, z - h e_a, z + ih e_a and z - ih e_a,
-        h = PROBE_STEP, for each coordinate a in turn."""
-        return [_SeqAt(self.seq, w) for w in _stencil_ring(self.z, PROBE_STEP)]
+    def probe(self, name, conjugate=False):
+        """d_a (or dbar_a when ``conjugate``) of the quantity ``name`` for
+        every coordinate a, shape (m, ...), by :func:`ring_fd` of step
+        ``PROBE_STEP`` over the probe ring: the record at each ring point
+        is built on the first probe and shared by the later ones."""
 
-    def probe(self, name, a, conjugate=False):
-        """d_a (or dbar_a when ``conjugate``) of the quantity ``name`` by
-        the Wirtinger stencil over the probe ring; equal bit for bit to
-        ``wirtinger_fd`` of that quantity on fresh records."""
-        reads = np.stack([getattr(record, name) for record in self.ring[4 * a : 4 * a + 4]])
-        return _combine_ring(reads, PROBE_STEP, conjugate)[0]
+        def read(w):
+            key = w.tobytes()
+            if key not in self.ring:
+                self.ring[key] = _SeqAt(self.seq, w)
+            return getattr(self.ring[key], name)
+
+        return ring_fd(read, self.z, PROBE_STEP, conjugate)
 
     @cached_property
     def ambient(self):
@@ -430,10 +424,8 @@ def second_fundamental_form(seq: ExactSeqChart, z) -> SecondFundamentalFormAt:
     pure (1,0) type); its residual is reported and gated at 1e-6.
     """
     at = seq.at(z)
-    worst = 0.0
-    for a in range(seq.m):
-        db = wirtinger_fd(seq.j_at, at.z, a, seq.ambient.fd_step, conjugate=True)
-        worst = max(worst, float(np.linalg.norm(at.q @ db)))
+    dbar_j = ring_fd(seq.j_at, at.z, seq.ambient.fd_step, conjugate=True)
+    worst = max(float(np.linalg.norm(at.q @ db)) for db in dbar_j)
     scale = 1.0 + float(np.linalg.norm(at.sigma))
     if worst > SIGMA_DBAR_TOL * scale:
         raise HermitiaError(
@@ -490,29 +482,27 @@ def demailly_residuals(seq: ExactSeqChart, z):
     out["projection"] = r2
 
     r3 = 0.0
+    djdag, dbjdag = at.probe("jdag"), at.probe("jdag", conjugate=True)
     for a in range(m):
-        djdag = at.probe("jdag", a)
-        dpjdag = djdag + a_s[a] @ at.jdag - at.jdag @ a_e[a]
-        r3 = max(r3, _rel(g_s @ dpjdag, g_s @ djdag))
-        dbjdag = at.probe("jdag", a, conjugate=True)
+        dpjdag = djdag[a] + a_s[a] @ at.jdag - at.jdag @ a_e[a]
+        r3 = max(r3, _rel(g_s @ dpjdag, g_s @ djdag[a]))
         rhs = at.sigma_dagger[a] @ at.q
-        r3 = max(r3, _rel(g_s @ (dbjdag - rhs), g_s @ dbjdag, g_s @ rhs))
+        r3 = max(r3, _rel(g_s @ (dbjdag[a] - rhs), g_s @ dbjdag[a], g_s @ rhs))
     out["inclusion_adjoint"] = r3
 
     r4 = 0.0
+    dqdag, dbqdag = at.probe("qdag"), at.probe("qdag", conjugate=True)
     for a in range(m):
-        dqdag = at.probe("qdag", a)
-        dpqdag = dqdag + a_e[a] @ at.qdag - at.qdag @ a_q[a]
-        r4 = max(r4, _rel(g_e @ dpqdag, g_e @ dqdag))
-        dbqdag = at.probe("qdag", a, conjugate=True)
+        dpqdag = dqdag[a] + a_e[a] @ at.qdag - at.qdag @ a_q[a]
+        r4 = max(r4, _rel(g_e @ dpqdag, g_e @ dqdag[a]))
         rhs = -at.j @ at.sigma_dagger[a]
-        r4 = max(r4, _rel(g_e @ (dbqdag - rhs), g_e @ dbqdag, g_e @ rhs))
+        r4 = max(r4, _rel(g_e @ (dbqdag[a] - rhs), g_e @ dbqdag[a], g_e @ rhs))
     out["projection_adjoint"] = r4
 
     r5 = 0.0
     if m > 1:
-        dsig = np.stack([at.probe("sigma", a) for a in range(m)])
-        dbsigdag = np.stack([at.probe("sigma_dagger", a, conjugate=True) for a in range(m)])
+        dsig = at.probe("sigma")
+        dbsigdag = at.probe("sigma_dagger", conjugate=True)
         for a in range(m):
             for b in range(a + 1, m):
                 dpsab = dsig[a][b] + a_q[a] @ at.sigma[b] - at.sigma[b] @ a_s[a]
@@ -586,8 +576,8 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
     r_e, r_s, r_q = at.ambient.tensor, at.sub.tensor, at.quot.tensor
     a_s, a_q = at.sub.a, at.quot.a
     g_s, g_q = at.sub.form.gram, at.quot.form.gram
-    dsig = np.stack([at.probe("sigma", a, conjugate=True) for a in range(m)])
-    dpsigdag = np.stack([at.probe("sigma_dagger", a) for a in range(m)])
+    dsig = at.probe("sigma", conjugate=True)
+    dpsigdag = at.probe("sigma_dagger")
 
     ss = np.empty((m, m, k, k), dtype=complex)
     sq = np.empty((m, m, k, rk), dtype=complex)

@@ -818,3 +818,83 @@ def test_sum_field_is_analytic_when_both_are():
 def test_sum_field_requires_matching_charts():
     with pytest.raises(ValueError):
         sum_field(fs_line(), fs_plane())
+
+
+# ---------------------------------------------------------------------------
+# every finite difference reads one probe ring
+
+
+def _nonlinear_map():
+    return HolomorphicMap(
+        lambda t: np.array([t[0] ** 2 * t[1], np.exp(t[1]), t[0] + 3.0 * t[1] ** 3]), 2, 3
+    )
+
+
+def test_fd_jacobian_equals_the_per_direction_stencil():
+    mp = _nonlinear_map()
+    z = np.array([0.3 - 0.1j, -0.2 + 0.25j])
+    for conjugate in (False, True):
+        slow = np.stack(
+            [wirtinger_fd(mp, z, j, charts.MAP_FD_STEP, conjugate) for j in range(2)], axis=1
+        )
+        fast = mp._fd_columns(z, conjugate)
+        assert np.array_equal(fast, slow)
+        if conjugate:
+            assert mp.holomorphy_defect(z) == float(np.linalg.norm(slow))
+        else:
+            assert np.array_equal(mp.jacobian(z), slow)
+
+
+def test_curvature_from_connection_equals_the_per_direction_stencil():
+    f = degenerate_factor()
+    z = np.array([0.1 + 0.05j, -0.2j])
+
+    def a_fn(w):
+        return chern_connection(f, w).a
+
+    g = f.gram(z)
+    slow = np.empty((2, 2, 3, 3), dtype=complex)
+    for b in range(2):
+        dbar_a = wirtinger_fd(a_fn, z, b, charts.PROBE_STEP, True)
+        for a in range(2):
+            slow[a, b] = -(g @ dbar_a[a]).T
+    assert np.array_equal(curvature_from_connection(f, z, a_fn), slow)
+
+
+@pytest.mark.parametrize("make, z", [(fs_plane, [0.2, 0.1j]), (degenerate_factor, [0.1, -0.05 + 0.1j])])
+def test_curvature_20_defect_equals_the_per_direction_stencil(make, z):
+    field = make()
+    z = np.asarray(z, dtype=complex)
+    conn = chern_connection(field, z)
+    g, a0 = conn.form.gram, conn.a
+    m = field.m
+    da = np.stack(
+        [wirtinger_fd(lambda w: chern_connection(field, w).a, z, c, charts.PROBE_STEP) for c in range(m)]
+    )
+    scale = 1.0 + max(np.linalg.norm(g @ da[c][a]) for c in range(m) for a in range(m))
+    defect = 0.0
+    for a in range(m):
+        for b in range(a + 1, m):
+            f20 = da[a][b] - da[b][a] + a0[a] @ a0[b] - a0[b] @ a0[a]
+            defect = max(defect, float(np.linalg.norm(g @ f20)))
+    assert curvature_20_defect(field, z) == defect / scale
+
+
+@pytest.mark.parametrize("seed, m, gates", [(0, 1, 5), (1, 2, 9)])
+def test_gauge_check_solves_each_point_once(gate_points, seed, m, gates):
+    """One gate at z and one at each of the 4m ring points; the two
+    candidates share the ring's solves and still give the residual of two
+    separate curvature_from_connection runs."""
+    field, z = gauge_instance(seed)
+    assert field.m == m
+    pert = smooth_kernel_perturbation(field, z, seed=seed)
+
+    def a_fn(w):
+        return chern_connection(field, w).a
+
+    r0 = curvature_from_connection(field, z, a_fn)
+    r1 = curvature_from_connection(field, z, lambda w: a_fn(w) + pert(w))
+    want = float(np.linalg.norm(r0 - r1) / (1.0 + np.linalg.norm(r0)))
+    gate_points.clear()
+    assert gauge_independence_residual(field, z, seed=seed) == want
+    assert len(gate_points) == len(set(gate_points)) == gates

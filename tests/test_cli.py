@@ -184,3 +184,43 @@ def test_matrix_encoding():
     assert encode_matrix(np.array([[1 + 2j]])) == [[[1.0, 2.0]]]
     assert fmt_matrix(np.array([[1.0], [0.0]])) == "(1; 0)"
     assert fmt_matrix(np.array([[0.5 + 0.25j]])) == "(0.5+0.25i)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hsc", "--seed", "-1"],
+        ["purge", "--seed", "-1"],
+        ["purge", "--dim", "-1"],
+        ["purge", "--dim", "3", "--rank", "-1"],
+        ["adjoint", "--demo", "random", "--dimV", "0"],
+        ["adjoint", "--dimW", "0"],
+        ["sum-check", "--instances", "0"],
+        ["codazzi-check", "--instances", "-2"],
+        ["hsc", "--samples", "-3"],
+        ["curvature", "--samples", "0"],
+        ["hsc", "--region", "-0.5"],
+        ["hsc", "--region", "0"],
+        ["hsc", "--region", "nan"],
+        ["fibration-scan", "--lambda-max", "-1"],
+        ["fibration-scan", "--lambda-max", "inf"],
+    ],
+)
+def test_value_out_of_range_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "config error" in err and out == ""
+
+
+def test_config_file_values_are_range_checked(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("samples = -3\n")
+    code, _, err = run(capsys, "hsc", "--config", str(cfg))
+    assert code == 2
+    assert "samples" in err
+
+
+def test_curvature_solves_each_sample_once(gate_points, capsys):
+    code, _, _ = run(capsys, "curvature", "--model", "fs:2", "--samples", "5")
+    assert code == 0
+    assert len(gate_points) == len(set(gate_points)) == 5

@@ -203,9 +203,8 @@ def test_adjoint_probe_solves_no_connection(monkeypatch, name):
     calls = _count_solves(monkeypatch)
     getattr(seq.at(z + 1e-4), name)
     at = seq.at(z)
-    for a in range(seq.m):
-        at.probe(name, a)
-        at.probe(name, a, conjugate=True)
+    at.probe(name)
+    at.probe(name, conjugate=True)
     assert calls == []
     at.sigma  # the second fundamental form does need A_E and A_S
     assert len(calls) == 2
@@ -271,15 +270,36 @@ def test_jet_seeds_cover_both_dimensions_and_inclusion_kinds():
 
 @pytest.mark.parametrize("seed", JET_SEEDS)
 def test_probe_ring_equals_fresh_records(seed):
-    """The fast path (one ring of shared records) against the slow one (a
-    fresh record at each stencil point of wirtinger_fd)."""
+    """The fast path (one ring of shared records, all directions at once)
+    against the slow one (a fresh record at each stencil point of
+    wirtinger_fd, one direction at a time)."""
     seq, z = sequence_instance(seed)
     at = seq.at(z)
     for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
-        for a in range(seq.m):
-            for conj in (False, True):
+        for conj in (False, True):
+            fast = at.probe(name, conj)
+            assert fast.shape[0] == seq.m
+            for a in range(seq.m):
                 slow = wirtinger_fd(lambda w: getattr(sequences._SeqAt(seq, w), name), at.z, a, PROBE_STEP, conj)
-                assert np.array_equal(at.probe(name, a, conj), slow), (name, a, conj)
+                assert np.array_equal(fast[a], slow), (name, a, conj)
+    assert len(at.ring) == 4 * seq.m
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fd_inclusion_derivative_equals_the_per_direction_stencil(seed):
+    """dj of an inclusion given without dj, and the (0,1) check of sigma,
+    equal wirtinger_fd taken one direction at a time."""
+    seq, z = sequence_instance(seed)
+    fd_seq = ExactSeqChart(seq.ambient, seq._j_fn)
+    h = seq.ambient.fd_step
+    slow = np.stack([wirtinger_fd(fd_seq.j_at, z, a, h) for a in range(seq.m)])
+    assert np.array_equal(fd_seq.dj_at(z), slow)
+    at = fd_seq.at(z)
+    worst = max(
+        float(np.linalg.norm(at.q @ wirtinger_fd(fd_seq.j_at, z, a, h, True))) for a in range(seq.m)
+    )
+    sff = second_fundamental_form(fd_seq, z)
+    assert sff.dbar_part_residual == worst / (1.0 + float(np.linalg.norm(at.sigma)))
 
 
 def test_solve_rejects_a_form_that_is_not_the_gate_read():
