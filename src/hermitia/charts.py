@@ -361,6 +361,37 @@ class ChartField:
         return "ChartField(m=%d, shape=%d, %s%s)" % (self.m, self.shape, mode, label)
 
 
+def last_point_cache(fn):
+    """``fn`` of a chart point, recomputed only when the point changes, so
+    the d and dd reads of one field at one point share one jet.  The key
+    (the point's bytes) and the value are kept as one tuple: a reader
+    never pairs a new key with an old value.  ``fn`` reads a copy of the
+    point, so a kept value that holds a view of it cannot change when a
+    caller later writes into its own array."""
+    last = None
+
+    def cached(z):
+        nonlocal last
+        key = z.tobytes()
+        hit = last
+        if hit is None or hit[0] != key:
+            hit = last = (key, fn(z.copy()))
+        return hit[1]
+
+    return cached
+
+
+def _row_norms(x):
+    """The norm of each row x[i] of a complex (B, ...) stack, shape (B,):
+    sqrt(re . re + im . im) as batched (1, n) @ (n, 1) products on the
+    strided real and imaginary views, which is how ``np.linalg.norm``
+    takes it, so entry i equals ``np.linalg.norm(x[i])`` bit for bit when
+    x[i] is C-contiguous."""
+    x = x.reshape(len(x), 1, -1)
+    re, im = x.real, x.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+
+
 def _one_row(stack_fn, r):
     """The per-point read of a kernel: ``stack_fn`` on a one-row stack."""
 
@@ -407,12 +438,14 @@ class FieldAt:
     ``form`` is the :class:`HermitianForm` of G(z).  The solve (``dg``,
     ``a``, ``residual``) runs the constant-rank gate, then solves
     G @ A_a = d_a G in the minimum-norm sense from the form's one
-    factorization, and raises RankJump or SolverResidual on first read.
-    Solved first, the form is the gate's centre read, so a solve reads G
-    in one kernel call.  Read first, from its own read of G(z), the form
-    must equal the gate's centre read bit for bit, else HermitiaError.
-    ``tensor`` is R[a][b][s][t] from the solve.  ``kernel_basis`` (a
-    :class:`Subspace`) is built only when read.
+    factorization, for all a in one stacked product, and raises RankJump
+    or SolverResidual on first read.  Solved first, the form is the
+    gate's centre read, so a solve reads G in one kernel call.  Read
+    first, from its own read of G(z), the form must equal the gate's
+    centre read bit for bit, else HermitiaError.  ``tensor`` is
+    R[a][b][s][t] from the solve, all m^2 pairs in one stacked product,
+    C-contiguous.  ``kernel_basis`` (a :class:`Subspace`) is built only
+    when read.
     """
 
     def __init__(self, field: ChartField, z):
@@ -434,11 +467,8 @@ class FieldAt:
         dg = field.d(z)
         require_finite(dg, "first derivative", z)
         g, gp = self.form.gram, self.form.pinv
-        a = np.stack([gp @ dg[i] for i in range(field.m)])
-        residual = max(
-            np.linalg.norm(g @ a[i] - dg[i]) / (1.0 + np.linalg.norm(dg[i]))
-            for i in range(field.m)
-        )
+        a = gp @ dg
+        residual = np.max(_row_norms(g @ a - dg) / (1.0 + _row_norms(dg)))
         if residual > SOLVER_TOL:
             raise SolverResidual(
                 "G A = dG has no solution to %.1e (residual %.2e); "
@@ -475,13 +505,10 @@ class FieldAt:
         dbg = field.dbar(z, d=dg)
         ddg = field.dd(z)
         require_finite(ddg, "mixed second derivative", z)
-        m, r = field.m, field.shape
-        tensor = np.empty((m, m, r, r), dtype=complex)
-        for a in range(m):
-            for b in range(m):
-                mab = dbg[b] @ gp @ dg[a] - ddg[a, b]
-                tensor[a, b] = mab.T
-        return tensor
+        # m_ab = (dbar_b G G^+) d_a G - d_a dbar_b G for all pairs at once;
+        # the copy to C order keeps hsc_of_tensor's summation order
+        mab = (dbg @ gp)[None] @ dg[:, None] - ddg
+        return np.ascontiguousarray(mab.swapaxes(-1, -2))
 
     @cached_property
     def kernel_basis(self):
@@ -522,9 +549,9 @@ def curvature_from_connection(field: ChartField, z, a_fn) -> np.ndarray:
 
 
 def _tensor_of_dbar(g, dbar):
-    """R[a][b] = -(G dbar_b A_a)^T from dbar[b][a] = dbar_b A_a."""
-    m = len(dbar)
-    return np.array([[-(g @ dbar[b][a]).T for b in range(m)] for a in range(m)])
+    """R[a][b] = -(G dbar_b A_a)^T from dbar[b][a] = dbar_b A_a, all pairs
+    in one stacked product, C-contiguous."""
+    return np.ascontiguousarray(-(g @ dbar).transpose(1, 0, 3, 2))
 
 
 def smooth_kernel_perturbation(field: ChartField, z, seed=0):
@@ -535,10 +562,18 @@ def smooth_kernel_perturbation(field: ChartField, z, seed=0):
     the zero function for nondegenerate fields.
     """
     z0 = _as_point(z, field.m)
-    k0 = field.form_at(z0).kernel_basis
+    k = _kernel_perturbation(field, z0, field.form_at(z0), seed)
+    return lambda w: k(w, field.form_at(w))
+
+
+def _kernel_perturbation(field: ChartField, z0, form0, seed):
+    """K of :func:`smooth_kernel_perturbation` as ``k(w, form)``, where
+    ``form0`` and ``form`` are the forms of G(z0) and G(w): a caller that
+    has factorized G(w) already passes its form and reads G nowhere."""
+    k0 = form0.kernel_basis
     jk = k0.shape[1]
     if jk == 0:
-        return lambda w: np.zeros((field.shape, field.shape), dtype=complex)
+        return lambda w, form: np.zeros((field.shape, field.shape), dtype=complex)
     rng = np.random.default_rng(np.random.SeedSequence([seed, field.shape, field.m]))
     c0 = rng.standard_normal((jk, field.shape)) + 1j * rng.standard_normal((jk, field.shape))
     c1 = rng.standard_normal((field.m, jk, field.shape)) + 1j * rng.standard_normal(
@@ -548,9 +583,8 @@ def smooth_kernel_perturbation(field: ChartField, z, seed=0):
         (field.m, jk, field.shape)
     )
 
-    def k(w):
+    def k(w, form):
         w = _as_point(w, field.m)
-        form = field.form_at(w)
         p_ker = np.eye(field.shape, dtype=complex) - form.pinv @ form.gram
         dw = w - z0
         phi = c0 + np.tensordot(dw, c1, axes=1) + np.tensordot(dw.conj(), c2, axes=1)
@@ -566,18 +600,23 @@ def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None)
 
     Both candidates, A and A + K, go through the pipeline of
     :func:`curvature_from_connection`, and both take their differences
-    from one solve at each probe point."""
+    from one solve at each probe point.  The default K (that of
+    :func:`smooth_kernel_perturbation`) reads the form of the gate's G(z)
+    and of each probe point's solve, so G is factorized once per point."""
     z = _as_point(z, field.m)
     g = _check_constant_rank(field, z)
     if perturbation is None:
-        perturbation = smooth_kernel_perturbation(field, z, seed=seed)
+        k = _kernel_perturbation(field, z, HermitianForm(g, rank_tol=RANK_TOL), seed)
+    else:
+        def k(w, form):
+            return perturbation(w)
 
     def both(w):
-        a = chern_connection(field, w).a
-        return np.stack([a, a + perturbation(w)])
+        conn = chern_connection(field, w)
+        return np.stack([conn.a, conn.a + k(w, conn.form)])
 
     dbar = ring_fd(both, z, PROBE_STEP, conjugate=True)
-    r0, r1 = (_tensor_of_dbar(g, dbar[:, k]) for k in (0, 1))
+    r0, r1 = (_tensor_of_dbar(g, dbar[:, i]) for i in (0, 1))
     return float(np.linalg.norm(r0 - r1) / (1.0 + np.linalg.norm(r0)))
 
 

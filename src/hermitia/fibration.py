@@ -29,7 +29,7 @@ from .models import (
     DEFAULT_FIBRATION_REGION,
     _sample_polydisc,
     _scan,
-    _unit_direction,
+    _unit_directions,
     fubini_study_chart,
     single_threaded,
 )
@@ -312,7 +312,7 @@ def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
     z_grid = [np.asarray(z, dtype=complex) for z in z_grid]
     mb = model.base_dim
     rng = np.random.default_rng(np.random.SeedSequence([0, 53]))
-    dirs = np.stack([_unit_direction(rng, model.fiber_dim) for _ in range(VERTICAL_DIRECTIONS)])
+    dirs = _unit_directions(rng, model.fiber_dim, VERTICAL_DIRECTIONS)
     vfull = np.zeros((VERTICAL_DIRECTIONS, model.total_m), dtype=complex)
     vfull[:, mb:] = dirs
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .charts import ChartField, HolomorphicMap
+from .charts import ChartField, HolomorphicMap, last_point_cache
 from .forms import conj_transpose
 
 
@@ -113,10 +113,11 @@ class MonomialMap:
 
 # The Gram matrix of d dbar log ||w||^2 and its derivatives as contractions
 # of w, its Jacobian J and its Hessian H.  Each function computes only the
-# order it returns: the Gram matrix needs no Hessian.  The moments take a
-# point or a stack of points (leading axes), the Gram matrix a stack and
-# the derivatives one point.  Arrays follow the package index convention
-# gram[j, k] = b(e_k, conj(e_j)).
+# order it returns: the Gram matrix needs no Hessian, and the first and
+# mixed second derivatives share one :func:`_potential_jet` at a point.
+# The moments take a point or a stack of points (leading axes), the Gram
+# matrix a stack and the derivatives one point.  Arrays follow the package
+# index convention gram[j, k] = b(e_k, conj(e_j)).
 
 
 def _potential_moments(w, jac):
@@ -135,11 +136,17 @@ def _potential_gram(w, jac):
     return t2.swapaxes(1, 2)
 
 
-def _potential_d(w, jac, hess):
+def _potential_jet(w, jac, hess):
+    """J, H and the moments f, fa, conj(fa), fab, faa and faab at a point:
+    what the first and the mixed second derivatives share."""
     f, fa, fab = _potential_moments(w, jac)
-    cfa = fa.conj()
     faa = np.einsum("iag,i->ag", hess, w.conj())
     faab = np.einsum("iag,ib->agb", hess, jac.conj())
+    return jac, hess, f, fa, fa.conj(), fab, faa, faab
+
+
+def _potential_d(jet):
+    _, _, f, fa, cfa, fab, faa, faab = jet
     t3 = (
         faab / f
         - (
@@ -153,11 +160,8 @@ def _potential_d(w, jac, hess):
     return t3.transpose(1, 2, 0)
 
 
-def _potential_dd(w, jac, hess):
-    f, fa, fab = _potential_moments(w, jac)
-    cfa = fa.conj()
-    faa = np.einsum("iag,i->ag", hess, w.conj())
-    faab = np.einsum("iag,ib->agb", hess, jac.conj())
+def _potential_dd(jet):
+    jac, hess, f, fa, cfa, fab, faa, faab = jet
     fabd = np.einsum("ia,ibd->abd", jac, hess.conj())
     faabb = np.einsum("iag,ibd->agbd", hess, hess.conj())
     t4 = (
@@ -191,16 +195,21 @@ def _potential_dd(w, jac, hess):
 
 
 def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", **kw):
-    """Metric field of the potential log ||w(z)||^2 with exact derivatives."""
+    """Metric field of the potential log ||w(z)||^2 with exact derivatives.
+
+    The d and dd reads at one point share one 2-jet of the map and its
+    moments (:func:`_potential_jet`), kept for the latest point read."""
 
     def stack_fn(zs):
         return _potential_gram(*mono_map.jet(zs, 1))
 
+    jet = last_point_cache(lambda z: _potential_jet(*mono_map.jet(z, 2)))
+
     def d_fn(z):
-        return _potential_d(*mono_map.jet(z, 2))
+        return _potential_d(jet(z))
 
     def dd_fn(z):
-        return _potential_dd(*mono_map.jet(z, 2))
+        return _potential_dd(jet(z))
 
     return ChartField(
         mono_map.m,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartField, curvature_tensor, hsc_of_tensor
+from .charts import ChartField, _row_norms, curvature_tensor, hsc_of_tensor, last_point_cache
 from .errors import ConfigError, HermitiaError, NotPositiveAtPoint
 from .fields import MonomialMap, from_potential_map, fs_monomials
 
@@ -158,19 +158,24 @@ def _grassmann_first(zm, p, q):
     return dp, dq
 
 
-def _grassmann_d(z, k, n):
+def _grassmann_jet(z, k, n):
+    """Z, P, Q, d_ab P and d_ab Q at a chart point: the part of the 2-jet
+    that the first and the mixed second derivatives share."""
     zm, p, q = _grassmann_pq(z, k, n)
-    dp, dq = _grassmann_first(zm, p, q)
+    return (zm, p, q) + _grassmann_first(zm, p, q)
+
+
+def _grassmann_d(jet):
+    _, p, q, dp, dq = jet
     d = np.einsum("abis,tj->abijst", dp, q) + np.einsum("is,abtj->abijst", p, dq)
-    m = k * (n - k)
+    m = len(p) * len(q)
     return d.reshape(m, m, m)
 
 
-def _grassmann_dd(z, k, n):
-    zm, p, q = _grassmann_pq(z, k, n)
+def _grassmann_dd(jet):
+    zm, p, q, dp, dq = jet
     zh = zm.conj().T
     pz, zhp, qzh, zq = p @ zm, zh @ p, q @ zh, zm @ q
-    dp, dq = _grassmann_first(zm, p, q)
     dbp = -np.einsum("id,cs->cdis", pz, p)
     dbq = -np.einsum("td,cj->cdtj", q, zq)
     ddp = np.einsum("id,ca,bs->abcdis", pz, p, zhp) - np.einsum(
@@ -185,7 +190,7 @@ def _grassmann_dd(z, k, n):
         + np.einsum("cdis,abtj->abcdijst", dbp, dq)
         + np.einsum("is,abcdtj->abcdijst", p, ddq)
     )
-    m = k * (n - k)
+    m = len(p) * len(q)
     return dd.reshape(m, m, m, m)
 
 
@@ -221,7 +226,10 @@ class GrassmannChartModel:
 
 
 def grassmannian_chart(k, n, certify=True):
-    """Closed-form chart metric, certified against the minor-potential route."""
+    """Closed-form chart metric, certified against the minor-potential route.
+
+    The d and dd reads at one point share one :func:`_grassmann_jet`, kept
+    for the latest point read."""
     if not 1 <= k < n:
         raise ConfigError("need 1 <= k < n")
     m = k * (n - k)
@@ -229,11 +237,13 @@ def grassmannian_chart(k, n, certify=True):
     def stack_fn(zs):
         return _grassmann_gram_stack(zs, k, n)
 
+    jet = last_point_cache(lambda z: _grassmann_jet(z, k, n))
+
     def d_fn(z):
-        return _grassmann_d(z, k, n)
+        return _grassmann_d(jet(z))
 
     def dd_fn(z):
-        return _grassmann_dd(z, k, n)
+        return _grassmann_dd(jet(z))
 
     field = ChartField(
         m,
@@ -328,9 +338,13 @@ def _sample_polydisc(rng, m, radius):
     return radius * u * np.exp(2j * np.pi * t)
 
 
-def _unit_direction(rng, m):
-    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return v / np.linalg.norm(v)
+def _unit_directions(rng, m, count):
+    """``count`` random unit directions in C^m, shape (count, m), from one
+    draw: each row takes the real and then the imaginary parts of m
+    normal samples in stream order, and is divided by its norm."""
+    x = rng.standard_normal((count, 2, m))
+    v = x[:, 0] + 1j * x[:, 1]
+    return v / _row_norms(v)[:, None]
 
 
 def _hsc_gradient(tensor, g, v):
@@ -412,7 +426,7 @@ def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs,
         if gate is not None and not gate(field.gram(z)):
             return None
         curv = curvature_tensor(field, z)
-        dirs = np.stack([_unit_direction(rng, field.m) for _ in range(directions_per_point)])
+        dirs = _unit_directions(rng, field.m, directions_per_point)
         h = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
         for k, sign in enumerate(signs):
             i = np.argmax(sign * h)

@@ -62,6 +62,7 @@ from .charts import (
     ChartField,
     FieldAt,
     curvature_tensor,
+    last_point_cache,
     ring_fd,
 )
 from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
@@ -254,7 +255,9 @@ class ExactSeqChart:
             d_a dbar_b G_Q = G_Q (d_a P G_Q dbar_b P + dbar_b P G_Q d_a P
                                  - d_a dbar_b P) G_Q
 
-        where dbar_b P = (d_b P)^H.
+        where dbar_b P = (d_b P)^H.  The d and dd reads at one point share
+        one first-order part (H, K, G_Q, d_a G, E_a and d_a P), kept for
+        the latest point read.
         """
         amb = self.ambient
 
@@ -267,6 +270,7 @@ class ExactSeqChart:
         def stack_fn(zs):
             return common(zs)[2]
 
+        @last_point_cache
         def first_order(z):
             h, k, x = (part[0] for part in common(z[None]))
             dg = amb.d(z)

@@ -45,6 +45,7 @@ from hermitia.fields import (
 )
 from hermitia.forms import gram_rank
 from hermitia.instances import gauge_instance, random_degenerate_field, random_pd_field
+from hermitia.models import grassmannian_chart
 
 
 def fs_line(radius=3.0):
@@ -898,3 +899,75 @@ def test_gauge_check_solves_each_point_once(gate_points, seed, m, gates):
     gate_points.clear()
     assert gauge_independence_residual(field, z, seed=seed) == want
     assert len(gate_points) == len(set(gate_points)) == gates
+
+
+@pytest.mark.parametrize("seed, form_reads, eighs", [(0, 0, 5), (1, 0, 9)])
+def test_gauge_check_factorizes_each_point_once(monkeypatch, seed, form_reads, eighs):
+    """The default perturbation reads the forms of the gate and of the ring
+    solves: no form_at read, one eigh at z and one at each ring point."""
+    field, z = gauge_instance(seed)
+    want = gauge_independence_residual(field, z, seed=seed)
+    counts = {"form_at": 0, "eigh": 0}
+    form_at, eigh = ChartField.form_at, np.linalg.eigh
+
+    def counting_form_at(self, w):
+        counts["form_at"] += 1
+        return form_at(self, w)
+
+    def counting_eigh(a, *args, **kw):
+        counts["eigh"] += 1
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(ChartField, "form_at", counting_form_at)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert gauge_independence_residual(field, z, seed=seed) == want
+    assert counts == {"form_at": form_reads, "eigh": eighs}
+
+
+def test_gauge_check_takes_a_supplied_perturbation():
+    field, z = gauge_instance(1)
+    pert = smooth_kernel_perturbation(field, z, seed=1)
+    assert gauge_independence_residual(field, z, perturbation=pert) == gauge_independence_residual(
+        field, z, seed=1
+    )
+    scaled = gauge_independence_residual(field, z, perturbation=lambda w: 3.0 * pert(w))
+    assert 0.0 <= scaled <= 1e-6
+
+
+
+def _hirzebruch_h0():
+    from hermitia.fibration import h_lambda, hirzebruch_model
+
+    return h_lambda(hirzebruch_model(1), 0.0)
+
+
+@pytest.mark.parametrize(
+    "make, z",
+    [
+        (lambda: grassmannian_chart(2, 4).field, [0.2, -0.1j, 0.15 + 0.05j, -0.3]),
+        (fs_plane, [0.2, 0.1j]),
+        (degenerate_factor, [0.1, -0.05 + 0.1j]),
+        (_hirzebruch_h0, [0.7, 0.0]),
+    ],
+)
+def test_stacked_solve_and_assembly_equal_the_loops(make, z):
+    """The connection of one stacked product equals the per-coordinate
+    solves, and the tensor of one stacked product the per-pair assembly,
+    in C order, so H reads the same from either."""
+    field = make()
+    z = np.asarray(z, dtype=complex)
+    rec = curvature_tensor(field, z)
+    dg, gp = rec.dg, rec.form.pinv
+    m, r = field.m, field.shape
+    assert np.array_equal(rec.a, np.stack([gp @ dg[i] for i in range(m)]))
+    dbg, ddg = field.dbar(z, d=dg), field.dd(z)
+    loop = np.empty((m, m, r, r), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            loop[a, b] = (dbg[b] @ gp @ dg[a] - ddg[a, b]).T
+    assert np.array_equal(rec.tensor, loop)
+    assert rec.tensor.flags.c_contiguous
+    if r == m:
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+        assert np.array_equal(hsc_of_tensor(rec.tensor, rec.form.gram, v), hsc_of_tensor(loop, rec.form.gram, v))

@@ -118,3 +118,44 @@ def test_richardson_oracle_where_the_plain_copy_misses(seed, coords):
     dd = field.dd(z)
     assert _stack_error(dd, field.finite_difference_copy().dd(z)) > DD_TOL
     assert _stack_error(dd, _richardson_dd(field, z)) <= DD_TOL
+
+
+# Fields whose d and dd reads share one jet kept for the latest point.
+SHARED_JET_FIELDS = {
+    "gr:2:4": lambda: grassmannian_chart(2, 4).field,
+    "fs:2": lambda: resolve_model("fs:2").field,
+    "hirz:1 b1": lambda: resolve_model("hirz:1").fibration.b1_field,
+    "quotient": lambda: sequence_instance(1)[0].quot_field,
+}
+
+
+@pytest.mark.parametrize("d_first", [True, False])
+@pytest.mark.parametrize("name", sorted(SHARED_JET_FIELDS))
+def test_shared_jet_never_serves_a_stale_point(name, d_first):
+    """d and dd read at z1, z2 and z1 again, in either order, equal the
+    reads of a freshly built field at each point."""
+    build = SHARED_JET_FIELDS[name]
+    field = build()
+    z1 = _point(field, [0.3, -0.5, 0.2, 0.4, -0.1, 0.6, -0.3, 0.2])
+    z2 = _point(field, [-0.4, 0.1, -0.6, 0.3, 0.5, -0.2, 0.1, -0.5])
+    want = {}
+    for i, z in enumerate((z1, z2)):
+        want[i, "d"] = build().d(z)
+        want[i, "dd"] = build().dd(z)
+    order = ("d", "dd") if d_first else ("dd", "d")
+    for i, z in ((0, z1), (1, z2), (0, z1)):
+        for what in order:
+            assert np.array_equal(getattr(field, what)(z), want[i, what])
+
+
+def test_shared_jet_keeps_no_view_of_the_callers_point():
+    """The Grassmann jet holds Z as a view of its point: a caller that
+    writes into its point array after a read must not change the jet
+    kept for that point."""
+    z = np.array([0.2, -0.1j, 0.15 + 0.05j, -0.3])
+    want = grassmannian_chart(2, 4).field.dd(z)
+    field = grassmannian_chart(2, 4).field
+    point = z.copy()
+    field.d(point)
+    point[:] = 0.5
+    assert np.array_equal(field.dd(z), want)

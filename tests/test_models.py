@@ -14,6 +14,7 @@ from hermitia.models import (
     GrassmannChartModel,
     _grassmann_gram,
     _hsc_gradient,
+    _unit_directions,
     einstein_residual,
     fubini_study_chart,
     grassmannian_chart,
@@ -436,3 +437,23 @@ def test_registry_grassmannian():
 def test_registry_rejects_malformed_ids(bad):
     with pytest.raises(ConfigError):
         resolve_model(bad)
+
+
+# ---------------------------------------------------------------------------
+# direction draws
+
+
+def _unit_direction(rng, m):
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_unit_directions_equal_the_per_direction_draws(m):
+    """One draw of all directions equals one draw per direction, and leaves
+    the generator where the per-direction draws leave it."""
+    for seed in range(200):
+        loop_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.stack([_unit_direction(loop_rng, m) for _ in range(20)])
+        assert np.array_equal(_unit_directions(rng, m, 20), want)
+        assert rng.standard_normal() == loop_rng.standard_normal()
