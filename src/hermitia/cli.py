@@ -104,21 +104,31 @@ def _effective_config(args):
     return cfg
 
 
+# The values of the keys that take one of a fixed set of words.
+_CHOICES = {"derivatives": ("analytic", "fd"), "demo": ("degenerate", "random")}
+
+
 def _check_ranges(cfg):
     """Raise ConfigError for a value out of its range: seed >= 0; dim,
     dimv, dimw, samples and instances >= 1; 0 <= rank <= dim; lambda_max
-    finite and >= 0; region finite and > 0."""
+    finite and >= 0; region and tol finite and > 0; derivatives and demo
+    one of their ``_CHOICES``.  A config file bypasses argparse, so every
+    range is checked here."""
     lowest = dict(seed=0, rank=0, lambda_max=0.0, dim=1, dimv=1, dimw=1, samples=1, instances=1)
     for key, low in lowest.items():
         if key in cfg and not cfg[key] >= low:
             raise ConfigError("%s must be at least %s, got %r" % (key, low, cfg[key]))
     if "rank" in cfg and "dim" in cfg and cfg["rank"] > cfg["dim"]:
         raise ConfigError("rank cannot exceed dim")
-    for key in ("lambda_max", "region"):
+    for key in ("lambda_max", "region", "tol"):
         if key in cfg and not np.isfinite(cfg[key]):
             raise ConfigError("%s must be finite, got %r" % (key, cfg[key]))
-    if "region" in cfg and not cfg["region"] > 0:
-        raise ConfigError("region must be positive, got %r" % cfg["region"])
+    for key in ("region", "tol"):
+        if key in cfg and not cfg[key] > 0:
+            raise ConfigError("%s must be positive, got %r" % (key, cfg[key]))
+    for key, choices in _CHOICES.items():
+        if key in cfg and cfg[key] not in choices:
+            raise ConfigError("%s must be one of %s, got %r" % (key, ", ".join(choices), cfg[key]))
 
 
 def _metric_entry(cfg):
@@ -161,13 +171,11 @@ def cmd_adjoint(cfg, report):
         bV = HermitianForm(np.diag([1.0] * (dv - 1) + [0.0]))
         bW = HermitianForm(np.eye(dw))
         f = LinearMap(np.eye(dw, dv))
-    elif cfg["demo"] == "random":
+    else:  # random
         rng = np.random.default_rng(cfg["seed"])
         bV = hermitian_form(rng, dv, rank=int(rng.integers(1, dv + 1)))
         bW = hermitian_form(rng, dw, rank=int(rng.integers(1, dw + 1)))
         f = adjointable_map(rng, bV, bW)
-    else:
-        raise ConfigError("unknown demo %r (want degenerate or random)" % cfg["demo"])
 
     fd = adjoint(f, bV, bW)
     resid = np.max(np.abs(bV.gram @ fd.matrix - f.matrix.conj().T @ bW.gram))
@@ -337,15 +345,15 @@ def _build_parser():
     p = sub.add_parser("adjoint", help="adjoint of a map between formed spaces")
     p.add_argument("--dimV", type=int, dest="dimv")
     p.add_argument("--dimW", type=int, dest="dimw")
-    p.add_argument("--demo", choices=["degenerate", "random"])
+    p.add_argument("--demo", choices=_CHOICES["demo"])
     common(p)
 
     p = sub.add_parser("curvature", help="curvature sanity checks at sampled points")
-    p.add_argument("--derivatives", choices=["analytic", "fd"])
+    p.add_argument("--derivatives", choices=_CHOICES["derivatives"])
     common(p, model=True, samples=True)
 
     p = sub.add_parser("hsc", help="extremal holomorphic sectional curvature scan")
-    p.add_argument("--derivatives", choices=["analytic", "fd"])
+    p.add_argument("--derivatives", choices=_CHOICES["derivatives"])
     common(p, model=True, samples=True)
 
     p = sub.add_parser("grassmannian", help="two-route equality and Einstein checks")

@@ -11,7 +11,11 @@ Most model metrics here arise in one of two ways:
 
 Both routes carry exact first and mixed second derivatives, so the
 resulting fields run in analytic mode and self-check against finite
-differences on construction.
+differences on construction.  The derivatives of every potential field,
+here and in :func:`models.grassmannian_chart`, come from one routine,
+:func:`_logdet_jet`: the potential is log det(A A^H) for a holomorphic
+frame A, the one-row A = w^T here.  Their Gram kernels stay separate
+routes, so the two Grassmannian Grams remain independent.
 
 Every field built here has one Gram kernel, a function of a (B, m) stack
 of points whose row i depends on point i only (``ChartField``'s
@@ -23,6 +27,7 @@ import math
 import numpy as np
 
 from .charts import ChartField, HolomorphicMap, last_point_cache
+from .errors import NonFinite
 from .forms import conj_transpose
 
 
@@ -111,106 +116,93 @@ class MonomialMap:
         return self.jet(z, 2)[2]
 
 
-# The Gram matrix of d dbar log ||w||^2 and its derivatives as contractions
-# of w, its Jacobian J and its Hessian H.  Each function computes only the
-# order it returns: the Gram matrix needs no Hessian, and the first and
-# mixed second derivatives share one :func:`_potential_jet` at a point.
-# The moments take a point or a stack of points (leading axes), the Gram
-# matrix a stack and the derivatives one point.  Arrays follow the package
-# index convention gram[j, k] = b(e_k, conj(e_j)).
-
-
-def _potential_moments(w, jac):
+def _potential_gram(w, jac):
+    """The Gram matrix of d dbar log ||w||^2 at a (B, m) stack of points
+    from w and its Jacobian, gram[j, k] = b(e_k, conj(e_j))."""
     f = np.real(w.conj()[..., None, :] @ w[..., :, None])[..., 0, 0]
     fa = np.einsum("...ia,...i->...a", jac, w.conj())
     fab = np.einsum("...ia,...ib->...ab", jac, jac.conj())
-    return f, fa, fab
-
-
-def _potential_gram(w, jac):
-    f, fa, fab = _potential_moments(w, jac)
-    # f**2 as the float power of each row, as the derivatives take it: an
-    # array square differs from it in the last bit for about one f in 1500
+    # f**2 as the float power of each row, as a one-point oracle with f a
+    # Python float takes it: an array square differs from it in the last
+    # bit for about one f in 1500
     f2 = np.array([x**2 for x in f.tolist()])[:, None, None]
     t2 = fab / f[:, None, None] - np.einsum("na,nb->nab", fa, fa.conj()) / f2
     return t2.swapaxes(1, 2)
 
 
-def _potential_jet(w, jac, hess):
-    """J, H and the moments f, fa, conj(fa), fab, faa and faab at a point:
-    what the first and the mixed second derivatives share."""
-    f, fa, fab = _potential_moments(w, jac)
-    faa = np.einsum("iag,i->ag", hess, w.conj())
-    faab = np.einsum("iag,ib->agb", hess, jac.conj())
-    return jac, hess, f, fa, fa.conj(), fab, faa, faab
+def _logdet_jet(a, da, dda):
+    """d and dd of the Gram field G of d dbar log det(A A^H) at one point,
+    for a holomorphic frame A of shape (k, N) with derivatives dA (m, k, N)
+    and ddA (m, m, k, N), or None where A is linear.
+
+    They are read in the normal gauge A' = (A(z) B)^-1 A(z) with
+    B = A^H (A A^H)^-1 at the point: a holomorphic change of frame, which
+    moves log det only by a pluriharmonic term, with every holomorphic
+    derivative of A' A'^H zero at the point.  With A A^H = L L^H,
+    Q = L^-1 A, the projector P = I - Q^H Q and K_a = L^-1 dA_a Q^H, the
+    frame's derivatives there are J_a = L^-1 dA_a P and
+    H_ag = L^-1 ddA_ag P - K_a J_g - K_g J_a, and with <X, Y> = tr(X Y^H)
+    and C_ab = J_a J_b^H
+
+        G[b, a]              = <J_a, J_b>
+        d_g G[b, a]          = <H_ag, J_b>
+        d_g dbar_d G[b, a]   = <H_ag, H_bd> - tr(C_gd C_ab) - tr(C_ad C_gb).
+
+    Raises LinAlgError where A A^H is singular.
+    """
+    m, k, n = da.shape
+    l_inv = np.linalg.inv(np.linalg.cholesky(a @ a.conj().T))
+    q = l_inv @ a
+    qh = q.conj().T
+    dl = l_inv @ da
+    kk = dl @ qh
+    j = dl - kk @ q
+    h = -(kk[:, None] @ j[None, :])
+    h = h + h.swapaxes(0, 1)
+    if dda is not None:
+        e = l_inv @ dda
+        h = h + e - (e @ qh) @ q
+    hf = h.reshape(m * m, k * n)
+    d = (hf @ j.reshape(m, k * n).conj().T).reshape(m, m, m)
+    hh = (hf @ hf.conj().T).reshape(m, m, m, m)
+    c = j[:, None] @ j.conj().swapaxes(-1, -2)[None, :]
+    cc = (c.reshape(m * m, k * k) @ c.swapaxes(-1, -2).reshape(m * m, k * k).T).reshape(m, m, m, m)
+    dd = hh.transpose(1, 3, 2, 0) - cc.transpose(0, 1, 3, 2) - cc.transpose(2, 1, 3, 0)
+    return d.transpose(1, 2, 0), dd
 
 
-def _potential_d(jet):
-    _, _, f, fa, cfa, fab, faa, faab = jet
-    t3 = (
-        faab / f
-        - (
-            np.einsum("ab,g->agb", fab, fa)
-            + np.einsum("ag,b->agb", faa, cfa)
-            + np.einsum("a,gb->agb", fa, fab)
-        )
-        / f**2
-        + 2.0 * np.einsum("a,b,g->agb", fa, cfa, fa) / f**3
-    )
-    return t3.transpose(1, 2, 0)
+def _logdet_derivatives(frame):
+    """d_fn and dd_fn of the Gram field of d dbar log det(A A^H) for
+    frame(z) = (A, dA, ddA) as :func:`_logdet_jet` takes them.  The two
+    reads at one point share one :func:`_logdet_jet`, kept for the latest
+    point read; a point where A A^H is singular raises NonFinite naming
+    it."""
 
+    @last_point_cache
+    def jet(z):
+        try:
+            return _logdet_jet(*frame(z))
+        except np.linalg.LinAlgError:
+            raise NonFinite(
+                "d dbar log det(A A^H) is not finite at %s: A A^H is singular there"
+                % np.array2string(z, precision=3)
+            ) from None
 
-def _potential_dd(jet):
-    jac, hess, f, fa, cfa, fab, faa, faab = jet
-    fabd = np.einsum("ia,ibd->abd", jac, hess.conj())
-    faabb = np.einsum("iag,ibd->agbd", hess, hess.conj())
-    t4 = (
-        faabb / f
-        - (
-            np.einsum("agb,d->agbd", faab, cfa)
-            + np.einsum("abd,g->agbd", fabd, fa)
-            + np.einsum("agd,b->agbd", faab, cfa)
-            + np.einsum("gbd,a->agbd", fabd, fa)
-        )
-        / f**2
-        - (
-            np.einsum("ab,gd->agbd", fab, fab)
-            + np.einsum("ag,bd->agbd", faa, faa.conj())
-            + np.einsum("ad,gb->agbd", fab, fab)
-        )
-        / f**2
-        + 2.0
-        * (
-            np.einsum("ab,g,d->agbd", fab, fa, cfa)
-            + np.einsum("ag,b,d->agbd", faa, cfa, cfa)
-            + np.einsum("ad,b,g->agbd", fab, cfa, fa)
-            + np.einsum("gb,a,d->agbd", fab, fa, cfa)
-            + np.einsum("gd,a,b->agbd", fab, fa, cfa)
-            + np.einsum("bd,a,g->agbd", faa.conj(), fa, fa)
-        )
-        / f**3
-        - 6.0 * np.einsum("a,b,g,d->agbd", fa, cfa, fa, cfa) / f**4
-    )
-    return t4.transpose(1, 3, 2, 0)
+    return (lambda z: jet(z)[0]), (lambda z: jet(z)[1])
 
 
 def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", **kw):
-    """Metric field of the potential log ||w(z)||^2 with exact derivatives.
-
-    The d and dd reads at one point share one 2-jet of the map and its
-    moments (:func:`_potential_jet`), kept for the latest point read."""
+    """Metric field of the potential log ||w(z)||^2 with exact derivatives:
+    log det(A A^H) for the one-row frame A = w^T (:func:`_logdet_derivatives`)."""
 
     def stack_fn(zs):
         return _potential_gram(*mono_map.jet(zs, 1))
 
-    jet = last_point_cache(lambda z: _potential_jet(*mono_map.jet(z, 2)))
+    def frame(z):
+        w, jac, hess = mono_map.jet(z, 2)
+        return w[None], jac.T[:, None], hess.transpose(1, 2, 0)[:, :, None]
 
-    def d_fn(z):
-        return _potential_d(jet(z))
-
-    def dd_fn(z):
-        return _potential_dd(jet(z))
-
+    d_fn, dd_fn = _logdet_derivatives(frame)
     return ChartField(
         mono_map.m,
         mono_map.m,

@@ -1,18 +1,23 @@
 """Model geometries: projective space, Grassmannian charts, and scans.
 
-The Grassmannian metric is built twice, by independent routes:
+The Grassmannian Gram matrix is built twice, by independent routes:
 
-* a closed-form Gram field kron(P, Q^T) with P = (I + Z Z*)^-1 and
+* a closed form kron(P, Q^T) with P = (I + Z Z*)^-1 and
   Q = (I + Z* Z)^-1, derived from b(V, W) = tr(P V Q W^H) on the chart
   {row space of [I | Z]};
 * the pullback of the projective potential along the minor (Pluecker)
-  coordinates, log ||p(Z)||^2, whose derivatives come from the exact
-  monomial machinery in :mod:`hermitia.fields`.
+  coordinates, log ||p(Z)||^2, evaluated from the exact monomial
+  machinery in :mod:`hermitia.fields`.
 
 The closed form is certified against the potential route at seeded
 points during construction; the two stay within 1e-8 of each other on
 the whole chart region, which is what the minor-coordinate scan in the
 acceptance suite rechecks at scale.
+
+The first and mixed second derivatives of both share one routine, the
+log-det jet of :mod:`hermitia.fields`: the potential is log det(A A^H)
+with the k-row frame A = [I | Z] for the closed form and the one-row
+frame A = p(Z)^T for the minor route, equal by Cauchy-Binet.
 """
 
 import itertools
@@ -20,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartField, _row_norms, curvature_tensor, hsc_of_tensor, last_point_cache
-from .errors import ConfigError, HermitiaError, NotPositiveAtPoint
-from .fields import MonomialMap, from_potential_map, fs_monomials
+from .charts import ChartField, _row_norms, curvature_tensor, hsc_of_tensor, metric_curvature
+from .errors import ConfigError, HermitiaError
+from .fields import MonomialMap, _logdet_derivatives, from_potential_map, fs_monomials
 
 FS_CHART_RADIUS = 2.0
 GR_CHART_RADIUS = 2.0
@@ -106,18 +111,13 @@ def pluecker_pullback(k, n):
 # Grassmannian: closed-form route
 
 
-def _grassmann_pq(z, k, n):
-    """Z, P = (I + Z Z*)^-1 and Q = (I + Z* Z)^-1 at a chart point."""
+def _grassmann_gram(z, k, n):
+    """kron(P, Q^T) with P = (I + Z Z*)^-1 and Q = (I + Z* Z)^-1 at one
+    point by np.kron: the per-point oracle of the field's kernel
+    :func:`_grassmann_gram_stack`."""
     zm = z.reshape(k, n - k)
     p = np.linalg.inv(np.eye(k) + zm @ zm.conj().T)
     q = np.linalg.inv(np.eye(n - k) + zm.conj().T @ zm)
-    return zm, p, q
-
-
-def _grassmann_gram(z, k, n):
-    """kron(P, Q^T) at one point by np.kron: the per-point oracle of the
-    field's kernel :func:`_grassmann_gram_stack`."""
-    _, p, q = _grassmann_pq(z, k, n)
     return np.kron(p, q.T)
 
 
@@ -132,66 +132,6 @@ def _grassmann_gram_stack(zs, k, n):
     qt = np.linalg.inv(np.eye(n - k) + zh @ zm).swapaxes(-1, -2)
     m = k * (n - k)
     return (p[:, :, None, :, None] * qt[:, None, :, None, :]).reshape(-1, m, m)
-
-
-# The Gram entry in row i*(n-k)+j and column s*(n-k)+t is P[i,s] Q[t,j],
-# and chart coordinate a*(n-k)+b is Z[a,b].  A derivative in z_ab inserts
-# the unit matrix E_ab, whose contraction turns each matrix product into a
-# product of entries:
-#
-#   d_ab P    = -P E_ab Z* P  = -P[i,a] (Z*P)[b,s]
-#   d_ab Q    = -Q Z* E_ab Q  = -(QZ*)[t,a] Q[b,j]
-#   dbar_cd P = -P Z E_dc P   = -(PZ)[i,d] P[c,s]
-#   dbar_cd Q = -Q E_dc Z Q   = -Q[t,d] (ZQ)[c,j]
-#
-# and, with Z* P Z = I - Q and Z Q Z* = I - P,
-#
-#   d_ab dbar_cd P = (PZ)[i,d] P[c,a] (Z*P)[b,s] - P[i,a] Q[b,d] P[c,s]
-#   d_ab dbar_cd Q = (QZ*)[t,a] Q[b,d] (ZQ)[c,j] - Q[t,d] P[c,a] Q[b,j].
-
-
-def _grassmann_first(zm, p, q):
-    """d_ab P as [a,b,i,s] and d_ab Q as [a,b,t,j]."""
-    zh = zm.conj().T
-    dp = -np.einsum("ia,bs->abis", p, zh @ p)
-    dq = -np.einsum("ta,bj->abtj", q @ zh, q)
-    return dp, dq
-
-
-def _grassmann_jet(z, k, n):
-    """Z, P, Q, d_ab P and d_ab Q at a chart point: the part of the 2-jet
-    that the first and the mixed second derivatives share."""
-    zm, p, q = _grassmann_pq(z, k, n)
-    return (zm, p, q) + _grassmann_first(zm, p, q)
-
-
-def _grassmann_d(jet):
-    _, p, q, dp, dq = jet
-    d = np.einsum("abis,tj->abijst", dp, q) + np.einsum("is,abtj->abijst", p, dq)
-    m = len(p) * len(q)
-    return d.reshape(m, m, m)
-
-
-def _grassmann_dd(jet):
-    zm, p, q, dp, dq = jet
-    zh = zm.conj().T
-    pz, zhp, qzh, zq = p @ zm, zh @ p, q @ zh, zm @ q
-    dbp = -np.einsum("id,cs->cdis", pz, p)
-    dbq = -np.einsum("td,cj->cdtj", q, zq)
-    ddp = np.einsum("id,ca,bs->abcdis", pz, p, zhp) - np.einsum(
-        "ia,bd,cs->abcdis", p, q, p
-    )
-    ddq = np.einsum("ta,bd,cj->abcdtj", qzh, q, zq) - np.einsum(
-        "td,ca,bj->abcdtj", q, p, q
-    )
-    dd = (
-        np.einsum("abcdis,tj->abcdijst", ddp, q)
-        + np.einsum("abis,cdtj->abcdijst", dp, dbq)
-        + np.einsum("cdis,abtj->abcdijst", dbp, dq)
-        + np.einsum("is,abcdtj->abcdijst", p, ddq)
-    )
-    m = len(p) * len(q)
-    return dd.reshape(m, m, m, m)
 
 
 @dataclass
@@ -228,8 +168,9 @@ class GrassmannChartModel:
 def grassmannian_chart(k, n, certify=True):
     """Closed-form chart metric, certified against the minor-potential route.
 
-    The d and dd reads at one point share one :func:`_grassmann_jet`, kept
-    for the latest point read."""
+    Its d and dd are those of log det(A A^H) for the frame A = [I | Z],
+    whose derivatives are the constant unit matrices
+    (:func:`fields._logdet_derivatives`)."""
     if not 1 <= k < n:
         raise ConfigError("need 1 <= k < n")
     m = k * (n - k)
@@ -237,14 +178,13 @@ def grassmannian_chart(k, n, certify=True):
     def stack_fn(zs):
         return _grassmann_gram_stack(zs, k, n)
 
-    jet = last_point_cache(lambda z: _grassmann_jet(z, k, n))
+    units = np.zeros((m, k, n), dtype=complex)
+    units[:, :, k:] = np.eye(m).reshape(m, k, n - k)
 
-    def d_fn(z):
-        return _grassmann_d(jet(z))
+    def frame(z):
+        return np.hstack([np.eye(k), z.reshape(k, n - k)]), units, None
 
-    def dd_fn(z):
-        return _grassmann_dd(jet(z))
-
+    d_fn, dd_fn = _logdet_derivatives(frame)
     field = ChartField(
         m,
         m,
@@ -274,21 +214,11 @@ def grassmannian_chart(k, n, certify=True):
 
 
 def ricci(field: ChartField, z):
-    """Ricci Gram matrix -d dbar log det G at a point (analytic route)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    form = field.form_at(z)
-    if not form.is_positive_definite():
-        raise NotPositiveAtPoint("Ricci form needs a positive-definite metric")
-    g = form.gram
-    gi = np.linalg.inv(g)
-    dg = field.d(z)
-    dbg = field.dbar(z, d=dg)
-    ddg = field.dd(z)
-    m = field.m
-    ric = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            ric[j, k] = np.trace(gi @ dbg[j] @ gi @ dg[k]) - np.trace(gi @ ddg[k, j])
+    """Ricci Gram matrix -d dbar log det G at a point (analytic route):
+    Ric[j, k] = sum_st G^+[s, t] R[k, j, s, t] from the one curvature
+    record of :func:`charts.metric_curvature`."""
+    curv = metric_curvature(field, z)
+    ric = np.einsum("st,kjst->jk", curv.form.pinv, curv.tensor)
     return 0.5 * (ric + ric.conj().T)
 
 

@@ -61,6 +61,7 @@ from .charts import (
     RANK_TOL,
     ChartField,
     FieldAt,
+    _as_point,
     curvature_tensor,
     last_point_cache,
     ring_fd,
@@ -121,7 +122,7 @@ class ExactSeqChart:
         self._w0 = np.linalg.pinv(j0)  # (k, r)
 
         self.sub_field = self._build_sub_field()
-        self._last_at = None  # (key of z, _SeqAt) of the latest base point
+        self._at = last_point_cache(lambda z: _SeqAt(self, z))
 
     # -- frames ---------------------------------------------------------
 
@@ -296,14 +297,11 @@ class ExactSeqChart:
         return stack_fn, d_fn, dd_fn
 
     def at(self, z):
-        """The per-point record at z.  The latest one is kept, so every
-        reader at one base point shares its solves and its probe ring; the
-        chart never changes, so a kept record never goes stale."""
-        z = np.array(z, dtype=complex)
-        key = (z.shape, z.tobytes())
-        if self._last_at is None or self._last_at[0] != key:
-            self._last_at = (key, _SeqAt(self, z))
-        return self._last_at[1]
+        """The per-point record at z.  The latest one is kept
+        (:func:`charts.last_point_cache`), so every reader at one base
+        point shares its solves and its probe ring; the chart never
+        changes, so a kept record never goes stale."""
+        return self._at(_as_point(z, self.m))
 
 
 def _pd_inverse(g, zs):

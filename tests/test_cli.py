@@ -204,6 +204,10 @@ def test_matrix_encoding():
         ["hsc", "--region", "nan"],
         ["fibration-scan", "--lambda-max", "-1"],
         ["fibration-scan", "--lambda-max", "inf"],
+        ["hsc", "--tol", "-1"],
+        ["hsc", "--tol", "0"],
+        ["hsc", "--tol", "nan"],
+        ["adjoint", "--tol", "inf"],
     ],
 )
 def test_value_out_of_range_is_config_error(capsys, argv):
@@ -218,6 +222,34 @@ def test_config_file_values_are_range_checked(tmp_path, capsys):
     code, _, err = run(capsys, "hsc", "--config", str(cfg))
     assert code == 2
     assert "samples" in err
+
+
+@pytest.mark.parametrize(
+    "command, line, key",
+    [
+        ("curvature", "derivatives = fdd", "derivatives"),
+        ("hsc", "derivatives = FD", "derivatives"),
+        ("adjoint", "demo = singular", "demo"),
+        ("hsc", "tol = -1", "tol"),
+        ("demailly-check", "tol = nan", "tol"),
+    ],
+)
+def test_config_file_words_and_tolerances_are_checked(tmp_path, capsys, command, line, key):
+    """A config file bypasses argparse's choices and type checks: a
+    misspelt derivatives mode would otherwise run the analytic field under
+    the finite-difference tolerance."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert "config error" in err and key in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["curvature", "--derivatives", "fdd"], ["adjoint", "--demo", "x"]])
+def test_flag_words_are_checked_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_curvature_solves_each_sample_once(gate_points, capsys):

@@ -3,9 +3,10 @@ copy of its own field, at points drawn by hypothesis.
 
 The bounds are those of ChartField's construction-time self-check:
 first derivatives to 1e-6 and mixed second derivatives to 1e-5, each
-relative to 1 + the norm of the finite-difference value.  The quotient
-jet of an arbitrary sequence instance meets its mixed second derivatives
-against a Richardson extrapolation of the copy over two outer steps.
+relative to 1 + the norm of the finite-difference value.  Mixed second
+derivatives are met against a Richardson extrapolation of the copy over
+two outer steps, for the model fields as for the quotient jet of an
+arbitrary sequence instance.
 """
 
 from functools import lru_cache
@@ -27,14 +28,16 @@ SPREAD = 0.4
 FIELDS = {
     "gr:1:2": lambda: grassmannian_chart(1, 2).field,
     "gr:2:4": lambda: grassmannian_chart(2, 4).field,
+    "gr:3:6": lambda: grassmannian_chart(3, 6).field,
     "fs:2": lambda: resolve_model("fs:2").field,
     "hirz:1 b1": lambda: resolve_model("hirz:1").fibration.b1_field,
     "hirz:1 b2": lambda: resolve_model("hirz:1").fibration.b2_field,
+    "hirz:3 b1": lambda: resolve_model("hirz:3").fibration.b1_field,
     "pluecker:2:4": lambda: pluecker_pullback(2, 4),
 }
 
-# 2 m real coordinates in [-1, 1] for charts of dimension m <= 4
-COORDS = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+# 2 m real coordinates in [-1, 1] for charts of dimension m <= 9
+COORDS = st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18)
 
 
 @lru_cache(maxsize=None)
@@ -52,19 +55,6 @@ def _point(field, coords):
 def _stack_error(exact, fd):
     err = np.linalg.norm(exact - fd, axis=(-2, -1))
     return float(np.max(err / (1.0 + np.linalg.norm(fd, axis=(-2, -1)))))
-
-
-def _assert_jet_matches(field, fd, z):
-    assert _stack_error(field.d(z), fd.d(z)) <= D_TOL
-    assert _stack_error(field.dd(z), fd.dd(z)) <= DD_TOL
-
-
-@pytest.mark.parametrize("name", sorted(FIELDS))
-@settings(max_examples=20, deadline=None)
-@given(coords=COORDS)
-def test_analytic_jet_matches_finite_differences(name, coords):
-    field, fd = field_pair(name)
-    _assert_jet_matches(field, fd, _point(field, coords))
 
 
 def _richardson_dd(field, z):
@@ -87,6 +77,23 @@ def _richardson_dd(field, z):
         )
         reads.append(fd.dd(z))
     return (4.0 * reads[1] - reads[0]) / 3.0
+
+
+# The plain copy (outer step 1e-3) is itself the coarser side on hirz:3
+# b1: 1.4e-5 from the jet at z = (0.57 + 0.57i, 0), on the zero section
+# at a corner of the drawn region.  The Richardson oracle is within 1.4e-7
+# of every model jet here, at up to 101 corner and sign points per field.
+def _assert_jet_matches(field, fd, z):
+    assert _stack_error(field.d(z), fd.d(z)) <= D_TOL
+    assert _stack_error(field.dd(z), _richardson_dd(field, z)) <= DD_TOL
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=20, deadline=None)
+@given(coords=COORDS)
+def test_analytic_jet_matches_finite_differences(name, coords):
+    field, fd = field_pair(name)
+    _assert_jet_matches(field, fd, _point(field, coords))
 
 
 # Any sequence_instance seed: m = 1 and 2, moving and constant inclusions.

@@ -263,6 +263,16 @@ def test_potential_zero_at_one_gate_point_names_that_point():
     assert str(info.value) == "Gram matrix of the rank gate is not finite at [0.75+0.j]"
 
 
+@pytest.mark.parametrize("what", ["d", "dd"])
+def test_potential_derivatives_where_the_map_vanishes_name_the_point(what):
+    """The same map: at z = 3/4 the potential's frame w^T is zero, so its
+    derivatives are 0/0 there and raise instead of returning NaN."""
+    mono = MonomialMap(1, [[(1.0, (1,)), (-0.75, (0,))], [(1.0, (2,)), (-0.75, (1,))]])
+    field = from_potential_map(mono, radius=2.0, self_check=False)
+    with pytest.raises(NonFinite, match=r"at \[0\.75\+0\.j\]"):
+        getattr(field, what)(np.array([0.75]))
+
+
 def _singular_quotient():
     """The quotient of the sequence of test_sequences' non-positive fixture:
     its ambient Gram matrix is singular at z = 0.5 only."""
