@@ -1,8 +1,9 @@
 """Pointwise differential geometry on a polydisc chart.
 
 A :class:`ChartField` is a smooth Hermitian-matrix-valued function of a
-point z in C^m.  Derivatives are either supplied analytically or taken by
-the one central Wirtinger stencil
+point z in C^m, given by one Gram kernel that evaluates a stack of
+points.  Its first and mixed second derivatives are either both supplied
+analytically or both taken by the one central Wirtinger stencil
 
     d_a    = (F(z+h) - F(z-h) - i F(z+ih) + i F(z-ih)) / (4h)
     dbar_a = (F(z+h) - F(z-h) + i F(z+ih) - i F(z-ih)) / (4h)
@@ -86,6 +87,13 @@ def _as_point(z, m):
     return z
 
 
+def sample_box(rng, m, scale):
+    """A point of the box |Re z_a|, |Im z_a| <= scale drawn from ``rng``:
+    the m real parts, then the m imaginary parts, uniform in [-1, 1] and
+    multiplied by ``scale``."""
+    return scale * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+
+
 def _stencil_ring(z, step):
     """The 4m points z + step e_a, z - step e_a, z + i step e_a and
     z - i step e_a of the Wirtinger stencil, for every coordinate a in
@@ -147,30 +155,26 @@ class ChartField:
     The Gram matrices come from one kernel, ``stack_fn``, which evaluates
     a whole stack of points; a read at one point is the kernel on a
     one-row stack, so :meth:`gram_stack` rows equal :meth:`gram` reads bit
-    for bit.  The package's constructors pass only ``stack_fn`` and derive
-    the per-point read from it.  A field given only a per-point
-    ``eval_fn`` reads a stack one point at a time.
+    for bit as long as the kernel keeps its row contract.  A field has
+    both analytic derivatives or neither: with neither, every derivative
+    is a finite difference of the kernel's reads.
 
     Parameters
     ----------
     m : complex dimension of the chart.
     shape : size of the square Gram matrix.
-    eval_fn : z -> (shape, shape) complex matrix, the per-point read.
-        Without it, the read is ``stack_fn`` on a one-row stack.  It
-        should return the Gram matrix only and compute no derivatives.
+    stack_fn : the kernel, (B, m) points -> (B, shape, shape) Gram
+        matrices, where row i depends on point i only.  It should return
+        the Gram matrices only and compute no derivatives.
     center, radius : polydisc domain; radius may be per-coordinate.
-    d_fn : optional analytic first derivatives, z -> (m, shape, shape)
-        with d_fn(z)[a] = d_a G.
-    dd_fn : optional analytic mixed second derivatives, z -> (m, m,
-        shape, shape) with dd_fn(z)[a][b] = d_a dbar_b G.
+    d_fn, dd_fn : analytic first derivatives, z -> (m, shape, shape) with
+        d_fn(z)[a] = d_a G, and mixed second derivatives, z -> (m, m,
+        shape, shape) with dd_fn(z)[a][b] = d_a dbar_b G; both or neither,
+        else HermitiaError.
     fd_step, fd_outer_step : steps of the inner (first derivative) and
         outer (second derivative) Wirtinger differences.
     self_check : compare analytic derivatives against finite differences
         at a few deterministic points on construction.
-    stack_fn : the kernel, (B, m) points -> (B, shape, shape) Gram
-        matrices, where row i depends on point i only.  With an
-        ``eval_fn`` as well, each row must equal ``eval_fn`` at its point
-        bit for bit.
 
     On a field with analytic derivatives, :func:`curvature_tensor` and
     :func:`chern_connection` read the Gram matrix at the 4m + 1 points of
@@ -183,7 +187,7 @@ class ChartField:
         self,
         m,
         shape,
-        eval_fn=None,
+        stack_fn,
         center=None,
         radius=1.0,
         d_fn=None,
@@ -192,15 +196,11 @@ class ChartField:
         fd_outer_step=1e-3,
         name="",
         self_check=True,
-        stack_fn=None,
     ):
+        if (d_fn is None) != (dd_fn is None):
+            raise HermitiaError("a chart field takes both d_fn and dd_fn or neither")
         self.m = int(m)
         self.shape = int(shape)
-        if eval_fn is None:
-            if stack_fn is None:
-                raise HermitiaError("a chart field needs a stack_fn or an eval_fn")
-            eval_fn = _one_row(stack_fn, self.shape)
-        self.eval_fn = eval_fn
         self.stack_fn = stack_fn
         self.center = (
             np.zeros(self.m, dtype=complex)
@@ -213,7 +213,7 @@ class ChartField:
         self.fd_step = float(fd_step)
         self.fd_outer_step = float(fd_outer_step)
         self.name = name
-        if self_check and self.d_fn is not None:
+        if self_check and self.analytic:
             self._self_check()
 
     # -- evaluation ---------------------------------------------------------
@@ -227,7 +227,7 @@ class ChartField:
 
     def gram(self, z):
         r = self.shape
-        return hermitize(self._checked(self.eval_fn(_as_point(z, self.m)), (r, r)))
+        return hermitize(self._checked(self.stack_fn(_as_point(z, self.m)[None]), (1, r, r))[0])
 
     def gram_stack(self, zs):
         """The Gram matrices at a (B, m) stack of points, shape (B, shape,
@@ -236,11 +236,7 @@ class ChartField:
         if zs.ndim != 2 or zs.shape[1] != self.m:
             raise ValueError("point stack has shape %s, chart has dimension %d" % (zs.shape, self.m))
         r = self.shape
-        if self.stack_fn is None:
-            g = np.stack([self._checked(self.eval_fn(z), (r, r)) for z in zs])
-        else:
-            g = self._checked(self.stack_fn(zs), (len(zs), r, r))
-        return hermitize(g)
+        return hermitize(self._checked(self.stack_fn(zs), (len(zs), r, r)))
 
     def form_at(self, z):
         """The form of G(z); a NaN or inf in G(z) raises NonFinite naming z."""
@@ -297,9 +293,9 @@ class ChartField:
     def _dd_fd(self, z):
         """d_a dbar_b G by an outer difference of dbar_b G at the 4m outer
         stencil points.  dbar_b G comes from d_fn when the field has one
-        (through :func:`ring_fd`), else from the inner stencils around the
-        outer points, whose 16 m^2 points are read in one
-        :meth:`gram_stack` call."""
+        (through :func:`ring_fd`; the self-check's oracle of dd_fn), else
+        from the inner stencils around the outer points, whose 16 m^2
+        points are read in one :meth:`gram_stack` call."""
         if self.d_fn is not None:
             return ring_fd(
                 lambda w: conj_transpose(np.asarray(self.d_fn(w), dtype=complex)), z, self.fd_outer_step
@@ -325,27 +321,25 @@ class ChartField:
         return ChartField(
             self.m,
             self.shape,
-            self.eval_fn,
+            self.stack_fn,
             center=self.center,
             radius=self.radius,
             fd_step=self.fd_step,
             fd_outer_step=self.fd_outer_step,
             name=self.name,
             self_check=False,
-            stack_fn=self.stack_fn,
         )
 
     def _self_check(self):
         rng = np.random.default_rng(np.random.SeedSequence([7, self.m, self.shape]))
-        checks = [("first", self.d_fn, lambda z: self._fd(z, False), 10, 0.5, SELF_CHECK_D_TOL)]
-        if self.dd_fn is not None:
-            checks.append(("second", self.dd_fn, self._dd_fd, 3, 0.4, SELF_CHECK_DD_TOL))
+        checks = [
+            ("first", self.d_fn, lambda z: self._fd(z, False), 10, 0.5, SELF_CHECK_D_TOL),
+            ("second", self.dd_fn, self._dd_fd, 3, 0.4, SELF_CHECK_DD_TOL),
+        ]
         for order, exact, approx, points, spread, tol in checks:
             worst = 0.0
             for _ in range(points):
-                z = self.center + spread * self.radius * (
-                    rng.uniform(-1, 1, self.m) + 1j * rng.uniform(-1, 1, self.m)
-                ) / np.sqrt(2.0)
+                z = self.center + sample_box(rng, self.m, spread * self.radius) / np.sqrt(2.0)
                 fd = approx(z)
                 err = np.linalg.norm(np.asarray(exact(z), dtype=complex) - fd, axis=(-2, -1))
                 worst = max(worst, float(np.max(err / (1.0 + np.linalg.norm(fd, axis=(-2, -1))))))
@@ -392,15 +386,6 @@ def _row_norms(x):
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
 
 
-def _one_row(stack_fn, r):
-    """The per-point read of a kernel: ``stack_fn`` on a one-row stack."""
-
-    def eval_fn(z):
-        return ChartField._checked(stack_fn(z[None]), (1, r, r))[0]
-
-    return eval_fn
-
-
 def _gate_stencil(z, s):
     """z, then z + s e_a, z - s e_a, z + i s e_a and z - i s e_a for each
     coordinate a: the 4m + 1 points of the constant-rank gate."""
@@ -441,8 +426,9 @@ class FieldAt:
     factorization, for all a in one stacked product, and raises RankJump
     or SolverResidual on first read.  Solved first, the form is the
     gate's centre read, so a solve reads G in one kernel call.  Read
-    first, from its own read of G(z), the form must equal the gate's
-    centre read bit for bit, else HermitiaError.  ``tensor`` is
+    first, from its own one-row read of G(z), the form must equal the
+    gate's centre read bit for bit, else HermitiaError: the guard of the
+    kernel's row contract.  ``tensor`` is
     R[a][b][s][t] from the solve, all m^2 pairs in one stacked product,
     C-contiguous.  ``kernel_basis`` (a :class:`Subspace`) is built only
     when read.
@@ -798,10 +784,10 @@ def pullback_consistency(map_obj: HolomorphicMap, field: ChartField, z):
             tfield = ChartField(
                 map_obj.m_in,
                 map_obj.m_out,
+                transported,
                 center=z,
                 radius=0.05,
                 self_check=False,
-                stack_fn=transported,
             )
             t_conn = chern_connection(tfield, z)
             jinv = np.linalg.inv(jac)

@@ -16,11 +16,11 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .charts import _torsion, hsc_of_tensor, metric_curvature
+from .charts import _torsion, hsc_of_tensor, metric_curvature, sample_box
 from .errors import ConfigError, HermitiaError
 from .forms import HermitianForm, LinearMap, adjoint, adjoint_freedom_dims, kernel, purge
 from .instances import adjointable_map, hermitian_form
-from .models import einstein_residual, hsc_extremes, pluecker_pullback, resolve_model
+from .models import einstein_residual, hsc_extremes, pluecker_gap, resolve_model
 from .fibration import find_lambda0
 from .report import Report, encode_matrix, fmt_matrix
 
@@ -145,10 +145,6 @@ def _field_for(entry, cfg):
     return field
 
 
-def _sample_box(rng, m, scale):
-    return scale * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
-
-
 def cmd_purge(cfg, report):
     rng = np.random.default_rng(cfg["seed"])
     b = hermitian_form(rng, cfg["dim"], rank=cfg["rank"])
@@ -194,7 +190,7 @@ def cmd_curvature(cfg, report):
     tol = cfg.get("tol", CURVATURE_TOL if cfg["derivatives"] == "analytic" else CURVATURE_FD_TOL)
     for idx in range(cfg["samples"]):
         rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], idx]))
-        z = _sample_box(rng, field.m, region)
+        z = sample_box(rng, field.m, region)
         curv = metric_curvature(field, z)  # the one solve at z
         report.add("point_%02d_pair_symmetry" % idx,
                    residual=float(curv.pair_symmetry_residual()), tolerance=tol)
@@ -228,15 +224,11 @@ def cmd_grassmannian(cfg, report):
     if entry.grassmann is None:
         raise ConfigError("command needs a gr:k:n model, got %r" % cfg["model"])
     model = entry.grassmann
-    oracle = pluecker_pullback(model.k, model.n)
     rng = np.random.default_rng(cfg["seed"])
     region = cfg.get("region", entry.default_region)
-    worst = 0.0
-    for _ in range(cfg["samples"]):
-        z = _sample_box(rng, entry.field.m, region)
-        g1, g2 = entry.field.gram(z), oracle.gram(z)
-        worst = max(worst, np.linalg.norm(g1 - g2) / (1.0 + np.linalg.norm(g2)))
-    report.add("route_agreement", residual=float(worst), tolerance=cfg["tol"])
+    points = [sample_box(rng, entry.field.m, region) for _ in range(cfg["samples"])]
+    worst = pluecker_gap(entry.field, model.k, model.n, points)
+    report.add("route_agreement", residual=worst, tolerance=cfg["tol"])
 
     resid = einstein_residual(entry.field, entry.einstein_constant, seed=cfg["seed"])
     report.add("einstein_constant", value=entry.einstein_constant,

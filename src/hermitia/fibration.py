@@ -33,6 +33,7 @@ from .models import (
     fubini_study_chart,
     single_threaded,
 )
+from .report import encode_complex
 
 VERTICAL_LEAK_TOL = 1e-12
 # Relative floors of the positive-definiteness test _is_pd: the lowest
@@ -386,8 +387,8 @@ def _scan_one_lambda(model, lam, region, n_points, seed):
     [(h_min, z, v_min)] = found
     record["min_H"] = h_min
     record["argmin"] = {
-        "point": [[float(c.real), float(c.imag)] for c in z],
-        "direction": [[float(c.real), float(c.imag)] for c in v_min],
+        "point": [encode_complex(c) for c in z],
+        "direction": [encode_complex(c) for c in v_min],
     }
     return record
 

@@ -12,14 +12,16 @@ Most model metrics here arise in one of two ways:
 Both routes carry exact first and mixed second derivatives, so the
 resulting fields run in analytic mode and self-check against finite
 differences on construction.  The derivatives of every potential field,
-here and in :func:`models.grassmannian_chart`, come from one routine,
-:func:`_logdet_jet`: the potential is log det(A A^H) for a holomorphic
-frame A, the one-row A = w^T here.  Their Gram kernels stay separate
-routes, so the two Grassmannian Grams remain independent.
+here and in :func:`models.grassmannian_chart`, come from one pair of
+routines, :func:`_logdet_first` and :func:`_logdet_second`: the
+potential is log det(A A^H) for a holomorphic frame A, the one-row
+A = w^T here.  Their Gram kernels stay separate routes, so the two
+Grassmannian Grams remain independent.
 
 Every field built here has one Gram kernel, a function of a (B, m) stack
 of points whose row i depends on point i only (``ChartField``'s
-``stack_fn``); composite fields compose their parts' kernels.
+``stack_fn``); composite fields compose their parts' kernels, and are
+analytic when all of their parts are.
 """
 
 import math
@@ -130,10 +132,12 @@ def _potential_gram(w, jac):
     return t2.swapaxes(1, 2)
 
 
-def _logdet_jet(a, da, dda):
-    """d and dd of the Gram field G of d dbar log det(A A^H) at one point,
-    for a holomorphic frame A of shape (k, N) with derivatives dA (m, k, N)
-    and ddA (m, m, k, N), or None where A is linear.
+def _logdet_first(a, da, dda):
+    """The first-order part of the log-det jet at one point: (J, H, d) for
+    a holomorphic frame A of shape (k, N) with derivatives dA (m, k, N)
+    and ddA (m, m, k, N), or None where A is linear; H flattened to
+    (m m, k N) and d the first derivatives of the Gram field G of
+    d dbar log det(A A^H).
 
     They are read in the normal gauge A' = (A(z) B)^-1 A(z) with
     B = A^H (A A^H)^-1 at the point: a holomorphic change of frame, which
@@ -142,11 +146,9 @@ def _logdet_jet(a, da, dda):
     Q = L^-1 A, the projector P = I - Q^H Q and K_a = L^-1 dA_a Q^H, the
     frame's derivatives there are J_a = L^-1 dA_a P and
     H_ag = L^-1 ddA_ag P - K_a J_g - K_g J_a, and with <X, Y> = tr(X Y^H)
-    and C_ab = J_a J_b^H
 
         G[b, a]              = <J_a, J_b>
-        d_g G[b, a]          = <H_ag, J_b>
-        d_g dbar_d G[b, a]   = <H_ag, H_bd> - tr(C_gd C_ab) - tr(C_ad C_gb).
+        d_g G[b, a]          = <H_ag, J_b>.
 
     Raises LinAlgError where A A^H is singular.
     """
@@ -164,31 +166,42 @@ def _logdet_jet(a, da, dda):
         h = h + e - (e @ qh) @ q
     hf = h.reshape(m * m, k * n)
     d = (hf @ j.reshape(m, k * n).conj().T).reshape(m, m, m)
+    return j, hf, d.transpose(1, 2, 0)
+
+
+def _logdet_second(j, hf):
+    """The mixed second derivatives of the log-det Gram field from the J
+    and flattened H of :func:`_logdet_first`: with C_ab = J_a J_b^H,
+
+        d_g dbar_d G[b, a] = <H_ag, H_bd> - tr(C_gd C_ab) - tr(C_ad C_gb).
+    """
+    m, k = j.shape[:2]
     hh = (hf @ hf.conj().T).reshape(m, m, m, m)
     c = j[:, None] @ j.conj().swapaxes(-1, -2)[None, :]
     cc = (c.reshape(m * m, k * k) @ c.swapaxes(-1, -2).reshape(m * m, k * k).T).reshape(m, m, m, m)
-    dd = hh.transpose(1, 3, 2, 0) - cc.transpose(0, 1, 3, 2) - cc.transpose(2, 1, 3, 0)
-    return d.transpose(1, 2, 0), dd
+    return hh.transpose(1, 3, 2, 0) - cc.transpose(0, 1, 3, 2) - cc.transpose(2, 1, 3, 0)
 
 
 def _logdet_derivatives(frame):
     """d_fn and dd_fn of the Gram field of d dbar log det(A A^H) for
-    frame(z) = (A, dA, ddA) as :func:`_logdet_jet` takes them.  The two
-    reads at one point share one :func:`_logdet_jet`, kept for the latest
-    point read; a point where A A^H is singular raises NonFinite naming
-    it."""
+    frame(z) = (A, dA, ddA) as :func:`_logdet_first` takes them.  A d read
+    builds only the first-order part; the first dd read at a point adds
+    the second-order products (:func:`_logdet_second`) from it.  Both are
+    kept for the latest point read; a point where A A^H is singular
+    raises NonFinite naming it."""
 
     @last_point_cache
-    def jet(z):
+    def first(z):
         try:
-            return _logdet_jet(*frame(z))
+            return _logdet_first(*frame(z))
         except np.linalg.LinAlgError:
             raise NonFinite(
                 "d dbar log det(A A^H) is not finite at %s: A A^H is singular there"
                 % np.array2string(z, precision=3)
             ) from None
 
-    return (lambda z: jet(z)[0]), (lambda z: jet(z)[1])
+    second = last_point_cache(lambda z: _logdet_second(*first(z)[:2]))
+    return (lambda z: first(z)[2]), second
 
 
 def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", **kw):
@@ -206,12 +219,12 @@ def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", 
     return ChartField(
         mono_map.m,
         mono_map.m,
+        stack_fn,
         center=center,
         radius=radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
-        stack_fn=stack_fn,
         **kw,
     )
 
@@ -268,12 +281,12 @@ def from_factor(poly: MatrixPolynomial, m, center=None, radius=1.0, name=""):
     return ChartField(
         m,
         poly.shape[1],
+        stack_fn,
         center=center,
         radius=radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
-        stack_fn=stack_fn,
     )
 
 
@@ -290,13 +303,13 @@ def constant_field(gram, m, center=None, radius=1.0, name=""):
     return ChartField(
         m,
         r,
+        lambda zs: np.broadcast_to(gram, (len(zs), r, r)),
         center=center,
         radius=radius,
         d_fn=zeros_d,
         dd_fn=zeros_dd,
         name=name,
         self_check=False,
-        stack_fn=lambda zs: np.broadcast_to(gram, (len(zs), r, r)),
     )
 
 
@@ -304,18 +317,24 @@ def scaled_field(field: ChartField, c, name=""):
     """Constant real multiple c G of a field on the same chart."""
     c = float(c)
 
-    d_fn = (lambda z: c * field.d(z)) if field.analytic else None
-    dd_fn = (lambda z: c * field.dd(z)) if field.dd_fn is not None else None
+    d_fn = dd_fn = None
+    if field.analytic:
+        def d_fn(z):
+            return c * field.d(z)
+
+        def dd_fn(z):
+            return c * field.dd(z)
+
     return ChartField(
         field.m,
         field.shape,
+        lambda zs: c * field.gram_stack(zs),
         center=field.center,
         radius=field.radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name or field.name,
         self_check=False,
-        stack_fn=lambda zs: c * field.gram_stack(zs),
     )
 
 
@@ -324,27 +343,28 @@ def sum_field(f1: ChartField, f2: ChartField, c1=1.0, c2=1.0, name=""):
     if f1.m != f2.m or f1.shape != f2.shape:
         raise ValueError("fields are not compatible")
     radius = np.minimum(f1.radius, f2.radius)
-    analytic = f1.analytic and f2.analytic
 
     def stack_fn(zs):
         return c1 * f1.gram_stack(zs) + c2 * f2.gram_stack(zs)
 
-    d_fn = (lambda z: c1 * f1.d(z) + c2 * f2.d(z)) if analytic else None
-    dd_fn = (
-        (lambda z: c1 * f1.dd(z) + c2 * f2.dd(z))
-        if (f1.dd_fn is not None and f2.dd_fn is not None)
-        else None
-    )
+    d_fn = dd_fn = None
+    if f1.analytic and f2.analytic:
+        def d_fn(z):
+            return c1 * f1.d(z) + c2 * f2.d(z)
+
+        def dd_fn(z):
+            return c1 * f1.dd(z) + c2 * f2.dd(z)
+
     return ChartField(
         f1.m,
         f1.shape,
+        stack_fn,
         center=f1.center,
         radius=radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
         self_check=False,
-        stack_fn=stack_fn,
     )
 
 
@@ -363,27 +383,28 @@ def embedded_factor_field(factor: ChartField, total_m, offset, radius, name=""):
         out[:, sl, sl] = factor.gram_stack(zs[:, sl])
         return out
 
-    def d_fn(z):
-        out = np.zeros((total_m, total_m, total_m), dtype=complex)
-        out[sl, sl, sl] = factor.d(z[sl])
-        return out
+    d_fn = dd_fn = None
+    if factor.analytic:
+        def d_fn(z):
+            out = np.zeros((total_m, total_m, total_m), dtype=complex)
+            out[sl, sl, sl] = factor.d(z[sl])
+            return out
 
-    def dd_fn(z):
-        out = np.zeros((total_m, total_m, total_m, total_m), dtype=complex)
-        out[sl, sl, sl, sl] = factor.dd(z[sl])
-        return out
+        def dd_fn(z):
+            out = np.zeros((total_m, total_m, total_m, total_m), dtype=complex)
+            out[sl, sl, sl, sl] = factor.dd(z[sl])
+            return out
 
-    analytic = factor.analytic
     return ChartField(
         total_m,
         total_m,
+        stack_fn,
         center=np.zeros(total_m, dtype=complex),
         radius=radius,
-        d_fn=d_fn if analytic else None,
-        dd_fn=dd_fn if (factor.dd_fn is not None) else None,
+        d_fn=d_fn,
+        dd_fn=dd_fn,
         name=name,
         self_check=False,
-        stack_fn=stack_fn,
     )
 
 
@@ -398,30 +419,28 @@ def pullback_field(field: ChartField, map_obj: HolomorphicMap, center, radius, n
     def stack_fn(zs):
         return field.gram_stack(np.stack([map_obj(z) for z in zs]))
 
-    d_fn = None
-    dd_fn = None
+    d_fn = dd_fn = None
     if field.analytic:
         def d_fn(z):
             jac = map_obj.jacobian(z)
             damb = field.d(map_obj(z))
             return np.einsum("irs,ij->jrs", damb, jac)
 
-        if field.dd_fn is not None:
-            def dd_fn(z):
-                jac = map_obj.jacobian(z)
-                ddamb = field.dd(map_obj(z))
-                return np.einsum("ilrs,ij,lk->jkrs", ddamb, jac, jac.conj())
+        def dd_fn(z):
+            jac = map_obj.jacobian(z)
+            ddamb = field.dd(map_obj(z))
+            return np.einsum("ilrs,ij,lk->jkrs", ddamb, jac, jac.conj())
 
     return ChartField(
         m,
         field.shape,
+        stack_fn,
         center=center,
         radius=radius,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name=name,
         self_check=False,
-        stack_fn=stack_fn,
     )
 
 

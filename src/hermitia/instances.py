@@ -11,6 +11,7 @@ the curvature comparisons vacuous).
 
 import numpy as np
 
+from .charts import sample_box
 from .fields import MatrixPolynomial, from_factor
 from .forms import HermitianForm, LinearMap, kernel
 from .sequences import ExactSeqChart
@@ -108,7 +109,7 @@ def sequence_instance(seed):
     ambient = random_pd_field(rng, m, r)
     j, dj = random_inclusion(rng, r, k, m, constant=bool(rng.random() < 0.3))
     seq = ExactSeqChart(ambient, j, dj=dj, name="inst%d" % seed)
-    z = 0.2 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+    z = sample_box(rng, m, 0.2)
     return seq, z
 
 
@@ -128,7 +129,7 @@ def sum_instance(seed):
         r = max(r, 3)
         b1 = random_degenerate_field(rng, m, r, rank=r - 1)
         b2 = random_degenerate_field(rng, m, r, rank=r - 1)
-    z = 0.15 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+    z = sample_box(rng, m, 0.15)
     h = b1.gram(z) + b2.gram(z)
     if np.linalg.eigvalsh(h)[0] <= SUM_NUDGE_CUT:
         # complementary-kernel overlap left the sum degenerate; nudge with
@@ -143,5 +144,5 @@ def gauge_instance(seed):
     m = int(rng.integers(1, 3))
     r = int(rng.integers(3, 5))
     field = random_degenerate_field(rng, m, r, rank=r - 1)
-    z = 0.2 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+    z = sample_box(rng, m, 0.2)
     return field, z

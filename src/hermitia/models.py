@@ -25,9 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartField, _row_norms, curvature_tensor, hsc_of_tensor, metric_curvature
+from .charts import (
+    ChartField,
+    _row_norms,
+    curvature_tensor,
+    hsc_of_tensor,
+    metric_curvature,
+    sample_box,
+)
 from .errors import ConfigError, HermitiaError
 from .fields import MonomialMap, _logdet_derivatives, from_potential_map, fs_monomials
+from .report import encode_complex
 
 FS_CHART_RADIUS = 2.0
 GR_CHART_RADIUS = 2.0
@@ -105,6 +113,19 @@ def pluecker_pullback(k, n):
     return from_potential_map(
         pluecker_monomials(k, n), radius=GR_CHART_RADIUS, name="pluecker:%d:%d" % (k, n)
     )
+
+
+def pluecker_gap(field: ChartField, k, n, points):
+    """max over ``points`` of |G1 - G2| / (1 + |G2|), G1 the Gram matrix of
+    ``field`` and G2 that of the minor-potential route
+    :func:`pluecker_pullback` of Gr(k, n): the gap between the two
+    Grassmannian constructions."""
+    oracle = pluecker_pullback(k, n)
+    worst = 0.0
+    for z in points:
+        g1, g2 = field.gram(z), oracle.gram(z)
+        worst = max(worst, float(np.linalg.norm(g1 - g2) / (1.0 + np.linalg.norm(g2))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +209,20 @@ def grassmannian_chart(k, n, certify=True):
     field = ChartField(
         m,
         m,
+        stack_fn,
         radius=GR_CHART_RADIUS,
         d_fn=d_fn,
         dd_fn=dd_fn,
         name="gr:%d:%d" % (k, n),
-        stack_fn=stack_fn,
     )
     if certify:
-        oracle = pluecker_pullback(k, n)
         rng = np.random.default_rng(np.random.SeedSequence([19, k, n]))
-        for _ in range(3):
-            z = 0.35 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
-            g1, g2 = field.gram(z), oracle.gram(z)
-            err = np.linalg.norm(g1 - g2) / (1.0 + np.linalg.norm(g2))
-            if err > PLUECKER_CERT_TOL:
-                raise HermitiaError(
-                    "closed-form chart metric disagrees with the minor-potential "
-                    "construction (%.2e at a certification point)" % err
-                )
+        err = pluecker_gap(field, k, n, [sample_box(rng, m, 0.35) for _ in range(3)])
+        if err > PLUECKER_CERT_TOL:
+            raise HermitiaError(
+                "closed-form chart metric disagrees with the minor-potential "
+                "construction (worst gap %.2e over the certification points)" % err
+            )
     return GrassmannChartModel(k=k, n=n, field=field)
 
 
@@ -252,10 +269,10 @@ class HscScanResult:
         return {
             "min_H": self.min_H,
             "max_H": self.max_H,
-            "argmin_point": [[float(v.real), float(v.imag)] for v in self.argmin[0]],
-            "argmin_direction": [[float(v.real), float(v.imag)] for v in self.argmin[1]],
-            "argmax_point": [[float(v.real), float(v.imag)] for v in self.argmax[0]],
-            "argmax_direction": [[float(v.real), float(v.imag)] for v in self.argmax[1]],
+            "argmin_point": [encode_complex(v) for v in self.argmin[0]],
+            "argmin_direction": [encode_complex(v) for v in self.argmin[1]],
+            "argmax_point": [encode_complex(v) for v in self.argmax[0]],
+            "argmax_direction": [encode_complex(v) for v in self.argmax[1]],
             "samples": self.samples,
             "region": self.region,
             "seed": self.seed,

@@ -65,6 +65,7 @@ from .charts import (
     curvature_tensor,
     last_point_cache,
     ring_fd,
+    sample_box,
 )
 from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
 from .fields import sum_field
@@ -159,8 +160,8 @@ class ExactSeqChart:
 
     def _check_holomorphic(self):
         rng = np.random.default_rng(np.random.SeedSequence([13, self.r, self.m]))
-        s, m = 0.3 * np.min(self.ambient.radius), self.m
-        spread = [s * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)) for _ in range(2)]
+        s = 0.3 * np.min(self.ambient.radius)
+        spread = [sample_box(rng, self.m, s) for _ in range(2)]
         for z in [self.center] + [self.center + dz for dz in spread]:
             for db in ring_fd(self.j_at, z, self.ambient.fd_step, conjugate=True):
                 if np.linalg.norm(db) > HOLOMORPHY_TOL * (1.0 + np.linalg.norm(self.j_at(z))):
@@ -177,8 +178,7 @@ class ExactSeqChart:
             j = self._j_stack(zs)
             return conj_transpose(j) @ amb.gram_stack(zs) @ j
 
-        d_fn = None
-        dd_fn = None
+        d_fn = dd_fn = None
         if amb.analytic and self._dj_fn is not None:
             def d_fn(z):
                 j, dj = self.j_at(z), self.dj_at(z)
@@ -187,30 +187,29 @@ class ExactSeqChart:
                     [j.conj().T @ (dg[a] @ j + g @ dj[a]) for a in range(self.m)]
                 )
 
-            if amb.dd_fn is not None:
-                def dd_fn(z):
-                    j, dj = self.j_at(z), self.dj_at(z)
-                    g, dg, ddg = amb.gram(z), amb.d(z), amb.dd(z)
-                    dbg = amb.dbar(z, d=dg)
-                    out = np.empty((self.m, self.m, self.k, self.k), dtype=complex)
-                    for a in range(self.m):
-                        for b in range(self.m):
-                            out[a, b] = (
-                                dj[b].conj().T @ (dg[a] @ j + g @ dj[a])
-                                + j.conj().T @ (ddg[a, b] @ j + dbg[b] @ dj[a])
-                            )
-                    return out
+            def dd_fn(z):
+                j, dj = self.j_at(z), self.dj_at(z)
+                g, dg, ddg = amb.gram(z), amb.d(z), amb.dd(z)
+                dbg = amb.dbar(z, d=dg)
+                out = np.empty((self.m, self.m, self.k, self.k), dtype=complex)
+                for a in range(self.m):
+                    for b in range(self.m):
+                        out[a, b] = (
+                            dj[b].conj().T @ (dg[a] @ j + g @ dj[a])
+                            + j.conj().T @ (ddg[a, b] @ j + dbg[b] @ dj[a])
+                        )
+                return out
 
         return ChartField(
             self.m,
             self.k,
+            stack_fn,
             center=amb.center,
             radius=amb.radius,
             d_fn=d_fn,
             dd_fn=dd_fn,
             name=self.name + ".sub",
             self_check=False,
-            stack_fn=stack_fn,
         )
 
     @cached_property
@@ -219,29 +218,30 @@ class ExactSeqChart:
         when it applies (see the module docstring), else reads of
         :func:`~hermitia.forms.quotient_form` differenced by the chart."""
         amb = self.ambient
-        ev = stack_fn = d_fn = dd_fn = None
         if (
-            amb.d_fn is not None
-            and amb.dd_fn is not None
+            amb.analytic
             and self._dj_fn is not None
             and amb.form_at(self.center).is_positive_definite()
         ):
             stack_fn, d_fn, dd_fn = self._quot_jet()
         else:
-            def ev(z):
-                return quotient_form(LinearMap(self.q_at(z)), amb.form_at(z)).gram
+            d_fn = dd_fn = None
+
+            def stack_fn(zs):
+                return np.stack(
+                    [quotient_form(LinearMap(self.q_at(z)), amb.form_at(z)).gram for z in zs]
+                )
 
         return ChartField(
             self.m,
             self.r - self.k,
-            ev,
+            stack_fn,
             center=amb.center,
             radius=amb.radius,
             d_fn=d_fn,
             dd_fn=dd_fn,
             name=self.name + ".quot",
             self_check=False,
-            stack_fn=stack_fn,
         )
 
     def _quot_jet(self):

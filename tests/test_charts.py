@@ -84,32 +84,41 @@ def product_of_lines(radius=2.0):
     return sum_field(e0, e1, name="p1xp1")
 
 
+def diag_kernel(fn):
+    """The kernel of the diagonal Gram field diag(1, fn(z))."""
+    return lambda zs: np.stack([np.diag([1.0, fn(z)]) for z in zs])
+
+
 # ---------------------------------------------------------------------------
 # chart fields and Wirtinger derivatives
 
 
 def test_gram_is_hermitized_on_read():
-    f = ChartField(1, 2, lambda z: np.array([[1.0, z[0]], [0.0, 1.0]]), self_check=False)
+    f = ChartField(
+        1, 2, lambda zs: np.array([[[1.0, z[0]], [0.0, 1.0]] for z in zs]), self_check=False
+    )
     g = f.gram([0.4j])
     assert abs(g[0, 1] - 0.2j) < 1e-14
     assert abs(g[1, 0] + 0.2j) < 1e-14
 
 
 def test_eval_shape_mismatch_is_an_error():
-    f = ChartField(1, 2, lambda z: np.eye(3), self_check=False)
+    f = ChartField(1, 2, lambda zs: np.stack([np.eye(3)] * len(zs)), self_check=False)
     with pytest.raises(HermitiaError):
         f.gram([0.0])
 
 
 def test_wirtinger_holomorphic_and_conjugate_directions():
-    f = ChartField(1, 1, lambda z: np.array([[1.0 + abs(z[0]) ** 2]]), self_check=False)
+    f = ChartField(1, 1, lambda zs: 1.0 + np.abs(zs[:, :, None]) ** 2, self_check=False)
     z = [0.3 - 0.2j]
     assert abs(f.d(z)[0, 0, 0] - (0.3 + 0.2j)) < 1e-9
     assert abs(f.dbar(z)[0, 0, 0] - (0.3 - 0.2j)) < 1e-9
 
 
 def test_fd_derivatives_require_stencil_room():
-    f = ChartField(1, 1, lambda z: np.eye(1), radius=1.0, fd_step=1e-2, self_check=False)
+    f = ChartField(
+        1, 1, lambda zs: np.ones((len(zs), 1, 1)), radius=1.0, fd_step=1e-2, self_check=False
+    )
     with pytest.raises(OutOfDomain):
         f.d([0.9999])
     with pytest.raises(OutOfDomain):
@@ -121,13 +130,23 @@ def test_self_check_rejects_wrong_analytic_derivative():
         ChartField(
             1,
             1,
-            lambda z: np.array([[1.0 + abs(z[0]) ** 2]]),
+            lambda zs: 1.0 + np.abs(zs[:, :, None]) ** 2,
             d_fn=lambda z: 2.0 * np.array([[[np.conj(z[0])]]]),
+            dd_fn=lambda z: np.ones((1, 1, 1, 1)),
+        )
+
+
+@pytest.mark.parametrize("given", ["d_fn", "dd_fn"])
+def test_a_field_takes_both_analytic_derivatives_or_neither(given):
+    jet = {"d_fn": lambda z: np.zeros((1, 1, 1)), "dd_fn": lambda z: np.zeros((1, 1, 1, 1))}
+    with pytest.raises(HermitiaError, match="both d_fn and dd_fn or neither"):
+        ChartField(
+            1, 1, lambda zs: np.ones((len(zs), 1, 1)), self_check=False, **{given: jet[given]}
         )
 
 
 def test_rank_at_counts_significant_singular_values():
-    f = ChartField(1, 2, lambda z: np.diag([1.0, abs(z[0]) ** 2]), self_check=False)
+    f = ChartField(1, 2, diag_kernel(lambda z: abs(z[0]) ** 2), self_check=False)
     assert f.rank_at([0.0]) == 1
     assert f.rank_at([0.5]) == 2
 
@@ -139,7 +158,8 @@ def test_rank_at_counts_significant_singular_values():
 @pytest.mark.parametrize("solve", [chern_connection, curvature_tensor])
 def test_nan_gram_raises_non_finite(solve):
     # eigvalsh returns the finite spectrum [0, -0] for this matrix
-    f = ChartField(1, 2, lambda z: np.diag([np.nan, 1.0]), d_fn=lambda z: np.zeros((1, 2, 2)),
+    f = ChartField(1, 2, lambda zs: np.stack([np.diag([np.nan, 1.0])] * len(zs)),
+                   d_fn=lambda z: np.zeros((1, 2, 2)), dd_fn=lambda z: np.zeros((1, 1, 2, 2)),
                    self_check=False)
     with pytest.raises(NonFinite, match="rank gate is not finite at"):
         solve(f, [0.1])
@@ -149,9 +169,11 @@ def test_nan_gram_raises_non_finite(solve):
 
 @pytest.mark.parametrize("solve", [chern_connection, curvature_tensor])
 def test_inf_gram_raises_non_finite(solve):
-    f = ChartField(1, 2, lambda z: np.diag([np.inf, 1.0]), d_fn=lambda z: np.zeros((1, 2, 2)),
+    f = ChartField(1, 2, lambda zs: np.stack([np.diag([np.inf, 1.0])] * len(zs)),
+                   d_fn=lambda z: np.zeros((1, 2, 2)), dd_fn=lambda z: np.zeros((1, 1, 2, 2)),
                    self_check=False)
-    with pytest.raises(NonFinite, match="Gram matrix"):
+    # hermitizing a complex inf multiplies it by 0 and warns; the read must raise
+    with np.errstate(invalid="ignore"), pytest.raises(NonFinite, match="Gram matrix"):
         solve(f, [0.1])
 
 
@@ -160,7 +182,7 @@ def test_nan_derivative_raises_non_finite(which):
     base = fs_line()
     evaluators = {"d_fn": base.d_fn, "dd_fn": base.dd_fn}
     evaluators[which] = lambda z: np.full((1,) * (2 if which == "d_fn" else 3) + (1,), np.nan)
-    f = ChartField(1, 1, base.eval_fn, radius=3.0, self_check=False, **evaluators)
+    f = ChartField(1, 1, base.stack_fn, radius=3.0, self_check=False, **evaluators)
     stage = "first derivative" if which == "d_fn" else "mixed second derivative"
     with pytest.raises(NonFinite, match=stage + r" is not finite at \[0\.2"):
         curvature_tensor(f, [0.2])
@@ -172,9 +194,9 @@ def test_one_solve_reads_the_gram_4m_plus_1_times(solve, m):
     base = from_potential_map(fs_monomials(m), radius=3.0)
     reads = []
 
-    def counted(z):
-        reads.append(z)
-        return base.eval_fn(z)
+    def counted(zs):
+        reads.extend(zs)
+        return base.stack_fn(zs)
 
     f = ChartField(m, m, counted, radius=3.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
     solve(f, np.full(m, 0.2 + 0.1j))
@@ -236,7 +258,9 @@ def test_stacked_gate_ranks_as_the_per_point_loop(seed):
 def test_stacked_gate_jumps_where_the_loop_does(m):
     z = np.full(m, 0.3 - 0.1j)
     for i, p in enumerate(gate_points(z)):
-        f = ChartField(m, 2, lambda w, p=p: np.diag([1.0, np.linalg.norm(w - p) ** 2]), self_check=False)
+        f = ChartField(
+            m, 2, diag_kernel(lambda w, p=p: np.linalg.norm(w - p) ** 2), self_check=False
+        )
         stacked, loop = gate_outcomes(f, z)
         assert stacked == loop
         assert stacked == ("rank 1 at the point but 2 at a stencil neighbor" if i == 0
@@ -261,20 +285,17 @@ def test_nan_in_one_stencil_read_names_that_point(m):
     base = from_potential_map(fs_monomials(m), radius=3.0)
     z = np.full(m, 0.2 + 0.1j)
     for p in gate_points(z):
-        def ev(w, p=p):
-            return np.full((m, m), np.nan) if np.array_equal(w, p) else base.eval_fn(w)
+        def poisoned(zs, p=p):
+            hit = np.array([np.array_equal(w, p) for w in zs])
+            return np.where(hit[:, None, None], np.nan, base.stack_fn(zs))
 
-        f = ChartField(m, m, ev, radius=3.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
+        f = ChartField(
+            m, m, poisoned, radius=3.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False
+        )
         where = np.array2string(p, precision=3)
         with pytest.raises(NonFinite) as info:
             curvature_tensor(f, z)
         assert str(info.value) == "Gram matrix of the rank gate is not finite at %s" % where
-
-
-def test_gram_stack_without_stack_fn_equals_gram_reads():
-    f = random_pd_field(np.random.default_rng(3), 2, 3)
-    zs = np.stack(gate_points([0.1 + 0.2j, -0.3j]))
-    assert np.array_equal(f.gram_stack(zs), np.stack([f.gram(w) for w in zs]))
 
 
 @pytest.mark.parametrize("rows, size", [(0, 3), (-1, 2)])
@@ -282,7 +303,7 @@ def test_stack_fn_of_the_wrong_shape_is_an_error(rows, size):
     def stack_fn(zs):
         return np.zeros((len(zs) + rows, size, size))
 
-    f = ChartField(2, 2, lambda z: np.eye(2), stack_fn=stack_fn, self_check=False)
+    f = ChartField(2, 2, stack_fn, self_check=False)
     with pytest.raises(HermitiaError, match="field evaluator returned shape"):
         curvature_tensor(f, [0.1, 0.2])
     with pytest.raises(HermitiaError, match="field evaluator returned shape"):
@@ -293,9 +314,9 @@ def test_hsc_reads_the_gram_4m_plus_1_times():
     base = fs_plane()
     reads = []
 
-    def counted(z):
-        reads.append(z)
-        return base.eval_fn(z)
+    def counted(zs):
+        reads.extend(zs)
+        return base.stack_fn(zs)
 
     f = ChartField(2, 2, counted, radius=3.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
     assert abs(hsc(f, [0.2 + 0.1j, -0.1j], [1.0, 0.5j]) - 2.0) < 1e-10
@@ -319,11 +340,12 @@ def test_hsc_factorizes_the_gram_once_after_the_gate(monkeypatch):
 
 def test_hsc_positivity_comes_before_a_failed_solve():
     # not positive-definite, and the rank jumps at the centre
-    jump = ChartField(1, 1, lambda z: np.array([[-abs(z[0]) ** 2]]), self_check=False)
+    jump = ChartField(1, 1, lambda zs: -np.abs(zs[:, :, None]) ** 2, self_check=False)
     # rank one everywhere, and G A = dG has no solution (see
     # test_connection_rejects_non_admissible_field)
     residual = ChartField(
-        2, 2, lambda z: np.outer([1.0, z[0]], np.conj([1.0, z[0]])), radius=1.0, self_check=False
+        2, 2, lambda zs: np.stack([np.outer([1.0, z[0]], np.conj([1.0, z[0]])) for z in zs]),
+        radius=1.0, self_check=False,
     )
     # indefinite, with the stencil outside the chart
     edge = constant_field(np.diag([1.0, -1.0]), 2, radius=0.5)
@@ -332,7 +354,7 @@ def test_hsc_positivity_comes_before_a_failed_solve():
             hsc(f, z, v)
     # positive-definite at the centre: the solve's own error stands
     p = gate_points([0.3])[2]
-    pd_jump = ChartField(1, 1, lambda w: np.array([[abs(w[0] - p[0]) ** 2]]), self_check=False)
+    pd_jump = ChartField(1, 1, lambda zs: np.abs(zs[:, :, None] - p[0]) ** 2, self_check=False)
     with pytest.raises(RankJump):
         hsc(pd_jump, [0.3], [1.0])
 
@@ -418,10 +440,10 @@ def test_connection_fs_line_value():
 
 
 def test_connection_degenerate_min_norm():
-    def ev(z):
-        return np.diag([np.exp(abs(z[0]) ** 2), 0.0])
+    def kernel(zs):
+        return np.stack([np.diag([np.exp(abs(z[0]) ** 2), 0.0]) for z in zs])
 
-    f = ChartField(1, 2, ev, radius=1.0, self_check=False)
+    f = ChartField(1, 2, kernel, radius=1.0, self_check=False)
     z = [0.3 + 0.2j]
     conn = chern_connection(f, z)
     assert abs(conn.a[0][0, 0] - (0.3 - 0.2j)) < 1e-6
@@ -449,17 +471,17 @@ def test_kernel_basis_is_built_only_when_read(monkeypatch):
 def test_connection_rejects_non_admissible_field():
     # G = v v^H with holomorphic v: dG = (dv) v^H leaves the range of G,
     # so G A = dG has no solution (the factor sits on the wrong side)
-    def ev(z):
-        v = np.array([1.0, z[0]])
-        return np.outer(v, v.conj())
+    def kernel(zs):
+        v = np.stack([np.ones(len(zs)), zs[:, 0]], axis=1)
+        return v[:, :, None] * v.conj()[:, None, :]
 
-    f = ChartField(1, 2, ev, radius=1.0, self_check=False)
+    f = ChartField(1, 2, kernel, radius=1.0, self_check=False)
     with pytest.raises(SolverResidual):
         chern_connection(f, [0.5])
 
 
 def test_constant_rank_gate():
-    f = ChartField(1, 2, lambda z: np.diag([1.0, abs(z[0]) ** 2]), self_check=False)
+    f = ChartField(1, 2, diag_kernel(lambda z: abs(z[0]) ** 2), self_check=False)
     with pytest.raises(RankJump):
         chern_connection(f, [0.0])
     # away from the degeneracy line the same field is fine
@@ -543,7 +565,7 @@ def test_fd_curvature_converges_at_second_order():
 
     def err(h):
         f = ChartField(
-            1, 1, fs_line().eval_fn, radius=3.0, fd_step=h, fd_outer_step=h, self_check=False
+            1, 1, fs_line().stack_fn, radius=3.0, fd_step=h, fd_outer_step=h, self_check=False
         )
         return np.linalg.norm(curvature_tensor(f, [0.4]).tensor - exact)
 
@@ -659,8 +681,8 @@ def test_torsion_vanishes_for_potential_fields():
 
 
 def test_torsion_detects_asymmetric_first_derivatives():
-    def ev(z):
-        return np.array([[1.0, z[0] / 4.0], [np.conj(z[0]) / 4.0, 1.0]])
+    def kernel(zs):
+        return np.stack([[[1.0, z[0] / 4.0], [np.conj(z[0]) / 4.0, 1.0]] for z in zs])
 
     def dv(z):
         d = np.zeros((2, 2, 2), dtype=complex)
@@ -670,13 +692,13 @@ def test_torsion_detects_asymmetric_first_derivatives():
     def ddv(z):
         return np.zeros((2, 2, 2, 2), dtype=complex)
 
-    f = ChartField(2, 2, ev, d_fn=dv, dd_fn=ddv)
+    f = ChartField(2, 2, kernel, d_fn=dv, dd_fn=ddv)
     assert abs(torsion_defect(f, [0.1, -0.2j]) - 0.25) < 1e-12
 
 
 def test_torsion_zero_for_transposed_variant():
-    def ev(z):
-        return np.array([[1.0, np.conj(z[0]) / 4.0], [z[0] / 4.0, 1.0]])
+    def kernel(zs):
+        return np.stack([[[1.0, np.conj(z[0]) / 4.0], [z[0] / 4.0, 1.0]] for z in zs])
 
     def dv(z):
         d = np.zeros((2, 2, 2), dtype=complex)
@@ -686,7 +708,7 @@ def test_torsion_zero_for_transposed_variant():
     def ddv(z):
         return np.zeros((2, 2, 2, 2), dtype=complex)
 
-    f = ChartField(2, 2, ev, d_fn=dv, dd_fn=ddv)
+    f = ChartField(2, 2, kernel, d_fn=dv, dd_fn=ddv)
     assert torsion_defect(f, [0.1, -0.2j]) < 1e-12
 
 

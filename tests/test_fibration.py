@@ -241,9 +241,9 @@ def test_vertical_check_reads_each_fiber_gram_4m_plus_1_times(hirz1):
     def fiber_at(zb):
         base = hirz1.fiber_field_factory(zb)
 
-        def counted(w):
-            reads.append(w)
-            return base.eval_fn(w)
+        def counted(zs):
+            reads.extend(zs)
+            return base.stack_fn(zs)
 
         return ChartField(1, 1, counted, radius=2.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
 

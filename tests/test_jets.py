@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermitia import fields
 from hermitia.charts import ChartField
 from hermitia.instances import sequence_instance
 from hermitia.models import grassmannian_chart, pluecker_pullback, resolve_model
@@ -68,7 +69,7 @@ def _richardson_dd(field, z):
         fd = ChartField(
             field.m,
             field.shape,
-            field.eval_fn,
+            field.stack_fn,
             center=field.center,
             radius=field.radius,
             fd_step=field.fd_step,
@@ -166,3 +167,23 @@ def test_shared_jet_keeps_no_view_of_the_callers_point():
     field.d(point)
     point[:] = 0.5
     assert np.array_equal(field.dd(z), want)
+
+
+@pytest.mark.parametrize("name", ["gr:2:4", "fs:2", "hirz:1 b1"])
+def test_a_d_read_builds_no_second_order_products(name, monkeypatch):
+    """A d read at a new point builds only the first-order part of the
+    log-det jet; the first dd read there adds the second-order products
+    once, and d and dd equal those of a freshly built field."""
+    build = SHARED_JET_FIELDS[name]
+    field = build()
+    z = _point(field, [0.1, -0.2, 0.3, 0.25, -0.35, 0.15, 0.05, -0.4])
+    calls = []
+    second = fields._logdet_second
+    monkeypatch.setattr(fields, "_logdet_second", lambda *a: calls.append(1) or second(*a))
+    d = field.d(z)
+    assert calls == []
+    dd = field.dd(z)
+    field.dd(z)
+    assert calls == [1]
+    assert np.array_equal(d, build().d(z))
+    assert np.array_equal(dd, build().dd(z))

@@ -222,7 +222,7 @@ def test_potential_reads_match_the_full_jet(mono_map):
         gram, d_gram, dd_gram = _potential_jet_reference(
             mono_map.value(z), mono_map.jac(z), mono_map.hess(z)
         )
-        assert np.array_equal(field.eval_fn(z), gram)
+        assert np.array_equal(field.stack_fn(z[None])[0], gram)
         assert _rel(field.d(z), d_gram) <= 1e-12
         assert _rel(field.dd(z), dd_gram) <= 1e-12
 

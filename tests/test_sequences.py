@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,16 +45,18 @@ def taut_sequence(radius=2.0):
     )
 
 
-def block_split_sequence(seed=7):
-    """Block-diagonal ambient with the block inclusion: sigma must vanish."""
+def block_split_sequence(seed=7, fd=False):
+    """Block-diagonal ambient with the block inclusion: sigma must vanish.
+    With ``fd`` the ambient is the finite-difference copy of the analytic
+    block field."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     f1 = random_pd_field(rng, 1, 2)
     f2 = random_pd_field(rng, 1, 1)
 
-    def ev(z):
-        out = np.zeros((3, 3), dtype=complex)
-        out[:2, :2] = f1.gram(z)
-        out[2:, 2:] = f2.gram(z)
+    def stack_fn(zs):
+        out = np.zeros((len(zs), 3, 3), dtype=complex)
+        out[:, :2, :2] = f1.gram_stack(zs)
+        out[:, 2:, 2:] = f2.gram_stack(zs)
         return out
 
     def d_fn(z):
@@ -61,7 +65,15 @@ def block_split_sequence(seed=7):
         out[:, 2:, 2:] = f2.d(z)
         return out
 
-    amb = ChartField(1, 3, ev, radius=0.9, d_fn=d_fn, self_check=False)
+    def dd_fn(z):
+        out = np.zeros((1, 1, 3, 3), dtype=complex)
+        out[:, :, :2, :2] = f1.dd(z)
+        out[:, :, 2:, 2:] = f2.dd(z)
+        return out
+
+    amb = ChartField(1, 3, stack_fn, radius=0.9, d_fn=d_fn, dd_fn=dd_fn, self_check=False)
+    if fd:
+        amb = amb.finite_difference_copy()
     return ExactSeqChart(amb, np.eye(3, 2)), f1, f2
 
 
@@ -304,21 +316,21 @@ def test_fd_inclusion_derivative_equals_the_per_direction_stencil(seed):
 
 def test_solve_rejects_a_form_that_is_not_the_gate_read():
     """A form read before the solve must be the gate's centre read: here a
-    per-point read that is off the kernel's row in the last bits."""
+    kernel that breaks its row contract, so that its one-row read is off
+    its row of the gate's stack in the last bits."""
     seq, z = sequence_instance(0)
     amb = seq.ambient
     record = FieldAt(amb, z)
-    record.form  # read first, by the field's per-point read
+    record.form  # read first, by the field's one-row read
     assert np.array_equal(record.a, chern_connection(amb, z).a)
     off = ChartField(
         amb.m,
         amb.shape,
-        lambda w: amb.gram(w) * (1.0 + 1e-15),
+        lambda zs: amb.stack_fn(zs) * (1.0 + 1e-15 * (len(zs) == 1)),
         radius=amb.radius,
         d_fn=amb.d_fn,
         dd_fn=amb.dd_fn,
         self_check=False,
-        stack_fn=amb.stack_fn,
     )
     record = FieldAt(off, z)
     record.form
@@ -358,10 +370,15 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
     assert solves.count(seq.quot_field) == 1
 
 
-@pytest.mark.parametrize("make", [block_split_sequence, kernel_compat_sequence])
+@pytest.mark.parametrize(
+    "make",
+    [functools.partial(block_split_sequence, fd=True), kernel_compat_sequence],
+    ids=["block_split_sequence", "kernel_compat_sequence"],
+)
 def test_quotient_form_route_without_a_full_positive_jet(make):
-    """No ambient dd_fn, or a degenerate ambient: the quotient field reads
-    quotient_form and differences it, exactly as a field built here does."""
+    """No analytic ambient derivatives, or a degenerate ambient: the
+    quotient field reads quotient_form and differences it, exactly as a
+    field built here does."""
     seq = make()
     seq = seq[0] if isinstance(seq, tuple) else seq
     z = np.array([0.15 + 0.1j])
@@ -371,7 +388,12 @@ def test_quotient_form_route_without_a_full_positive_jet(make):
         return quotient_form(LinearMap(seq.q_at(w)), seq.ambient.form_at(w)).gram
 
     oracle = ChartField(
-        seq.m, seq.r - seq.k, ev, center=seq.center, radius=seq.ambient.radius, self_check=False
+        seq.m,
+        seq.r - seq.k,
+        lambda zs: np.stack([ev(w) for w in zs]),
+        center=seq.center,
+        radius=seq.ambient.radius,
+        self_check=False,
     )
     assert np.array_equal(seq.quot_field.gram(z), hermitize(ev(z)))
     assert np.array_equal(seq.quot_field.gram(z), oracle.gram(z))
@@ -403,13 +425,14 @@ def test_quotient_jet_off_the_positive_locus_raises_not_positive():
 
 
 def test_quotient_jet_of_a_non_finite_gram_raises_non_finite():
-    def ev(z):
-        return np.full((2, 2), np.nan) if abs(z[0] - 0.5) < 1e-9 else np.eye(2)
+    def stack_fn(zs):
+        hit = np.abs(zs[:, 0] - 0.5) < 1e-9
+        return np.where(hit[:, None, None], np.nan, np.eye(2))
 
     amb = ChartField(
         1,
         2,
-        ev,
+        stack_fn,
         radius=0.9,
         d_fn=lambda z: np.zeros((1, 2, 2)),
         dd_fn=lambda z: np.zeros((1, 1, 2, 2)),
@@ -711,12 +734,12 @@ def test_sum_curvature_reuses_the_summand_solves(m, monkeypatch):
     reads = []
 
     def counted(base):
-        def eval_fn(z):
-            reads.append(z)
-            return base.eval_fn(z)
+        def stack_fn(zs):
+            reads.extend(zs)
+            return base.stack_fn(zs)
 
         return ChartField(
-            m, 2, eval_fn, radius=base.radius, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False
+            m, 2, stack_fn, radius=base.radius, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False
         )
 
     solves = _count_solves(monkeypatch)
