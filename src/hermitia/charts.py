@@ -11,22 +11,29 @@ analytically or both taken by the one central Wirtinger stencil
 whose 4m points for all coordinates come from :func:`_stencil_ring` and
 whose reads :func:`_combine_ring` combines.  :func:`ring_fd` is that pair
 for any array-valued function: it reads the function once at each ring
-point and returns the difference along every coordinate, and every
-finite difference of a connection, a Jacobian, an inclusion or per-point
-sequence data goes through it.  A chart field reads all the points of
-one difference of its Gram matrix, or of one constant-rank gate, in one
+point and returns the difference along every coordinate; a finite
+difference of a Jacobian, an inclusion or a supplied connection goes
+through it.  A chart field reads all the points of one difference of its
+Gram matrix, or of one constant-rank gate, in one
 :meth:`ChartField.gram_stack` call.  :func:`wirtinger_fd` is the same
 stencil along one coordinate; no module of the package calls it, and it
 serves the tests as the per-direction oracle of the ring.
 
 A :class:`FieldAt` is one field at one point, and the only place where
-the gate, the connection solve and the curvature assembly run: the form
-of G(z), then the minimum-norm solve G @ A_a = d_a G from the one
+the connection solve and the curvature assembly run: the form of G(z),
+then the minimum-norm solve G @ A_a = d_a G from the one
 eigendecomposition of that form, which requires the rank of G to be
 constant across the stencil (a rank change is a first-class error, not a
 warning), then the curvature tensor, each on first read.
 :func:`chern_connection` and :func:`curvature_tensor` return such a
-record with its solve or its tensor already run.
+record with its solve or its tensor already run, gated at its one point
+by :func:`_check_constant_rank`.  :func:`solve_stack` solves the records
+of one field at many points together: one Gram read and one rank pass
+for all their gates, one batched factorization of their forms, then each
+record's own solve, so each equals its per-point solve bit for bit.
+Every probe ring of solves goes through it: those of
+:func:`gauge_independence_residual` and :func:`curvature_20_defect` here,
+and the sequence probe ring of :mod:`hermitia.sequences`.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -51,6 +58,7 @@ from .forms import (
     HermitianForm,
     Subspace,
     conj_transpose,
+    factorize,
     gram_rank,
     gram_ranks,
     hermitize,
@@ -244,6 +252,16 @@ class ChartField:
         require_finite(g, "Gram matrix", z)
         return HermitianForm(g, rank_tol=RANK_TOL)
 
+    def forms_at(self, zs, grams=None):
+        """The forms of G at a (B, m) stack of points from one
+        :meth:`gram_stack` read, or from ``grams``, rows the caller read
+        there; form i equals ``form_at(zs[i])`` bit for bit, and a NaN or
+        inf raises NonFinite naming the first point where it is read."""
+        grams = self.gram_stack(zs) if grams is None else grams
+        for g, z in zip(grams, zs):
+            require_finite(g, "Gram matrix", z)
+        return [HermitianForm(g, rank_tol=RANK_TOL) for g in grams]
+
     def in_domain(self, z, margin=0.0):
         z = _as_point(z, self.m)
         return bool(np.all(np.abs(z - self.center) <= self.radius - margin))
@@ -388,22 +406,27 @@ def _row_norms(x):
 
 def _gate_stencil(z, s):
     """z, then z + s e_a, z - s e_a, z + i s e_a and z - i s e_a for each
-    coordinate a: the 4m + 1 points of the constant-rank gate."""
-    return np.concatenate([z[None], _stencil_ring(z, s)])
+    coordinate a: the 4m + 1 points of the constant-rank gate, shape
+    (4m + 1, m); for a (B, m) stack of points, the stencils of all of
+    them, shape (B, 4m + 1, m)."""
+    return np.concatenate([z[..., None, :], _stencil_ring(z, s)], axis=-2)
 
 
-def _check_constant_rank(field: ChartField, z):
-    """The constant-rank gate: G read at the 4m + 1 stencil points in one
-    :meth:`ChartField.gram_stack` call and ranked by one batched
-    ``eigvalsh``.  Raises RankJump at the first neighbor whose rank
-    differs from the centre's, NonFinite naming the first point read as
-    non-finite; returns G(z)."""
-    z = _as_point(z, field.m)
-    s = field.fd_outer_step
-    field._require_domain(z, s + field.fd_step)
-    zs = _gate_stencil(z, s)
-    grams = field.gram_stack(zs)
-    ranks = gram_ranks(grams, RANK_TOL)
+def _named(z):
+    """A chart point as a RankJump names it: each coordinate to 1e-6,
+    which tells apart the gate neighbors of every point of one probe
+    ring.  Formatted by Python, not ``np.array2string`` (25 times slower),
+    since callers such as ``fibration.r_lambda_decomposed`` raise and
+    catch the jump as a matter of course."""
+    return "[%s]" % " ".join("%.6f%+.6fj" % (w.real, w.imag) for w in z.tolist())
+
+
+def _gate_verdict(zs, grams, ranks):
+    """Pass or fail one gate from its stencil ``zs`` (centre first), the
+    Gram matrices read there and their ranks from :func:`gram_ranks`.
+    Raises NonFinite naming the first point read as non-finite, or
+    RankJump naming the centre and the first neighbor whose rank differs
+    from the centre's."""
     stops = np.flatnonzero((ranks < 0) | (ranks != ranks[0]))
     if stops.size:
         i = stops[0]
@@ -411,8 +434,21 @@ def _check_constant_rank(field: ChartField, z):
             # the one-matrix rule raises NonFinite naming the point
             gram_rank(grams[i], RANK_TOL, "Gram matrix of the rank gate", zs[i])
         raise RankJump(
-            "rank %d at the point but %d at a stencil neighbor" % (ranks[0], ranks[i])
+            "rank %d at %s but %d at its stencil neighbor %s"
+            % (ranks[0], _named(zs[0]), ranks[i], _named(zs[i]))
         )
+
+
+def _check_constant_rank(field: ChartField, z):
+    """The constant-rank gate: G read at the 4m + 1 stencil points in one
+    :meth:`ChartField.gram_stack` call, ranked by one batched
+    ``eigvalsh`` and judged by :func:`_gate_verdict`; returns G(z)."""
+    z = _as_point(z, field.m)
+    s = field.fd_outer_step
+    field._require_domain(z, s + field.fd_step)
+    zs = _gate_stencil(z, s)
+    grams = field.gram_stack(zs)
+    _gate_verdict(zs, grams, gram_ranks(grams, RANK_TOL))
     return grams[0]
 
 
@@ -444,8 +480,12 @@ class FieldAt:
 
     @cached_property
     def _solved(self):
+        return self._solve(_check_constant_rank(self.field, self.point))
+
+    def _solve(self, g):
+        """``dg``, ``a`` and ``residual`` from the gate's centre read g,
+        which becomes the form unless one was read first."""
         field, z = self.field, self.point
-        g = _check_constant_rank(field, z)
         if "form" not in self.__dict__:
             self.form = HermitianForm(g, rank_tol=RANK_TOL)
         elif not np.array_equal(self.form.gram, g):
@@ -521,6 +561,53 @@ def curvature_tensor(field: ChartField, z) -> FieldAt:
     return record
 
 
+def solve_stack(records, rows=None):
+    """Run the connection solve of every one of a list of :class:`FieldAt`
+    records of one field, and return them.
+
+    The gates of all B points read G at their B(4m + 1) stencil points in
+    one :meth:`ChartField.gram_stack` call, or take ``rows``, the Gram
+    matrices the caller read at those points in :func:`_gate_stencil`
+    order, and rank them by one batched ``eigvalsh``.  The
+    forms not read yet are the gates' centre reads, and every form is
+    factorized by one batched ``eigh`` (:func:`forms.factorize`).  Each
+    solve is then the per-point arithmetic of the record, so a record
+    solved here equals its per-point solve bit for bit.  The error is the
+    per-point path's at the first point that fails, in order: OutOfDomain,
+    the gate's NonFinite or RankJump, the form guard's HermitiaError, or
+    the solve's NonFinite or SolverResidual.  No point after the first one
+    outside the chart is read."""
+    field = records[0].field
+    m, r, s = field.m, field.shape, field.fd_outer_step
+    points = [rec.point for rec in records]
+    n = next((i for i, z in enumerate(points) if not field.in_domain(z, s + field.fd_step)), len(points))
+    if n:
+        stencils = _gate_stencil(np.stack(points[:n]), s)
+        if rows is None:
+            rows = field.gram_stack(stencils.reshape(-1, m))
+        grams = rows[: n * (4 * m + 1)].reshape(n, 4 * m + 1, r, r)
+        ranks = gram_ranks(grams.reshape(-1, r, r), RANK_TOL).reshape(n, 4 * m + 1)
+        failed = np.flatnonzero(((ranks < 0) | (ranks != ranks[:, :1])).any(axis=1))
+        passed = failed[0] if failed.size else n
+        for rec, g in zip(records[:passed], grams[:, 0]):
+            if "form" not in rec.__dict__:
+                rec.form = HermitianForm(g, rank_tol=RANK_TOL)
+        factorize([rec.form for rec in records[:passed]])
+        for rec, g in zip(records[:passed], grams[:, 0]):
+            rec._solved = rec._solve(g)
+        if passed < n:
+            _gate_verdict(stencils[passed], grams[passed], ranks[passed])
+    if n < len(points):
+        field._require_domain(points[n], s + field.fd_step)
+    return records
+
+
+def _probe_ring(field: ChartField, z):
+    """The records of ``field`` at the 4m points of the probe ring around
+    z, in ring order, solved by one :func:`solve_stack`."""
+    return solve_stack([FieldAt(field, w) for w in _stencil_ring(z, PROBE_STEP)])
+
+
 def curvature_from_connection(field: ChartField, z, a_fn) -> np.ndarray:
     """R[a][b][s][t] = -(G dbar_b A_a)[t][s] for a supplied connection map.
 
@@ -586,7 +673,8 @@ def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None)
 
     Both candidates, A and A + K, go through the pipeline of
     :func:`curvature_from_connection`, and both take their differences
-    from one solve at each probe point.  The default K (that of
+    from one solve at each probe point, all of them run by one
+    :func:`solve_stack`.  The default K (that of
     :func:`smooth_kernel_perturbation`) reads the form of the gate's G(z)
     and of each probe point's solve, so G is factorized once per point."""
     z = _as_point(z, field.m)
@@ -597,11 +685,10 @@ def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None)
         def k(w, form):
             return perturbation(w)
 
-    def both(w):
-        conn = chern_connection(field, w)
-        return np.stack([conn.a, conn.a + k(w, conn.form)])
-
-    dbar = ring_fd(both, z, PROBE_STEP, conjugate=True)
+    reads = np.stack(
+        [np.stack([conn.a, conn.a + k(conn.point, conn.form)]) for conn in _probe_ring(field, z)]
+    )
+    dbar = _combine_ring(reads, PROBE_STEP, conjugate=True)
     r0, r1 = (_tensor_of_dbar(g, dbar[:, i]) for i in (0, 1))
     return float(np.linalg.norm(r0 - r1) / (1.0 + np.linalg.norm(r0)))
 
@@ -688,13 +775,15 @@ def curvature_20_defect(field: ChartField, z):
     """Norm of the (2,0)-type curvature after contraction with G.
 
     G (d_a A_b - d_b A_a + [A_a, A_b]) vanishes identically for admissible
-    fields; the returned defect is finite-difference noise.
+    fields; the returned defect is finite-difference noise.  The
+    connections of the probe ring come from one :func:`solve_stack`.
     """
     z = _as_point(z, field.m)
     conn = chern_connection(field, z)
     g, a0 = conn.form.gram, conn.a
 
-    da = ring_fd(lambda w: chern_connection(field, w).a, z, PROBE_STEP)  # da[c][a] = d_c A_a
+    # da[c][a] = d_c A_a
+    da = _combine_ring(np.stack([conn.a for conn in _probe_ring(field, z)]), PROBE_STEP)
     defect = 0.0
     scale = 1.0 + max(np.linalg.norm(g @ da[c][a]) for c in range(field.m) for a in range(field.m))
     for a in range(field.m):

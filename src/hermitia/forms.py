@@ -22,7 +22,9 @@ range and pseudoinverse, so :func:`kernel`, :func:`purge` and
 null space :func:`_nullspace` serves only matrices that are not Hermitian
 forms (quotient maps and products such as S^H G).  The constant-rank gate
 of :mod:`hermitia.charts` ranks whole stencils by one batched
-``eigvalsh`` (:func:`gram_ranks`) and factorizes nothing.
+``eigvalsh`` (:func:`gram_ranks`) and factorizes nothing; the forms of a
+stack of points can take their ``eigh`` from one batched call
+(:func:`factorize`), each equal to its own bit for bit.
 """
 
 import cmath
@@ -242,6 +244,23 @@ class HermitianForm:
 
     def __repr__(self):
         return "HermitianForm(dim=%d, rank=%d)" % (self.dim, self.rank)
+
+
+def factorize(forms):
+    """Run the one ``eigh`` of each of a list of same-size forms as one
+    batched call.  Each form then reads what its own ``eigh`` would give,
+    bit for bit; a form factorized already keeps its factorization, and a
+    batch holding a NaN or inf is left to factorize form by form, each
+    raising its own NonFinite."""
+    pending = [b for b in forms if "_eigh" not in b.__dict__]
+    if not pending:
+        return
+    grams = np.conj(np.stack([b.gram for b in pending]))
+    if not np.isfinite(grams).all():
+        return
+    w, u = np.linalg.eigh(grams)
+    for b, wi, ui in zip(pending, w, u):
+        b._eigh = (wi, ui)
 
 
 class Subspace:

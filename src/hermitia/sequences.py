@@ -30,11 +30,15 @@ ambient (degenerate, derivatives by finite differences) reads G_Q from
 :func:`~hermitia.forms.quotient_form` at each point and differentiates
 those reads by finite differences.
 
-Gram kernels: the sub field's Gram matrices j^H G j and the closed-form
-quotient Gram matrices are computed for a whole stack of points from one
-stacked read of the ambient field (batched Cholesky factorizations and
-inverses for the quotient), so the constant-rank gate of either field
-makes one ambient read.
+Gram kernels: the sub field's Gram matrices j^H G j and the quotient
+Gram matrices are computed for a whole stack of points from one stacked
+read of the ambient field (batched Cholesky factorizations and inverses
+for the closed-form quotient, quotient_form of each row's form
+otherwise), so the constant-rank gate of either field makes one ambient
+read.  Both kernels are functions of the ambient rows, so a caller that
+has read the ambient at a stack already applies them to its rows.  The
+sub and quotient fields take the ambient's chart and finite-difference
+steps, so their gates read the ambient at the ambient's gate points.
 
 Per-point data: :meth:`ExactSeqChart.at` keeps one record of everything
 at a base point.  It holds one :class:`~hermitia.charts.FieldAt` for each
@@ -43,11 +47,15 @@ once per point, and its form, connection and curvature all come from
 that one record.  The derivatives of jdag, qdag, sigma and sigma dagger
 in the identity table and the splitting blocks are finite differences,
 the independent side of each identity.  Each is taken along every
-coordinate at once by :func:`~hermitia.charts.ring_fd` with step
-``PROBE_STEP``, reading one probe ring: the records at the 4m points of
-that stencil around the base point, each built once and shared by every
-probe.  The finite-difference dj of an inclusion given without dj, and
-the holomorphy checks of j, go through ``ring_fd`` too.
+coordinate at once with step ``PROBE_STEP`` from one probe ring: the
+records at the 4m points of that stencil around the base point, built
+once and shared by every probe.  The ring reads the ambient twice: once
+at its 4m points for the forms of all three fields, on the first probe,
+and once at the 4m (4m + 1) gate points of its ambient and sub solves,
+which :func:`~hermitia.charts.solve_stack` runs for the whole ring on
+the first read of sigma there; the base point keeps the per-point gate.
+The finite-difference dj of an inclusion given without dj, and the
+holomorphy checks of j, go through :func:`~hermitia.charts.ring_fd`.
 """
 
 from dataclasses import dataclass
@@ -62,10 +70,14 @@ from .charts import (
     ChartField,
     FieldAt,
     _as_point,
+    _combine_ring,
+    _gate_stencil,
+    _stencil_ring,
     curvature_tensor,
     last_point_cache,
     ring_fd,
     sample_box,
+    solve_stack,
 )
 from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
 from .fields import sum_field
@@ -74,6 +86,8 @@ from .forms import (
     adjoint,
     admits_adjoint,
     conj_transpose,
+    factorize,
+    hermitize,
     quotient_form,
     rank_of,
     require_finite,
@@ -171,12 +185,17 @@ class ExactSeqChart:
 
     # -- induced fields --------------------------------------------------
 
+    @staticmethod
+    def _sub_grams(j, g):
+        """The sub kernel j^H G j from the inclusion matrices j and the
+        ambient Gram matrices g at a stack of points."""
+        return conj_transpose(j) @ g @ j
+
     def _build_sub_field(self):
         amb = self.ambient
 
         def stack_fn(zs):
-            j = self._j_stack(zs)
-            return conj_transpose(j) @ amb.gram_stack(zs) @ j
+            return self._sub_grams(self._j_stack(zs), amb.gram_stack(zs))
 
         d_fn = dd_fn = None
         if amb.analytic and self._dj_fn is not None:
@@ -208,45 +227,66 @@ class ExactSeqChart:
             radius=amb.radius,
             d_fn=d_fn,
             dd_fn=dd_fn,
+            fd_step=amb.fd_step,
+            fd_outer_step=amb.fd_outer_step,
             name=self.name + ".sub",
             self_check=False,
         )
 
     @cached_property
-    def quot_field(self):
-        """The quotient form field, built on first use: the closed-form jet
-        when it applies (see the module docstring), else reads of
-        :func:`~hermitia.forms.quotient_form` differenced by the chart."""
+    def _quot_closed_form(self):
+        """Whether the quotient field takes the closed-form jet (see the
+        module docstring)."""
         amb = self.ambient
-        if (
+        return (
             amb.analytic
             and self._dj_fn is not None
             and amb.form_at(self.center).is_positive_definite()
-        ):
-            stack_fn, d_fn, dd_fn = self._quot_jet()
-        else:
-            d_fn = dd_fn = None
+        )
 
-            def stack_fn(zs):
-                return np.stack(
-                    [quotient_form(LinearMap(self.q_at(z)), amb.form_at(z)).gram for z in zs]
-                )
-
+    @cached_property
+    def quot_field(self):
+        """The quotient form field, built on first use: the closed-form jet
+        when it applies, else reads of :func:`~hermitia.forms.quotient_form`
+        differenced by the chart; either kernel reads the ambient once per
+        stack (:meth:`_quot_grams`)."""
+        amb = self.ambient
+        d_fn = dd_fn = None
+        if self._quot_closed_form:
+            d_fn, dd_fn = self._quot_jet()
         return ChartField(
             self.m,
             self.r - self.k,
-            stack_fn,
+            lambda zs: self._quot_grams(zs, self._q_of(self._j_stack(zs)), amb.gram_stack(zs)),
             center=amb.center,
             radius=amb.radius,
             d_fn=d_fn,
             dd_fn=dd_fn,
+            fd_step=amb.fd_step,
+            fd_outer_step=amb.fd_outer_step,
             name=self.name + ".quot",
             self_check=False,
         )
 
+    def _quot_grams(self, zs, q, g):
+        """G_Q at a (B, m) stack of points from the quotient frames q and
+        the ambient Gram matrices g there: the closed-form kernel, else
+        :func:`~hermitia.forms.quotient_form` of each row's ambient form."""
+        if self._quot_closed_form:
+            return self._quot_parts(zs, q, g)[2]
+        forms = self.ambient.forms_at(zs, g)
+        return np.stack([quotient_form(LinearMap(qw), b).gram for qw, b in zip(q, forms)])
+
+    @staticmethod
+    def _quot_parts(zs, q, g):
+        """H = G^-1, K = H q^H and G_Q = (q K)^-1 at a stack of points from
+        q and G there."""
+        h = _pd_inverse(g, zs)
+        k = h @ conj_transpose(q)
+        return h, k, np.linalg.inv(q @ k)
+
     def _quot_jet(self):
-        """Gram kernel, d and dd evaluators of G_Q = P^-1, P = q H q^H,
-        H = G^-1.
+        """The d and dd evaluators of G_Q = P^-1, P = q H q^H, H = G^-1.
 
         With K = H q^H, E_a = d_a q - K^H d_a G and F_a = (d_a G) K:
 
@@ -262,18 +302,11 @@ class ExactSeqChart:
         """
         amb = self.ambient
 
-        def common(zs):
-            h = _pd_inverse(amb.gram_stack(zs), zs)
-            q = self._q_of(self._j_stack(zs))
-            k = h @ conj_transpose(q)
-            return h, k, np.linalg.inv(q @ k)
-
-        def stack_fn(zs):
-            return common(zs)[2]
-
         @last_point_cache
         def first_order(z):
-            h, k, x = (part[0] for part in common(z[None]))
+            zs = z[None]
+            q = self._q_of(self._j_stack(zs))
+            h, k, x = (part[0] for part in self._quot_parts(zs, q, amb.gram_stack(zs)))
             dg = amb.d(z)
             e = self.dq_at(z) - k.conj().T @ dg
             return h, k, x, dg, e, e @ k
@@ -294,7 +327,7 @@ class ExactSeqChart:
             inner = dp[:, None] @ x @ dph[None, :] + dph[None, :] @ x @ dp[:, None] - ddp
             return x @ inner @ x
 
-        return stack_fn, d_fn, dd_fn
+        return d_fn, dd_fn
 
     def at(self, z):
         """The per-point record at z.  The latest one is kept
@@ -339,27 +372,68 @@ class _SeqAt:
     base record built by :meth:`ExactSeqChart.at` also owns a probe ring,
     ``ring``, the records at the 4m Wirtinger stencil points around it,
     from which :meth:`probe` differences any quantity; ring records never
-    replace the base record.
+    replace the base record.  The ring is built in two stages:
+
+    * the first probe reads the ambient Gram matrices at the 4m ring
+      points in one call and gives every ring record the forms of all
+      three fields from those rows (the sub kernel j^H G j and the
+      quotient kernel on them), running no gate, so the adjoint probes
+      solve no connection;
+    * the first read of sigma on a ring record reads the ambient at the
+      4m (4m + 1) gate points of the ring in one call and solves the
+      ambient connections, then the sub connections, of all ring records
+      by :func:`~hermitia.charts.solve_stack` from those rows; their
+      centre rows must equal the first stage's forms bit for bit.
     """
 
-    def __init__(self, seq: ExactSeqChart, z):
+    def __init__(self, seq: ExactSeqChart, z, base=None):
         self.seq = seq
         self.z = z
-        self.ring = {}  # point bytes -> record at that point of the probe ring
+        self._base = base  # the record whose probe ring holds this one
+
+    @cached_property
+    def ring(self):
+        """The first stage of the probe ring (see the class docstring)."""
+        seq = self.seq
+        zs = _stencil_ring(self.z, PROBE_STEP)
+        g = seq.ambient.gram_stack(zs)
+        j = seq._j_stack(zs)
+        q = seq._q_of(j)
+        amb = seq.ambient.forms_at(zs, g)
+        sub = seq.sub_field.forms_at(zs, hermitize(seq._sub_grams(j, g)))
+        quot = seq.quot_field.forms_at(zs, hermitize(seq._quot_grams(zs, q, g)))
+        factorize(amb)
+        factorize(sub)
+        ring = []
+        for i, w in enumerate(zs):
+            rec = _SeqAt(seq, w, base=self)
+            rec.j, rec.q = j[i], q[i]
+            rec.ambient = FieldAt(seq.ambient, w)
+            rec.sub = FieldAt(seq.sub_field, w)
+            rec.quot = FieldAt(seq.quot_field, w)
+            rec.ambient.form, rec.sub.form, rec.quot.form = amb[i], sub[i], quot[i]
+            ring.append(rec)
+        return ring
+
+    @cached_property
+    def _ring_solved(self):
+        """The second stage of the probe ring (see the class docstring)."""
+        seq, ring = self.seq, self.ring
+        zs = _gate_stencil(_stencil_ring(self.z, PROBE_STEP), seq.ambient.fd_outer_step)
+        zs = zs.reshape(-1, seq.m)
+        g = seq.ambient.gram_stack(zs)
+        solve_stack([rec.ambient for rec in ring], g)
+        solve_stack([rec.sub for rec in ring], hermitize(seq._sub_grams(seq._j_stack(zs), g)))
+        return ring
 
     def probe(self, name, conjugate=False):
         """d_a (or dbar_a when ``conjugate``) of the quantity ``name`` for
-        every coordinate a, shape (m, ...), by :func:`ring_fd` of step
-        ``PROBE_STEP`` over the probe ring: the record at each ring point
-        is built on the first probe and shared by the later ones."""
-
-        def read(w):
-            key = w.tobytes()
-            if key not in self.ring:
-                self.ring[key] = _SeqAt(self.seq, w)
-            return getattr(self.ring[key], name)
-
-        return ring_fd(read, self.z, PROBE_STEP, conjugate)
+        every coordinate a, shape (m, ...): the Wirtinger difference of
+        step ``PROBE_STEP`` over the probe ring, its reads combined by
+        :func:`~hermitia.charts._combine_ring`, equal to ``ring_fd`` over
+        fresh records bit for bit."""
+        reads = np.stack([getattr(rec, name) for rec in self.ring])
+        return _combine_ring(reads, PROBE_STEP, conjugate)
 
     @cached_property
     def ambient(self):
@@ -399,6 +473,8 @@ class _SeqAt:
 
     @cached_property
     def sigma(self):
+        if self._base is not None:
+            self._base._ring_solved  # solves A_E and A_S on the whole ring
         a_e, a_s = self.ambient.a, self.sub.a
         return np.stack(
             [self.q @ (self.dj[a] + a_e[a] @ self.j - self.j @ a_s[a]) for a in range(self.seq.m)]

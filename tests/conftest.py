@@ -7,13 +7,19 @@ from hermitia import charts
 @pytest.fixture
 def gate_points(monkeypatch):
     """The point of every constant-rank gate run in the test, as bytes:
-    one gate per connection solve."""
+    one gate per connection solve, whether it runs alone or in a stacked
+    solve (as ``charts`` calls either)."""
     points = []
-    gate = charts._check_constant_rank
+    gate, stack = charts._check_constant_rank, charts.solve_stack
 
     def counting(field, w):
         points.append(np.asarray(w, dtype=complex).tobytes())
         return gate(field, w)
 
+    def counting_stack(records, rows=None):
+        points.extend(rec.point.tobytes() for rec in records)
+        return stack(records, rows)
+
     monkeypatch.setattr(charts, "_check_constant_rank", counting)
+    monkeypatch.setattr(charts, "solve_stack", counting_stack)
     return points

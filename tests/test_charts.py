@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hermitia import (
 from hermitia.charts import (
     RANK_TOL,
     ChartField,
+    FieldAt,
     HolomorphicMap,
     _check_constant_rank,
     chern_connection,
@@ -218,6 +221,11 @@ def gate_points(z, s=1e-3):
     return points
 
 
+def named(w):
+    """A point as a RankJump names it: each coordinate to six decimals."""
+    return "[%s]" % " ".join("%.6f%+.6fj" % (x.real, x.imag) for x in np.asarray(w, dtype=complex))
+
+
 def loop_gate_rank(field, z):
     """The per-point gate: one ``rank_at`` read per stencil point, centre
     first, stopping at the first neighbor whose rank differs."""
@@ -226,7 +234,9 @@ def loop_gate_rank(field, z):
     for w in neighbors:
         r = field.rank_at(w)
         if r != r0:
-            raise RankJump("rank %d at the point but %d at a stencil neighbor" % (r0, r))
+            raise RankJump(
+                "rank %d at %s but %d at its stencil neighbor %s" % (r0, named(center), r, named(w))
+            )
     return r0
 
 
@@ -257,14 +267,16 @@ def test_stacked_gate_ranks_as_the_per_point_loop(seed):
 @pytest.mark.parametrize("m", [1, 2])
 def test_stacked_gate_jumps_where_the_loop_does(m):
     z = np.full(m, 0.3 - 0.1j)
-    for i, p in enumerate(gate_points(z)):
+    points = gate_points(z)
+    for i, p in enumerate(points):
         f = ChartField(
             m, 2, diag_kernel(lambda w, p=p: np.linalg.norm(w - p) ** 2), self_check=False
         )
         stacked, loop = gate_outcomes(f, z)
         assert stacked == loop
-        assert stacked == ("rank 1 at the point but 2 at a stencil neighbor" if i == 0
-                           else "rank 2 at the point but 1 at a stencil neighbor")
+        assert stacked == ("rank 1 at %s but 2 at its stencil neighbor %s" % (named(z), named(points[1]))
+                           if i == 0
+                           else "rank 2 at %s but 1 at its stencil neighbor %s" % (named(z), named(p)))
 
 
 def test_stacked_gate_on_the_hirzebruch_zero_section():
@@ -884,10 +896,9 @@ def test_curvature_from_connection_equals_the_per_direction_stencil():
     assert np.array_equal(curvature_from_connection(f, z, a_fn), slow)
 
 
-@pytest.mark.parametrize("make, z", [(fs_plane, [0.2, 0.1j]), (degenerate_factor, [0.1, -0.05 + 0.1j])])
-def test_curvature_20_defect_equals_the_per_direction_stencil(make, z):
-    field = make()
-    z = np.asarray(z, dtype=complex)
+def curvature_20_oracle(field, z):
+    """The (2,0) defect from a fresh chern_connection at each stencil
+    point, one direction at a time."""
     conn = chern_connection(field, z)
     g, a0 = conn.form.gram, conn.a
     m = field.m
@@ -900,7 +911,72 @@ def test_curvature_20_defect_equals_the_per_direction_stencil(make, z):
         for b in range(a + 1, m):
             f20 = da[a][b] - da[b][a] + a0[a] @ a0[b] - a0[b] @ a0[a]
             defect = max(defect, float(np.linalg.norm(g @ f20)))
-    assert curvature_20_defect(field, z) == defect / scale
+    return defect / scale
+
+
+@pytest.mark.parametrize("make, z", [(fs_plane, [0.2, 0.1j]), (degenerate_factor, [0.1, -0.05 + 0.1j])])
+def test_curvature_20_defect_equals_the_per_direction_stencil(make, z):
+    field = make()
+    z = np.asarray(z, dtype=complex)
+    assert curvature_20_defect(field, z) == curvature_20_oracle(field, z)
+
+
+def gauge_oracle(field, z, seed):
+    """The gauge residual from two curvature_from_connection runs over a
+    fresh chern_connection at each ring point."""
+    pert = smooth_kernel_perturbation(field, z, seed=seed)
+
+    def a_fn(w):
+        return chern_connection(field, w).a
+
+    r0 = curvature_from_connection(field, z, a_fn)
+    r1 = curvature_from_connection(field, z, lambda w: a_fn(w) + pert(w))
+    return float(np.linalg.norm(r0 - r1) / (1.0 + np.linalg.norm(r0)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_ring_solve_equals_per_point_solves(seed):
+    """solve_stack over a probe ring against chern_connection at each ring
+    point, and the two ring checks built on it against per-point rings."""
+    field, z = gauge_instance(seed)
+    ring = charts._stencil_ring(z, charts.PROBE_STEP)
+    stacked = charts.solve_stack([FieldAt(field, w) for w in ring])
+    for rec, w in zip(stacked, ring):
+        fresh = chern_connection(field, w)
+        assert np.array_equal(rec.form.gram, fresh.form.gram)
+        assert np.array_equal(rec.form.pinv, fresh.form.pinv)
+        for name in ("dg", "a", "residual"):
+            assert np.array_equal(getattr(rec, name), getattr(fresh, name)), name
+    assert gauge_independence_residual(field, z, seed=seed) == gauge_oracle(field, z, seed)
+    assert curvature_20_defect(field, z) == curvature_20_oracle(field, z)
+
+
+def _first_error(solve):
+    try:
+        solve()
+    except HermitiaError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_stacked_solve_raises_the_error_of_the_first_failing_point():
+    """G = diag(1, 100 |w - 0.3|^2), read as NaN at -0.2, on the disc of
+    radius 0.5: one point passes, one has the rank jump at 0.3 as a gate
+    neighbor, one the NaN, and one lies outside.  In every order,
+    solve_stack raises what solving the points one at a time raises
+    first, and reads no point after the first one outside."""
+    def fn(w):
+        return np.nan if abs(w[0] + 0.2) < 1e-12 else 100.0 * abs(w[0] - 0.3) ** 2
+
+    field = ChartField(1, 2, diag_kernel(fn), radius=0.5, self_check=False)
+    points = [np.array([x]) for x in (0.1 + 0.1j, 0.3 - 1e-3, -0.2 - 1e-3, 0.4995)]
+    kinds = set()
+    for order in itertools.permutations(points):
+        want = _first_error(lambda: [chern_connection(field, w) for w in order])
+        assert want == _first_error(lambda: charts.solve_stack([FieldAt(field, w) for w in order]))
+        kinds.add(want[0])
+    assert kinds == {RankJump, NonFinite, OutOfDomain}
+    assert charts.solve_stack([FieldAt(field, points[0])])[0].residual <= charts.SOLVER_TOL
 
 
 @pytest.mark.parametrize("seed, m, gates", [(0, 1, 5), (1, 2, 9)])
@@ -926,10 +1002,11 @@ def test_gauge_check_solves_each_point_once(gate_points, seed, m, gates):
 @pytest.mark.parametrize("seed, form_reads, eighs", [(0, 0, 5), (1, 0, 9)])
 def test_gauge_check_factorizes_each_point_once(monkeypatch, seed, form_reads, eighs):
     """The default perturbation reads the forms of the gate and of the ring
-    solves: no form_at read, one eigh at z and one at each ring point."""
+    solves: no form_at read, and one factorization at z and one at each
+    ring point, those of the ring in one batched eigh call."""
     field, z = gauge_instance(seed)
     want = gauge_independence_residual(field, z, seed=seed)
-    counts = {"form_at": 0, "eigh": 0}
+    counts = {"form_at": 0, "eigh": 0, "eigh calls": 0}
     form_at, eigh = ChartField.form_at, np.linalg.eigh
 
     def counting_form_at(self, w):
@@ -937,13 +1014,14 @@ def test_gauge_check_factorizes_each_point_once(monkeypatch, seed, form_reads, e
         return form_at(self, w)
 
     def counting_eigh(a, *args, **kw):
-        counts["eigh"] += 1
+        counts["eigh"] += int(np.prod(np.shape(a)[:-2]))
+        counts["eigh calls"] += 1
         return eigh(a, *args, **kw)
 
     monkeypatch.setattr(ChartField, "form_at", counting_form_at)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     assert gauge_independence_residual(field, z, seed=seed) == want
-    assert counts == {"form_at": form_reads, "eigh": eighs}
+    assert counts == {"form_at": form_reads, "eigh": eighs, "eigh calls": 2}
 
 
 def test_gauge_check_takes_a_supplied_perturbation():

@@ -23,7 +23,7 @@ from hermitia import (
     sum_quotient_form,
 )
 from hermitia.errors import NonFinite
-from hermitia.forms import gram_rank, gram_ranks, rank_of
+from hermitia.forms import factorize, gram_rank, gram_ranks, rank_of
 
 
 def form(entries, **kw):
@@ -151,6 +151,39 @@ def test_one_eigh_per_form_across_repeated_calls(monkeypatch):
         adjoint(f, bV, bW), admits_adjoint(f, bV, bW), adjoint_freedom_dims(f, bV, bW)
         assert bV.is_positive_semidefinite() and not bW.is_positive_definite()
     assert calls == [(4, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_batched_factorization_equals_one_eigh_per_form(dim, monkeypatch):
+    """factorize runs one eigh for the forms not yet factorized, and each
+    form then reads the same rank, kernel, pinv and purge as a twin that
+    factorizes on its own; a batch with a NaN is left to each form."""
+    rng = np.random.default_rng(np.random.SeedSequence([61, dim]))
+    grams = [random_psd_form(rng, dim, rank).gram for rank in range(dim + 1)]
+    grams += [random_hermitian_form(rng, dim, rank).gram for rank in range(dim + 1)]
+    forms, twins = [HermitianForm(g) for g in grams], [HermitianForm(g) for g in grams]
+    forms[0]._eigh  # factorized already: kept, and left out of the batch
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    factorize(forms)
+    assert calls == [(len(grams) - 1, dim, dim)]
+    for b, twin in zip(forms, twins):
+        assert b.rank == twin.rank
+        assert np.array_equal(b.kernel_basis, twin.kernel_basis)
+        assert np.array_equal(b.pinv, twin.pinv)
+        assert np.array_equal(purge(b).purged_form.gram, purge(twin).purged_form.gram)
+    bad = HermitianForm(np.where(np.eye(dim) > 0, np.nan, 0.0))
+    good = HermitianForm(grams[-1])
+    factorize([good, bad])
+    assert "_eigh" not in good.__dict__
+    with pytest.raises(NonFinite):
+        bad.rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermitia import HermitiaError, NonFinite, NotHolomorphic, NotPositiveAtPoint, charts, sequences
+from hermitia import (
+    HermitiaError,
+    NonFinite,
+    NotHolomorphic,
+    NotPositiveAtPoint,
+    RankJump,
+    charts,
+    sequences,
+)
 from hermitia.charts import (
     PROBE_STEP,
     RANK_TOL,
@@ -13,6 +22,7 @@ from hermitia.charts import (
     FieldAt,
     chern_connection,
     curvature_tensor,
+    ring_fd,
     smooth_kernel_perturbation,
     wirtinger_fd,
 )
@@ -297,6 +307,89 @@ def test_probe_ring_equals_fresh_records(seed):
     assert len(at.ring) == 4 * seq.m
 
 
+def _ring_cases():
+    """(chart, point) for every seeded instance of this file, then the
+    finite-difference and the degenerate ambient, whose quotient fields
+    read quotient_form."""
+    cases = [sequence_instance(seed) for seed in SEQUENCE_SEEDS]
+    cases.append((block_split_sequence(fd=True)[0], np.array([0.1 - 0.05j])))
+    cases.append((kernel_compat_sequence(), np.array([0.15 + 0.1j])))
+    # an ambient with its own finite-difference steps, which the sub and
+    # quotient fields take, so the sub gate still reads the ambient's points
+    seq, z = sequence_instance(1)
+    amb = seq.ambient
+    wide = ChartField(
+        amb.m,
+        amb.shape,
+        amb.stack_fn,
+        radius=amb.radius,
+        d_fn=amb.d_fn,
+        dd_fn=amb.dd_fn,
+        fd_step=3e-4,
+        fd_outer_step=2e-3,
+        self_check=False,
+    )
+    cases.append((ExactSeqChart(wide, seq._j_fn, dj=seq._dj_fn), z))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(SEQUENCE_SEEDS) + 3))
+def test_stacked_ring_equals_fresh_per_point_records(case):
+    """Every ring record, its forms from the one read of the ring points
+    and its ambient and sub solves from the one stacked read of their
+    gates, equals a fresh per-point record bit for bit; so does every
+    probe, against ring_fd over fresh records."""
+    seq, z = _ring_cases()[case]
+    for field in (seq.sub_field, seq.quot_field):
+        assert (field.fd_step, field.fd_outer_step) == (seq.ambient.fd_step, seq.ambient.fd_outer_step)
+    at = seq.at(z)
+    names = ("jdag", "qdag", "sigma", "sigma_dagger")
+    probes = {(name, conj): at.probe(name, conj) for name in names for conj in (False, True)}
+    assert len(at.ring) == 4 * seq.m
+    for rec in at.ring:
+        fresh = sequences._SeqAt(seq, rec.z)
+        for part in ("ambient", "sub", "quot"):
+            assert np.array_equal(getattr(rec, part).form.gram, getattr(fresh, part).form.gram), part
+        for part in ("ambient", "sub"):
+            got, want = getattr(rec, part), getattr(fresh, part)
+            assert np.array_equal(got.form.pinv, want.form.pinv), part
+            for name in ("dg", "a", "residual"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (part, name)
+        for name in ("j", "q") + names:
+            assert np.array_equal(getattr(rec, name), getattr(fresh, name)), name
+    for (name, conj), fast in probes.items():
+        slow = ring_fd(lambda w: getattr(sequences._SeqAt(seq, w), name), at.z, PROBE_STEP, conj)
+        assert np.array_equal(fast, slow), (name, conj)
+
+
+def test_a_rank_jump_at_one_ring_point_names_it():
+    """G = diag(1, 1, |10 (w - p)|^2) drops rank only at p, the gate
+    neighbor z + h + s of the first ring point z + h and of no other gate
+    point.  The base point, the adjoint probes and the identity table
+    (which probes no sigma when m = 1) pass; sigma's probe and the
+    splitting raise RankJump naming that ring point and p, as a fresh
+    record there does."""
+    z = np.array([0.1 + 0.05j])
+    w = z + PROBE_STEP
+    p = w + 1e-3
+    poly = MatrixPolynomial(np.diag([1.0, 1.0, -10.0 * p[0]]), c1=np.diag([0.0, 0.0, 10.0])[None])
+    seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), np.eye(3, 1))
+    named = "rank 3 at %s but 2 at its stencil neighbor %s" % (charts._named(w), charts._named(p))
+    with pytest.raises(RankJump) as fresh:
+        sequences._SeqAt(seq, w).sigma
+    assert str(fresh.value) == named
+    at = seq.at(z)
+    at.ambient.a, at.sub.a, at.quot.a
+    at.probe("jdag"), at.probe("qdag")
+    with pytest.raises(RankJump) as stacked:
+        at.probe("sigma")
+    assert str(stacked.value) == named
+    demailly_residuals(seq, z)  # with m = 1 the table probes no sigma
+    with pytest.raises(RankJump) as blocks:
+        splitting_curvature_blocks(seq, z)
+    assert str(blocks.value) == named
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fd_inclusion_derivative_equals_the_per_direction_stencil(seed):
     """dj of an inclusion given without dj, and the (0,1) check of sigma,
@@ -343,31 +436,48 @@ def test_solve_rejects_a_form_that_is_not_the_gate_read():
 @pytest.mark.parametrize("seed", JET_SEEDS)
 def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
     """Identities, splitting, sigma and Codazzi at one point: the base
-    record and its 4m ring records, three solves at the base and the
-    ambient and sub solves of sigma at each ring record."""
+    record, with one gate for each of its three solves, and its 4m ring
+    records, solved by one stacked solve of the ambient and one of the
+    sub.  The ambient kernel reads 4m + 1 rows for each base gate, one row
+    for each of the base's sub d, sub dd and quotient jet reads, the 4m
+    ring points once for the ring's forms, the 4m (4m + 1) gate points of
+    the ring once for both stacked solves, and one row for the sub d at
+    each ring point."""
     seq, z = sequence_instance(seed)
-    m = seq.m
+    seq.quot_field  # built ahead: its choice of route reads G at the chart centre
+    n = 4 * seq.m
     solves = _count_solves(monkeypatch)
-    records = []
-    init = sequences._SeqAt.__init__
+    records, stacked, reads = [], [], []
+    init, stack, kernel = sequences._SeqAt.__init__, sequences.solve_stack, seq.ambient.stack_fn
 
-    def counting_init(self, seq, w):
+    def counting_init(self, seq, w, base=None):
         records.append(w)
-        init(self, seq, w)
+        init(self, seq, w, base)
+
+    def counting_stack(recs, rows=None):
+        stacked.append((recs[0].field, len(recs)))
+        return stack(recs, rows)
+
+    def counting_kernel(zs):
+        reads.append(len(zs))
+        return kernel(zs)
 
     monkeypatch.setattr(sequences._SeqAt, "__init__", counting_init)
+    monkeypatch.setattr(sequences, "solve_stack", counting_stack)
+    monkeypatch.setattr(seq.ambient, "stack_fn", counting_kernel)
     demailly_residuals(seq, z)
     splitting_curvature_blocks(seq, z)
     second_fundamental_form(seq, z)
     rng = np.random.default_rng(seed)
-    for a in range(m):
-        for b in range(m):
+    for a in range(seq.m):
+        for b in range(seq.m):
             codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
-    assert len(records) == 4 * m + 1
-    assert len(solves) == 2 * 4 * m + 3
-    assert solves.count(seq.quot_field) == 1
+    assert len(records) == n + 1
+    assert solves == [seq.ambient, seq.sub_field, seq.quot_field]
+    assert stacked == [(seq.ambient, n), (seq.sub_field, n)]
+    assert Counter(reads) == {n + 1: 3, 1: 3 + n, n: 1, n * (n + 1): 1}
 
 
 @pytest.mark.parametrize(
@@ -402,6 +512,60 @@ def test_quotient_form_route_without_a_full_positive_jet(make):
     assert np.array_equal(
         curvature_tensor(seq.quot_field, z).tensor, curvature_tensor(oracle, z).tensor
     )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [functools.partial(block_split_sequence, fd=True), kernel_compat_sequence],
+    ids=["block_split_sequence", "kernel_compat_sequence"],
+)
+def test_quotient_form_kernel_reads_each_stack_once(make, monkeypatch):
+    """The quotient_form kernel reads the ambient at a whole stack in one
+    call and equals quotient_form of each point's form_at read, row by
+    row, bit for bit."""
+    seq = make()
+    seq = seq[0] if isinstance(seq, tuple) else seq
+    z = np.array([0.15 + 0.1j])
+    zs = np.concatenate([charts._gate_stencil(z, 1e-3), charts._stencil_ring(z, PROBE_STEP)])
+    assert not seq.quot_field.analytic
+    per_row = hermitize(
+        np.stack([quotient_form(LinearMap(seq.q_at(w)), seq.ambient.form_at(w)).gram for w in zs])
+    )
+    reads = []
+    kernel = seq.ambient.stack_fn
+
+    def counting(ws):
+        reads.append(len(ws))
+        return kernel(ws)
+
+    monkeypatch.setattr(seq.ambient, "stack_fn", counting)
+    assert np.array_equal(seq.quot_field.gram_stack(zs), per_row)
+    assert reads == [len(zs)]
+
+
+def test_quotient_form_kernel_names_each_non_finite_row():
+    """A NaN in one row of the degenerate ambient's stack raises NonFinite
+    naming that row's point, as the row's form_at read does."""
+    seq = kernel_compat_sequence()
+    amb = seq.ambient
+    zs = charts._gate_stencil(np.array([0.15 + 0.1j]), 1e-3)
+    for p in zs:
+        def poisoned(ws, p=p):
+            hit = np.array([np.array_equal(w, p) for w in ws])
+            return np.where(hit[:, None, None], np.nan, amb.stack_fn(ws))
+
+        bad = ExactSeqChart(
+            ChartField(1, 3, poisoned, radius=0.9, d_fn=amb.d_fn, dd_fn=amb.dd_fn, self_check=False),
+            seq.j_at(seq.center),
+        )
+        assert not bad.quot_field.analytic
+        where = "Gram matrix is not finite at %s" % np.array2string(p, precision=3)
+        with pytest.raises(NonFinite) as info:
+            bad.ambient.form_at(p)
+        assert str(info.value) == where
+        with pytest.raises(NonFinite) as info:
+            bad.quot_field.gram_stack(zs)
+        assert str(info.value) == where
 
 
 def test_quotient_jet_off_the_positive_locus_raises_not_positive():
