@@ -252,16 +252,6 @@ class ChartField:
         require_finite(g, "Gram matrix", z)
         return HermitianForm(g, rank_tol=RANK_TOL)
 
-    def forms_at(self, zs, grams=None):
-        """The forms of G at a (B, m) stack of points from one
-        :meth:`gram_stack` read, or from ``grams``, rows the caller read
-        there; form i equals ``form_at(zs[i])`` bit for bit, and a NaN or
-        inf raises NonFinite naming the first point where it is read."""
-        grams = self.gram_stack(zs) if grams is None else grams
-        for g, z in zip(grams, zs):
-            require_finite(g, "Gram matrix", z)
-        return [HermitianForm(g, rank_tol=RANK_TOL) for g in grams]
-
     def in_domain(self, z, margin=0.0):
         z = _as_point(z, self.m)
         return bool(np.all(np.abs(z - self.center) <= self.radius - margin))
@@ -439,6 +429,16 @@ def _gate_verdict(zs, grams, ranks):
         )
 
 
+def forms_of(grams, zs):
+    """The forms of the Gram matrices ``grams`` a field read at a (B, m)
+    stack of points zs (one :meth:`ChartField.gram_stack` row each), so
+    form i equals ``form_at(zs[i])`` bit for bit; a NaN or inf raises
+    NonFinite naming the first point where it is read."""
+    for g, z in zip(grams, zs):
+        require_finite(g, "Gram matrix", z)
+    return [HermitianForm(g, rank_tol=RANK_TOL) for g in grams]
+
+
 def _check_constant_rank(field: ChartField, z):
     """The constant-rank gate: G read at the 4m + 1 stencil points in one
     :meth:`ChartField.gram_stack` call, ranked by one batched
@@ -575,8 +575,10 @@ def solve_stack(records, rows=None):
     solved here equals its per-point solve bit for bit.  The error is the
     per-point path's at the first point that fails, in order: OutOfDomain,
     the gate's NonFinite or RankJump, the form guard's HermitiaError, or
-    the solve's NonFinite or SolverResidual.  No point after the first one
-    outside the chart is read."""
+    the solve's NonFinite or SolverResidual.  Without ``rows``, no point
+    after the first one outside the chart is read; a caller passing
+    ``rows`` keeps that promise by reading only the stencils of the points
+    before it."""
     field = records[0].field
     m, r, s = field.m, field.shape, field.fd_outer_step
     points = [rec.point for rec in records]

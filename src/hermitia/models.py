@@ -106,16 +106,12 @@ def pluecker_monomials(k, n):
     return MonomialMap(k * (n - k), comps)
 
 
-def pluecker_pullback(k, n, self_check=True):
-    """Gram field of the potential log ||p(Z)||^2 in minor coordinates;
-    ``self_check`` as for :class:`ChartField`."""
+def pluecker_pullback(k, n):
+    """Gram field of the potential log ||p(Z)||^2 in minor coordinates."""
     if not 1 <= k < n:
         raise ConfigError("need 1 <= k < n")
     return from_potential_map(
-        pluecker_monomials(k, n),
-        radius=GR_CHART_RADIUS,
-        name="pluecker:%d:%d" % (k, n),
-        self_check=self_check,
+        pluecker_monomials(k, n), radius=GR_CHART_RADIUS, name="pluecker:%d:%d" % (k, n)
     )
 
 
@@ -123,9 +119,10 @@ def pluecker_gap(field: ChartField, k, n, points):
     """max over ``points`` of |G1 - G2| / (1 + |G2|), G1 the Gram matrix of
     ``field`` and G2 that of the minor-potential route
     :func:`pluecker_pullback` of Gr(k, n): the gap between the two
-    Grassmannian constructions.  The gap reads Gram matrices only, so the
-    oracle is built without the derivative self-check."""
-    oracle = pluecker_pullback(k, n, self_check=False)
+    Grassmannian constructions.  The gap reads Gram matrices only, so its
+    field of the minor potential is built without the derivative
+    self-check."""
+    oracle = from_potential_map(pluecker_monomials(k, n), radius=GR_CHART_RADIUS, self_check=False)
     worst = 0.0
     for z in points:
         g1, g2 = field.gram(z), oracle.gram(z)

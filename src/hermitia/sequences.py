@@ -53,7 +53,8 @@ once and shared by every probe.  The ring reads the ambient twice: once
 at its 4m points for the forms of all three fields, on the first probe,
 and once at the 4m (4m + 1) gate points of its ambient and sub solves,
 which :func:`~hermitia.charts.solve_stack` runs for the whole ring on
-the first read of sigma there; the base point keeps the per-point gate.
+the first probe of sigma or sigma dagger; the base point keeps the
+per-point gate.
 The finite-difference dj of an inclusion given without dj, and the
 holomorphy checks of j, go through :func:`~hermitia.charts.ring_fd`.
 """
@@ -74,6 +75,7 @@ from .charts import (
     _gate_stencil,
     _stencil_ring,
     curvature_tensor,
+    forms_of,
     last_point_cache,
     ring_fd,
     sample_box,
@@ -274,7 +276,7 @@ class ExactSeqChart:
         :func:`~hermitia.forms.quotient_form` of each row's ambient form."""
         if self._quot_closed_form:
             return self._quot_parts(zs, q, g)[2]
-        forms = self.ambient.forms_at(zs, g)
+        forms = forms_of(g, zs)
         return np.stack([quotient_form(LinearMap(qw), b).gram for qw, b in zip(q, forms)])
 
     @staticmethod
@@ -379,17 +381,16 @@ class _SeqAt:
       three fields from those rows (the sub kernel j^H G j and the
       quotient kernel on them), running no gate, so the adjoint probes
       solve no connection;
-    * the first read of sigma on a ring record reads the ambient at the
+    * the first probe of sigma or sigma dagger reads the ambient at the
       4m (4m + 1) gate points of the ring in one call and solves the
-      ambient connections, then the sub connections, of all ring records
-      by :func:`~hermitia.charts.solve_stack` from those rows; their
-      centre rows must equal the first stage's forms bit for bit.
+      ambient and sub connections of all ring records by
+      :func:`~hermitia.charts.solve_stack` from those rows; their centre
+      rows must equal the first stage's forms bit for bit.
     """
 
-    def __init__(self, seq: ExactSeqChart, z, base=None):
+    def __init__(self, seq: ExactSeqChart, z):
         self.seq = seq
         self.z = z
-        self._base = base  # the record whose probe ring holds this one
 
     @cached_property
     def ring(self):
@@ -399,14 +400,14 @@ class _SeqAt:
         g = seq.ambient.gram_stack(zs)
         j = seq._j_stack(zs)
         q = seq._q_of(j)
-        amb = seq.ambient.forms_at(zs, g)
-        sub = seq.sub_field.forms_at(zs, hermitize(seq._sub_grams(j, g)))
-        quot = seq.quot_field.forms_at(zs, hermitize(seq._quot_grams(zs, q, g)))
+        amb = forms_of(g, zs)
+        sub = forms_of(hermitize(seq._sub_grams(j, g)), zs)
+        quot = forms_of(hermitize(seq._quot_grams(zs, q, g)), zs)
         factorize(amb)
         factorize(sub)
         ring = []
         for i, w in enumerate(zs):
-            rec = _SeqAt(seq, w, base=self)
+            rec = _SeqAt(seq, w)
             rec.j, rec.q = j[i], q[i]
             rec.ambient = FieldAt(seq.ambient, w)
             rec.sub = FieldAt(seq.sub_field, w)
@@ -417,13 +418,30 @@ class _SeqAt:
 
     @cached_property
     def _ring_solved(self):
-        """The second stage of the probe ring (see the class docstring)."""
-        seq, ring = self.seq, self.ring
-        zs = _gate_stencil(_stencil_ring(self.z, PROBE_STEP), seq.ambient.fd_outer_step)
-        zs = zs.reshape(-1, seq.m)
-        g = seq.ambient.gram_stack(zs)
-        solve_stack([rec.ambient for rec in ring], g)
-        solve_stack([rec.sub for rec in ring], hermitize(seq._sub_grams(seq._j_stack(zs), g)))
+        """The second stage of the probe ring (see the class docstring).
+
+        Only the ring points inside the chart up to the first one outside
+        it are read, and the error raised is the one the per-point ring
+        raises first, in its order: the ambient solve, then the sub solve,
+        at each ring point in turn (the sub field takes the ambient's
+        chart and steps, so both leave the chart at the same point)."""
+        seq, ring, amb = self.seq, self.ring, self.seq.ambient
+        margin = amb.fd_outer_step + amb.fd_step
+        inside = next((i for i, rec in enumerate(ring) if not amb.in_domain(rec.z, margin)), len(ring))
+        g = sub_rows = None
+        if inside:
+            zs = _gate_stencil(np.stack([rec.z for rec in ring[:inside]]), amb.fd_outer_step)
+            zs = zs.reshape(-1, seq.m)
+            g = amb.gram_stack(zs)
+            sub_rows = hermitize(seq._sub_grams(seq._j_stack(zs), g))
+        try:
+            solve_stack([rec.ambient for rec in ring], g)
+        except HermitiaError:
+            solved = next(i for i, rec in enumerate(ring) if "_solved" not in rec.ambient.__dict__)
+            if solved:  # a sub solve before the failing ambient one raises first
+                solve_stack([rec.sub for rec in ring[:solved]], sub_rows)
+            raise
+        solve_stack([rec.sub for rec in ring], sub_rows)
         return ring
 
     def probe(self, name, conjugate=False):
@@ -431,7 +449,10 @@ class _SeqAt:
         every coordinate a, shape (m, ...): the Wirtinger difference of
         step ``PROBE_STEP`` over the probe ring, its reads combined by
         :func:`~hermitia.charts._combine_ring`, equal to ``ring_fd`` over
-        fresh records bit for bit."""
+        fresh records bit for bit.  A probe of sigma or sigma dagger first
+        solves the ring's connections (:meth:`_ring_solved`)."""
+        if name in ("sigma", "sigma_dagger"):
+            self._ring_solved
         reads = np.stack([getattr(rec, name) for rec in self.ring])
         return _combine_ring(reads, PROBE_STEP, conjugate)
 
@@ -473,8 +494,6 @@ class _SeqAt:
 
     @cached_property
     def sigma(self):
-        if self._base is not None:
-            self._base._ring_solved  # solves A_E and A_S on the whole ring
         a_e, a_s = self.ambient.a, self.sub.a
         return np.stack(
             [self.q @ (self.dj[a] + a_e[a] @ self.j - self.j @ a_s[a]) for a in range(self.seq.m)]

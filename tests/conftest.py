@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hermitia import charts
+from hermitia import charts, sequences
 
 
 @pytest.fixture
 def gate_points(monkeypatch):
     """The point of every constant-rank gate run in the test, as bytes:
     one gate per connection solve, whether it runs alone or in a stacked
-    solve (as ``charts`` calls either)."""
+    solve (as ``charts`` or ``sequences`` calls either)."""
     points = []
     gate, stack = charts._check_constant_rank, charts.solve_stack
 
@@ -22,4 +22,5 @@ def gate_points(monkeypatch):
 
     monkeypatch.setattr(charts, "_check_constant_rank", counting)
     monkeypatch.setattr(charts, "solve_stack", counting_stack)
+    monkeypatch.setattr(sequences, "solve_stack", counting_stack)
     return points

@@ -19,6 +19,7 @@ from hermitia.models import (
     fubini_study_chart,
     grassmannian_chart,
     hsc_extremes,
+    pluecker_gap,
     pluecker_monomials,
     pluecker_pullback,
     resolve_model,
@@ -124,6 +125,18 @@ def test_grassmann_closed_form_matches_minor_route_2_5():
     for z in sample_points(6, 5, scale=0.6, seed=29):
         g1, g2 = model.field.gram(z), oracle.gram(z)
         assert np.linalg.norm(g1 - g2) <= 1e-8 * (1 + np.linalg.norm(g2))
+
+
+def test_pluecker_gap_reads_the_minor_route_grams(gr24):
+    """The gap's own field of the minor potential (built without the
+    derivative self-check) reads the Grams of pluecker_pullback."""
+    points = sample_points(4, 6, scale=0.7, seed=31)
+    oracle = pluecker_pullback(2, 4)
+    want = max(
+        float(np.linalg.norm(gr24.field.gram(z) - oracle.gram(z)) / (1.0 + np.linalg.norm(oracle.gram(z))))
+        for z in points
+    )
+    assert pluecker_gap(gr24.field, 2, 4, points) == want
 
 
 def _rel(got, want):

@@ -11,6 +11,7 @@ from hermitia import (
     NonFinite,
     NotHolomorphic,
     NotPositiveAtPoint,
+    OutOfDomain,
     RankJump,
     charts,
     sequences,
@@ -206,16 +207,23 @@ def test_lazy_seq_data_equals_eager_oracle(case):
 
 
 def _count_solves(monkeypatch):
-    """Record the field of every connection solve, by its constant-rank
-    gate."""
+    """Record the field of every connection solve: one entry per
+    constant-rank gate run alone, and one per record of a stacked solve,
+    whether ``charts`` or ``sequences`` calls it."""
     calls = []
-    gate = charts._check_constant_rank
+    gate, stack = charts._check_constant_rank, charts.solve_stack
 
     def counting(field, w):
         calls.append(field)
         return gate(field, w)
 
+    def counting_stack(records, rows=None):
+        calls.extend(rec.field for rec in records)
+        return stack(records, rows)
+
     monkeypatch.setattr(charts, "_check_constant_rank", counting)
+    monkeypatch.setattr(charts, "solve_stack", counting_stack)
+    monkeypatch.setattr(sequences, "solve_stack", counting_stack)
     return calls
 
 
@@ -390,6 +398,75 @@ def test_a_rank_jump_at_one_ring_point_names_it():
     assert str(blocks.value) == named
 
 
+def _first_ring_error(seq, z):
+    """The error the per-point ring raises: sigma read at a fresh record
+    at each ring point in turn, each solving A_E, then A_S."""
+    for w in charts._stencil_ring(z, PROBE_STEP):
+        try:
+            sequences._SeqAt(seq, w).sigma
+        except HermitiaError as err:
+            return type(err), str(err)
+    return None
+
+
+def test_a_ring_that_leaves_the_chart_reads_only_inside_it():
+    """The base point z passes its gate, but the third ring point z + ih
+    leaves the chart by the gate's margin: the stacked ring raises the
+    per-point ring's OutOfDomain, having read the ambient only at points
+    the per-point ring reads, none of them at that ring point's stencil."""
+    z = np.array([1j * (0.9 - 1.15e-3)])
+    poly = MatrixPolynomial(np.eye(3) + 0.1 * np.eye(3, k=1), c1=0.2 * np.eye(3, k=-1)[None])
+    seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), np.eye(3, 1))
+    kernel, reads = seq.ambient.stack_fn, []
+
+    def counted(zs):
+        reads.extend(w.tobytes() for w in zs)
+        return kernel(zs)
+
+    seq.ambient.stack_fn = counted
+    want = _first_ring_error(seq, z)
+    assert want[0] is OutOfDomain
+    oracle_reads = set(reads)
+    at = seq.at(z)
+    at.ambient.a, at.sub.a, at.quot.a
+    at.probe("jdag"), at.probe("qdag")
+    reads.clear()
+    with pytest.raises(OutOfDomain) as stacked:
+        at.probe("sigma")
+    assert (type(stacked.value), str(stacked.value)) == want
+    assert reads and set(reads) <= oracle_reads
+    outside = charts._gate_stencil(z + 1j * PROBE_STEP, seq.ambient.fd_outer_step)
+    assert not {w.tobytes() for w in outside} & set(reads)
+
+
+def test_a_sub_jump_before_an_ambient_jump_raises_first():
+    """The inclusion j = 10 (w - p1) e1 vanishes at p1, the gate neighbor
+    z - h + s of ring point 1, so the sub form drops rank there; the
+    ambient G = diag(1, 1, |10 (w - p3)|^2) drops rank at p3, the gate
+    neighbor of ring point 3.  The per-point ring solves A_E, then A_S, at
+    each ring point, so it raises the sub's RankJump at ring point 1, and
+    the stacked ring raises the same."""
+    z = np.array([0.1 + 0.05j])
+    h, s = PROBE_STEP, 1e-3
+    p1, p3 = z - h + s, z - 1j * h + s
+    poly = MatrixPolynomial(np.diag([1.0, 1.0, -10.0 * p3[0]]), c1=np.diag([0.0, 0.0, 10.0])[None])
+    e1 = np.eye(3, 1, dtype=complex)
+    seq = ExactSeqChart(
+        from_factor(poly, 1, radius=0.9),
+        lambda w: 10.0 * (w[0] - p1[0]) * e1,
+        dj=lambda w: 10.0 * e1[None],
+    )
+    named = "rank 1 at %s but 0 at its stencil neighbor %s" % (charts._named(z - h), charts._named(p1))
+    assert _first_ring_error(seq, z) == (RankJump, named)
+    with pytest.raises(RankJump):
+        chern_connection(seq.ambient, z - 1j * h)  # the later ambient jump
+    at = seq.at(z)
+    at.ambient.a, at.sub.a, at.quot.a
+    with pytest.raises(RankJump) as stacked:
+        at.probe("sigma")
+    assert str(stacked.value) == named
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fd_inclusion_derivative_equals_the_per_direction_stencil(seed):
     """dj of an inclusion given without dj, and the (0,1) check of sigma,
@@ -450,9 +527,9 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
     records, stacked, reads = [], [], []
     init, stack, kernel = sequences._SeqAt.__init__, sequences.solve_stack, seq.ambient.stack_fn
 
-    def counting_init(self, seq, w, base=None):
+    def counting_init(self, seq, w):
         records.append(w)
-        init(self, seq, w, base)
+        init(self, seq, w)
 
     def counting_stack(recs, rows=None):
         stacked.append((recs[0].field, len(recs)))
@@ -475,7 +552,9 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
     assert len(records) == n + 1
-    assert solves == [seq.ambient, seq.sub_field, seq.quot_field]
+    assert solves == [seq.ambient, seq.sub_field, seq.quot_field] + [seq.ambient] * n + [
+        seq.sub_field
+    ] * n
     assert stacked == [(seq.ambient, n), (seq.sub_field, n)]
     assert Counter(reads) == {n + 1: 3, 1: 3 + n, n: 1, n * (n + 1): 1}
 
