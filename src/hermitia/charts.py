@@ -38,7 +38,8 @@ and the sequence probe ring of :mod:`hermitia.sequences`.
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
 invariant: the standard projective-line metric has holomorphic sectional
-curvature identically 2.
+curvature identically 2.  :func:`hsc_of_tensor` scores directions on that
+tensor read as an (m^2, m^2) matrix, one row product per direction.
 """
 
 from functools import cached_property, lru_cache
@@ -48,6 +49,7 @@ import numpy as np
 from .errors import (
     HermitiaError,
     NotHolomorphic,
+    NotPositive,
     NotPositiveAtPoint,
     OutOfDomain,
     RankJump,
@@ -532,7 +534,7 @@ class FieldAt:
         ddg = field.dd(z)
         require_finite(ddg, "mixed second derivative", z)
         # m_ab = (dbar_b G G^+) d_a G - d_a dbar_b G for all pairs at once;
-        # the copy to C order keeps hsc_of_tensor's summation order
+        # in C order, hsc_of_tensor's (m^2, m^2) matrix is a view, not a copy
         mab = (dbg @ gp)[None] @ dg[:, None] - ddg
         return np.ascontiguousarray(mab.swapaxes(-1, -2))
 
@@ -704,7 +706,7 @@ def hsc(field: ChartField, z, v):
     if field.shape != field.m:
         raise HermitiaError("sectional curvature needs a tangent-bundle field")
     z = _as_point(z, field.m)
-    v = np.asarray(v, dtype=complex).reshape(field.m)
+    v = _direction(v, field.m)
     if np.linalg.norm(v) == 0.0:
         raise ZeroVector("direction must be nonzero")
     curv = metric_curvature(field, z)
@@ -730,18 +732,48 @@ def metric_curvature(field: ChartField, z, what="metric"):
 
 
 def hsc_of_tensor(tensor, g, v):
-    """H(v) from a precomputed curvature tensor and Gram matrix.
+    """H(v) = Re N / D^2 from a precomputed curvature tensor and Gram matrix.
 
-    ``v`` is one direction, giving a float, or an (n, m) stack of
-    directions, giving the (n,) array of their H; each entry equals the
-    single-direction call bit for bit.
+    With R2 the tensor read as an (m^2, m^2) matrix (a view of a
+    C-contiguous tensor), w_ab = v_a conj(v_b) and D = v^H G v, the
+    numerator N = R(v, conj(v), v, conj(v)) is the product w R2 w^T.
+    ``v`` is one direction, giving a float, or a stack (..., m) of
+    directions, giving the array of their H.  Each direction's products
+    are its own batched row, (1, m^2) @ (m^2, m^2), never a row of one
+    stacked gemm, so each entry equals the single-direction call bit for
+    bit.  A direction of the wrong length raises HermitiaError, a zero
+    direction ZeroVector, and one along which G is not positive
+    NotPositive; all are read off D, so the check costs one comparison.
     """
-    v = np.asarray(v, dtype=complex)
-    vc = v.conj()
-    num = np.einsum("abst,...a,...b,...s,...t->...", tensor, v, vc, v, vc)
-    den = np.real(vc[..., None, :] @ g @ v[..., :, None])[..., 0, 0] ** 2
-    h = np.real(num) / den
+    m = tensor.shape[0]
+    v = _direction(v, m)
+    col = v.reshape(-1, m, 1)
+    row = v.conj().reshape(-1, 1, m)
+    w = (col * row).reshape(-1, 1, m * m)
+    num = (w @ tensor.reshape(m * m, m * m)) @ w.swapaxes(-1, -2)
+    den = (row @ g @ col).real
+    if not (den > 0.0).all():
+        _reject_directions(v.reshape(-1, m), den.ravel())
+    h = (num.real / den**2).reshape(v.shape[:-1])
     return float(h) if v.ndim == 1 else h
+
+
+def _direction(v, m):
+    """``v`` as a complex array whose last axis is one direction in C^m."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim == 0 or v.shape[-1] != m:
+        raise HermitiaError("a direction must have length %d, got shape %s" % (m, v.shape))
+    return v
+
+
+def _reject_directions(v, den):
+    """Raise for the first direction whose v^H G v is not positive."""
+    i = int(np.argmin(den > 0.0))
+    if not np.any(v[i]):
+        raise ZeroVector("direction %d of %d is zero" % (i, len(v)))
+    raise NotPositive(
+        "v^H G v = %.3g is not positive along direction %d of %d" % (den[i], i, len(v))
+    )
 
 
 def torsion_defect(field: ChartField, z):

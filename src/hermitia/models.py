@@ -303,14 +303,17 @@ def _hsc_gradient(tensor, g, v):
     With N = R(v, conj(v), v, conj(v)) and D = v^H G v, H = Re N / D^2 and
     2 dH/dconj(v) = (dN/dconj(v) + conj(dN/dv)) / D^2 - 4 Re N (G v) / D^3,
     where N = conj(v) . dN/dconj(v) / 2 because N has degree two in conj(v).
+    On the (m^2, m^2) matrix R2 of :func:`charts.hsc_of_tensor`, with
+    w_ab = v_a conj(v_b), X = (R2 w) and Y = (w R2) read as (m, m)
+    matrices give dN/dconj(v) = v (X + Y) and dN/dv = (X + Y) conj(v).
     """
+    m = v.size
+    r2 = tensor.reshape(m * m, m * m)
     vc = v.conj()
-    dn_dvbar = np.einsum("akst,a,s,t->k", tensor, v, v, vc) + np.einsum(
-        "absk,a,b,s->k", tensor, v, vc, v
-    )
-    dn_dv = np.einsum("kbst,b,s,t->k", tensor, vc, v, vc) + np.einsum(
-        "abkt,a,b,t->k", tensor, v, vc, vc
-    )
+    w = (v[:, None] * vc).reshape(m * m)
+    xy = (r2 @ w + w @ r2).reshape(m, m)
+    dn_dvbar = v @ xy
+    dn_dv = xy @ vc
     num = 0.5 * np.real(vc @ dn_dvbar)
     gv = g @ v
     den = np.real(vc @ gv)
@@ -359,7 +362,7 @@ def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs,
     Point idx is drawn from SeedSequence(seed_key + [idx]), then its
     ``directions_per_point`` unit directions from the same stream.  The
     curvature is read once per point and all of that point's directions
-    are scored in one stacked contraction.  For each sign in ``signs``
+    are scored in one stacked hsc_of_tensor call.  For each sign in ``signs``
     (-1 for the minimum, +1 for the maximum) the incumbent is the first
     strictly lower (higher) H in (point, direction) order; its direction
     is then refined on its point's curvature tensor by

@@ -9,6 +9,7 @@ from hermitia import (
     HermitiaError,
     NonFinite,
     NotHolomorphic,
+    NotPositive,
     OutOfDomain,
     RankJump,
     SolverResidual,
@@ -653,7 +654,40 @@ def test_stacked_hsc_equals_one_direction_at_a_time(m):
     assert stacked.shape == (20,)
     single = np.array([hsc_of_tensor(r.tensor, g, v) for v in dirs])
     assert all(isinstance(hsc_of_tensor(r.tensor, g, v), float) for v in dirs)
-    assert np.max(np.abs(stacked - single)) <= 1e-14
+    assert np.array_equal(stacked, single)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_direction_raises_zero_vector():
+    r = curvature_tensor(fs_plane(), [0.2, 0.3j])
+    with pytest.raises(ZeroVector, match="direction 0 of 1 is zero"):
+        hsc_of_tensor(r.tensor, r.form.gram, np.zeros(2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_row_in_a_stack_of_directions_raises_zero_vector():
+    r = curvature_tensor(fs_plane(), [0.2, 0.3j])
+    dirs = np.ones((4, 2), dtype=complex)
+    dirs[2] = 0.0
+    with pytest.raises(ZeroVector, match="direction 2 of 4 is zero"):
+        hsc_of_tensor(r.tensor, r.form.gram, dirs)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (5, 3)])
+def test_a_direction_of_the_wrong_length_names_the_expected_length(shape):
+    f = fs_plane()
+    r = curvature_tensor(f, [0.2, 0.3j])
+    v = np.ones(shape)
+    with pytest.raises(HermitiaError, match="must have length 2"):
+        hsc_of_tensor(r.tensor, r.form.gram, v)
+    with pytest.raises(HermitiaError, match="must have length 2"):
+        hsc(f, [0.2, 0.3j], v)
+
+
+def test_a_direction_along_which_g_is_not_positive_raises_not_positive():
+    g = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(NotPositive, match="direction 1 of 2"):
+        hsc_of_tensor(np.zeros((2, 2, 2, 2), dtype=complex), g, [[1.0, 0.0], [1.0, 1.0]])
 
 
 def test_matrix_polynomial_value_equals_tensordot_oracle():

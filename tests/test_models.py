@@ -4,16 +4,20 @@ import pytest
 from hermitia import ConfigError, NotPositiveAtPoint
 from hermitia.charts import curvature_tensor, hsc, hsc_of_tensor
 from hermitia.fields import (
+    MatrixPolynomial,
     constant_field,
+    from_factor,
     from_potential_map,
     fs_monomials,
     twisted_fiber_monomials,
 )
 from hermitia.instances import random_degenerate_field
 from hermitia.models import (
+    DEFAULT_GR_REGION,
     GrassmannChartModel,
     _grassmann_gram,
     _hsc_gradient,
+    _sample_polydisc,
     _unit_directions,
     einstein_residual,
     fubini_study_chart,
@@ -304,6 +308,38 @@ def test_center_curvature_follows_the_singular_values(k, n):
     assert abs(hsc(model.field, center, model.direction(balanced)) - model.hsc_lower) < 1e-12
 
 
+# Bound on |H - 2 sum(s^4) / (sum(s^2))^2| away from the centre, fixed
+# before the first run.
+GRASSMANN_H_TOL = 1e-12
+
+
+def _inverse_sqrt(a):
+    w, u = np.linalg.eigh(a)
+    return (u / np.sqrt(w)) @ u.conj().T
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (3, 6)])
+def test_off_centre_curvature_follows_the_moved_singular_values(k, n):
+    """The isometry moving Z0 to the centre has differential X -> P X Q,
+    with P = (I + Z0 Z0^H)^(-1/2) and Q = (I + Z0^H Z0)^(-1/2), so H(Z0, X)
+    = 2 sum(s^4) / (sum(s^2))^2 over the singular values s of P X Q.  This
+    checks H on the scan's tensor, at the scan's points and directions,
+    without the log-det jet that builds the tensor."""
+    model = grassmannian_chart(k, n, certify=False)
+    rng = np.random.default_rng(np.random.SeedSequence([59, k, n]))
+    for _ in range(5):
+        z = _sample_polydisc(rng, model.m, DEFAULT_GR_REGION)
+        curv = curvature_tensor(model.field, z)
+        dirs = _unit_directions(rng, model.m, 10)
+        got = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
+        z0 = z.reshape(k, n - k)
+        p = _inverse_sqrt(np.eye(k) + z0 @ z0.conj().T)
+        q = _inverse_sqrt(np.eye(n - k) + z0.conj().T @ z0)
+        for h, v in zip(got, dirs):
+            s = np.linalg.svd(p @ v.reshape(k, n - k) @ q, compute_uv=False)
+            assert abs(h - 2.0 * np.sum(s**4) / np.sum(s**2) ** 2) <= GRASSMANN_H_TOL
+
+
 def test_sampled_directions_stay_in_the_window(gr24):
     rng = np.random.default_rng(41)
     for z in sample_points(4, 3, scale=0.6, seed=43):
@@ -364,6 +400,75 @@ def _h0_of_hirz1():
     from hermitia.fibration import h_lambda, hirzebruch_model
 
     return h_lambda(hirzebruch_model(1), 0.0)
+
+
+def _hsc_einsum(tensor, g, v):
+    """H(v) as one five-operand contraction: the reference for
+    :func:`hsc_of_tensor`."""
+    v = np.asarray(v, dtype=complex)
+    vc = v.conj()
+    num = np.einsum("abst,...a,...b,...s,...t->...", tensor, v, vc, v, vc)
+    den = np.real(vc[..., None, :] @ g @ v[..., :, None])[..., 0, 0] ** 2
+    return np.real(num) / den
+
+
+def _hsc_gradient_einsum(tensor, g, v):
+    """2 dH/dconj(v) from four index contractions: the reference for
+    :func:`_hsc_gradient`."""
+    vc = v.conj()
+    dn_dvbar = np.einsum("akst,a,s,t->k", tensor, v, v, vc) + np.einsum(
+        "absk,a,b,s->k", tensor, v, vc, v
+    )
+    dn_dv = np.einsum("kbst,b,s,t->k", tensor, vc, v, vc) + np.einsum(
+        "abkt,a,b,t->k", tensor, v, vc, vc
+    )
+    num = 0.5 * np.real(vc @ dn_dvbar)
+    gv = g @ v
+    den = np.real(vc @ gv)
+    return (dn_dvbar + dn_dv.conj()) / den**2 - 4.0 * num * gv / den**3
+
+
+def _random_curve_metric():
+    """G = L^H L on one coordinate for a random holomorphic 3 x 1 column L:
+    curved, unlike the square factor of ``random_pd_field`` at m = 1."""
+    rng = np.random.default_rng(np.random.SeedSequence([61]))
+    c = rng.standard_normal((2, 3, 1)) + 1j * rng.standard_normal((2, 3, 1))
+    return from_factor(MatrixPolynomial(c[0], c1=c[1:]), 1, radius=2.0)
+
+
+# Relative bound between the (m^2, m^2) products and the einsum references.
+HSC_REFERENCE_TOL = 1e-13
+
+
+@pytest.mark.parametrize(
+    "make_field",
+    [
+        lambda: fubini_study_chart(2),
+        lambda: grassmannian_chart(2, 4).field,
+        lambda: grassmannian_chart(3, 6).field,
+        _h0_of_hirz1,
+        _random_curve_metric,
+    ],
+    ids=["fs:2", "gr:2:4", "gr:3:6", "hirz:1-h0", "random-m1"],
+)
+def test_direction_scoring_matches_the_einsum_references(make_field):
+    """H and its gradient agree with the einsum contractions, relative to
+    the size of H (the gradient is zero where H is constant, as on fs:2
+    and at m = 1)."""
+    field = make_field()
+    rng = np.random.default_rng(np.random.SeedSequence([67, field.m]))
+    for _ in range(3):
+        curv = curvature_tensor(field, _sample_polydisc(rng, field.m, 0.6))
+        t, g = curv.tensor, curv.form.gram
+        dirs = _unit_directions(rng, field.m, 20)
+        want = _hsc_einsum(t, g, dirs)
+        scale = np.max(np.abs(want))
+        assert scale > 0.0
+        assert np.max(np.abs(hsc_of_tensor(t, g, dirs) - want)) <= HSC_REFERENCE_TOL * scale
+        for v in dirs[:5]:
+            want = _hsc_gradient_einsum(t, g, v)
+            gap = np.linalg.norm(_hsc_gradient(t, g, v) - want)
+            assert gap <= HSC_REFERENCE_TOL * max(np.linalg.norm(want), scale)
 
 
 @pytest.mark.parametrize(
