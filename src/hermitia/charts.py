@@ -184,7 +184,9 @@ class ChartField:
     fd_step, fd_outer_step : steps of the inner (first derivative) and
         outer (second derivative) Wirtinger differences.
     self_check : compare analytic derivatives against finite differences
-        at a few deterministic points on construction.
+        at a few deterministic points on construction: d_fn at 10 points,
+        whose stencils are read in one :meth:`gram_stack` call, and dd_fn
+        at 3 more.
 
     On a field with analytic derivatives, :func:`curvature_tensor` and
     :func:`chern_connection` read the Gram matrix at the 4m + 1 points of
@@ -275,11 +277,18 @@ class ChartField:
         return self.d_fn is not None
 
     def _fd(self, z, conjugate):
-        """All first derivatives by the stencil, its 4m points read in one
-        :meth:`gram_stack` call."""
-        self._require_domain(z, self.fd_step)
-        reads = self.gram_stack(_stencil_ring(z, self.fd_step))
-        return _combine_ring(reads, self.fd_step, conjugate)
+        """All first derivatives by the stencil at a point, shape (m,
+        shape, shape), or at each of a (B, m) stack of points, shape (B, m,
+        shape, shape): the 4m points of every stencil read in one
+        :meth:`gram_stack` call.  A stack's rows equal the point reads bit
+        for bit."""
+        for w in z.reshape(-1, self.m):
+            self._require_domain(w, self.fd_step)
+        ring = _stencil_ring(z, self.fd_step)
+        reads = self.gram_stack(ring.reshape(-1, self.m))
+        reads = reads.reshape(ring.shape[:-1] + reads.shape[-2:])
+        # a stack's ring axis moves to the front for _combine_ring and back
+        return _combine_ring(reads.swapaxes(0, -3), self.fd_step, conjugate).swapaxes(0, -3)
 
     def d(self, z):
         """All holomorphic first derivatives, shape (m, shape, shape)."""
@@ -341,23 +350,35 @@ class ChartField:
         )
 
     def _self_check(self):
+        """Compare d_fn with the stencil at 10 points and dd_fn with
+        :meth:`_dd_fd` at 3 more, drawn in that order from a generator
+        seeded by the chart's size.  The ten first-order stencils are read
+        in one :meth:`_fd` call, and the first order is checked before the
+        second is computed."""
         rng = np.random.default_rng(np.random.SeedSequence([7, self.m, self.shape]))
-        checks = [
-            ("first", self.d_fn, lambda z: self._fd(z, False), 10, 0.5, SELF_CHECK_D_TOL),
-            ("second", self.dd_fn, self._dd_fd, 3, 0.4, SELF_CHECK_DD_TOL),
-        ]
-        for order, exact, approx, points, spread, tol in checks:
-            worst = 0.0
-            for _ in range(points):
-                z = self.center + sample_box(rng, self.m, spread * self.radius) / np.sqrt(2.0)
-                fd = approx(z)
-                err = np.linalg.norm(np.asarray(exact(z), dtype=complex) - fd, axis=(-2, -1))
-                worst = max(worst, float(np.max(err / (1.0 + np.linalg.norm(fd, axis=(-2, -1))))))
+
+        def draw(points, spread):
+            offsets = [sample_box(rng, self.m, spread * self.radius) for _ in range(points)]
+            return self.center + np.stack(offsets) / np.sqrt(2.0)
+
+        def require_agreement(order, exact, fd, tol):
+            err = np.linalg.norm(exact - fd, axis=(-2, -1))
+            worst = float(np.max(err / (1.0 + np.linalg.norm(fd, axis=(-2, -1)))))
             if worst > tol:
                 raise HermitiaError(
                     "analytic %s derivatives disagree with finite differences "
                     "(relative error %.2e)" % (order, worst)
                 )
+
+        zs = draw(10, 0.5)
+        fd = self._fd(zs, False)
+        exact = np.stack([np.asarray(self.d_fn(z), dtype=complex) for z in zs])
+        require_agreement("first", exact, fd, SELF_CHECK_D_TOL)
+
+        zs = draw(3, 0.4)
+        fd = np.stack([self._dd_fd(z) for z in zs])
+        exact = np.stack([np.asarray(self.dd_fn(z), dtype=complex) for z in zs])
+        require_agreement("second", exact, fd, SELF_CHECK_DD_TOL)
 
     def __repr__(self):
         mode = "analytic" if self.analytic else "fd"

@@ -248,7 +248,7 @@ class MatrixPolynomial:
         depends on the other rows."""
         z = np.asarray(z, dtype=complex)
         if z.ndim == 1:
-            return self.value(z[None])[0]
+            return self.c0 + np.dot(z, self._c1_flat).reshape(self.shape)
         lin = np.empty((len(z), self._c1_flat.shape[1]), dtype=complex)
         for w, row in zip(z, lin):
             np.dot(w, self._c1_flat, out=row)

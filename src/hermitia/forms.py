@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoAdjoint, NonFinite, NotPositive, NotSurjective, HermitiaError
 
@@ -553,10 +552,13 @@ def limit_form(b1: HermitianForm, b2: HermitianForm, lambda_grid):
         sum_quotient_form(b1, b2.scaled(float(np.exp(lam)))) for lam in lambda_grid
     ]
 
-    x, v = scipy.linalg.eigh(b1.gram, h0)
+    # h0 = L L^H reduces the pencil (b1, h0) to the Hermitian matrix
+    # L^-1 b1 L^-H, whose eigenvectors u give h0 v = L u
+    l = np.linalg.cholesky(h0)
+    x, u = np.linalg.eigh(hermitize(np.linalg.solve(l, np.linalg.solve(l, b1.gram).conj().T)))
     y = 1.0 - x
     coeff = np.where(np.abs(y) > LIMIT_COEFF_CUT, x, 0.0)
-    hv = h0 @ v
+    hv = l @ u
     gram_inf = hermitize(hv @ np.diag(coeff) @ hv.conj().T)
     q_inf = HermitianForm(gram_inf, rank_tol=tol)
 

@@ -140,6 +140,22 @@ def test_self_check_rejects_wrong_analytic_derivative():
         )
 
 
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_self_check_names_the_order_whose_analytic_derivative_is_wrong(order):
+    """On a curved m = 2 field whose self-check stacks its first-order
+    stencils, a d_fn (or dd_fn) off by a tenth of the true one fails with
+    the order named."""
+    base = random_pd_field(np.random.default_rng(np.random.SeedSequence([45])), 2, 3)
+    d_fn, dd_fn = base.d_fn, base.dd_fn
+    if order == "first":
+        d_fn = lambda z: 1.1 * base.d_fn(z)
+    else:
+        dd_fn = lambda z: 1.1 * base.dd_fn(z)
+    message = "analytic %s derivatives disagree with finite differences" % order
+    with pytest.raises(HermitiaError, match=message):
+        ChartField(2, 3, base.stack_fn, radius=base.radius, d_fn=d_fn, dd_fn=dd_fn)
+
+
 @pytest.mark.parametrize("given", ["d_fn", "dd_fn"])
 def test_a_field_takes_both_analytic_derivatives_or_neither(given):
     jet = {"d_fn": lambda z: np.zeros((1, 1, 1)), "dd_fn": lambda z: np.zeros((1, 1, 1, 1))}
@@ -645,9 +661,16 @@ def test_hsc_of_tensor_matches_direct_contraction():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_stacked_hsc_equals_one_direction_at_a_time(m):
     rng = np.random.default_rng(np.random.SeedSequence([41, m]))
-    f = random_pd_field(rng, m, m)
+    if m == 1:
+        # G = L^H L for a 3 x 1 column L: the square 1 x 1 factor of
+        # random_pd_field would make G = |l|^2 flat
+        c = rng.standard_normal((2, 3, 1)) + 1j * rng.standard_normal((2, 3, 1))
+        f = from_factor(MatrixPolynomial(c[0], c1=c[1:]), 1, radius=2.0)
+    else:
+        f = random_pd_field(rng, m, m)
     z = 0.3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     r = curvature_tensor(f, z)
+    assert np.abs(r.tensor).max() > 0.0
     g = r.form.gram
     dirs = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
     stacked = hsc_of_tensor(r.tensor, g, dirs)
@@ -699,6 +722,17 @@ def test_matrix_polynomial_value_equals_tensordot_oracle():
         z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         oracle = c0.copy() + np.tensordot(z, c1, axes=1)
         assert np.array_equal(MatrixPolynomial(c0, c1=c1).value(z), oracle)
+
+
+def test_matrix_polynomial_value_at_a_point_equals_its_stacked_row():
+    rng = np.random.default_rng(np.random.SeedSequence([44]))
+    for _ in range(300):
+        m, p, r = (int(k) for k in rng.integers(1, 5, size=3))
+        c0 = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
+        c1 = rng.standard_normal((m, p, r)) + 1j * rng.standard_normal((m, p, r))
+        poly = MatrixPolynomial(c0, c1=c1)
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert np.array_equal(poly.value(z), poly.value(z[None])[0])
 
 
 @settings(max_examples=25, deadline=None)

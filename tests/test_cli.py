@@ -1,14 +1,18 @@
 """End-to-end checks of the command-line front end.
 
-Everything goes through main(argv) in-process; JSON side effects land in
-tmp_path.
+Everything but the cold-start import check goes through main(argv)
+in-process; JSON side effects land in tmp_path.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hermitia
 from hermitia.cli import main
 from hermitia.report import encode_matrix, fmt_matrix
 
@@ -256,3 +260,13 @@ def test_curvature_solves_each_sample_once(gate_points, capsys):
     code, _, _ = run(capsys, "curvature", "--model", "fs:2", "--samples", "5")
     assert code == 0
     assert len(gate_points) == len(set(gate_points)) == 5
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    """A fresh interpreter that imports hermitia and its command line has
+    not loaded scipy: every command starts on numpy alone."""
+    src = os.path.dirname(os.path.dirname(hermitia.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, hermitia, hermitia.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0

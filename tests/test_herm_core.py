@@ -23,7 +23,9 @@ from hermitia import (
     sum_quotient_form,
 )
 from hermitia.errors import NonFinite
-from hermitia.forms import factorize, gram_rank, gram_ranks, rank_of
+from hermitia.fibration import q_lambda_limit
+from hermitia.forms import LIMIT_COEFF_CUT, factorize, gram_rank, gram_ranks, hermitize, rank_of
+from hermitia.models import resolve_model
 
 
 def form(entries, **kw):
@@ -467,6 +469,53 @@ def balanced_limit_pair(rng, dim):
     b2 = HermitianForm(root @ np.diag(y) @ root.conj().T)
     b1 = HermitianForm(root @ np.diag(1.0 - y) @ root.conj().T)
     return b1, b2
+
+
+# Relative bound, against 1 + the oracle's norm, between limit_form's
+# Cholesky reduction and scipy's generalized eigensolve.
+LIMIT_ORACLE_TOL = 1e-12
+
+
+def scipy_limit_gram(b1, b2):
+    """The limit of the quotient family by scipy.linalg.eigh(b1, h0): the
+    generalized eigensolve that limit_form reduces to numpy's eigh."""
+    import scipy.linalg
+
+    h0 = b1.gram + b2.gram
+    x, v = scipy.linalg.eigh(b1.gram, h0)
+    coeff = np.where(np.abs(1.0 - x) > LIMIT_COEFF_CUT, x, 0.0)
+    hv = h0 @ v
+    return hermitize(hv @ np.diag(coeff) @ hv.conj().T)
+
+
+def _oracle_gap(q_inf, b1, b2):
+    oracle = scipy_limit_gram(b1, b2)
+    return np.linalg.norm(q_inf.gram - oracle) / (1.0 + np.linalg.norm(oracle))
+
+
+def test_limit_form_equals_the_scipy_generalized_eigensolve_on_balanced_pairs():
+    rng = np.random.default_rng(np.random.SeedSequence([47]))
+    for _ in range(40):
+        b1, b2 = balanced_limit_pair(rng, int(rng.integers(2, 6)))
+        _, q_inf = limit_form(b1, b2, [2.0])
+        assert _oracle_gap(q_inf, b1, b2) <= LIMIT_ORACLE_TOL
+
+
+@pytest.mark.parametrize("model_id", ["hirz:1", "hirz:2", "prod:fs1:fs1"])
+def test_limit_form_equals_the_scipy_generalized_eigensolve_on_fibrations(model_id):
+    """At points of the 0.7 region with |w| >= 0.2, and on the zero
+    section w = 0 where the rank of b1 drops on the Hirzebruch models."""
+    model = resolve_model(model_id).fibration
+    rng = np.random.default_rng(np.random.SeedSequence([48]))
+    points = [np.array([0.3 - 0.2j, 0.0])]
+    for _ in range(5):
+        zb = 0.7 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        zw = rng.uniform(0.2, 0.7) * np.exp(2j * np.pi * rng.random())
+        points.append(np.array([zb, zw]))
+    for z in points:
+        rec = q_lambda_limit(model, z)
+        b1, b2 = model.b1_field.form_at(z), model.b2_field.form_at(z)
+        assert _oracle_gap(rec.q_inf, b1, b2) <= LIMIT_ORACLE_TOL
 
 
 def test_limit_form_exponential_decay():

@@ -149,13 +149,20 @@ def test_monomial_jets_of_a_stack_are_the_point_jets(mono):
 def test_stencil_derivatives_equal_the_per_point_stencils(name):
     """The stacked finite differences against the per-point Wirtinger
     stencils they replace: d, dbar and the nested mixed second derivative
-    of the finite-difference copy, and the outer difference of d_fn."""
+    of the finite-difference copy, and the outer difference of d_fn.  The
+    first derivatives of a stack of points, as the self-check reads them,
+    equal those at each point."""
     field, z = FIELDS[name]()
     fd = field.finite_difference_copy()
     m, h, outer = field.m, field.fd_step, field.fd_outer_step
+    zs = z + 0.01 * np.arange(3)[:, None]
     for conj in (False, True):
         slow = np.stack([wirtinger_fd(fd.gram, z, a, h, conj) for a in range(m)])
         assert np.array_equal(fd._fd(z, conj), slow)
+        stacked = fd._fd(zs, conj)
+        assert stacked.shape == (3,) + slow.shape
+        for w, row in zip(zs, stacked):
+            assert np.array_equal(row, fd._fd(w, conj))
     slow = np.empty_like(fd.dd(z))
     slow_d = np.empty_like(slow)
     for a in range(m):
@@ -212,10 +219,10 @@ def test_finite_differences_read_one_stack_per_point(name, monkeypatch):
     assert rows == [4 * m + 1, 4 * m, 4 * m, 16 * m * m]
 
 
-def test_self_check_reads_one_stack_per_point(monkeypatch):
+def test_self_check_reads_its_first_order_stencils_in_one_stack(monkeypatch):
     rows = _count_stacks(monkeypatch)
     random_pd_field(_rng(9), 2, 3)
-    assert rows == [8] * 10
+    assert rows == [10 * 4 * 2]
 
 
 # ---------------------------------------------------------------------------
