@@ -15,9 +15,9 @@ point and returns the difference along every coordinate; a finite
 difference of a Jacobian, an inclusion or a supplied connection goes
 through it.  A chart field reads all the points of one difference of its
 Gram matrix, or of one constant-rank gate, in one
-:meth:`ChartField.gram_stack` call.  :func:`wirtinger_fd` is the same
-stencil along one coordinate; no module of the package calls it, and it
-serves the tests as the per-direction oracle of the ring.
+:meth:`ChartField.gram_stack` call.  Its analytic derivatives are kernels
+of a stack of points too, so a read at one point is a one-row stack and
+the construction self-check reads each order in one call.
 
 A :class:`FieldAt` is one field at one point, and the only place where
 the connection solve and the curvature assembly run: the form of G(z),
@@ -91,9 +91,11 @@ SELF_CHECK_DD_TOL = 1e-5
 
 
 def _as_point(z, m):
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
     if z.shape != (m,):
-        raise ValueError("point has dimension %s, chart has %d" % (z.shape, m))
+        z = np.atleast_1d(z)  # a number is a point of a one-dimensional chart
+        if z.shape != (m,):
+            raise ValueError("point has dimension %s, chart has %d" % (z.shape, m))
     return z
 
 
@@ -121,11 +123,13 @@ def _ring_offsets(m, step):
     return np.stack([se, -se, ise, -ise], axis=1).reshape(4 * m, m)
 
 
-def _combine_ring(reads, step, conjugate=False):
+def _combine_ring(reads, step, conjugate=False, axis=0):
     """d_a (or dbar_a when ``conjugate``) for every coordinate a from the
-    reads at the points of :func:`_stencil_ring`, stacked on the leading
-    axis: shape (4m, ...) -> (m, ...)."""
-    fp, fm, fip, fim = reads[0::4], reads[1::4], reads[2::4], reads[3::4]
+    reads at the points of :func:`_stencil_ring`, stacked on axis
+    ``axis``, which becomes the coordinate axis: shape (..., 4m, ...) ->
+    (..., m, ...).  Leading axes may hold the rings of a stack of points."""
+    lead = (slice(None),) * (axis % reads.ndim)
+    fp, fm, fip, fim = (reads[lead + (slice(k, None, 4),)] for k in range(4))
     h = step
     if conjugate:
         return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
@@ -136,24 +140,23 @@ def ring_fd(fn, z, step, conjugate=False):
     """d_a (or dbar_a when ``conjugate``) of an array-valued ``fn`` for
     every coordinate a, shape (m, ...): ``fn`` read once at each of the
     4m points of :func:`_stencil_ring`, in ring order, the reads combined
-    by :func:`_combine_ring`.  Row a equals :func:`wirtinger_fd` along z_a
-    bit for bit."""
+    by :func:`_combine_ring`."""
     reads = np.stack([np.asarray(fn(w), dtype=complex) for w in _stencil_ring(z, step)])
     return _combine_ring(reads, step, conjugate)
 
 
-def wirtinger_fd(fn, z, a, step, conjugate=False):
-    """Central Wirtinger difference of an array-valued ``fn`` along z_a:
-    d_a (or dbar_a when ``conjugate``) from four reads at z +- step e_a
-    and z +- i step e_a.  It builds its points and combines its reads on
-    its own: the per-direction test oracle of :func:`ring_fd`."""
-    e = np.zeros(len(z), dtype=complex)
-    e[a] = 1.0
-    h = step
-    fp, fm, fip, fim = (fn(w) for w in (z + h * e, z - h * e, z + 1j * h * e, z - 1j * h * e))
-    if conjugate:
-        return (fp - fm + 1j * fip - 1j * fim) / (4.0 * h)
-    return (fp - fm - 1j * fip + 1j * fim) / (4.0 * h)
+def per_row(fn):
+    """A derivative kernel of a (B, m) stack of points from ``fn`` of one
+    point: ``fn`` read at each row in turn, so row i is ``fn(zs[i])``.
+    It serves fields whose jet is kept for the latest point read
+    (:func:`last_point_cache`); a one-row stack is one read of ``fn``."""
+
+    def kernel(zs):
+        if len(zs) == 1:
+            return fn(zs[0])[None]
+        return np.stack([fn(z) for z in zs])
+
+    return kernel
 
 
 class ChartField:
@@ -167,7 +170,9 @@ class ChartField:
     one-row stack, so :meth:`gram_stack` rows equal :meth:`gram` reads bit
     for bit as long as the kernel keeps its row contract.  A field has
     both analytic derivatives or neither: with neither, every derivative
-    is a finite difference of the kernel's reads.
+    is a finite difference of the kernel's reads.  Analytic derivatives
+    are kernels of a stack of points under the same contract, and
+    :meth:`d` and :meth:`dd` are their one-row reads.
 
     Parameters
     ----------
@@ -177,16 +182,20 @@ class ChartField:
         matrices, where row i depends on point i only.  It should return
         the Gram matrices only and compute no derivatives.
     center, radius : polydisc domain; radius may be per-coordinate.
-    d_fn, dd_fn : analytic first derivatives, z -> (m, shape, shape) with
-        d_fn(z)[a] = d_a G, and mixed second derivatives, z -> (m, m,
-        shape, shape) with dd_fn(z)[a][b] = d_a dbar_b G; both or neither,
-        else HermitiaError.
+    d_fn, dd_fn : analytic derivative kernels, as ``stack_fn`` a function
+        of a (B, m) stack of points whose row i depends on point i only:
+        first derivatives, shape (B, m, shape, shape) with d_fn(zs)[i][a]
+        = d_a G at zs[i], and mixed second derivatives, shape (B, m, m,
+        shape, shape) with dd_fn(zs)[i][a][b] = d_a dbar_b G at zs[i];
+        both or neither, else HermitiaError.
     fd_step, fd_outer_step : steps of the inner (first derivative) and
         outer (second derivative) Wirtinger differences.
     self_check : compare analytic derivatives against finite differences
-        at a few deterministic points on construction: d_fn at 10 points,
-        whose stencils are read in one :meth:`gram_stack` call, and dd_fn
-        at 3 more.
+        at a few deterministic points on construction, each order in a
+        fixed number of calls: d_fn at 10 points in one call against their
+        stencils read in one :meth:`gram_stack` call, then dd_fn at 3 more
+        in one call against the outer difference of one d_fn call at their
+        3 * 4m outer stencil points.
 
     On a field with analytic derivatives, :func:`curvature_tensor` and
     :func:`chern_connection` read the Gram matrix at the 4m + 1 points of
@@ -237,6 +246,12 @@ class ChartField:
             raise HermitiaError("field evaluator returned shape %s" % (g.shape,))
         return g
 
+    def _as_stack(self, zs):
+        zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 2 or zs.shape[1] != self.m:
+            raise ValueError("point stack has shape %s, chart has dimension %d" % (zs.shape, self.m))
+        return zs
+
     def gram(self, z):
         r = self.shape
         return hermitize(self._checked(self.stack_fn(_as_point(z, self.m)[None]), (1, r, r))[0])
@@ -244,9 +259,7 @@ class ChartField:
     def gram_stack(self, zs):
         """The Gram matrices at a (B, m) stack of points, shape (B, shape,
         shape); row i equals ``gram(zs[i])`` bit for bit."""
-        zs = np.asarray(zs, dtype=complex)
-        if zs.ndim != 2 or zs.shape[1] != self.m:
-            raise ValueError("point stack has shape %s, chart has dimension %d" % (zs.shape, self.m))
+        zs = self._as_stack(zs)
         r = self.shape
         return hermitize(self._checked(self.stack_fn(zs), (len(zs), r, r)))
 
@@ -257,14 +270,20 @@ class ChartField:
         return HermitianForm(g, rank_tol=RANK_TOL)
 
     def in_domain(self, z, margin=0.0):
-        z = _as_point(z, self.m)
-        return bool(np.all(np.abs(z - self.center) <= self.radius - margin))
+        """Whether the point z keeps ``margin`` from the chart's boundary;
+        for a stack of points, whether each of them does."""
+        return (np.abs(z - self.center) <= self.radius - margin).all(axis=-1)
 
     def _require_domain(self, z, margin):
-        if not self.in_domain(z, margin):
+        """Raise OutOfDomain naming the first point of ``z``, one point or
+        a stack of them, that lies within ``margin`` of the chart's
+        boundary or outside it; a stack is checked by one comparison."""
+        inside = self.in_domain(z, margin)
+        if not inside.all():
+            w = z.reshape(-1, self.m)[np.argmin(inside.reshape(-1))]
             raise OutOfDomain(
                 "point %s (with stencil margin %g) leaves the chart polydisc"
-                % (np.array2string(_as_point(z, self.m), precision=3), margin)
+                % (np.array2string(w, precision=3), margin)
             )
 
     def rank_at(self, z):
@@ -278,24 +297,29 @@ class ChartField:
 
     def _fd(self, z, conjugate):
         """All first derivatives by the stencil at a point, shape (m,
-        shape, shape), or at each of a (B, m) stack of points, shape (B, m,
-        shape, shape): the 4m points of every stencil read in one
-        :meth:`gram_stack` call.  A stack's rows equal the point reads bit
-        for bit."""
-        for w in z.reshape(-1, self.m):
-            self._require_domain(w, self.fd_step)
+        shape, shape), or at each point of a (..., m) stack, shape (..., m,
+        shape, shape): the domain of every point checked first, then the
+        4m points of every stencil read in one :meth:`gram_stack` call.  A
+        stack's rows equal the point reads bit for bit."""
+        self._require_domain(z, self.fd_step)
         ring = _stencil_ring(z, self.fd_step)
         reads = self.gram_stack(ring.reshape(-1, self.m))
         reads = reads.reshape(ring.shape[:-1] + reads.shape[-2:])
-        # a stack's ring axis moves to the front for _combine_ring and back
-        return _combine_ring(reads.swapaxes(0, -3), self.fd_step, conjugate).swapaxes(0, -3)
+        return _combine_ring(reads, self.fd_step, conjugate, axis=-3)
+
+    def d_stack(self, zs):
+        """All holomorphic first derivatives at a (B, m) stack of points,
+        shape (B, m, shape, shape): one d_fn call, or the stencils of all
+        points in one read; row i equals ``d(zs[i])`` bit for bit."""
+        zs = self._as_stack(zs)
+        if self.d_fn is not None:
+            return np.asarray(self.d_fn(zs), dtype=complex)
+        return self._fd(zs, False)
 
     def d(self, z):
-        """All holomorphic first derivatives, shape (m, shape, shape)."""
-        z = _as_point(z, self.m)
-        if self.d_fn is not None:
-            return np.asarray(self.d_fn(z), dtype=complex)
-        return self._fd(z, False)
+        """All holomorphic first derivatives, shape (m, shape, shape): the
+        one-row read of :meth:`d_stack`."""
+        return self.d_stack(_as_point(z, self.m)[None])[0]
 
     def dbar(self, z, d=None):
         """All antiholomorphic first derivatives, shape (m, shape, shape).
@@ -309,31 +333,37 @@ class ChartField:
             return d.conj().transpose(0, 2, 1)
         return self._fd(_as_point(z, self.m), True)
 
-    def _dd_fd(self, z):
-        """d_a dbar_b G by an outer difference of dbar_b G at the 4m outer
-        stencil points.  dbar_b G comes from d_fn when the field has one
-        (through :func:`ring_fd`; the self-check's oracle of dd_fn), else
-        from the inner stencils around the outer points, whose 16 m^2
-        points are read in one :meth:`gram_stack` call."""
-        if self.d_fn is not None:
-            return ring_fd(
-                lambda w: conj_transpose(np.asarray(self.d_fn(w), dtype=complex)), z, self.fd_outer_step
-            )
-        outer = _stencil_ring(z, self.fd_outer_step)
-        inner = _stencil_ring(outer, self.fd_step)
-        reads = self.gram_stack(inner.reshape(-1, self.m))
-        reads = reads.reshape(inner.shape[:2] + reads.shape[-2:])
-        # dbar[4a + k, b] is dbar_b G at outer point k along z_a
-        dbar = _combine_ring(reads.swapaxes(0, 1), self.fd_step, True).swapaxes(0, 1)
-        return _combine_ring(dbar, self.fd_outer_step)
+    def _dd_ring(self, zs):
+        """d_a dbar_b G at a (B, m) stack of points by an outer difference
+        of dbar_b G at the 4m outer stencil points of each.  On an analytic
+        field dbar_b G = (d_b G)^H at all B 4m of them is one
+        :meth:`d_stack` read, the self-check's oracle of dd_fn; else it is
+        the conjugate stencil around each, all B 16 m^2 points read in one
+        :meth:`gram_stack` call."""
+        outer = _stencil_ring(zs, self.fd_outer_step)
+        if self.analytic:
+            dbar = conj_transpose(self.d_stack(outer.reshape(-1, self.m)))
+            dbar = dbar.reshape(outer.shape[:-1] + dbar.shape[-3:])
+        else:
+            dbar = self._fd(outer, True)
+        # dbar[i, 4a + k, b] is dbar_b G at outer point k along z_a of point i
+        return _combine_ring(dbar, self.fd_outer_step, axis=-4)
+
+    def dd_stack(self, zs):
+        """Mixed second derivatives d_a dbar_b G at a (B, m) stack of
+        points, shape (B, m, m, shape, shape): one dd_fn call, or the
+        nested stencils of all points in one read; row i equals
+        ``dd(zs[i])`` bit for bit."""
+        zs = self._as_stack(zs)
+        if self.dd_fn is not None:
+            return np.asarray(self.dd_fn(zs), dtype=complex)
+        self._require_domain(zs, self.fd_outer_step + self.fd_step)
+        return self._dd_ring(zs)
 
     def dd(self, z):
-        """Mixed second derivatives d_a dbar_b G, shape (m, m, shape, shape)."""
-        z = _as_point(z, self.m)
-        if self.dd_fn is not None:
-            return np.asarray(self.dd_fn(z), dtype=complex)
-        self._require_domain(z, self.fd_outer_step + self.fd_step)
-        return self._dd_fd(z)
+        """Mixed second derivatives d_a dbar_b G, shape (m, m, shape,
+        shape): the one-row read of :meth:`dd_stack`."""
+        return self.dd_stack(_as_point(z, self.m)[None])[0]
 
     def finite_difference_copy(self):
         """The same field with analytic evaluators dropped."""
@@ -351,34 +381,35 @@ class ChartField:
 
     def _self_check(self):
         """Compare d_fn with the stencil at 10 points and dd_fn with
-        :meth:`_dd_fd` at 3 more, drawn in that order from a generator
-        seeded by the chart's size.  The ten first-order stencils are read
-        in one :meth:`_fd` call, and the first order is checked before the
-        second is computed."""
+        :meth:`_dd_ring` at 3 more, drawn in that order from a generator
+        seeded by the chart's size, each draw one ``uniform`` call of the
+        real then the imaginary parts of every point in turn (the stream
+        of :func:`sample_box` point by point).  Each order reads its
+        analytic and its finite-difference side in one call each, and the
+        first order is checked before the second is computed.  A
+        disagreement names the order and the point of the worst one."""
         rng = np.random.default_rng(np.random.SeedSequence([7, self.m, self.shape]))
 
         def draw(points, spread):
-            offsets = [sample_box(rng, self.m, spread * self.radius) for _ in range(points)]
-            return self.center + np.stack(offsets) / np.sqrt(2.0)
+            x = rng.uniform(-1, 1, (points, 2, self.m))
+            return self.center + spread * self.radius * (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
 
-        def require_agreement(order, exact, fd, tol):
+        def require_agreement(order, zs, exact, fd, tol):
             err = np.linalg.norm(exact - fd, axis=(-2, -1))
-            worst = float(np.max(err / (1.0 + np.linalg.norm(fd, axis=(-2, -1)))))
-            if worst > tol:
+            rel = (err / (1.0 + np.linalg.norm(fd, axis=(-2, -1)))).reshape(len(zs), -1).max(axis=1)
+            i = int(np.argmax(rel))
+            if rel[i] > tol:
                 raise HermitiaError(
                     "analytic %s derivatives disagree with finite differences "
-                    "(relative error %.2e)" % (order, worst)
+                    "(relative error %.2e) at %s" % (order, rel[i], _named(zs[i]))
                 )
 
         zs = draw(10, 0.5)
         fd = self._fd(zs, False)
-        exact = np.stack([np.asarray(self.d_fn(z), dtype=complex) for z in zs])
-        require_agreement("first", exact, fd, SELF_CHECK_D_TOL)
-
+        require_agreement("first", zs, self.d_stack(zs), fd, SELF_CHECK_D_TOL)
         zs = draw(3, 0.4)
-        fd = np.stack([self._dd_fd(z) for z in zs])
-        exact = np.stack([np.asarray(self.dd_fn(z), dtype=complex) for z in zs])
-        require_agreement("second", exact, fd, SELF_CHECK_DD_TOL)
+        fd = self._dd_ring(zs)
+        require_agreement("second", zs, self.dd_stack(zs), fd, SELF_CHECK_DD_TOL)
 
     def __repr__(self):
         mode = "analytic" if self.analytic else "fd"
@@ -462,6 +493,14 @@ def forms_of(grams, zs):
     return [HermitianForm(g, rank_tol=RANK_TOL) for g in grams]
 
 
+def _leading_inside(field: ChartField, zs, margin):
+    """How many leading points of a (B, m) stack lie inside the chart with
+    ``margin`` to spare: the index of the first that does not, else B,
+    from one comparison for the whole stack."""
+    inside = field.in_domain(zs, margin)
+    return len(zs) if inside.all() else int(np.argmin(inside))
+
+
 def _check_constant_rank(field: ChartField, z):
     """The constant-rank gate: G read at the 4m + 1 stencil points in one
     :meth:`ChartField.gram_stack` call, ranked by one batched
@@ -505,15 +544,17 @@ class FieldAt:
     def _solved(self):
         return self._solve(_check_constant_rank(self.field, self.point))
 
-    def _solve(self, g):
+    def _solve(self, g, dg=None):
         """``dg``, ``a`` and ``residual`` from the gate's centre read g,
-        which becomes the form unless one was read first."""
+        which becomes the form unless one was read first, and dG(z), read
+        here unless the caller passes its row of a stacked read."""
         field, z = self.field, self.point
         if "form" not in self.__dict__:
             self.form = HermitianForm(g, rank_tol=RANK_TOL)
         elif not np.array_equal(self.form.gram, g):
             raise HermitiaError("the form read at this point is not the gate's G(z)")
-        dg = field.d(z)
+        if dg is None:
+            dg = field.d(z)
         require_finite(dg, "first derivative", z)
         g, gp = self.form.gram, self.form.pinv
         a = gp @ dg
@@ -593,21 +634,24 @@ def solve_stack(records, rows=None):
     matrices the caller read at those points in :func:`_gate_stencil`
     order, and rank them by one batched ``eigvalsh``.  The
     forms not read yet are the gates' centre reads, and every form is
-    factorized by one batched ``eigh`` (:func:`forms.factorize`).  Each
-    solve is then the per-point arithmetic of the record, so a record
+    factorized by one batched ``eigh`` (:func:`forms.factorize`).  dG at
+    the points whose gates pass is one :meth:`ChartField.d_stack` read.
+    Each solve is then the per-point arithmetic of the record, so a record
     solved here equals its per-point solve bit for bit.  The error is the
     per-point path's at the first point that fails, in order: OutOfDomain,
     the gate's NonFinite or RankJump, the form guard's HermitiaError, or
-    the solve's NonFinite or SolverResidual.  Without ``rows``, no point
+    the solve's read of dG, NonFinite or SolverResidual; should the stacked
+    read of dG raise, each solve reads its own row, so that the error is
+    raised where the per-point path raises it.  Without ``rows``, no point
     after the first one outside the chart is read; a caller passing
     ``rows`` keeps that promise by reading only the stencils of the points
     before it."""
     field = records[0].field
     m, r, s = field.m, field.shape, field.fd_outer_step
-    points = [rec.point for rec in records]
-    n = next((i for i, z in enumerate(points) if not field.in_domain(z, s + field.fd_step)), len(points))
+    zs = np.stack([rec.point for rec in records])
+    n = _leading_inside(field, zs, s + field.fd_step)
     if n:
-        stencils = _gate_stencil(np.stack(points[:n]), s)
+        stencils = _gate_stencil(zs[:n], s)
         if rows is None:
             rows = field.gram_stack(stencils.reshape(-1, m))
         grams = rows[: n * (4 * m + 1)].reshape(n, 4 * m + 1, r, r)
@@ -618,12 +662,16 @@ def solve_stack(records, rows=None):
             if "form" not in rec.__dict__:
                 rec.form = HermitianForm(g, rank_tol=RANK_TOL)
         factorize([rec.form for rec in records[:passed]])
-        for rec, g in zip(records[:passed], grams[:, 0]):
-            rec._solved = rec._solve(g)
+        try:
+            dgs = field.d_stack(zs[:passed]) if passed else []
+        except HermitiaError:
+            dgs = [None] * passed
+        for rec, g, dg in zip(records[:passed], grams[:, 0], dgs):
+            rec._solved = rec._solve(g, dg)
         if passed < n:
             _gate_verdict(stencils[passed], grams[passed], ranks[passed])
-    if n < len(points):
-        field._require_domain(points[n], s + field.fd_step)
+    if n < len(zs):
+        field._require_domain(zs[n], s + field.fd_step)
     return records
 
 
@@ -652,22 +700,17 @@ def _tensor_of_dbar(g, dbar):
     return np.ascontiguousarray(-(g @ dbar).transpose(1, 0, 3, 2))
 
 
-def smooth_kernel_perturbation(field: ChartField, z, seed=0):
-    """A smooth matrix function K with columns in Ker G, for gauge tests.
-
-    Built as (projector onto Ker G(w)) @ K0 @ Phi(w) with K0 the kernel
-    basis at z and Phi a fixed seeded polynomial in (w, conj(w)); returns
-    the zero function for nondegenerate fields.
-    """
-    z0 = _as_point(z, field.m)
-    k = _kernel_perturbation(field, z0, field.form_at(z0), seed)
-    return lambda w: k(w, field.form_at(w))
-
-
 def _kernel_perturbation(field: ChartField, z0, form0, seed):
-    """K of :func:`smooth_kernel_perturbation` as ``k(w, form)``, where
-    ``form0`` and ``form`` are the forms of G(z0) and G(w): a caller that
-    has factorized G(w) already passes its form and reads G nowhere."""
+    """A smooth matrix function K with columns in Ker G, the default
+    perturbation of :func:`gauge_independence_residual`, as ``k(w,
+    form)``, where ``form0`` and ``form`` are the forms of G(z0) and G(w):
+    a caller that has factorized G(w) already passes its form and reads G
+    nowhere.
+
+    K(w) = (projector onto Ker G(w)) @ K0 @ Phi(w) with K0 the kernel
+    basis at z0 and Phi a fixed seeded polynomial in (w, conj(w)); the
+    zero function for a nondegenerate G(z0).
+    """
     k0 = form0.kernel_basis
     jk = k0.shape[1]
     if jk == 0:
@@ -699,9 +742,9 @@ def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None)
     Both candidates, A and A + K, go through the pipeline of
     :func:`curvature_from_connection`, and both take their differences
     from one solve at each probe point, all of them run by one
-    :func:`solve_stack`.  The default K (that of
-    :func:`smooth_kernel_perturbation`) reads the form of the gate's G(z)
-    and of each probe point's solve, so G is factorized once per point."""
+    :func:`solve_stack`.  The default K (:func:`_kernel_perturbation`)
+    reads the form of the gate's G(z) and of each probe point's solve, so
+    G is factorized once per point."""
     z = _as_point(z, field.m)
     g = _check_constant_rank(field, z)
     if perturbation is None:

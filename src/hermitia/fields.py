@@ -20,15 +20,18 @@ Grassmannian Grams remain independent.
 
 Every field built here has one Gram kernel, a function of a (B, m) stack
 of points whose row i depends on point i only (``ChartField``'s
-``stack_fn``); composite fields compose their parts' kernels, and are
-analytic when all of their parts are.
+``stack_fn``), and its analytic derivatives are kernels of the same kind
+(``d_fn`` and ``dd_fn``); composite fields compose their parts' kernels,
+and are analytic when all of their parts are.  The potential fields keep
+their jet for the latest point read, so their derivative kernels read a
+stack one row at a time (:func:`charts.per_row`).
 """
 
 import math
 
 import numpy as np
 
-from .charts import ChartField, HolomorphicMap, last_point_cache
+from .charts import ChartField, HolomorphicMap, last_point_cache, per_row
 from .errors import NonFinite
 from .forms import conj_transpose
 
@@ -108,15 +111,6 @@ class MonomialMap:
             start += size
         return out
 
-    def value(self, z):
-        return self.jet(z, 0)[0]
-
-    def jac(self, z):
-        return self.jet(z, 1)[1]
-
-    def hess(self, z):
-        return self.jet(z, 2)[2]
-
 
 def _potential_gram(w, jac):
     """The Gram matrix of d dbar log ||w||^2 at a (B, m) stack of points
@@ -184,11 +178,12 @@ def _logdet_second(j, hf):
 
 def _logdet_derivatives(frame):
     """d_fn and dd_fn of the Gram field of d dbar log det(A A^H) for
-    frame(z) = (A, dA, ddA) as :func:`_logdet_first` takes them.  A d read
-    builds only the first-order part; the first dd read at a point adds
-    the second-order products (:func:`_logdet_second`) from it.  Both are
-    kept for the latest point read; a point where A A^H is singular
-    raises NonFinite naming it."""
+    frame(z) = (A, dA, ddA) as :func:`_logdet_first` takes them, kernels
+    that read a stack one row at a time.  A d read builds only the
+    first-order part; the first dd read at a point adds the second-order
+    products (:func:`_logdet_second`) from it.  Both are kept for the
+    latest point read; a point where A A^H is singular raises NonFinite
+    naming it."""
 
     @last_point_cache
     def first(z):
@@ -201,7 +196,7 @@ def _logdet_derivatives(frame):
             ) from None
 
     second = last_point_cache(lambda z: _logdet_second(*first(z)[:2]))
-    return (lambda z: first(z)[2]), second
+    return per_row(lambda z: first(z)[2]), per_row(second)
 
 
 def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", **kw):
@@ -245,10 +240,12 @@ class MatrixPolynomial:
         """L at a point (m,), or at each row of a (B, m) stack, shape
         (B, p, r).  Each row is one product with ``c1`` as at a point,
         because a stacked product differs from it in the last bit and
-        depends on the other rows."""
+        depends on the other rows; a one-row stack is the point read."""
         z = np.asarray(z, dtype=complex)
         if z.ndim == 1:
             return self.c0 + np.dot(z, self._c1_flat).reshape(self.shape)
+        if len(z) == 1:
+            return self.c0 + np.dot(z[0], self._c1_flat).reshape((1,) + self.shape)
         lin = np.empty((len(z), self._c1_flat.shape[1]), dtype=complex)
         for w, row in zip(z, lin):
             np.dot(w, self._c1_flat, out=row)
@@ -263,20 +260,22 @@ def from_factor(poly: MatrixPolynomial, m, center=None, radius=1.0, name=""):
     """The positive-semidefinite field G = L^H L for a holomorphic factor L.
 
     First and mixed second derivatives are exact:
-    d_a G = L^H d_a L and d_a dbar_b G = (d_b L)^H (d_a L).
-    The field is admissible with constant rank equal to rank L.
+    d_a G = L^H d_a L and d_a dbar_b G = (d_b L)^H (d_a L), the latter
+    the same at every point.  The field is admissible with constant rank
+    equal to rank L.
     """
+    dl = np.ascontiguousarray(poly.c1)
+    dd = conj_transpose(dl)[None, :] @ dl[:, None]
 
     def stack_fn(zs):
         l = poly.value(zs)
         return conj_transpose(l) @ l
 
-    def d_fn(z):
-        return conj_transpose(poly.value(z)) @ poly.d(z)
+    def d_fn(zs):
+        return conj_transpose(poly.value(zs))[:, None] @ dl
 
-    def dd_fn(z):
-        dl = poly.d(z)
-        return conj_transpose(dl)[None, :] @ dl[:, None]
+    def dd_fn(zs):
+        return dd[None].repeat(len(zs), axis=0)
 
     return ChartField(
         m,
@@ -294,11 +293,11 @@ def constant_field(gram, m, center=None, radius=1.0, name=""):
     gram = np.asarray(gram, dtype=complex)
     r = gram.shape[0]
 
-    def zeros_d(z):
-        return np.zeros((m, r, r), dtype=complex)
+    def zeros_d(zs):
+        return np.zeros((len(zs), m, r, r), dtype=complex)
 
-    def zeros_dd(z):
-        return np.zeros((m, m, r, r), dtype=complex)
+    def zeros_dd(zs):
+        return np.zeros((len(zs), m, m, r, r), dtype=complex)
 
     return ChartField(
         m,
@@ -319,11 +318,11 @@ def scaled_field(field: ChartField, c, name=""):
 
     d_fn = dd_fn = None
     if field.analytic:
-        def d_fn(z):
-            return c * field.d(z)
+        def d_fn(zs):
+            return c * field.d_stack(zs)
 
-        def dd_fn(z):
-            return c * field.dd(z)
+        def dd_fn(zs):
+            return c * field.dd_stack(zs)
 
     return ChartField(
         field.m,
@@ -349,11 +348,11 @@ def sum_field(f1: ChartField, f2: ChartField, c1=1.0, c2=1.0, name=""):
 
     d_fn = dd_fn = None
     if f1.analytic and f2.analytic:
-        def d_fn(z):
-            return c1 * f1.d(z) + c2 * f2.d(z)
+        def d_fn(zs):
+            return c1 * f1.d_stack(zs) + c2 * f2.d_stack(zs)
 
-        def dd_fn(z):
-            return c1 * f1.dd(z) + c2 * f2.dd(z)
+        def dd_fn(zs):
+            return c1 * f1.dd_stack(zs) + c2 * f2.dd_stack(zs)
 
     return ChartField(
         f1.m,
@@ -385,14 +384,14 @@ def embedded_factor_field(factor: ChartField, total_m, offset, radius, name=""):
 
     d_fn = dd_fn = None
     if factor.analytic:
-        def d_fn(z):
-            out = np.zeros((total_m, total_m, total_m), dtype=complex)
-            out[sl, sl, sl] = factor.d(z[sl])
+        def d_fn(zs):
+            out = np.zeros((len(zs), total_m, total_m, total_m), dtype=complex)
+            out[:, sl, sl, sl] = factor.d_stack(zs[:, sl])
             return out
 
-        def dd_fn(z):
-            out = np.zeros((total_m, total_m, total_m, total_m), dtype=complex)
-            out[sl, sl, sl, sl] = factor.dd(z[sl])
+        def dd_fn(zs):
+            out = np.zeros((len(zs), total_m, total_m, total_m, total_m), dtype=complex)
+            out[:, sl, sl, sl, sl] = factor.dd_stack(zs[:, sl])
             return out
 
     return ChartField(
@@ -421,15 +420,15 @@ def pullback_field(field: ChartField, map_obj: HolomorphicMap, center, radius, n
 
     d_fn = dd_fn = None
     if field.analytic:
-        def d_fn(z):
-            jac = map_obj.jacobian(z)
-            damb = field.d(map_obj(z))
-            return np.einsum("irs,ij->jrs", damb, jac)
+        def d_fn(zs):
+            jac = np.stack([map_obj.jacobian(z) for z in zs])
+            damb = field.d_stack(np.stack([map_obj(z) for z in zs]))
+            return np.einsum("nirs,nij->njrs", damb, jac)
 
-        def dd_fn(z):
-            jac = map_obj.jacobian(z)
-            ddamb = field.dd(map_obj(z))
-            return np.einsum("ilrs,ij,lk->jkrs", ddamb, jac, jac.conj())
+        def dd_fn(zs):
+            jac = np.stack([map_obj.jacobian(z) for z in zs])
+            ddamb = field.dd_stack(np.stack([map_obj(z) for z in zs]))
+            return np.einsum("nilrs,nij,nlk->njkrs", ddamb, jac, jac.conj())
 
     return ChartField(
         m,

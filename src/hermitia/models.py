@@ -134,21 +134,12 @@ def pluecker_gap(field: ChartField, k, n, points):
 # Grassmannian: closed-form route
 
 
-def _grassmann_gram(z, k, n):
-    """kron(P, Q^T) with P = (I + Z Z*)^-1 and Q = (I + Z* Z)^-1 at one
-    point by np.kron: the per-point oracle of the field's kernel
-    :func:`_grassmann_gram_stack`."""
-    zm = z.reshape(k, n - k)
-    p = np.linalg.inv(np.eye(k) + zm @ zm.conj().T)
-    q = np.linalg.inv(np.eye(n - k) + zm.conj().T @ zm)
-    return np.kron(p, q.T)
-
-
 def _grassmann_gram_stack(zs, k, n):
-    """kron(P, Q^T) at a (B, m) stack of points, the Gram kernel of
-    :func:`grassmannian_chart`, equal bit for bit to :func:`_grassmann_gram`
-    at each point: batched inverses, and the Kronecker product as the
-    broadcast product np.kron itself forms."""
+    """kron(P, Q^T) with P = (I + Z Z*)^-1 and Q = (I + Z* Z)^-1 at a
+    (B, m) stack of points, the Gram kernel of :func:`grassmannian_chart`:
+    batched inverses, and the Kronecker product as the broadcast product
+    np.kron itself forms, so each row equals np.kron at its point bit for
+    bit."""
     zm = zs.reshape(-1, k, n - k)
     zh = zm.conj().swapaxes(-1, -2)
     p = np.linalg.inv(np.eye(k) + zm @ zh)

@@ -49,12 +49,14 @@ in the identity table and the splitting blocks are finite differences,
 the independent side of each identity.  Each is taken along every
 coordinate at once with step ``PROBE_STEP`` from one probe ring: the
 records at the 4m points of that stencil around the base point, built
-once and shared by every probe.  The ring reads the ambient twice: once
-at its 4m points for the forms of all three fields, on the first probe,
-and once at the 4m (4m + 1) gate points of its ambient and sub solves,
-which :func:`~hermitia.charts.solve_stack` runs for the whole ring on
-the first probe of sigma or sigma dagger; the base point keeps the
-per-point gate.
+once and shared by every probe.  The ring reads the ambient's Gram
+kernel three times: once at its 4m points for the forms of all three
+fields, on the first probe, once at the 4m (4m + 1) gate points of its
+ambient and sub solves, which :func:`~hermitia.charts.solve_stack` runs
+for the whole ring on the first probe of sigma or sigma dagger, and once
+more at the 4m points in the sub field's stacked dG read, beside the one
+read of the ambient's dG there for each of the two solves; the base
+point keeps the per-point gate.
 The finite-difference dj of an inclusion given without dj, and the
 holomorphy checks of j, go through :func:`~hermitia.charts.ring_fd`.
 """
@@ -73,10 +75,12 @@ from .charts import (
     _as_point,
     _combine_ring,
     _gate_stencil,
+    _leading_inside,
     _stencil_ring,
     curvature_tensor,
     forms_of,
     last_point_cache,
+    per_row,
     ring_fd,
     sample_box,
     solve_stack,
@@ -194,6 +198,11 @@ class ExactSeqChart:
         return conj_transpose(j) @ g @ j
 
     def _build_sub_field(self):
+        """The sub field j^H G j.  Its derivative kernels read the
+        ambient's G, dG (and ddG) at a stack of points in one call each:
+        d_a (j^H G j) = j^H T_a with T_a = d_a G j + G d_a j, and
+        d_a dbar_b (j^H G j) = (d_b j)^H T_a
+        + j^H (d_a dbar_b G j + dbar_b G d_a j)."""
         amb = self.ambient
 
         def stack_fn(zs):
@@ -201,25 +210,19 @@ class ExactSeqChart:
 
         d_fn = dd_fn = None
         if amb.analytic and self._dj_fn is not None:
-            def d_fn(z):
-                j, dj = self.j_at(z), self.dj_at(z)
-                g, dg = amb.gram(z), amb.d(z)
-                return np.stack(
-                    [j.conj().T @ (dg[a] @ j + g @ dj[a]) for a in range(self.m)]
-                )
+            def d_parts(zs):
+                j, dj = self._j_stack(zs), np.stack([self.dj_at(z) for z in zs])
+                dg = amb.d_stack(zs)
+                return j, dj, dg, dg @ j[:, None] + amb.gram_stack(zs)[:, None] @ dj
 
-            def dd_fn(z):
-                j, dj = self.j_at(z), self.dj_at(z)
-                g, dg, ddg = amb.gram(z), amb.d(z), amb.dd(z)
-                dbg = amb.dbar(z, d=dg)
-                out = np.empty((self.m, self.m, self.k, self.k), dtype=complex)
-                for a in range(self.m):
-                    for b in range(self.m):
-                        out[a, b] = (
-                            dj[b].conj().T @ (dg[a] @ j + g @ dj[a])
-                            + j.conj().T @ (ddg[a, b] @ j + dbg[b] @ dj[a])
-                        )
-                return out
+            def d_fn(zs):
+                j, _, _, t = d_parts(zs)
+                return conj_transpose(j)[:, None] @ t
+
+            def dd_fn(zs):
+                j, dj, dg, t = d_parts(zs)
+                u = amb.dd_stack(zs) @ j[:, None, None] + conj_transpose(dg)[:, None] @ dj[:, :, None]
+                return conj_transpose(dj)[:, None] @ t[:, :, None] + conj_transpose(j)[:, None, None] @ u
 
         return ChartField(
             self.m,
@@ -300,7 +303,8 @@ class ExactSeqChart:
 
         where dbar_b P = (d_b P)^H.  The d and dd reads at one point share
         one first-order part (H, K, G_Q, d_a G, E_a and d_a P), kept for
-        the latest point read.
+        the latest point read, so the kernels read a stack one row at a
+        time (:func:`~hermitia.charts.per_row`).
         """
         amb = self.ambient
 
@@ -313,10 +317,12 @@ class ExactSeqChart:
             e = self.dq_at(z) - k.conj().T @ dg
             return h, k, x, dg, e, e @ k
 
+        @per_row
         def d_fn(z):
             _, _, x, _, _, dp = first_order(z)
             return -x @ dp @ x
 
+        @per_row
         def dd_fn(z):
             h, k, x, dg, e, dp = first_order(z)
             f = dg @ k
@@ -427,11 +433,11 @@ class _SeqAt:
         chart and steps, so both leave the chart at the same point)."""
         seq, ring, amb = self.seq, self.ring, self.seq.ambient
         margin = amb.fd_outer_step + amb.fd_step
-        inside = next((i for i, rec in enumerate(ring) if not amb.in_domain(rec.z, margin)), len(ring))
+        ring_zs = np.stack([rec.z for rec in ring])
+        inside = _leading_inside(amb, ring_zs, margin)
         g = sub_rows = None
         if inside:
-            zs = _gate_stencil(np.stack([rec.z for rec in ring[:inside]]), amb.fd_outer_step)
-            zs = zs.reshape(-1, seq.m)
+            zs = _gate_stencil(ring_zs[:inside], amb.fd_outer_step).reshape(-1, seq.m)
             g = amb.gram_stack(zs)
             sub_rows = hermitize(seq._sub_grams(seq._j_stack(zs), g))
         try:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -30,9 +31,7 @@ from hermitia.charts import (
     hsc,
     hsc_of_tensor,
     pullback_consistency,
-    smooth_kernel_perturbation,
     torsion_defect,
-    wirtinger_fd,
 )
 from hermitia.errors import NotPositiveAtPoint
 from hermitia.fields import (
@@ -50,6 +49,8 @@ from hermitia.fields import (
 from hermitia.forms import gram_rank
 from hermitia.instances import gauge_instance, random_degenerate_field, random_pd_field
 from hermitia.models import grassmannian_chart
+
+from oracles import outer_dd, smooth_kernel_perturbation, wirtinger_fd
 
 
 def fs_line(radius=3.0):
@@ -135,30 +136,51 @@ def test_self_check_rejects_wrong_analytic_derivative():
             1,
             1,
             lambda zs: 1.0 + np.abs(zs[:, :, None]) ** 2,
-            d_fn=lambda z: 2.0 * np.array([[[np.conj(z[0])]]]),
-            dd_fn=lambda z: np.ones((1, 1, 1, 1)),
+            d_fn=lambda zs: 2.0 * zs.conj()[:, :, None, None],
+            dd_fn=lambda zs: np.ones((len(zs), 1, 1, 1, 1)),
         )
 
 
 @pytest.mark.parametrize("order", ["first", "second"])
 def test_self_check_names_the_order_whose_analytic_derivative_is_wrong(order):
-    """On a curved m = 2 field whose self-check stacks its first-order
-    stencils, a d_fn (or dd_fn) off by a tenth of the true one fails with
-    the order named."""
+    """On a curved m = 2 field whose self-check stacks its reads, a d_fn
+    (or dd_fn) off by a tenth of the true one fails with the order named
+    and the point of the worst disagreement.  The expected point comes
+    from the per-point route: the 10 + 3 points drawn by sample_box one at
+    a time from the same generator, each compared on its own with the
+    stencil at it (or the ring of one-point d reads around it)."""
     base = random_pd_field(np.random.default_rng(np.random.SeedSequence([45])), 2, 3)
     d_fn, dd_fn = base.d_fn, base.dd_fn
     if order == "first":
-        d_fn = lambda z: 1.1 * base.d_fn(z)
+        d_fn = lambda zs: 1.1 * base.d_fn(zs)
     else:
-        dd_fn = lambda z: 1.1 * base.dd_fn(z)
-    message = "analytic %s derivatives disagree with finite differences" % order
-    with pytest.raises(HermitiaError, match=message):
+        dd_fn = lambda zs: 1.1 * base.dd_fn(zs)
+    rng = np.random.default_rng(np.random.SeedSequence([7, 2, 3]))
+    spreads = [0.5] * 10 + [0.4] * 3
+    points = [base.center + charts.sample_box(rng, 2, s * base.radius) / np.sqrt(2.0) for s in spreads]
+    if order == "first":
+        drawn = points[:10]
+        fd = base.finite_difference_copy()
+        pairs = [(1.1 * base.d(z), fd.d(z)) for z in drawn]
+    else:
+        drawn = points[10:]
+        pairs = [(1.1 * base.dd(z), outer_dd(base, z)) for z in drawn]
+    errors = [
+        np.max(np.linalg.norm(a - b, axis=(-2, -1)) / (1.0 + np.linalg.norm(b, axis=(-2, -1))))
+        for a, b in pairs
+    ]
+    message = "analytic %s derivatives disagree with finite differences (relative error %.2e) at %s" % (
+        order,
+        max(errors),
+        charts._named(drawn[int(np.argmax(errors))]),
+    )
+    with pytest.raises(HermitiaError, match=re.escape(message)):
         ChartField(2, 3, base.stack_fn, radius=base.radius, d_fn=d_fn, dd_fn=dd_fn)
 
 
 @pytest.mark.parametrize("given", ["d_fn", "dd_fn"])
 def test_a_field_takes_both_analytic_derivatives_or_neither(given):
-    jet = {"d_fn": lambda z: np.zeros((1, 1, 1)), "dd_fn": lambda z: np.zeros((1, 1, 1, 1))}
+    jet = {"d_fn": lambda zs: np.zeros((len(zs), 1, 1, 1)), "dd_fn": lambda zs: np.zeros((len(zs), 1, 1, 1, 1))}
     with pytest.raises(HermitiaError, match="both d_fn and dd_fn or neither"):
         ChartField(
             1, 1, lambda zs: np.ones((len(zs), 1, 1)), self_check=False, **{given: jet[given]}
@@ -179,7 +201,7 @@ def test_rank_at_counts_significant_singular_values():
 def test_nan_gram_raises_non_finite(solve):
     # eigvalsh returns the finite spectrum [0, -0] for this matrix
     f = ChartField(1, 2, lambda zs: np.stack([np.diag([np.nan, 1.0])] * len(zs)),
-                   d_fn=lambda z: np.zeros((1, 2, 2)), dd_fn=lambda z: np.zeros((1, 1, 2, 2)),
+                   d_fn=lambda zs: np.zeros((len(zs), 1, 2, 2)), dd_fn=lambda zs: np.zeros((len(zs), 1, 1, 2, 2)),
                    self_check=False)
     with pytest.raises(NonFinite, match="rank gate is not finite at"):
         solve(f, [0.1])
@@ -190,7 +212,7 @@ def test_nan_gram_raises_non_finite(solve):
 @pytest.mark.parametrize("solve", [chern_connection, curvature_tensor])
 def test_inf_gram_raises_non_finite(solve):
     f = ChartField(1, 2, lambda zs: np.stack([np.diag([np.inf, 1.0])] * len(zs)),
-                   d_fn=lambda z: np.zeros((1, 2, 2)), dd_fn=lambda z: np.zeros((1, 1, 2, 2)),
+                   d_fn=lambda zs: np.zeros((len(zs), 1, 2, 2)), dd_fn=lambda zs: np.zeros((len(zs), 1, 1, 2, 2)),
                    self_check=False)
     # hermitizing a complex inf multiplies it by 0 and warns; the read must raise
     with np.errstate(invalid="ignore"), pytest.raises(NonFinite, match="Gram matrix"):
@@ -201,7 +223,7 @@ def test_inf_gram_raises_non_finite(solve):
 def test_nan_derivative_raises_non_finite(which):
     base = fs_line()
     evaluators = {"d_fn": base.d_fn, "dd_fn": base.dd_fn}
-    evaluators[which] = lambda z: np.full((1,) * (2 if which == "d_fn" else 3) + (1,), np.nan)
+    evaluators[which] = lambda zs: np.full((len(zs),) + (1,) * (3 if which == "d_fn" else 4), np.nan)
     f = ChartField(1, 1, base.stack_fn, radius=3.0, self_check=False, **evaluators)
     stage = "first derivative" if which == "d_fn" else "mixed second derivative"
     with pytest.raises(NonFinite, match=stage + r" is not finite at \[0\.2"):
@@ -396,12 +418,11 @@ def test_monomial_map_value_jacobian_hessian_are_exact():
     # w = (z1^2 z2, 3 z2^3 + z1)
     mm = MonomialMap(2, [[(1.0, (2, 1))], [(3.0, (0, 3)), (1.0, (1, 0))]])
     z = np.array([0.4 + 0.1j, -0.3 + 0.2j])
-    assert abs(mm.value(z)[0] - z[0] ** 2 * z[1]) < 1e-14
-    assert abs(mm.value(z)[1] - (3 * z[1] ** 3 + z[0])) < 1e-14
-    jac = mm.jac(z)
+    value, jac, hess = mm.jet(z, 2)
+    assert abs(value[0] - z[0] ** 2 * z[1]) < 1e-14
+    assert abs(value[1] - (3 * z[1] ** 3 + z[0])) < 1e-14
     assert abs(jac[0, 0] - 2 * z[0] * z[1]) < 1e-14
     assert abs(jac[1, 1] - 9 * z[1] ** 2) < 1e-14
-    hess = mm.hess(z)
     assert abs(hess[0, 0, 0] - 2 * z[1]) < 1e-14
     assert abs(hess[0, 0, 1] - 2 * z[0]) < 1e-14
     assert abs(hess[0, 1, 0] - 2 * z[0]) < 1e-14
@@ -439,7 +460,7 @@ def test_potential_fields_carry_analytic_derivatives():
 def test_twisted_potential_norm_identity():
     mm = twisted_fiber_monomials(3)
     z = np.array([0.4 + 0.1j, -0.3 + 0.25j])
-    lhs = float(np.sum(np.abs(mm.value(z)) ** 2))
+    lhs = float(np.sum(np.abs(mm.jet(z, 0)[0]) ** 2))
     rhs = 1.0 + (1.0 + abs(z[0]) ** 2) ** 3 * abs(z[1]) ** 2
     assert abs(lhs - rhs) < 1e-12
 
@@ -764,13 +785,13 @@ def test_torsion_detects_asymmetric_first_derivatives():
     def kernel(zs):
         return np.stack([[[1.0, z[0] / 4.0], [np.conj(z[0]) / 4.0, 1.0]] for z in zs])
 
-    def dv(z):
-        d = np.zeros((2, 2, 2), dtype=complex)
-        d[0, 0, 1] = 0.25
+    def dv(zs):
+        d = np.zeros((len(zs), 2, 2, 2), dtype=complex)
+        d[:, 0, 0, 1] = 0.25
         return d
 
-    def ddv(z):
-        return np.zeros((2, 2, 2, 2), dtype=complex)
+    def ddv(zs):
+        return np.zeros((len(zs), 2, 2, 2, 2), dtype=complex)
 
     f = ChartField(2, 2, kernel, d_fn=dv, dd_fn=ddv)
     assert abs(torsion_defect(f, [0.1, -0.2j]) - 0.25) < 1e-12
@@ -780,13 +801,13 @@ def test_torsion_zero_for_transposed_variant():
     def kernel(zs):
         return np.stack([[[1.0, np.conj(z[0]) / 4.0], [z[0] / 4.0, 1.0]] for z in zs])
 
-    def dv(z):
-        d = np.zeros((2, 2, 2), dtype=complex)
-        d[0, 1, 0] = 0.25
+    def dv(zs):
+        d = np.zeros((len(zs), 2, 2, 2), dtype=complex)
+        d[:, 0, 1, 0] = 0.25
         return d
 
-    def ddv(z):
-        return np.zeros((2, 2, 2, 2), dtype=complex)
+    def ddv(zs):
+        return np.zeros((len(zs), 2, 2, 2, 2), dtype=complex)
 
     f = ChartField(2, 2, kernel, d_fn=dv, dd_fn=ddv)
     assert torsion_defect(f, [0.1, -0.2j]) < 1e-12
@@ -1045,6 +1066,38 @@ def test_stacked_solve_raises_the_error_of_the_first_failing_point():
         kinds.add(want[0])
     assert kinds == {RankJump, NonFinite, OutOfDomain}
     assert charts.solve_stack([FieldAt(field, points[0])])[0].residual <= charts.SOLVER_TOL
+
+
+def test_stacked_solve_keeps_the_per_point_order_when_its_derivative_read_raises():
+    """G = diag(1, 0) with a d_fn that puts d_a G in Ker G where Re w >
+    0.2, so the solve there fails, and that raises NonFinite on any stack
+    holding a point with Re w < -0.2.  solve_stack reads dG for all its
+    points in one call; when that call raises, each solve reads its own
+    row, so in every order the error is the one that solving the points
+    one at a time raises first."""
+    def d_fn(zs):
+        if (zs.real < -0.2).any():
+            raise NonFinite("dG is not finite on this stack")
+        out = np.zeros((len(zs), 1, 2, 2), dtype=complex)
+        out[:, 0, 1, 1] = zs[:, 0].real > 0.2
+        return out
+
+    field = ChartField(
+        1,
+        2,
+        lambda zs: np.stack([np.diag([1.0, 0.0])] * len(zs)),
+        radius=0.9,
+        d_fn=d_fn,
+        dd_fn=lambda zs: np.zeros((len(zs), 1, 1, 2, 2)),
+        self_check=False,
+    )
+    points = [np.array([x]) for x in (0.1j, 0.3, -0.3)]
+    kinds = set()
+    for order in itertools.permutations(points):
+        want = _first_error(lambda: [chern_connection(field, w) for w in order])
+        assert want == _first_error(lambda: charts.solve_stack([FieldAt(field, w) for w in order]))
+        kinds.add(want[0])
+    assert kinds == {SolverResidual, NonFinite}
 
 
 @pytest.mark.parametrize("seed, m, gates", [(0, 1, 5), (1, 2, 9)])

@@ -25,6 +25,7 @@ from hermitia import (
 from hermitia.errors import NonFinite
 from hermitia.fibration import q_lambda_limit
 from hermitia.forms import LIMIT_COEFF_CUT, factorize, gram_rank, gram_ranks, hermitize, rank_of
+from hermitia.instances import balanced_limit_pair
 from hermitia.models import resolve_model
 
 
@@ -450,25 +451,6 @@ def test_limit_form_zero_b2():
 def test_limit_form_diagonal_limit():
     q_vals, q_inf = limit_form(form(np.diag([1, 3])), form(np.diag([2, 0])), [2.0])
     assert np.linalg.norm(q_inf.gram - np.diag([1.0, 0.0])) < 1e-10
-
-
-def balanced_limit_pair(rng, dim):
-    """Positive pair (b1, b2) whose nonzero generalized eigenvalues of b2
-    against b1 + b2 sit in [0.4, 0.95].
-
-    In that band every error mode of the lambda family contracts within
-    20 percent of exp(-2) per step of 2 already at lambda = 2, so the
-    decay window is a theorem for these instances, not a coin flip.
-    """
-    h0 = random_psd_form(rng, dim).gram + 0.1 * np.eye(dim)
-    w, u = np.linalg.eigh(h0)
-    root = u @ np.diag(np.sqrt(w)) @ u.conj().T
-    n_zero = int(rng.integers(0, dim))
-    y = np.concatenate([np.zeros(n_zero), rng.uniform(0.4, 0.95, dim - n_zero)])
-    rng.shuffle(y)
-    b2 = HermitianForm(root @ np.diag(y) @ root.conj().T)
-    b1 = HermitianForm(root @ np.diag(1.0 - y) @ root.conj().T)
-    return b1, b2
 
 
 # Relative bound, against 1 + the oracle's norm, between limit_form's

@@ -1,18 +1,22 @@
-"""One Gram kernel per field constructor.
+"""One Gram kernel, and one pair of derivative kernels, per field constructor.
 
 Every field the package builds reads its Gram matrices through one
-stacked kernel (``ChartField.stack_fn``); a read at one point is that
+stacked kernel (``ChartField.stack_fn``), and its analytic derivatives
+through two more (``d_fn`` and ``dd_fn``); a read at one point is a
 kernel on a one-row stack.  These tests hold the stacked reads of the
-constant-rank gate and of the finite-difference stencils to the per-point
-reads, bit for bit, count the kernel calls of a solve, and check the
-typed errors a stack raises.
+constant-rank gate, of the finite-difference stencils and of the
+derivative kernels to the per-point reads, bit for bit, count the kernel
+calls of a solve and of the construction self-check, and check the typed
+errors a stack raises.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermitia import NonFinite, NotPositiveAtPoint, charts, fibration, models
-from hermitia.charts import ChartField, HolomorphicMap, curvature_tensor, wirtinger_fd
+from hermitia import NonFinite, NotPositiveAtPoint, OutOfDomain, charts, fibration, models
+from hermitia.charts import ChartField, HolomorphicMap, curvature_tensor
 from hermitia.fields import (
     MatrixPolynomial,
     MonomialMap,
@@ -28,6 +32,8 @@ from hermitia.fields import (
 from hermitia.instances import random_degenerate_field, random_pd_field, sequence_instance
 from hermitia.models import pluecker_monomials
 from hermitia.sequences import ExactSeqChart
+
+from oracles import outer_dd, wirtinger_fd
 
 # the seeds of test_sequences.JET_SEEDS: m = 1 and 2, moving and constant
 # inclusions
@@ -151,7 +157,8 @@ def test_stencil_derivatives_equal_the_per_point_stencils(name):
     stencils they replace: d, dbar and the nested mixed second derivative
     of the finite-difference copy, and the outer difference of d_fn.  The
     first derivatives of a stack of points, as the self-check reads them,
-    equal those at each point."""
+    equal those at each point, and so do the nested mixed second
+    derivatives of a stack."""
     field, z = FIELDS[name]()
     fd = field.finite_difference_copy()
     m, h, outer = field.m, field.fd_step, field.fd_outer_step
@@ -170,7 +177,9 @@ def test_stencil_derivatives_equal_the_per_point_stencils(name):
             slow[a, b] = wirtinger_fd(lambda w: wirtinger_fd(fd.gram, w, b, h, True), z, a, outer)
             slow_d[a, b] = wirtinger_fd(lambda w: field.d(w)[b].conj().T, z, a, outer)
     assert np.array_equal(fd.dd(z), slow)
-    assert np.array_equal(field._dd_fd(z), slow_d)
+    assert np.array_equal(field._dd_ring(z[None])[0], slow_d)
+    for w, row in zip(zs, fd.dd_stack(zs)):
+        assert np.array_equal(row, fd.dd(w))
     for a in range(m):
         assert np.array_equal(fd.d(z)[a], wirtinger_fd(field.gram, z, a, h))
 
@@ -223,6 +232,99 @@ def test_self_check_reads_its_first_order_stencils_in_one_stack(monkeypatch):
     rows = _count_stacks(monkeypatch)
     random_pd_field(_rng(9), 2, 3)
     assert rows == [10 * 4 * 2]
+
+
+def test_self_check_reads_each_derivative_order_in_one_call():
+    """d_fn at the 10 first-order points, then at the 3 * 4m outer
+    stencil points of the second order, and dd_fn at the 3 second-order
+    points: one call each."""
+    base = random_pd_field(_rng(9), 2, 3)
+    d_rows, dd_rows = [], []
+
+    def d_fn(zs):
+        d_rows.append(len(zs))
+        return base.d_fn(zs)
+
+    def dd_fn(zs):
+        dd_rows.append(len(zs))
+        return base.dd_fn(zs)
+
+    ChartField(2, 3, base.stack_fn, radius=base.radius, d_fn=d_fn, dd_fn=dd_fn)
+    assert d_rows == [10, 3 * 4 * 2]
+    assert dd_rows == [3]
+
+
+# ---------------------------------------------------------------------------
+# the derivative kernels of a stack
+
+
+@pytest.fixture(scope="module")
+def built():
+    return {name: make() for name, make in FIELDS.items()}
+
+
+def _near(field, z, seed, rows):
+    rng = np.random.default_rng(seed)
+    return z + 0.05 * (rng.uniform(-1, 1, (rows, field.m)) + 1j * rng.uniform(-1, 1, (rows, field.m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+def test_derivative_kernel_rows_equal_the_one_row_reads(built, name, seed, rows):
+    """d_fn(zs)[i] and dd_fn(zs)[i] equal d(zs[i]) and dd(zs[i]) bit for
+    bit, for the kernels of every constructor in the table."""
+    field, z = built[name]
+    assert field.analytic
+    zs = _near(field, z, seed, rows)
+    d, dd = field.d_stack(zs), field.dd_stack(zs)
+    assert d.shape == (rows, field.m, field.shape, field.shape)
+    assert dd.shape == (rows, field.m, field.m, field.shape, field.shape)
+    for i, w in enumerate(zs):
+        assert np.array_equal(d[i], field.d(w))
+        assert np.array_equal(dd[i], field.dd(w))
+
+
+@pytest.mark.parametrize("name", ["fs:2", "gr:2:4", "hirz:1.b2", "pd", "pullback", "seq1.sub_field", "seq5.quot_field"])
+def test_stacked_outer_difference_equals_the_per_point_ring(built, name):
+    """The self-check's second-order side at a stack of points, from one
+    d_fn call at all their outer stencil points, equals ring_fd over the
+    one-point reads of dbar G at each point, bit for bit."""
+    field, z = built[name]
+    assert field.analytic
+    zs = _near(field, z, 5, 3)
+    stacked = field._dd_ring(zs)
+    for i, w in enumerate(zs):
+        assert np.array_equal(stacked[i], outer_dd(field, w))
+
+
+@pytest.mark.parametrize("read", ["d", "dd"])
+@pytest.mark.parametrize("where", ["outside", "margin"])
+def test_a_stack_with_a_point_off_the_chart_raises_there_and_reads_none_of_it(read, where):
+    """A finite-difference stack read with one point outside the chart,
+    or too near its edge for the stencil, raises the OutOfDomain that the
+    per-point loop raises at that point, and reads no Gram matrix at all:
+    every point's domain is checked, in one comparison, before the one
+    stencil read."""
+    base = random_pd_field(_rng(5), 2, 3)
+    reads = []
+
+    def counted(zs):
+        reads.append(len(zs))
+        return base.stack_fn(zs)
+
+    field = ChartField(2, 3, counted, radius=base.radius, self_check=False)
+    zs = 0.3 * Z2 + 0.05 * np.arange(4)[:, None]
+    zs[2, 1] = 0.95 if where == "outside" else 0.9 - 0.5 * field.fd_step
+    with pytest.raises(OutOfDomain) as per_point:
+        for w in zs:
+            getattr(field, read)(w)
+    assert reads == ([4 * 2] if read == "d" else [16 * 2 * 2]) * 2
+    reads.clear()
+    with pytest.raises(OutOfDomain) as stacked:
+        getattr(field, read + "_stack")(zs)
+    assert str(stacked.value) == str(per_point.value)
+    assert np.array2string(zs[2], precision=3) in str(stacked.value)
+    assert reads == []
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from hermitia.charts import (
     chern_connection,
     curvature_tensor,
     ring_fd,
-    smooth_kernel_perturbation,
-    wirtinger_fd,
 )
 from hermitia.fields import MatrixPolynomial, constant_field, from_factor, sum_field
 from hermitia.forms import HermitianForm, LinearMap, adjoint, hermitize, quotient_form
@@ -43,6 +41,8 @@ from hermitia.sequences import (
     splitting_curvature_blocks,
     sum_curvature,
 )
+
+from oracles import smooth_kernel_perturbation, wirtinger_fd
 
 
 def taut_sequence(radius=2.0):
@@ -70,16 +70,16 @@ def block_split_sequence(seed=7, fd=False):
         out[:, 2:, 2:] = f2.gram_stack(zs)
         return out
 
-    def d_fn(z):
-        out = np.zeros((1, 3, 3), dtype=complex)
-        out[:, :2, :2] = f1.d(z)
-        out[:, 2:, 2:] = f2.d(z)
+    def d_fn(zs):
+        out = np.zeros((len(zs), 1, 3, 3), dtype=complex)
+        out[..., :2, :2] = f1.d_stack(zs)
+        out[..., 2:, 2:] = f2.d_stack(zs)
         return out
 
-    def dd_fn(z):
-        out = np.zeros((1, 1, 3, 3), dtype=complex)
-        out[:, :, :2, :2] = f1.dd(z)
-        out[:, :, 2:, 2:] = f2.dd(z)
+    def dd_fn(zs):
+        out = np.zeros((len(zs), 1, 1, 3, 3), dtype=complex)
+        out[..., :2, :2] = f1.dd_stack(zs)
+        out[..., 2:, 2:] = f2.dd_stack(zs)
         return out
 
     amb = ChartField(1, 3, stack_fn, radius=0.9, d_fn=d_fn, dd_fn=dd_fn, self_check=False)
@@ -518,14 +518,17 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
     sub.  The ambient kernel reads 4m + 1 rows for each base gate, one row
     for each of the base's sub d, sub dd and quotient jet reads, the 4m
     ring points once for the ring's forms, the 4m (4m + 1) gate points of
-    the ring once for both stacked solves, and one row for the sub d at
-    each ring point."""
+    the ring once for both stacked solves, and the 4m ring points once
+    more for the sub solves' stacked dG.  The ambient's dG is read in one
+    row for the base's ambient solve, sub d, sub dd and quotient jet each,
+    and at the 4m ring points once for each of the two stacked solves."""
     seq, z = sequence_instance(seed)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
     solves = _count_solves(monkeypatch)
-    records, stacked, reads = [], [], []
+    records, stacked, reads, d_reads = [], [], [], []
     init, stack, kernel = sequences._SeqAt.__init__, sequences.solve_stack, seq.ambient.stack_fn
+    d_kernel = seq.ambient.d_fn
 
     def counting_init(self, seq, w):
         records.append(w)
@@ -539,9 +542,14 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
         reads.append(len(zs))
         return kernel(zs)
 
+    def counting_d(zs):
+        d_reads.append(len(zs))
+        return d_kernel(zs)
+
     monkeypatch.setattr(sequences._SeqAt, "__init__", counting_init)
     monkeypatch.setattr(sequences, "solve_stack", counting_stack)
     monkeypatch.setattr(seq.ambient, "stack_fn", counting_kernel)
+    monkeypatch.setattr(seq.ambient, "d_fn", counting_d)
     demailly_residuals(seq, z)
     splitting_curvature_blocks(seq, z)
     second_fundamental_form(seq, z)
@@ -556,7 +564,8 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
         seq.sub_field
     ] * n
     assert stacked == [(seq.ambient, n), (seq.sub_field, n)]
-    assert Counter(reads) == {n + 1: 3, 1: 3 + n, n: 1, n * (n + 1): 1}
+    assert Counter(reads) == {n + 1: 3, 1: 3, n: 2, n * (n + 1): 1}
+    assert Counter(d_reads) == {1: 4, n: 2}
 
 
 @pytest.mark.parametrize(
@@ -677,8 +686,8 @@ def test_quotient_jet_of_a_non_finite_gram_raises_non_finite():
         2,
         stack_fn,
         radius=0.9,
-        d_fn=lambda z: np.zeros((1, 2, 2)),
-        dd_fn=lambda z: np.zeros((1, 1, 2, 2)),
+        d_fn=lambda zs: np.zeros((len(zs), 1, 2, 2)),
+        dd_fn=lambda zs: np.zeros((len(zs), 1, 1, 2, 2)),
         self_check=False,
     )
     seq = ExactSeqChart(amb, np.eye(2, 1))
