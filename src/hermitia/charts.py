@@ -19,21 +19,22 @@ Gram matrix, or of one constant-rank gate, in one
 of a stack of points too, so a read at one point is a one-row stack and
 the construction self-check reads each order in one call.
 
-A :class:`FieldAt` is one field at one point, and the only place where
-the connection solve and the curvature assembly run: the form of G(z),
-then the minimum-norm solve G @ A_a = d_a G from the one
-eigendecomposition of that form, which requires the rank of G to be
-constant across the stencil (a rank change is a first-class error, not a
-warning), then the curvature tensor, each on first read.
+A :class:`FieldAt` is one field at one point, and the one place where
+the curvature assembly runs: the form of G(z), then the minimum-norm
+solve G @ A_a = d_a G from the one eigendecomposition of that form,
+which requires the rank of G to be constant across the stencil (a rank
+change is a first-class error, not a warning), then the curvature
+tensor, each on first read.
 :func:`chern_connection` and :func:`curvature_tensor` return such a
 record with its solve or its tensor already run, gated at its one point
-by :func:`_check_constant_rank`.  :func:`solve_stack` solves the records
-of one field at many points together: one Gram read and one rank pass
-for all their gates, one batched factorization of their forms, then each
-record's own solve, so each equals its per-point solve bit for bit.
-Every probe ring of solves goes through it: those of
-:func:`gauge_independence_residual` and :func:`curvature_20_defect` here,
-and the sequence probe ring of :mod:`hermitia.sequences`.
+by :func:`_check_constant_rank`.  :func:`solve_rows` solves one field
+at many points together, as arrays: one rank pass for all their gates,
+one batched factorization of their forms, one dG read and one batched
+solve, each row equal to its per-point solve bit for bit.  The sequence
+probe ring of :mod:`hermitia.sequences` calls it with the gate rows and
+forms it read; :func:`solve_stack` reads the gates of a list of records
+and writes each solved row into its record, for the probe rings of
+:func:`gauge_independence_residual` and :func:`curvature_20_defect`.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -42,6 +43,7 @@ curvature identically 2.  :func:`hsc_of_tensor` scores directions on that
 tensor read as an (m^2, m^2) matrix, one row product per direction.
 """
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -57,10 +59,11 @@ from .errors import (
     ZeroVector,
 )
 from .forms import (
+    FormStack,
     HermitianForm,
     Subspace,
+    _non_finite,
     conj_transpose,
-    factorize,
     gram_rank,
     gram_ranks,
     hermitize,
@@ -387,7 +390,8 @@ class ChartField:
         of :func:`sample_box` point by point).  Each order reads its
         analytic and its finite-difference side in one call each, and the
         first order is checked before the second is computed.  A
-        disagreement names the order and the point of the worst one."""
+        disagreement, or a NaN on either side, names the order and the
+        point of the worst one (of the first NaN)."""
         rng = np.random.default_rng(np.random.SeedSequence([7, self.m, self.shape]))
 
         def draw(points, spread):
@@ -397,8 +401,8 @@ class ChartField:
         def require_agreement(order, zs, exact, fd, tol):
             err = np.linalg.norm(exact - fd, axis=(-2, -1))
             rel = (err / (1.0 + np.linalg.norm(fd, axis=(-2, -1)))).reshape(len(zs), -1).max(axis=1)
-            i = int(np.argmax(rel))
-            if rel[i] > tol:
+            i = int(np.argmax(rel))  # the first NaN, if any
+            if not rel[i] <= tol:
                 raise HermitiaError(
                     "analytic %s derivatives disagree with finite differences "
                     "(relative error %.2e) at %s" % (order, rel[i], _named(zs[i]))
@@ -493,12 +497,18 @@ def forms_of(grams, zs):
     return [HermitianForm(g, rank_tol=RANK_TOL) for g in grams]
 
 
-def _leading_inside(field: ChartField, zs, margin):
-    """How many leading points of a (B, m) stack lie inside the chart with
-    ``margin`` to spare: the index of the first that does not, else B,
-    from one comparison for the whole stack."""
+def _leading_gates(field: ChartField, zs):
+    """The (n, 4m + 1, m) gate stencils (:func:`_gate_stencil`) of the n
+    leading points of a (B, m) stack that lie inside the chart with the
+    gate's margin to spare, from one comparison for the whole stack;
+    OutOfDomain if the first point does not.  A caller with n < B raises
+    the OutOfDomain of zs[n] by calling it again on zs[n:]."""
+    margin = field.fd_outer_step + field.fd_step
     inside = field.in_domain(zs, margin)
-    return len(zs) if inside.all() else int(np.argmin(inside))
+    n = len(zs) if inside.all() else int(np.argmin(inside))
+    if not n:
+        field._require_domain(zs[0], margin)
+    return _gate_stencil(zs[:n], field.fd_outer_step)
 
 
 def _check_constant_rank(field: ChartField, z):
@@ -512,6 +522,16 @@ def _check_constant_rank(field: ChartField, z):
     grams = field.gram_stack(zs)
     _gate_verdict(zs, grams, gram_ranks(grams, RANK_TOL))
     return grams[0]
+
+
+_FORM_GUARD = "the form read at this point is not the gate's G(z)"
+
+
+def _solver_residual(residual):
+    return SolverResidual(
+        "G A = dG has no solution to %.1e (residual %.2e); "
+        "the field is not admissible here" % (SOLVER_TOL, residual)
+    )
 
 
 class FieldAt:
@@ -544,26 +564,21 @@ class FieldAt:
     def _solved(self):
         return self._solve(_check_constant_rank(self.field, self.point))
 
-    def _solve(self, g, dg=None):
+    def _solve(self, g):
         """``dg``, ``a`` and ``residual`` from the gate's centre read g,
-        which becomes the form unless one was read first, and dG(z), read
-        here unless the caller passes its row of a stacked read."""
+        which becomes the form unless one was read first, and dG(z)."""
         field, z = self.field, self.point
         if "form" not in self.__dict__:
             self.form = HermitianForm(g, rank_tol=RANK_TOL)
         elif not np.array_equal(self.form.gram, g):
-            raise HermitiaError("the form read at this point is not the gate's G(z)")
-        if dg is None:
-            dg = field.d(z)
+            raise HermitiaError(_FORM_GUARD)
+        dg = field.d(z)
         require_finite(dg, "first derivative", z)
         g, gp = self.form.gram, self.form.pinv
         a = gp @ dg
         residual = np.max(_row_norms(g @ a - dg) / (1.0 + _row_norms(dg)))
         if residual > SOLVER_TOL:
-            raise SolverResidual(
-                "G A = dG has no solution to %.1e (residual %.2e); "
-                "the field is not admissible here" % (SOLVER_TOL, residual)
-            )
+            raise _solver_residual(residual)
         return dg, a, residual
 
     @property
@@ -625,54 +640,106 @@ def curvature_tensor(field: ChartField, z) -> FieldAt:
     return record
 
 
-def solve_stack(records, rows=None):
+def solve_stack(records):
     """Run the connection solve of every one of a list of :class:`FieldAt`
     records of one field, and return them.
 
     The gates of all B points read G at their B(4m + 1) stencil points in
-    one :meth:`ChartField.gram_stack` call, or take ``rows``, the Gram
-    matrices the caller read at those points in :func:`_gate_stencil`
-    order, and rank them by one batched ``eigvalsh``.  The
-    forms not read yet are the gates' centre reads, and every form is
-    factorized by one batched ``eigh`` (:func:`forms.factorize`).  dG at
-    the points whose gates pass is one :meth:`ChartField.d_stack` read.
-    Each solve is then the per-point arithmetic of the record, so a record
-    solved here equals its per-point solve bit for bit.  The error is the
-    per-point path's at the first point that fails, in order: OutOfDomain,
-    the gate's NonFinite or RankJump, the form guard's HermitiaError, or
-    the solve's read of dG, NonFinite or SolverResidual; should the stacked
-    read of dG raise, each solve reads its own row, so that the error is
-    raised where the per-point path raises it.  Without ``rows``, no point
-    after the first one outside the chart is read; a caller passing
-    ``rows`` keeps that promise by reading only the stencils of the points
-    before it."""
+    one :meth:`ChartField.gram_stack` call, and :func:`solve_rows` solves
+    them as arrays: the forms are those the records read already, else
+    the gates' centre reads, factorized by one batched ``eigh``.  Each
+    record then holds its row: a form not read yet as
+    :meth:`~hermitia.forms.FormStack.form`, and its dG, A and residual, so
+    a record solved here equals its per-point solve bit for bit.  The
+    error is the per-point path's at the first point that fails, in
+    order: OutOfDomain, then those of :func:`solve_rows`.  No point after
+    the first one outside the chart is read."""
     field = records[0].field
-    m, r, s = field.m, field.shape, field.fd_outer_step
+    m, r = field.m, field.shape
     zs = np.stack([rec.point for rec in records])
-    n = _leading_inside(field, zs, s + field.fd_step)
-    if n:
-        stencils = _gate_stencil(zs[:n], s)
-        if rows is None:
-            rows = field.gram_stack(stencils.reshape(-1, m))
-        grams = rows[: n * (4 * m + 1)].reshape(n, 4 * m + 1, r, r)
-        ranks = gram_ranks(grams.reshape(-1, r, r), RANK_TOL).reshape(n, 4 * m + 1)
-        failed = np.flatnonzero(((ranks < 0) | (ranks != ranks[:, :1])).any(axis=1))
-        passed = failed[0] if failed.size else n
-        for rec, g in zip(records[:passed], grams[:, 0]):
-            if "form" not in rec.__dict__:
-                rec.form = HermitianForm(g, rank_tol=RANK_TOL)
-        factorize([rec.form for rec in records[:passed]])
-        try:
-            dgs = field.d_stack(zs[:passed]) if passed else []
-        except HermitiaError:
-            dgs = [None] * passed
-        for rec, g, dg in zip(records[:passed], grams[:, 0], dgs):
-            rec._solved = rec._solve(g, dg)
-        if passed < n:
-            _gate_verdict(stencils[passed], grams[passed], ranks[passed])
+    stencils = _leading_gates(field, zs)
+    n = len(stencils)
+    grams = field.gram_stack(stencils.reshape(-1, m)).reshape(n, 4 * m + 1, r, r)
+    read = [rec.__dict__.get("form") for rec in records[:n]]
+    rows = np.stack([g if b is None else b.gram for b, g in zip(read, grams[:, 0])])
+    solves, error = solve_rows(field, zs[:n], grams, rows)
+    for i, rec in enumerate(records[: len(solves.a)]):
+        if read[i] is None:
+            rec.form = solves.forms.form(i)
+        rec._solved = (solves.dg[i], solves.a[i], solves.residual[i])
+    if error is not None:
+        raise error
     if n < len(zs):
-        field._require_domain(zs[n], s + field.fd_step)
+        _leading_gates(field, zs[n:])
     return records
+
+
+RowSolves = namedtuple("RowSolves", "forms dg a residual")
+
+
+def solve_rows(field: ChartField, zs, grams, forms):
+    """The connection solves of ``field`` at a (B, m) stack of points zs
+    inside the chart by the gate's margin, as arrays, from reads the
+    caller made: ``grams``, the (B, 4m + 1, r, r) Gram matrices of their
+    gates in :func:`_gate_stencil` order, and ``forms``, the forms of G
+    at zs: a :class:`~hermitia.forms.FormStack` whose leading B rows they
+    are, or their (B, r, r) Gram matrices, of which those that pass the
+    guard below become one FormStack.  The gates are ranked by one
+    batched ``eigvalsh``; each form must equal its gate's centre row bit
+    for bit; dG is one :meth:`ChartField.d_stack` read; A = G^+ dG and
+    its residual take each point's arithmetic of ``FieldAt._solve``, so
+    row i equals a per-point solve at zs[i] bit for bit.
+
+    Returns ``(solves, error)``: the :class:`RowSolves` of the leading
+    points that pass (their forms, dG, A and residual), and the error the
+    per-point path raises at the first point that fails (the gate's
+    NonFinite or RankJump, the form guard's HermitiaError, the read of
+    dG, NonFinite or SolverResidual), or None.  Should the stacked read
+    of dG raise, the points read their own rows in turn, so that the
+    error is the one raised where the per-point path raises it."""
+    b, m, r = len(zs), field.m, field.shape
+    ranks = gram_ranks(grams.reshape(-1, r, r), RANK_TOL).reshape(b, 4 * m + 1)
+    failed = ((ranks < 0) | (ranks != ranks[:, :1])).any(axis=1)
+    n = int(np.argmax(failed)) if failed.any() else b
+    error = None
+    if n < b:
+        try:
+            _gate_verdict(_gate_stencil(zs[n], field.fd_outer_step), grams[n], ranks[n])
+        except HermitiaError as err:
+            error = err
+    rows = forms.gram if isinstance(forms, FormStack) else forms
+    same = (grams[:n, 0] == rows[:n]).all(axis=(-2, -1))
+    if not same.all():
+        n, error = int(np.argmin(same)), HermitiaError(_FORM_GUARD)
+    if not isinstance(forms, FormStack):
+        forms = FormStack(rows[:n], zs[:n], RANK_TOL)
+    try:
+        dg = field.d_stack(zs[:n]) if n else np.zeros((0, m, r, r), dtype=complex)
+    except HermitiaError:
+        dg = []
+        for z in zs[:n]:
+            try:
+                dg.append(field.d(z))
+            except HermitiaError as err:
+                error = err
+                break
+        n = len(dg)
+        dg = np.array(dg, dtype=complex).reshape(n, m, r, r)
+    finite = np.isfinite(dg).all(axis=(1, 2, 3))
+    if not finite.all():
+        n = int(np.argmin(finite))
+        error = _non_finite("first derivative", zs[n])
+    if not n:
+        return RowSolves(forms, dg[:0], dg[:0], np.zeros(0)), error
+    dg = dg[:n]
+    a = forms.pinv[:n, None] @ dg
+    rows = (forms.gram[:n, None] @ a - dg).reshape(-1, r, r)
+    residual = (_row_norms(rows) / (1.0 + _row_norms(dg.reshape(-1, r, r)))).reshape(n, m).max(axis=1)
+    over = residual > SOLVER_TOL
+    if over.any():
+        n = int(np.argmax(over))
+        error = _solver_residual(residual[n])
+    return RowSolves(forms, dg[:n], a[:n], residual[:n]), error
 
 
 def _probe_ring(field: ChartField, z):

@@ -22,9 +22,13 @@ range and pseudoinverse, so :func:`kernel`, :func:`purge` and
 null space :func:`_nullspace` serves only matrices that are not Hermitian
 forms (quotient maps and products such as S^H G).  The constant-rank gate
 of :mod:`hermitia.charts` ranks whole stencils by one batched
-``eigvalsh`` (:func:`gram_ranks`) and factorizes nothing; the forms of a
-stack of points can take their ``eigh`` from one batched call
-(:func:`factorize`), each equal to its own bit for bit.
+``eigvalsh`` (:func:`gram_ranks`) and factorizes nothing.  A
+:class:`FormStack` holds the forms of a stack of points as arrays, with
+no form object per row: the ranks and pseudoinverses of all rows from one
+batched ``eigh``, and :func:`adjoint_stack` the adjoints between two
+stacks, each row by the arithmetic of :class:`HermitianForm` and
+:func:`adjoint`; a row wanted as a form (:meth:`FormStack.form`) takes
+its ``eigh`` from the stack's, equal to its own bit for bit.
 """
 
 import cmath
@@ -245,21 +249,75 @@ class HermitianForm:
         return "HermitianForm(dim=%d, rank=%d)" % (self.dim, self.rank)
 
 
-def factorize(forms):
-    """Run the one ``eigh`` of each of a list of same-size forms as one
-    batched call.  Each form then reads what its own ``eigh`` would give,
-    bit for bit; a form factorized already keeps its factorization, and a
-    batch holding a NaN or inf is left to factorize form by form, each
-    raising its own NonFinite."""
-    pending = [b for b in forms if "_eigh" not in b.__dict__]
-    if not pending:
-        return
-    grams = np.conj(np.stack([b.gram for b in pending]))
-    if not np.isfinite(grams).all():
-        return
-    w, u = np.linalg.eigh(grams)
-    for b, wi, ui in zip(pending, w, u):
-        b._eigh = (wi, ui)
+class FormStack:
+    """The forms of a (B, n, n) stack of Hermitian Gram matrices read at
+    the B chart points ``points``, as arrays: ``gram``, then from one
+    batched ``eigh(conj(gram))``, run on first read, each row's ``rank``,
+    ``pinv`` and ``kernel_basis(i)`` by the arithmetic of
+    :class:`HermitianForm`, so row i equals ``HermitianForm(gram[i],
+    rank_tol)`` bit for bit, and ``form(i)`` is that form, factorized by
+    the stack's ``eigh``.  A NaN or inf raises NonFinite naming the
+    first point where it is read.  The rows are taken as they are:
+    Hermitian-averaged reads, which a form's own averaging leaves
+    unchanged bit for bit."""
+
+    def __init__(self, grams, points, rank_tol):
+        finite = np.isfinite(grams).all(axis=(-2, -1))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise _non_finite("Gram matrix", points[i])
+        self.gram = grams
+        self.rank_tol = float(rank_tol)
+
+    @property
+    def dim(self):
+        return self.gram.shape[-1]
+
+    @cached_property
+    def _eigh(self):
+        return np.linalg.eigh(np.conj(self.gram))
+
+    @cached_property
+    def _by_modulus(self):
+        """Each row's rank and its eigenvalue moduli (descending), their
+        eigenvectors of conj(gram) as columns and their signs, as
+        ``HermitianForm.rank`` and ``_by_modulus`` read them."""
+        w, u = self._eigh
+        moduli = np.abs(w)
+        top = moduli.max(axis=-1, initial=0.0)
+        rank = np.count_nonzero(moduli > self.rank_tol * top[:, None], axis=-1)
+        order = np.argsort(moduli, axis=-1)[:, ::-1]
+        rows = np.arange(len(w))[:, None]
+        u = u[rows[:, :, None], np.arange(self.dim)[:, None], order[:, None, :]]
+        return rank, moduli[rows, order], u, np.copysign(1.0, w)[rows, order]
+
+    @property
+    def rank(self):
+        return self._by_modulus[0]
+
+    @cached_property
+    def pinv(self):
+        """Each row's pseudoinverse, as ``HermitianForm.pinv`` forms it."""
+        rank, s, u, sgn = self._by_modulus
+        kept = np.arange(self.dim) < rank[:, None]
+        inv = np.zeros_like(s)
+        inv[kept] = 1.0 / s[kept]
+        gp = np.conj(u * sgn[:, None, :]) @ (inv[:, :, None] * u.swapaxes(-1, -2))
+        gp.flags.writeable = False
+        return gp
+
+    def kernel_basis(self, i):
+        """Orthonormal columns spanning the kernel of row i."""
+        return np.conj(self._by_modulus[2][i][:, self.rank[i]:])
+
+    def form(self, i):
+        """Row i as a :class:`HermitianForm` that holds its rows of the
+        stack's ``eigh`` and ``pinv``: what its own would give, bit for
+        bit."""
+        b = HermitianForm(self.gram[i], rank_tol=self.rank_tol)
+        b._eigh = (self._eigh[0][i], self._eigh[1][i])
+        b.pinv = self.pinv[i]
+        return b
 
 
 class Subspace:
@@ -343,9 +401,12 @@ def purge(b: HermitianForm) -> PurgeResult:
     return PurgeResult(quotient_map=qmap, purged_form=purged)
 
 
-def _adjoint_tol(f_matrix, bV, bW):
-    scale = 1.0 + np.linalg.norm(f_matrix)
-    return max(bV.rank_tol, bW.rank_tol) * scale
+def _maps_kernel(f_matrix, kv, kw, rank_tol):
+    """Whether f maps the span of the orthonormal columns kv into that of
+    kw, up to ``rank_tol`` times 1 + |f|."""
+    image = f_matrix @ kv
+    resid = image - kw @ (kw.conj().T @ image)
+    return bool(np.linalg.norm(resid) <= rank_tol * (1.0 + np.linalg.norm(f_matrix)))
 
 
 def admits_adjoint(f: LinearMap, bV: HermitianForm, bW: HermitianForm) -> bool:
@@ -353,10 +414,7 @@ def admits_adjoint(f: LinearMap, bV: HermitianForm, bW: HermitianForm) -> bool:
     kv = bV.kernel_basis
     if kv.shape[1] == 0:
         return True
-    kw = bW.kernel_basis
-    image = f.matrix @ kv
-    resid = image - kw @ (kw.conj().T @ image)
-    return bool(np.linalg.norm(resid) <= _adjoint_tol(f.matrix, bV, bW))
+    return _maps_kernel(f.matrix, kv, bW.kernel_basis, max(bV.rank_tol, bW.rank_tol))
 
 
 def adjoint(f: LinearMap, bV: HermitianForm, bW: HermitianForm) -> LinearMap:
@@ -370,6 +428,22 @@ def adjoint(f: LinearMap, bV: HermitianForm, bW: HermitianForm) -> LinearMap:
         raise NoAdjoint("f does not map Ker b_V into Ker b_W")
     fdag = bV.pinv @ f.matrix.conj().T @ bW.gram
     return LinearMap(fdag, domain_form=bW, codomain_form=bV)
+
+
+def adjoint_stack(f, bV: FormStack, bW: FormStack):
+    """The adjoints of a stack of maps between the rows of two form
+    stacks: f is (B, ..., p, q), each matrix of f[i] a map from row i of
+    bV to row i of bW, and each result equals ``adjoint`` of it bit for
+    bit.  Raises NoAdjoint at the first row, and the first matrix of it,
+    that admits none."""
+    rank_tol = max(bV.rank_tol, bW.rank_tol)
+    for i in np.flatnonzero(bV.rank < bV.dim):
+        kv, kw = bV.kernel_basis(i), bW.kernel_basis(i)
+        for fi in f[i].reshape((-1,) + f.shape[-2:]):
+            if not _maps_kernel(fi, kv, kw, rank_tol):
+                raise NoAdjoint("f does not map Ker b_V into Ker b_W")
+    lead = (slice(None),) + (None,) * (f.ndim - 3)
+    return bV.pinv[lead] @ conj_transpose(f) @ bW.gram[lead]
 
 
 def adjoint_freedom_dims(f: LinearMap, bV: HermitianForm, bW: HermitianForm):

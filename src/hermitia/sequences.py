@@ -47,16 +47,19 @@ once per point, and its form, connection and curvature all come from
 that one record.  The derivatives of jdag, qdag, sigma and sigma dagger
 in the identity table and the splitting blocks are finite differences,
 the independent side of each identity.  Each is taken along every
-coordinate at once with step ``PROBE_STEP`` from one probe ring: the
-records at the 4m points of that stencil around the base point, built
-once and shared by every probe.  The ring reads the ambient's Gram
-kernel three times: once at its 4m points for the forms of all three
-fields, on the first probe, once at the 4m (4m + 1) gate points of its
-ambient and sub solves, which :func:`~hermitia.charts.solve_stack` runs
-for the whole ring on the first probe of sigma or sigma dagger, and once
-more at the 4m points in the sub field's stacked dG read, beside the one
-read of the ambient's dG there for each of the two solves; the base
-point keeps the per-point gate.
+coordinate at once with step ``PROBE_STEP`` from one probe ring: the same
+quantities at the 4m points of that stencil around the base point, held
+as arrays over the ring (no record per ring point), built once and
+shared by every probe.  The ring reads the ambient's Gram kernel three
+times: once at its 4m points for the forms of all three fields, on the
+first probe; once at the 4m (4m + 1) gate points of its ambient and sub
+solves, on the first probe of sigma or sigma dagger, when both fields'
+connections at all ring points are solved as arrays, each field's from
+one batched factorization of its ring forms and one dG read
+(:func:`~hermitia.charts.solve_rows`); and once more at the 4m points in
+the sub field's stacked dG read, beside the one read of the ambient's dG
+there for each of the two solves.  The base point keeps the per-point
+gate.
 The finite-difference dj of an inclusion given without dj, and the
 holomorphy checks of j, go through :func:`~hermitia.charts.ring_fd`.
 """
@@ -74,8 +77,7 @@ from .charts import (
     FieldAt,
     _as_point,
     _combine_ring,
-    _gate_stencil,
-    _leading_inside,
+    _leading_gates,
     _stencil_ring,
     curvature_tensor,
     forms_of,
@@ -83,16 +85,17 @@ from .charts import (
     per_row,
     ring_fd,
     sample_box,
-    solve_stack,
+    solve_rows,
 )
 from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
 from .fields import sum_field
 from .forms import (
+    FormStack,
     LinearMap,
     adjoint,
+    adjoint_stack,
     admits_adjoint,
     conj_transpose,
-    factorize,
     hermitize,
     quotient_form,
     rank_of,
@@ -378,20 +381,9 @@ class _SeqAt:
     the three fields at z: each field is solved at most once per point,
     and its form, connection and curvature are read from its record.  A
     base record built by :meth:`ExactSeqChart.at` also owns a probe ring,
-    ``ring``, the records at the 4m Wirtinger stencil points around it,
-    from which :meth:`probe` differences any quantity; ring records never
-    replace the base record.  The ring is built in two stages:
-
-    * the first probe reads the ambient Gram matrices at the 4m ring
-      points in one call and gives every ring record the forms of all
-      three fields from those rows (the sub kernel j^H G j and the
-      quotient kernel on them), running no gate, so the adjoint probes
-      solve no connection;
-    * the first probe of sigma or sigma dagger reads the ambient at the
-      4m (4m + 1) gate points of the ring in one call and solves the
-      ambient and sub connections of all ring records by
-      :func:`~hermitia.charts.solve_stack` from those rows; their centre
-      rows must equal the first stage's forms bit for bit.
+    ``ring`` (a :class:`_Ring`, the same quantities as arrays over the 4m
+    Wirtinger stencil points around z), from which :meth:`probe`
+    differences j dagger, q dagger, sigma and sigma dagger.
     """
 
     def __init__(self, seq: ExactSeqChart, z):
@@ -400,67 +392,16 @@ class _SeqAt:
 
     @cached_property
     def ring(self):
-        """The first stage of the probe ring (see the class docstring)."""
-        seq = self.seq
-        zs = _stencil_ring(self.z, PROBE_STEP)
-        g = seq.ambient.gram_stack(zs)
-        j = seq._j_stack(zs)
-        q = seq._q_of(j)
-        amb = forms_of(g, zs)
-        sub = forms_of(hermitize(seq._sub_grams(j, g)), zs)
-        quot = forms_of(hermitize(seq._quot_grams(zs, q, g)), zs)
-        factorize(amb)
-        factorize(sub)
-        ring = []
-        for i, w in enumerate(zs):
-            rec = _SeqAt(seq, w)
-            rec.j, rec.q = j[i], q[i]
-            rec.ambient = FieldAt(seq.ambient, w)
-            rec.sub = FieldAt(seq.sub_field, w)
-            rec.quot = FieldAt(seq.quot_field, w)
-            rec.ambient.form, rec.sub.form, rec.quot.form = amb[i], sub[i], quot[i]
-            ring.append(rec)
-        return ring
-
-    @cached_property
-    def _ring_solved(self):
-        """The second stage of the probe ring (see the class docstring).
-
-        Only the ring points inside the chart up to the first one outside
-        it are read, and the error raised is the one the per-point ring
-        raises first, in its order: the ambient solve, then the sub solve,
-        at each ring point in turn (the sub field takes the ambient's
-        chart and steps, so both leave the chart at the same point)."""
-        seq, ring, amb = self.seq, self.ring, self.seq.ambient
-        margin = amb.fd_outer_step + amb.fd_step
-        ring_zs = np.stack([rec.z for rec in ring])
-        inside = _leading_inside(amb, ring_zs, margin)
-        g = sub_rows = None
-        if inside:
-            zs = _gate_stencil(ring_zs[:inside], amb.fd_outer_step).reshape(-1, seq.m)
-            g = amb.gram_stack(zs)
-            sub_rows = hermitize(seq._sub_grams(seq._j_stack(zs), g))
-        try:
-            solve_stack([rec.ambient for rec in ring], g)
-        except HermitiaError:
-            solved = next(i for i, rec in enumerate(ring) if "_solved" not in rec.ambient.__dict__)
-            if solved:  # a sub solve before the failing ambient one raises first
-                solve_stack([rec.sub for rec in ring[:solved]], sub_rows)
-            raise
-        solve_stack([rec.sub for rec in ring], sub_rows)
-        return ring
+        return _Ring(self.seq, self.z)
 
     def probe(self, name, conjugate=False):
-        """d_a (or dbar_a when ``conjugate``) of the quantity ``name`` for
-        every coordinate a, shape (m, ...): the Wirtinger difference of
-        step ``PROBE_STEP`` over the probe ring, its reads combined by
+        """d_a (or dbar_a when ``conjugate``) of the quantity ``name``
+        (``jdag``, ``qdag``, ``sigma`` or ``sigma_dagger``) for every
+        coordinate a, shape (m, ...): the Wirtinger difference of step
+        ``PROBE_STEP`` of the ring's rows, combined by
         :func:`~hermitia.charts._combine_ring`, equal to ``ring_fd`` over
-        fresh records bit for bit.  A probe of sigma or sigma dagger first
-        solves the ring's connections (:meth:`_ring_solved`)."""
-        if name in ("sigma", "sigma_dagger"):
-            self._ring_solved
-        reads = np.stack([getattr(rec, name) for rec in self.ring])
-        return _combine_ring(reads, PROBE_STEP, conjugate)
+        fresh records bit for bit."""
+        return _combine_ring(getattr(self.ring, name), PROBE_STEP, conjugate)
 
     @cached_property
     def ambient(self):
@@ -510,6 +451,79 @@ class _SeqAt:
         sigma = self.sigma
         b_s, b_q = self.sub.form, self.quot.form
         return np.stack([adjoint(LinearMap(sigma[a]), b_s, b_q).matrix for a in range(self.seq.m)])
+
+
+class _Ring:
+    """The probe ring of a base point z: the sequence data at the 4m points
+    ``zs`` of :func:`~hermitia.charts._stencil_ring` (step ``PROBE_STEP``)
+    as arrays with the ring on the leading axis, each computed on first
+    read.  Row i equals the same quantity of a fresh ``_SeqAt(seq,
+    zs[i])`` bit for bit.  It is built in two stages:
+
+    * the forms, on construction: the ambient Gram matrices at zs in one
+      read, and from those rows the sub kernel j^H G j and the quotient
+      kernel, each a :class:`~hermitia.forms.FormStack` (one batched
+      ``eigh`` when a rank or pseudoinverse is read); j dagger and
+      q dagger read only these, so the adjoint probes run no gate;
+    * the solves, on the first read of sigma or sigma dagger: the ambient
+      read at the 4m (4m + 1) gate points of the ring in one call, whose
+      rows serve the ambient and the sub gates, and the ambient and sub
+      connections of the whole ring by :func:`~hermitia.charts.solve_rows`
+      (one dG read each).  Only the ring points before the first one
+      outside the chart are solved, and the error raised is the
+      per-point ring's first: the ambient solve, then the sub solve, at
+      each ring point in turn.
+    """
+
+    def __init__(self, seq: ExactSeqChart, z):
+        self.seq = seq
+        self.zs = zs = _stencil_ring(z, PROBE_STEP)
+        g = seq.ambient.gram_stack(zs)
+        self.j = seq._j_stack(zs)
+        self.q = seq._q_of(self.j)
+        self.ambient = FormStack(g, zs, RANK_TOL)
+        self.sub = FormStack(hermitize(seq._sub_grams(self.j, g)), zs, RANK_TOL)
+        self.quot = FormStack(hermitize(seq._quot_grams(zs, self.q, g)), zs, RANK_TOL)
+
+    @cached_property
+    def jdag(self):
+        return adjoint_stack(self.j, self.sub, self.ambient)
+
+    @cached_property
+    def qdag(self):
+        return adjoint_stack(self.q, self.ambient, self.quot)
+
+    @cached_property
+    def solved(self):
+        """The :class:`~hermitia.charts.RowSolves` of the ambient and the
+        sub field at every ring point (see the class docstring)."""
+        seq, amb, zs = self.seq, self.seq.ambient, self.zs
+        stencils = _leading_gates(amb, zs)
+        inside = len(stencils)
+        points, gates = stencils.reshape(-1, seq.m), stencils.shape[:2]
+        g = amb.gram_stack(points)
+        sub_rows = hermitize(seq._sub_grams(seq._j_stack(points), g)).reshape(gates + (seq.k, seq.k))
+        ambient, error = solve_rows(amb, zs[:inside], g.reshape(gates + (seq.r, seq.r)), self.ambient)
+        n = len(ambient.a)  # the ambient fails at ring point n, if anywhere
+        sub, sub_error = solve_rows(seq.sub_field, zs[:n], sub_rows[:n], self.sub)
+        if sub_error is not None:
+            raise sub_error
+        if error is not None:
+            raise error
+        if inside < len(zs):
+            _leading_gates(amb, zs[inside:])
+        return ambient, sub
+
+    @cached_property
+    def sigma(self):
+        ambient, sub = self.solved
+        dj = np.stack([self.seq.dj_at(w) for w in self.zs])
+        j = self.j[:, None]
+        return self.q[:, None] @ (dj + ambient.a @ j - j @ sub.a)
+
+    @cached_property
+    def sigma_dagger(self):
+        return adjoint_stack(self.sigma, self.sub, self.quot)
 
 
 @dataclass

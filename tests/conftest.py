@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hermitia import charts, sequences
+from hermitia import charts
 
 
 @pytest.fixture
 def gate_points(monkeypatch):
     """The point of every constant-rank gate run in the test, as bytes:
     one gate per connection solve, whether it runs alone or in a stacked
-    solve (as ``charts`` or ``sequences`` calls either)."""
+    solve."""
     points = []
     gate, stack = charts._check_constant_rank, charts.solve_stack
 
@@ -16,11 +16,10 @@ def gate_points(monkeypatch):
         points.append(np.asarray(w, dtype=complex).tobytes())
         return gate(field, w)
 
-    def counting_stack(records, rows=None):
+    def counting_stack(records):
         points.extend(rec.point.tobytes() for rec in records)
-        return stack(records, rows)
+        return stack(records)
 
     monkeypatch.setattr(charts, "_check_constant_rank", counting)
     monkeypatch.setattr(charts, "solve_stack", counting_stack)
-    monkeypatch.setattr(sequences, "solve_stack", counting_stack)
     return points

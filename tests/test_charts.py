@@ -178,6 +178,28 @@ def test_self_check_names_the_order_whose_analytic_derivative_is_wrong(order):
         ChartField(2, 3, base.stack_fn, radius=base.radius, d_fn=d_fn, dd_fn=dd_fn)
 
 
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_self_check_rejects_nan_analytic_derivatives(order):
+    """A d_fn (or dd_fn) that reads NaN fails the self-check of its order,
+    naming the first point drawn for that order, where the first NaN is."""
+    base = random_pd_field(np.random.default_rng(np.random.SeedSequence([45])), 2, 3)
+    d_fn, dd_fn = base.d_fn, base.dd_fn
+    if order == "first":
+        d_fn = lambda zs: np.full((len(zs), 2, 3, 3), np.nan)
+    else:
+        dd_fn = lambda zs: np.full((len(zs), 2, 2, 3, 3), np.nan)
+    rng = np.random.default_rng(np.random.SeedSequence([7, 2, 3]))
+    spreads = [0.5] * 10 + [0.4] * 3
+    points = [base.center + charts.sample_box(rng, 2, s * base.radius) / np.sqrt(2.0) for s in spreads]
+    first = points[0] if order == "first" else points[10]
+    message = "analytic %s derivatives disagree with finite differences (relative error nan) at %s" % (
+        order,
+        charts._named(first),
+    )
+    with pytest.raises(HermitiaError, match=re.escape(message)):
+        ChartField(2, 3, base.stack_fn, radius=base.radius, d_fn=d_fn, dd_fn=dd_fn)
+
+
 @pytest.mark.parametrize("given", ["d_fn", "dd_fn"])
 def test_a_field_takes_both_analytic_derivatives_or_neither(given):
     jet = {"d_fn": lambda zs: np.zeros((len(zs), 1, 1, 1)), "dd_fn": lambda zs: np.zeros((len(zs), 1, 1, 1, 1))}
@@ -1098,6 +1120,49 @@ def test_stacked_solve_keeps_the_per_point_order_when_its_derivative_read_raises
         assert want == _first_error(lambda: charts.solve_stack([FieldAt(field, w) for w in order]))
         kinds.add(want[0])
     assert kinds == {SolverResidual, NonFinite}
+
+
+def test_stacked_solve_keeps_and_guards_a_form_read_first():
+    """A kernel that breaks the row contract where Re w > 0.05 (a one-row
+    read differs from a stacked one there), so a form read first at such
+    a point is not the gate's G(z).  With any of the records' forms read
+    first, in every order, solve_stack raises what solving the points one
+    at a time raises first, and a record whose form was read keeps it."""
+    def stack_fn(zs):
+        out = np.zeros((len(zs), 2, 2), dtype=complex)
+        out[:, 0, 0] = 1.0 + (len(zs) == 1) * 1e-9 * (zs[:, 0].real > 0.05)
+        out[:, 1, 1] = 2.0 + abs(zs[:, 0]) ** 2
+        return out
+
+    field = ChartField(1, 2, stack_fn, radius=0.5, self_check=False)
+    points = [np.array([x]) for x in (-0.1j, 0.2, 0.4995)]
+
+    def solve(order, read_first, stacked):
+        records = [FieldAt(field, w) for w in order]
+        for rec, read in zip(records, read_first):
+            if read:
+                rec.form
+        if stacked:
+            charts.solve_stack(records)
+        for rec in records:
+            rec.a
+
+    kinds = set()
+    for order in itertools.permutations(points):
+        for read_first in itertools.product((False, True), repeat=len(order)):
+            want = _first_error(lambda: solve(order, read_first, False))
+            assert want == _first_error(lambda: solve(order, read_first, True))
+            kinds.add(want[0])
+    assert kinds == {HermitiaError, OutOfDomain}
+    records = [FieldAt(field, w) for w in (points[0], np.array([-0.2j]))]
+    form = records[0].form
+    charts.solve_stack(records)
+    assert records[0].form is form
+    for rec in records:
+        fresh = chern_connection(field, rec.point)
+        assert np.array_equal(rec.form.pinv, fresh.form.pinv)
+        for name in ("dg", "a", "residual"):
+            assert np.array_equal(getattr(rec, name), getattr(fresh, name)), name
 
 
 @pytest.mark.parametrize("seed, m, gates", [(0, 1, 5), (1, 2, 9)])

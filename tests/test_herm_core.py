@@ -24,7 +24,16 @@ from hermitia import (
 )
 from hermitia.errors import NonFinite
 from hermitia.fibration import q_lambda_limit
-from hermitia.forms import LIMIT_COEFF_CUT, factorize, gram_rank, gram_ranks, hermitize, rank_of
+from hermitia import charts
+from hermitia.forms import (
+    LIMIT_COEFF_CUT,
+    FormStack,
+    adjoint_stack,
+    gram_rank,
+    gram_ranks,
+    hermitize,
+    rank_of,
+)
 from hermitia.instances import balanced_limit_pair
 from hermitia.models import resolve_model
 
@@ -158,14 +167,17 @@ def test_one_eigh_per_form_across_repeated_calls(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_batched_factorization_equals_one_eigh_per_form(dim, monkeypatch):
-    """factorize runs one eigh for the forms not yet factorized, and each
-    form then reads the same rank, kernel, pinv and purge as a twin that
-    factorizes on its own; a batch with a NaN is left to each form."""
+    """A FormStack runs one eigh for all its rows, and each of its rows
+    read as a form (FormStack.form) then reads the same rank, kernel,
+    pinv and purge as a twin that factorizes on its own, with no eigh of
+    its own."""
     rng = np.random.default_rng(np.random.SeedSequence([61, dim]))
     grams = [random_psd_form(rng, dim, rank).gram for rank in range(dim + 1)]
     grams += [random_hermitian_form(rng, dim, rank).gram for rank in range(dim + 1)]
-    forms, twins = [HermitianForm(g) for g in grams], [HermitianForm(g) for g in grams]
-    forms[0]._eigh  # factorized already: kept, and left out of the batch
+    twins = [HermitianForm(g) for g in grams]
+    for twin in twins:
+        twin.pinv  # each twin's own eigh, before counting
+    stack = FormStack(np.stack(grams), np.zeros((len(grams), 1), dtype=complex), twins[0].rank_tol)
     calls = []
     eigh = np.linalg.eigh
 
@@ -174,19 +186,93 @@ def test_batched_factorization_equals_one_eigh_per_form(dim, monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    factorize(forms)
-    assert calls == [(len(grams) - 1, dim, dim)]
+    forms = [stack.form(i) for i in range(len(grams))]
     for b, twin in zip(forms, twins):
         assert b.rank == twin.rank
         assert np.array_equal(b.kernel_basis, twin.kernel_basis)
         assert np.array_equal(b.pinv, twin.pinv)
+        assert not b.pinv.flags.writeable
+    assert calls == [(len(grams), dim, dim)]
+    for b, twin in zip(forms, twins):
         assert np.array_equal(purge(b).purged_form.gram, purge(twin).purged_form.gram)
-    bad = HermitianForm(np.where(np.eye(dim) > 0, np.nan, 0.0))
-    good = HermitianForm(grams[-1])
-    factorize([good, bad])
-    assert "_eigh" not in good.__dict__
-    with pytest.raises(NonFinite):
-        bad.rank
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_form_stack_rows_equal_their_forms(dim, monkeypatch):
+    """A FormStack of positive-definite, rank-deficient and indefinite
+    Gram matrices reads each row's rank, pinv and kernel basis as
+    HermitianForm of that row does, bit for bit, from one batched eigh;
+    identity rows (all eigenvalue moduli tied) included."""
+    rng = np.random.default_rng(np.random.SeedSequence([67, dim]))
+    grams = [random_psd_form(rng, dim, rank).gram for rank in range(dim + 1)]
+    grams += [random_hermitian_form(rng, dim, rank).gram for rank in range(dim + 1)]
+    grams += [hermitize(3.0 * np.eye(dim)), hermitize(1e-3 * random_psd_form(rng, dim).gram)]
+    points = np.arange(len(grams), dtype=complex)[:, None]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for rank_tol in (charts.RANK_TOL, 1e-10):
+        calls.clear()
+        stack = FormStack(np.stack(grams), points, rank_tol)
+        assert calls == []  # factorized on first read
+        pinv = stack.pinv
+        assert calls == [(len(grams), dim, dim)]
+        for i, g in enumerate(grams):
+            b = HermitianForm(g, rank_tol=rank_tol)
+            assert stack.rank[i] == b.rank
+            assert np.array_equal(pinv[i], b.pinv)
+            assert np.array_equal(stack.kernel_basis(i), b.kernel_basis)
+
+
+def test_form_stack_names_the_first_non_finite_row():
+    """A NaN or inf row raises the NonFinite that charts.forms_of raises
+    for the same rows: the first bad point named."""
+    rng = np.random.default_rng(71)
+    grams = np.stack([random_psd_form(rng, 2).gram for _ in range(5)])
+    grams[3, 0, 1] = np.nan
+    grams[4, 1, 1] = np.inf
+    points = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    with pytest.raises(NonFinite) as want:
+        charts.forms_of(grams, points)
+    with pytest.raises(NonFinite) as got:
+        FormStack(grams, points, charts.RANK_TOL)
+    assert str(got.value) == str(want.value)
+    assert np.array2string(points[3], precision=3) in str(got.value)
+
+
+def test_adjoint_stack_equals_adjoint_row_by_row():
+    """Each adjoint of a stack of maps between the rows of two form stacks,
+    positive-definite and degenerate, equals adjoint of that row bit for
+    bit, with or without an extra axis of maps per row; a map that sends
+    a row's Ker b_V outside Ker b_W raises NoAdjoint."""
+    rng = np.random.default_rng(73)
+    bv = [random_psd_form(rng, 3, rank) for rank in (3, 2, 2, 1)]
+    bw = [random_psd_form(rng, 2, rank) for rank in (2, 1, 2, 2)]
+    maps = []
+    for b in bv:
+        x = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
+        kv = b.kernel_basis
+        maps.append(x - x @ kv @ kv.conj().T)  # Ker b_V to 0
+    maps = np.stack(maps)
+    points = np.zeros((len(bv), 1), dtype=complex)
+    stack_v = FormStack(np.stack([b.gram for b in bv]), points, bv[0].rank_tol)
+    stack_w = FormStack(np.stack([b.gram for b in bw]), points, bw[0].rank_tol)
+    one = adjoint_stack(maps[:, 0], stack_v, stack_w)
+    two = adjoint_stack(maps, stack_v, stack_w)
+    for i in range(len(bv)):
+        want = [adjoint(LinearMap(f), bv[i], bw[i]).matrix for f in maps[i]]
+        assert np.array_equal(one[i], want[0])
+        assert np.array_equal(two[i], np.stack(want))
+    bad = maps[:, 0].copy()
+    bad[2] = rng.standard_normal((2, 3))
+    assert not admits_adjoint(LinearMap(bad[2]), bv[2], bw[2])
+    with pytest.raises(NoAdjoint):
+        adjoint_stack(bad, stack_v, stack_w)
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,9 @@ def test_lazy_seq_data_equals_eager_oracle(case):
 
 
 def _count_solves(monkeypatch):
-    """Record the field of every connection solve: one entry per
-    constant-rank gate run alone, and one per record of a stacked solve,
-    whether ``charts`` or ``sequences`` calls it."""
+    """Record the field of every connection solve of a FieldAt record:
+    one entry per constant-rank gate run alone, and one per record of a
+    stacked solve."""
     calls = []
     gate, stack = charts._check_constant_rank, charts.solve_stack
 
@@ -217,27 +217,55 @@ def _count_solves(monkeypatch):
         calls.append(field)
         return gate(field, w)
 
-    def counting_stack(records, rows=None):
+    def counting_stack(records):
         calls.extend(rec.field for rec in records)
-        return stack(records, rows)
+        return stack(records)
 
     monkeypatch.setattr(charts, "_check_constant_rank", counting)
     monkeypatch.setattr(charts, "solve_stack", counting_stack)
-    monkeypatch.setattr(sequences, "solve_stack", counting_stack)
     return calls
+
+
+def _count_ambient_reads(seq, monkeypatch):
+    """The number of rows of every call of the ambient's Gram kernel and of
+    its d_fn."""
+    reads, d_reads = [], []
+    kernel, d_kernel = seq.ambient.stack_fn, seq.ambient.d_fn
+
+    def counting_kernel(zs):
+        reads.append(len(zs))
+        return kernel(zs)
+
+    def counting_d(zs):
+        d_reads.append(len(zs))
+        return d_kernel(zs)
+
+    monkeypatch.setattr(seq.ambient, "stack_fn", counting_kernel)
+    monkeypatch.setattr(seq.ambient, "d_fn", counting_d)
+    return reads, d_reads
 
 
 @pytest.mark.parametrize("name", ["jdag", "qdag"])
 def test_adjoint_probe_solves_no_connection(monkeypatch, name):
+    """The base record's j dagger or q dagger solves no connection, and
+    their probes read the ambient once, at the 4m ring points for the
+    ring's forms: no gate read and no dG read.  Only sigma's probe reads
+    the ring's gates and dG (the sub's dG reads G at the 4m ring points
+    once more)."""
     seq, z = sequence_instance(3)
-    calls = _count_solves(monkeypatch)
-    getattr(seq.at(z + 1e-4), name)
+    seq.quot_field  # built ahead: its choice of route reads G at the chart centre
+    n = 4 * seq.m
     at = seq.at(z)
+    calls = _count_solves(monkeypatch)
+    getattr(at, name)  # the base record's forms
+    assert calls == []
+    reads, d_reads = _count_ambient_reads(seq, monkeypatch)
     at.probe(name)
     at.probe(name, conjugate=True)
-    assert calls == []
+    assert (reads, d_reads, calls) == ([n], [], [])
+    at.probe("sigma")  # the gates, then dG of the ambient and of the sub
+    assert (reads, d_reads, calls) == ([n, n * (n + 1), n], [n, n], [])
     at.sigma  # the second fundamental form does need A_E and A_S
-    assert len(calls) == 2
     assert calls == [seq.ambient, seq.sub_field]
 
 
@@ -312,7 +340,7 @@ def test_probe_ring_equals_fresh_records(seed):
             for a in range(seq.m):
                 slow = wirtinger_fd(lambda w: getattr(sequences._SeqAt(seq, w), name), at.z, a, PROBE_STEP, conj)
                 assert np.array_equal(fast[a], slow), (name, a, conj)
-    assert len(at.ring) == 4 * seq.m
+    assert np.array_equal(at.ring.zs, charts._stencil_ring(at.z, PROBE_STEP))
 
 
 def _ring_cases():
@@ -343,28 +371,31 @@ def _ring_cases():
 
 @pytest.mark.parametrize("case", range(len(SEQUENCE_SEEDS) + 3))
 def test_stacked_ring_equals_fresh_per_point_records(case):
-    """Every ring record, its forms from the one read of the ring points
-    and its ambient and sub solves from the one stacked read of their
-    gates, equals a fresh per-point record bit for bit; so does every
-    probe, against ring_fd over fresh records."""
+    """Every row of the stacked ring, its forms from the one read of the
+    ring points and its ambient and sub solves from the one stacked read
+    of their gates, equals a fresh per-point record bit for bit; so does
+    every probe, against ring_fd over fresh records."""
     seq, z = _ring_cases()[case]
     for field in (seq.sub_field, seq.quot_field):
         assert (field.fd_step, field.fd_outer_step) == (seq.ambient.fd_step, seq.ambient.fd_outer_step)
     at = seq.at(z)
     names = ("jdag", "qdag", "sigma", "sigma_dagger")
     probes = {(name, conj): at.probe(name, conj) for name in names for conj in (False, True)}
-    assert len(at.ring) == 4 * seq.m
-    for rec in at.ring:
-        fresh = sequences._SeqAt(seq, rec.z)
+    ring = at.ring
+    assert np.array_equal(ring.zs, charts._stencil_ring(at.z, PROBE_STEP))
+    solved = dict(zip(("ambient", "sub"), ring.solved))
+    for i, w in enumerate(ring.zs):
+        fresh = sequences._SeqAt(seq, w)
         for part in ("ambient", "sub", "quot"):
-            assert np.array_equal(getattr(rec, part).form.gram, getattr(fresh, part).form.gram), part
+            assert np.array_equal(getattr(ring, part).gram[i], getattr(fresh, part).form.gram), part
         for part in ("ambient", "sub"):
-            got, want = getattr(rec, part), getattr(fresh, part)
-            assert np.array_equal(got.form.pinv, want.form.pinv), part
+            forms, want = getattr(ring, part), getattr(fresh, part)
+            assert forms.rank[i] == want.form.rank, part
+            assert np.array_equal(forms.pinv[i], want.form.pinv), part
             for name in ("dg", "a", "residual"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (part, name)
+                assert np.array_equal(getattr(solved[part], name)[i], getattr(want, name)), (part, name)
         for name in ("j", "q") + names:
-            assert np.array_equal(getattr(rec, name), getattr(fresh, name)), name
+            assert np.array_equal(getattr(ring, name)[i], getattr(fresh, name)), name
     for (name, conj), fast in probes.items():
         slow = ring_fd(lambda w: getattr(sequences._SeqAt(seq, w), name), at.z, PROBE_STEP, conj)
         assert np.array_equal(fast, slow), (name, conj)
@@ -512,44 +543,36 @@ def test_solve_rejects_a_form_that_is_not_the_gate_read():
 
 @pytest.mark.parametrize("seed", JET_SEEDS)
 def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
-    """Identities, splitting, sigma and Codazzi at one point: the base
-    record, with one gate for each of its three solves, and its 4m ring
-    records, solved by one stacked solve of the ambient and one of the
-    sub.  The ambient kernel reads 4m + 1 rows for each base gate, one row
-    for each of the base's sub d, sub dd and quotient jet reads, the 4m
-    ring points once for the ring's forms, the 4m (4m + 1) gate points of
-    the ring once for both stacked solves, and the 4m ring points once
-    more for the sub solves' stacked dG.  The ambient's dG is read in one
-    row for the base's ambient solve, sub d, sub dd and quotient jet each,
-    and at the 4m ring points once for each of the two stacked solves."""
+    """Identities, splitting, sigma and Codazzi at one point: one record,
+    the base's, with one gate for each of its three solves, and its probe
+    ring as arrays, whose ambient and sub connections are solved by one
+    solve_rows call each.  The ambient kernel reads 4m + 1 rows for each
+    base gate, one row for each of the base's sub d, sub dd and quotient
+    jet reads, the 4m ring points once for the ring's forms, the
+    4m (4m + 1) gate points of the ring once for both ring solves, and the
+    4m ring points once more for the sub solve's dG.  The ambient's dG is
+    read in one row for the base's ambient solve, sub d, sub dd and
+    quotient jet each, and at the 4m ring points once for each of the two
+    ring solves."""
     seq, z = sequence_instance(seed)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
+    fields = [seq.ambient, seq.sub_field, seq.quot_field]
     solves = _count_solves(monkeypatch)
-    records, stacked, reads, d_reads = [], [], [], []
-    init, stack, kernel = sequences._SeqAt.__init__, sequences.solve_stack, seq.ambient.stack_fn
-    d_kernel = seq.ambient.d_fn
+    records, ring_solves = [], []
+    init, solve_rows = sequences._SeqAt.__init__, sequences.solve_rows
 
     def counting_init(self, seq, w):
         records.append(w)
         init(self, seq, w)
 
-    def counting_stack(recs, rows=None):
-        stacked.append((recs[0].field, len(recs)))
-        return stack(recs, rows)
-
-    def counting_kernel(zs):
-        reads.append(len(zs))
-        return kernel(zs)
-
-    def counting_d(zs):
-        d_reads.append(len(zs))
-        return d_kernel(zs)
+    def counting_rows(field, zs, grams, forms):
+        ring_solves.append((field, len(zs)))
+        return solve_rows(field, zs, grams, forms)
 
     monkeypatch.setattr(sequences._SeqAt, "__init__", counting_init)
-    monkeypatch.setattr(sequences, "solve_stack", counting_stack)
-    monkeypatch.setattr(seq.ambient, "stack_fn", counting_kernel)
-    monkeypatch.setattr(seq.ambient, "d_fn", counting_d)
+    monkeypatch.setattr(sequences, "solve_rows", counting_rows)
+    reads, d_reads = _count_ambient_reads(seq, monkeypatch)
     demailly_residuals(seq, z)
     splitting_curvature_blocks(seq, z)
     second_fundamental_form(seq, z)
@@ -559,13 +582,14 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
             codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
-    assert len(records) == n + 1
-    assert solves == [seq.ambient, seq.sub_field, seq.quot_field] + [seq.ambient] * n + [
-        seq.sub_field
-    ] * n
-    assert stacked == [(seq.ambient, n), (seq.sub_field, n)]
-    assert Counter(reads) == {n + 1: 3, 1: 3, n: 2, n * (n + 1): 1}
-    assert Counter(d_reads) == {1: 4, n: 2}
+    assert len(records) == 1
+    assert solves == fields
+    assert ring_solves == [(seq.ambient, n), (seq.sub_field, n)]
+    base_one_row = ["sub d", "sub dd", "quotient jet"]
+    base_reads = [n + 1] * len(fields) + [1] * len(base_one_row)
+    ring_reads = [n, n * (n + 1), n]  # forms, gates, the sub solve's dG
+    assert Counter(reads) == Counter(base_reads + ring_reads)
+    assert Counter(d_reads) == Counter([1] * (1 + len(base_one_row)) + [n] * len(ring_solves))
 
 
 @pytest.mark.parametrize(
