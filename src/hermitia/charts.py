@@ -19,22 +19,23 @@ Gram matrix, or of one constant-rank gate, in one
 of a stack of points too, so a read at one point is a one-row stack and
 the construction self-check reads each order in one call.
 
-A :class:`FieldAt` is one field at one point, and the one place where
-the curvature assembly runs: the form of G(z), then the minimum-norm
-solve G @ A_a = d_a G from the one eigendecomposition of that form,
-which requires the rank of G to be constant across the stencil (a rank
-change is a first-class error, not a warning), then the curvature
-tensor, each on first read.
-:func:`chern_connection` and :func:`curvature_tensor` return such a
-record with its solve or its tensor already run, gated at its one point
-by :func:`_check_constant_rank`.  :func:`solve_rows` solves one field
-at many points together, as arrays: one rank pass for all their gates,
-one batched factorization of their forms, one dG read and one batched
-solve, each row equal to its per-point solve bit for bit.  The sequence
-probe ring of :mod:`hermitia.sequences` calls it with the gate rows and
-forms it read; :func:`solve_stack` reads the gates of a list of records
-and writes each solved row into its record, for the probe rings of
-:func:`gauge_independence_residual` and :func:`curvature_20_defect`.
+A connection solve has one path, :func:`solve_rows`: the minimum-norm
+solve G @ A_a = d_a G of one field at a stack of points, as arrays,
+which requires the rank of G to be constant across each point's gate
+stencil (a rank change is a first-class error, not a warning).  It ranks
+all the gates in one pass, factorizes the forms in one batched ``eigh``,
+reads dG once and solves in batched products, and it is the one home of
+the gate verdict, the form guard, the dG finiteness check and the
+residual.  :func:`solve_points` reads the gates of a stack of points for
+it; the sequence probe ring of :mod:`hermitia.sequences` calls it with
+the gate rows and forms it read itself.  A :class:`FieldAt` is one field
+at one point, and the one place where the curvature assembly runs: the
+form of G(z), then its solve, a one-row :func:`solve_points`, then the
+curvature tensor, each on first read.  :func:`chern_connection` and
+:func:`curvature_tensor` return such a record with its solve or its
+tensor already run.  :func:`gauge_independence_residual` and
+:func:`curvature_20_defect` solve a point and its 4m probe points in one
+:func:`solve_points`.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -203,8 +204,8 @@ class ChartField:
     On a field with analytic derivatives, :func:`curvature_tensor` and
     :func:`chern_connection` read the Gram matrix at the 4m + 1 points of
     the constant-rank gate in one :meth:`gram_stack` call, and the solve
-    reuses the centre read; a finite-difference derivative reads its
-    stencil in one call too.
+    takes its form from the centre read; a finite-difference derivative
+    reads its stencil in one call too.
     """
 
     def __init__(
@@ -469,22 +470,18 @@ def _named(z):
     return "[%s]" % " ".join("%.6f%+.6fj" % (w.real, w.imag) for w in z.tolist())
 
 
-def _gate_verdict(zs, grams, ranks):
-    """Pass or fail one gate from its stencil ``zs`` (centre first), the
-    Gram matrices read there and their ranks from :func:`gram_ranks`.
-    Raises NonFinite naming the first point read as non-finite, or
-    RankJump naming the centre and the first neighbor whose rank differs
-    from the centre's."""
-    stops = np.flatnonzero((ranks < 0) | (ranks != ranks[0]))
-    if stops.size:
-        i = stops[0]
-        if ranks[i] < 0:
-            # the one-matrix rule raises NonFinite naming the point
-            gram_rank(grams[i], RANK_TOL, "Gram matrix of the rank gate", zs[i])
-        raise RankJump(
-            "rank %d at %s but %d at its stencil neighbor %s"
-            % (ranks[0], _named(zs[0]), ranks[i], _named(zs[i]))
-        )
+def _gate_error(zs, ranks, i):
+    """The error of a gate that fails at point i of its stencil ``zs``
+    (centre first), from the ranks there of :func:`gram_ranks`: NonFinite
+    naming point i when it was read as non-finite (the error
+    :func:`gram_rank` raises there), else RankJump naming the centre and
+    point i, whose rank differs from the centre's."""
+    if ranks[i] < 0:
+        return _non_finite("Gram matrix of the rank gate", zs[i])
+    return RankJump(
+        "rank %d at %s but %d at its stencil neighbor %s"
+        % (ranks[0], _named(zs[0]), ranks[i], _named(zs[i]))
+    )
 
 
 def forms_of(grams, zs):
@@ -511,19 +508,6 @@ def _leading_gates(field: ChartField, zs):
     return _gate_stencil(zs[:n], field.fd_outer_step)
 
 
-def _check_constant_rank(field: ChartField, z):
-    """The constant-rank gate: G read at the 4m + 1 stencil points in one
-    :meth:`ChartField.gram_stack` call, ranked by one batched
-    ``eigvalsh`` and judged by :func:`_gate_verdict`; returns G(z)."""
-    z = _as_point(z, field.m)
-    s = field.fd_outer_step
-    field._require_domain(z, s + field.fd_step)
-    zs = _gate_stencil(z, s)
-    grams = field.gram_stack(zs)
-    _gate_verdict(zs, grams, gram_ranks(grams, RANK_TOL))
-    return grams[0]
-
-
 _FORM_GUARD = "the form read at this point is not the gate's G(z)"
 
 
@@ -539,14 +523,12 @@ class FieldAt:
     solve and the curvature tensor, each computed on first read.
 
     ``form`` is the :class:`HermitianForm` of G(z).  The solve (``dg``,
-    ``a``, ``residual``) runs the constant-rank gate, then solves
-    G @ A_a = d_a G in the minimum-norm sense from the form's one
-    factorization, for all a in one stacked product, and raises RankJump
-    or SolverResidual on first read.  Solved first, the form is the
-    gate's centre read, so a solve reads G in one kernel call.  Read
-    first, from its own one-row read of G(z), the form must equal the
-    gate's centre read bit for bit, else HermitiaError: the guard of the
-    kernel's row contract.  ``tensor`` is
+    ``a``, ``residual``) is the one-row :func:`solve_points` at z, which
+    raises its error on first read.  Solved first, the form is the gate's
+    centre read, factorized by the solve, so a solve reads G in one
+    kernel call.  Read first, from its own one-row read of G(z), the form
+    must equal the gate's centre read bit for bit, else HermitiaError:
+    the guard of the kernel's row contract.  ``tensor`` is
     R[a][b][s][t] from the solve, all m^2 pairs in one stacked product,
     C-contiguous.  ``kernel_basis`` (a :class:`Subspace`) is built only
     when read.
@@ -558,44 +540,32 @@ class FieldAt:
 
     @cached_property
     def form(self):
-        return self.field.form_at(self.point)
+        solved = self.__dict__.get("_solved")
+        return self.field.form_at(self.point) if solved is None else solved.forms.form(0)
 
     @cached_property
     def _solved(self):
-        return self._solve(_check_constant_rank(self.field, self.point))
-
-    def _solve(self, g):
-        """``dg``, ``a`` and ``residual`` from the gate's centre read g,
-        which becomes the form unless one was read first, and dG(z)."""
-        field, z = self.field, self.point
-        if "form" not in self.__dict__:
-            self.form = HermitianForm(g, rank_tol=RANK_TOL)
-        elif not np.array_equal(self.form.gram, g):
-            raise HermitiaError(_FORM_GUARD)
-        dg = field.d(z)
-        require_finite(dg, "first derivative", z)
-        g, gp = self.form.gram, self.form.pinv
-        a = gp @ dg
-        residual = np.max(_row_norms(g @ a - dg) / (1.0 + _row_norms(dg)))
-        if residual > SOLVER_TOL:
-            raise _solver_residual(residual)
-        return dg, a, residual
+        """The :class:`RowSolves` of the one-row :func:`solve_points` at
+        the record's point, whose form is the gate's centre row unless one
+        was read first."""
+        read = self.__dict__.get("form")
+        return solve_points(self.field, self.point[None], None if read is None else read.gram[None])
 
     @property
     def dg(self):
         """(m, shape, shape) first derivatives d_a G."""
-        return self._solved[0]
+        return self._solved.dg[0]
 
     @property
     def a(self):
         """(m, shape, shape) minimum-norm connection; for nondegenerate G
         the usual G^-1 dG, in general unique only modulo matrices with
         columns in Ker G."""
-        return self._solved[1]
+        return self._solved.a[0]
 
     @property
     def residual(self):
-        return self._solved[2]
+        return self._solved.residual[0]
 
     @cached_property
     def tensor(self):
@@ -606,7 +576,7 @@ class FieldAt:
         compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
         """
         field, z = self.field, self.point
-        dg, gp = self.dg, self.form.pinv
+        dg, gp = self.dg, self._solved.forms.pinv[0]
         dbg = field.dbar(z, d=dg)
         ddg = field.dd(z)
         require_finite(ddg, "mixed second derivative", z)
@@ -640,79 +610,68 @@ def curvature_tensor(field: ChartField, z) -> FieldAt:
     return record
 
 
-def solve_stack(records):
-    """Run the connection solve of every one of a list of :class:`FieldAt`
-    records of one field, and return them.
-
-    The gates of all B points read G at their B(4m + 1) stencil points in
-    one :meth:`ChartField.gram_stack` call, and :func:`solve_rows` solves
-    them as arrays: the forms are those the records read already, else
-    the gates' centre reads, factorized by one batched ``eigh``.  Each
-    record then holds its row: a form not read yet as
-    :meth:`~hermitia.forms.FormStack.form`, and its dG, A and residual, so
-    a record solved here equals its per-point solve bit for bit.  The
-    error is the per-point path's at the first point that fails, in
+def solve_points(field: ChartField, zs, forms=None):
+    """The connection solves of ``field`` at a (B, m) stack of points, as
+    the :class:`RowSolves` of :func:`solve_rows`: the gates of all B
+    points read G at their B(4m + 1) stencil points in one
+    :meth:`ChartField.gram_stack` call, and the forms are the gates'
+    centre rows, or ``forms``, the (B, r, r) Gram matrices of forms read
+    first.  The error is the one raised at the first point that fails, in
     order: OutOfDomain, then those of :func:`solve_rows`.  No point after
     the first one outside the chart is read."""
-    field = records[0].field
     m, r = field.m, field.shape
-    zs = np.stack([rec.point for rec in records])
     stencils = _leading_gates(field, zs)
     n = len(stencils)
     grams = field.gram_stack(stencils.reshape(-1, m)).reshape(n, 4 * m + 1, r, r)
-    read = [rec.__dict__.get("form") for rec in records[:n]]
-    rows = np.stack([g if b is None else b.gram for b, g in zip(read, grams[:, 0])])
-    solves, error = solve_rows(field, zs[:n], grams, rows)
-    for i, rec in enumerate(records[: len(solves.a)]):
-        if read[i] is None:
-            rec.form = solves.forms.form(i)
-        rec._solved = (solves.dg[i], solves.a[i], solves.residual[i])
+    solves, error = solve_rows(field, zs[:n], grams, forms)
     if error is not None:
         raise error
     if n < len(zs):
         _leading_gates(field, zs[n:])
-    return records
+    return solves
 
 
 RowSolves = namedtuple("RowSolves", "forms dg a residual")
 
 
-def solve_rows(field: ChartField, zs, grams, forms):
+def solve_rows(field: ChartField, zs, grams, forms=None):
     """The connection solves of ``field`` at a (B, m) stack of points zs
     inside the chart by the gate's margin, as arrays, from reads the
     caller made: ``grams``, the (B, 4m + 1, r, r) Gram matrices of their
     gates in :func:`_gate_stencil` order, and ``forms``, the forms of G
-    at zs: a :class:`~hermitia.forms.FormStack` whose leading B rows they
-    are, or their (B, r, r) Gram matrices, of which those that pass the
-    guard below become one FormStack.  The gates are ranked by one
-    batched ``eigvalsh``; each form must equal its gate's centre row bit
-    for bit; dG is one :meth:`ChartField.d_stack` read; A = G^+ dG and
-    its residual take each point's arithmetic of ``FieldAt._solve``, so
-    row i equals a per-point solve at zs[i] bit for bit.
+    at zs when the caller read them apart from the gates: a
+    :class:`~hermitia.forms.FormStack` whose leading B rows they are, or
+    their (B, r, r) Gram matrices; by default the gates' centre rows.
+    The gates are ranked by one batched ``eigvalsh``; forms read apart
+    must equal their gate's centre row bit for bit; the forms are
+    factorized by one batched ``eigh``, dG is one
+    :meth:`ChartField.d_stack` read, and A = G^+ dG and its residual are
+    batched products, each row the arithmetic of one point.
 
     Returns ``(solves, error)``: the :class:`RowSolves` of the leading
-    points that pass (their forms, dG, A and residual), and the error the
-    per-point path raises at the first point that fails (the gate's
-    NonFinite or RankJump, the form guard's HermitiaError, the read of
-    dG, NonFinite or SolverResidual), or None.  Should the stacked read
-    of dG raise, the points read their own rows in turn, so that the
-    error is the one raised where the per-point path raises it."""
+    points that pass (their forms, dG, A and residual), and the error at
+    the first point that fails, or None.  A point's checks come in the
+    order: the gate's NonFinite or RankJump, the form guard's
+    HermitiaError, the read of dG, NonFinite of dG, SolverResidual.
+    Should the stacked read of dG raise, the points read their own rows
+    in turn, so that the error is the one raised at the first point whose
+    read raises."""
     b, m, r = len(zs), field.m, field.shape
     ranks = gram_ranks(grams.reshape(-1, r, r), RANK_TOL).reshape(b, 4 * m + 1)
-    failed = ((ranks < 0) | (ranks != ranks[:, :1])).any(axis=1)
-    n = int(np.argmax(failed)) if failed.any() else b
-    error = None
-    if n < b:
-        try:
-            _gate_verdict(_gate_stencil(zs[n], field.fd_outer_step), grams[n], ranks[n])
-        except HermitiaError as err:
-            error = err
-    rows = forms.gram if isinstance(forms, FormStack) else forms
-    same = (grams[:n, 0] == rows[:n]).all(axis=(-2, -1))
-    if not same.all():
-        n, error = int(np.argmin(same)), HermitiaError(_FORM_GUARD)
+    stops = np.flatnonzero((ranks < 0) | (ranks != ranks[:, :1]))
+    n, error = b, None
+    if stops.size:
+        n, i = divmod(int(stops[0]), 4 * m + 1)
+        error = _gate_error(_gate_stencil(zs[n], field.fd_outer_step), ranks[n], i)
+    if forms is None:
+        forms = grams[:, 0]
+    else:
+        rows = forms.gram if isinstance(forms, FormStack) else forms
+        same = (grams[:n, 0] == rows[:n]).all(axis=(-2, -1))
+        if not same.all():
+            n, error = int(np.argmin(same)), HermitiaError(_FORM_GUARD)
     if not isinstance(forms, FormStack):
-        forms = FormStack(rows[:n], zs[:n], RANK_TOL)
+        forms = FormStack(forms[:n], zs[:n], RANK_TOL)
     try:
         dg = field.d_stack(zs[:n]) if n else np.zeros((0, m, r, r), dtype=complex)
     except HermitiaError:
@@ -725,27 +684,21 @@ def solve_rows(field: ChartField, zs, grams, forms):
                 break
         n = len(dg)
         dg = np.array(dg, dtype=complex).reshape(n, m, r, r)
-    finite = np.isfinite(dg).all(axis=(1, 2, 3))
-    if not finite.all():
-        n = int(np.argmin(finite))
+    if not np.isfinite(dg).all():
+        n = int(np.argmin(np.isfinite(dg).all(axis=(1, 2, 3))))
         error = _non_finite("first derivative", zs[n])
     if not n:
         return RowSolves(forms, dg[:0], dg[:0], np.zeros(0)), error
     dg = dg[:n]
     a = forms.pinv[:n, None] @ dg
-    rows = (forms.gram[:n, None] @ a - dg).reshape(-1, r, r)
-    residual = (_row_norms(rows) / (1.0 + _row_norms(dg.reshape(-1, r, r)))).reshape(n, m).max(axis=1)
+    # the norms of G A_a - d_a G and of d_a G at every point, in one pass
+    norms = _row_norms(np.concatenate([forms.gram[:n, None] @ a - dg, dg]).reshape(-1, r, r))
+    residual = (norms[: n * m] / (1.0 + norms[n * m:])).reshape(n, m).max(axis=1)
     over = residual > SOLVER_TOL
     if over.any():
         n = int(np.argmax(over))
         error = _solver_residual(residual[n])
     return RowSolves(forms, dg[:n], a[:n], residual[:n]), error
-
-
-def _probe_ring(field: ChartField, z):
-    """The records of ``field`` at the 4m points of the probe ring around
-    z, in ring order, solved by one :func:`solve_stack`."""
-    return solve_stack([FieldAt(field, w) for w in _stencil_ring(z, PROBE_STEP)])
 
 
 def curvature_from_connection(field: ChartField, z, a_fn) -> np.ndarray:
@@ -767,21 +720,20 @@ def _tensor_of_dbar(g, dbar):
     return np.ascontiguousarray(-(g @ dbar).transpose(1, 0, 3, 2))
 
 
-def _kernel_perturbation(field: ChartField, z0, form0, seed):
+def _kernel_perturbation(field: ChartField, z0, k0, seed):
     """A smooth matrix function K with columns in Ker G, the default
-    perturbation of :func:`gauge_independence_residual`, as ``k(w,
-    form)``, where ``form0`` and ``form`` are the forms of G(z0) and G(w):
-    a caller that has factorized G(w) already passes its form and reads G
-    nowhere.
+    perturbation of :func:`gauge_independence_residual`, as ``k(w, g,
+    gp)``, where ``k0`` is an orthonormal kernel basis of G(z0) and g and
+    gp are G(w) and its pseudoinverse: a caller that has solved at w
+    already passes its rows and reads G nowhere.
 
-    K(w) = (projector onto Ker G(w)) @ K0 @ Phi(w) with K0 the kernel
-    basis at z0 and Phi a fixed seeded polynomial in (w, conj(w)); the
-    zero function for a nondegenerate G(z0).
+    K(w) = (projector onto Ker G(w)) @ K0 @ Phi(w) with K0 = ``k0`` and
+    Phi a fixed seeded polynomial in (w, conj(w)); the zero function for a
+    nondegenerate G(z0).
     """
-    k0 = form0.kernel_basis
     jk = k0.shape[1]
     if jk == 0:
-        return lambda w, form: np.zeros((field.shape, field.shape), dtype=complex)
+        return lambda w, g, gp: np.zeros((field.shape, field.shape), dtype=complex)
     rng = np.random.default_rng(np.random.SeedSequence([seed, field.shape, field.m]))
     c0 = rng.standard_normal((jk, field.shape)) + 1j * rng.standard_normal((jk, field.shape))
     c1 = rng.standard_normal((field.m, jk, field.shape)) + 1j * rng.standard_normal(
@@ -791,9 +743,9 @@ def _kernel_perturbation(field: ChartField, z0, form0, seed):
         (field.m, jk, field.shape)
     )
 
-    def k(w, form):
+    def k(w, g, gp):
         w = _as_point(w, field.m)
-        p_ker = np.eye(field.shape, dtype=complex) - form.pinv @ form.gram
+        p_ker = np.eye(field.shape, dtype=complex) - gp @ g
         dw = w - z0
         phi = c0 + np.tensordot(dw, c1, axes=1) + np.tensordot(dw.conj(), c2, axes=1)
         return p_ker @ k0 @ phi
@@ -808,23 +760,23 @@ def gauge_independence_residual(field: ChartField, z, seed=0, perturbation=None)
 
     Both candidates, A and A + K, go through the pipeline of
     :func:`curvature_from_connection`, and both take their differences
-    from one solve at each probe point, all of them run by one
-    :func:`solve_stack`.  The default K (:func:`_kernel_perturbation`)
-    reads the form of the gate's G(z) and of each probe point's solve, so
-    G is factorized once per point."""
+    from one solve at each probe point.  The solves at z and at its 4m
+    probe points are one :func:`solve_points`, whose forms the default K
+    (:func:`_kernel_perturbation`) reads, so G is factorized once per
+    point, all in one batched ``eigh``."""
     z = _as_point(z, field.m)
-    g = _check_constant_rank(field, z)
+    zs = _gate_stencil(z, PROBE_STEP)  # z, then its probe ring
+    solves = solve_points(field, zs)
+    g, gp, a = solves.forms.gram, solves.forms.pinv, solves.a
     if perturbation is None:
-        k = _kernel_perturbation(field, z, HermitianForm(g, rank_tol=RANK_TOL), seed)
+        k = _kernel_perturbation(field, z, solves.forms.kernel_basis(0), seed)
     else:
-        def k(w, form):
+        def k(w, g, gp):
             return perturbation(w)
 
-    reads = np.stack(
-        [np.stack([conn.a, conn.a + k(conn.point, conn.form)]) for conn in _probe_ring(field, z)]
-    )
+    reads = np.stack([np.stack([a[i], a[i] + k(zs[i], g[i], gp[i])]) for i in range(1, len(zs))])
     dbar = _combine_ring(reads, PROBE_STEP, conjugate=True)
-    r0, r1 = (_tensor_of_dbar(g, dbar[:, i]) for i in (0, 1))
+    r0, r1 = (_tensor_of_dbar(g[0], dbar[:, i]) for i in (0, 1))
     return float(np.linalg.norm(r0 - r1) / (1.0 + np.linalg.norm(r0)))
 
 
@@ -941,14 +893,15 @@ def curvature_20_defect(field: ChartField, z):
 
     G (d_a A_b - d_b A_a + [A_a, A_b]) vanishes identically for admissible
     fields; the returned defect is finite-difference noise.  The
-    connections of the probe ring come from one :func:`solve_stack`.
+    connections at z and at its 4m probe points come from one
+    :func:`solve_points`.
     """
     z = _as_point(z, field.m)
-    conn = chern_connection(field, z)
-    g, a0 = conn.form.gram, conn.a
+    solves = solve_points(field, _gate_stencil(z, PROBE_STEP))  # z, then its probe ring
+    g, a0 = solves.forms.gram[0], solves.a[0]
 
     # da[c][a] = d_c A_a
-    da = _combine_ring(np.stack([conn.a for conn in _probe_ring(field, z)]), PROBE_STEP)
+    da = _combine_ring(solves.a[1:], PROBE_STEP)
     defect = 0.0
     scale = 1.0 + max(np.linalg.norm(g @ da[c][a]) for c in range(field.m) for a in range(field.m))
     for a in range(field.m):

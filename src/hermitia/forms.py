@@ -115,8 +115,8 @@ def gram_ranks(grams, rank_tol):
                 ranks.append(-1)
         return np.array(ranks)
     top = moduli.max(axis=-1, initial=0.0)
-    ranks = np.count_nonzero(moduli > rank_tol * top[:, None], axis=-1)
-    finite = np.isfinite(top) & np.isfinite(np.trace(grams, axis1=-2, axis2=-1))
+    ranks = (moduli > rank_tol * top[:, None]).sum(axis=-1)
+    finite = np.isfinite(top) & np.isfinite(grams.trace(axis1=-2, axis2=-1))
     return np.where(finite, ranks, -1)
 
 
@@ -249,6 +249,14 @@ class HermitianForm:
         return "HermitianForm(dim=%d, rank=%d)" % (self.dim, self.rank)
 
 
+@lru_cache(maxsize=64)
+def _row_starts(b, n):
+    """Flat offsets of the rows of a (b, n) stack, shape (b, 1), and of
+    the rows of a (b, n, n) stack, shape (b, n, 1): added to each row's
+    order of its n entries, they index a whole stack in one ``take``."""
+    return n * np.arange(b)[:, None], n * np.arange(b * n).reshape(b, n, 1)
+
+
 class FormStack:
     """The forms of a (B, n, n) stack of Hermitian Gram matrices read at
     the B chart points ``points``, as arrays: ``gram``, then from one
@@ -262,11 +270,13 @@ class FormStack:
     unchanged bit for bit."""
 
     def __init__(self, grams, points, rank_tol):
-        finite = np.isfinite(grams).all(axis=(-2, -1))
-        if not finite.all():
-            i = int(np.argmin(finite))
+        if not np.isfinite(grams).all():
+            i = int(np.argmin(np.isfinite(grams).all(axis=(-2, -1))))
             raise _non_finite("Gram matrix", points[i])
-        self.gram = grams
+        # in C order, as a form's own average lays out its Gram matrix: a
+        # kernel may return its stack in another order, and a product
+        # with a row can round differently then
+        self.gram = np.ascontiguousarray(grams)
         self.rank_tol = float(rank_tol)
 
     @property
@@ -279,42 +289,45 @@ class FormStack:
 
     @cached_property
     def _by_modulus(self):
-        """Each row's rank and its eigenvalue moduli (descending), their
-        eigenvectors of conj(gram) as columns and their signs, as
-        ``HermitianForm.rank`` and ``_by_modulus`` read them."""
+        """Each row's eigenvalue moduli (descending), which of them the
+        rank rule keeps, their eigenvectors of conj(gram) as columns and
+        their signs, as ``HermitianForm.rank`` and ``_by_modulus`` read
+        them.  The eigenpairs of all rows are gathered in that order by
+        one flat ``take`` each."""
         w, u = self._eigh
-        moduli = np.abs(w)
-        top = moduli.max(axis=-1, initial=0.0)
-        rank = np.count_nonzero(moduli > self.rank_tol * top[:, None], axis=-1)
-        order = np.argsort(moduli, axis=-1)[:, ::-1]
-        rows = np.arange(len(w))[:, None]
-        u = u[rows[:, :, None], np.arange(self.dim)[:, None], order[:, None, :]]
-        return rank, moduli[rows, order], u, np.copysign(1.0, w)[rows, order]
+        order = np.argsort(np.abs(w), axis=-1)[:, ::-1]
+        starts_w, starts_u = _row_starts(*w.shape)
+        w = w.take(order + starts_w)
+        s = np.abs(w)
+        kept = s > self.rank_tol * s[:, :1]
+        return s, kept, u.take(order[:, None, :] + starts_u), np.copysign(1.0, w)
 
     @property
     def rank(self):
-        return self._by_modulus[0]
+        return self._by_modulus[1].sum(axis=-1)
 
     @cached_property
     def pinv(self):
         """Each row's pseudoinverse, as ``HermitianForm.pinv`` forms it."""
-        rank, s, u, sgn = self._by_modulus
-        kept = np.arange(self.dim) < rank[:, None]
-        inv = np.zeros_like(s)
-        inv[kept] = 1.0 / s[kept]
+        s, kept, u, sgn = self._by_modulus
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
         gp = np.conj(u * sgn[:, None, :]) @ (inv[:, :, None] * u.swapaxes(-1, -2))
         gp.flags.writeable = False
         return gp
 
     def kernel_basis(self, i):
         """Orthonormal columns spanning the kernel of row i."""
-        return np.conj(self._by_modulus[2][i][:, self.rank[i]:])
+        _, kept, u, _ = self._by_modulus
+        return np.conj(u[i][:, np.count_nonzero(kept[i]):])
 
     def form(self, i):
         """Row i as a :class:`HermitianForm` that holds its rows of the
         stack's ``eigh`` and ``pinv``: what its own would give, bit for
-        bit."""
-        b = HermitianForm(self.gram[i], rank_tol=self.rank_tol)
+        bit.  The row is Hermitian-averaged already, so the form takes it
+        as its ``gram`` (a read-only view) without averaging it again."""
+        b = HermitianForm.__new__(HermitianForm)
+        b.gram, b.rank_tol = self.gram[i], self.rank_tol
+        b.gram.flags.writeable = False
         b._eigh = (self._eigh[0][i], self._eigh[1][i])
         b.pinv = self.pinv[i]
         return b

@@ -58,8 +58,8 @@ connections at all ring points are solved as arrays, each field's from
 one batched factorization of its ring forms and one dG read
 (:func:`~hermitia.charts.solve_rows`); and once more at the 4m points in
 the sub field's stacked dG read, beside the one read of the ambient's dG
-there for each of the two solves.  The base point keeps the per-point
-gate.
+there for each of the two solves.  The base point's three records are
+solved one row each by the same :func:`~hermitia.charts.solve_rows`.
 The finite-difference dj of an inclusion given without dj, and the
 holomorphy checks of j, go through :func:`~hermitia.charts.ring_fd`.
 """
@@ -78,6 +78,7 @@ from .charts import (
     _as_point,
     _combine_ring,
     _leading_gates,
+    _named,
     _stencil_ring,
     curvature_tensor,
     forms_of,
@@ -164,17 +165,37 @@ class ExactSeqChart:
         return np.stack([self.j_at(z) for z in zs])
 
     def q_at(self, z):
-        return self._q_of(self.j_at(z))
+        return self._q_of(self.j_at(z), z)
 
-    def _q_of(self, j):
-        """q from j, for one inclusion matrix or a stack of them."""
-        core = np.linalg.inv(self._w0 @ j)
-        return self._n0h @ (np.eye(self.r) - j @ core @ self._w0)
+    def _q_of(self, j, zs):
+        """q from the inclusion matrix j at the point zs, or from a stack
+        of them at a (B, m) stack of points zs."""
+        return self._n0h @ (np.eye(self.r) - j @ self._core(j, zs) @ self._w0)
+
+    def _core(self, j, zs):
+        """(w0 j)^-1 from the inclusion matrix j at the point zs, or from
+        each of a stack of them at a (B, m) stack of points zs.  Where
+        w0 j is singular the quotient frame q is not defined: HermitiaError
+        naming the first such point."""
+        w0j = self._w0 @ j
+        try:
+            return np.linalg.inv(w0j)
+        except np.linalg.LinAlgError:
+            for z, x in zip(np.reshape(zs, (-1, self.m)), w0j.reshape(-1, self.k, self.k)):
+                try:
+                    np.linalg.inv(x)
+                except np.linalg.LinAlgError:
+                    raise HermitiaError(
+                        "w0 j is singular at %s: the inclusion there has lost rank or meets "
+                        "the complement of its value at the chart centre, so the quotient "
+                        "frame is not defined" % _named(z)
+                    ) from None
+            raise
 
     def dq_at(self, z):
         j = self.j_at(z)
         dj = self.dj_at(z)
-        core = np.linalg.inv(self._w0 @ j)
+        core = self._core(j, z)
         out = np.empty((self.m, self.r - self.k, self.r), dtype=complex)
         for a in range(self.m):
             inner = dj[a] @ core @ self._w0 - j @ core @ (self._w0 @ dj[a]) @ core @ self._w0
@@ -265,7 +286,7 @@ class ExactSeqChart:
         return ChartField(
             self.m,
             self.r - self.k,
-            lambda zs: self._quot_grams(zs, self._q_of(self._j_stack(zs)), amb.gram_stack(zs)),
+            lambda zs: self._quot_grams(zs, self._q_of(self._j_stack(zs), zs), amb.gram_stack(zs)),
             center=amb.center,
             radius=amb.radius,
             d_fn=d_fn,
@@ -314,7 +335,7 @@ class ExactSeqChart:
         @last_point_cache
         def first_order(z):
             zs = z[None]
-            q = self._q_of(self._j_stack(zs))
+            q = self._q_of(self._j_stack(zs), zs)
             h, k, x = (part[0] for part in self._quot_parts(zs, q, amb.gram_stack(zs)))
             dg = amb.d(z)
             e = self.dq_at(z) - k.conj().T @ dg
@@ -480,7 +501,7 @@ class _Ring:
         self.zs = zs = _stencil_ring(z, PROBE_STEP)
         g = seq.ambient.gram_stack(zs)
         self.j = seq._j_stack(zs)
-        self.q = seq._q_of(self.j)
+        self.q = seq._q_of(self.j, zs)
         self.ambient = FormStack(g, zs, RANK_TOL)
         self.sub = FormStack(hermitize(seq._sub_grams(self.j, g)), zs, RANK_TOL)
         self.quot = FormStack(hermitize(seq._quot_grams(zs, self.q, g)), zs, RANK_TOL)

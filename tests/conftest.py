@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hermitia import charts
@@ -7,19 +6,16 @@ from hermitia import charts
 @pytest.fixture
 def gate_points(monkeypatch):
     """The point of every constant-rank gate run in the test, as bytes:
-    one gate per connection solve, whether it runs alone or in a stacked
-    solve."""
+    one gate per connection solve, counted at the one solve entry point
+    ``charts.solve_rows``, whether the solve is a record's one-row solve
+    or a stacked one.  The sequence probe ring calls solve_rows through
+    its own binding in ``hermitia.sequences``, which is not counted."""
     points = []
-    gate, stack = charts._check_constant_rank, charts.solve_stack
+    solve_rows = charts.solve_rows
 
-    def counting(field, w):
-        points.append(np.asarray(w, dtype=complex).tobytes())
-        return gate(field, w)
+    def counting(field, zs, grams, forms):
+        points.extend(z.tobytes() for z in zs)
+        return solve_rows(field, zs, grams, forms)
 
-    def counting_stack(records):
-        points.extend(rec.point.tobytes() for rec in records)
-        return stack(records)
-
-    monkeypatch.setattr(charts, "_check_constant_rank", counting)
-    monkeypatch.setattr(charts, "solve_stack", counting_stack)
+    monkeypatch.setattr(charts, "solve_rows", counting)
     return points

@@ -6,8 +6,17 @@ package once did, so a test can hold the stacked route to it bit for bit.
 
 import numpy as np
 
-from hermitia.charts import _as_point, _kernel_perturbation, ring_fd
-from hermitia.forms import conj_transpose
+from hermitia.charts import (
+    _FORM_GUARD,
+    RANK_TOL,
+    SOLVER_TOL,
+    _as_point,
+    _kernel_perturbation,
+    _solver_residual,
+    ring_fd,
+)
+from hermitia.errors import HermitiaError, RankJump
+from hermitia.forms import conj_transpose, gram_rank, require_finite
 
 
 def wirtinger_fd(fn, z, a, step, conjugate=False):
@@ -48,5 +57,94 @@ def smooth_kernel_perturbation(field, z, seed=0):
     each point it is called at; the zero function for nondegenerate
     fields."""
     z0 = _as_point(z, field.m)
-    k = _kernel_perturbation(field, z0, field.form_at(z0), seed)
-    return lambda w: k(w, field.form_at(w))
+    k = _kernel_perturbation(field, z0, field.form_at(z0).kernel_basis, seed)
+
+    def at(w):
+        form = field.form_at(w)
+        return k(w, form.gram, form.pinv)
+
+    return at
+
+
+def gate_points(z, s=1e-3):
+    """The gate's stencil around z, centre first, then z + s e_a,
+    z - s e_a, z + i s e_a and z - i s e_a for each coordinate a in turn."""
+    z = np.asarray(z, dtype=complex)
+    points = [z]
+    for a in range(len(z)):
+        e = np.zeros(len(z), dtype=complex)
+        e[a] = 1.0
+        points += [z + s * e, z - s * e, z + 1j * s * e, z - 1j * s * e]
+    return points
+
+
+def named(w):
+    """A point as a RankJump names it: each coordinate to six decimals."""
+    return "[%s]" % " ".join("%.6f%+.6fj" % (x.real, x.imag) for x in np.asarray(w, dtype=complex))
+
+
+def loop_gate_rank(field, z, grams=None):
+    """The per-point gate: the rank of G at each point of the gate's
+    stencil by its own ``gram_rank``, centre first, stopping at the first
+    point read as non-finite (NonFinite) or the first neighbor whose rank
+    differs (RankJump).  G is read one point at a time, or is ``grams``,
+    the caller's reads at the stencil in order."""
+    points = gate_points(z, field.fd_outer_step)
+    if grams is None:
+        grams = [field.gram(w) for w in points]
+    (center, *neighbors), (g0, *others) = points, grams
+    r0 = gram_rank(g0, RANK_TOL, "Gram matrix of the rank gate", center)
+    for w, g in zip(neighbors, others):
+        r = gram_rank(g, RANK_TOL, "Gram matrix of the rank gate", w)
+        if r != r0:
+            raise RankJump(
+                "rank %d at %s but %d at its stencil neighbor %s" % (r0, named(center), r, named(w))
+            )
+    return r0
+
+
+def connection_at(field, z, form=None):
+    """The connection solve at one point, step by step: the per-point
+    oracle of ``charts.solve_rows``.  Returns (G, dG, A, residual) with
+    A = pinv(G) dG by ``np.linalg.pinv`` and the residual
+    max_a |G A_a - d_a G| / (1 + |d_a G|) by ``np.linalg.norm``, one
+    coordinate a at a time.
+
+    The gate reads G at its 4m + 1 stencil points in one ``gram_stack``
+    call, as the package's gate does, so that a form read first by a
+    one-row read meets the same guard, and ranks each point by
+    :func:`loop_gate_rank`.  G is the gate's centre read, or ``form``, a
+    form read before the solve, which must equal it bit for bit.  The
+    errors come in the package's order: OutOfDomain, the gate's NonFinite
+    or RankJump, the form guard's HermitiaError, NonFinite of dG (or what
+    the dG read raises), SolverResidual."""
+    z = _as_point(z, field.m)
+    field._require_domain(z, field.fd_outer_step + field.fd_step)
+    grams = field.gram_stack(np.array(gate_points(z, field.fd_outer_step)))
+    loop_gate_rank(field, z, grams)
+    g = grams[0]
+    if form is not None:
+        if not np.array_equal(form.gram, g):
+            raise HermitiaError(_FORM_GUARD)
+        g = form.gram
+    dg = field.d(z)
+    require_finite(dg, "first derivative", z)
+    a = np.linalg.pinv(g, rcond=RANK_TOL, hermitian=True) @ dg
+    # Frobenius norms summed in C order: a derivative kernel may return a
+    # view that is not C-contiguous
+    residual = max(
+        np.linalg.norm((g @ a_a - dg_a).ravel()) / (1.0 + np.linalg.norm(dg_a.ravel()))
+        for a_a, dg_a in zip(a, dg)
+    )
+    if residual > SOLVER_TOL:
+        raise _solver_residual(residual)
+    return g, dg, a, residual
+
+
+def curvature_at(field, z):
+    """The curvature tensor at one point from :func:`connection_at`, one
+    coordinate pair at a time: R[a][b] = (dbar_b G A_a - d_a dbar_b G)^T."""
+    _, dg, a, _ = connection_at(field, z)
+    dbg, ddg = field.dbar(z, d=dg), field.dd(z)
+    m = field.m
+    return np.array([[(dbg[b] @ a[i] - ddg[i, b]).T for b in range(m)] for i in range(m)])

@@ -18,11 +18,9 @@ from hermitia import (
     charts,
 )
 from hermitia.charts import (
-    RANK_TOL,
     ChartField,
     FieldAt,
     HolomorphicMap,
-    _check_constant_rank,
     chern_connection,
     curvature_20_defect,
     curvature_from_connection,
@@ -46,11 +44,19 @@ from hermitia.fields import (
     sum_field,
     twisted_fiber_monomials,
 )
-from hermitia.forms import gram_rank
 from hermitia.instances import gauge_instance, random_degenerate_field, random_pd_field
 from hermitia.models import grassmannian_chart
 
-from oracles import outer_dd, smooth_kernel_perturbation, wirtinger_fd
+from oracles import (
+    connection_at,
+    curvature_at,
+    gate_points,
+    loop_gate_rank,
+    named,
+    outer_dd,
+    smooth_kernel_perturbation,
+    wirtinger_fd,
+)
 
 
 def fs_line(radius=3.0):
@@ -271,40 +277,11 @@ def test_one_solve_reads_the_gram_4m_plus_1_times(solve, m):
 # the stacked constant-rank gate
 
 
-def gate_points(z, s=1e-3):
-    """The gate's stencil around z, centre first, as the loop visits it."""
-    z = np.asarray(z, dtype=complex)
-    points = [z]
-    for a in range(len(z)):
-        e = np.zeros(len(z), dtype=complex)
-        e[a] = 1.0
-        points += [z + s * e, z - s * e, z + 1j * s * e, z - 1j * s * e]
-    return points
-
-
-def named(w):
-    """A point as a RankJump names it: each coordinate to six decimals."""
-    return "[%s]" % " ".join("%.6f%+.6fj" % (x.real, x.imag) for x in np.asarray(w, dtype=complex))
-
-
-def loop_gate_rank(field, z):
-    """The per-point gate: one ``rank_at`` read per stencil point, centre
-    first, stopping at the first neighbor whose rank differs."""
-    center, *neighbors = gate_points(z, field.fd_outer_step)
-    r0 = field.rank_at(center)
-    for w in neighbors:
-        r = field.rank_at(w)
-        if r != r0:
-            raise RankJump(
-                "rank %d at %s but %d at its stencil neighbor %s" % (r0, named(center), r, named(w))
-            )
-    return r0
-
-
 def gate_outcomes(field, z):
-    """(stacked gate, per-point loop), each as a rank or the RankJump text."""
+    """(the solve's stacked gate, the per-point loop), each as the rank at
+    z or the RankJump text."""
     out = []
-    for gate in (lambda: gram_rank(_check_constant_rank(field, z), RANK_TOL), lambda: loop_gate_rank(field, z)):
+    for gate in (lambda: chern_connection(field, z).form.rank, lambda: loop_gate_rank(field, z)):
         try:
             out.append(gate())
         except RankJump as exc:
@@ -322,7 +299,7 @@ def test_stacked_gate_ranks_as_the_per_point_loop(seed):
             z = 0.4 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
             stacked, loop = gate_outcomes(f, z)
             assert stacked == loop
-            assert np.array_equal(_check_constant_rank(f, z), f.gram(z))
+            assert np.array_equal(chern_connection(f, z).form.gram, f.gram(z))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -407,8 +384,9 @@ def test_hsc_factorizes_the_gram_once_after_the_gate(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert abs(hsc(f, [0.2 + 0.1j, -0.1j], [1.0, 0.5j]) - 2.0) < 1e-10
-    # the solve's pseudoinverse and the positivity check share one eigh
-    assert calls == [(2, 2)]
+    # the solve's pseudoinverse and the positivity check share one eigh,
+    # the one-row factorization of the solve's forms
+    assert calls == [(1, 2, 2)]
 
 
 def test_hsc_positivity_comes_before_a_failed_solve():
@@ -1047,19 +1025,68 @@ def gauge_oracle(field, z, seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_stacked_ring_solve_equals_per_point_solves(seed):
-    """solve_stack over a probe ring against chern_connection at each ring
-    point, and the two ring checks built on it against per-point rings."""
+    """solve_points over a probe ring against chern_connection and the
+    oracle at each ring point, and the two ring checks built on it against
+    per-point rings."""
     field, z = gauge_instance(seed)
     ring = charts._stencil_ring(z, charts.PROBE_STEP)
-    stacked = charts.solve_stack([FieldAt(field, w) for w in ring])
-    for rec, w in zip(stacked, ring):
+    stacked = charts.solve_points(field, ring)
+    for i, w in enumerate(ring):
         fresh = chern_connection(field, w)
-        assert np.array_equal(rec.form.gram, fresh.form.gram)
-        assert np.array_equal(rec.form.pinv, fresh.form.pinv)
-        for name in ("dg", "a", "residual"):
-            assert np.array_equal(getattr(rec, name), getattr(fresh, name)), name
+        g, dg, a, residual = connection_at(field, w)
+        assert np.array_equal(stacked.forms.gram[i], fresh.form.gram)
+        assert np.array_equal(stacked.forms.pinv[i], fresh.form.pinv)
+        for name, want in (("dg", dg), ("a", a), ("residual", residual)):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(fresh, name)), name
+            assert np.array_equal(getattr(fresh, name), want), name
     assert gauge_independence_residual(field, z, seed=seed) == gauge_oracle(field, z, seed)
     assert curvature_20_defect(field, z) == curvature_20_oracle(field, z)
+
+
+def _oracle_fields():
+    from hermitia.fibration import h_lambda, hirzebruch_model
+    from hermitia.models import resolve_model
+
+    rng = np.random.default_rng(np.random.SeedSequence([89]))
+    hirz = hirzebruch_model(1)
+    return {
+        "fs:2": resolve_model("fs:2").field,
+        "fs:2 fd": resolve_model("fs:2").field.finite_difference_copy(),
+        "gr:2:4": grassmannian_chart(2, 4).field,
+        "gr:1:3": grassmannian_chart(1, 3).field,
+        "hirz:1 b1": hirz.b1_field,
+        "hirz:1 b2": hirz.b2_field,
+        "h_lambda(hirz:1, 0)": h_lambda(hirz, 0.0),
+        "degenerate 1 3 2": random_degenerate_field(rng, 1, 3, 2),
+        "degenerate 2 4 2": random_degenerate_field(rng, 2, 4, 2),
+        "pd 2 3": random_pd_field(rng, 2, 3),
+    }
+
+
+ORACLE_FIELDS = _oracle_fields()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ORACLE_FIELDS)),
+    coords=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+)
+def test_the_solve_equals_the_per_point_oracle(name, coords):
+    """At points drawn over the chart of every field constructor, the
+    solve raises what the per-point oracle raises, or its A and residual
+    equal the oracle's bit for bit and its tensor the oracle's to 1e-12
+    relative."""
+    field = ORACLE_FIELDS[name]
+    x = np.asarray(coords[: 2 * field.m]).reshape(2, field.m)
+    z = field.center + 0.6 * field.radius * (x[0] + 1j * x[1]) / np.sqrt(2.0)
+    want = _first_error(lambda: connection_at(field, z))
+    assert _first_error(lambda: curvature_tensor(field, z)) == want
+    if want is None:
+        rec = curvature_tensor(field, z)
+        _, _, a, residual = connection_at(field, z)
+        assert np.array_equal(rec.a, a) and rec.residual == residual
+        oracle = curvature_at(field, z)
+        assert np.linalg.norm(rec.tensor - oracle) <= 1e-12 * max(1.0, np.linalg.norm(oracle))
 
 
 def _first_error(solve):
@@ -1070,33 +1097,42 @@ def _first_error(solve):
     return None
 
 
+def _outcomes_match_the_oracle(field, points):
+    """In every order of ``points``, solve_points raises what the oracle
+    raises first, solving the points one at a time, and so does each
+    point's own chern_connection; returns the error kinds met."""
+    kinds = set()
+    for order in itertools.permutations(points):
+        want = _first_error(lambda: [connection_at(field, w) for w in order])
+        assert want == _first_error(lambda: charts.solve_points(field, np.stack(order)))
+        kinds.add(want[0])
+    for w in points:
+        assert _first_error(lambda: connection_at(field, w)) == _first_error(lambda: chern_connection(field, w))
+    return kinds
+
+
 def test_stacked_solve_raises_the_error_of_the_first_failing_point():
     """G = diag(1, 100 |w - 0.3|^2), read as NaN at -0.2, on the disc of
     radius 0.5: one point passes, one has the rank jump at 0.3 as a gate
     neighbor, one the NaN, and one lies outside.  In every order,
-    solve_stack raises what solving the points one at a time raises
-    first, and reads no point after the first one outside."""
+    solve_points raises what the oracle raises first, and reads no point
+    after the first one outside."""
     def fn(w):
         return np.nan if abs(w[0] + 0.2) < 1e-12 else 100.0 * abs(w[0] - 0.3) ** 2
 
     field = ChartField(1, 2, diag_kernel(fn), radius=0.5, self_check=False)
     points = [np.array([x]) for x in (0.1 + 0.1j, 0.3 - 1e-3, -0.2 - 1e-3, 0.4995)]
-    kinds = set()
-    for order in itertools.permutations(points):
-        want = _first_error(lambda: [chern_connection(field, w) for w in order])
-        assert want == _first_error(lambda: charts.solve_stack([FieldAt(field, w) for w in order]))
-        kinds.add(want[0])
-    assert kinds == {RankJump, NonFinite, OutOfDomain}
-    assert charts.solve_stack([FieldAt(field, points[0])])[0].residual <= charts.SOLVER_TOL
+    assert _outcomes_match_the_oracle(field, points) == {RankJump, NonFinite, OutOfDomain}
+    assert charts.solve_points(field, points[0][None]).residual[0] <= charts.SOLVER_TOL
 
 
 def test_stacked_solve_keeps_the_per_point_order_when_its_derivative_read_raises():
     """G = diag(1, 0) with a d_fn that puts d_a G in Ker G where Re w >
     0.2, so the solve there fails, and that raises NonFinite on any stack
-    holding a point with Re w < -0.2.  solve_stack reads dG for all its
-    points in one call; when that call raises, each solve reads its own
-    row, so in every order the error is the one that solving the points
-    one at a time raises first."""
+    holding a point with Re w < -0.2.  solve_points reads dG for all its
+    points in one call; when that call raises, each point reads its own
+    row, so in every order the error is the one the oracle raises
+    first."""
     def d_fn(zs):
         if (zs.real < -0.2).any():
             raise NonFinite("dG is not finite on this stack")
@@ -1114,20 +1150,16 @@ def test_stacked_solve_keeps_the_per_point_order_when_its_derivative_read_raises
         self_check=False,
     )
     points = [np.array([x]) for x in (0.1j, 0.3, -0.3)]
-    kinds = set()
-    for order in itertools.permutations(points):
-        want = _first_error(lambda: [chern_connection(field, w) for w in order])
-        assert want == _first_error(lambda: charts.solve_stack([FieldAt(field, w) for w in order]))
-        kinds.add(want[0])
-    assert kinds == {SolverResidual, NonFinite}
+    assert _outcomes_match_the_oracle(field, points) == {SolverResidual, NonFinite}
 
 
 def test_stacked_solve_keeps_and_guards_a_form_read_first():
     """A kernel that breaks the row contract where Re w > 0.05 (a one-row
     read differs from a stacked one there), so a form read first at such
     a point is not the gate's G(z).  With any of the records' forms read
-    first, in every order, solve_stack raises what solving the points one
-    at a time raises first, and a record whose form was read keeps it."""
+    first, in every order, the records raise what the oracle raises
+    first, and so does one solve_points with every form read first; a
+    record whose form was read keeps it."""
     def stack_fn(zs):
         out = np.zeros((len(zs), 2, 2), dtype=complex)
         out[:, 0, 0] = 1.0 + (len(zs) == 1) * 1e-9 * (zs[:, 0].real > 0.05)
@@ -1137,32 +1169,34 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
     field = ChartField(1, 2, stack_fn, radius=0.5, self_check=False)
     points = [np.array([x]) for x in (-0.1j, 0.2, 0.4995)]
 
-    def solve(order, read_first, stacked):
+    def solve(order, read_first):
         records = [FieldAt(field, w) for w in order]
         for rec, read in zip(records, read_first):
             if read:
                 rec.form
-        if stacked:
-            charts.solve_stack(records)
         for rec in records:
             rec.a
+
+    def oracle(order, read_first):
+        for w, read in zip(order, read_first):
+            connection_at(field, w, field.form_at(w) if read else None)
 
     kinds = set()
     for order in itertools.permutations(points):
         for read_first in itertools.product((False, True), repeat=len(order)):
-            want = _first_error(lambda: solve(order, read_first, False))
-            assert want == _first_error(lambda: solve(order, read_first, True))
+            want = _first_error(lambda: oracle(order, read_first))
+            assert want == _first_error(lambda: solve(order, read_first))
             kinds.add(want[0])
+        read = np.stack([field.form_at(w).gram for w in order])
+        want = _first_error(lambda: oracle(order, (True,) * len(order)))
+        assert want == _first_error(lambda: charts.solve_points(field, np.stack(order), read))
     assert kinds == {HermitiaError, OutOfDomain}
-    records = [FieldAt(field, w) for w in (points[0], np.array([-0.2j]))]
-    form = records[0].form
-    charts.solve_stack(records)
-    assert records[0].form is form
-    for rec in records:
-        fresh = chern_connection(field, rec.point)
-        assert np.array_equal(rec.form.pinv, fresh.form.pinv)
-        for name in ("dg", "a", "residual"):
-            assert np.array_equal(getattr(rec, name), getattr(fresh, name)), name
+    rec = FieldAt(field, points[0])
+    form = rec.form
+    g, dg, a, residual = connection_at(field, rec.point, form)
+    assert rec.a is not None and rec.form is form
+    for name, want in (("dg", dg), ("a", a), ("residual", residual)):
+        assert np.array_equal(getattr(rec, name), want), name
 
 
 @pytest.mark.parametrize("seed, m, gates", [(0, 1, 5), (1, 2, 9)])
@@ -1187,9 +1221,9 @@ def test_gauge_check_solves_each_point_once(gate_points, seed, m, gates):
 
 @pytest.mark.parametrize("seed, form_reads, eighs", [(0, 0, 5), (1, 0, 9)])
 def test_gauge_check_factorizes_each_point_once(monkeypatch, seed, form_reads, eighs):
-    """The default perturbation reads the forms of the gate and of the ring
-    solves: no form_at read, and one factorization at z and one at each
-    ring point, those of the ring in one batched eigh call."""
+    """The default perturbation reads the forms of the solves at z and at
+    the ring points: no form_at read, and one factorization at z and one
+    at each ring point, all in one batched eigh call."""
     field, z = gauge_instance(seed)
     want = gauge_independence_residual(field, z, seed=seed)
     counts = {"form_at": 0, "eigh": 0, "eigh calls": 0}
@@ -1207,7 +1241,7 @@ def test_gauge_check_factorizes_each_point_once(monkeypatch, seed, form_reads, e
     monkeypatch.setattr(ChartField, "form_at", counting_form_at)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     assert gauge_independence_residual(field, z, seed=seed) == want
-    assert counts == {"form_at": form_reads, "eigh": eighs, "eigh calls": 2}
+    assert counts == {"form_at": form_reads, "eigh": eighs, "eigh calls": 1}
 
 
 def test_gauge_check_takes_a_supplied_perturbation():
@@ -1252,7 +1286,8 @@ def test_stacked_solve_and_assembly_equal_the_loops(make, z):
         for b in range(m):
             loop[a, b] = (dbg[b] @ gp @ dg[a] - ddg[a, b]).T
     assert np.array_equal(rec.tensor, loop)
-    assert rec.tensor.flags.c_contiguous
+    # both C order, whatever order the kernel returns its stack in
+    assert rec.tensor.flags.c_contiguous and rec.form.gram.flags.c_contiguous
     if r == m:
         rng = np.random.default_rng(3)
         v = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))

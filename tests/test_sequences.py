@@ -207,22 +207,19 @@ def test_lazy_seq_data_equals_eager_oracle(case):
 
 
 def _count_solves(monkeypatch):
-    """Record the field of every connection solve of a FieldAt record:
-    one entry per constant-rank gate run alone, and one per record of a
-    stacked solve."""
+    """Record the field of every connection solve of a FieldAt record, one
+    entry per solved point, counted at the one solve entry point
+    ``charts.solve_rows``.  The probe ring's solves go through the
+    ``solve_rows`` binding of ``hermitia.sequences`` and are not counted
+    here."""
     calls = []
-    gate, stack = charts._check_constant_rank, charts.solve_stack
+    solve_rows = charts.solve_rows
 
-    def counting(field, w):
-        calls.append(field)
-        return gate(field, w)
+    def counting(field, zs, grams, forms):
+        calls.extend([field] * len(zs))
+        return solve_rows(field, zs, grams, forms)
 
-    def counting_stack(records):
-        calls.extend(rec.field for rec in records)
-        return stack(records)
-
-    monkeypatch.setattr(charts, "_check_constant_rank", counting)
-    monkeypatch.setattr(charts, "solve_stack", counting_stack)
+    monkeypatch.setattr(charts, "solve_rows", counting)
     return calls
 
 
@@ -427,6 +424,29 @@ def test_a_rank_jump_at_one_ring_point_names_it():
     with pytest.raises(RankJump) as blocks:
         splitting_curvature_blocks(seq, z)
     assert str(blocks.value) == named
+
+
+def test_a_singular_inclusion_at_a_ring_point_names_it():
+    """j(w) = 10 (w - p) e1 vanishes at p, the ring point z + i h, where
+    w0 j is singular and the quotient frame is not defined.  The base
+    point passes; the ring's first probe, a fresh record's q at p and dq
+    at p raise HermitiaError naming p, not numpy's LinAlgError."""
+    z = np.array([0.1 + 0.05j])
+    p = z + 1j * PROBE_STEP
+    assert any(np.array_equal(w, p) for w in charts._stencil_ring(z, PROBE_STEP))
+    e1 = np.eye(2, 1)
+    seq = ExactSeqChart(
+        constant_field(np.eye(2), 1, radius=0.9),
+        lambda w: 10.0 * (w[0] - p[0]) * e1,
+        dj=lambda w: 10.0 * e1[None],
+    )
+    at = seq.at(z)
+    at.q, at.dq, at.ambient.a, at.sub.a
+    for read in (lambda: at.probe("jdag"), lambda: sequences._SeqAt(seq, p).q, lambda: seq.dq_at(p)):
+        with pytest.raises(HermitiaError) as info:
+            read()
+        assert type(info.value) is HermitiaError
+        assert str(info.value).startswith("w0 j is singular at %s:" % charts._named(p))
 
 
 def _first_ring_error(seq, z):
