@@ -149,20 +149,6 @@ def ring_fd(fn, z, step, conjugate=False):
     return _combine_ring(reads, step, conjugate)
 
 
-def per_row(fn):
-    """A derivative kernel of a (B, m) stack of points from ``fn`` of one
-    point: ``fn`` read at each row in turn, so row i is ``fn(zs[i])``.
-    It serves fields whose jet is kept for the latest point read
-    (:func:`last_point_cache`); a one-row stack is one read of ``fn``."""
-
-    def kernel(zs):
-        if len(zs) == 1:
-            return fn(zs[0])[None]
-        return np.stack([fn(z) for z in zs])
-
-    return kernel
-
-
 class ChartField:
     """Hermitian Gram-matrix field on a polydisc chart.
 
@@ -257,15 +243,16 @@ class ChartField:
         return zs
 
     def gram(self, z):
-        r = self.shape
-        return hermitize(self._checked(self.stack_fn(_as_point(z, self.m)[None]), (1, r, r))[0])
+        """The Gram matrix at z: the one-row read of :meth:`gram_stack`."""
+        return self.gram_stack(_as_point(z, self.m)[None])[0]
 
     def gram_stack(self, zs):
         """The Gram matrices at a (B, m) stack of points, shape (B, shape,
-        shape); row i equals ``gram(zs[i])`` bit for bit."""
+        shape), in C order whatever order the kernel returns (a product
+        with a row can round differently in another order)."""
         zs = self._as_stack(zs)
         r = self.shape
-        return hermitize(self._checked(self.stack_fn(zs), (len(zs), r, r)))
+        return np.ascontiguousarray(hermitize(self._checked(self.stack_fn(zs), (len(zs), r, r))))
 
     def form_at(self, z):
         """The form of G(z); a NaN or inf in G(z) raises NonFinite naming z."""
@@ -423,11 +410,12 @@ class ChartField:
 
 
 def last_point_cache(fn):
-    """``fn`` of a chart point, recomputed only when the point changes, so
-    the d and dd reads of one field at one point share one jet.  The key
-    (the point's bytes) and the value are kept as one tuple: a reader
-    never pairs a new key with an old value.  ``fn`` reads a copy of the
-    point, so a kept value that holds a view of it cannot change when a
+    """``fn`` of a chart point or a (B, m) stack of points, recomputed
+    only when its argument changes, so the d and dd reads of one field at
+    the same rows share one jet.  The key (the argument's bytes, which on
+    one chart fix its rows) and the value are kept as one tuple: a reader
+    never pairs a new key with an old value.  ``fn`` reads a copy of its
+    argument, so a kept value that holds a view of it cannot change when a
     caller later writes into its own array."""
     last = None
 

@@ -22,18 +22,19 @@ Every field built here has one Gram kernel, a function of a (B, m) stack
 of points whose row i depends on point i only (``ChartField``'s
 ``stack_fn``), and its analytic derivatives are kernels of the same kind
 (``d_fn`` and ``dd_fn``); composite fields compose their parts' kernels,
-and are analytic when all of their parts are.  The potential fields keep
-their jet for the latest point read, so their derivative kernels read a
-stack one row at a time (:func:`charts.per_row`).
+and are analytic when all of their parts are.  The log-det jet reads a
+whole stack in one pass of batched products, and the potential fields
+keep it for the latest stack read, so the d and dd reads of the same
+rows share its first-order part.
 """
 
 import math
 
 import numpy as np
 
-from .charts import ChartField, HolomorphicMap, last_point_cache, per_row
+from .charts import ChartField, HolomorphicMap, last_point_cache
 from .errors import NonFinite
-from .forms import conj_transpose
+from .forms import conj_transpose, stacked_linalg
 
 
 def _derivative(terms, j):
@@ -126,15 +127,21 @@ def _potential_gram(w, jac):
     return t2.swapaxes(1, 2)
 
 
-def _logdet_first(a, da, dda):
-    """The first-order part of the log-det jet at one point: (J, H, d) for
-    a holomorphic frame A of shape (k, N) with derivatives dA (m, k, N)
-    and ddA (m, m, k, N), or None where A is linear; H flattened to
-    (m m, k N) and d the first derivatives of the Gram field G of
-    d dbar log det(A A^H).
+def _singular_frame(z):
+    where = np.array2string(z, precision=3)
+    return NonFinite("d dbar log det(A A^H) is not finite at %s: A A^H is singular there" % where)
+
+
+def _logdet_first(zs, a, da, dda):
+    """The first-order part of the log-det jet at a (B, m) stack of points
+    zs: (J, H, d) for a holomorphic frame A of shape (B, k, N) with
+    derivatives dA (B, m, k, N) and ddA (B, m, m, k, N), or None where A
+    is linear (a leading axis of length 1 is taken at every point); H
+    flattened to (B, m m, k N) and d the first derivatives of the Gram
+    field G of d dbar log det(A A^H).
 
     They are read in the normal gauge A' = (A(z) B)^-1 A(z) with
-    B = A^H (A A^H)^-1 at the point: a holomorphic change of frame, which
+    B = A^H (A A^H)^-1 at each point: a holomorphic change of frame, which
     moves log det only by a pluriharmonic term, with every holomorphic
     derivative of A' A'^H zero at the point.  With A A^H = L L^H,
     Q = L^-1 A, the projector P = I - Q^H Q and K_a = L^-1 dA_a Q^H, the
@@ -144,59 +151,54 @@ def _logdet_first(a, da, dda):
         G[b, a]              = <J_a, J_b>
         d_g G[b, a]          = <H_ag, J_b>.
 
-    Raises LinAlgError where A A^H is singular.
+    Every product keeps the association of one point's, so row i equals
+    the jet of point i alone bit for bit.  Where A A^H is singular,
+    NonFinite names the first such point.
     """
-    m, k, n = da.shape
-    l_inv = np.linalg.inv(np.linalg.cholesky(a @ a.conj().T))
+    b, (m, k, n) = len(a), da.shape[1:]
+    a = a[:, None]  # broadcast over the coordinate axis of dA
+    l_inv = np.linalg.inv(stacked_linalg(np.linalg.cholesky, a @ conj_transpose(a), zs, _singular_frame))
     q = l_inv @ a
-    qh = q.conj().T
+    qh = conj_transpose(q)
     dl = l_inv @ da
     kk = dl @ qh
     j = dl - kk @ q
-    h = -(kk[:, None] @ j[None, :])
-    h = h + h.swapaxes(0, 1)
+    h = -(kk[:, :, None] @ j[:, None])
+    h = h + h.swapaxes(1, 2)
     if dda is not None:
-        e = l_inv @ dda
-        h = h + e - (e @ qh) @ q
-    hf = h.reshape(m * m, k * n)
-    d = (hf @ j.reshape(m, k * n).conj().T).reshape(m, m, m)
-    return j, hf, d.transpose(1, 2, 0)
+        e = l_inv[:, None] @ dda
+        h = h + e - (e @ qh[:, None]) @ q[:, None]
+    hf = h.reshape(b, m * m, k * n)
+    d = (hf @ conj_transpose(j.reshape(b, m, k * n))).reshape(b, m, m, m)
+    return j, hf, d.transpose(0, 2, 3, 1)
 
 
 def _logdet_second(j, hf):
     """The mixed second derivatives of the log-det Gram field from the J
-    and flattened H of :func:`_logdet_first`: with C_ab = J_a J_b^H,
+    and flattened H of :func:`_logdet_first`, at each row of their stack:
+    with C_ab = J_a J_b^H,
 
         d_g dbar_d G[b, a] = <H_ag, H_bd> - tr(C_gd C_ab) - tr(C_ad C_gb).
     """
-    m, k = j.shape[:2]
-    hh = (hf @ hf.conj().T).reshape(m, m, m, m)
-    c = j[:, None] @ j.conj().swapaxes(-1, -2)[None, :]
-    cc = (c.reshape(m * m, k * k) @ c.swapaxes(-1, -2).reshape(m * m, k * k).T).reshape(m, m, m, m)
-    return hh.transpose(1, 3, 2, 0) - cc.transpose(0, 1, 3, 2) - cc.transpose(2, 1, 3, 0)
+    b, m, k = j.shape[:3]
+    hh = (hf @ conj_transpose(hf)).reshape(b, m, m, m, m)
+    c = j[:, :, None] @ conj_transpose(j)[:, None, :]
+    flat = c.reshape(b, m * m, k * k)
+    cc = (flat @ c.swapaxes(-1, -2).reshape(b, m * m, k * k).swapaxes(-1, -2)).reshape(b, m, m, m, m)
+    return hh.transpose(0, 2, 4, 3, 1) - cc.transpose(0, 1, 2, 4, 3) - cc.transpose(0, 3, 2, 4, 1)
 
 
 def _logdet_derivatives(frame):
     """d_fn and dd_fn of the Gram field of d dbar log det(A A^H) for
-    frame(z) = (A, dA, ddA) as :func:`_logdet_first` takes them, kernels
-    that read a stack one row at a time.  A d read builds only the
-    first-order part; the first dd read at a point adds the second-order
+    frame(zs) = (A, dA, ddA) at a (B, m) stack of points as
+    :func:`_logdet_first` takes them.  A d read builds only the
+    first-order part; the first dd read of a stack adds the second-order
     products (:func:`_logdet_second`) from it.  Both are kept for the
-    latest point read; a point where A A^H is singular raises NonFinite
-    naming it."""
-
-    @last_point_cache
-    def first(z):
-        try:
-            return _logdet_first(*frame(z))
-        except np.linalg.LinAlgError:
-            raise NonFinite(
-                "d dbar log det(A A^H) is not finite at %s: A A^H is singular there"
-                % np.array2string(z, precision=3)
-            ) from None
-
-    second = last_point_cache(lambda z: _logdet_second(*first(z)[:2]))
-    return per_row(lambda z: first(z)[2]), per_row(second)
+    latest stack read (:func:`charts.last_point_cache`), so a d read and
+    a dd read of the same rows build the first-order part once."""
+    first = last_point_cache(lambda zs: _logdet_first(zs, *frame(zs)))
+    second = last_point_cache(lambda zs: _logdet_second(*first(zs)[:2]))
+    return lambda zs: first(zs)[2], second
 
 
 def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", **kw):
@@ -206,9 +208,9 @@ def from_potential_map(mono_map: MonomialMap, center=None, radius=1.0, name="", 
     def stack_fn(zs):
         return _potential_gram(*mono_map.jet(zs, 1))
 
-    def frame(z):
-        w, jac, hess = mono_map.jet(z, 2)
-        return w[None], jac.T[:, None], hess.transpose(1, 2, 0)[:, :, None]
+    def frame(zs):
+        w, jac, hess = mono_map.jet(zs, 2)
+        return w[:, None], jac.swapaxes(1, 2)[:, :, None], hess.transpose(0, 2, 3, 1)[:, :, :, None]
 
     d_fn, dd_fn = _logdet_derivatives(frame)
     return ChartField(

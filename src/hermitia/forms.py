@@ -70,6 +70,23 @@ def require_finite(values, what, point=None):
         raise _non_finite(what, point)
 
 
+def stacked_linalg(fn, x, points, error):
+    """``fn`` (a ``numpy.linalg`` routine) of the matrices ``x`` read at a
+    (B, m) stack of points, x[i] at points[i], in one call.  Where that
+    call raises LinAlgError, each x[i] is retried alone and
+    ``error(points[i])`` is raised for the first one whose own call
+    raises."""
+    try:
+        return fn(x)
+    except np.linalg.LinAlgError:
+        for xi, point in zip(x, points):
+            try:
+                fn(xi)
+            except np.linalg.LinAlgError:
+                raise error(point) from None
+        raise
+
+
 def rank_of(values, rank_tol, what="spectrum", point=None):
     """The one rank rule: how many of ``values`` (singular values or
     eigenvalue moduli, in any order) lie above ``rank_tol`` times the
@@ -273,10 +290,7 @@ class FormStack:
         if not np.isfinite(grams).all():
             i = int(np.argmin(np.isfinite(grams).all(axis=(-2, -1))))
             raise _non_finite("Gram matrix", points[i])
-        # in C order, as a form's own average lays out its Gram matrix: a
-        # kernel may return its stack in another order, and a product
-        # with a row can round differently then
-        self.gram = np.ascontiguousarray(grams)
+        self.gram = grams
         self.rank_tol = float(rank_tol)
 
     @property

@@ -195,8 +195,11 @@ def grassmannian_chart(k, n, certify=True):
     units = np.zeros((m, k, n), dtype=complex)
     units[:, :, k:] = np.eye(m).reshape(m, k, n - k)
 
-    def frame(z):
-        return np.hstack([np.eye(k), z.reshape(k, n - k)]), units, None
+    def frame(zs):
+        a = np.empty((len(zs), k, n), dtype=complex)
+        a[:, :, :k] = np.eye(k)
+        a[:, :, k:] = zs.reshape(-1, k, n - k)
+        return a, units[None], None
 
     d_fn, dd_fn = _logdet_derivatives(frame)
     field = ChartField(

@@ -83,7 +83,6 @@ from .charts import (
     curvature_tensor,
     forms_of,
     last_point_cache,
-    per_row,
     ring_fd,
     sample_box,
     solve_rows,
@@ -101,6 +100,7 @@ from .forms import (
     quotient_form,
     rank_of,
     require_finite,
+    stacked_linalg,
     sum_quotient_form,
 )
 
@@ -162,45 +162,35 @@ class ExactSeqChart:
 
     def _j_stack(self, zs):
         """j at each row of a (B, m) stack, shape (B, r, k)."""
-        return np.stack([self.j_at(z) for z in zs])
+        return np.array([self.j_at(z) for z in zs])
+
+    def _dj_stack(self, zs):
+        """dj at each row of a (B, m) stack, shape (B, m, r, k)."""
+        return np.array([self.dj_at(z) for z in zs])
 
     def q_at(self, z):
-        return self._q_of(self.j_at(z), z)
+        return self._frames(_as_point(z, self.m)[None])[2][0]
 
-    def _q_of(self, j, zs):
-        """q from the inclusion matrix j at the point zs, or from a stack
-        of them at a (B, m) stack of points zs."""
-        return self._n0h @ (np.eye(self.r) - j @ self._core(j, zs) @ self._w0)
+    def _frames(self, zs):
+        """j, C = (w0 j)^-1 and q = N0^H (I - j C w0) at a (B, m) stack of
+        points zs.  Where w0 j is singular the quotient frame q is not
+        defined: HermitiaError naming the first such point."""
+        j = self._j_stack(zs)
+        core = stacked_linalg(np.linalg.inv, self._w0 @ j, zs, _singular_core)
+        return j, core, self._n0h @ (np.eye(self.r) - j @ core @ self._w0)
 
-    def _core(self, j, zs):
-        """(w0 j)^-1 from the inclusion matrix j at the point zs, or from
-        each of a stack of them at a (B, m) stack of points zs.  Where
-        w0 j is singular the quotient frame q is not defined: HermitiaError
-        naming the first such point."""
-        w0j = self._w0 @ j
-        try:
-            return np.linalg.inv(w0j)
-        except np.linalg.LinAlgError:
-            for z, x in zip(np.reshape(zs, (-1, self.m)), w0j.reshape(-1, self.k, self.k)):
-                try:
-                    np.linalg.inv(x)
-                except np.linalg.LinAlgError:
-                    raise HermitiaError(
-                        "w0 j is singular at %s: the inclusion there has lost rank or meets "
-                        "the complement of its value at the chart centre, so the quotient "
-                        "frame is not defined" % _named(z)
-                    ) from None
-            raise
+    def _dq_of(self, zs, j, core):
+        """dq at a (B, m) stack of points zs from j and C there (see
+        :meth:`_frames`), shape (B, m, r - k, r): d_a q = -N0^H (d_a j C w0
+        - j C (w0 d_a j) C w0), each product associated as at one point."""
+        dj, w0, c = self._dj_stack(zs), self._w0, core[:, None]
+        inner = dj @ c @ w0 - (j @ core)[:, None] @ (w0 @ dj) @ c @ w0
+        return -self._n0h @ inner
 
     def dq_at(self, z):
-        j = self.j_at(z)
-        dj = self.dj_at(z)
-        core = self._core(j, z)
-        out = np.empty((self.m, self.r - self.k, self.r), dtype=complex)
-        for a in range(self.m):
-            inner = dj[a] @ core @ self._w0 - j @ core @ (self._w0 @ dj[a]) @ core @ self._w0
-            out[a] = -self._n0h @ inner
-        return out
+        zs = _as_point(z, self.m)[None]
+        j, core, _ = self._frames(zs)
+        return self._dq_of(zs, j, core)[0]
 
     def _check_holomorphic(self):
         rng = np.random.default_rng(np.random.SeedSequence([13, self.r, self.m]))
@@ -235,7 +225,7 @@ class ExactSeqChart:
         d_fn = dd_fn = None
         if amb.analytic and self._dj_fn is not None:
             def d_parts(zs):
-                j, dj = self._j_stack(zs), np.stack([self.dj_at(z) for z in zs])
+                j, dj = self._j_stack(zs), self._dj_stack(zs)
                 dg = amb.d_stack(zs)
                 return j, dj, dg, dg @ j[:, None] + amb.gram_stack(zs)[:, None] @ dj
 
@@ -286,7 +276,7 @@ class ExactSeqChart:
         return ChartField(
             self.m,
             self.r - self.k,
-            lambda zs: self._quot_grams(zs, self._q_of(self._j_stack(zs), zs), amb.gram_stack(zs)),
+            lambda zs: self._quot_grams(zs, self._frames(zs)[2], amb.gram_stack(zs)),
             center=amb.center,
             radius=amb.radius,
             d_fn=d_fn,
@@ -325,39 +315,39 @@ class ExactSeqChart:
             d_a dbar_b G_Q = G_Q (d_a P G_Q dbar_b P + dbar_b P G_Q d_a P
                                  - d_a dbar_b P) G_Q
 
-        where dbar_b P = (d_b P)^H.  The d and dd reads at one point share
-        one first-order part (H, K, G_Q, d_a G, E_a and d_a P), kept for
-        the latest point read, so the kernels read a stack one row at a
-        time (:func:`~hermitia.charts.per_row`).
+        where dbar_b P = (d_b P)^H.  Both kernels read a (B, m) stack, and
+        every product keeps the association of one point's, so row i equals
+        the jet of point i alone bit for bit.  The d and dd reads of one
+        stack share one first-order part (H, K, G_Q, d_a G, E_a and d_a P),
+        kept for the latest stack read (:func:`charts.last_point_cache`).
         """
         amb = self.ambient
 
         @last_point_cache
-        def first_order(z):
-            zs = z[None]
-            q = self._q_of(self._j_stack(zs), zs)
-            h, k, x = (part[0] for part in self._quot_parts(zs, q, amb.gram_stack(zs)))
-            dg = amb.d(z)
-            e = self.dq_at(z) - k.conj().T @ dg
-            return h, k, x, dg, e, e @ k
+        def first_order(zs):
+            j, core, q = self._frames(zs)
+            h, k, x = self._quot_parts(zs, q, amb.gram_stack(zs))
+            dg = amb.d_stack(zs)
+            e = self._dq_of(zs, j, core) - conj_transpose(k)[:, None] @ dg
+            return h, k, x, dg, e, e @ k[:, None]
 
-        @per_row
-        def d_fn(z):
-            _, _, x, _, _, dp = first_order(z)
-            return -x @ dp @ x
+        def d_fn(zs):
+            _, _, x, _, _, dp = first_order(zs)
+            return -x[:, None] @ dp @ x[:, None]
 
-        @per_row
-        def dd_fn(z):
-            h, k, x, dg, e, dp = first_order(z)
-            f = dg @ k
+        def dd_fn(zs):
+            h, k, x, dg, e, dp = first_order(zs)
+            f = dg @ k[:, None]
+            kh, h1 = conj_transpose(k)[:, None, None], h[:, None]
             ddp = (
-                e[:, None] @ (h @ conj_transpose(e))[None, :]
-                + conj_transpose(f)[None, :] @ (h @ f)[:, None]
-                - k.conj().T @ amb.dd(z) @ k
+                e[:, :, None] @ (h1 @ conj_transpose(e))[:, None, :]
+                + conj_transpose(f)[:, None, :] @ (h1 @ f)[:, :, None]
+                - kh @ amb.dd_stack(zs) @ k[:, None, None]
             )
             dph = conj_transpose(dp)
-            inner = dp[:, None] @ x @ dph[None, :] + dph[None, :] @ x @ dp[:, None] - ddp
-            return x @ inner @ x
+            x2 = x[:, None, None]
+            inner = dp[:, :, None] @ x2 @ dph[:, None, :] + dph[:, None, :] @ x2 @ dp[:, :, None] - ddp
+            return x2 @ inner @ x2
 
         return d_fn, dd_fn
 
@@ -369,6 +359,21 @@ class ExactSeqChart:
         return self._at(_as_point(z, self.m))
 
 
+def _singular_core(z):
+    return HermitiaError(
+        "w0 j is singular at %s: the inclusion there has lost rank or meets the complement "
+        "of its value at the chart centre, so the quotient frame is not defined" % _named(z)
+    )
+
+
+def _not_positive(z):
+    where = np.array2string(z, precision=3)
+    return NotPositiveAtPoint(
+        "ambient Gram matrix is not positive-definite at %s, which the "
+        "closed-form quotient metric needs" % where
+    )
+
+
 def _pd_inverse(g, zs):
     """G^-1 at each of a (B, m) stack of points from one batched Cholesky
     factorization G = L L^H.  A NaN or inf raises NonFinite, and a factor
@@ -378,18 +383,7 @@ def _pd_inverse(g, zs):
     if not finite.all():
         i = int(np.argmin(finite))
         require_finite(g[i], "ambient Gram matrix of the quotient jet", zs[i])
-    try:
-        low = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        for i, gi in enumerate(g):
-            try:
-                np.linalg.cholesky(gi)
-            except np.linalg.LinAlgError:
-                raise NotPositiveAtPoint(
-                    "ambient Gram matrix is not positive-definite at %s, which the "
-                    "closed-form quotient metric needs" % np.array2string(zs[i], precision=3)
-                ) from None
-        raise
+    low = stacked_linalg(np.linalg.cholesky, g, zs, _not_positive)
     inv_low = np.linalg.inv(low)
     return conj_transpose(inv_low) @ inv_low
 
@@ -500,8 +494,7 @@ class _Ring:
         self.seq = seq
         self.zs = zs = _stencil_ring(z, PROBE_STEP)
         g = seq.ambient.gram_stack(zs)
-        self.j = seq._j_stack(zs)
-        self.q = seq._q_of(self.j, zs)
+        self.j, _, self.q = seq._frames(zs)
         self.ambient = FormStack(g, zs, RANK_TOL)
         self.sub = FormStack(hermitize(seq._sub_grams(self.j, g)), zs, RANK_TOL)
         self.quot = FormStack(hermitize(seq._quot_grams(zs, self.q, g)), zs, RANK_TOL)
@@ -538,7 +531,7 @@ class _Ring:
     @cached_property
     def sigma(self):
         ambient, sub = self.solved
-        dj = np.stack([self.seq.dj_at(w) for w in self.zs])
+        dj = self.seq._dj_stack(self.zs)
         j = self.j[:, None]
         return self.q[:, None] @ (dj + ambient.a @ j - j @ sub.a)
 

@@ -148,3 +148,101 @@ def curvature_at(field, z):
     dbg, ddg = field.dbar(z, d=dg), field.dd(z)
     m = field.m
     return np.array([[(dbg[b] @ a[i] - ddg[i, b]).T for b in range(m)] for i in range(m)])
+
+
+def logdet_first(a, da, dda):
+    """The first-order part (J, flattened H, d) of the log-det jet at one
+    point, for a frame A (k, N) with dA (m, k, N) and ddA (m, m, k, N) or
+    None: the per-point oracle of ``fields._logdet_first``, the same
+    products on one point's arrays.  Raises LinAlgError where A A^H is
+    singular."""
+    m, k, n = da.shape
+    l_inv = np.linalg.inv(np.linalg.cholesky(a @ a.conj().T))
+    q = l_inv @ a
+    qh = q.conj().T
+    dl = l_inv @ da
+    kk = dl @ qh
+    j = dl - kk @ q
+    h = -(kk[:, None] @ j[None, :])
+    h = h + h.swapaxes(0, 1)
+    if dda is not None:
+        e = l_inv @ dda
+        h = h + e - (e @ qh) @ q
+    hf = h.reshape(m * m, k * n)
+    d = (hf @ j.reshape(m, k * n).conj().T).reshape(m, m, m)
+    return j, hf, d.transpose(1, 2, 0)
+
+
+def logdet_second(j, hf):
+    """The mixed second derivatives of the log-det Gram field at one point
+    from :func:`logdet_first`'s J and H: the per-point oracle of
+    ``fields._logdet_second``."""
+    m, k = j.shape[:2]
+    hh = (hf @ hf.conj().T).reshape(m, m, m, m)
+    c = j[:, None] @ j.conj().swapaxes(-1, -2)[None, :]
+    cc = (c.reshape(m * m, k * k) @ c.swapaxes(-1, -2).reshape(m * m, k * k).T).reshape(m, m, m, m)
+    return hh.transpose(1, 3, 2, 0) - cc.transpose(0, 1, 3, 2) - cc.transpose(2, 1, 3, 0)
+
+
+def logdet_jet(frame, z):
+    """(d, dd) of the log-det Gram field at one point z from the frame
+    there, frame(z) = (A, dA, ddA)."""
+    j, hf, d = logdet_first(*frame(z))
+    return d, logdet_second(j, hf)
+
+
+def potential_frame(mono_map):
+    """The one-row frame A = w^T of a potential map at one point, with its
+    derivatives, as ``fields.from_potential_map`` reads it."""
+
+    def frame(z):
+        w, jac, hess = mono_map.jet(z, 2)
+        return w[None], jac.T[:, None], hess.transpose(1, 2, 0)[:, :, None]
+
+    return frame
+
+
+def grassmann_frame(k, n):
+    """The frame A = [I | Z] of ``models.grassmannian_chart`` at one point,
+    with its constant first derivatives and no second."""
+    m = k * (n - k)
+    units = np.zeros((m, k, n), dtype=complex)
+    units[:, :, k:] = np.eye(m).reshape(m, k, n - k)
+
+    def frame(z):
+        return np.hstack([np.eye(k), z.reshape(k, n - k)]), units, None
+
+    return frame
+
+
+def quotient_dq(seq, z):
+    """dq at one point, one coordinate at a time: the per-point oracle of
+    ``ExactSeqChart.dq_at``."""
+    j, dj = seq.j_at(z), seq.dj_at(z)
+    core = np.linalg.inv(seq._w0 @ j)
+    out = np.empty((seq.m, seq.r - seq.k, seq.r), dtype=complex)
+    for a in range(seq.m):
+        inner = dj[a] @ core @ seq._w0 - j @ core @ (seq._w0 @ dj[a]) @ core @ seq._w0
+        out[a] = -seq._n0h @ inner
+    return out
+
+
+def quotient_jet(seq, z):
+    """(d, dd) of the closed-form quotient field G_Q at one point: the
+    per-point oracle of ``ExactSeqChart._quot_jet``, its first-order part
+    (H, K, G_Q, dG, E and dP) and both orders from one point's arrays."""
+    amb, zs = seq.ambient, z[None]
+    q = seq._frames(zs)[2]
+    h, k, x = (part[0] for part in seq._quot_parts(zs, q, amb.gram_stack(zs)))
+    dg = amb.d(z)
+    e = quotient_dq(seq, z) - k.conj().T @ dg
+    dp = e @ k
+    f = dg @ k
+    ddp = (
+        e[:, None] @ (h @ conj_transpose(e))[None, :]
+        + conj_transpose(f)[None, :] @ (h @ f)[:, None]
+        - k.conj().T @ amb.dd(z) @ k
+    )
+    dph = conj_transpose(dp)
+    inner = dp[:, None] @ x @ dph[None, :] + dph[None, :] @ x @ dp[:, None] - ddp
+    return -x @ dp @ x, x @ inner @ x

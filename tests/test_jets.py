@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from hermitia import fields
 from hermitia.charts import ChartField
 from hermitia.instances import sequence_instance
-from hermitia.models import grassmannian_chart, pluecker_pullback, resolve_model
+from hermitia.models import grassmannian_chart, pluecker_monomials, pluecker_pullback, resolve_model
+
+from oracles import grassmann_frame, logdet_jet, potential_frame, quotient_dq, quotient_jet
 
 D_TOL = 1e-6
 DD_TOL = 1e-5
@@ -39,6 +41,40 @@ FIELDS = {
 
 # 2 m real coordinates in [-1, 1] for charts of dimension m <= 9
 COORDS = st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18)
+# the points of a stack of 1 to 6 rows
+ROWS = st.lists(COORDS, min_size=1, max_size=6)
+
+
+def _embedded(jet, m, sl):
+    """(d, dd) of a factor field zero-padded into slots ``sl`` of an
+    m-dimensional chart, from the factor's (d, dd) at z[sl]."""
+
+    def at(z):
+        d, dd = jet(z[sl])
+        r = sl.stop - sl.start
+        out_d = np.zeros((m, m, m), dtype=complex)
+        out_dd = np.zeros((m, m, m, m), dtype=complex)
+        out_d[sl, sl, sl] = d.reshape(r, r, r)
+        out_dd[sl, sl, sl, sl] = dd.reshape(r, r, r, r)
+        return out_d, out_dd
+
+    return at
+
+
+# The per-point jet of each field of FIELDS, from the oracle log-det jet of
+# its frame at one point.
+ORACLES = {
+    "gr:1:2": lambda z: logdet_jet(grassmann_frame(1, 2), z),
+    "gr:2:4": lambda z: logdet_jet(grassmann_frame(2, 4), z),
+    "gr:3:6": lambda z: logdet_jet(grassmann_frame(3, 6), z),
+    "fs:2": lambda z: logdet_jet(potential_frame(fields.fs_monomials(2)), z),
+    "hirz:1 b1": lambda z: logdet_jet(potential_frame(fields.twisted_fiber_monomials(1)), z),
+    "hirz:1 b2": _embedded(
+        lambda z: logdet_jet(potential_frame(fields.fs_monomials(1)), z), 2, slice(0, 1)
+    ),
+    "hirz:3 b1": lambda z: logdet_jet(potential_frame(fields.twisted_fiber_monomials(3)), z),
+    "pluecker:2:4": lambda z: logdet_jet(potential_frame(pluecker_monomials(2, 4)), z),
+}
 
 
 @lru_cache(maxsize=None)
@@ -114,6 +150,40 @@ def test_quotient_jet_matches_finite_differences(seed, coords):
     assert _stack_error(field.dd(z), _richardson_dd(field, z)) <= DD_TOL
 
 
+def _assert_rows_equal_the_oracle(field, zs, oracle):
+    """d and dd of a stack, and the one-row reads of its first point, equal
+    the per-point oracle at each row bit for bit."""
+    d, dd = field.d_stack(zs), field.dd_stack(zs)
+    for i, z in enumerate(zs):
+        want_d, want_dd = oracle(z)
+        assert np.array_equal(d[i], want_d)
+        assert np.array_equal(dd[i], want_dd)
+    want_d, want_dd = oracle(zs[0])
+    assert np.array_equal(field.d(zs[0]), want_d)
+    assert np.array_equal(field.dd(zs[0]), want_dd)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=15, deadline=None)
+@given(rows=ROWS)
+def test_stacked_log_det_jet_equals_the_per_point_oracle(name, rows):
+    field, _ = field_pair(name)
+    zs = np.array([_point(field, coords) for coords in rows])
+    _assert_rows_equal_the_oracle(field, zs, ORACLES[name])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), rows=ROWS)
+def test_stacked_quotient_jet_equals_the_per_point_oracle(seed, rows):
+    seq, _ = sequence_instance(seed)
+    field = seq.quot_field
+    assert field.analytic
+    zs = np.array([_point(field, coords) for coords in rows])
+    _assert_rows_equal_the_oracle(field, zs, lambda z: quotient_jet(seq, z))
+    for z in zs:
+        assert np.array_equal(seq.dq_at(z), quotient_dq(seq, z))
+
+
 # seed, point coordinates (None: the instance's own point)
 PLAIN_COPY_MISSES = ((2720, None), (451, [1.0, -1.0, -1.0, -1.0] + [0.0] * 4))
 
@@ -171,19 +241,25 @@ def test_shared_jet_keeps_no_view_of_the_callers_point():
 
 @pytest.mark.parametrize("name", ["gr:2:4", "fs:2", "hirz:1 b1"])
 def test_a_d_read_builds_no_second_order_products(name, monkeypatch):
-    """A d read at a new point builds only the first-order part of the
-    log-det jet; the first dd read there adds the second-order products
-    once, and d and dd equal those of a freshly built field."""
+    """A d read of a new stack, of one row or of four, builds only the
+    first-order part of the log-det jet, once for the whole stack; the
+    first dd read of that stack adds the second-order products once from
+    it, and d and dd equal those of a freshly built field."""
     build = SHARED_JET_FIELDS[name]
-    field = build()
-    z = _point(field, [0.1, -0.2, 0.3, 0.25, -0.35, 0.15, 0.05, -0.4])
-    calls = []
-    second = fields._logdet_second
-    monkeypatch.setattr(fields, "_logdet_second", lambda *a: calls.append(1) or second(*a))
-    d = field.d(z)
-    assert calls == []
-    dd = field.dd(z)
-    field.dd(z)
-    assert calls == [1]
-    assert np.array_equal(d, build().d(z))
-    assert np.array_equal(dd, build().dd(z))
+    coords = [0.1, -0.2, 0.3, 0.25, -0.35, 0.15, 0.05, -0.4]
+    first, second = fields._logdet_first, fields._logdet_second
+    for rows in (1, 4):
+        field = build()
+        zs = np.array([_point(field, np.roll(coords, i)) for i in range(rows)])
+        calls = []
+        monkeypatch.setattr(fields, "_logdet_first", lambda *a: calls.append("first") or first(*a))
+        monkeypatch.setattr(fields, "_logdet_second", lambda *a: calls.append("second") or second(*a))
+        d = field.d_stack(zs)
+        assert calls == ["first"]
+        dd = field.dd_stack(zs)
+        field.dd_stack(zs)
+        field.d_stack(zs)
+        assert calls == ["first", "second"]
+        monkeypatch.undo()
+        assert np.array_equal(d, build().d_stack(zs))
+        assert np.array_equal(dd, build().dd_stack(zs))

@@ -122,6 +122,27 @@ def test_stacked_gate_and_stencil_reads_equal_point_reads(field_at):
         assert np.array_equal(field.gram_stack(zs), _reads(field, zs))
 
 
+# the table, and the quotient of a degenerate ambient, whose kernel takes
+# forms.quotient_form of each row and whose derivatives are stencils
+C_ORDER_FIELDS = {
+    **FIELDS,
+    "degenerate.quot_field": lambda: (
+        ExactSeqChart(random_degenerate_field(_rng(5), 2, 3, 2), np.eye(3, 1)).quot_field,
+        0.3 * Z2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(C_ORDER_FIELDS))
+def test_gram_reads_are_in_c_order(name):
+    """Every constructor's stacked and one-point Gram reads are C-contiguous,
+    whatever order its kernel returns: a product with a strided row can
+    round differently."""
+    field, z = C_ORDER_FIELDS[name]()
+    assert field.gram_stack(charts._gate_stencil(z, field.fd_outer_step)).flags.c_contiguous
+    assert field.gram(z).flags.c_contiguous
+
+
 def test_one_row_equals_a_row_of_seventeen(field_at):
     field, z = field_at
     rng = np.random.default_rng(3)
@@ -374,11 +395,16 @@ def test_potential_zero_at_one_gate_point_names_that_point():
 @pytest.mark.parametrize("what", ["d", "dd"])
 def test_potential_derivatives_where_the_map_vanishes_name_the_point(what):
     """The same map: at z = 3/4 the potential's frame w^T is zero, so its
-    derivatives are 0/0 there and raise instead of returning NaN."""
+    derivatives are 0/0 there and raise instead of returning NaN, read
+    alone or at a later row of a stack whose other rows are regular."""
     mono = MonomialMap(1, [[(1.0, (1,)), (-0.75, (0,))], [(1.0, (2,)), (-0.75, (1,))]])
     field = from_potential_map(mono, radius=2.0, self_check=False)
     with pytest.raises(NonFinite, match=r"at \[0\.75\+0\.j\]"):
         getattr(field, what)(np.array([0.75]))
+    stack = np.array([[0.2], [0.5j], [0.75], [-0.4]])
+    with pytest.raises(NonFinite, match=r"at \[0\.75\+0\.j\]"):
+        getattr(field, what + "_stack")(stack)
+    assert np.isfinite(getattr(field, what + "_stack")(stack[[0, 1, 3]])).all()
 
 
 def _singular_quotient():
@@ -396,8 +422,9 @@ def _singular_quotient():
 def test_batched_quotient_read_across_the_singular_point_names_it():
     quot = _singular_quotient()
     assert quot.analytic
-    with pytest.raises(NotPositiveAtPoint, match=r"at \[0\.5\+0\.j\]"):
-        quot.gram_stack(np.array([[0.2], [0.6], [0.5], [0.4]], dtype=complex))
+    for read in (quot.gram_stack, quot.d_stack, quot.dd_stack):
+        with pytest.raises(NotPositiveAtPoint, match=r"at \[0\.5\+0\.j\]"):
+            read(np.array([[0.2], [0.6], [0.5], [0.4]], dtype=complex))
     # the gate's last stencil point, z - i s, is 0.5 exactly
     with pytest.raises(NotPositiveAtPoint, match=r"at \[0\.5\+0\.j\]"):
         curvature_tensor(quot, [0.5 + 1e-3j])

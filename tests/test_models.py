@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hermitia import ConfigError, NotPositiveAtPoint
 from hermitia.charts import curvature_tensor, hsc, hsc_of_tensor
@@ -317,26 +321,57 @@ def _inverse_sqrt(a):
     return (u / np.sqrt(w)) @ u.conj().T
 
 
-@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (3, 6)])
-def test_off_centre_curvature_follows_the_moved_singular_values(k, n):
+GRASSMANN_PAIRS = [(k, n) for n in range(2, 7) for k in range(1, n)]
+
+
+@lru_cache(maxsize=None)
+def _grassmann(k, n):
+    return grassmannian_chart(k, n, certify=False)
+
+
+@pytest.mark.parametrize("k,n", GRASSMANN_PAIRS)
+def test_origin_tensor_is_the_unit_matrix_formula(k, n):
+    """At the centre of the chart, R_abst = tr(E_a E_b^H E_s E_t^H)
+    + tr(E_b^H E_a E_t^H E_s), with E_a the k x (n - k) unit matrix of
+    coordinate a: the curvature of Gr(k, n) at the identity coset, read
+    without the log-det jet.  Every entry is a small integer, which the
+    jet reads exactly."""
+    model = _grassmann(k, n)
+    e = np.eye(model.m).reshape(model.m, k, n - k)
+    want = np.einsum("aij,bkj,skl,til->abst", e, e, e, e) + np.einsum(
+        "bji,ajk,tlk,sli->abst", e, e, e, e
+    )
+    assert np.array_equal(curvature_tensor(model.field, np.zeros(model.m)).tensor, want)
+
+
+# the moduli and phases (over pi) of a point's m coordinates, then the real
+# and imaginary parts of a direction, m <= 9
+UNIT_COORDS = st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36)
+
+
+@pytest.mark.parametrize("k,n", GRASSMANN_PAIRS)
+@settings(max_examples=10, deadline=None)
+@given(coords=UNIT_COORDS)
+def test_off_centre_curvature_follows_the_moved_singular_values(k, n, coords):
     """The isometry moving Z0 to the centre has differential X -> P X Q,
     with P = (I + Z0 Z0^H)^(-1/2) and Q = (I + Z0^H Z0)^(-1/2), so H(Z0, X)
     = 2 sum(s^4) / (sum(s^2))^2 over the singular values s of P X Q.  This
-    checks H on the scan's tensor, at the scan's points and directions,
-    without the log-det jet that builds the tensor."""
-    model = grassmannian_chart(k, n, certify=False)
-    rng = np.random.default_rng(np.random.SeedSequence([59, k, n]))
-    for _ in range(5):
-        z = _sample_polydisc(rng, model.m, DEFAULT_GR_REGION)
-        curv = curvature_tensor(model.field, z)
-        dirs = _unit_directions(rng, model.m, 10)
-        got = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
-        z0 = z.reshape(k, n - k)
-        p = _inverse_sqrt(np.eye(k) + z0 @ z0.conj().T)
-        q = _inverse_sqrt(np.eye(n - k) + z0.conj().T @ z0)
-        for h, v in zip(got, dirs):
-            s = np.linalg.svd(p @ v.reshape(k, n - k) @ q, compute_uv=False)
-            assert abs(h - 2.0 * np.sum(s**4) / np.sum(s**2) ** 2) <= GRASSMANN_H_TOL
+    checks H on the scan's tensor, at points of the scan's polydisc and
+    any nonzero direction, without the log-det jet that builds the
+    tensor."""
+    model = _grassmann(k, n)
+    m = model.m
+    x = np.asarray(coords).reshape(4, 9)[:, :m]
+    z = DEFAULT_GR_REGION * x[0] * np.exp(1j * np.pi * x[1])
+    v = x[2] + 1j * x[3]
+    assume(np.linalg.norm(v) > 1e-3)
+    curv = curvature_tensor(model.field, z)
+    h = hsc_of_tensor(curv.tensor, curv.form.gram, v)
+    z0 = z.reshape(k, n - k)
+    p = _inverse_sqrt(np.eye(k) + z0 @ z0.conj().T)
+    q = _inverse_sqrt(np.eye(n - k) + z0.conj().T @ z0)
+    s = np.linalg.svd(p @ v.reshape(k, n - k) @ q, compute_uv=False)
+    assert abs(h - 2.0 * np.sum(s**4) / np.sum(s**2) ** 2) <= GRASSMANN_H_TOL
 
 
 def test_sampled_directions_stay_in_the_window(gr24):

@@ -429,8 +429,9 @@ def test_a_rank_jump_at_one_ring_point_names_it():
 def test_a_singular_inclusion_at_a_ring_point_names_it():
     """j(w) = 10 (w - p) e1 vanishes at p, the ring point z + i h, where
     w0 j is singular and the quotient frame is not defined.  The base
-    point passes; the ring's first probe, a fresh record's q at p and dq
-    at p raise HermitiaError naming p, not numpy's LinAlgError."""
+    point passes; the ring's first probe, a fresh record's q at p, dq at
+    p and the quotient's reads of a stack whose third row is p raise
+    HermitiaError naming p, not numpy's LinAlgError."""
     z = np.array([0.1 + 0.05j])
     p = z + 1j * PROBE_STEP
     assert any(np.array_equal(w, p) for w in charts._stencil_ring(z, PROBE_STEP))
@@ -442,7 +443,15 @@ def test_a_singular_inclusion_at_a_ring_point_names_it():
     )
     at = seq.at(z)
     at.q, at.dq, at.ambient.a, at.sub.a
-    for read in (lambda: at.probe("jdag"), lambda: sequences._SeqAt(seq, p).q, lambda: seq.dq_at(p)):
+    stack = np.array([z, z + 0.01, p, z - 0.01])
+    reads = (
+        lambda: at.probe("jdag"),
+        lambda: sequences._SeqAt(seq, p).q,
+        lambda: seq.dq_at(p),
+        lambda: seq.quot_field.gram_stack(stack),
+        lambda: seq.quot_field.d_stack(stack),
+    )
+    for read in reads:
         with pytest.raises(HermitiaError) as info:
             read()
         assert type(info.value) is HermitiaError
