@@ -221,8 +221,8 @@ def _tautological_line():
     # the line (1, z) inside the trivially metrized plane
     return ExactSeqChart(
         constant_field(np.eye(2), 1, radius=2.0),
-        lambda z: np.array([[1.0], [z[0]]]),
-        dj=lambda z: np.array([[[0.0], [1.0]]]),
+        lambda zs: np.stack([np.ones(len(zs)), zs[:, 0]], axis=1)[:, :, None],
+        dj=lambda zs: np.repeat([[[[0.0], [1.0]]]], len(zs), axis=0),
         name="taut",
     )
 

@@ -91,13 +91,15 @@ def random_degenerate_field(rng, m, r, rank):
 
 
 def random_inclusion(rng, r, k, m, constant=False):
-    """Holomorphic inclusion data (j, dj) with a well-conditioned base point."""
+    """Holomorphic inclusion data (j, dj) with a well-conditioned base
+    point: a constant matrix, or j = j0 + z . j1 and its derivatives as
+    kernels of a (B, m) stack of points."""
     j0 = np.eye(r, k, dtype=complex) + 0.25 * _cnormal(rng, (r, k))
     if constant:
         return j0, None
     j1 = 0.2 * _cnormal(rng, (m, r, k))
     poly = MatrixPolynomial(j0, c1=j1)
-    return poly.value, poly.d
+    return poly.value, lambda zs: np.repeat(j1[None], len(zs), axis=0)
 
 
 def sequence_instance(seed):

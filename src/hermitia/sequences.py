@@ -44,24 +44,34 @@ Per-point data: :meth:`ExactSeqChart.at` keeps one record of everything
 at a base point.  It holds one :class:`~hermitia.charts.FieldAt` for each
 of the ambient, sub and quotient fields, so each field is solved at most
 once per point, and its form, connection and curvature all come from
-that one record.  The derivatives of jdag, qdag, sigma and sigma dagger
-in the identity table and the splitting blocks are finite differences,
-the independent side of each identity.  Each is taken along every
-coordinate at once with step ``PROBE_STEP`` from one probe ring: the same
-quantities at the 4m points of that stencil around the base point, held
-as arrays over the ring (no record per ring point), built once and
-shared by every probe.  The ring reads the ambient's Gram kernel three
-times: once at its 4m points for the forms of all three fields, on the
-first probe; once at the 4m (4m + 1) gate points of its ambient and sub
-solves, on the first probe of sigma or sigma dagger, when both fields'
-connections at all ring points are solved as arrays, each field's from
-one batched factorization of its ring forms and one dG read
-(:func:`~hermitia.charts.solve_rows`); and once more at the 4m points in
-the sub field's stacked dG read, beside the one read of the ambient's dG
-there for each of the two solves.  The base point's three records are
-solved one row each by the same :func:`~hermitia.charts.solve_rows`.
-The finite-difference dj of an inclusion given without dj, and the
-holomorphy checks of j, go through :func:`~hermitia.charts.ring_fd`.
+that one record.  The three records share one read of the ambient's Gram
+kernel at the 4m + 1 gate points of the base point, and one read of the
+inclusion there: the sub and quotient gate rows are the sub and quotient
+kernels of those rows, built when that record is first read, and each
+record is solved from its rows by :func:`~hermitia.charts.solve_rows`.
+The inclusion j and its derivative dj are kernels of a stack of points,
+so every stack of points reads each of them in one call.  The
+derivatives of jdag, qdag, sigma and sigma dagger in the identity table
+and the splitting blocks are finite differences, the independent side of
+each identity.  Each is taken along every coordinate at once with step
+``PROBE_STEP`` from one probe ring: the same quantities at the 4m points
+of that stencil around the base point, held as arrays over the ring (no
+record per ring point), built once and shared by every probe.  The ring
+reads the ambient's Gram kernel three times: once at its 4m points for
+the forms of all three fields, on the first probe; once at the
+4m (4m + 1) gate points of its ambient and sub solves, on the first probe
+of sigma or sigma dagger, when both fields' connections at all ring
+points are solved as arrays, each field's from one batched factorization
+of its ring forms and one dG read (:func:`~hermitia.charts.solve_rows`);
+and once more at the 4m points in the sub field's stacked dG read, beside
+the one read of the ambient's dG there for each of the two solves.  So
+one point of the identity table, the splitting, sigma and the Codazzi
+pairs calls the ambient kernel at most 6 times: once at the base gate
+points, once each for the base's sub and quotient jets (one row each,
+the d and dd reads of each jet sharing its first-order part), and the
+ring's three.  The finite-difference dj of an inclusion given without
+dj, and the holomorphy checks of j, read j at the stencils of a whole
+stack of points in one call (:meth:`ExactSeqChart._j_fd`).
 """
 
 from dataclasses import dataclass
@@ -83,7 +93,6 @@ from .charts import (
     curvature_tensor,
     forms_of,
     last_point_cache,
-    ring_fd,
     sample_box,
     solve_rows,
 )
@@ -113,9 +122,16 @@ class ExactSeqChart:
     Parameters
     ----------
     ambient_field : the Gram field of the ambient bundle (rank r fiber).
-    j : constant (r, k) matrix, or callable z -> (r, k) matrix.
-    dj : optional callable z -> (m, r, k) of holomorphic derivatives;
-        finite differences are used when omitted for a callable j.
+    j : constant (r, k) matrix, or a kernel of a stack of points under the
+        row contract of :class:`~hermitia.charts.ChartField`: (B, m)
+        points -> (B, r, k) matrices, row i a function of point i only.
+    dj : optional kernel of the holomorphic derivatives under the same
+        contract, (B, m) points -> (B, m, r, k) with dj(zs)[i][a] = d_a j
+        at zs[i]; finite differences of j are used when omitted for a
+        callable j.
+
+    :meth:`j_at` and :meth:`dj_at` are the one-row reads of these kernels,
+    and every stack of points is read in one kernel call.
     """
 
     def __init__(self, ambient_field: ChartField, j, dj=None, name=""):
@@ -128,8 +144,8 @@ class ExactSeqChart:
             self._dj_fn = dj
         else:
             j0 = np.asarray(j, dtype=complex)
-            self._j_fn = lambda z, j0=j0: j0
-            self._dj_fn = lambda z, j0=j0: np.zeros((self.m,) + j0.shape, dtype=complex)
+            self._j_fn = lambda zs: np.repeat(j0[None], len(zs), axis=0)
+            self._dj_fn = lambda zs: np.zeros((len(zs), self.m) + j0.shape, dtype=complex)
         self.center = ambient_field.center
         j0 = self.j_at(self.center)
         if j0.ndim != 2 or j0.shape[0] != self.r:
@@ -152,32 +168,44 @@ class ExactSeqChart:
     # -- frames ---------------------------------------------------------
 
     def j_at(self, z):
-        return np.asarray(self._j_fn(np.asarray(z, dtype=complex)), dtype=complex)
+        return self._j_stack(_as_point(z, self.m)[None])[0]
 
     def dj_at(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self._dj_fn is not None:
-            return np.asarray(self._dj_fn(z), dtype=complex)
-        return ring_fd(self.j_at, z, self.ambient.fd_step)
+        return self._dj_stack(_as_point(z, self.m)[None])[0]
 
     def _j_stack(self, zs):
-        """j at each row of a (B, m) stack, shape (B, r, k)."""
-        return np.array([self.j_at(z) for z in zs])
+        """j at each row of a (B, m) stack, shape (B, r, k): one kernel
+        call, in C order whatever order the kernel returns."""
+        return np.ascontiguousarray(self._j_fn(zs), dtype=complex)
 
     def _dj_stack(self, zs):
-        """dj at each row of a (B, m) stack, shape (B, m, r, k)."""
-        return np.array([self.dj_at(z) for z in zs])
+        """dj at each row of a (B, m) stack, shape (B, m, r, k): one call
+        of the dj kernel, else :meth:`_j_fd`."""
+        if self._dj_fn is not None:
+            return np.ascontiguousarray(self._dj_fn(zs), dtype=complex)
+        return self._j_fd(zs)
+
+    def _j_fd(self, zs, conjugate=False):
+        """d_a j (dbar_a j when ``conjugate``) at each row of a (B, m)
+        stack by the Wirtinger stencil of the ambient's ``fd_step``, shape
+        (B, m, r, k): the B 4m stencil points read in one kernel call, so
+        row i equals ``ring_fd(j_at, zs[i], fd_step)`` bit for bit."""
+        h = self.ambient.fd_step
+        ring = _stencil_ring(zs, h)
+        reads = self._j_stack(ring.reshape(-1, self.m))
+        return _combine_ring(reads.reshape(ring.shape[:-1] + reads.shape[-2:]), h, conjugate, axis=-3)
 
     def q_at(self, z):
-        return self._frames(_as_point(z, self.m)[None])[2][0]
+        zs = _as_point(z, self.m)[None]
+        return self._frames(zs, self._j_stack(zs))[1][0]
 
-    def _frames(self, zs):
-        """j, C = (w0 j)^-1 and q = N0^H (I - j C w0) at a (B, m) stack of
-        points zs.  Where w0 j is singular the quotient frame q is not
-        defined: HermitiaError naming the first such point."""
-        j = self._j_stack(zs)
+    def _frames(self, zs, j):
+        """C = (w0 j)^-1 and q = N0^H (I - j C w0) at a (B, m) stack of
+        points zs from the inclusion matrices j there.  Where w0 j is
+        singular the quotient frame q is not defined: HermitiaError naming
+        the first such point."""
         core = stacked_linalg(np.linalg.inv, self._w0 @ j, zs, _singular_core)
-        return j, core, self._n0h @ (np.eye(self.r) - j @ core @ self._w0)
+        return core, self._n0h @ (np.eye(self.r) - j @ core @ self._w0)
 
     def _dq_of(self, zs, j, core):
         """dq at a (B, m) stack of points zs from j and C there (see
@@ -189,16 +217,19 @@ class ExactSeqChart:
 
     def dq_at(self, z):
         zs = _as_point(z, self.m)[None]
-        j, core, _ = self._frames(zs)
-        return self._dq_of(zs, j, core)[0]
+        j = self._j_stack(zs)
+        return self._dq_of(zs, j, self._frames(zs, j)[0])[0]
 
     def _check_holomorphic(self):
+        """dbar j at the chart centre and two points drawn around it, read
+        as one stack: NotHolomorphic at the first that is not small."""
         rng = np.random.default_rng(np.random.SeedSequence([13, self.r, self.m]))
         s = 0.3 * np.min(self.ambient.radius)
         spread = [sample_box(rng, self.m, s) for _ in range(2)]
-        for z in [self.center] + [self.center + dz for dz in spread]:
-            for db in ring_fd(self.j_at, z, self.ambient.fd_step, conjugate=True):
-                if np.linalg.norm(db) > HOLOMORPHY_TOL * (1.0 + np.linalg.norm(self.j_at(z))):
+        zs = np.stack([self.center] + [self.center + dz for dz in spread])
+        for j, dbar in zip(self._j_stack(zs), self._j_fd(zs, conjugate=True)):
+            for db in dbar:
+                if np.linalg.norm(db) > HOLOMORPHY_TOL * (1.0 + np.linalg.norm(j)):
                     raise NotHolomorphic(
                         "inclusion has antiholomorphic derivative %.2e" % np.linalg.norm(db)
                     )
@@ -216,7 +247,9 @@ class ExactSeqChart:
         ambient's G, dG (and ddG) at a stack of points in one call each:
         d_a (j^H G j) = j^H T_a with T_a = d_a G j + G d_a j, and
         d_a dbar_b (j^H G j) = (d_b j)^H T_a
-        + j^H (d_a dbar_b G j + dbar_b G d_a j)."""
+        + j^H (d_a dbar_b G j + dbar_b G d_a j).  The d and dd reads of
+        one stack share one first-order part (j, dj, dG and T_a), kept for
+        the latest stack read (:func:`charts.last_point_cache`)."""
         amb = self.ambient
 
         def stack_fn(zs):
@@ -224,6 +257,7 @@ class ExactSeqChart:
 
         d_fn = dd_fn = None
         if amb.analytic and self._dj_fn is not None:
+            @last_point_cache
             def d_parts(zs):
                 j, dj = self._j_stack(zs), self._dj_stack(zs)
                 dg = amb.d_stack(zs)
@@ -276,7 +310,7 @@ class ExactSeqChart:
         return ChartField(
             self.m,
             self.r - self.k,
-            lambda zs: self._quot_grams(zs, self._frames(zs)[2], amb.gram_stack(zs)),
+            lambda zs: self._quot_grams(zs, self._frames(zs, self._j_stack(zs))[1], amb.gram_stack(zs)),
             center=amb.center,
             radius=amb.radius,
             d_fn=d_fn,
@@ -325,7 +359,8 @@ class ExactSeqChart:
 
         @last_point_cache
         def first_order(zs):
-            j, core, q = self._frames(zs)
+            j = self._j_stack(zs)
+            core, q = self._frames(zs, j)
             h, k, x = self._quot_parts(zs, q, amb.gram_stack(zs))
             dg = amb.d_stack(zs)
             e = self._dq_of(zs, j, core) - conj_transpose(k)[:, None] @ dg
@@ -388,22 +423,85 @@ def _pd_inverse(g, zs):
     return conj_transpose(inv_low) @ inv_low
 
 
+class _GateRecord(FieldAt):
+    """A :class:`FieldAt` whose Gram matrices its owner reads:
+    ``read(n)`` returns those of the field at the first n points of the
+    gate stencil of z (:func:`~hermitia.charts._gate_stencil`, centre
+    first), or at all 4m + 1 when n is None.  As in a :class:`FieldAt`,
+    the form read first is the one-row read at z, and the solve is
+    :func:`~hermitia.charts.solve_rows` of the gate rows, whose centre row
+    must then equal that form's bit for bit; so both equal those of a
+    :class:`FieldAt` of the field at z while the owner's rows equal the
+    field's own reads."""
+
+    def __init__(self, field: ChartField, z, read):
+        super().__init__(field, z)
+        self._read = read
+
+    @cached_property
+    def form(self):
+        solved = self.__dict__.get("_solved")
+        if solved is None:
+            return FormStack(self._read(1), self.point[None], RANK_TOL).form(0)
+        return solved.forms.form(0)
+
+    @cached_property
+    def _solved(self):
+        read = self.__dict__.get("form")
+        forms = None if read is None else read.gram[None]
+        solves, error = solve_rows(self.field, self.point[None], self._read(None)[None], forms)
+        if error is not None:
+            raise error
+        return solves
+
+
 class _SeqAt:
     """All pointwise sequence data at one chart point, each computed on
     first read, so a read of one quantity solves only what it needs.
 
-    ``ambient``, ``sub`` and ``quot`` are the :class:`FieldAt` records of
-    the three fields at z: each field is solved at most once per point,
-    and its form, connection and curvature are read from its record.  A
-    base record built by :meth:`ExactSeqChart.at` also owns a probe ring,
-    ``ring`` (a :class:`_Ring`, the same quantities as arrays over the 4m
-    Wirtinger stencil points around z), from which :meth:`probe`
-    differences j dagger, q dagger, sigma and sigma dagger.
+    ``ambient``, ``sub`` and ``quot`` are the records (:class:`FieldAt`)
+    of the three fields at z: each field is solved at most once per point,
+    and its form, connection and curvature are read from its record.  The
+    three share one read: the ambient's Gram kernel at the 4m + 1 gate
+    points of z in one call (OutOfDomain first if z leaves the chart by
+    the gate's margin), then, for the sub or the quotient, the inclusion
+    there in one call.  Each record builds its Gram matrices from those
+    reads when it needs them: the ambient's are the read itself, the
+    sub's j^H G j of it and the quotient's the quotient kernel of it (its
+    frames built then), at the centre row alone for a form read before
+    the solve, at every gate point for the solve.  Each equals the
+    field's own read, so the record's form and solve equal those of a
+    :class:`FieldAt` at z bit for bit.  Reading the ambient alone reads no
+    inclusion.  A base record built by :meth:`ExactSeqChart.at` also owns
+    a probe ring, ``ring`` (a :class:`_Ring`, the same quantities as
+    arrays over the 4m Wirtinger stencil points around z), from which
+    :meth:`probe` differences j dagger, q dagger, sigma and sigma dagger.
     """
 
     def __init__(self, seq: ExactSeqChart, z):
         self.seq = seq
         self.z = z
+
+    @cached_property
+    def _gate_read(self):
+        """The gate stencil of z and the ambient's Gram matrices there."""
+        zs = _leading_gates(self.seq.ambient, self.z[None])[0]
+        return zs, self.seq.ambient.gram_stack(zs)
+
+    @cached_property
+    def _gate_j(self):
+        return self.seq._j_stack(self._gate_read[0])
+
+    def _ambient_rows(self, n):
+        return self._gate_read[1][:n]
+
+    def _sub_rows(self, n):
+        return hermitize(self.seq._sub_grams(self._gate_j[:n], self._gate_read[1][:n]))
+
+    def _quot_rows(self, n):
+        zs, g = (part[:n] for part in self._gate_read)
+        q = self.seq._frames(zs, self._gate_j[:n])[1]
+        return hermitize(self.seq._quot_grams(zs, q, g))
 
     @cached_property
     def ring(self):
@@ -420,15 +518,15 @@ class _SeqAt:
 
     @cached_property
     def ambient(self):
-        return FieldAt(self.seq.ambient, self.z)
+        return _GateRecord(self.seq.ambient, self.z, self._ambient_rows)
 
     @cached_property
     def sub(self):
-        return FieldAt(self.seq.sub_field, self.z)
+        return _GateRecord(self.seq.sub_field, self.z, self._sub_rows)
 
     @cached_property
     def quot(self):
-        return FieldAt(self.seq.quot_field, self.z)
+        return _GateRecord(self.seq.quot_field, self.z, self._quot_rows)
 
     @cached_property
     def j(self):
@@ -494,7 +592,8 @@ class _Ring:
         self.seq = seq
         self.zs = zs = _stencil_ring(z, PROBE_STEP)
         g = seq.ambient.gram_stack(zs)
-        self.j, _, self.q = seq._frames(zs)
+        self.j = seq._j_stack(zs)
+        self.q = seq._frames(zs, self.j)[1]
         self.ambient = FormStack(g, zs, RANK_TOL)
         self.sub = FormStack(hermitize(seq._sub_grams(self.j, g)), zs, RANK_TOL)
         self.quot = FormStack(hermitize(seq._quot_grams(zs, self.q, g)), zs, RANK_TOL)
@@ -555,7 +654,7 @@ def second_fundamental_form(seq: ExactSeqChart, z) -> SecondFundamentalFormAt:
     pure (1,0) type); its residual is reported and gated at 1e-6.
     """
     at = seq.at(z)
-    dbar_j = ring_fd(seq.j_at, at.z, seq.ambient.fd_step, conjugate=True)
+    dbar_j = seq._j_fd(at.z[None], conjugate=True)[0]
     worst = max(float(np.linalg.norm(at.q @ db)) for db in dbar_j)
     scale = 1.0 + float(np.linalg.norm(at.sigma))
     if worst > SIGMA_DBAR_TOL * scale:

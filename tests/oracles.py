@@ -232,7 +232,7 @@ def quotient_jet(seq, z):
     per-point oracle of ``ExactSeqChart._quot_jet``, its first-order part
     (H, K, G_Q, dG, E and dP) and both orders from one point's arrays."""
     amb, zs = seq.ambient, z[None]
-    q = seq._frames(zs)[2]
+    q = seq._frames(zs, seq._j_stack(zs))[1]
     h, k, x = (part[0] for part in seq._quot_parts(zs, q, amb.gram_stack(zs)))
     dg = amb.d(z)
     e = quotient_dq(seq, z) - k.conj().T @ dg

@@ -13,6 +13,7 @@ from hermitia import (
     NotPositiveAtPoint,
     OutOfDomain,
     RankJump,
+    acceptance,
     charts,
     sequences,
 )
@@ -45,15 +46,34 @@ from hermitia.sequences import (
 from oracles import smooth_kernel_perturbation, wirtinger_fd
 
 
+def line_j(zs):
+    """The line (1, z) as an inclusion kernel: (B, 1) -> (B, 2, 1)."""
+    return np.stack([np.ones(len(zs)), zs[:, 0]], axis=1)[:, :, None]
+
+
+def line_dj(zs):
+    return np.repeat([[[[0.0], [1.0]]]], len(zs), axis=0)
+
+
+def conj_line_j(zs):
+    """The antiholomorphic line (1, conj z)."""
+    return np.stack([np.ones(len(zs)), np.conj(zs[:, 0])], axis=1)[:, :, None]
+
+
+def vanishing_line(p, r):
+    """The kernels of j = 10 (w - p) e1 in C^r, which vanishes at p, and
+    of its derivative."""
+    e1 = np.eye(r, 1, dtype=complex)
+    return (
+        lambda ws: 10.0 * (ws[:, 0] - p[0])[:, None, None] * e1,
+        lambda ws: np.repeat(10.0 * e1[None, None], len(ws), axis=0),
+    )
+
+
 def taut_sequence(radius=2.0):
     """The line (1, z) inside the trivially-metrized C^2."""
     amb = constant_field(np.eye(2), 1, radius=radius)
-    return ExactSeqChart(
-        amb,
-        lambda z: np.array([[1.0], [z[0]]]),
-        dj=lambda z: np.array([[[0.0], [1.0]]]),
-        name="taut",
-    )
+    return ExactSeqChart(amb, line_j, dj=line_dj, name="taut")
 
 
 def block_split_sequence(seed=7, fd=False):
@@ -206,64 +226,118 @@ def test_lazy_seq_data_equals_eager_oracle(case):
         assert np.array_equal(got, value), name
 
 
-def _count_solves(monkeypatch):
-    """Record the field of every connection solve of a FieldAt record, one
-    entry per solved point, counted at the one solve entry point
-    ``charts.solve_rows``.  The probe ring's solves go through the
-    ``solve_rows`` binding of ``hermitia.sequences`` and are not counted
-    here."""
-    calls = []
-    solve_rows = charts.solve_rows
+def _base_cases():
+    """_seq_cases, then an m = 1 constant inclusion (sequence_instance(17))
+    and the finite-difference ambient, whose quotient reads
+    quotient_form."""
+    return _seq_cases() + [
+        sequence_instance(17),
+        (block_split_sequence(fd=True)[0], np.array([0.1 - 0.05j])),
+    ]
 
-    def counting(field, zs, grams, forms):
-        calls.extend([field] * len(zs))
+
+def test_base_cases_cover_both_dimensions_and_inclusion_kinds():
+    kinds = {(seq.m, bool(np.any(seq.dj_at(z)))) for seq, z in _base_cases()}
+    assert kinds == {(1, False), (1, True), (2, False), (2, True)}
+
+
+@pytest.mark.parametrize("case", range(len(_seq_cases()) + 2))
+@pytest.mark.parametrize("forms_first", [False, True], ids=["solved", "forms_first"])
+def test_base_records_equal_the_fields_solved_alone(case, forms_first):
+    """The base point's ambient, sub and quotient records, solved from the
+    one shared read of the base gate points, equal each field's own
+    curvature_tensor at z bit for bit: form (gram, rank, pinv), dG, A,
+    residual and tensor; so they do when the forms are read before the
+    solves, as the adjoints read them."""
+    seq, z = _base_cases()[case]
+    at = seq.at(z)
+    if forms_first:
+        at.jdag, at.qdag
+    for part, field in (("ambient", seq.ambient), ("sub", seq.sub_field), ("quot", seq.quot_field)):
+        got, want = getattr(at, part), curvature_tensor(field, z)
+        assert np.array_equal(got.form.gram, want.form.gram), part
+        assert got.form.rank == want.form.rank, part
+        assert np.array_equal(got.form.pinv, want.form.pinv), part
+        for name in ("dg", "a", "residual", "tensor"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (part, name)
+
+
+def test_a_sub_jet_is_read_once_per_stack(monkeypatch):
+    """A one-row d read of the sub field then a dd read of the same row
+    share one first-order part: one call of the ambient's Gram kernel and
+    one of its d_fn."""
+    seq, z = sequence_instance(1)
+    reads, d_reads = _count_ambient_reads(seq, monkeypatch)
+    zs = z[None]
+    seq.sub_field.d_stack(zs)
+    seq.sub_field.dd_stack(zs.copy())
+    assert (reads, d_reads) == ([1], [1])
+
+
+def _count_solves(monkeypatch):
+    """Record (field, points) of every connection solve of a sequence
+    record and of its probe ring, counted at their one solve entry point,
+    the ``solve_rows`` binding of ``hermitia.sequences``; a solve of a
+    FieldAt of its own (``charts.solve_points``) fails the test."""
+    calls = []
+    solve_rows = sequences.solve_rows
+
+    def counting(field, zs, grams, forms=None):
+        calls.append((field, len(zs)))
         return solve_rows(field, zs, grams, forms)
 
-    monkeypatch.setattr(charts, "solve_rows", counting)
+    def unexpected(*args):
+        raise AssertionError("a sequence record solved a FieldAt of its own")
+
+    monkeypatch.setattr(sequences, "solve_rows", counting)
+    monkeypatch.setattr(charts, "solve_points", unexpected)
     return calls
+
+
+def _count_rows(obj, name, monkeypatch):
+    """The number of rows of every call of the kernel ``obj.name``."""
+    rows, kernel = [], getattr(obj, name)
+
+    def counting(zs):
+        rows.append(len(zs))
+        return kernel(zs)
+
+    monkeypatch.setattr(obj, name, counting)
+    return rows
 
 
 def _count_ambient_reads(seq, monkeypatch):
     """The number of rows of every call of the ambient's Gram kernel and of
     its d_fn."""
-    reads, d_reads = [], []
-    kernel, d_kernel = seq.ambient.stack_fn, seq.ambient.d_fn
-
-    def counting_kernel(zs):
-        reads.append(len(zs))
-        return kernel(zs)
-
-    def counting_d(zs):
-        d_reads.append(len(zs))
-        return d_kernel(zs)
-
-    monkeypatch.setattr(seq.ambient, "stack_fn", counting_kernel)
-    monkeypatch.setattr(seq.ambient, "d_fn", counting_d)
-    return reads, d_reads
+    return _count_rows(seq.ambient, "stack_fn", monkeypatch), _count_rows(seq.ambient, "d_fn", monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["jdag", "qdag"])
 def test_adjoint_probe_solves_no_connection(monkeypatch, name):
-    """The base record's j dagger or q dagger solves no connection, and
-    their probes read the ambient once, at the 4m ring points for the
-    ring's forms: no gate read and no dG read.  Only sigma's probe reads
-    the ring's gates and dG (the sub's dG reads G at the 4m ring points
-    once more)."""
+    """The base record's j dagger or q dagger solves no connection: their
+    forms are the centre rows of the base's one read of the ambient at
+    its 4m + 1 gate points.  Their probes read the ambient once more, at
+    the 4m ring points for the ring's forms: no ring gate read and no dG
+    read.  Only sigma's probe reads the ring's gates and dG (the sub's dG
+    reads G at the 4m ring points once more), and the base's sigma solves
+    A_E and A_S one row each from the base's read."""
     seq, z = sequence_instance(3)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
     at = seq.at(z)
     calls = _count_solves(monkeypatch)
-    getattr(at, name)  # the base record's forms
-    assert calls == []
     reads, d_reads = _count_ambient_reads(seq, monkeypatch)
+    getattr(at, name)  # the base record's forms
+    assert (reads, d_reads, calls) == ([n + 1], [], [])
     at.probe(name)
     at.probe(name, conjugate=True)
-    assert (reads, d_reads, calls) == ([n], [], [])
+    assert (reads, d_reads, calls) == ([n + 1, n], [], [])
     at.probe("sigma")  # the gates, then dG of the ambient and of the sub
-    assert (reads, d_reads, calls) == ([n, n * (n + 1), n], [n, n], [])
+    ring = [(seq.ambient, n), (seq.sub_field, n)]
+    assert (reads, d_reads, calls) == ([n + 1, n, n * (n + 1), n], [n, n], ring)
     at.sigma  # the second fundamental form does need A_E and A_S
-    assert calls == [seq.ambient, seq.sub_field]
+    assert calls == ring + [(seq.ambient, 1), (seq.sub_field, 1)]
+    assert reads[4:] == [1]  # the sub jet's G; the gates were read
 
 
 def _stack_error(exact, fd):
@@ -291,6 +365,88 @@ def test_quotient_jet_matches_quotient_form_and_finite_differences(seed):
     r_jet = curvature_tensor(seq.quot_field, z).tensor
     r_fd = curvature_tensor(fd, z).tensor
     assert np.linalg.norm(r_jet - r_fd) <= 1e-5 * (1.0 + np.linalg.norm(r_fd))
+
+
+def _raised(read):
+    try:
+        read()
+    except HermitiaError as err:
+        return type(err), str(err)
+    return None
+
+
+def test_base_records_raise_what_the_fields_raise_alone():
+    """Where a base gate fails, each base record's solve raises what the
+    field's own chern_connection at z raises: j = 10 (w - p) e1 vanishes
+    at p = z + s, a gate neighbour of z, so the sub gate jumps in rank
+    there and the quotient frame is not defined there, while the ambient
+    passes; and a point inside the chart by less than the gate's margin
+    raises OutOfDomain in all three."""
+    z = np.array([0.1 + 0.05j])
+    p = z + 1e-3
+    j, dj = vanishing_line(p, 3)
+    seq = ExactSeqChart(constant_field(np.eye(3), 1, radius=0.9), j, dj=dj)
+    edge = np.array([0.9 - 1e-3 + 0j])
+    for w in (z, edge):
+        at = sequences._SeqAt(seq, w)
+        for part, field in (("ambient", seq.ambient), ("sub", seq.sub_field), ("quot", seq.quot_field)):
+            want = _raised(lambda: chern_connection(field, w))
+            assert _raised(lambda: getattr(at, part).a) == want, (w, part)
+            assert want is not None or part == "ambient"
+
+
+def _inclusion_kernels():
+    """(name, m, j kernel, dj kernel or None) of every inclusion the
+    package and these tests build: the seeded random inclusions (moving
+    and constant), the tautological lines, the vanishing lines and the
+    antiholomorphic line."""
+    out = []
+    for seed in JET_SEEDS:
+        seq, _ = sequence_instance(seed)
+        out.append(("instance %d" % seed, seq.m, seq._j_fn, seq._dj_fn))
+    taut = acceptance._tautological_line()
+    out.append(("acceptance line", 1, taut._j_fn, taut._dj_fn))
+    out.append(("line", 1, line_j, line_dj))
+    p = np.array([0.1 + 0.05j + 1j * PROBE_STEP])
+    for r in (2, 3):
+        out.append(("vanishing line %d" % r, 1) + vanishing_line(p, r))
+    out.append(("conjugate line", 1, conj_line_j, None))
+    return out
+
+
+INCLUSION_KERNELS = _inclusion_kernels()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.integers(0, len(INCLUSION_KERNELS) - 1),
+    rows=st.integers(1, 6),
+    coords=st.lists(st.floats(-0.5, 0.5), min_size=24, max_size=24),
+)
+def test_stacked_inclusion_rows_equal_their_one_row_reads(index, rows, coords):
+    """Every inclusion kernel keeps the row contract: row i of a stack
+    read equals the one-row read of point i bit for bit, for j and dj.
+    So do a chart's _j_stack and _dj_stack rows and its j_at and dj_at
+    reads, with the kernel's dj and with the stencil's, and the stencil's
+    dbar j rows and ring_fd of j_at."""
+    name, m, j_fn, dj_fn = INCLUSION_KERNELS[index]
+    x = np.asarray(coords[: 2 * rows * m]).reshape(2, rows, m)
+    zs = x[0] + 1j * x[1]
+    for fn in (j_fn, dj_fn):
+        if fn is not None:
+            stacked = np.asarray(fn(zs))
+            for i in range(rows):
+                assert np.array_equal(stacked[i], np.asarray(fn(zs[i : i + 1]))[0]), (name, i)
+    if name == "conjugate line":
+        return  # no chart takes it
+    amb = constant_field(np.eye(np.shape(j_fn(zs[:1]))[1]), m, radius=2.0)
+    for seq in (ExactSeqChart(amb, j_fn, dj=dj_fn), ExactSeqChart(amb, j_fn)):
+        j, dj = seq._j_stack(zs), seq._dj_stack(zs)
+        dbar = seq._j_fd(zs, conjugate=True)
+        for i, w in enumerate(zs):
+            assert np.array_equal(j[i], seq.j_at(w)), (name, i)
+            assert np.array_equal(dj[i], seq.dj_at(w)), (name, i)
+            assert np.array_equal(dbar[i], ring_fd(seq.j_at, w, amb.fd_step, conjugate=True)), (name, i)
 
 
 # every sequence_instance seed drawn in this file
@@ -435,12 +591,8 @@ def test_a_singular_inclusion_at_a_ring_point_names_it():
     z = np.array([0.1 + 0.05j])
     p = z + 1j * PROBE_STEP
     assert any(np.array_equal(w, p) for w in charts._stencil_ring(z, PROBE_STEP))
-    e1 = np.eye(2, 1)
-    seq = ExactSeqChart(
-        constant_field(np.eye(2), 1, radius=0.9),
-        lambda w: 10.0 * (w[0] - p[0]) * e1,
-        dj=lambda w: 10.0 * e1[None],
-    )
+    j, dj = vanishing_line(p, 2)
+    seq = ExactSeqChart(constant_field(np.eye(2), 1, radius=0.9), j, dj=dj)
     at = seq.at(z)
     at.q, at.dq, at.ambient.a, at.sub.a
     stack = np.array([z, z + 0.01, p, z - 0.01])
@@ -510,12 +662,8 @@ def test_a_sub_jump_before_an_ambient_jump_raises_first():
     h, s = PROBE_STEP, 1e-3
     p1, p3 = z - h + s, z - 1j * h + s
     poly = MatrixPolynomial(np.diag([1.0, 1.0, -10.0 * p3[0]]), c1=np.diag([0.0, 0.0, 10.0])[None])
-    e1 = np.eye(3, 1, dtype=complex)
-    seq = ExactSeqChart(
-        from_factor(poly, 1, radius=0.9),
-        lambda w: 10.0 * (w[0] - p1[0]) * e1,
-        dj=lambda w: 10.0 * e1[None],
-    )
+    j, dj = vanishing_line(p1, 3)
+    seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), j, dj=dj)
     named = "rank 1 at %s but 0 at its stencil neighbor %s" % (charts._named(z - h), charts._named(p1))
     assert _first_ring_error(seq, z) == (RankJump, named)
     with pytest.raises(RankJump):
@@ -573,35 +721,35 @@ def test_solve_rejects_a_form_that_is_not_the_gate_read():
 @pytest.mark.parametrize("seed", JET_SEEDS)
 def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
     """Identities, splitting, sigma and Codazzi at one point: one record,
-    the base's, with one gate for each of its three solves, and its probe
+    the base's, whose three solves share one gate read, and its probe
     ring as arrays, whose ambient and sub connections are solved by one
-    solve_rows call each.  The ambient kernel reads 4m + 1 rows for each
-    base gate, one row for each of the base's sub d, sub dd and quotient
-    jet reads, the 4m ring points once for the ring's forms, the
-    4m (4m + 1) gate points of the ring once for both ring solves, and the
-    4m ring points once more for the sub solve's dG.  The ambient's dG is
-    read in one row for the base's ambient solve, sub d, sub dd and
-    quotient jet each, and at the 4m ring points once for each of the two
-    ring solves."""
+    solve_rows call each.  The ambient kernel reads the 4m + 1 base gate
+    points once, one row for each of the base's sub jet (its d and dd
+    reads share one first-order part) and quotient jet, the 4m ring points
+    once for the ring's forms, the 4m (4m + 1) gate points of the ring
+    once for both ring solves, and the 4m ring points once more for the
+    sub solve's dG: 6 calls where each base solve once read its own gate
+    and the sub's d and dd each read G.  When m > 1 the identity table
+    probes sigma before the splitting reads the sub curvature, so the
+    ring's sub solve has replaced the sub jet kept for the base row, which
+    the sub's dd reads again: one more one-row read of G and of dG.  The
+    ambient's dG is read in one row for the base's ambient solve and each
+    jet, and at the 4m ring points once for each of the two ring solves.
+    The inclusion's two kernels read every stack in one call."""
     seq, z = sequence_instance(seed)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
-    fields = [seq.ambient, seq.sub_field, seq.quot_field]
     solves = _count_solves(monkeypatch)
-    records, ring_solves = [], []
-    init, solve_rows = sequences._SeqAt.__init__, sequences.solve_rows
+    records = []
+    init = sequences._SeqAt.__init__
 
     def counting_init(self, seq, w):
         records.append(w)
         init(self, seq, w)
 
-    def counting_rows(field, zs, grams, forms):
-        ring_solves.append((field, len(zs)))
-        return solve_rows(field, zs, grams, forms)
-
     monkeypatch.setattr(sequences._SeqAt, "__init__", counting_init)
-    monkeypatch.setattr(sequences, "solve_rows", counting_rows)
     reads, d_reads = _count_ambient_reads(seq, monkeypatch)
+    j_reads = _count_rows(seq, "_j_fn", monkeypatch)
     demailly_residuals(seq, z)
     splitting_curvature_blocks(seq, z)
     second_fundamental_form(seq, z)
@@ -612,13 +760,46 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
     assert len(records) == 1
-    assert solves == fields
-    assert ring_solves == [(seq.ambient, n), (seq.sub_field, n)]
-    base_one_row = ["sub d", "sub dd", "quotient jet"]
-    base_reads = [n + 1] * len(fields) + [1] * len(base_one_row)
-    ring_reads = [n, n * (n + 1), n]  # forms, gates, the sub solve's dG
-    assert Counter(reads) == Counter(base_reads + ring_reads)
-    assert Counter(d_reads) == Counter([1] * (1 + len(base_one_row)) + [n] * len(ring_solves))
+    base = [(seq.ambient, 1), (seq.sub_field, 1), (seq.quot_field, 1)]
+    assert solves == base + [(seq.ambient, n), (seq.sub_field, n)]
+    again = [1] * (seq.m > 1)  # the sub jet at the base row, read again
+    assert Counter(reads) == Counter([n + 1, 1, 1] + [n, n * (n + 1), n] + again)
+    assert len(reads) == 6 + len(again)
+    assert Counter(d_reads) == Counter([1, 1, 1] + [n, n] + again)
+    # base gates; base j, q, dq and the two jets; the ring's forms, gates
+    # and sub dG; the (0,1) check of sigma at the 4m stencil points
+    assert Counter(j_reads) == Counter([n + 1] + [1] * 5 + [n, n * (n + 1), n] + [n] + again)
+
+
+def test_reading_the_ambient_alone_reads_nothing_else(monkeypatch):
+    """at.ambient.a reads the ambient's Gram kernel once, at the 4m + 1
+    base gate points, and its dG once; it reads no inclusion, builds no
+    quotient frame, no sub or quotient gate rows and no probe ring."""
+    seq, z = sequence_instance(1)
+    seq.quot_field  # built ahead: its choice of route reads G at the chart centre
+    n = 4 * seq.m
+    calls = _count_solves(monkeypatch)
+    reads, d_reads = _count_ambient_reads(seq, monkeypatch)
+    j_reads = _count_rows(seq, "_j_fn", monkeypatch)
+    frames = _count_rows(seq, "_frames", monkeypatch)
+    at = seq.at(z)
+    at.ambient.a
+    assert (reads, d_reads, j_reads, frames) == ([n + 1], [1], [], [])
+    assert calls == [(seq.ambient, 1)]
+    assert {"ring", "sub", "quot", "_gate_j"}.isdisjoint(vars(at))
+
+
+@pytest.mark.parametrize("codazzi", [codazzi_sub, codazzi_quot])
+def test_codazzi_builds_no_probe_ring(codazzi, monkeypatch):
+    """The Codazzi corollaries read only the base point's records: no
+    probe ring is built."""
+    rings = _count_rows(sequences, "_Ring", monkeypatch)
+    for seed in JET_SEEDS:
+        seq, z = sequence_instance(seed)
+        size = seq.k if codazzi is codazzi_sub else seq.r - seq.k
+        codazzi(seq, z, 0, seq.m - 1, np.ones(size), np.arange(size) + 1j)
+        assert "ring" not in vars(seq.at(z))
+    assert rings == []
 
 
 @pytest.mark.parametrize(
@@ -777,18 +958,24 @@ def test_results_do_not_alias_the_shared_record():
 
 
 def test_codazzi_reads_the_ambient_curvature_once(monkeypatch):
+    """One ambient solve gives A_E and the curvature, and sigma adds the
+    sub solve, both from the base's one read of the ambient at its 4m + 1
+    gate points; the sub solve's dG reads G at the point once more.  The
+    quotient form is the centre row of the quotient gate rows of that
+    read, so it reads no ambient."""
     seq, z = sequence_instance(1)
     assert seq.m == 2
+    seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     calls = _count_solves(monkeypatch)
+    reads, d_reads = _count_ambient_reads(seq, monkeypatch)
     rng = np.random.default_rng(5)
     for a in range(seq.m):
         for b in range(seq.m):
             codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
-    # one ambient solve gives A_E and the curvature; sigma adds the sub solve
-    assert calls.count(seq.ambient) == 1
-    assert calls == [seq.ambient, seq.sub_field]
+    assert calls == [(seq.ambient, 1), (seq.sub_field, 1)]
+    assert (reads, d_reads) == ([4 * seq.m + 1, 1], [1, 1])
 
 
 def test_constructing_a_sequence_reads_no_quotient_form(monkeypatch):
@@ -831,7 +1018,7 @@ def test_inclusion_must_have_full_column_rank():
 def test_antiholomorphic_inclusion_rejected():
     amb = constant_field(np.eye(2), 1, radius=2.0)
     with pytest.raises(NotHolomorphic):
-        ExactSeqChart(amb, lambda z: np.array([[1.0], [np.conj(z[0])]]))
+        ExactSeqChart(amb, conj_line_j)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1234,14 @@ def test_sum_curvature_reuses_the_summand_solves(m, monkeypatch):
             m, 2, stack_fn, radius=base.radius, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False
         )
 
-    solves = _count_solves(monkeypatch)
+    solves = []
+    solve_rows = charts.solve_rows
+
+    def counting(field, zs, grams, forms):
+        solves.extend([field] * len(zs))
+        return solve_rows(field, zs, grams, forms)
+
+    monkeypatch.setattr(charts, "solve_rows", counting)
     b1, b2 = counted(random_pd_field(rng, m, 2)), counted(random_pd_field(rng, m, 2))
     sum_curvature(b1, b2, np.full(m, 0.1 + 0.05j))
     assert solves == [b1, b2]
