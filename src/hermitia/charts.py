@@ -26,12 +26,16 @@ stencil (a rank change is a first-class error, not a warning).  It ranks
 all the gates in one pass, factorizes the forms in one batched ``eigh``,
 reads dG once and solves in batched products, and it is the one home of
 the gate verdict, the form guard, the dG finiteness check and the
-residual.  :func:`solve_points` reads the gates of a stack of points for
-it; the sequence probe ring of :mod:`hermitia.sequences` calls it with
-the gate rows and forms it read itself.  A :class:`FieldAt` is one field
-at one point, and the one place where the curvature assembly runs: the
-form of G(z), then its solve, a one-row :func:`solve_points`, then the
-curvature tensor, each on first read.  :func:`chern_connection` and
+residual.  A form read before the solve comes as its
+:class:`~hermitia.forms.FormStack`, whose factorization the solve
+reuses.  :func:`solve_points` reads the gates of a stack of points for
+it; the sequence records and probe ring of :mod:`hermitia.sequences`
+call it with the gate rows and forms they read themselves.  A
+:class:`FieldAt` is one field at one point, and the one place where the
+curvature assembly runs: the form of G(z), then its solve, a one-row
+:func:`solve_rows`, then the curvature tensor, each on first read, from
+the Gram rows of one row reader, by default the field's own reads.
+:func:`chern_connection` and
 :func:`curvature_tensor` return such a record with its solve or its
 tensor already run.  :func:`gauge_independence_residual` and
 :func:`curvature_20_defect` solve a point and its 4m probe points in one
@@ -45,7 +49,7 @@ tensor read as an (m^2, m^2) matrix, one row product per direction.
 """
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -472,16 +476,6 @@ def _gate_error(zs, ranks, i):
     )
 
 
-def forms_of(grams, zs):
-    """The forms of the Gram matrices ``grams`` a field read at a (B, m)
-    stack of points zs (one :meth:`ChartField.gram_stack` row each), so
-    form i equals ``form_at(zs[i])`` bit for bit; a NaN or inf raises
-    NonFinite naming the first point where it is read."""
-    for g, z in zip(grams, zs):
-        require_finite(g, "Gram matrix", z)
-    return [HermitianForm(g, rank_tol=RANK_TOL) for g in grams]
-
-
 def _leading_gates(field: ChartField, zs):
     """The (n, 4m + 1, m) gate stencils (:func:`_gate_stencil`) of the n
     leading points of a (B, m) stack that lie inside the chart with the
@@ -506,38 +500,70 @@ def _solver_residual(residual):
     )
 
 
+def _field_rows(field: ChartField, z, n):
+    """The field's own reads of G at the first n points of the gate
+    stencil of z: the one-row read at z when n = 1, with no domain check,
+    and all 4m + 1 in one :meth:`ChartField.gram_stack` call when n is
+    None, OutOfDomain first."""
+    if n == 1:
+        return field.gram_stack(z[None])
+    return field.gram_stack(_leading_gates(field, z[None])[0])
+
+
 class FieldAt:
     """One field at one point: the form of G(z), the gated connection
     solve and the curvature tensor, each computed on first read.
 
-    ``form`` is the :class:`HermitianForm` of G(z).  The solve (``dg``,
-    ``a``, ``residual``) is the one-row :func:`solve_points` at z, which
-    raises its error on first read.  Solved first, the form is the gate's
-    centre read, factorized by the solve, so a solve reads G in one
-    kernel call.  Read first, from its own one-row read of G(z), the form
-    must equal the gate's centre read bit for bit, else HermitiaError:
-    the guard of the kernel's row contract.  ``tensor`` is
-    R[a][b][s][t] from the solve, all m^2 pairs in one stacked product,
-    C-contiguous.  ``kernel_basis`` (a :class:`Subspace`) is built only
-    when read.
+    The record reads its Gram matrices through one row reader,
+    ``read(n)``: G at the first n points of the gate stencil of z
+    (:func:`_gate_stencil`, centre first), n = 1 for the form and None for
+    all 4m + 1 for the solve.  By default the reader is the field's own
+    reads (:func:`_field_rows`).  A caller that has read the field's rows
+    already (the sequence records of :mod:`hermitia.sequences`) passes
+    its own reader, whose rows must equal the field's reads.
+
+    ``form`` is the :class:`HermitianForm` of G(z), a view of a one-row
+    :class:`~hermitia.forms.FormStack`.  The solve (``dg``, ``a``,
+    ``residual``) is :func:`solve_rows` of the gate rows, which raises its
+    error on first read.  Solved first, the form is the gate's centre
+    row, factorized by the solve.  Read first, from the one-row read, the
+    form must equal the gate's centre row bit for bit, else
+    HermitiaError: the guard of the kernel's row contract; the solve then
+    reuses its factorization.  ``tensor`` is R[a][b][s][t] from the
+    solve, all m^2 pairs in one stacked product, C-contiguous.
+    ``kernel_basis`` (a :class:`Subspace`) is built only when read.
     """
 
-    def __init__(self, field: ChartField, z):
+    def __init__(self, field: ChartField, z, read=None):
         self.field = field
         self.point = _as_point(z, field.m)
+        # a reader that is not bound to the record keeps it out of a
+        # reference cycle, so refcounting frees it
+        self._read = partial(_field_rows, field, self.point) if read is None else read
+
+    @cached_property
+    def _forms(self):
+        """The one-row FormStack of G(z): the solve's when it ran first,
+        else that of the one-row read."""
+        solved = self.__dict__.get("_solved")
+        if solved is not None:
+            return solved.forms
+        return FormStack(self._read(1), self.point[None], RANK_TOL)
 
     @cached_property
     def form(self):
-        solved = self.__dict__.get("_solved")
-        return self.field.form_at(self.point) if solved is None else solved.forms.form(0)
+        return self._forms.form(0)
 
     @cached_property
     def _solved(self):
-        """The :class:`RowSolves` of the one-row :func:`solve_points` at
-        the record's point, whose form is the gate's centre row unless one
-        was read first."""
-        read = self.__dict__.get("form")
-        return solve_points(self.field, self.point[None], None if read is None else read.gram[None])
+        """The :class:`RowSolves` of :func:`solve_rows` at the record's
+        point, whose form is the gate's centre row unless one was read
+        first."""
+        forms = self.__dict__.get("_forms")
+        solves, error = solve_rows(self.field, self.point[None], self._read(None)[None], forms)
+        if error is not None:
+            raise error
+        return solves
 
     @property
     def dg(self):
@@ -598,20 +624,19 @@ def curvature_tensor(field: ChartField, z) -> FieldAt:
     return record
 
 
-def solve_points(field: ChartField, zs, forms=None):
+def solve_points(field: ChartField, zs):
     """The connection solves of ``field`` at a (B, m) stack of points, as
     the :class:`RowSolves` of :func:`solve_rows`: the gates of all B
     points read G at their B(4m + 1) stencil points in one
     :meth:`ChartField.gram_stack` call, and the forms are the gates'
-    centre rows, or ``forms``, the (B, r, r) Gram matrices of forms read
-    first.  The error is the one raised at the first point that fails, in
-    order: OutOfDomain, then those of :func:`solve_rows`.  No point after
-    the first one outside the chart is read."""
+    centre rows.  The error is the one raised at the first point that
+    fails, in order: OutOfDomain, then those of :func:`solve_rows`.  No
+    point after the first one outside the chart is read."""
     m, r = field.m, field.shape
     stencils = _leading_gates(field, zs)
     n = len(stencils)
     grams = field.gram_stack(stencils.reshape(-1, m)).reshape(n, 4 * m + 1, r, r)
-    solves, error = solve_rows(field, zs[:n], grams, forms)
+    solves, error = solve_rows(field, zs[:n], grams, None)
     if error is not None:
         raise error
     if n < len(zs):
@@ -626,13 +651,13 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
     """The connection solves of ``field`` at a (B, m) stack of points zs
     inside the chart by the gate's margin, as arrays, from reads the
     caller made: ``grams``, the (B, 4m + 1, r, r) Gram matrices of their
-    gates in :func:`_gate_stencil` order, and ``forms``, the forms of G
-    at zs when the caller read them apart from the gates: a
-    :class:`~hermitia.forms.FormStack` whose leading B rows they are, or
-    their (B, r, r) Gram matrices; by default the gates' centre rows.
-    The gates are ranked by one batched ``eigvalsh``; forms read apart
-    must equal their gate's centre row bit for bit; the forms are
-    factorized by one batched ``eigh``, dG is one
+    gates in :func:`_gate_stencil` order, and ``forms``, the
+    :class:`~hermitia.forms.FormStack` whose leading B rows are the forms
+    of G at zs when the caller read them apart from the gates, or None
+    for the gates' centre rows.  The gates are ranked by one batched
+    ``eigvalsh``; forms read apart must equal their gate's centre row bit
+    for bit; the forms are factorized by one batched ``eigh`` (a stack
+    read apart keeps its own), dG is one
     :meth:`ChartField.d_stack` read, and A = G^+ dG and its residual are
     batched products, each row the arithmetic of one point.
 
@@ -652,14 +677,11 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
         n, i = divmod(int(stops[0]), 4 * m + 1)
         error = _gate_error(_gate_stencil(zs[n], field.fd_outer_step), ranks[n], i)
     if forms is None:
-        forms = grams[:, 0]
+        forms = FormStack(grams[:n, 0], zs[:n], RANK_TOL)
     else:
-        rows = forms.gram if isinstance(forms, FormStack) else forms
-        same = (grams[:n, 0] == rows[:n]).all(axis=(-2, -1))
+        same = (grams[:n, 0] == forms.gram[:n]).all(axis=(-2, -1))
         if not same.all():
             n, error = int(np.argmin(same)), HermitiaError(_FORM_GUARD)
-    if not isinstance(forms, FormStack):
-        forms = FormStack(forms[:n], zs[:n], RANK_TOL)
     try:
         dg = field.d_stack(zs[:n]) if n else np.zeros((0, m, r, r), dtype=complex)
     except HermitiaError:

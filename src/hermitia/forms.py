@@ -15,20 +15,20 @@ a Hermitian Gram matrix, an eigenvalue modulus) counts when it lies above
 ``rank_tol`` times the largest one, and the zero matrix has rank 0.
 NaN or inf met there raise :class:`~hermitia.errors.NonFinite`.
 
-A :class:`HermitianForm` is the one place where a Hermitian Gram matrix
-is factorized: one cached ``eigh`` decides its rank, positivity, kernel,
+A :class:`FormStack` is the one place where Hermitian Gram matrices are
+factorized: it holds the forms of a stack of points as arrays, and one
+cached batched ``eigh`` decides each row's rank, positivity, kernel,
 range and pseudoinverse, so :func:`kernel`, :func:`purge` and
-:func:`adjoint` can never disagree about where the kernel lies.  The SVD
-null space :func:`_nullspace` serves only matrices that are not Hermitian
-forms (quotient maps and products such as S^H G).  The constant-rank gate
-of :mod:`hermitia.charts` ranks whole stencils by one batched
-``eigvalsh`` (:func:`gram_ranks`) and factorizes nothing.  A
-:class:`FormStack` holds the forms of a stack of points as arrays, with
-no form object per row: the ranks and pseudoinverses of all rows from one
-batched ``eigh``, and :func:`adjoint_stack` the adjoints between two
-stacks, each row by the arithmetic of :class:`HermitianForm` and
-:func:`adjoint`; a row wanted as a form (:meth:`FormStack.form`) takes
-its ``eigh`` from the stack's, equal to its own bit for bit.
+:func:`adjoint` can never disagree about where the kernel lies.  A
+:class:`HermitianForm` is a view of one row of a stack: one built from
+its own Gram matrix is the row of a one-row stack, built at its first
+factorization, and :meth:`FormStack.form` is row i of a stack that has
+read many.  :func:`adjoint_stack` takes the adjoints between two stacks,
+each row by the arithmetic of :func:`adjoint`.  The SVD null space
+:func:`_nullspace` serves only matrices that are not Hermitian forms
+(quotient maps and products such as S^H G).  The constant-rank gate of
+:mod:`hermitia.charts` ranks whole stencils by one batched ``eigvalsh``
+(:func:`gram_ranks`) and factorizes nothing.
 """
 
 import cmath
@@ -98,23 +98,18 @@ def rank_of(values, rank_tol, what="spectrum", point=None):
     return int(np.count_nonzero(values > rank_tol * top))
 
 
-def _eig(solver, g, what="Gram matrix", point=None):
-    """``solver(g)`` (``eigvalsh`` or ``eigh``); a NaN or inf in g raises
-    NonFinite.  The solvers fail on most such matrices, but return a finite
-    spectrum for some with a NaN on the diagonal, which the trace (the sum
-    of the eigenvalues) exposes."""
-    try:
-        out = solver(g)
-    except np.linalg.LinAlgError:
-        out = None
-    if out is None or not cmath.isfinite(g.trace()):
-        raise _non_finite(what, point)
-    return out
-
-
 def gram_rank(g, rank_tol, what="Gram matrix", point=None):
-    """Rank of a Hermitian matrix from the moduli of its eigenvalues."""
-    return rank_of(np.abs(_eig(np.linalg.eigvalsh, g, what, point)), rank_tol, what, point)
+    """Rank of a Hermitian matrix from the moduli of its eigenvalues; a
+    NaN or inf in g raises NonFinite.  ``eigvalsh`` fails on most such
+    matrices, but returns a finite spectrum for some with a NaN on the
+    diagonal, which the trace (the sum of the eigenvalues) exposes."""
+    try:
+        w = np.linalg.eigvalsh(g)
+    except np.linalg.LinAlgError:
+        w = None
+    if w is None or not cmath.isfinite(g.trace()):
+        raise _non_finite(what, point)
+    return rank_of(np.abs(w), rank_tol, what, point)
 
 
 def gram_ranks(grams, rank_tol):
@@ -176,15 +171,14 @@ def _nullspace(m, rank_tol):
 
 
 class HermitianForm:
-    """A Hermitian form given by its Gram matrix in a fixed frame.
+    """A Hermitian form given by its Gram matrix in a fixed frame: a view
+    of one row of a :class:`FormStack`, which factorizes it.
 
     The matrix is Hermitian-averaged on construction to absorb
-    floating-point asymmetry.  Every decision about the form (rank,
-    positivity, kernel, range, pseudoinverse) reads one cached
-    ``eigh(conj(gram))``, the factorization ``np.linalg.pinv(gram,
-    hermitian=True)`` starts from; ``gram`` and ``pinv`` are read-only.
-    The eigenpairs are sorted by modulus only when a basis or the
-    pseudoinverse is asked for.
+    floating-point asymmetry, and the form's stack is the one-row stack
+    of it, built at the first factorization, so a NaN or inf raises
+    NonFinite then; ``gram`` and ``pinv`` are read-only.  A row of a
+    stack read as a form (:meth:`FormStack.form`) is a view of that row.
     """
 
     def __init__(self, gram, rank_tol=DEFAULT_RANK_TOL):
@@ -196,17 +190,10 @@ class HermitianForm:
         self.rank_tol = float(rank_tol)
 
     @cached_property
-    def _eigh(self):
-        return _eig(np.linalg.eigh, np.conj(self.gram))
-
-    @cached_property
-    def _by_modulus(self):
-        """Eigenvalue moduli in descending order, their eigenvectors of
-        conj(gram) as columns and their signs, in the order of numpy's
-        Hermitian SVD."""
-        w, u = self._eigh
-        order = np.argsort(np.abs(w))[::-1]
-        return np.abs(w)[order], u[:, order], np.copysign(1.0, w)[order]
+    def _row(self):
+        """(stack, i): the row of a :class:`FormStack` that factorizes
+        the form."""
+        return FormStack(self.gram[None], (None,), self.rank_tol), 0
 
     @property
     def dim(self):
@@ -214,35 +201,33 @@ class HermitianForm:
 
     @property
     def rank(self):
-        return rank_of(np.abs(self._eigh[0]), self.rank_tol)
+        stack, i = self._row
+        return int(stack.rank[i])
 
     @property
     def kernel_dim(self):
         return self.dim - self.rank
 
-    @cached_property
+    @property
     def pinv(self):
         """Pseudoinverse, equal bit for bit to ``np.linalg.pinv(gram,
-        rcond=rank_tol, hermitian=True)``, whose steps it repeats."""
-        s, u, sgn = self._by_modulus
-        inv = np.zeros_like(s)
-        r = self.rank
-        inv[:r] = 1.0 / s[:r]
-        gp = np.conj(u * sgn) @ (inv[:, None] * u.T)
-        gp.flags.writeable = False
-        return gp
+        rcond=rank_tol, hermitian=True)``."""
+        stack, i = self._row
+        return stack.pinv[i]
 
     @property
     def kernel_basis(self):
         """Orthonormal columns spanning Ker b: the eigenvectors whose
         eigenvalues the rank rule discards."""
-        return np.conj(self._by_modulus[1][:, self.rank:])
+        stack, i = self._row
+        return stack.kernel_basis(i)
 
     @property
     def range_basis(self):
         """Orthonormal columns spanning the range of the Gram matrix: the
         eigenvectors the rank rule keeps, largest modulus first."""
-        return np.conj(self._by_modulus[1][:, :self.rank])
+        stack, i = self._row
+        return stack.range_basis(i)
 
     def value(self, s, t):
         """b(s, conj(t)) for coordinate columns s and t."""
@@ -254,16 +239,38 @@ class HermitianForm:
         return HermitianForm(c * self.gram, rank_tol=self.rank_tol)
 
     def is_positive_definite(self):
-        w = self._eigh[0]
+        w = self._spectrum
         return bool(w[0] > self.rank_tol * max(abs(w[-1]), 1e-300))
 
     def is_positive_semidefinite(self):
-        w = self._eigh[0]
+        w = self._spectrum
         scale = max(abs(w[0]), abs(w[-1]), 1.0)
         return bool(w[0] > -PSD_SLACK * self.rank_tol * scale)
 
+    @property
+    def _spectrum(self):
+        """The eigenvalues, ascending."""
+        stack, i = self._row
+        return stack._eigh[0][i]
+
     def __repr__(self):
         return "HermitianForm(dim=%d, rank=%d)" % (self.dim, self.rank)
+
+
+class _StackRow(HermitianForm):
+    """Row i of a :class:`FormStack` as a form.  The row is
+    Hermitian-averaged already, so the form takes it as its ``gram`` (a
+    read-only view) without averaging it again."""
+
+    def __init__(self, stack, i):
+        self.gram = stack.gram[i]
+        self.gram.flags.writeable = False
+        self.rank_tol = stack.rank_tol
+        self._stack, self._i = stack, i
+
+    @property
+    def _row(self):
+        return self._stack, self._i
 
 
 @lru_cache(maxsize=64)
@@ -278,11 +285,10 @@ class FormStack:
     """The forms of a (B, n, n) stack of Hermitian Gram matrices read at
     the B chart points ``points``, as arrays: ``gram``, then from one
     batched ``eigh(conj(gram))``, run on first read, each row's ``rank``,
-    ``pinv`` and ``kernel_basis(i)`` by the arithmetic of
-    :class:`HermitianForm`, so row i equals ``HermitianForm(gram[i],
-    rank_tol)`` bit for bit, and ``form(i)`` is that form, factorized by
-    the stack's ``eigh``.  A NaN or inf raises NonFinite naming the
-    first point where it is read.  The rows are taken as they are:
+    ``pinv``, ``kernel_basis(i)`` and ``range_basis(i)``.  ``form(i)`` is
+    row i as a :class:`HermitianForm`.  A NaN or inf raises NonFinite
+    naming the first point where it is read, on construction; so does a
+    row whose ``eigh`` fails.  The rows are taken as they are:
     Hermitian-averaged reads, which a form's own averaging leaves
     unchanged bit for bit."""
 
@@ -291,6 +297,7 @@ class FormStack:
             i = int(np.argmin(np.isfinite(grams).all(axis=(-2, -1))))
             raise _non_finite("Gram matrix", points[i])
         self.gram = grams
+        self.points = points
         self.rank_tol = float(rank_tol)
 
     @property
@@ -299,15 +306,19 @@ class FormStack:
 
     @cached_property
     def _eigh(self):
-        return np.linalg.eigh(np.conj(self.gram))
+        """Each row's eigenvalues of conj(gram), ascending, and their
+        eigenvectors as columns."""
+        return stacked_linalg(
+            np.linalg.eigh, np.conj(self.gram), self.points, lambda p: _non_finite("Gram matrix", p)
+        )
 
     @cached_property
     def _by_modulus(self):
         """Each row's eigenvalue moduli (descending), which of them the
-        rank rule keeps, their eigenvectors of conj(gram) as columns and
-        their signs, as ``HermitianForm.rank`` and ``_by_modulus`` read
-        them.  The eigenpairs of all rows are gathered in that order by
-        one flat ``take`` each."""
+        rank rule keeps (those above ``rank_tol`` times the largest),
+        their eigenvectors of conj(gram) as columns and their signs, in
+        the order of numpy's Hermitian SVD.  The eigenpairs of all rows
+        are gathered in that order by one flat ``take`` each."""
         w, u = self._eigh
         order = np.argsort(np.abs(w), axis=-1)[:, ::-1]
         starts_w, starts_u = _row_starts(*w.shape)
@@ -316,13 +327,15 @@ class FormStack:
         kept = s > self.rank_tol * s[:, :1]
         return s, kept, u.take(order[:, None, :] + starts_u), np.copysign(1.0, w)
 
-    @property
+    @cached_property
     def rank(self):
         return self._by_modulus[1].sum(axis=-1)
 
     @cached_property
     def pinv(self):
-        """Each row's pseudoinverse, as ``HermitianForm.pinv`` forms it."""
+        """Each row's pseudoinverse, equal bit for bit to
+        ``np.linalg.pinv(gram[i], rcond=rank_tol, hermitian=True)``, whose
+        steps it repeats."""
         s, kept, u, sgn = self._by_modulus
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
         gp = np.conj(u * sgn[:, None, :]) @ (inv[:, :, None] * u.swapaxes(-1, -2))
@@ -331,20 +344,22 @@ class FormStack:
 
     def kernel_basis(self, i):
         """Orthonormal columns spanning the kernel of row i."""
-        _, kept, u, _ = self._by_modulus
-        return np.conj(u[i][:, np.count_nonzero(kept[i]):])
+        return np.conj(self._by_modulus[2][i][:, self.rank[i]:])
+
+    def range_basis(self, i):
+        """Orthonormal columns spanning the range of row i, largest
+        eigenvalue modulus first."""
+        return np.conj(self._by_modulus[2][i][:, :self.rank[i]])
+
+    def kept_spectrum(self, i):
+        """The signed eigenvalues of row i that the rank rule keeps,
+        largest modulus first."""
+        s, _, _, sgn = self._by_modulus
+        return (sgn[i] * s[i])[:self.rank[i]]
 
     def form(self, i):
-        """Row i as a :class:`HermitianForm` that holds its rows of the
-        stack's ``eigh`` and ``pinv``: what its own would give, bit for
-        bit.  The row is Hermitian-averaged already, so the form takes it
-        as its ``gram`` (a read-only view) without averaging it again."""
-        b = HermitianForm.__new__(HermitianForm)
-        b.gram, b.rank_tol = self.gram[i], self.rank_tol
-        b.gram.flags.writeable = False
-        b._eigh = (self._eigh[0][i], self._eigh[1][i])
-        b.pinv = self.pinv[i]
-        return b
+        """Row i as a :class:`HermitianForm`, factorized by the stack."""
+        return _StackRow(self, i)
 
 
 class Subspace:
@@ -422,8 +437,8 @@ def purge(b: HermitianForm) -> PurgeResult:
     read from the form's one factorization: its rank is b's rank.
     """
     q = b.range_basis.conj().T
-    s, _, sgn = b._by_modulus
-    purged = HermitianForm(np.diag((sgn * s)[:b.rank]), rank_tol=b.rank_tol)
+    stack, i = b._row
+    purged = HermitianForm(np.diag(stack.kept_spectrum(i)), rank_tol=b.rank_tol)
     qmap = LinearMap(q, domain_form=b, codomain_form=purged)
     return PurgeResult(quotient_map=qmap, purged_form=purged)
 

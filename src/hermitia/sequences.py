@@ -47,10 +47,15 @@ once per point, and its form, connection and curvature all come from
 that one record.  The three records share one read of the ambient's Gram
 kernel at the 4m + 1 gate points of the base point, and one read of the
 inclusion there: the sub and quotient gate rows are the sub and quotient
-kernels of those rows, built when that record is first read, and each
-record is solved from its rows by :func:`~hermitia.charts.solve_rows`.
-The inclusion j and its derivative dj are kernels of a stack of points,
-so every stack of points reads each of them in one call.  The
+kernels of those rows, built when that record is first read.  Each
+record is a :class:`~hermitia.charts.FieldAt` whose row reader is that
+shared read, so a form read before its solve is factorized once, by the
+one-row :class:`~hermitia.forms.FormStack` the solve reuses.  The base
+point's j is the centre row of the gate read of the inclusion, and its
+dj is one one-row read, which sigma and dq share; q and dq come from
+one quotient frame of that j.  The inclusion j and its derivative dj
+are kernels of a stack of points, so every stack of points reads each
+of them in one call.  The
 derivatives of jdag, qdag, sigma and sigma dagger in the identity table
 and the splitting blocks are finite differences, the independent side of
 each identity.  Each is taken along every coordinate at once with step
@@ -91,7 +96,6 @@ from .charts import (
     _named,
     _stencil_ring,
     curvature_tensor,
-    forms_of,
     last_point_cache,
     sample_box,
     solve_rows,
@@ -207,18 +211,18 @@ class ExactSeqChart:
         core = stacked_linalg(np.linalg.inv, self._w0 @ j, zs, _singular_core)
         return core, self._n0h @ (np.eye(self.r) - j @ core @ self._w0)
 
-    def _dq_of(self, zs, j, core):
-        """dq at a (B, m) stack of points zs from j and C there (see
-        :meth:`_frames`), shape (B, m, r - k, r): d_a q = -N0^H (d_a j C w0
-        - j C (w0 d_a j) C w0), each product associated as at one point."""
-        dj, w0, c = self._dj_stack(zs), self._w0, core[:, None]
+    def _dq_of(self, j, core, dj):
+        """dq at a stack of points from j, C (see :meth:`_frames`) and dj
+        there, shape (B, m, r - k, r): d_a q = -N0^H (d_a j C w0 - j C (w0
+        d_a j) C w0), each product associated as at one point."""
+        w0, c = self._w0, core[:, None]
         inner = dj @ c @ w0 - (j @ core)[:, None] @ (w0 @ dj) @ c @ w0
         return -self._n0h @ inner
 
     def dq_at(self, z):
         zs = _as_point(z, self.m)[None]
         j = self._j_stack(zs)
-        return self._dq_of(zs, j, self._frames(zs, j)[0])[0]
+        return self._dq_of(j, self._frames(zs, j)[0], self._dj_stack(zs))[0]
 
     def _check_holomorphic(self):
         """dbar j at the chart centre and two points drawn around it, read
@@ -327,8 +331,8 @@ class ExactSeqChart:
         :func:`~hermitia.forms.quotient_form` of each row's ambient form."""
         if self._quot_closed_form:
             return self._quot_parts(zs, q, g)[2]
-        forms = forms_of(g, zs)
-        return np.stack([quotient_form(LinearMap(qw), b).gram for qw, b in zip(q, forms)])
+        forms = FormStack(g, zs, RANK_TOL)
+        return np.stack([quotient_form(LinearMap(qw), forms.form(i)).gram for i, qw in enumerate(q)])
 
     @staticmethod
     def _quot_parts(zs, q, g):
@@ -363,7 +367,7 @@ class ExactSeqChart:
             core, q = self._frames(zs, j)
             h, k, x = self._quot_parts(zs, q, amb.gram_stack(zs))
             dg = amb.d_stack(zs)
-            e = self._dq_of(zs, j, core) - conj_transpose(k)[:, None] @ dg
+            e = self._dq_of(j, core, self._dj_stack(zs)) - conj_transpose(k)[:, None] @ dg
             return h, k, x, dg, e, e @ k[:, None]
 
         def d_fn(zs):
@@ -423,38 +427,6 @@ def _pd_inverse(g, zs):
     return conj_transpose(inv_low) @ inv_low
 
 
-class _GateRecord(FieldAt):
-    """A :class:`FieldAt` whose Gram matrices its owner reads:
-    ``read(n)`` returns those of the field at the first n points of the
-    gate stencil of z (:func:`~hermitia.charts._gate_stencil`, centre
-    first), or at all 4m + 1 when n is None.  As in a :class:`FieldAt`,
-    the form read first is the one-row read at z, and the solve is
-    :func:`~hermitia.charts.solve_rows` of the gate rows, whose centre row
-    must then equal that form's bit for bit; so both equal those of a
-    :class:`FieldAt` of the field at z while the owner's rows equal the
-    field's own reads."""
-
-    def __init__(self, field: ChartField, z, read):
-        super().__init__(field, z)
-        self._read = read
-
-    @cached_property
-    def form(self):
-        solved = self.__dict__.get("_solved")
-        if solved is None:
-            return FormStack(self._read(1), self.point[None], RANK_TOL).form(0)
-        return solved.forms.form(0)
-
-    @cached_property
-    def _solved(self):
-        read = self.__dict__.get("form")
-        forms = None if read is None else read.gram[None]
-        solves, error = solve_rows(self.field, self.point[None], self._read(None)[None], forms)
-        if error is not None:
-            raise error
-        return solves
-
-
 class _SeqAt:
     """All pointwise sequence data at one chart point, each computed on
     first read, so a read of one quantity solves only what it needs.
@@ -465,14 +437,17 @@ class _SeqAt:
     three share one read: the ambient's Gram kernel at the 4m + 1 gate
     points of z in one call (OutOfDomain first if z leaves the chart by
     the gate's margin), then, for the sub or the quotient, the inclusion
-    there in one call.  Each record builds its Gram matrices from those
-    reads when it needs them: the ambient's are the read itself, the
-    sub's j^H G j of it and the quotient's the quotient kernel of it (its
-    frames built then), at the centre row alone for a form read before
-    the solve, at every gate point for the solve.  Each equals the
+    there in one call.  Each record's row reader builds its Gram matrices
+    from those reads when it needs them: the ambient's are the read
+    itself, the sub's j^H G j of it and the quotient's the quotient kernel
+    of it (its frames built then), at the centre row alone for a form read
+    before the solve, at every gate point for the solve.  Each equals the
     field's own read, so the record's form and solve equal those of a
     :class:`FieldAt` at z bit for bit.  Reading the ambient alone reads no
-    inclusion.  A base record built by :meth:`ExactSeqChart.at` also owns
+    inclusion.  ``j`` is the centre row of the inclusion's gate read, so
+    reading it reads the gate; ``dj`` is one one-row read; ``q``, ``dq``
+    and the frame core C come from one quotient frame of that j.  A base
+    record built by :meth:`ExactSeqChart.at` also owns
     a probe ring, ``ring`` (a :class:`_Ring`, the same quantities as
     arrays over the 4m Wirtinger stencil points around z), from which
     :meth:`probe` differences j dagger, q dagger, sigma and sigma dagger.
@@ -518,31 +493,36 @@ class _SeqAt:
 
     @cached_property
     def ambient(self):
-        return _GateRecord(self.seq.ambient, self.z, self._ambient_rows)
+        return FieldAt(self.seq.ambient, self.z, self._ambient_rows)
 
     @cached_property
     def sub(self):
-        return _GateRecord(self.seq.sub_field, self.z, self._sub_rows)
+        return FieldAt(self.seq.sub_field, self.z, self._sub_rows)
 
     @cached_property
     def quot(self):
-        return _GateRecord(self.seq.quot_field, self.z, self._quot_rows)
+        return FieldAt(self.seq.quot_field, self.z, self._quot_rows)
 
     @cached_property
     def j(self):
-        return self.seq.j_at(self.z)
+        return self._gate_j[0]
 
     @cached_property
     def dj(self):
-        return self.seq.dj_at(self.z)
+        return self.seq._dj_stack(self.z[None])[0]
+
+    @cached_property
+    def _frames(self):
+        """C and q at z from the record's j (:meth:`ExactSeqChart._frames`)."""
+        return self.seq._frames(self.z[None], self.j[None])
 
     @cached_property
     def q(self):
-        return self.seq.q_at(self.z)
+        return self._frames[1][0]
 
     @cached_property
     def dq(self):
-        return self.seq.dq_at(self.z)
+        return self.seq._dq_of(self.j[None], self._frames[0], self.dj[None])[0]
 
     @cached_property
     def jdag(self):

@@ -4,6 +4,8 @@ Each computes one point, or one direction, at a time, the way the
 package once did, so a test can hold the stacked route to it bit for bit.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from hermitia.charts import (
@@ -16,7 +18,37 @@ from hermitia.charts import (
     ring_fd,
 )
 from hermitia.errors import HermitiaError, RankJump
-from hermitia.forms import conj_transpose, gram_rank, require_finite
+from hermitia.forms import PSD_SLACK, conj_transpose, gram_rank, rank_of, require_finite
+
+FormFactors = namedtuple(
+    "FormFactors",
+    "rank pinv kernel_basis range_basis kept_spectrum positive_definite positive_semidefinite",
+)
+
+
+def form_factors(gram, rank_tol):
+    """One Hermitian Gram matrix factorized on its own, step by step: one
+    2-D ``eigh(conj(gram))``, the eigenpairs sorted by modulus by
+    ``argsort`` (the order of numpy's Hermitian SVD), the rank rule, 1/s
+    on the kept part and the product conj(u sgn) @ (inv u^T).  The
+    per-matrix oracle of the rows of ``forms.FormStack``: its rank, pinv,
+    kernel and range bases, the signed eigenvalues ``purge`` keeps, and
+    positive (semi)definiteness from the ascending spectrum."""
+    w, u = np.linalg.eigh(np.conj(gram))
+    order = np.argsort(np.abs(w))[::-1]
+    s, u, sgn = np.abs(w)[order], u[:, order], np.copysign(1.0, w)[order]
+    r = rank_of(s, rank_tol)
+    inv = np.zeros_like(s)
+    inv[:r] = 1.0 / s[:r]
+    return FormFactors(
+        rank=r,
+        pinv=np.conj(u * sgn) @ (inv[:, None] * u.T),
+        kernel_basis=np.conj(u[:, r:]),
+        range_basis=np.conj(u[:, :r]),
+        kept_spectrum=(sgn * s)[:r],
+        positive_definite=bool(w[0] > rank_tol * max(abs(w[-1]), 1e-300)),
+        positive_semidefinite=bool(w[0] > -PSD_SLACK * rank_tol * max(abs(w[0]), abs(w[-1]), 1.0)),
+    )
 
 
 def wirtinger_fd(fn, z, a, step, conjugate=False):

@@ -32,6 +32,7 @@ from hermitia.charts import (
     torsion_defect,
 )
 from hermitia.errors import NotPositiveAtPoint
+from hermitia.forms import FormStack
 from hermitia.fields import (
     MatrixPolynomial,
     MonomialMap,
@@ -1158,8 +1159,9 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
     read differs from a stacked one there), so a form read first at such
     a point is not the gate's G(z).  With any of the records' forms read
     first, in every order, the records raise what the oracle raises
-    first, and so does one solve_points with every form read first; a
-    record whose form was read keeps it."""
+    first, and so does one solve_rows of the gate rows with every form
+    read first, as its FormStack; a record whose form was read keeps
+    it."""
     def stack_fn(zs):
         out = np.zeros((len(zs), 2, 2), dtype=complex)
         out[:, 0, 0] = 1.0 + (len(zs) == 1) * 1e-9 * (zs[:, 0].real > 0.05)
@@ -1181,15 +1183,29 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
         for w, read in zip(order, read_first):
             connection_at(field, w, field.form_at(w) if read else None)
 
+    def solve_read_first(zs, read):
+        # the gates of the points inside the chart, read as solve_points
+        # reads them, then one solve_rows with the forms read first
+        stencils = charts._leading_gates(field, zs)
+        n = len(stencils)
+        m, r = field.m, field.shape
+        grams = field.gram_stack(stencils.reshape(-1, m)).reshape(n, 4 * m + 1, r, r)
+        error = charts.solve_rows(field, zs[:n], grams, read)[1]
+        if error is not None:
+            raise error
+        if n < len(zs):
+            charts._leading_gates(field, zs[n:])
+
     kinds = set()
     for order in itertools.permutations(points):
         for read_first in itertools.product((False, True), repeat=len(order)):
             want = _first_error(lambda: oracle(order, read_first))
             assert want == _first_error(lambda: solve(order, read_first))
             kinds.add(want[0])
-        read = np.stack([field.form_at(w).gram for w in order])
+        zs = np.stack(order)
+        read = FormStack(np.stack([field.form_at(w).gram for w in order]), zs, charts.RANK_TOL)
         want = _first_error(lambda: oracle(order, (True,) * len(order)))
-        assert want == _first_error(lambda: charts.solve_points(field, np.stack(order), read))
+        assert want == _first_error(lambda: solve_read_first(zs, read))
     assert kinds == {HermitiaError, OutOfDomain}
     rec = FieldAt(field, points[0])
     form = rec.form
@@ -1197,6 +1213,39 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
     assert rec.a is not None and rec.form is form
     for name, want in (("dg", dg), ("a", a), ("residual", residual)):
         assert np.array_equal(getattr(rec, name), want), name
+
+
+@pytest.mark.parametrize(
+    "make, z",
+    [
+        (lambda: gauge_instance(1)[0], None),
+        (degenerate_factor, [0.1, -0.05 + 0.1j]),
+        (fs_plane, [0.2, 0.1j]),
+    ],
+)
+def test_a_form_read_first_is_factorized_once(make, z, monkeypatch):
+    """A record whose form is read, and factorized, before its solve: the
+    solve reuses the form's one-row FormStack, so one eigh of shape
+    (1, r, r) in all, and the record equals one solved first bit for
+    bit."""
+    field = make()
+    z = gauge_instance(1)[1] if z is None else np.asarray(z, dtype=complex)
+    want = curvature_tensor(field, z)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rec = FieldAt(field, z)
+    assert rec.form.rank == want.form.rank
+    assert np.array_equal(rec.form.kernel_basis, want.form.kernel_basis)
+    for name in ("a", "residual", "tensor"):
+        assert np.array_equal(getattr(rec, name), getattr(want, name)), name
+    assert np.array_equal(rec.form.pinv, want.form.pinv)
+    assert calls == [(1,) + rec.form.gram.shape]
 
 
 @pytest.mark.parametrize("seed, m, gates", [(0, 1, 5), (1, 2, 9)])

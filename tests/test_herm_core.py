@@ -26,6 +26,7 @@ from hermitia.errors import NonFinite
 from hermitia.fibration import q_lambda_limit
 from hermitia import charts
 from hermitia.forms import (
+    DEFAULT_RANK_TOL,
     LIMIT_COEFF_CUT,
     FormStack,
     adjoint_stack,
@@ -33,9 +34,12 @@ from hermitia.forms import (
     gram_ranks,
     hermitize,
     rank_of,
+    require_finite,
 )
 from hermitia.instances import balanced_limit_pair
 from hermitia.models import resolve_model
+
+from oracles import form_factors
 
 
 def form(entries, **kw):
@@ -145,7 +149,8 @@ def test_one_factorization_decides_rank_kernel_and_purge_near_the_cutoff():
     assert ranks == {2, 3}  # the cutoff really is straddled
 
 
-def test_one_eigh_per_form_across_repeated_calls(monkeypatch):
+def _counted_eigh(monkeypatch):
+    """The shape of every np.linalg.eigh call from here on."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -154,6 +159,13 @@ def test_one_eigh_per_form_across_repeated_calls(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_one_eigh_per_form_across_repeated_calls(monkeypatch):
+    """Every decision about a form reads one factorization: the batched
+    eigh of its one-row FormStack, run once however often it is read."""
+    calls = _counted_eigh(monkeypatch)
     rng = np.random.default_rng(43)
     bV, bW = random_psd_form(rng, 4, rank=2), random_psd_form(rng, 3, rank=2)
     f = LinearMap(np.zeros((3, 4)))
@@ -162,83 +174,94 @@ def test_one_eigh_per_form_across_repeated_calls(monkeypatch):
         kernel(bV), kernel(bW), purge(bV), purge(bW)
         adjoint(f, bV, bW), admits_adjoint(f, bV, bW), adjoint_freedom_dims(f, bV, bW)
         assert bV.is_positive_semidefinite() and not bW.is_positive_definite()
-    assert calls == [(4, 4), (3, 3)]
+    assert calls == [(1,) + bV.gram.shape, (1,) + bW.gram.shape]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_batched_factorization_equals_one_eigh_per_form(dim, monkeypatch):
     """A FormStack runs one eigh for all its rows, and each of its rows
-    read as a form (FormStack.form) then reads the same rank, kernel,
-    pinv and purge as a twin that factorizes on its own, with no eigh of
-    its own."""
+    read as a form (FormStack.form) then reads the rank, kernel, pinv and
+    purge of the per-matrix oracle, with no eigh of its own."""
     rng = np.random.default_rng(np.random.SeedSequence([61, dim]))
     grams = [random_psd_form(rng, dim, rank).gram for rank in range(dim + 1)]
     grams += [random_hermitian_form(rng, dim, rank).gram for rank in range(dim + 1)]
-    twins = [HermitianForm(g) for g in grams]
-    for twin in twins:
-        twin.pinv  # each twin's own eigh, before counting
-    stack = FormStack(np.stack(grams), np.zeros((len(grams), 1), dtype=complex), twins[0].rank_tol)
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    want = [form_factors(g, DEFAULT_RANK_TOL) for g in grams]
+    stack = FormStack(np.stack(grams), np.zeros((len(grams), 1), dtype=complex), DEFAULT_RANK_TOL)
+    calls = _counted_eigh(monkeypatch)
     forms = [stack.form(i) for i in range(len(grams))]
-    for b, twin in zip(forms, twins):
-        assert b.rank == twin.rank
-        assert np.array_equal(b.kernel_basis, twin.kernel_basis)
-        assert np.array_equal(b.pinv, twin.pinv)
+    for b, w in zip(forms, want):
+        assert b.rank == w.rank
+        assert np.array_equal(b.kernel_basis, w.kernel_basis)
+        assert np.array_equal(b.pinv, w.pinv)
         assert not b.pinv.flags.writeable
     assert calls == [(len(grams), dim, dim)]
-    for b, twin in zip(forms, twins):
-        assert np.array_equal(purge(b).purged_form.gram, purge(twin).purged_form.gram)
+    for b, w in zip(forms, want):
+        assert np.array_equal(purge(b).purged_form.gram, np.diag(w.kept_spectrum))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_form_stack_rows_equal_their_forms(dim, monkeypatch):
     """A FormStack of positive-definite, rank-deficient and indefinite
-    Gram matrices reads each row's rank, pinv and kernel basis as
-    HermitianForm of that row does, bit for bit, from one batched eigh;
-    identity rows (all eigenvalue moduli tied) included."""
+    Gram matrices, identity rows (all eigenvalue moduli tied) and
+    near_cutoff_form's forms, which straddle the rank cut, reads each row
+    as the per-matrix oracle does, bit for bit, from one batched eigh:
+    rank, pinv (also np.linalg.pinv's), kernel and range bases, positive
+    (semi)definiteness and purge, the rank of a row's form a Python int.
+    A HermitianForm of the same Gram matrix, the row of a one-row stack,
+    reads the same."""
     rng = np.random.default_rng(np.random.SeedSequence([67, dim]))
     grams = [random_psd_form(rng, dim, rank).gram for rank in range(dim + 1)]
     grams += [random_hermitian_form(rng, dim, rank).gram for rank in range(dim + 1)]
-    grams += [hermitize(3.0 * np.eye(dim)), hermitize(1e-3 * random_psd_form(rng, dim).gram)]
+    grams += [hermitize(3.0 * np.eye(dim)), hermitize(np.eye(dim))]
+    grams += [hermitize(1e-3 * random_psd_form(rng, dim).gram)]
+    near = [near_cutoff_form(rng).gram for _ in range(40)] if dim == 3 else []
+    grams += near
     points = np.arange(len(grams), dtype=complex)[:, None]
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    for rank_tol in (charts.RANK_TOL, 1e-10):
+    tols = (charts.RANK_TOL, DEFAULT_RANK_TOL)
+    want = {tol: [form_factors(g, tol) for g in grams] for tol in tols}
+    np_pinv = {tol: [np.linalg.pinv(g, rcond=tol, hermitian=True) for g in grams] for tol in tols}
+    if near:
+        assert {w.rank for w in want[DEFAULT_RANK_TOL][-len(near):]} == {2, 3}
+    calls = _counted_eigh(monkeypatch)
+    for rank_tol in tols:
         calls.clear()
         stack = FormStack(np.stack(grams), points, rank_tol)
         assert calls == []  # factorized on first read
         pinv = stack.pinv
         assert calls == [(len(grams), dim, dim)]
-        for i, g in enumerate(grams):
+        for i, w in enumerate(want[rank_tol]):
+            row = stack.form(i)
+            assert stack.rank[i] == row.rank == w.rank and type(row.rank) is int
+            assert np.array_equal(pinv[i], w.pinv) and np.array_equal(pinv[i], np_pinv[rank_tol][i])
+            assert np.array_equal(stack.kernel_basis(i), w.kernel_basis)
+            assert np.array_equal(stack.range_basis(i), w.range_basis)
+            assert row.is_positive_definite() is w.positive_definite
+            assert row.is_positive_semidefinite() is w.positive_semidefinite
+            purged = purge(row)
+            assert np.array_equal(purged.quotient_map.matrix, w.range_basis.conj().T)
+            assert np.array_equal(purged.purged_form.gram, np.diag(w.kept_spectrum))
+        assert calls == [(len(grams), dim, dim)]  # the rows' forms factorize nothing
+        for g, w in zip(grams, want[rank_tol]):
             b = HermitianForm(g, rank_tol=rank_tol)
-            assert stack.rank[i] == b.rank
-            assert np.array_equal(pinv[i], b.pinv)
-            assert np.array_equal(stack.kernel_basis(i), b.kernel_basis)
+            assert b.rank == w.rank and type(b.rank) is int
+            assert np.array_equal(b.pinv, w.pinv)
+            assert np.array_equal(b.kernel_basis, w.kernel_basis)
+            assert np.array_equal(b.range_basis, w.range_basis)
+            assert b.is_positive_definite() is w.positive_definite
+            assert b.is_positive_semidefinite() is w.positive_semidefinite
 
 
 def test_form_stack_names_the_first_non_finite_row():
-    """A NaN or inf row raises the NonFinite that charts.forms_of raises
-    for the same rows: the first bad point named."""
+    """A NaN or inf row raises the NonFinite that a finiteness check of
+    each row in turn raises: the first bad point named."""
     rng = np.random.default_rng(71)
     grams = np.stack([random_psd_form(rng, 2).gram for _ in range(5)])
     grams[3, 0, 1] = np.nan
     grams[4, 1, 1] = np.inf
     points = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     with pytest.raises(NonFinite) as want:
-        charts.forms_of(grams, points)
+        for g, p in zip(grams, points):
+            require_finite(g, "Gram matrix", p)
     with pytest.raises(NonFinite) as got:
         FormStack(grams, points, charts.RANK_TOL)
     assert str(got.value) == str(want.value)
@@ -247,7 +270,8 @@ def test_form_stack_names_the_first_non_finite_row():
 
 def test_adjoint_stack_equals_adjoint_row_by_row():
     """Each adjoint of a stack of maps between the rows of two form stacks,
-    positive-definite and degenerate, equals adjoint of that row bit for
+    positive-definite and degenerate, equals G_V^+ f^H G_W with the
+    per-matrix oracle's pseudoinverse, and adjoint of that row, bit for
     bit, with or without an extra axis of maps per row; a map that sends
     a row's Ker b_V outside Ker b_W raises NoAdjoint."""
     rng = np.random.default_rng(73)
@@ -256,18 +280,20 @@ def test_adjoint_stack_equals_adjoint_row_by_row():
     maps = []
     for b in bv:
         x = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
-        kv = b.kernel_basis
+        kv = form_factors(b.gram, DEFAULT_RANK_TOL).kernel_basis
         maps.append(x - x @ kv @ kv.conj().T)  # Ker b_V to 0
     maps = np.stack(maps)
     points = np.zeros((len(bv), 1), dtype=complex)
-    stack_v = FormStack(np.stack([b.gram for b in bv]), points, bv[0].rank_tol)
-    stack_w = FormStack(np.stack([b.gram for b in bw]), points, bw[0].rank_tol)
+    stack_v = FormStack(np.stack([b.gram for b in bv]), points, DEFAULT_RANK_TOL)
+    stack_w = FormStack(np.stack([b.gram for b in bw]), points, DEFAULT_RANK_TOL)
     one = adjoint_stack(maps[:, 0], stack_v, stack_w)
     two = adjoint_stack(maps, stack_v, stack_w)
     for i in range(len(bv)):
-        want = [adjoint(LinearMap(f), bv[i], bw[i]).matrix for f in maps[i]]
+        gp = form_factors(bv[i].gram, DEFAULT_RANK_TOL).pinv
+        want = np.stack([gp @ f.conj().T @ bw[i].gram for f in maps[i]])
+        assert np.array_equal(want, [adjoint(LinearMap(f), bv[i], bw[i]).matrix for f in maps[i]])
         assert np.array_equal(one[i], want[0])
-        assert np.array_equal(two[i], np.stack(want))
+        assert np.array_equal(two[i], want)
     bad = maps[:, 0].copy()
     bad[2] = rng.standard_normal((2, 3))
     assert not admits_adjoint(LinearMap(bad[2]), bv[2], bw[2])

@@ -262,6 +262,29 @@ def test_base_records_equal_the_fields_solved_alone(case, forms_first):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (part, name)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_base_forms_read_first_are_factorized_once(seed, monkeypatch):
+    """The adjoints read the base records' forms before their solves; each
+    solve then reuses its form's one-row FormStack, so the three records
+    run one eigh each, of shapes (1, k, k), (1, r, r) and
+    (1, r - k, r - k)."""
+    seq, z = sequence_instance(seed)
+    seq.quot_field  # built ahead: its choice of route reads G at the chart centre
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    at = seq.at(z)
+    at.jdag, at.qdag
+    at.ambient.a, at.sub.a, at.quot.a
+    shapes = [(1, seq.k, seq.k), (1, seq.r, seq.r), (1, seq.r - seq.k, seq.r - seq.k)]
+    assert Counter(calls) == Counter(shapes)
+
+
 def test_a_sub_jet_is_read_once_per_stack(monkeypatch):
     """A one-row d read of the sub field then a dd read of the same row
     share one first-order part: one call of the ambient's Gram kernel and
@@ -277,18 +300,21 @@ def test_a_sub_jet_is_read_once_per_stack(monkeypatch):
 def _count_solves(monkeypatch):
     """Record (field, points) of every connection solve of a sequence
     record and of its probe ring, counted at their one solve entry point,
-    the ``solve_rows`` binding of ``hermitia.sequences``; a solve of a
-    FieldAt of its own (``charts.solve_points``) fails the test."""
+    ``solve_rows``: the base records' (FieldAt) through its binding in
+    ``hermitia.charts``, the ring's through its binding in
+    ``hermitia.sequences``; a multi-point solve of its own
+    (``charts.solve_points``) fails the test."""
     calls = []
-    solve_rows = sequences.solve_rows
+    solve_rows = charts.solve_rows
 
     def counting(field, zs, grams, forms=None):
         calls.append((field, len(zs)))
         return solve_rows(field, zs, grams, forms)
 
     def unexpected(*args):
-        raise AssertionError("a sequence record solved a FieldAt of its own")
+        raise AssertionError("a sequence record solved through solve_points")
 
+    monkeypatch.setattr(charts, "solve_rows", counting)
     monkeypatch.setattr(sequences, "solve_rows", counting)
     monkeypatch.setattr(charts, "solve_points", unexpected)
     return calls
@@ -735,7 +761,9 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
     the sub's dd reads again: one more one-row read of G and of dG.  The
     ambient's dG is read in one row for the base's ambient solve and each
     jet, and at the 4m ring points once for each of the two ring solves.
-    The inclusion's two kernels read every stack in one call."""
+    The inclusion's two kernels read every stack in one call, and the base
+    point's j (the centre row of its gate read) and dj once each, shared
+    by sigma, q and dq."""
     seq, z = sequence_instance(seed)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
@@ -750,6 +778,7 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
     monkeypatch.setattr(sequences._SeqAt, "__init__", counting_init)
     reads, d_reads = _count_ambient_reads(seq, monkeypatch)
     j_reads = _count_rows(seq, "_j_fn", monkeypatch)
+    dj_reads = _count_rows(seq, "_dj_fn", monkeypatch)
     demailly_residuals(seq, z)
     splitting_curvature_blocks(seq, z)
     second_fundamental_form(seq, z)
@@ -766,9 +795,13 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
     assert Counter(reads) == Counter([n + 1, 1, 1] + [n, n * (n + 1), n] + again)
     assert len(reads) == 6 + len(again)
     assert Counter(d_reads) == Counter([1, 1, 1] + [n, n] + again)
-    # base gates; base j, q, dq and the two jets; the ring's forms, gates
-    # and sub dG; the (0,1) check of sigma at the 4m stencil points
-    assert Counter(j_reads) == Counter([n + 1] + [1] * 5 + [n, n * (n + 1), n] + [n] + again)
+    # base gates, whose centre row is the base's j, q and dq; the two
+    # jets; the ring's forms, gates and sub dG; the (0,1) check of sigma
+    # at the 4m stencil points
+    assert Counter(j_reads) == Counter([n + 1] + [1, 1] + [n, n * (n + 1), n] + [n] + again)
+    # the base's dj, read once for sigma and dq; the two jets; the ring's
+    # sigma and sub dG
+    assert Counter(dj_reads) == Counter([1] + [1, 1] + [n, n] + again)
 
 
 def test_reading_the_ambient_alone_reads_nothing_else(monkeypatch):
