@@ -29,17 +29,17 @@ the gate verdict, the form guard, the dG finiteness check and the
 residual.  A form read before the solve comes as its
 :class:`~hermitia.forms.FormStack`, whose factorization the solve
 reuses.  :func:`solve_points` reads the gates of a stack of points for
-it; the sequence records and probe ring of :mod:`hermitia.sequences`
-call it with the gate rows and forms they read themselves.  A
-:class:`FieldAt` is one field at one point, and the one place where the
-curvature assembly runs: the form of G(z), then its solve, a one-row
-:func:`solve_rows`, then the curvature tensor, each on first read, from
-the Gram rows of one row reader, by default the field's own reads.
-:func:`chern_connection` and
-:func:`curvature_tensor` return such a record with its solve or its
-tensor already run.  :func:`gauge_independence_residual` and
-:func:`curvature_20_defect` solve a point and its 4m probe points in one
-:func:`solve_points`.
+it; the sequence records of :mod:`hermitia.sequences` call it with the
+gate rows and forms they read themselves.  The curvature assembly has
+one path too, :func:`assemble_rows`: the tensors of one field at a stack
+of solved points, from one read of the mixed second derivatives, in one
+stacked product.  A :class:`FieldAt` is one field at one point: the form
+of G(z), then its solve, a one-row :func:`solve_rows` of its gate read,
+then the curvature tensor, the one-row :func:`assemble_rows`, each on
+first read.  :func:`chern_connection` and :func:`curvature_tensor`
+return such a record with its solve or its tensor already run.
+:func:`gauge_independence_residual` and :func:`curvature_20_defect`
+solve a point and its 4m probe points in one :func:`solve_points`.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -49,7 +49,7 @@ tensor read as an (m^2, m^2) matrix, one row product per direction.
 """
 
 from collections import namedtuple
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,6 +74,7 @@ from .forms import (
     hermitize,
     rank_of,
     require_finite,
+    require_finite_rows,
 )
 
 # Relative rank cutoff of every chart Gram matrix (see forms.rank_of).
@@ -316,16 +317,12 @@ class ChartField:
         one-row read of :meth:`d_stack`."""
         return self.d_stack(_as_point(z, self.m)[None])[0]
 
-    def dbar(self, z, d=None):
-        """All antiholomorphic first derivatives, shape (m, shape, shape).
-
-        On an analytic field dbar_a G = (d_a G)^H, as reads are
-        hermitized; a caller that has already read ``d`` at z passes it to
-        avoid a second read.
-        """
+    def dbar(self, z):
+        """All antiholomorphic first derivatives, shape (m, shape, shape):
+        on an analytic field dbar_a G = (d_a G)^H, as reads are
+        hermitized."""
         if self.d_fn is not None:
-            d = self.d(z) if d is None else d
-            return d.conj().transpose(0, 2, 1)
+            return conj_transpose(self.d(z))
         return self._fd(_as_point(z, self.m), True)
 
     def _dd_ring(self, zs):
@@ -490,6 +487,16 @@ def _leading_gates(field: ChartField, zs):
     return _gate_stencil(zs[:n], field.fd_outer_step)
 
 
+def _gate_reads(field: ChartField, zs):
+    """The gate stencils of the n leading points of a (B, m) stack inside
+    the chart by the gate's margin (:func:`_leading_gates`), shape
+    (n, 4m + 1, m), and G at all of them, shape (n, 4m + 1, r, r), read
+    in one :meth:`ChartField.gram_stack` call."""
+    stencils = _leading_gates(field, zs)
+    g = field.gram_stack(stencils.reshape(-1, field.m))
+    return stencils, g.reshape(stencils.shape[:2] + g.shape[1:])
+
+
 _FORM_GUARD = "the form read at this point is not the gate's G(z)"
 
 
@@ -500,46 +507,27 @@ def _solver_residual(residual):
     )
 
 
-def _field_rows(field: ChartField, z, n):
-    """The field's own reads of G at the first n points of the gate
-    stencil of z: the one-row read at z when n = 1, with no domain check,
-    and all 4m + 1 in one :meth:`ChartField.gram_stack` call when n is
-    None, OutOfDomain first."""
-    if n == 1:
-        return field.gram_stack(z[None])
-    return field.gram_stack(_leading_gates(field, z[None])[0])
-
-
 class FieldAt:
     """One field at one point: the form of G(z), the gated connection
     solve and the curvature tensor, each computed on first read.
 
-    The record reads its Gram matrices through one row reader,
-    ``read(n)``: G at the first n points of the gate stencil of z
-    (:func:`_gate_stencil`, centre first), n = 1 for the form and None for
-    all 4m + 1 for the solve.  By default the reader is the field's own
-    reads (:func:`_field_rows`).  A caller that has read the field's rows
-    already (the sequence records of :mod:`hermitia.sequences`) passes
-    its own reader, whose rows must equal the field's reads.
-
     ``form`` is the :class:`HermitianForm` of G(z), a view of a one-row
     :class:`~hermitia.forms.FormStack`.  The solve (``dg``, ``a``,
-    ``residual``) is :func:`solve_rows` of the gate rows, which raises its
-    error on first read.  Solved first, the form is the gate's centre
-    row, factorized by the solve.  Read first, from the one-row read, the
-    form must equal the gate's centre row bit for bit, else
-    HermitiaError: the guard of the kernel's row contract; the solve then
-    reuses its factorization.  ``tensor`` is R[a][b][s][t] from the
-    solve, all m^2 pairs in one stacked product, C-contiguous.
-    ``kernel_basis`` (a :class:`Subspace`) is built only when read.
+    ``residual``) is :func:`solve_rows` of G at the 4m + 1 points of the
+    gate stencil of z (:func:`_gate_stencil`, centre first), read in one
+    :meth:`ChartField.gram_stack` call after the domain check, and it
+    raises its error on first read.  Solved first, the form is the gate's
+    centre row, factorized by the solve.  Read first, from the field's
+    one-row read, the form must equal the gate's centre row bit for bit,
+    else HermitiaError: the guard of the kernel's row contract; the solve
+    then reuses its factorization.  ``tensor`` is the one-row
+    :func:`assemble_rows` of the solve.  ``kernel_basis`` (a
+    :class:`Subspace`) is built only when read.
     """
 
-    def __init__(self, field: ChartField, z, read=None):
+    def __init__(self, field: ChartField, z):
         self.field = field
         self.point = _as_point(z, field.m)
-        # a reader that is not bound to the record keeps it out of a
-        # reference cycle, so refcounting frees it
-        self._read = partial(_field_rows, field, self.point) if read is None else read
 
     @cached_property
     def _forms(self):
@@ -548,7 +536,8 @@ class FieldAt:
         solved = self.__dict__.get("_solved")
         if solved is not None:
             return solved.forms
-        return FormStack(self._read(1), self.point[None], RANK_TOL)
+        zs = self.point[None]
+        return FormStack(self.field.gram_stack(zs), zs, RANK_TOL)
 
     @cached_property
     def form(self):
@@ -559,8 +548,9 @@ class FieldAt:
         """The :class:`RowSolves` of :func:`solve_rows` at the record's
         point, whose form is the gate's centre row unless one was read
         first."""
-        forms = self.__dict__.get("_forms")
-        solves, error = solve_rows(self.field, self.point[None], self._read(None)[None], forms)
+        field, zs = self.field, self.point[None]
+        grams = _gate_reads(field, zs)[1]
+        solves, error = solve_rows(field, zs, grams, self.__dict__.get("_forms"))
         if error is not None:
             raise error
         return solves
@@ -583,21 +573,8 @@ class FieldAt:
 
     @cached_property
     def tensor(self):
-        """(m, m, shape, shape) contracted curvature R[a][b][s][t].
-
-        M_ab = (dbar_b G) G^+ (d_a G) - d_a dbar_b G, which on admissible
-        constant-rank fields equals -G dbar_b A_a for any choice of
-        compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
-        """
-        field, z = self.field, self.point
-        dg, gp = self.dg, self._solved.forms.pinv[0]
-        dbg = field.dbar(z, d=dg)
-        ddg = field.dd(z)
-        require_finite(ddg, "mixed second derivative", z)
-        # m_ab = (dbar_b G G^+) d_a G - d_a dbar_b G for all pairs at once;
-        # in C order, hsc_of_tensor's (m^2, m^2) matrix is a view, not a copy
-        mab = (dbg @ gp)[None] @ dg[:, None] - ddg
-        return np.ascontiguousarray(mab.swapaxes(-1, -2))
+        """(m, m, shape, shape) contracted curvature R[a][b][s][t]."""
+        return assemble_rows(self.field, self.point[None], self._solved)[0]
 
     @cached_property
     def kernel_basis(self):
@@ -632,10 +609,8 @@ def solve_points(field: ChartField, zs):
     centre rows.  The error is the one raised at the first point that
     fails, in order: OutOfDomain, then those of :func:`solve_rows`.  No
     point after the first one outside the chart is read."""
-    m, r = field.m, field.shape
-    stencils = _leading_gates(field, zs)
-    n = len(stencils)
-    grams = field.gram_stack(stencils.reshape(-1, m)).reshape(n, 4 * m + 1, r, r)
+    grams = _gate_reads(field, zs)[1]
+    n = len(grams)
     solves, error = solve_rows(field, zs[:n], grams, None)
     if error is not None:
         raise error
@@ -709,6 +684,31 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
         n = int(np.argmax(over))
         error = _solver_residual(residual[n])
     return RowSolves(forms, dg[:n], a[:n], residual[:n]), error
+
+
+def assemble_rows(field: ChartField, zs, solves):
+    """The curvature tensors R[i][a][b][s][t] of ``field`` at a (B, m)
+    stack of points from their solves (the :class:`RowSolves` of
+    :func:`solve_rows` at zs), shape (B, m, m, shape, shape), C-contiguous.
+
+    M_ab = (dbar_b G) G^+ (d_a G) - d_a dbar_b G, which on admissible
+    constant-rank fields equals -G dbar_b A_a for any choice of
+    compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
+    dbar G is (dG)^H on an analytic field, else the stencils of all points
+    in one read; d dbar G is one :meth:`ChartField.dd_stack` read, and a
+    NaN or inf there raises NonFinite naming the first point where it is
+    read.  All rows and pairs are one stacked product, each row the
+    arithmetic of one point, so row i equals the assembly at zs[i] alone
+    bit for bit.
+    """
+    dg, gp = solves.dg, solves.forms.pinv[: len(zs)]
+    dbg = conj_transpose(dg) if field.analytic else field._fd(zs, True)
+    ddg = field.dd_stack(zs)
+    require_finite_rows(ddg, "mixed second derivative", zs)
+    # m_ab = (dbar_b G G^+) d_a G - d_a dbar_b G for all pairs at once;
+    # in C order, hsc_of_tensor's (m^2, m^2) matrix is a view, not a copy
+    mab = (dbg @ gp[:, None])[:, None] @ dg[:, :, None] - ddg
+    return np.ascontiguousarray(mab.swapaxes(-1, -2))
 
 
 def curvature_from_connection(field: ChartField, z, a_fn) -> np.ndarray:

@@ -70,6 +70,15 @@ def require_finite(values, what, point=None):
         raise _non_finite(what, point)
 
 
+def require_finite_rows(values, what, points):
+    """Raise NonFinite naming ``what`` and the first of the points
+    ``points`` whose row of ``values`` (shape (B, ...)) holds a NaN or an
+    inf."""
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        raise _non_finite(what, points[int(np.argmin(finite))])
+
+
 def stacked_linalg(fn, x, points, error):
     """``fn`` (a ``numpy.linalg`` routine) of the matrices ``x`` read at a
     (B, m) stack of points, x[i] at points[i], in one call.  Where that
@@ -293,9 +302,7 @@ class FormStack:
     unchanged bit for bit."""
 
     def __init__(self, grams, points, rank_tol):
-        if not np.isfinite(grams).all():
-            i = int(np.argmin(np.isfinite(grams).all(axis=(-2, -1))))
-            raise _non_finite("Gram matrix", points[i])
+        require_finite_rows(grams, "Gram matrix", points)
         self.gram = grams
         self.points = points
         self.rank_tol = float(rank_tol)

@@ -31,52 +31,41 @@ ambient (degenerate, derivatives by finite differences) reads G_Q from
 those reads by finite differences.
 
 Gram kernels: the sub field's Gram matrices j^H G j and the quotient
-Gram matrices are computed for a whole stack of points from one stacked
-read of the ambient field (batched Cholesky factorizations and inverses
-for the closed-form quotient, quotient_form of each row's form
-otherwise), so the constant-rank gate of either field makes one ambient
-read.  Both kernels are functions of the ambient rows, so a caller that
-has read the ambient at a stack already applies them to its rows.  The
-sub and quotient fields take the ambient's chart and finite-difference
-steps, so their gates read the ambient at the ambient's gate points.
+Gram matrices are functions of the ambient's Gram matrices and the
+inclusion at a stack of points (:meth:`ExactSeqChart._grams`: batched
+Cholesky factorizations and inverses for the closed-form quotient,
+quotient_form of each row's form otherwise), so each field's kernel reads
+the ambient once per stack, and a caller that has read the ambient and
+the inclusion applies the same function to its rows.  The sub and
+quotient fields take the ambient's chart and finite-difference steps, so
+their gates read the ambient at the ambient's gate points.
 
-Per-point data: :meth:`ExactSeqChart.at` keeps one record of everything
-at a base point.  It holds one :class:`~hermitia.charts.FieldAt` for each
-of the ambient, sub and quotient fields, so each field is solved at most
-once per point, and its form, connection and curvature all come from
-that one record.  The three records share one read of the ambient's Gram
-kernel at the 4m + 1 gate points of the base point, and one read of the
-inclusion there: the sub and quotient gate rows are the sub and quotient
-kernels of those rows, built when that record is first read.  Each
-record is a :class:`~hermitia.charts.FieldAt` whose row reader is that
-shared read, so a form read before its solve is factorized once, by the
-one-row :class:`~hermitia.forms.FormStack` the solve reuses.  The base
-point's j is the centre row of the gate read of the inclusion, and its
-dj is one one-row read, which sigma and dq share; q and dq come from
-one quotient frame of that j.  The inclusion j and its derivative dj
-are kernels of a stack of points, so every stack of points reads each
-of them in one call.  The
-derivatives of jdag, qdag, sigma and sigma dagger in the identity table
-and the splitting blocks are finite differences, the independent side of
-each identity.  Each is taken along every coordinate at once with step
-``PROBE_STEP`` from one probe ring: the same quantities at the 4m points
-of that stencil around the base point, held as arrays over the ring (no
-record per ring point), built once and shared by every probe.  The ring
-reads the ambient's Gram kernel three times: once at its 4m points for
-the forms of all three fields, on the first probe; once at the
-4m (4m + 1) gate points of its ambient and sub solves, on the first probe
-of sigma or sigma dagger, when both fields' connections at all ring
-points are solved as arrays, each field's from one batched factorization
-of its ring forms and one dG read (:func:`~hermitia.charts.solve_rows`);
-and once more at the 4m points in the sub field's stacked dG read, beside
-the one read of the ambient's dG there for each of the two solves.  So
-one point of the identity table, the splitting, sigma and the Codazzi
-pairs calls the ambient kernel at most 6 times: once at the base gate
-points, once each for the base's sub and quotient jets (one row each,
-the d and dd reads of each jet sharing its first-order part), and the
-ring's three.  The finite-difference dj of an inclusion given without
-dj, and the holomorphy checks of j, read j at the stencils of a whole
-stack of points in one call (:meth:`ExactSeqChart._j_fd`).
+Per-point data: one record, :class:`_SeqRows`, holds the sequence data
+at a stack of points as arrays, each quantity computed on first read.
+:meth:`ExactSeqChart.at` is the one-row record of a base point, kept for
+the latest point, and its ``ring`` is the record of the 4m points of the
+probe stencil (step ``PROBE_STEP``) around it; the readers below take
+row 0 of the base record, and the finite differences of j dagger,
+q dagger, sigma and sigma dagger in the identity table and the splitting
+blocks, the independent side of each identity, combine the ring's rows.
+A record makes one read: the ambient's Gram kernel at the 4m + 1 gate
+points of each of its points in one call and, when the sub or quotient is
+needed, the inclusion there in one call.  The forms of all three fields
+are the centre rows of that read, their gate rows all of it, and each
+field's connections are one :func:`~hermitia.charts.solve_rows` of its
+gate rows taking those forms, and its curvature tensors one
+:func:`~hermitia.charts.assemble_rows`.  So one point of the identity
+table, the splitting, sigma and the Codazzi pairs calls the ambient
+kernel 5 times: at the base gate points, once each for the base's sub
+and quotient jets (one row each, the d and dd reads of each jet sharing
+its first-order part), at the ring's gate points, and at the 4m ring
+points in the ring sub solve's dG read; when m > 1 the identity table
+probes sigma first, whose ring sub solve replaces the sub jet kept for
+the base row, so the base's sub curvature reads it once more.  The
+finite-difference dj of an
+inclusion given without dj, and the holomorphy checks of j, read j at
+the stencils of a whole stack of points in one call
+(:meth:`ExactSeqChart._j_fd`).
 """
 
 from dataclasses import dataclass
@@ -92,9 +81,11 @@ from .charts import (
     FieldAt,
     _as_point,
     _combine_ring,
+    _gate_reads,
     _leading_gates,
     _named,
     _stencil_ring,
+    assemble_rows,
     curvature_tensor,
     last_point_cache,
     sample_box,
@@ -105,14 +96,12 @@ from .fields import sum_field
 from .forms import (
     FormStack,
     LinearMap,
-    adjoint,
     adjoint_stack,
-    admits_adjoint,
     conj_transpose,
     hermitize,
     quotient_form,
     rank_of,
-    require_finite,
+    require_finite_rows,
     stacked_linalg,
     sum_quotient_form,
 )
@@ -167,7 +156,7 @@ class ExactSeqChart:
         self._w0 = np.linalg.pinv(j0)  # (k, r)
 
         self.sub_field = self._build_sub_field()
-        self._at = last_point_cache(lambda z: _SeqAt(self, z))
+        self._at = last_point_cache(lambda z: _SeqRows(self, z[None]))
 
     # -- frames ---------------------------------------------------------
 
@@ -240,11 +229,27 @@ class ExactSeqChart:
 
     # -- induced fields --------------------------------------------------
 
-    @staticmethod
-    def _sub_grams(j, g):
-        """The sub kernel j^H G j from the inclusion matrices j and the
-        ambient Gram matrices g at a stack of points."""
-        return conj_transpose(j) @ g @ j
+    def _grams(self, part, zs, g, j=None):
+        """The Gram matrices of the ambient, sub or quotient field
+        (``part``) at a stack of points zs of any leading shape, from the
+        ambient's Gram matrices g and the inclusion matrices j read there:
+        g itself, the sub kernel j^H G j, or the quotient kernel of the
+        quotient frames of j (the closed form, else
+        :func:`~hermitia.forms.quotient_form` of each row's ambient form).
+        Hermitian-averaged, so each row equals the field's read of its
+        point bit for bit, and the fields' kernels are these of one read."""
+        if part == "ambient":
+            return g
+        lead, zs = zs.shape[:-1], zs.reshape(-1, self.m)
+        g, j = g.reshape((-1,) + g.shape[-2:]), j.reshape((-1,) + j.shape[-2:])
+        if part == "sub":
+            rows = conj_transpose(j) @ g @ j
+        elif self._quot_closed_form:
+            rows = self._quot_parts(zs, self._frames(zs, j)[1], g)[2]
+        else:
+            q, forms = self._frames(zs, j)[1], FormStack(g, zs, RANK_TOL)
+            rows = np.stack([quotient_form(LinearMap(qw), forms.form(i)).gram for i, qw in enumerate(q)])
+        return hermitize(rows).reshape(lead + rows.shape[-2:])
 
     def _build_sub_field(self):
         """The sub field j^H G j.  Its derivative kernels read the
@@ -257,7 +262,7 @@ class ExactSeqChart:
         amb = self.ambient
 
         def stack_fn(zs):
-            return self._sub_grams(self._j_stack(zs), amb.gram_stack(zs))
+            return self._grams("sub", zs, amb.gram_stack(zs), self._j_stack(zs))
 
         d_fn = dd_fn = None
         if amb.analytic and self._dj_fn is not None:
@@ -306,7 +311,7 @@ class ExactSeqChart:
         """The quotient form field, built on first use: the closed-form jet
         when it applies, else reads of :func:`~hermitia.forms.quotient_form`
         differenced by the chart; either kernel reads the ambient once per
-        stack (:meth:`_quot_grams`)."""
+        stack (:meth:`_grams`)."""
         amb = self.ambient
         d_fn = dd_fn = None
         if self._quot_closed_form:
@@ -314,7 +319,7 @@ class ExactSeqChart:
         return ChartField(
             self.m,
             self.r - self.k,
-            lambda zs: self._quot_grams(zs, self._frames(zs, self._j_stack(zs))[1], amb.gram_stack(zs)),
+            lambda zs: self._grams("quot", zs, amb.gram_stack(zs), self._j_stack(zs)),
             center=amb.center,
             radius=amb.radius,
             d_fn=d_fn,
@@ -324,15 +329,6 @@ class ExactSeqChart:
             name=self.name + ".quot",
             self_check=False,
         )
-
-    def _quot_grams(self, zs, q, g):
-        """G_Q at a (B, m) stack of points from the quotient frames q and
-        the ambient Gram matrices g there: the closed-form kernel, else
-        :func:`~hermitia.forms.quotient_form` of each row's ambient form."""
-        if self._quot_closed_form:
-            return self._quot_parts(zs, q, g)[2]
-        forms = FormStack(g, zs, RANK_TOL)
-        return np.stack([quotient_form(LinearMap(qw), forms.form(i)).gram for i, qw in enumerate(q)])
 
     @staticmethod
     def _quot_parts(zs, q, g):
@@ -391,10 +387,10 @@ class ExactSeqChart:
         return d_fn, dd_fn
 
     def at(self, z):
-        """The per-point record at z.  The latest one is kept
-        (:func:`charts.last_point_cache`), so every reader at one base
-        point shares its solves and its probe ring; the chart never
-        changes, so a kept record never goes stale."""
+        """The one-row record of sequence data at z (a :class:`_SeqRows`).
+        The latest one is kept (:func:`charts.last_point_cache`), so every
+        reader at one base point shares its solves and its probe ring; the
+        chart never changes, so a kept record never goes stale."""
         return self._at(_as_point(z, self.m))
 
 
@@ -418,205 +414,188 @@ def _pd_inverse(g, zs):
     factorization G = L L^H.  A NaN or inf raises NonFinite, and a factor
     that fails raises NotPositiveAtPoint, naming the first point where it
     happens."""
-    finite = np.isfinite(g).all(axis=(-2, -1))
-    if not finite.all():
-        i = int(np.argmin(finite))
-        require_finite(g[i], "ambient Gram matrix of the quotient jet", zs[i])
+    require_finite_rows(g, "ambient Gram matrix of the quotient jet", zs)
     low = stacked_linalg(np.linalg.cholesky, g, zs, _not_positive)
     inv_low = np.linalg.inv(low)
     return conj_transpose(inv_low) @ inv_low
 
 
-class _SeqAt:
-    """All pointwise sequence data at one chart point, each computed on
-    first read, so a read of one quantity solves only what it needs.
+class _FieldRows:
+    """One field (``part``) of a sequence record at the points zs of its
+    stack inside the chart, each part on first read: ``forms``, the
+    :class:`~hermitia.forms.FormStack` of G at zs; ``solved``, the
+    ``(solves, error)`` of :func:`~hermitia.charts.solve_rows` of G at
+    the gate stencils of zs; ``solves``, those solves, raising the error;
+    and ``tensor``, :func:`~hermitia.charts.assemble_rows` of them.  G is
+    :meth:`ExactSeqChart._grams` of the record's ``reads`` at the gate
+    stencils, or of their centre rows for forms read before the solve,
+    which the solve then takes; solved first, the forms are the solve's,
+    the gates' centre rows, as in a :class:`~hermitia.charts.FieldAt`."""
 
-    ``ambient``, ``sub`` and ``quot`` are the records (:class:`FieldAt`)
-    of the three fields at z: each field is solved at most once per point,
-    and its form, connection and curvature are read from its record.  The
-    three share one read: the ambient's Gram kernel at the 4m + 1 gate
-    points of z in one call (OutOfDomain first if z leaves the chart by
-    the gate's margin), then, for the sub or the quotient, the inclusion
-    there in one call.  Each record's row reader builds its Gram matrices
-    from those reads when it needs them: the ambient's are the read
-    itself, the sub's j^H G j of it and the quotient's the quotient kernel
-    of it (its frames built then), at the centre row alone for a form read
-    before the solve, at every gate point for the solve.  Each equals the
-    field's own read, so the record's form and solve equal those of a
-    :class:`FieldAt` at z bit for bit.  Reading the ambient alone reads no
-    inclusion.  ``j`` is the centre row of the inclusion's gate read, so
-    reading it reads the gate; ``dj`` is one one-row read; ``q``, ``dq``
-    and the frame core C come from one quotient frame of that j.  A base
-    record built by :meth:`ExactSeqChart.at` also owns
-    a probe ring, ``ring`` (a :class:`_Ring`, the same quantities as
-    arrays over the 4m Wirtinger stencil points around z), from which
-    :meth:`probe` differences j dagger, q dagger, sigma and sigma dagger.
-    """
-
-    def __init__(self, seq: ExactSeqChart, z):
-        self.seq = seq
-        self.z = z
+    def __init__(self, seq: ExactSeqChart, part, field: ChartField, zs, reads):
+        self.seq, self.part, self.field, self.zs, self._reads = seq, part, field, zs, reads
 
     @cached_property
-    def _gate_read(self):
-        """The gate stencil of z and the ambient's Gram matrices there."""
-        zs = _leading_gates(self.seq.ambient, self.z[None])[0]
-        return zs, self.seq.ambient.gram_stack(zs)
-
-    @cached_property
-    def _gate_j(self):
-        return self.seq._j_stack(self._gate_read[0])
-
-    def _ambient_rows(self, n):
-        return self._gate_read[1][:n]
-
-    def _sub_rows(self, n):
-        return hermitize(self.seq._sub_grams(self._gate_j[:n], self._gate_read[1][:n]))
-
-    def _quot_rows(self, n):
-        zs, g = (part[:n] for part in self._gate_read)
-        q = self.seq._frames(zs, self._gate_j[:n])[1]
-        return hermitize(self.seq._quot_grams(zs, q, g))
-
-    @cached_property
-    def ring(self):
-        return _Ring(self.seq, self.z)
-
-    def probe(self, name, conjugate=False):
-        """d_a (or dbar_a when ``conjugate``) of the quantity ``name``
-        (``jdag``, ``qdag``, ``sigma`` or ``sigma_dagger``) for every
-        coordinate a, shape (m, ...): the Wirtinger difference of step
-        ``PROBE_STEP`` of the ring's rows, combined by
-        :func:`~hermitia.charts._combine_ring`, equal to ``ring_fd`` over
-        fresh records bit for bit."""
-        return _combine_ring(getattr(self.ring, name), PROBE_STEP, conjugate)
-
-    @cached_property
-    def ambient(self):
-        return FieldAt(self.seq.ambient, self.z, self._ambient_rows)
-
-    @cached_property
-    def sub(self):
-        return FieldAt(self.seq.sub_field, self.z, self._sub_rows)
-
-    @cached_property
-    def quot(self):
-        return FieldAt(self.seq.quot_field, self.z, self._quot_rows)
-
-    @cached_property
-    def j(self):
-        return self._gate_j[0]
-
-    @cached_property
-    def dj(self):
-        return self.seq._dj_stack(self.z[None])[0]
-
-    @cached_property
-    def _frames(self):
-        """C and q at z from the record's j (:meth:`ExactSeqChart._frames`)."""
-        return self.seq._frames(self.z[None], self.j[None])
-
-    @cached_property
-    def q(self):
-        return self._frames[1][0]
-
-    @cached_property
-    def dq(self):
-        return self.seq._dq_of(self.j[None], self._frames[0], self.dj[None])[0]
-
-    @cached_property
-    def jdag(self):
-        return adjoint(LinearMap(self.j), self.sub.form, self.ambient.form).matrix
-
-    @cached_property
-    def qdag(self):
-        return adjoint(LinearMap(self.q), self.ambient.form, self.quot.form).matrix
-
-    @cached_property
-    def sigma(self):
-        a_e, a_s = self.ambient.a, self.sub.a
-        return np.stack(
-            [self.q @ (self.dj[a] + a_e[a] @ self.j - self.j @ a_s[a]) for a in range(self.seq.m)]
-        )
-
-    @cached_property
-    def sigma_dagger(self):
-        sigma = self.sigma
-        b_s, b_q = self.sub.form, self.quot.form
-        return np.stack([adjoint(LinearMap(sigma[a]), b_s, b_q).matrix for a in range(self.seq.m)])
-
-
-class _Ring:
-    """The probe ring of a base point z: the sequence data at the 4m points
-    ``zs`` of :func:`~hermitia.charts._stencil_ring` (step ``PROBE_STEP``)
-    as arrays with the ring on the leading axis, each computed on first
-    read.  Row i equals the same quantity of a fresh ``_SeqAt(seq,
-    zs[i])`` bit for bit.  It is built in two stages:
-
-    * the forms, on construction: the ambient Gram matrices at zs in one
-      read, and from those rows the sub kernel j^H G j and the quotient
-      kernel, each a :class:`~hermitia.forms.FormStack` (one batched
-      ``eigh`` when a rank or pseudoinverse is read); j dagger and
-      q dagger read only these, so the adjoint probes run no gate;
-    * the solves, on the first read of sigma or sigma dagger: the ambient
-      read at the 4m (4m + 1) gate points of the ring in one call, whose
-      rows serve the ambient and the sub gates, and the ambient and sub
-      connections of the whole ring by :func:`~hermitia.charts.solve_rows`
-      (one dG read each).  Only the ring points before the first one
-      outside the chart are solved, and the error raised is the
-      per-point ring's first: the ambient solve, then the sub solve, at
-      each ring point in turn.
-    """
-
-    def __init__(self, seq: ExactSeqChart, z):
-        self.seq = seq
-        self.zs = zs = _stencil_ring(z, PROBE_STEP)
-        g = seq.ambient.gram_stack(zs)
-        self.j = seq._j_stack(zs)
-        self.q = seq._frames(zs, self.j)[1]
-        self.ambient = FormStack(g, zs, RANK_TOL)
-        self.sub = FormStack(hermitize(seq._sub_grams(self.j, g)), zs, RANK_TOL)
-        self.quot = FormStack(hermitize(seq._quot_grams(zs, self.q, g)), zs, RANK_TOL)
-
-    @cached_property
-    def jdag(self):
-        return adjoint_stack(self.j, self.sub, self.ambient)
-
-    @cached_property
-    def qdag(self):
-        return adjoint_stack(self.q, self.ambient, self.quot)
+    def forms(self):
+        solved = self.__dict__.get("solved")
+        if solved is not None and len(solved[0].forms.gram) == len(self.zs):
+            return solved[0].forms
+        rows = self.seq._grams(self.part, *(x[:, 0] for x in self._reads))
+        return FormStack(np.ascontiguousarray(rows), self.zs, RANK_TOL)
 
     @cached_property
     def solved(self):
-        """The :class:`~hermitia.charts.RowSolves` of the ambient and the
-        sub field at every ring point (see the class docstring)."""
-        seq, amb, zs = self.seq, self.seq.ambient, self.zs
-        stencils = _leading_gates(amb, zs)
-        inside = len(stencils)
-        points, gates = stencils.reshape(-1, seq.m), stencils.shape[:2]
-        g = amb.gram_stack(points)
-        sub_rows = hermitize(seq._sub_grams(seq._j_stack(points), g)).reshape(gates + (seq.k, seq.k))
-        ambient, error = solve_rows(amb, zs[:inside], g.reshape(gates + (seq.r, seq.r)), self.ambient)
-        n = len(ambient.a)  # the ambient fails at ring point n, if anywhere
-        sub, sub_error = solve_rows(seq.sub_field, zs[:n], sub_rows[:n], self.sub)
-        if sub_error is not None:
+        grams = self.seq._grams(self.part, *self._reads)
+        return solve_rows(self.field, self.zs, grams, self.__dict__.get("forms"))
+
+    @property
+    def solves(self):
+        solves, error = self.solved
+        if error is not None:
+            raise error
+        return solves
+
+    @cached_property
+    def tensor(self):
+        return assemble_rows(self.field, self.zs, self.solves)
+
+
+class _SeqRows:
+    """All sequence data at a (B, m) stack of chart points ``zs``, as
+    arrays with the points on the leading axis, each computed on first
+    read, so a read of one quantity computes only what it needs.
+    :meth:`ExactSeqChart.at` is the one-row record of a base point, and
+    its ``ring`` the 4m-row record of its probe ring.
+
+    One read: the ambient's Gram kernel at the gate stencils of the
+    leading points inside the chart by the gate's margin, in one call
+    (OutOfDomain first if zs[0] is not), then, for the sub or the
+    quotient, the inclusion there in one call.  ``ambient``, ``sub`` and
+    ``quot`` (each a :class:`_FieldRows`) take the forms of their field
+    from the centre rows of that read and, on first need, their gate rows
+    from all of it (:meth:`ExactSeqChart._grams`), so each field is
+    solved once, by one :func:`~hermitia.charts.solve_rows`.  Reading the
+    ambient alone reads no inclusion.
+
+    ``j`` is the centre rows of the inclusion's read, ``dj`` one read at
+    zs, and ``q``, ``dq`` and the frame core C come from one quotient
+    frame of j.  j dagger, q dagger, sigma and sigma dagger are stacked
+    products over all points (:func:`~hermitia.forms.adjoint_stack`),
+    each row the arithmetic of one point.  Each of them needs every point
+    inside the chart and raises the OutOfDomain of the first one that is
+    not; sigma raises first the error of solving each point in turn, the
+    ambient and then the sub.  :meth:`probe` differences the ring's rows.
+    """
+
+    def __init__(self, seq: ExactSeqChart, zs):
+        self.seq = seq
+        self.zs = zs
+
+    @property
+    def z(self):
+        return self.zs[0]
+
+    @cached_property
+    def _read(self):
+        """The gate stencils of the leading points inside the chart and
+        the ambient's Gram matrices there (:func:`charts._gate_reads`)."""
+        return _gate_reads(self.seq.ambient, self.zs)
+
+    @property
+    def _zs(self):
+        """The leading points inside the chart, which the fields solve."""
+        return self.zs[: len(self._read[0])]
+
+    def _require_inside(self):
+        """OutOfDomain of the first point outside the chart, if any."""
+        n = len(self._zs)
+        if n < len(self.zs):
+            _leading_gates(self.seq.ambient, self.zs[n:])
+
+    @cached_property
+    def _gate_j(self):
+        stencils = self._read[0]
+        j = self.seq._j_stack(stencils.reshape(-1, self.seq.m))
+        return j.reshape(stencils.shape[:2] + j.shape[1:])
+
+    @cached_property
+    def ambient(self):
+        return _FieldRows(self.seq, "ambient", self.seq.ambient, self._zs, self._read)
+
+    @cached_property
+    def sub(self):
+        return _FieldRows(self.seq, "sub", self.seq.sub_field, self._zs, self._read + (self._gate_j,))
+
+    @cached_property
+    def quot(self):
+        return _FieldRows(self.seq, "quot", self.seq.quot_field, self._zs, self._read + (self._gate_j,))
+
+    @cached_property
+    def ring(self):
+        """The record of the probe ring of zs[0]: the 4m points of
+        :func:`~hermitia.charts._stencil_ring` with step ``PROBE_STEP``."""
+        return _SeqRows(self.seq, _stencil_ring(self.z, PROBE_STEP))
+
+    def probe(self, name, conjugate=False):
+        """d_a (or dbar_a when ``conjugate``) at zs[0] of the quantity
+        ``name`` (``jdag``, ``qdag``, ``sigma`` or ``sigma_dagger``) for
+        every coordinate a, shape (m, ...): the Wirtinger difference of
+        step ``PROBE_STEP`` of the ring's rows, combined by
+        :func:`~hermitia.charts._combine_ring`."""
+        return _combine_ring(getattr(self.ring, name), PROBE_STEP, conjugate)
+
+    @cached_property
+    def j(self):
+        self._require_inside()
+        return self._gate_j[:, 0]
+
+    @cached_property
+    def dj(self):
+        return self.seq._dj_stack(self.zs)
+
+    @cached_property
+    def _frames(self):
+        """C and q at zs from the record's j (:meth:`ExactSeqChart._frames`)."""
+        return self.seq._frames(self.zs, self.j)
+
+    @cached_property
+    def q(self):
+        return self._frames[1]
+
+    @cached_property
+    def dq(self):
+        return self.seq._dq_of(self.j, self._frames[0], self.dj)
+
+    @cached_property
+    def jdag(self):
+        return adjoint_stack(self.j, self.sub.forms, self.ambient.forms)
+
+    @cached_property
+    def qdag(self):
+        return adjoint_stack(self.q, self.ambient.forms, self.quot.forms)
+
+    @cached_property
+    def _connections(self):
+        """A_E and A_S at every point, raising what solving each point in
+        turn raises first: its ambient solve, then its sub solve; then the
+        OutOfDomain of the first point outside the chart."""
+        (ambient, error), (sub, sub_error) = self.ambient.solved, self.sub.solved
+        if sub_error is not None and (error is None or len(sub.a) < len(ambient.a)):
             raise sub_error
         if error is not None:
             raise error
-        if inside < len(zs):
-            _leading_gates(amb, zs[inside:])
-        return ambient, sub
+        self._require_inside()
+        return ambient.a, sub.a
 
     @cached_property
     def sigma(self):
-        ambient, sub = self.solved
-        dj = self.seq._dj_stack(self.zs)
+        a_e, a_s = self._connections
         j = self.j[:, None]
-        return self.q[:, None] @ (dj + ambient.a @ j - j @ sub.a)
+        return self.q[:, None] @ (self.dj + a_e @ j - j @ a_s)
 
     @cached_property
     def sigma_dagger(self):
-        return adjoint_stack(self.sigma, self.sub, self.quot)
+        return adjoint_stack(self.sigma, self.sub.forms, self.quot.forms)
 
 
 @dataclass
@@ -631,23 +610,23 @@ def second_fundamental_form(seq: ExactSeqChart, z) -> SecondFundamentalFormAt:
     """sigma(d_alpha) = q (d_alpha j + A_E j - j A_S) with its form adjoint.
 
     The antiholomorphic analogue q dbar_alpha j must vanish (the form has
-    pure (1,0) type); its residual is reported and gated at 1e-6.
+    pure (1,0) type); its residual is reported and gated at 1e-6.  Where
+    sigma maps Ker b_S outside Ker b_Q, its adjoint raises NoAdjoint.
     """
     at = seq.at(z)
-    dbar_j = seq._j_fd(at.z[None], conjugate=True)[0]
-    worst = max(float(np.linalg.norm(at.q @ db)) for db in dbar_j)
-    scale = 1.0 + float(np.linalg.norm(at.sigma))
+    dbar_j = seq._j_fd(at.zs, conjugate=True)[0]
+    q = at.q[0]
+    worst = max(float(np.linalg.norm(q @ db)) for db in dbar_j)
+    sigma = at.sigma[0]
+    scale = 1.0 + float(np.linalg.norm(sigma))
     if worst > SIGMA_DBAR_TOL * scale:
         raise HermitiaError(
             "second fundamental form has a (0,1)-part of size %.2e" % worst
         )
-    for a in range(seq.m):
-        if not admits_adjoint(LinearMap(at.sigma[a]), at.sub.form, at.quot.form):
-            raise HermitiaError("second fundamental form does not admit an adjoint")
     return SecondFundamentalFormAt(
         point=at.z.copy(),
-        sigma=at.sigma.copy(),
-        sigma_dagger=at.sigma_dagger.copy(),
+        sigma=sigma.copy(),
+        sigma_dagger=at.sigma_dagger[0].copy(),
         dbar_part_residual=worst / scale,
     )
 
@@ -670,42 +649,44 @@ def demailly_residuals(seq: ExactSeqChart, z):
     """
     at = seq.at(z)
     m = seq.m
-    a_e, a_s, a_q = at.ambient.a, at.sub.a, at.quot.a
-    g_e, g_s, g_q = at.ambient.form.gram, at.sub.form.gram, at.quot.form.gram
+    a_e, a_s, a_q = at.ambient.solves.a[0], at.sub.solves.a[0], at.quot.solves.a[0]
+    g_e, g_s, g_q = at.ambient.forms.gram[0], at.sub.forms.gram[0], at.quot.forms.gram[0]
+    j, dj, q, dq = at.j[0], at.dj[0], at.q[0], at.dq[0]
+    jdag, qdag, sigma, sigdag = at.jdag[0], at.qdag[0], at.sigma[0], at.sigma_dagger[0]
 
     out = {}
 
     r1 = 0.0
     for a in range(m):
-        dpj = at.dj[a] + a_e[a] @ at.j - at.j @ a_s[a]
+        dpj = dj[a] + a_e[a] @ j - j @ a_s[a]
         lhs = g_e @ dpj
-        rhs = g_e @ (at.qdag @ at.sigma[a])
+        rhs = g_e @ (qdag @ sigma[a])
         r1 = max(r1, _rel(lhs - rhs, lhs, rhs))
     out["inclusion"] = r1
 
     r2 = 0.0
     for a in range(m):
-        dpq = at.dq[a] + a_q[a] @ at.q - at.q @ a_e[a]
+        dpq = dq[a] + a_q[a] @ q - q @ a_e[a]
         lhs = g_q @ dpq
-        rhs = -g_q @ (at.sigma[a] @ at.jdag)
+        rhs = -g_q @ (sigma[a] @ jdag)
         r2 = max(r2, _rel(lhs - rhs, lhs, rhs))
     out["projection"] = r2
 
     r3 = 0.0
     djdag, dbjdag = at.probe("jdag"), at.probe("jdag", conjugate=True)
     for a in range(m):
-        dpjdag = djdag[a] + a_s[a] @ at.jdag - at.jdag @ a_e[a]
+        dpjdag = djdag[a] + a_s[a] @ jdag - jdag @ a_e[a]
         r3 = max(r3, _rel(g_s @ dpjdag, g_s @ djdag[a]))
-        rhs = at.sigma_dagger[a] @ at.q
+        rhs = sigdag[a] @ q
         r3 = max(r3, _rel(g_s @ (dbjdag[a] - rhs), g_s @ dbjdag[a], g_s @ rhs))
     out["inclusion_adjoint"] = r3
 
     r4 = 0.0
     dqdag, dbqdag = at.probe("qdag"), at.probe("qdag", conjugate=True)
     for a in range(m):
-        dpqdag = dqdag[a] + a_e[a] @ at.qdag - at.qdag @ a_q[a]
+        dpqdag = dqdag[a] + a_e[a] @ qdag - qdag @ a_q[a]
         r4 = max(r4, _rel(g_e @ dpqdag, g_e @ dqdag[a]))
-        rhs = -at.j @ at.sigma_dagger[a]
+        rhs = -j @ sigdag[a]
         r4 = max(r4, _rel(g_e @ (dbqdag[a] - rhs), g_e @ dbqdag[a], g_e @ rhs))
     out["projection_adjoint"] = r4
 
@@ -715,8 +696,8 @@ def demailly_residuals(seq: ExactSeqChart, z):
         dbsigdag = at.probe("sigma_dagger", conjugate=True)
         for a in range(m):
             for b in range(a + 1, m):
-                dpsab = dsig[a][b] + a_q[a] @ at.sigma[b] - at.sigma[b] @ a_s[a]
-                dpsba = dsig[b][a] + a_q[b] @ at.sigma[a] - at.sigma[a] @ a_s[b]
+                dpsab = dsig[a][b] + a_q[a] @ sigma[b] - sigma[b] @ a_s[a]
+                dpsba = dsig[b][a] + a_q[b] @ sigma[a] - sigma[a] @ a_s[b]
                 r5 = max(r5, _rel(g_q @ (dpsab - dpsba), g_q @ dpsab, g_q @ dpsba))
                 dbsab = dbsigdag[a][b]
                 dbsba = dbsigdag[b][a]
@@ -742,8 +723,10 @@ def codazzi_sub(seq: ExactSeqChart, z, alpha, beta, s, t):
     at = seq.at(z)
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    ambient_term = _contract(at.ambient.tensor[alpha, beta], at.j @ s, at.j @ t)
-    sq = np.vdot(at.sigma[beta] @ t, at.quot.form.gram @ (at.sigma[alpha] @ s))
+    j = at.j[0]
+    ambient_term = _contract(at.ambient.tensor[0, alpha, beta], j @ s, j @ t)
+    sigma = at.sigma[0]
+    sq = np.vdot(sigma[beta] @ t, at.quot.forms.gram[0] @ (sigma[alpha] @ s))
     return ambient_term - complex(sq)
 
 
@@ -752,8 +735,10 @@ def codazzi_quot(seq: ExactSeqChart, z, alpha, beta, u, v):
     at = seq.at(z)
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    ambient_term = _contract(at.ambient.tensor[alpha, beta], at.qdag @ u, at.qdag @ v)
-    sq = np.vdot(at.sigma_dagger[alpha] @ v, at.sub.form.gram @ (at.sigma_dagger[beta] @ u))
+    qdag = at.qdag[0]
+    ambient_term = _contract(at.ambient.tensor[0, alpha, beta], qdag @ u, qdag @ v)
+    sigdag = at.sigma_dagger[0]
+    sq = np.vdot(sigdag[alpha] @ v, at.sub.forms.gram[0] @ (sigdag[beta] @ u))
     return ambient_term + complex(sq)
 
 
@@ -783,11 +768,12 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
     at = seq.at(z)
     m, k, rk = seq.m, seq.k, seq.r - seq.k
 
-    r_e, r_s, r_q = at.ambient.tensor, at.sub.tensor, at.quot.tensor
-    a_s, a_q = at.sub.a, at.quot.a
-    g_s, g_q = at.sub.form.gram, at.quot.form.gram
+    r_e, r_s, r_q = at.ambient.tensor[0], at.sub.tensor[0], at.quot.tensor[0]
+    a_s, a_q = at.sub.solves.a[0], at.quot.solves.a[0]
+    g_s, g_q = at.sub.forms.gram[0], at.quot.forms.gram[0]
     dsig = at.probe("sigma", conjugate=True)
     dpsigdag = at.probe("sigma_dagger")
+    jdag, q, sigma, sigdag = at.jdag[0], at.q[0], at.sigma[0], at.sigma_dagger[0]
 
     ss = np.empty((m, m, k, k), dtype=complex)
     sq = np.empty((m, m, k, rk), dtype=complex)
@@ -801,16 +787,16 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
             m_q = r_q[a, b].T
             ss[a, b] = m_s
             qq[a, b] = m_q
-            dps = dpsigdag[a][b] + a_s[a] @ at.sigma_dagger[b] - at.sigma_dagger[b] @ a_q[a]
+            dps = dpsigdag[a][b] + a_s[a] @ sigdag[b] - sigdag[b] @ a_q[a]
             sq[a, b] = g_s @ dps
             qs[a, b] = g_q @ dsig[b][a]
-            sig_sq = at.sigma[b].conj().T @ g_q @ at.sigma[a]
-            sigdag_sq = at.sigma_dagger[a].conj().T @ g_s @ at.sigma_dagger[b]
+            sig_sq = sigma[b].conj().T @ g_q @ sigma[a]
+            sigdag_sq = sigdag[a].conj().T @ g_s @ sigdag[b]
             rebuilt = (
-                at.jdag.conj().T @ (m_s + sig_sq) @ at.jdag
-                - at.jdag.conj().T @ sq[a, b] @ at.q
-                - at.q.conj().T @ qs[a, b] @ at.jdag
-                + at.q.conj().T @ (m_q - sigdag_sq) @ at.q
+                jdag.conj().T @ (m_s + sig_sq) @ jdag
+                - jdag.conj().T @ sq[a, b] @ q
+                - q.conj().T @ qs[a, b] @ jdag
+                + q.conj().T @ (m_q - sigdag_sq) @ q
             )
             worst = max(worst, _rel(rebuilt - m_e, m_e, rebuilt))
     return SplittingBlocks(
@@ -844,14 +830,9 @@ def sum_curvature(
     if perturb2 is not None:
         a2 = a2 + np.asarray(perturb2(z), dtype=complex)
     gq = sum_quotient_form(t1.form, t2.form).gram
-    m, r = b1_field.m, b1_field.shape
-    tensor = np.empty((m, m, r, r), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            sig_a = a1[a] - a2[a]
-            sig_b = a1[b] - a2[b]
-            m_h = t1.tensor[a, b].T + t2.tensor[a, b].T - sig_b.conj().T @ gq @ sig_a
-            tensor[a, b] = m_h.T
+    sigma = a1 - a2
+    # x[a, b] = sigma_b^H G_q sigma_a, all pairs in one stacked product
+    x = (conj_transpose(sigma)[None, :] @ gq) @ sigma[:, None]
     out = FieldAt(sum_field(b1_field, b2_field), z)
-    out.tensor = tensor
+    out.tensor = t1.tensor + t2.tensor - x.swapaxes(-1, -2)
     return out

@@ -8,8 +8,8 @@ def gate_points(monkeypatch):
     """The point of every constant-rank gate run in the test, as bytes:
     one gate per connection solve, counted at the one solve entry point
     ``charts.solve_rows``, whether the solve is a record's one-row solve
-    or a stacked one.  The sequence probe ring calls solve_rows through
-    its own binding in ``hermitia.sequences``, which is not counted."""
+    or a stacked one.  The sequence records call solve_rows through
+    their own binding in ``hermitia.sequences``, which is not counted."""
     points = []
     solve_rows = charts.solve_rows
 

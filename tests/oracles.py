@@ -5,6 +5,7 @@ package once did, so a test can hold the stacked route to it bit for bit.
 """
 
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -12,13 +13,22 @@ from hermitia.charts import (
     _FORM_GUARD,
     RANK_TOL,
     SOLVER_TOL,
+    FieldAt,
     _as_point,
     _kernel_perturbation,
     _solver_residual,
     ring_fd,
 )
 from hermitia.errors import HermitiaError, RankJump
-from hermitia.forms import PSD_SLACK, conj_transpose, gram_rank, rank_of, require_finite
+from hermitia.forms import (
+    PSD_SLACK,
+    LinearMap,
+    adjoint,
+    conj_transpose,
+    gram_rank,
+    rank_of,
+    require_finite,
+)
 
 FormFactors = namedtuple(
     "FormFactors",
@@ -176,8 +186,8 @@ def connection_at(field, z, form=None):
 def curvature_at(field, z):
     """The curvature tensor at one point from :func:`connection_at`, one
     coordinate pair at a time: R[a][b] = (dbar_b G A_a - d_a dbar_b G)^T."""
-    _, dg, a, _ = connection_at(field, z)
-    dbg, ddg = field.dbar(z, d=dg), field.dd(z)
+    a = connection_at(field, z)[2]
+    dbg, ddg = field.dbar(z), field.dd(z)
     m = field.m
     return np.array([[(dbg[b] @ a[i] - ddg[i, b]).T for b in range(m)] for i in range(m)])
 
@@ -278,3 +288,73 @@ def quotient_jet(seq, z):
     dph = conj_transpose(dp)
     inner = dp[:, None] @ x @ dph[None, :] + dph[None, :] @ x @ dp[:, None] - ddp
     return -x @ dp @ x, x @ inner @ x
+
+
+def sum_curvature_loop(t1, t2, a1, a2, gq):
+    """The curvature of a sum from its summands' tensors t1 and t2, their
+    connections a1 and a2 and the sum quotient Gram matrix gq, one
+    coordinate pair at a time: M_ab = M1_ab + M2_ab - sigma_b^H G_q
+    sigma_a with sigma = a1 - a2, the tensor entry its transpose.  The
+    per-pair oracle of ``sequences.sum_curvature``."""
+    m, r = t1.shape[0], t1.shape[-1]
+    tensor = np.empty((m, m, r, r), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            sig_a = a1[a] - a2[a]
+            sig_b = a1[b] - a2[b]
+            m_h = t1[a, b].T + t2[a, b].T - sig_b.conj().T @ gq @ sig_a
+            tensor[a, b] = m_h.T
+    return tensor
+
+
+class SeqPoint:
+    """The sequence data at one point z of an ``ExactSeqChart``, each
+    quantity on first read, one point and one coordinate at a time: the
+    per-point oracle of the stacked records of ``hermitia.sequences``.
+
+    ``ambient``, ``sub`` and ``quot`` are ``FieldAt`` records at z, each
+    reading its field on its own; j, dj and q are the chart's one-point
+    reads and dq is :func:`quotient_dq`; the adjoints are ``adjoint`` of
+    one map at a time, and sigma is q (d_a j + A_E j - j A_S) for each
+    coordinate a in turn.  Reading sigma solves the ambient, then the sub,
+    so it raises what they raise in that order."""
+
+    def __init__(self, seq, z):
+        self.seq, self.z = seq, _as_point(z, seq.m)
+        self.ambient, self.sub, self.quot = (
+            FieldAt(field, self.z) for field in (seq.ambient, seq.sub_field, seq.quot_field)
+        )
+
+    @cached_property
+    def j(self):
+        return self.seq.j_at(self.z)
+
+    @cached_property
+    def dj(self):
+        return self.seq.dj_at(self.z)
+
+    @cached_property
+    def q(self):
+        return self.seq.q_at(self.z)
+
+    @cached_property
+    def dq(self):
+        return quotient_dq(self.seq, self.z)
+
+    @cached_property
+    def jdag(self):
+        return adjoint(LinearMap(self.j), self.sub.form, self.ambient.form).matrix
+
+    @cached_property
+    def qdag(self):
+        return adjoint(LinearMap(self.q), self.ambient.form, self.quot.form).matrix
+
+    @cached_property
+    def sigma(self):
+        a_e, a_s = self.ambient.a, self.sub.a
+        return np.stack([self.q @ (self.dj[a] + a_e[a] @ self.j - self.j @ a_s[a]) for a in range(self.seq.m)])
+
+    @cached_property
+    def sigma_dagger(self):
+        b_s, b_q = self.sub.form, self.quot.form
+        return np.stack([adjoint(LinearMap(s), b_s, b_q).matrix for s in self.sigma])

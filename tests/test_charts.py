@@ -1329,7 +1329,7 @@ def test_stacked_solve_and_assembly_equal_the_loops(make, z):
     dg, gp = rec.dg, rec.form.pinv
     m, r = field.m, field.shape
     assert np.array_equal(rec.a, np.stack([gp @ dg[i] for i in range(m)]))
-    dbg, ddg = field.dbar(z, d=dg), field.dd(z)
+    dbg, ddg = field.dbar(z), field.dd(z)
     loop = np.empty((m, m, r, r), dtype=complex)
     for a in range(m):
         for b in range(m):

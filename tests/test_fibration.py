@@ -320,6 +320,25 @@ def test_zero_section_direction_minimum_is_flat(hirz1):
     assert -1e-10 < best < 1e-6
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hirzebruch_origin_minimum_is_the_exact_value(k):
+    """At z = 0 the minimum of H over directions of h_lambda(hirz:k) is
+    m_k(lambda) = 2 - 2 (1 + k u)^2 / (1 + (2k + 1) u), u = e^-lambda:
+    12 seeded starts of the direction walk, 400 steps each, reach it to
+    1e-9."""
+    model = hirzebruch_model(k)
+    rng = np.random.default_rng(np.random.SeedSequence([61, k]))
+    for lam in (0.0, 0.5, 1.0, 1.5, 3.5):
+        curv = curvature_tensor(h_lambda(model, lam), np.zeros(2))
+        best = np.inf
+        for _ in range(12):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            best = min(best, _refine_direction(curv.tensor, curv.form.gram, v, 400, sign=-1.0)[1])
+        u = np.exp(-lam)
+        exact = 2.0 - 2.0 * (1.0 + k * u) ** 2 / (1.0 + (2 * k + 1) * u)
+        assert abs(best - exact) <= 1e-9, (lam, best, exact)
+
+
 def test_h_lambda_stays_torsion_free(prod, hirz1):
     z = np.array([0.2 + 0.1j, 0.3 - 0.2j])
     assert torsion_defect(h_lambda(prod, 2.0), z) <= 1e-6

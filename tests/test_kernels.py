@@ -305,6 +305,23 @@ def test_derivative_kernel_rows_equal_the_one_row_reads(built, name, seed, rows)
         assert np.array_equal(dd[i], field.dd(w))
 
 
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_stacked_assembly_equals_the_one_point_tensors(built, name, fd):
+    """assemble_rows over the solves of a 6-row stack equals each point's
+    curvature_tensor bit for bit, for every constructor in the table and
+    for its finite-difference copy."""
+    field, z = built[name]
+    if fd:
+        field = field.finite_difference_copy()
+    zs = _near(field, z, 11, 6)
+    tensors = charts.assemble_rows(field, zs, charts.solve_points(field, zs))
+    assert tensors.shape == (6, field.m, field.m, field.shape, field.shape)
+    assert tensors.flags.c_contiguous
+    for i, w in enumerate(zs):
+        assert np.array_equal(tensors[i], curvature_tensor(field, w).tensor), i
+
+
 @pytest.mark.parametrize("name", ["fs:2", "gr:2:4", "hirz:1.b2", "pd", "pullback", "seq1.sub_field", "seq5.quot_field"])
 def test_stacked_outer_difference_equals_the_per_point_ring(built, name):
     """The self-check's second-order side at a stack of points, from one

@@ -1,4 +1,5 @@
 import functools
+import gc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,6 @@ from hermitia import (
 )
 from hermitia.charts import (
     PROBE_STEP,
-    RANK_TOL,
     ChartField,
     FieldAt,
     chern_connection,
@@ -27,7 +27,7 @@ from hermitia.charts import (
     ring_fd,
 )
 from hermitia.fields import MatrixPolynomial, constant_field, from_factor, sum_field
-from hermitia.forms import HermitianForm, LinearMap, adjoint, hermitize, quotient_form
+from hermitia.forms import LinearMap, hermitize, quotient_form, sum_quotient_form
 from hermitia.instances import (
     random_pd_field,
     sequence_instance,
@@ -43,7 +43,7 @@ from hermitia.sequences import (
     sum_curvature,
 )
 
-from oracles import smooth_kernel_perturbation, wirtinger_fd
+from oracles import SeqPoint, smooth_kernel_perturbation, sum_curvature_loop, wirtinger_fd
 
 
 def line_j(zs):
@@ -178,33 +178,8 @@ def test_induced_grams_tautological():
 def test_pointwise_adjoints_are_one_sided_inverses():
     seq, z = sequence_instance(6)
     at = seq.at(z)
-    assert np.linalg.norm(at.jdag @ at.j - np.eye(seq.k)) < 1e-10
-    assert np.linalg.norm(at.q @ at.qdag - np.eye(seq.r - seq.k)) < 1e-10
-
-
-def eager_seq_data(seq, z):
-    """Every pointwise sequence quantity, built in one pass in dependency
-    order: the reference the lazily computed record must reproduce."""
-    out = {"j": seq.j_at(z), "dj": seq.dj_at(z), "q": seq.q_at(z), "dq": seq.dq_at(z)}
-    fields = {"ambient": seq.ambient, "sub": seq.sub_field, "quot": seq.quot_field}
-    b = {}
-    for key, field in fields.items():
-        out[key + ".form"] = field.gram(z)
-        out[key + ".a"] = chern_connection(field, z).a
-        out[key + ".tensor"] = curvature_tensor(field, z).tensor
-        b[key] = HermitianForm(out[key + ".form"], rank_tol=RANK_TOL)
-    out["jdag"] = adjoint(LinearMap(out["j"]), b["sub"], b["ambient"]).matrix
-    out["qdag"] = adjoint(LinearMap(out["q"]), b["ambient"], b["quot"]).matrix
-    out["sigma"] = np.stack(
-        [
-            out["q"] @ (out["dj"][a] + out["ambient.a"][a] @ out["j"] - out["j"] @ out["sub.a"][a])
-            for a in range(seq.m)
-        ]
-    )
-    out["sigma_dagger"] = np.stack(
-        [adjoint(LinearMap(out["sigma"][a]), b["sub"], b["quot"]).matrix for a in range(seq.m)]
-    )
-    return out
+    assert np.linalg.norm(at.jdag[0] @ at.j[0] - np.eye(seq.k)) < 1e-10
+    assert np.linalg.norm(at.q[0] @ at.qdag[0] - np.eye(seq.r - seq.k)) < 1e-10
 
 
 def _seq_cases():
@@ -213,17 +188,35 @@ def _seq_cases():
     return cases
 
 
+# every quantity of the base record, in dependency order
+SEQ_NAMES = ["j", "dj", "q", "dq"] + [
+    part + "." + what for part in ("ambient", "sub", "quot") for what in ("form", "a", "tensor")
+] + ["jdag", "qdag", "sigma", "sigma_dagger"]
+
+
+def _read(record, name, row=None):
+    """The quantity ``name`` (``j``, or a field's ``form``, ``a`` or
+    ``tensor`` as ``sub.a``) of the per-point oracle, or of row ``row`` of
+    a stacked record."""
+    part, _, what = name.rpartition(".")
+    if row is None:
+        value = getattr(getattr(record, part), what) if part else getattr(record, name)
+        return value.gram if what == "form" else value
+    if not part:
+        return getattr(record, name)[row]
+    rows = getattr(record, part)
+    return {"form": lambda: rows.forms.gram, "a": lambda: rows.solves.a, "tensor": lambda: rows.tensor}[what]()[row]
+
+
 @pytest.mark.parametrize("case", range(7))
 def test_lazy_seq_data_equals_eager_oracle(case):
+    """The base record, each quantity read in turn in dependency order,
+    equals the per-point oracle bit for bit."""
     seq, z = _seq_cases()[case]
-    want = eager_seq_data(seq, z)
+    want = SeqPoint(seq, z)
     at = seq.at(z)
-    for name, value in want.items():
-        got = at
-        for part in name.split("."):
-            got = getattr(got, part)
-        got = got.gram if isinstance(got, HermitianForm) else got
-        assert np.array_equal(got, value), name
+    for name in SEQ_NAMES:
+        assert np.array_equal(_read(at, name, 0), _read(want, name)), name
 
 
 def _base_cases():
@@ -255,11 +248,12 @@ def test_base_records_equal_the_fields_solved_alone(case, forms_first):
         at.jdag, at.qdag
     for part, field in (("ambient", seq.ambient), ("sub", seq.sub_field), ("quot", seq.quot_field)):
         got, want = getattr(at, part), curvature_tensor(field, z)
-        assert np.array_equal(got.form.gram, want.form.gram), part
-        assert got.form.rank == want.form.rank, part
-        assert np.array_equal(got.form.pinv, want.form.pinv), part
-        for name in ("dg", "a", "residual", "tensor"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (part, name)
+        assert np.array_equal(got.forms.gram[0], want.form.gram), part
+        assert got.forms.rank[0] == want.form.rank, part
+        assert np.array_equal(got.forms.pinv[0], want.form.pinv), part
+        for name in ("dg", "a", "residual"):
+            assert np.array_equal(getattr(got.solves, name)[0], getattr(want, name)), (part, name)
+        assert np.array_equal(got.tensor[0], want.tensor), part
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -280,7 +274,7 @@ def test_base_forms_read_first_are_factorized_once(seed, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     at = seq.at(z)
     at.jdag, at.qdag
-    at.ambient.a, at.sub.a, at.quot.a
+    at.ambient.solves, at.sub.solves, at.quot.solves
     shapes = [(1, seq.k, seq.k), (1, seq.r, seq.r), (1, seq.r - seq.k, seq.r - seq.k)]
     assert Counter(calls) == Counter(shapes)
 
@@ -300,9 +294,8 @@ def test_a_sub_jet_is_read_once_per_stack(monkeypatch):
 def _count_solves(monkeypatch):
     """Record (field, points) of every connection solve of a sequence
     record and of its probe ring, counted at their one solve entry point,
-    ``solve_rows``: the base records' (FieldAt) through its binding in
-    ``hermitia.charts``, the ring's through its binding in
-    ``hermitia.sequences``; a multi-point solve of its own
+    ``solve_rows``, through its bindings in ``hermitia.sequences`` and
+    ``hermitia.charts`` (a FieldAt's); a multi-point solve of its own
     (``charts.solve_points``) fails the test."""
     calls = []
     solve_rows = charts.solve_rows
@@ -343,10 +336,11 @@ def test_adjoint_probe_solves_no_connection(monkeypatch, name):
     """The base record's j dagger or q dagger solves no connection: their
     forms are the centre rows of the base's one read of the ambient at
     its 4m + 1 gate points.  Their probes read the ambient once more, at
-    the 4m ring points for the ring's forms: no ring gate read and no dG
-    read.  Only sigma's probe reads the ring's gates and dG (the sub's dG
-    reads G at the 4m ring points once more), and the base's sigma solves
-    A_E and A_S one row each from the base's read."""
+    the 4m (4m + 1) gate points of the ring, whose centre rows are the
+    ring's forms: no dG read.  Only sigma's probe reads dG, from that
+    same read of the ring's gates (the sub's dG reads G at the 4m ring
+    points once more), and the base's sigma solves A_E and A_S one row
+    each from the base's read."""
     seq, z = sequence_instance(3)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
@@ -357,13 +351,13 @@ def test_adjoint_probe_solves_no_connection(monkeypatch, name):
     assert (reads, d_reads, calls) == ([n + 1], [], [])
     at.probe(name)
     at.probe(name, conjugate=True)
-    assert (reads, d_reads, calls) == ([n + 1, n], [], [])
-    at.probe("sigma")  # the gates, then dG of the ambient and of the sub
+    assert (reads, d_reads, calls) == ([n + 1, n * (n + 1)], [], [])
+    at.probe("sigma")  # dG of the ambient and of the sub
     ring = [(seq.ambient, n), (seq.sub_field, n)]
-    assert (reads, d_reads, calls) == ([n + 1, n, n * (n + 1), n], [n, n], ring)
+    assert (reads, d_reads, calls) == ([n + 1, n * (n + 1), n], [n, n], ring)
     at.sigma  # the second fundamental form does need A_E and A_S
     assert calls == ring + [(seq.ambient, 1), (seq.sub_field, 1)]
-    assert reads[4:] == [1]  # the sub jet's G; the gates were read
+    assert reads[3:] == [1]  # the sub jet's G; the gates were read
 
 
 def _stack_error(exact, fd):
@@ -406,19 +400,31 @@ def test_base_records_raise_what_the_fields_raise_alone():
     field's own chern_connection at z raises: j = 10 (w - p) e1 vanishes
     at p = z + s, a gate neighbour of z, so the sub gate jumps in rank
     there and the quotient frame is not defined there, while the ambient
-    passes; and a point inside the chart by less than the gate's margin
-    raises OutOfDomain in all three."""
+    passes; a point inside the chart by less than the gate's margin
+    raises OutOfDomain in all three; and an ambient read as NaN at z
+    raises NonFinite in all three, with the field's own text."""
     z = np.array([0.1 + 0.05j])
     p = z + 1e-3
     j, dj = vanishing_line(p, 3)
     seq = ExactSeqChart(constant_field(np.eye(3), 1, radius=0.9), j, dj=dj)
     edge = np.array([0.9 - 1e-3 + 0j])
     for w in (z, edge):
-        at = sequences._SeqAt(seq, w)
+        at = seq.at(w)
         for part, field in (("ambient", seq.ambient), ("sub", seq.sub_field), ("quot", seq.quot_field)):
             want = _raised(lambda: chern_connection(field, w))
-            assert _raised(lambda: getattr(at, part).a) == want, (w, part)
+            assert _raised(lambda: getattr(at, part).solves) == want, (w, part)
             assert want is not None or part == "ambient"
+    # an ambient read as NaN at z, under a constant inclusion
+    amb = seq.ambient
+    nan_at_z = ChartField(
+        1, 3, lambda ws: np.where(ws == z, np.nan, 1.0)[:, :, None] * amb.stack_fn(ws), radius=0.9, self_check=False
+    )
+    bad = ExactSeqChart(nan_at_z, np.eye(3, 1))
+    at = bad.at(z)
+    for part, field in (("ambient", bad.ambient), ("sub", bad.sub_field), ("quot", bad.quot_field)):
+        want = _raised(lambda: chern_connection(field, z))
+        assert want[0] is NonFinite
+        assert _raised(lambda: getattr(at, part).solves) == want, part
 
 
 def _inclusion_kernels():
@@ -507,8 +513,8 @@ def test_jet_seeds_cover_both_dimensions_and_inclusion_kinds():
 
 @pytest.mark.parametrize("seed", JET_SEEDS)
 def test_probe_ring_equals_fresh_records(seed):
-    """The fast path (one ring of shared records, all directions at once)
-    against the slow one (a fresh record at each stencil point of
+    """The fast path (one ring record, all directions at once) against
+    the slow one (the per-point oracle at each stencil point of
     wirtinger_fd, one direction at a time)."""
     seq, z = sequence_instance(seed)
     at = seq.at(z)
@@ -517,7 +523,7 @@ def test_probe_ring_equals_fresh_records(seed):
             fast = at.probe(name, conj)
             assert fast.shape[0] == seq.m
             for a in range(seq.m):
-                slow = wirtinger_fd(lambda w: getattr(sequences._SeqAt(seq, w), name), at.z, a, PROBE_STEP, conj)
+                slow = wirtinger_fd(lambda w: getattr(SeqPoint(seq, w), name), at.z, a, PROBE_STEP, conj)
                 assert np.array_equal(fast[a], slow), (name, a, conj)
     assert np.array_equal(at.ring.zs, charts._stencil_ring(at.z, PROBE_STEP))
 
@@ -550,34 +556,48 @@ def _ring_cases():
 
 @pytest.mark.parametrize("case", range(len(SEQUENCE_SEEDS) + 3))
 def test_stacked_ring_equals_fresh_per_point_records(case):
-    """Every row of the stacked ring, its forms from the one read of the
-    ring points and its ambient and sub solves from the one stacked read
-    of their gates, equals a fresh per-point record bit for bit; so does
-    every probe, against ring_fd over fresh records."""
+    """The base record's row and every row of its probe ring, each record
+    solved from its one read of the ambient at its gate points, equal the
+    per-point oracle (SeqPoint) bit for bit: each field's form, rank,
+    pinv, dG, A and residual, and j, dj, q, dq, j dagger, q dagger, sigma
+    and sigma dagger; the base row its three tensors too.  Every probe
+    equals ring_fd over the oracle."""
     seq, z = _ring_cases()[case]
     for field in (seq.sub_field, seq.quot_field):
         assert (field.fd_step, field.fd_outer_step) == (seq.ambient.fd_step, seq.ambient.fd_outer_step)
     at = seq.at(z)
     names = ("jdag", "qdag", "sigma", "sigma_dagger")
     probes = {(name, conj): at.probe(name, conj) for name in names for conj in (False, True)}
-    ring = at.ring
-    assert np.array_equal(ring.zs, charts._stencil_ring(at.z, PROBE_STEP))
-    solved = dict(zip(("ambient", "sub"), ring.solved))
-    for i, w in enumerate(ring.zs):
-        fresh = sequences._SeqAt(seq, w)
-        for part in ("ambient", "sub", "quot"):
-            assert np.array_equal(getattr(ring, part).gram[i], getattr(fresh, part).form.gram), part
-        for part in ("ambient", "sub"):
-            forms, want = getattr(ring, part), getattr(fresh, part)
-            assert forms.rank[i] == want.form.rank, part
-            assert np.array_equal(forms.pinv[i], want.form.pinv), part
-            for name in ("dg", "a", "residual"):
-                assert np.array_equal(getattr(solved[part], name)[i], getattr(want, name)), (part, name)
-        for name in ("j", "q") + names:
-            assert np.array_equal(getattr(ring, name)[i], getattr(fresh, name)), name
+    assert np.array_equal(at.ring.zs, charts._stencil_ring(at.z, PROBE_STEP))
+    oracle = {}
+    for record in (at, at.ring):
+        for i, w in enumerate(record.zs):
+            want = oracle[w.tobytes()] = SeqPoint(seq, w)
+            for part in ("ambient", "sub", "quot"):
+                got, field = getattr(record, part), getattr(want, part)
+                assert np.array_equal(got.forms.gram[i], field.form.gram), part
+                assert got.forms.rank[i] == field.form.rank, part
+                assert np.array_equal(got.forms.pinv[i], field.form.pinv), part
+                for name in ("dg", "a", "residual"):
+                    assert np.array_equal(getattr(got.solves, name)[i], getattr(field, name)), (part, name)
+                if record is at:
+                    assert np.array_equal(got.tensor[i], field.tensor), part
+            for name in ("j", "dj", "q", "dq") + names:
+                assert np.array_equal(getattr(record, name)[i], getattr(want, name)), name
     for (name, conj), fast in probes.items():
-        slow = ring_fd(lambda w: getattr(sequences._SeqAt(seq, w), name), at.z, PROBE_STEP, conj)
+        slow = ring_fd(lambda w: getattr(oracle[w.tobytes()], name), at.z, PROBE_STEP, conj)
         assert np.array_equal(fast, slow), (name, conj)
+    # solved before their forms are read, the records take the solves'
+    # forms, the gates' centre rows: the same bits
+    solved_first = sequences._SeqRows(seq, at.zs)
+    solved_first.probe("sigma")
+    for record, want in ((solved_first, at), (solved_first.ring, at.ring)):
+        for part in ("ambient", "sub"):
+            got, field = getattr(record, part), getattr(want, part)
+            assert np.array_equal(got.forms.gram, field.forms.gram), part
+            assert np.array_equal(got.forms.pinv, field.forms.pinv), part
+        for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
+            assert np.array_equal(getattr(record, name), getattr(want, name)), name
 
 
 def test_a_rank_jump_at_one_ring_point_names_it():
@@ -594,10 +614,10 @@ def test_a_rank_jump_at_one_ring_point_names_it():
     seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), np.eye(3, 1))
     named = "rank 3 at %s but 2 at its stencil neighbor %s" % (charts._named(w), charts._named(p))
     with pytest.raises(RankJump) as fresh:
-        sequences._SeqAt(seq, w).sigma
+        SeqPoint(seq, w).sigma
     assert str(fresh.value) == named
     at = seq.at(z)
-    at.ambient.a, at.sub.a, at.quot.a
+    at.ambient.solves, at.sub.solves, at.quot.solves
     at.probe("jdag"), at.probe("qdag")
     with pytest.raises(RankJump) as stacked:
         at.probe("sigma")
@@ -611,7 +631,8 @@ def test_a_rank_jump_at_one_ring_point_names_it():
 def test_a_singular_inclusion_at_a_ring_point_names_it():
     """j(w) = 10 (w - p) e1 vanishes at p, the ring point z + i h, where
     w0 j is singular and the quotient frame is not defined.  The base
-    point passes; the ring's first probe, a fresh record's q at p, dq at
+    point passes, and so does the probe of j dagger, which needs no
+    quotient frame; the probe of q dagger, a fresh record's q at p, dq at
     p and the quotient's reads of a stack whose third row is p raise
     HermitiaError naming p, not numpy's LinAlgError."""
     z = np.array([0.1 + 0.05j])
@@ -620,11 +641,12 @@ def test_a_singular_inclusion_at_a_ring_point_names_it():
     j, dj = vanishing_line(p, 2)
     seq = ExactSeqChart(constant_field(np.eye(2), 1, radius=0.9), j, dj=dj)
     at = seq.at(z)
-    at.q, at.dq, at.ambient.a, at.sub.a
+    at.q, at.dq, at.ambient.solves, at.sub.solves
+    at.probe("jdag")
     stack = np.array([z, z + 0.01, p, z - 0.01])
     reads = (
-        lambda: at.probe("jdag"),
-        lambda: sequences._SeqAt(seq, p).q,
+        lambda: at.probe("qdag"),
+        lambda: seq.at(p).q,
         lambda: seq.dq_at(p),
         lambda: seq.quot_field.gram_stack(stack),
         lambda: seq.quot_field.d_stack(stack),
@@ -637,11 +659,11 @@ def test_a_singular_inclusion_at_a_ring_point_names_it():
 
 
 def _first_ring_error(seq, z):
-    """The error the per-point ring raises: sigma read at a fresh record
-    at each ring point in turn, each solving A_E, then A_S."""
+    """The error the per-point ring raises: sigma read from the per-point
+    oracle at each ring point in turn, each solving A_E, then A_S."""
     for w in charts._stencil_ring(z, PROBE_STEP):
         try:
-            sequences._SeqAt(seq, w).sigma
+            SeqPoint(seq, w).sigma
         except HermitiaError as err:
             return type(err), str(err)
     return None
@@ -649,9 +671,11 @@ def _first_ring_error(seq, z):
 
 def test_a_ring_that_leaves_the_chart_reads_only_inside_it():
     """The base point z passes its gate, but the third ring point z + ih
-    leaves the chart by the gate's margin: the stacked ring raises the
-    per-point ring's OutOfDomain, having read the ambient only at points
-    the per-point ring reads, none of them at that ring point's stencil."""
+    leaves the chart by the gate's margin.  The ring's forms are the
+    centre rows of the read of its gates, so every probe, of j dagger and
+    q dagger as of sigma and sigma dagger, raises the per-point ring's
+    OutOfDomain, having read the ambient only at points the per-point
+    ring reads, none of them at that ring point's stencil."""
     z = np.array([1j * (0.9 - 1.15e-3)])
     poly = MatrixPolynomial(np.eye(3) + 0.1 * np.eye(3, k=1), c1=0.2 * np.eye(3, k=-1)[None])
     seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), np.eye(3, 1))
@@ -666,12 +690,12 @@ def test_a_ring_that_leaves_the_chart_reads_only_inside_it():
     assert want[0] is OutOfDomain
     oracle_reads = set(reads)
     at = seq.at(z)
-    at.ambient.a, at.sub.a, at.quot.a
-    at.probe("jdag"), at.probe("qdag")
+    at.ambient.solves, at.sub.solves, at.quot.solves
     reads.clear()
-    with pytest.raises(OutOfDomain) as stacked:
-        at.probe("sigma")
-    assert (type(stacked.value), str(stacked.value)) == want
+    for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
+        with pytest.raises(OutOfDomain) as stacked:
+            at.probe(name)
+        assert (type(stacked.value), str(stacked.value)) == want, name
     assert reads and set(reads) <= oracle_reads
     outside = charts._gate_stencil(z + 1j * PROBE_STEP, seq.ambient.fd_outer_step)
     assert not {w.tobytes() for w in outside} & set(reads)
@@ -695,7 +719,7 @@ def test_a_sub_jump_before_an_ambient_jump_raises_first():
     with pytest.raises(RankJump):
         chern_connection(seq.ambient, z - 1j * h)  # the later ambient jump
     at = seq.at(z)
-    at.ambient.a, at.sub.a, at.quot.a
+    at.ambient.solves, at.sub.solves, at.quot.solves
     with pytest.raises(RankJump) as stacked:
         at.probe("sigma")
     assert str(stacked.value) == named
@@ -712,10 +736,10 @@ def test_fd_inclusion_derivative_equals_the_per_direction_stencil(seed):
     assert np.array_equal(fd_seq.dj_at(z), slow)
     at = fd_seq.at(z)
     worst = max(
-        float(np.linalg.norm(at.q @ wirtinger_fd(fd_seq.j_at, z, a, h, True))) for a in range(seq.m)
+        float(np.linalg.norm(at.q[0] @ wirtinger_fd(fd_seq.j_at, z, a, h, True))) for a in range(seq.m)
     )
     sff = second_fundamental_form(fd_seq, z)
-    assert sff.dbar_part_residual == worst / (1.0 + float(np.linalg.norm(at.sigma)))
+    assert sff.dbar_part_residual == worst / (1.0 + float(np.linalg.norm(at.sigma[0])))
 
 
 def test_solve_rejects_a_form_that_is_not_the_gate_read():
@@ -744,38 +768,42 @@ def test_solve_rejects_a_form_that_is_not_the_gate_read():
     assert np.array_equal(FieldAt(off, z).a, chern_connection(amb, z).a)
 
 
+def _count_records(monkeypatch):
+    """The number of points of every sequence record built."""
+    records, init = [], sequences._SeqRows.__init__
+
+    def counting_init(self, seq, zs):
+        records.append(len(zs))
+        init(self, seq, zs)
+
+    monkeypatch.setattr(sequences._SeqRows, "__init__", counting_init)
+    return records
+
+
 @pytest.mark.parametrize("seed", JET_SEEDS)
 def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
-    """Identities, splitting, sigma and Codazzi at one point: one record,
-    the base's, whose three solves share one gate read, and its probe
-    ring as arrays, whose ambient and sub connections are solved by one
-    solve_rows call each.  The ambient kernel reads the 4m + 1 base gate
-    points once, one row for each of the base's sub jet (its d and dd
-    reads share one first-order part) and quotient jet, the 4m ring points
-    once for the ring's forms, the 4m (4m + 1) gate points of the ring
-    once for both ring solves, and the 4m ring points once more for the
-    sub solve's dG: 6 calls where each base solve once read its own gate
-    and the sub's d and dd each read G.  When m > 1 the identity table
-    probes sigma before the splitting reads the sub curvature, so the
-    ring's sub solve has replaced the sub jet kept for the base row, which
-    the sub's dd reads again: one more one-row read of G and of dG.  The
-    ambient's dG is read in one row for the base's ambient solve and each
-    jet, and at the 4m ring points once for each of the two ring solves.
-    The inclusion's two kernels read every stack in one call, and the base
-    point's j (the centre row of its gate read) and dj once each, shared
-    by sigma, q and dq."""
+    """Identities, splitting, sigma and Codazzi at one point: two records,
+    the base point's and its probe ring's, each with one read of the
+    ambient at its gate points, whose centre rows give the forms of all
+    three fields, and one solve_rows call per field solved: all three at
+    the base, the ambient and the sub on the ring.  The ambient kernel
+    reads the 4m + 1 base gate points once, one row for each of the
+    base's sub jet (its d and dd reads share one first-order part) and
+    quotient jet, the 4m (4m + 1) gate points of the ring once, and the
+    4m ring points once for the ring's sub dG: 5 calls.  When m > 1 the
+    identity table probes sigma before the splitting reads the sub
+    curvature, so the ring's sub solve has replaced the sub jet kept for
+    the base row, which the sub's dd reads again: one more one-row read
+    of G and of dG.  The ambient's dG is read in one row for the base's
+    ambient solve and each jet, and at the 4m ring points once for each
+    of the two ring solves.  The inclusion's two kernels read every stack
+    in one call: j at the gate points of each record, whose centre rows
+    are its j (shared by q, dq and sigma), and dj once per record."""
     seq, z = sequence_instance(seed)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
     solves = _count_solves(monkeypatch)
-    records = []
-    init = sequences._SeqAt.__init__
-
-    def counting_init(self, seq, w):
-        records.append(w)
-        init(self, seq, w)
-
-    monkeypatch.setattr(sequences._SeqAt, "__init__", counting_init)
+    records = _count_records(monkeypatch)
     reads, d_reads = _count_ambient_reads(seq, monkeypatch)
     j_reads = _count_rows(seq, "_j_fn", monkeypatch)
     dj_reads = _count_rows(seq, "_dj_fn", monkeypatch)
@@ -788,26 +816,25 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
             codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
-    assert len(records) == 1
+    assert records == [1, n]
     base = [(seq.ambient, 1), (seq.sub_field, 1), (seq.quot_field, 1)]
     assert solves == base + [(seq.ambient, n), (seq.sub_field, n)]
     again = [1] * (seq.m > 1)  # the sub jet at the base row, read again
-    assert Counter(reads) == Counter([n + 1, 1, 1] + [n, n * (n + 1), n] + again)
-    assert len(reads) == 6 + len(again)
+    assert Counter(reads) == Counter([n + 1, 1, 1] + [n * (n + 1), n] + again)
+    assert len(reads) == 5 + len(again)
     assert Counter(d_reads) == Counter([1, 1, 1] + [n, n] + again)
-    # base gates, whose centre row is the base's j, q and dq; the two
-    # jets; the ring's forms, gates and sub dG; the (0,1) check of sigma
-    # at the 4m stencil points
-    assert Counter(j_reads) == Counter([n + 1] + [1, 1] + [n, n * (n + 1), n] + [n] + again)
+    # the base gates; the two jets; the ring's gates and sub dG; the (0,1)
+    # check of sigma at the 4m stencil points
+    assert Counter(j_reads) == Counter([n + 1] + [1, 1] + [n * (n + 1), n] + [n] + again)
     # the base's dj, read once for sigma and dq; the two jets; the ring's
     # sigma and sub dG
     assert Counter(dj_reads) == Counter([1] + [1, 1] + [n, n] + again)
 
 
 def test_reading_the_ambient_alone_reads_nothing_else(monkeypatch):
-    """at.ambient.a reads the ambient's Gram kernel once, at the 4m + 1
-    base gate points, and its dG once; it reads no inclusion, builds no
-    quotient frame, no sub or quotient gate rows and no probe ring."""
+    """at.ambient.solves reads the ambient's Gram kernel once, at the
+    4m + 1 base gate points, and its dG once; it reads no inclusion,
+    builds no quotient frame, no sub or quotient rows and no probe ring."""
     seq, z = sequence_instance(1)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
@@ -816,7 +843,7 @@ def test_reading_the_ambient_alone_reads_nothing_else(monkeypatch):
     j_reads = _count_rows(seq, "_j_fn", monkeypatch)
     frames = _count_rows(seq, "_frames", monkeypatch)
     at = seq.at(z)
-    at.ambient.a
+    at.ambient.solves
     assert (reads, d_reads, j_reads, frames) == ([n + 1], [1], [], [])
     assert calls == [(seq.ambient, 1)]
     assert {"ring", "sub", "quot", "_gate_j"}.isdisjoint(vars(at))
@@ -824,15 +851,15 @@ def test_reading_the_ambient_alone_reads_nothing_else(monkeypatch):
 
 @pytest.mark.parametrize("codazzi", [codazzi_sub, codazzi_quot])
 def test_codazzi_builds_no_probe_ring(codazzi, monkeypatch):
-    """The Codazzi corollaries read only the base point's records: no
+    """The Codazzi corollaries read only the base point's record: no
     probe ring is built."""
-    rings = _count_rows(sequences, "_Ring", monkeypatch)
+    records = _count_records(monkeypatch)
     for seed in JET_SEEDS:
         seq, z = sequence_instance(seed)
         size = seq.k if codazzi is codazzi_sub else seq.r - seq.k
         codazzi(seq, z, 0, seq.m - 1, np.ones(size), np.arange(size) + 1j)
         assert "ring" not in vars(seq.at(z))
-    assert rings == []
+    assert records == [1] * len(JET_SEEDS)
 
 
 @pytest.mark.parametrize(
@@ -976,6 +1003,25 @@ def test_probes_keep_the_base_point_record():
     splitting_curvature_blocks(seq, z)
     assert seq.at(z) is base
     assert seq.at(z + 1e-3) is not base
+
+
+def test_a_dropped_record_leaves_no_cyclic_garbage():
+    """A sequence record holds no reference cycle, so refcounting frees
+    it as soon as the chart drops it: with the collector off, the identity
+    table at 20 distinct points (each replacing the kept record), then
+    dropping the last kept record, leaves nothing for gc.collect."""
+    seq, z = sequence_instance(1)
+    demailly_residuals(seq, z)
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(20):
+            demailly_residuals(seq, z + 1e-3 * (i + 1))
+        del seq._at  # the chart's cache of its latest record
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_results_do_not_alias_the_shared_record():
@@ -1176,15 +1222,16 @@ def test_curvature_monotone_under_sub_and_quotient(seed):
     """Sub curvature only decreases, quotient curvature only increases."""
     seq, z = sequence_instance(seed)
     at = seq.at(z)
+    j, qdag = at.j[0], at.qdag[0]
     r_amb = curvature_tensor(seq.ambient, z).tensor
     r_sub = curvature_tensor(seq.sub_field, z).tensor
     r_quot = curvature_tensor(seq.quot_field, z).tensor
     rng = np.random.default_rng(2000 + seed)
     for a in range(seq.m):
         s = rand_vec(rng, seq.k)
-        assert pair(r_sub, a, a, s, s).real <= pair(r_amb, a, a, at.j @ s, at.j @ s).real + 1e-8
+        assert pair(r_sub, a, a, s, s).real <= pair(r_amb, a, a, j @ s, j @ s).real + 1e-8
         u = rand_vec(rng, seq.r - seq.k)
-        assert pair(r_quot, a, a, u, u).real >= pair(r_amb, a, a, at.qdag @ u, at.qdag @ u).real - 1e-6
+        assert pair(r_quot, a, a, u, u).real >= pair(r_amb, a, a, qdag @ u, qdag @ u).real - 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -1232,6 +1279,17 @@ def test_sum_curvature_matches_direct_route(seed):
     direct = curvature_tensor(sum_field(b1, b2), z)
     err = np.linalg.norm(assembled.tensor - direct.tensor)
     assert err <= 1e-8 * (1 + np.linalg.norm(direct.tensor))
+
+
+def test_stacked_sum_curvature_equals_the_per_pair_loop():
+    """The sum's tensor, one stacked product over all coordinate pairs,
+    equals the per-pair loop bit for bit on every sum instance."""
+    for seed in range(60):
+        b1, b2, z, _ = sum_instance(seed)
+        t1, t2 = curvature_tensor(b1, z), curvature_tensor(b2, z)
+        gq = sum_quotient_form(t1.form, t2.form).gram
+        want = sum_curvature_loop(t1.tensor, t2.tensor, t1.a, t2.a, gq)
+        assert np.array_equal(sum_curvature(b1, b2, z).tensor, want), seed
 
 
 def test_sum_instances_cover_degenerate_kinds():
