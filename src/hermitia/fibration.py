@@ -407,11 +407,14 @@ def find_lambda0(
     Each scanned lambda runs :func:`models._scan` on h_lambda with seed key
     [seed, round(1000 lambda) mod 2^32]: ``sphere_samples //
     LAMBDA_SCAN_DIRECTIONS`` points of the polydisc of relative radius
-    ``region`` (DEFAULT_FIBRATION_REGION when None), each gated by
-    positive-definiteness of h_lambda before its curvature read, with
-    directions drawn from the unit sphere of the standard chart Hermitian
-    structure; the lowest H is refined for at most LAMBDA_SCAN_STEPS
-    steps.  One bisection pass between the last failing
+    ``region`` (DEFAULT_FIBRATION_REGION when None), with directions drawn
+    from the unit sphere of the standard chart Hermitian structure; the
+    lowest H is refined for at most LAMBDA_SCAN_STEPS steps.  The points
+    of one lambda are read as one block: h_lambda at all of them in one
+    read, gated by positive-definiteness in point order, and the points
+    before the first that fails the gate solved and assembled together,
+    so a lambda whose gate fails at some point is not positive-definite
+    and no later point is solved.  One bisection pass between the last failing
     and first passing schedule entries sharpens the reported threshold.
     Everything is deterministic in (seed, schedule, sample counts).
     ``threads`` is accepted only as None (see

@@ -28,10 +28,12 @@ import numpy as np
 from .charts import (
     ChartField,
     _row_norms,
+    assemble_rows,
     curvature_tensor,
     hsc_of_tensor,
     metric_curvature,
     sample_box,
+    solve_points,
 )
 from .errors import ConfigError, HermitiaError
 from .fields import MonomialMap, _logdet_derivatives, from_potential_map, fs_monomials
@@ -50,8 +52,10 @@ EINSTEIN_REGION = 0.5
 # minor-potential Gram at the certification points of grassmannian_chart.
 PLUECKER_CERT_TOL = 1e-8
 # The direction walk of _refine_direction stops at a tangent gradient
-# below this norm.
+# below this norm; its line search tries these steps along the gradient,
+# each half the one before.
 GRADIENT_FLOOR = 1e-14
+LINE_SEARCH_STEPS = 0.1 * 0.5 ** np.arange(20)
 
 
 def fubini_study_chart(n):
@@ -121,13 +125,16 @@ def pluecker_gap(field: ChartField, k, n, points):
     :func:`pluecker_pullback` of Gr(k, n): the gap between the two
     Grassmannian constructions.  The gap reads Gram matrices only, so its
     field of the minor potential is built without the derivative
-    self-check."""
+    self-check.  Each field reads all the points in one
+    :meth:`~hermitia.charts.ChartField.gram_stack` call, and the norms of
+    the C-order rows are :func:`charts._row_norms`, each equal to
+    ``np.linalg.norm`` of its row bit for bit."""
     oracle = from_potential_map(pluecker_monomials(k, n), radius=GR_CHART_RADIUS, self_check=False)
-    worst = 0.0
-    for z in points:
-        g1, g2 = field.gram(z), oracle.gram(z)
-        worst = max(worst, float(np.linalg.norm(g1 - g2) / (1.0 + np.linalg.norm(g2))))
-    return worst
+    zs = np.asarray(points, dtype=complex).reshape(-1, field.m)
+    if not len(zs):
+        return 0.0
+    g1, g2 = field.gram_stack(zs), oracle.gram_stack(zs)
+    return float(np.max(_row_norms(g1 - g2) / (1.0 + _row_norms(g2))))
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +324,34 @@ def _hsc_gradient(tensor, g, v):
 def _refine_direction(tensor, g, v0, steps, sign):
     """Projected gradient walk of H on the direction sphere, with the
     closed-form gradient of :func:`_hsc_gradient` and a halving line
-    search; ``sign`` -1 descends, +1 ascends."""
+    search; ``sign`` -1 descends, +1 ascends.
+
+    Each step tries LINE_SEARCH_STEPS[0] first, alone; when it does not
+    improve H, the other candidates are scored in one stacked
+    :func:`charts.hsc_of_tensor` call, their rows normalized by
+    :func:`charts._row_norms`, and the walk takes the first that
+    improves.  Each candidate and its H equal those of the halving walk
+    that tries the steps one at a time, bit for bit, so the walk is that
+    walk; the walk stops at a step where none improves."""
     v = v0 / np.linalg.norm(v0)
     best = hsc_of_tensor(tensor, g, v)
-    alpha = 0.1
     for _ in range(steps):
         grad = _hsc_gradient(tensor, g, v)
         grad -= np.real(np.vdot(v, grad)) * v  # tangent to the sphere
         if np.linalg.norm(grad) < GRADIENT_FLOOR:
             break
-        improved = False
-        step = alpha
-        for _ in range(20):
-            cand = v + sign * step * grad
-            cand /= np.linalg.norm(cand)
-            val = hsc_of_tensor(tensor, g, cand)
-            if sign * (val - best) > 0:
-                v, best = cand, val
-                improved = True
+        cand = v + sign * LINE_SEARCH_STEPS[0] * grad
+        cand /= np.linalg.norm(cand)
+        val = hsc_of_tensor(tensor, g, cand)
+        if not sign * (val - best) > 0:
+            cands = v + (sign * LINE_SEARCH_STEPS[1:])[:, None] * grad
+            cands /= _row_norms(cands)[:, None]
+            vals = hsc_of_tensor(tensor, g, cands)
+            better = np.flatnonzero(sign * (vals - best) > 0)
+            if not better.size:
                 break
-            step *= 0.5
-        if not improved:
-            break
+            cand, val = cands[better[0]], float(vals[better[0]])
+        v, best = cand, val
     return v, best
 
 
@@ -350,37 +363,91 @@ def single_threaded(threads):
         raise ConfigError("scans run on one thread; threads must be None, got %r" % (threads,))
 
 
+def _draw(m, region, n_points, directions_per_point, seed_key):
+    """The scan's (n, m) points and (n, d, m) unit directions: point idx,
+    then its d directions, drawn from SeedSequence(seed_key + [idx])."""
+    zs = np.empty((n_points, m), dtype=complex)
+    dirs = np.empty((n_points, directions_per_point, m), dtype=complex)
+    for idx in range(n_points):
+        rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
+        zs[idx] = _sample_polydisc(rng, m, region)
+        dirs[idx] = _unit_directions(rng, m, directions_per_point)
+    return zs, dirs
+
+
+def _point_rows(field, zs):
+    """(tensor, Gram) at each point in turn, from one
+    :func:`charts.curvature_tensor` call per point."""
+    for z in zs:
+        curv = curvature_tensor(field, z)
+        yield curv.tensor, curv.form.gram
+
+
+def _block_rows(field, zs, gate):
+    """The leading points that ``gate`` passes, as their count n, and
+    their (tensor, Gram) rows.  G is read at all points in one
+    :meth:`ChartField.gram_stack` call and gated in point order; the n
+    points before the first rejected one go through one
+    :func:`charts.solve_points` and one :func:`charts.assemble_rows`, and
+    no later point is solved.  Should either raise, the n points are read
+    again by :func:`_point_rows`, so that the error is the one the first
+    failing point raises when the points are read one at a time."""
+    grams = field.gram_stack(zs)
+    n = 0
+    while n < len(zs) and gate(grams[n]):
+        n += 1
+    if not n:
+        return 0, ()
+    zs = zs[:n]
+    try:
+        solves = solve_points(field, zs)
+        tensors = assemble_rows(field, zs, solves)
+    except HermitiaError:
+        return n, _point_rows(field, zs)
+    return n, zip(tensors, solves.forms.gram)
+
+
 def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs, gate=None):
     """The seeded sample-then-refine pass of every HSC scan.
 
     Point idx is drawn from SeedSequence(seed_key + [idx]), then its
-    ``directions_per_point`` unit directions from the same stream.  The
-    curvature is read once per point and all of that point's directions
-    are scored in one stacked hsc_of_tensor call.  For each sign in ``signs``
-    (-1 for the minimum, +1 for the maximum) the incumbent is the first
-    strictly lower (higher) H in (point, direction) order; its direction
-    is then refined on its point's curvature tensor by
-    :func:`_refine_direction` for at most ``steps`` steps.  Returns one
-    (H, point, direction) per sign.  When ``gate`` is given it sees the
-    Gram matrix at each point before the curvature read, and the scan
-    returns None at the first point it rejects.
+    ``directions_per_point`` unit directions from the same stream
+    (:func:`_draw`).  Each point's curvature tensor and Gram matrix are
+    read once and all of its directions are scored in one stacked
+    hsc_of_tensor call.  For each sign in ``signs`` (-1 for the minimum,
+    +1 for the maximum) the incumbent is the first strictly lower
+    (higher) H in (point, direction) order; its direction is then refined
+    on its point's curvature tensor by :func:`_refine_direction` for at
+    most ``steps`` steps.  Returns one (H, point, direction) per sign.
+
+    Without a gate each point is read by its own curvature_tensor call
+    (:func:`_point_rows`).  With ``gate``, a test of the Gram matrix at a
+    point, the points are read as one block (:func:`_block_rows`): the
+    gate sees G at each point in order, the points before the first one
+    it rejects are solved and assembled together and scored, and the scan
+    then returns None.  Results, None and errors are those of gating and
+    reading the points one at a time.
     """
+    zs, dirs = _draw(field.m, region, n_points, directions_per_point, seed_key)
+    if gate is None:
+        # hsc_extremes keeps one curvature_tensor call per point: the
+        # gr-scan benchmark clocks a point as the wall time of that call,
+        # so the block read waits for a benchmark that clocks it another way.
+        n, rows = n_points, _point_rows(field, zs)
+    else:
+        n, rows = _block_rows(field, zs, gate)
     incumbents = [None] * len(signs)
-    for idx in range(n_points):
-        rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
-        z = _sample_polydisc(rng, field.m, region)
-        if gate is not None and not gate(field.gram(z)):
-            return None
-        curv = curvature_tensor(field, z)
-        dirs = _unit_directions(rng, field.m, directions_per_point)
-        h = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
+    for z, d, (tensor, g) in zip(zs, dirs, rows):
+        h = hsc_of_tensor(tensor, g, d)
         for k, sign in enumerate(signs):
             i = np.argmax(sign * h)
             if incumbents[k] is None or sign * h[i] > sign * incumbents[k][0]:
-                incumbents[k] = (h[i], z, dirs[i], curv)
+                incumbents[k] = (h[i], z, d[i], tensor, g)
+    if n < n_points:
+        return None
     extremes = []
-    for sign, (_, z, v, curv) in zip(signs, incumbents):
-        v, h = _refine_direction(curv.tensor, curv.form.gram, v, steps, sign)
+    for sign, (_, z, v, tensor, g) in zip(signs, incumbents):
+        v, h = _refine_direction(tensor, g, v, steps, sign)
         extremes.append((float(h), z, v))
     return extremes
 

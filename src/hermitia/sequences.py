@@ -188,10 +188,6 @@ class ExactSeqChart:
         reads = self._j_stack(ring.reshape(-1, self.m))
         return _combine_ring(reads.reshape(ring.shape[:-1] + reads.shape[-2:]), h, conjugate, axis=-3)
 
-    def q_at(self, z):
-        zs = _as_point(z, self.m)[None]
-        return self._frames(zs, self._j_stack(zs))[1][0]
-
     def _frames(self, zs, j):
         """C = (w0 j)^-1 and q = N0^H (I - j C w0) at a (B, m) stack of
         points zs from the inclusion matrices j there.  Where w0 j is
@@ -207,11 +203,6 @@ class ExactSeqChart:
         w0, c = self._w0, core[:, None]
         inner = dj @ c @ w0 - (j @ core)[:, None] @ (w0 @ dj) @ c @ w0
         return -self._n0h @ inner
-
-    def dq_at(self, z):
-        zs = _as_point(z, self.m)[None]
-        j = self._j_stack(zs)
-        return self._dq_of(j, self._frames(zs, j)[0], self._dj_stack(zs))[0]
 
     def _check_holomorphic(self):
         """dbar j at the chart centre and two points drawn around it, read

@@ -17,6 +17,8 @@ from hermitia.charts import (
     _as_point,
     _kernel_perturbation,
     _solver_residual,
+    curvature_tensor,
+    hsc_of_tensor,
     ring_fd,
 )
 from hermitia.errors import HermitiaError, RankJump
@@ -29,6 +31,7 @@ from hermitia.forms import (
     rank_of,
     require_finite,
 )
+from hermitia.models import GRADIENT_FLOOR, _hsc_gradient, _sample_polydisc, _unit_directions
 
 FormFactors = namedtuple(
     "FormFactors",
@@ -259,7 +262,7 @@ def grassmann_frame(k, n):
 
 def quotient_dq(seq, z):
     """dq at one point, one coordinate at a time: the per-point oracle of
-    ``ExactSeqChart.dq_at``."""
+    the ``dq`` of the records of ``ExactSeqChart.at``."""
     j, dj = seq.j_at(z), seq.dj_at(z)
     core = np.linalg.inv(seq._w0 @ j)
     out = np.empty((seq.m, seq.r - seq.k, seq.r), dtype=complex)
@@ -313,8 +316,9 @@ class SeqPoint:
     per-point oracle of the stacked records of ``hermitia.sequences``.
 
     ``ambient``, ``sub`` and ``quot`` are ``FieldAt`` records at z, each
-    reading its field on its own; j, dj and q are the chart's one-point
-    reads and dq is :func:`quotient_dq`; the adjoints are ``adjoint`` of
+    reading its field on its own; j and dj are the chart's one-point
+    reads, q the quotient frame of a one-point read of j, and dq is
+    :func:`quotient_dq`; the adjoints are ``adjoint`` of
     one map at a time, and sigma is q (d_a j + A_E j - j A_S) for each
     coordinate a in turn.  Reading sigma solves the ambient, then the sub,
     so it raises what they raise in that order."""
@@ -335,7 +339,8 @@ class SeqPoint:
 
     @cached_property
     def q(self):
-        return self.seq.q_at(self.z)
+        zs = self.z[None]
+        return self.seq._frames(zs, self.seq._j_stack(zs))[1][0]
 
     @cached_property
     def dq(self):
@@ -358,3 +363,60 @@ class SeqPoint:
     def sigma_dagger(self):
         b_s, b_q = self.sub.form, self.quot.form
         return np.stack([adjoint(LinearMap(s), b_s, b_q).matrix for s in self.sigma])
+
+
+def refine_direction_walk(tensor, g, v0, steps, sign):
+    """The projected gradient walk of ``models._refine_direction`` with
+    its halving line search tried one step at a time: at most 20 steps
+    0.1, 0.05, ... along the tangent gradient, each candidate normalized
+    and scored on its own, the first that improves H taken.  The
+    per-candidate oracle of the two-stage line search."""
+    v = v0 / np.linalg.norm(v0)
+    best = hsc_of_tensor(tensor, g, v)
+    alpha = 0.1
+    for _ in range(steps):
+        grad = _hsc_gradient(tensor, g, v)
+        grad -= np.real(np.vdot(v, grad)) * v
+        if np.linalg.norm(grad) < GRADIENT_FLOOR:
+            break
+        improved = False
+        step = alpha
+        for _ in range(20):
+            cand = v + sign * step * grad
+            cand /= np.linalg.norm(cand)
+            val = hsc_of_tensor(tensor, g, cand)
+            if sign * (val - best) > 0:
+                v, best = cand, val
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return v, best
+
+
+def point_scan(field, region, n_points, directions_per_point, seed_key, steps, signs, gate=None):
+    """``models._scan`` one point at a time: draw point idx and its
+    directions, gate G at that point, read its curvature by
+    ``curvature_tensor``, score its directions, then move to the next
+    point; None at the first point the gate rejects.  The incumbents are
+    refined by :func:`refine_direction_walk`.  The per-point oracle of
+    the block read of a gated scan."""
+    incumbents = [None] * len(signs)
+    for idx in range(n_points):
+        rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
+        z = _sample_polydisc(rng, field.m, region)
+        if gate is not None and not gate(field.gram(z)):
+            return None
+        curv = curvature_tensor(field, z)
+        dirs = _unit_directions(rng, field.m, directions_per_point)
+        h = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
+        for k, sign in enumerate(signs):
+            i = np.argmax(sign * h)
+            if incumbents[k] is None or sign * h[i] > sign * incumbents[k][0]:
+                incumbents[k] = (h[i], z, dirs[i], curv)
+    extremes = []
+    for sign, (_, z, v, curv) in zip(signs, incumbents):
+        v, h = refine_direction_walk(curv.tensor, curv.form.gram, v, steps, sign)
+        extremes.append((float(h), z, v))
+    return extremes

@@ -3,9 +3,10 @@ import copy
 import numpy as np
 import pytest
 
-from hermitia import ConfigError, HermitiaError, NotPositive, NotPositiveAtPoint
+from hermitia import ConfigError, HermitiaError, NotPositive, NotPositiveAtPoint, fibration, models
 from hermitia.charts import ChartField, curvature_tensor, hsc_of_tensor, torsion_defect
 from hermitia.fibration import (
+    DEFAULT_LAMBDA_SCHEDULE,
     FibrationModel,
     LambdaScanResult,
     find_lambda0,
@@ -17,7 +18,9 @@ from hermitia.fibration import (
     vertical_hsc_check,
 )
 from hermitia.fields import constant_field, embedded_factor_field, scaled_field, sum_field
-from hermitia.models import _refine_direction, fubini_study_chart, resolve_model
+from hermitia.models import _draw, _refine_direction, fubini_study_chart, resolve_model
+
+from oracles import point_scan
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +306,136 @@ def test_scan_bisection_tightens_threshold(prod):
     assert scan.found
     assert scan.lambda0 == -15.5  # the midpoint already passes
     assert scan.records[-1]["lambda"] == -15.5
+
+
+# A schedule whose first two lambdas put h_lambda of prod:fs1:fs1 at the
+# positive-definiteness floor: the gate cuts the first at its second or
+# third point, the second at its first or third (seeds 0 and 5).
+CUT_SCHEDULE = (-26.9, -27.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def registry_fibrations():
+    return {mid: resolve_model(mid).fibration for mid in ("hirz:1", "hirz:2", "hirz:3", "prod:fs1:fs1")}
+
+
+@pytest.mark.parametrize("samples", [100, 200])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize(
+    "model_id,schedule",
+    [
+        ("hirz:1", DEFAULT_LAMBDA_SCHEDULE),
+        ("hirz:2", DEFAULT_LAMBDA_SCHEDULE),
+        ("hirz:3", DEFAULT_LAMBDA_SCHEDULE),
+        ("prod:fs1:fs1", DEFAULT_LAMBDA_SCHEDULE),
+        ("prod:fs1:fs1", CUT_SCHEDULE),
+    ],
+)
+def test_block_scan_equals_the_per_point_scan(registry_fibrations, model_id, schedule, samples, seed, monkeypatch):
+    """find_lambda0 with one block read per lambda gives the threshold and
+    the records, floats and all, of gating and reading one point at a
+    time."""
+    model = registry_fibrations[model_id]
+    got = find_lambda0(model, sphere_samples=samples, lambda_schedule=schedule, seed=seed)
+    monkeypatch.setattr(fibration, "_scan", point_scan)
+    want = find_lambda0(model, sphere_samples=samples, lambda_schedule=schedule, seed=seed)
+    assert got.lambda0 == want.lambda0
+    assert got.records == want.records
+    if schedule == CUT_SCHEDULE:
+        assert [r["positive_definite"] for r in got.records[:2]] == [False, False]
+
+
+def _counting(calls, name, fn):
+    def counting(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counting
+
+
+def test_each_scanned_lambda_is_one_solve_and_one_assembly(registry_fibrations, monkeypatch):
+    """hirz:2 scans lambda = 0, 1, 2 and then bisects at 1.5."""
+    calls = {"solve_points": 0, "assemble_rows": 0, "curvature_tensor": 0}
+    for name in calls:
+        monkeypatch.setattr(models, name, _counting(calls, name, getattr(models, name)))
+    scan = find_lambda0(registry_fibrations["hirz:2"], sphere_samples=200, seed=0)
+    assert [r["lambda"] for r in scan.records] == [0.0, 1.0, 2.0, 1.5]
+    assert calls == {"solve_points": len(scan.records), "assemble_rows": len(scan.records), "curvature_tensor": 0}
+
+
+def _rejecting(k):
+    """A gate that passes k points and rejects the next."""
+    seen = []
+
+    def gate(g):
+        seen.append(g)
+        return len(seen) <= k
+
+    return gate
+
+
+def _fs2_variant(points, rank_jump=None, nan_d=None, nan_dd=None):
+    """fs:2 with G losing rank exactly at points[rank_jump], dG non-finite
+    at points[nan_d] and d dbar G non-finite at points[nan_dd], each of them
+    when given; the derivative kernels count the rows they read."""
+    fs2 = fubini_study_chart(2)
+    rows = {"d": [], "dd": []}
+
+    def at(ws, i):
+        return np.zeros(len(ws), bool) if i is None else (ws == points[i]).all(axis=1)
+
+    def stack_fn(ws):
+        g = fs2.stack_fn(ws).copy()
+        jump = at(ws, rank_jump)
+        g[jump, 1] = g[jump, :, 1] = 0.0
+        return g
+
+    def d_fn(ws):
+        rows["d"].append(len(ws))
+        d = fs2.d_fn(ws).copy()
+        d[at(ws, nan_d)] = np.nan
+        return d
+
+    def dd_fn(ws):
+        rows["dd"].append(len(ws))
+        dd = fs2.dd_fn(ws).copy()
+        dd[at(ws, nan_dd)] = np.nan
+        return dd
+
+    field = ChartField(2, 2, stack_fn, radius=fs2.radius, d_fn=d_fn, dd_fn=dd_fn, self_check=False)
+    return field, rows
+
+
+SCAN_ARGS = (0.7, 8, 5, [4], 5, (-1.0,))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 7])
+def test_a_gate_cut_solves_only_the_leading_points(k):
+    """A gate that rejects point k makes the scan return None after one
+    solve and one assembly of the k points before it; no derivative of a
+    later point is read."""
+    field, rows = _fs2_variant(_draw(2, *SCAN_ARGS[:4])[0])
+    assert models._scan(field, *SCAN_ARGS, gate=_rejecting(k)) is None
+    assert rows == ({"d": [k], "dd": [k]} if k else {"d": [], "dd": []})
+    assert point_scan(field, *SCAN_ARGS, gate=_rejecting(k)) is None
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [{"rank_jump": 1}, {"nan_d": 2}, {"nan_dd": 0, "rank_jump": 1}, {"nan_d": 1, "nan_dd": 0}],
+    ids=["rank-jump", "nan-d", "dd-before-rank-jump", "dd-before-nan-d"],
+)
+def test_a_point_before_the_cut_raises_its_per_point_error(faults):
+    """A point before the gate's cut whose solve or assembly fails raises
+    the error, type and message, of reading the points one at a time, the
+    first failing point's in point order."""
+    field, _ = _fs2_variant(_draw(2, *SCAN_ARGS[:4])[0], **faults)
+    with pytest.raises(HermitiaError) as got:
+        models._scan(field, *SCAN_ARGS, gate=_rejecting(4))
+    with pytest.raises(HermitiaError) as want:
+        point_scan(field, *SCAN_ARGS, gate=_rejecting(4))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_zero_section_direction_minimum_is_flat(hirz1):

@@ -181,7 +181,7 @@ def test_stacked_quotient_jet_equals_the_per_point_oracle(seed, rows):
     zs = np.array([_point(field, coords) for coords in rows])
     _assert_rows_equal_the_oracle(field, zs, lambda z: quotient_jet(seq, z))
     for z in zs:
-        assert np.array_equal(seq.dq_at(z), quotient_dq(seq, z))
+        assert np.array_equal(seq.at(z).dq[0], quotient_dq(seq, z))
 
 
 # seed, point coordinates (None: the instance's own point)

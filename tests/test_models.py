@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hermitia import ConfigError, NotPositiveAtPoint
+from hermitia import ConfigError, NotPositiveAtPoint, models
 from hermitia.charts import curvature_tensor, hsc, hsc_of_tensor
 from hermitia.fields import (
     MatrixPolynomial,
@@ -20,6 +20,7 @@ from hermitia.models import (
     DEFAULT_GR_REGION,
     GrassmannChartModel,
     _hsc_gradient,
+    _refine_direction,
     _sample_polydisc,
     _unit_directions,
     einstein_residual,
@@ -33,7 +34,7 @@ from hermitia.models import (
     ricci,
 )
 
-from oracles import grassmann_gram
+from oracles import grassmann_gram, point_scan, refine_direction_walk
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +524,56 @@ def test_direction_gradient_matches_central_differences(make_field):
             exact = _hsc_gradient(curv.tensor, g, v)
             fd = _hsc_gradient_fd(curv.tensor, g, v)
             assert np.linalg.norm(exact - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+@lru_cache(maxsize=None)
+def _walk_field(which):
+    if which == "hirz:1-h0":
+        return _h0_of_hirz1()
+    return resolve_model(which).field
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    which=st.sampled_from(["fs:2", "gr:2:4", "gr:3:6", "hirz:1-h0"]),
+    seed=st.integers(0, 10**6),
+    steps=st.sampled_from([40, 200]),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_two_stage_line_search_equals_the_halving_walk(which, seed, steps, sign):
+    """The walk that scores its first halving alone and then the other 19
+    in one stack ends where the walk that tries them one at a time does,
+    bit for bit, in direction and H."""
+    field = _walk_field(which)
+    rng = np.random.default_rng(seed)
+    curv = curvature_tensor(field, _sample_polydisc(rng, field.m, 0.7))
+    v0 = rng.standard_normal(field.m) + 1j * rng.standard_normal(field.m)
+    v, h = _refine_direction(curv.tensor, curv.form.gram, v0, steps, sign)
+    want_v, want_h = refine_direction_walk(curv.tensor, curv.form.gram, v0, steps, sign)
+    assert np.array_equal(v, want_v)
+    assert h == want_h
+
+
+def test_an_ungated_scan_reads_each_point_by_its_own_curvature_call(gr24, monkeypatch):
+    """hsc_extremes makes one models.curvature_tensor call per point and no
+    block solve, and its result is the per-point scan's."""
+    calls = {"curvature_tensor": 0, "solve_points": 0}
+    for name in calls:
+        fn = getattr(models, name)
+
+        def counting(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(models, name, counting)
+    scan = hsc_extremes(gr24.field, region=0.7, samples=200, optimizer_steps=25, seed=5)
+    assert calls == {"curvature_tensor": 10, "solve_points": 0}
+    (h_min, z_min, v_min), (h_max, z_max, v_max) = point_scan(
+        gr24.field, 0.7, 10, 20, [5], 25, signs=(-1.0, 1.0)
+    )
+    assert (scan.min_H, scan.max_H) == (h_min, h_max)
+    for got, want in zip(scan.argmin + scan.argmax, (z_min, v_min, z_max, v_max)):
+        assert np.array_equal(got, want)
 
 
 def test_scan_result_serializes(fs1):

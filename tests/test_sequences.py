@@ -143,14 +143,14 @@ def pair(tensor, a, b, s, t):
 def test_quotient_frame_values():
     seq = taut_sequence()
     z = np.array([0.3 + 0.1j])
-    assert np.allclose(seq.q_at(np.zeros(1)), [[0.0, 1.0]])
-    assert np.allclose(seq.q_at(z), [[-0.3 - 0.1j, 1.0]])
-    assert abs(seq.q_at(z) @ seq.j_at(z)) < 1e-14
+    assert np.allclose(seq.at(np.zeros(1)).q[0], [[0.0, 1.0]])
+    assert np.allclose(seq.at(z).q[0], [[-0.3 - 0.1j, 1.0]])
+    assert abs(seq.at(z).q[0] @ seq.j_at(z)) < 1e-14
 
 
 def test_quotient_frame_kills_inclusion_generically():
     seq, z = sequence_instance(4)
-    assert np.linalg.norm(seq.q_at(z) @ seq.j_at(z)) < 1e-12
+    assert np.linalg.norm(seq.at(z).q[0] @ seq.j_at(z)) < 1e-12
 
 
 def test_quotient_frame_derivative_matches_stencil():
@@ -160,12 +160,12 @@ def test_quotient_frame_derivative_matches_stencil():
         e = np.zeros(seq.m, dtype=complex)
         e[a] = 1.0
         fd = (
-            seq.q_at(z + h * e)
-            - seq.q_at(z - h * e)
-            - 1j * seq.q_at(z + 1j * h * e)
-            + 1j * seq.q_at(z - 1j * h * e)
+            seq.at(z + h * e).q[0]
+            - seq.at(z - h * e).q[0]
+            - 1j * seq.at(z + 1j * h * e).q[0]
+            + 1j * seq.at(z - 1j * h * e).q[0]
         ) / (4 * h)
-        assert np.linalg.norm(seq.dq_at(z)[a] - fd) < 1e-8
+        assert np.linalg.norm(seq.at(z).dq[0][a] - fd) < 1e-8
 
 
 def test_induced_grams_tautological():
@@ -376,7 +376,7 @@ JET_SEEDS = (0, 1, 5, 17)
 def test_quotient_jet_matches_quotient_form_and_finite_differences(seed):
     seq, z = sequence_instance(seed)
     assert seq.quot_field.analytic
-    oracle = quotient_form(LinearMap(seq.q_at(z)), seq.ambient.form_at(z)).gram
+    oracle = quotient_form(LinearMap(seq.at(z).q[0]), seq.ambient.form_at(z)).gram
     gram = seq.quot_field.gram(z)
     assert np.linalg.norm(gram - oracle) <= 1e-12 * np.linalg.norm(oracle)
     fd = seq.quot_field.finite_difference_copy()
@@ -647,7 +647,7 @@ def test_a_singular_inclusion_at_a_ring_point_names_it():
     reads = (
         lambda: at.probe("qdag"),
         lambda: seq.at(p).q,
-        lambda: seq.dq_at(p),
+        lambda: seq.at(p).dq,
         lambda: seq.quot_field.gram_stack(stack),
         lambda: seq.quot_field.d_stack(stack),
     )
@@ -877,7 +877,7 @@ def test_quotient_form_route_without_a_full_positive_jet(make):
     assert not seq.quot_field.analytic
 
     def ev(w):
-        return quotient_form(LinearMap(seq.q_at(w)), seq.ambient.form_at(w)).gram
+        return quotient_form(LinearMap(seq.at(w).q[0]), seq.ambient.form_at(w)).gram
 
     oracle = ChartField(
         seq.m,
@@ -911,7 +911,7 @@ def test_quotient_form_kernel_reads_each_stack_once(make, monkeypatch):
     zs = np.concatenate([charts._gate_stencil(z, 1e-3), charts._stencil_ring(z, PROBE_STEP)])
     assert not seq.quot_field.analytic
     per_row = hermitize(
-        np.stack([quotient_form(LinearMap(seq.q_at(w)), seq.ambient.form_at(w)).gram for w in zs])
+        np.stack([quotient_form(LinearMap(seq.at(w).q[0]), seq.ambient.form_at(w)).gram for w in zs])
     )
     reads = []
     kernel = seq.ambient.stack_fn
