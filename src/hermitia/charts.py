@@ -689,7 +689,8 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
 def assemble_rows(field: ChartField, zs, solves):
     """The curvature tensors R[i][a][b][s][t] of ``field`` at a (B, m)
     stack of points from their solves (the :class:`RowSolves` of
-    :func:`solve_rows` at zs), shape (B, m, m, shape, shape), C-contiguous.
+    :func:`solve_rows` at zs, or at more points, whose leading B rows are
+    taken), shape (B, m, m, shape, shape), C-contiguous.
 
     M_ab = (dbar_b G) G^+ (d_a G) - d_a dbar_b G, which on admissible
     constant-rank fields equals -G dbar_b A_a for any choice of
@@ -701,7 +702,7 @@ def assemble_rows(field: ChartField, zs, solves):
     arithmetic of one point, so row i equals the assembly at zs[i] alone
     bit for bit.
     """
-    dg, gp = solves.dg, solves.forms.pinv[: len(zs)]
+    dg, gp = solves.dg[: len(zs)], solves.forms.pinv[: len(zs)]
     dbg = conj_transpose(dg) if field.analytic else field._fd(zs, True)
     ddg = field.dd_stack(zs)
     require_finite_rows(ddg, "mixed second derivative", zs)

@@ -185,6 +185,24 @@ def _is_pd(gram, floor):
     return bool(w[0] > floor * max(abs(w[-1]), 1.0))
 
 
+def _pd_rows(grams, floor):
+    """:func:`_is_pd` of each matrix of a (B, n, n) stack, from one
+    batched ``eigvalsh``: row i equals ``_is_pd(grams[i], floor)``.
+    Should that call raise LinAlgError, the matrices are tested one at a
+    time up to the first that fails the test, so the error is the one the
+    first of them whose own call raises; later rows read False."""
+    try:
+        w = np.linalg.eigvalsh(grams)
+    except np.linalg.LinAlgError:
+        passed = np.zeros(len(grams), dtype=bool)
+        for i, g in enumerate(grams):
+            if not _is_pd(g, floor):
+                break
+            passed[i] = True
+        return passed
+    return w[:, 0] > floor * np.maximum(np.abs(w[:, -1]), 1.0)
+
+
 @dataclass
 class DecomposedCurvature:
     point: np.ndarray
@@ -377,7 +395,7 @@ def _scan_one_lambda(model, lam, region, n_points, seed):
     lam_key = int(round(float(lam) * 1000.0)) % 2**32
     found = _scan(
         h_lambda(model, lam), region, n_points, LAMBDA_SCAN_DIRECTIONS, [seed, lam_key],
-        LAMBDA_SCAN_STEPS, signs=(-1.0,), gate=lambda g: _is_pd(g, PD_FLOOR),
+        LAMBDA_SCAN_STEPS, signs=(-1.0,), gate=lambda g: _pd_rows(g, PD_FLOOR),
     )
     record = {"lambda": float(lam), "positive_definite": found is not None}
     if found is None:

@@ -482,17 +482,18 @@ def adjoint(f: LinearMap, bV: HermitianForm, bW: HermitianForm) -> LinearMap:
 def adjoint_stack(f, bV: FormStack, bW: FormStack):
     """The adjoints of a stack of maps between the rows of two form
     stacks: f is (B, ..., p, q), each matrix of f[i] a map from row i of
-    bV to row i of bW, and each result equals ``adjoint`` of it bit for
-    bit.  Raises NoAdjoint at the first row, and the first matrix of it,
-    that admits none."""
-    rank_tol = max(bV.rank_tol, bW.rank_tol)
-    for i in np.flatnonzero(bV.rank < bV.dim):
+    bV to row i of bW (the stacks may hold more rows: their leading B are
+    taken), and each result equals ``adjoint`` of it bit for bit.  Raises
+    NoAdjoint at the first row, and the first matrix of it, that admits
+    none."""
+    rank_tol, b = max(bV.rank_tol, bW.rank_tol), len(f)
+    for i in np.flatnonzero(bV.rank[:b] < bV.dim):
         kv, kw = bV.kernel_basis(i), bW.kernel_basis(i)
         for fi in f[i].reshape((-1,) + f.shape[-2:]):
             if not _maps_kernel(fi, kv, kw, rank_tol):
                 raise NoAdjoint("f does not map Ker b_V into Ker b_W")
     lead = (slice(None),) + (None,) * (f.ndim - 3)
-    return bV.pinv[lead] @ conj_transpose(f) @ bW.gram[lead]
+    return bV.pinv[:b][lead] @ conj_transpose(f) @ bW.gram[:b][lead]
 
 
 def adjoint_freedom_dims(f: LinearMap, bV: HermitianForm, bW: HermitianForm):

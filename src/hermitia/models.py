@@ -386,16 +386,14 @@ def _point_rows(field, zs):
 def _block_rows(field, zs, gate):
     """The leading points that ``gate`` passes, as their count n, and
     their (tensor, Gram) rows.  G is read at all points in one
-    :meth:`ChartField.gram_stack` call and gated in point order; the n
-    points before the first rejected one go through one
+    :meth:`ChartField.gram_stack` call and gated in one ``gate`` call; the
+    n points before the first rejected one go through one
     :func:`charts.solve_points` and one :func:`charts.assemble_rows`, and
     no later point is solved.  Should either raise, the n points are read
     again by :func:`_point_rows`, so that the error is the one the first
     failing point raises when the points are read one at a time."""
-    grams = field.gram_stack(zs)
-    n = 0
-    while n < len(zs) and gate(grams[n]):
-        n += 1
+    passed = gate(field.gram_stack(zs))
+    n = len(zs) if passed.all() else int(np.argmin(passed))
     if not n:
         return 0, ()
     zs = zs[:n]
@@ -421,12 +419,13 @@ def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs,
     most ``steps`` steps.  Returns one (H, point, direction) per sign.
 
     Without a gate each point is read by its own curvature_tensor call
-    (:func:`_point_rows`).  With ``gate``, a test of the Gram matrix at a
-    point, the points are read as one block (:func:`_block_rows`): the
-    gate sees G at each point in order, the points before the first one
-    it rejects are solved and assembled together and scored, and the scan
-    then returns None.  Results, None and errors are those of gating and
-    reading the points one at a time.
+    (:func:`_point_rows`).  With ``gate``, a test of a (B, n, n) stack of
+    Gram matrices that returns one bool per matrix, each a function of
+    its matrix alone, the points are read as one block
+    (:func:`_block_rows`): the gate sees G at all points in one call, the
+    points before the first one it rejects are solved and assembled
+    together and scored, and the scan then returns None.  Results, None
+    and errors are those of gating and reading the points one at a time.
     """
     zs, dirs = _draw(field.m, region, n_points, directions_per_point, seed_key)
     if gate is None:

@@ -41,35 +41,36 @@ quotient fields take the ambient's chart and finite-difference steps, so
 their gates read the ambient at the ambient's gate points.
 
 Per-point data: one record, :class:`_SeqRows`, holds the sequence data
-at a stack of points as arrays, each quantity computed on first read.
-:meth:`ExactSeqChart.at` is the one-row record of a base point, kept for
-the latest point, and its ``ring`` is the record of the 4m points of the
-probe stencil (step ``PROBE_STEP``) around it; the readers below take
-row 0 of the base record, and the finite differences of j dagger,
-q dagger, sigma and sigma dagger in the identity table and the splitting
-blocks, the independent side of each identity, combine the ring's rows.
-A record makes one read: the ambient's Gram kernel at the 4m + 1 gate
-points of each of its points in one call and, when the sub or quotient is
-needed, the inclusion there in one call.  The forms of all three fields
-are the centre rows of that read, their gate rows all of it, and each
-field's connections are one :func:`~hermitia.charts.solve_rows` of its
-gate rows taking those forms, and its curvature tensors one
-:func:`~hermitia.charts.assemble_rows`.  So one point of the identity
-table, the splitting, sigma and the Codazzi pairs calls the ambient
-kernel 5 times: at the base gate points, once each for the base's sub
-and quotient jets (one row each, the d and dd reads of each jet sharing
-its first-order part), at the ring's gate points, and at the 4m ring
-points in the ring sub solve's dG read; when m > 1 the identity table
-probes sigma first, whose ring sub solve replaces the sub jet kept for
-the base row, so the base's sub curvature reads it once more.  The
-finite-difference dj of an
-inclusion given without dj, and the holomorphy checks of j, read j at
-the stencils of a whole stack of points in one call
-(:meth:`ExactSeqChart._j_fd`).
+at a point z and its probe ring, the 4m + 1 points of the gate stencil
+of step ``PROBE_STEP`` (z first), as arrays, each quantity computed on
+first read.  :meth:`ExactSeqChart.at` is the record of z, kept for the
+latest point.  The readers below take row 0; the finite differences of
+j dagger, q dagger, sigma and sigma dagger in the identity table and the
+splitting blocks, the independent side of each identity, combine rows 1
+to 4m (:meth:`_SeqRows.probe`).  A record makes one read: the ambient's
+Gram kernel at the 4m + 1 gate points of each of its points in one call
+and, when the sub or quotient is needed, the inclusion there in one
+call.  The forms of all three fields are the centre rows of that read.
+The ambient and the sub are each one :func:`~hermitia.charts.solve_rows`
+over all the record's points; the quotient is solved at z alone, as the
+probes need its forms, never its connection; each curvature tensor is
+assembled at z alone.  So one point of the identity table, the
+splitting, sigma and the Codazzi pairs calls the ambient kernel 4 times,
+whatever m: at the gate points, at the 4m + 1 points for the sub's dG,
+and once each for the sub's and the quotient's jets at z (the d and dd
+reads of each jet sharing its first-order part).  Errors stay with their
+point: each stacked step keeps the leading points that pass and the
+error of the first that fails, so a reader of z's row raises only z's
+error, and a probe the first failing point's (see :class:`_SeqRows`).
+The finite-difference dj of an inclusion given without dj, and the
+holomorphy checks of j, read j at the stencils of a whole stack of
+points in one call (:meth:`ExactSeqChart._j_fd`).
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -82,6 +83,7 @@ from .charts import (
     _as_point,
     _combine_ring,
     _gate_reads,
+    _gate_stencil,
     _leading_gates,
     _named,
     _stencil_ring,
@@ -91,7 +93,7 @@ from .charts import (
     sample_box,
     solve_rows,
 )
-from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
+from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint, OutOfDomain
 from .fields import sum_field
 from .forms import (
     FormStack,
@@ -156,7 +158,7 @@ class ExactSeqChart:
         self._w0 = np.linalg.pinv(j0)  # (k, r)
 
         self.sub_field = self._build_sub_field()
-        self._at = last_point_cache(lambda z: _SeqRows(self, z[None]))
+        self._at = last_point_cache(lambda z: _SeqRows(self, _gate_stencil(z, PROBE_STEP)))
 
     # -- frames ---------------------------------------------------------
 
@@ -224,23 +226,31 @@ class ExactSeqChart:
         """The Gram matrices of the ambient, sub or quotient field
         (``part``) at a stack of points zs of any leading shape, from the
         ambient's Gram matrices g and the inclusion matrices j read there:
-        g itself, the sub kernel j^H G j, or the quotient kernel of the
-        quotient frames of j (the closed form, else
-        :func:`~hermitia.forms.quotient_form` of each row's ambient form).
-        Hermitian-averaged, so each row equals the field's read of its
-        point bit for bit, and the fields' kernels are these of one read."""
+        g itself, the sub kernel j^H G j, or :meth:`_quot_grams` of the
+        quotient frames of j.  Hermitian-averaged, so each row equals the
+        field's read of its point bit for bit, and the fields' kernels are
+        these of one read."""
         if part == "ambient":
             return g
         lead, zs = zs.shape[:-1], zs.reshape(-1, self.m)
         g, j = g.reshape((-1,) + g.shape[-2:]), j.reshape((-1,) + j.shape[-2:])
         if part == "sub":
-            rows = conj_transpose(j) @ g @ j
-        elif self._quot_closed_form:
-            rows = self._quot_parts(zs, self._frames(zs, j)[1], g)[2]
+            rows = hermitize(conj_transpose(j) @ g @ j)
         else:
-            q, forms = self._frames(zs, j)[1], FormStack(g, zs, RANK_TOL)
+            rows = self._quot_grams(zs, g, self._frames(zs, j)[1])
+        return rows.reshape(lead + rows.shape[-2:])
+
+    def _quot_grams(self, zs, g, q):
+        """The quotient Gram matrices at a (B, m) stack of points from the
+        ambient's Gram matrices g and the quotient frames q there: the
+        closed form, else :func:`~hermitia.forms.quotient_form` of each
+        row's ambient form; Hermitian-averaged."""
+        if self._quot_closed_form:
+            rows = self._quot_parts(zs, q, g)[2]
+        else:
+            forms = FormStack(g, zs, RANK_TOL)
             rows = np.stack([quotient_form(LinearMap(qw), forms.form(i)).gram for i, qw in enumerate(q)])
-        return hermitize(rows).reshape(lead + rows.shape[-2:])
+        return hermitize(rows)
 
     def _build_sub_field(self):
         """The sub field j^H G j.  Its derivative kernels read the
@@ -378,10 +388,11 @@ class ExactSeqChart:
         return d_fn, dd_fn
 
     def at(self, z):
-        """The one-row record of sequence data at z (a :class:`_SeqRows`).
-        The latest one is kept (:func:`charts.last_point_cache`), so every
-        reader at one base point shares its solves and its probe ring; the
-        chart never changes, so a kept record never goes stale."""
+        """The record of sequence data at z and its probe ring (a
+        :class:`_SeqRows`).  The latest one is kept
+        (:func:`charts.last_point_cache`), so every reader at one point
+        shares its solves; the chart never changes, so a kept record never
+        goes stale."""
         return self._at(_as_point(z, self.m))
 
 
@@ -411,72 +422,152 @@ def _pd_inverse(g, zs):
     return conj_transpose(inv_low) @ inv_low
 
 
+class _Rows(namedtuple("_Rows", "value n error")):
+    """A quantity of a sequence record at the record's leading n points,
+    those where every step that computes it passes, with the points on
+    the leading axis of ``value``, and the error of the first point that
+    fails, or None when all pass."""
+
+    __slots__ = ()
+
+    def __new__(cls, value, n, error):
+        return super().__new__(cls, value, n, _detached(error))
+
+    def rows(self):
+        """The value, raising the error when no point passes."""
+        if not self.n:
+            self.raise_error()
+        return self.value
+
+    def raise_error(self):
+        """Raise a copy of the error, so that the kept one never holds a
+        traceback, whose frames would hold the record in a cycle."""
+        raise type(self.error)(*self.error.args)
+
+
+def _detached(error):
+    """``error`` (or None) without its traceback and the errors chained to
+    it, whose frames would hold the record that keeps it in a cycle."""
+    if error is not None:
+        error.__cause__ = error.__context__ = None
+        error.with_traceback(None)
+    return error
+
+
+def _first(*inputs):
+    """(n, error) of the input (a :class:`_Rows`) that fails first, the
+    first of them at a tie."""
+    first = min(inputs, key=attrgetter("n"))
+    return first.n, first.error
+
+
+def _leading(fn, zs, n, error, *args):
+    """``fn`` of the leading n points of zs and of the rows of ``args``
+    there, as :class:`_Rows` whose error is ``error`` unless fn fails
+    first.  ``fn`` takes a stack of points and the rows of each arg at
+    them, each row of its result a function of its own point alone, and
+    raises HermitiaError at the first point that fails.  Where the call
+    for all n points raises, the leading points are taken in stacks of
+    1, 2, ... until one raises, whose last point is the first to fail."""
+    if not n:
+        return _Rows(None, 0, error)
+    args = [a[:n] for a in args]
+    try:
+        return _Rows(fn(zs[:n], *args), n, error)
+    except HermitiaError:
+        pass
+    value = None
+    for i in range(n):
+        try:
+            last = fn(zs[: i + 1], *(a[: i + 1] for a in args))
+        except HermitiaError as err:
+            return _Rows(value, i, err)
+        value = last
+    return _Rows(value, n, error)
+
+
+def _outside(field: ChartField, zs):
+    """The OutOfDomain that the gate raises at zs[0], or None for no
+    points."""
+    try:
+        if len(zs):
+            _leading_gates(field, zs)
+    except OutOfDomain as err:
+        return _detached(err)
+    return None
+
+
+def _form_stack(zs, grams):
+    return FormStack(np.ascontiguousarray(grams), zs, RANK_TOL)
+
+
+def _sigma_rows(zs, q, dj, j, a_e, a_s):
+    """sigma = q (dj + A_E j - j A_S) at a stack of points."""
+    j = j[:, None]
+    return q[:, None] @ (dj + a_e @ j - j @ a_s)
+
+
 class _FieldRows:
-    """One field (``part``) of a sequence record at the points zs of its
-    stack inside the chart, each part on first read: ``forms``, the
-    :class:`~hermitia.forms.FormStack` of G at zs; ``solved``, the
-    ``(solves, error)`` of :func:`~hermitia.charts.solve_rows` of G at
-    the gate stencils of zs; ``solves``, those solves, raising the error;
-    and ``tensor``, :func:`~hermitia.charts.assemble_rows` of them.  G is
-    :meth:`ExactSeqChart._grams` of the record's ``reads`` at the gate
-    stencils, or of their centre rows for forms read before the solve,
-    which the solve then takes; solved first, the forms are the solve's,
-    the gates' centre rows, as in a :class:`~hermitia.charts.FieldAt`."""
+    """One field (``part``) of a sequence record.  ``forms`` is the
+    :class:`~hermitia.forms.FormStack` of G at the record's leading points
+    that pass, from the centre rows of the record's read (``_forms``, a
+    :class:`_Rows`).  ``solved`` is the :class:`_Rows` of
+    :func:`~hermitia.charts.solve_rows` at ``zs``, the points it solves,
+    from :meth:`ExactSeqChart._grams` of ``reads``, G at their gate
+    stencils, taking those forms; ``solves`` are those solves, raising
+    when z's fails; ``tensor`` is :func:`~hermitia.charts.assemble_rows`
+    at z alone.  The ambient and the sub solve every point inside the
+    chart, the quotient z alone: the probes need its forms, never its
+    connection."""
 
-    def __init__(self, seq: ExactSeqChart, part, field: ChartField, zs, reads):
-        self.seq, self.part, self.field, self.zs, self._reads = seq, part, field, zs, reads
+    def __init__(self, seq: ExactSeqChart, part, field: ChartField, zs, reads, forms):
+        self.seq, self.part, self.field, self.zs = seq, part, field, zs
+        self._reads, self._forms = reads, forms
 
-    @cached_property
-    def forms(self):
-        solved = self.__dict__.get("solved")
-        if solved is not None and len(solved[0].forms.gram) == len(self.zs):
-            return solved[0].forms
-        rows = self.seq._grams(self.part, *(x[:, 0] for x in self._reads))
-        return FormStack(np.ascontiguousarray(rows), self.zs, RANK_TOL)
+    forms = property(lambda self: self._forms.rows())
 
     @cached_property
     def solved(self):
+        forms = self._forms
         grams = self.seq._grams(self.part, *self._reads)
-        return solve_rows(self.field, self.zs, grams, self.__dict__.get("forms"))
+        taken = forms.value if forms.n >= len(self.zs) else None
+        solves, error = solve_rows(self.field, self.zs, grams, taken)
+        return _Rows(solves, len(solves.a), error or forms.error)
 
-    @property
-    def solves(self):
-        solves, error = self.solved
-        if error is not None:
-            raise error
-        return solves
+    solves = property(lambda self: self.solved.rows())
 
     @cached_property
     def tensor(self):
-        return assemble_rows(self.field, self.zs, self.solves)
+        return assemble_rows(self.field, self.zs[:1], self.solves)
 
 
 class _SeqRows:
-    """All sequence data at a (B, m) stack of chart points ``zs``, as
-    arrays with the points on the leading axis, each computed on first
-    read, so a read of one quantity computes only what it needs.
-    :meth:`ExactSeqChart.at` is the one-row record of a base point, and
-    its ``ring`` the 4m-row record of its probe ring.
+    """All sequence data at a point z and its probe ring: the 4m + 1
+    points ``zs`` of :func:`~hermitia.charts._gate_stencil` with step
+    ``PROBE_STEP``, z first.  Each quantity is an array with the points
+    on the leading axis, computed on first read.  The readers take row 0;
+    :meth:`probe` differences rows 1 to 4m.
 
     One read: the ambient's Gram kernel at the gate stencils of the
     leading points inside the chart by the gate's margin, in one call
-    (OutOfDomain first if zs[0] is not), then, for the sub or the
-    quotient, the inclusion there in one call.  ``ambient``, ``sub`` and
-    ``quot`` (each a :class:`_FieldRows`) take the forms of their field
-    from the centre rows of that read and, on first need, their gate rows
-    from all of it (:meth:`ExactSeqChart._grams`), so each field is
-    solved once, by one :func:`~hermitia.charts.solve_rows`.  Reading the
-    ambient alone reads no inclusion.
+    (OutOfDomain if z is not), then, for the sub or the quotient, the
+    inclusion there in one call.  ``ambient``, ``sub`` and ``quot`` (each
+    a :class:`_FieldRows`) take the forms of their field from the centre
+    rows of that read and their gate rows from all of it, so each field
+    is solved once, by one :func:`~hermitia.charts.solve_rows`.  Reading
+    the ambient alone reads no inclusion.  ``j`` is the centre rows of the
+    inclusion's read, ``dj`` one read at zs, and ``q``, ``dq`` and the
+    quotient's forms come from one quotient frame of j.  j dagger,
+    q dagger, sigma and sigma dagger are stacked products over all points
+    (:func:`~hermitia.forms.adjoint_stack`), each row the arithmetic of
+    one point.
 
-    ``j`` is the centre rows of the inclusion's read, ``dj`` one read at
-    zs, and ``q``, ``dq`` and the frame core C come from one quotient
-    frame of j.  j dagger, q dagger, sigma and sigma dagger are stacked
-    products over all points (:func:`~hermitia.forms.adjoint_stack`),
-    each row the arithmetic of one point.  Each of them needs every point
-    inside the chart and raises the OutOfDomain of the first one that is
-    not; sigma raises first the error of solving each point in turn, the
-    ambient and then the sub.  :meth:`probe` differences the ring's rows.
-    """
+    Errors stay with their point.  Each quantity holds the leading points
+    where every step that computes it passes, and the error of the first
+    that fails (:class:`_Rows`): per point, the ambient solve, then the
+    sub solve, then the quotient frame, and OutOfDomain at the first
+    point outside the chart.  Reading a quantity raises only z's error;
+    a probe raises the first failing point's."""
 
     def __init__(self, seq: ExactSeqChart, zs):
         self.seq = seq
@@ -488,20 +579,11 @@ class _SeqRows:
 
     @cached_property
     def _read(self):
-        """The gate stencils of the leading points inside the chart and
-        the ambient's Gram matrices there (:func:`charts._gate_reads`)."""
-        return _gate_reads(self.seq.ambient, self.zs)
-
-    @property
-    def _zs(self):
-        """The leading points inside the chart, which the fields solve."""
-        return self.zs[: len(self._read[0])]
-
-    def _require_inside(self):
-        """OutOfDomain of the first point outside the chart, if any."""
-        n = len(self._zs)
-        if n < len(self.zs):
-            _leading_gates(self.seq.ambient, self.zs[n:])
+        """The gate stencils of the leading points inside the chart, the
+        ambient's Gram matrices there (:func:`charts._gate_reads`) and the
+        OutOfDomain of the first point outside, or None."""
+        stencils, g = _gate_reads(self.seq.ambient, self.zs)
+        return stencils, g, _outside(self.seq.ambient, self.zs[len(g):])
 
     @cached_property
     def _gate_j(self):
@@ -510,35 +592,11 @@ class _SeqRows:
         return j.reshape(stencils.shape[:2] + j.shape[1:])
 
     @cached_property
-    def ambient(self):
-        return _FieldRows(self.seq, "ambient", self.seq.ambient, self._zs, self._read)
+    def _j(self):
+        _, g, error = self._read
+        return _Rows(self._gate_j[:, 0], len(g), error)
 
-    @cached_property
-    def sub(self):
-        return _FieldRows(self.seq, "sub", self.seq.sub_field, self._zs, self._read + (self._gate_j,))
-
-    @cached_property
-    def quot(self):
-        return _FieldRows(self.seq, "quot", self.seq.quot_field, self._zs, self._read + (self._gate_j,))
-
-    @cached_property
-    def ring(self):
-        """The record of the probe ring of zs[0]: the 4m points of
-        :func:`~hermitia.charts._stencil_ring` with step ``PROBE_STEP``."""
-        return _SeqRows(self.seq, _stencil_ring(self.z, PROBE_STEP))
-
-    def probe(self, name, conjugate=False):
-        """d_a (or dbar_a when ``conjugate``) at zs[0] of the quantity
-        ``name`` (``jdag``, ``qdag``, ``sigma`` or ``sigma_dagger``) for
-        every coordinate a, shape (m, ...): the Wirtinger difference of
-        step ``PROBE_STEP`` of the ring's rows, combined by
-        :func:`~hermitia.charts._combine_ring`."""
-        return _combine_ring(getattr(self.ring, name), PROBE_STEP, conjugate)
-
-    @cached_property
-    def j(self):
-        self._require_inside()
-        return self._gate_j[:, 0]
+    j = property(lambda self: self._j.value)  # z is inside: the read raises otherwise
 
     @cached_property
     def dj(self):
@@ -546,47 +604,86 @@ class _SeqRows:
 
     @cached_property
     def _frames(self):
-        """C and q at zs from the record's j (:meth:`ExactSeqChart._frames`)."""
-        return self.seq._frames(self.zs, self.j)
+        """C and q (:meth:`ExactSeqChart._frames`) at the leading points
+        where w0 j is invertible, each a :class:`_Rows`."""
+        j = self._j
+        both = _leading(self.seq._frames, self.zs, j.n, j.error, j.value)
+        return [both._replace(value=both.value[i] if both.n else None) for i in (0, 1)]
 
-    @cached_property
-    def q(self):
-        return self._frames[1]
+    q = property(lambda self: self._frames[1].rows())
 
     @cached_property
     def dq(self):
-        return self.seq._dq_of(self.j, self._frames[0], self.dj)
+        core = self._frames[0].rows()
+        n = len(core)
+        return self.seq._dq_of(self.j[:n], core, self.dj[:n])
 
     @cached_property
-    def jdag(self):
-        return adjoint_stack(self.j, self.sub.forms, self.ambient.forms)
+    def ambient(self):
+        stencils, g, error = self._read
+        forms = _leading(_form_stack, self.zs, len(g), error, g[:, 0])
+        return _FieldRows(self.seq, "ambient", self.seq.ambient, self.zs[: len(g)], (stencils, g), forms)
 
     @cached_property
-    def qdag(self):
-        return adjoint_stack(self.q, self.ambient.forms, self.quot.forms)
+    def sub(self):
+        (stencils, g, _), seq, j = self._read, self.seq, self._j
+        forms = _leading(
+            lambda zs, g, j: _form_stack(zs, seq._grams("sub", zs, g, j)),
+            self.zs, j.n, j.error, g[:, 0], j.value,
+        )
+        return _FieldRows(seq, "sub", seq.sub_field, self.zs[: j.n], (stencils, g, self._gate_j), forms)
 
     @cached_property
-    def _connections(self):
-        """A_E and A_S at every point, raising what solving each point in
-        turn raises first: its ambient solve, then its sub solve; then the
-        OutOfDomain of the first point outside the chart."""
-        (ambient, error), (sub, sub_error) = self.ambient.solved, self.sub.solved
-        if sub_error is not None and (error is None or len(sub.a) < len(ambient.a)):
-            raise sub_error
-        if error is not None:
-            raise error
-        self._require_inside()
-        return ambient.a, sub.a
+    def quot(self):
+        (stencils, g, _), seq, q = self._read, self.seq, self._frames[1]
+        forms = _leading(
+            lambda zs, g, q: _form_stack(zs, seq._quot_grams(zs, g, q)),
+            self.zs, q.n, q.error, g[:, 0], q.value,
+        )
+        reads = (stencils[:1], g[:1], self._gate_j[:1])
+        return _FieldRows(seq, "quot", seq.quot_field, self.zs[:1], reads, forms)
+
+    def _adjoints(self, f, v, w):
+        """:func:`~hermitia.forms.adjoint_stack` of the maps f between the
+        forms v and w, each a :class:`_Rows`, at their leading points."""
+        return _leading(
+            lambda zs, f: adjoint_stack(f, v.value, w.value), self.zs, *_first(f, v, w), f.value
+        )
 
     @cached_property
-    def sigma(self):
-        a_e, a_s = self._connections
-        j = self.j[:, None]
-        return self.q[:, None] @ (self.dj + a_e @ j - j @ a_s)
+    def _jdag(self):
+        return self._adjoints(self._j, self.sub._forms, self.ambient._forms)
 
     @cached_property
-    def sigma_dagger(self):
-        return adjoint_stack(self.sigma, self.sub.forms, self.quot.forms)
+    def _qdag(self):
+        return self._adjoints(self._frames[1], self.ambient._forms, self.quot._forms)
+
+    @cached_property
+    def _sigma(self):
+        ambient, sub, q = self.ambient.solved, self.sub.solved, self._frames[1]
+        args = (q.value, self.dj, self.j, ambient.value.a, sub.value.a)
+        return _leading(_sigma_rows, self.zs, *_first(ambient, sub, q), *args)
+
+    @cached_property
+    def _sigma_dagger(self):
+        return self._adjoints(self._sigma, self.sub._forms, self.quot._forms)
+
+    jdag = property(lambda self: self._jdag.rows())
+    qdag = property(lambda self: self._qdag.rows())
+    sigma = property(lambda self: self._sigma.rows())
+    sigma_dagger = property(lambda self: self._sigma_dagger.rows())
+
+    def probe(self, name, conjugate=False):
+        """d_a (or dbar_a when ``conjugate``) at z of the quantity ``name``
+        (``jdag``, ``qdag``, ``sigma`` or ``sigma_dagger``) for every
+        coordinate a, shape (m, ...): the Wirtinger difference of step
+        ``PROBE_STEP`` of rows 1 to 4m, combined by
+        :func:`~hermitia.charts._combine_ring`; the error of the first
+        point that fails, if any does."""
+        rows = getattr(self, "_" + name)
+        if rows.n < len(self.zs):
+            rows.raise_error()
+        return _combine_ring(rows.value[1:], PROBE_STEP, conjugate)
 
 
 @dataclass
@@ -605,7 +702,7 @@ def second_fundamental_form(seq: ExactSeqChart, z) -> SecondFundamentalFormAt:
     sigma maps Ker b_S outside Ker b_Q, its adjoint raises NoAdjoint.
     """
     at = seq.at(z)
-    dbar_j = seq._j_fd(at.zs, conjugate=True)[0]
+    dbar_j = seq._j_fd(at.zs[:1], conjugate=True)[0]
     q = at.q[0]
     worst = max(float(np.linalg.norm(q @ db)) for db in dbar_j)
     sigma = at.sigma[0]

@@ -363,13 +363,50 @@ def test_each_scanned_lambda_is_one_solve_and_one_assembly(registry_fibrations, 
     assert calls == {"solve_points": len(scan.records), "assemble_rows": len(scan.records), "curvature_tensor": 0}
 
 
+def test_the_gate_tests_a_block_in_one_eigvalsh(registry_fibrations, monkeypatch):
+    """find_lambda0 gates each scanned lambda's block of points with one
+    _pd_rows call and no per-point _is_pd."""
+    calls = {"_pd_rows": 0, "_is_pd": 0}
+    for name in calls:
+        monkeypatch.setattr(fibration, name, _counting(calls, name, getattr(fibration, name)))
+    scan = find_lambda0(registry_fibrations["hirz:2"], sphere_samples=200, seed=0)
+    assert calls == {"_pd_rows": len(scan.records), "_is_pd": 0}
+
+
+def test_the_stacked_pd_test_equals_the_per_matrix_test(registry_fibrations):
+    """_pd_rows of a stack equals _is_pd of each matrix: on the centres of
+    a gated scan, with one of them not positive and with a NaN on the
+    diagonal of another.  Where the batched eigvalsh raises (a NaN on the
+    diagonal of a real 3 x 3 identity), the matrices are tested one at a
+    time: a matrix that fails the test before the NaN stops them, else
+    the NaN raises as _is_pd of it raises."""
+    model = registry_fibrations["hirz:1"]
+    field = fibration.h_lambda(model, 0.0)
+    grams = field.gram_stack(_draw(field.m, 0.7, 10, 5, [0])[0])
+    grams[3] = np.diag([1.0, -1.0])
+    grams[6, 0, 0] = np.nan
+    want = [fibration._is_pd(g, fibration.PD_FLOOR) for g in grams]
+    assert want[3] is False
+    assert want == list(fibration._pd_rows(grams, fibration.PD_FLOOR))
+    eye, nan = np.eye(3), np.eye(3)
+    nan[1, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        fibration._is_pd(nan, fibration.PD_FLOOR)
+    stopped = fibration._pd_rows(np.stack([eye, np.diag([1.0, -1.0, 1.0]), nan]), fibration.PD_FLOOR)
+    assert list(stopped[:2]) == [True, False]
+    with pytest.raises(np.linalg.LinAlgError):
+        fibration._pd_rows(np.stack([eye, nan]), fibration.PD_FLOOR)
+
+
 def _rejecting(k):
-    """A gate that passes k points and rejects the next."""
+    """A gate that passes k points and rejects the next, over the stacks
+    of Gram matrices it sees in turn."""
     seen = []
 
-    def gate(g):
-        seen.append(g)
-        return len(seen) <= k
+    def gate(grams):
+        start = len(seen)
+        seen.extend(grams)
+        return start + np.arange(len(grams)) < k
 
     return gate
 

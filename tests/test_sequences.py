@@ -1,6 +1,7 @@
 import functools
 import gc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -258,10 +259,10 @@ def test_base_records_equal_the_fields_solved_alone(case, forms_first):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_base_forms_read_first_are_factorized_once(seed, monkeypatch):
-    """The adjoints read the base records' forms before their solves; each
-    solve then reuses its form's one-row FormStack, so the three records
-    run one eigh each, of shapes (1, k, k), (1, r, r) and
-    (1, r - k, r - k)."""
+    """The adjoints read the record's forms before their solves; each
+    solve then reuses its form's FormStack, so the three fields run one
+    eigh each, over the 4m + 1 points of the record: of shapes
+    (4m + 1, k, k), (4m + 1, r, r) and (4m + 1, r - k, r - k)."""
     seq, z = sequence_instance(seed)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     calls = []
@@ -275,7 +276,8 @@ def test_base_forms_read_first_are_factorized_once(seed, monkeypatch):
     at = seq.at(z)
     at.jdag, at.qdag
     at.ambient.solves, at.sub.solves, at.quot.solves
-    shapes = [(1, seq.k, seq.k), (1, seq.r, seq.r), (1, seq.r - seq.k, seq.r - seq.k)]
+    b = 4 * seq.m + 1
+    shapes = [(b, seq.k, seq.k), (b, seq.r, seq.r), (b, seq.r - seq.k, seq.r - seq.k)]
     assert Counter(calls) == Counter(shapes)
 
 
@@ -314,12 +316,13 @@ def _count_solves(monkeypatch):
 
 
 def _count_rows(obj, name, monkeypatch):
-    """The number of rows of every call of the kernel ``obj.name``."""
+    """The number of rows of every call of the kernel ``obj.name``, which
+    takes a stack of points first."""
     rows, kernel = [], getattr(obj, name)
 
-    def counting(zs):
+    def counting(zs, *args):
         rows.append(len(zs))
-        return kernel(zs)
+        return kernel(zs, *args)
 
     monkeypatch.setattr(obj, name, counting)
     return rows
@@ -333,31 +336,28 @@ def _count_ambient_reads(seq, monkeypatch):
 
 @pytest.mark.parametrize("name", ["jdag", "qdag"])
 def test_adjoint_probe_solves_no_connection(monkeypatch, name):
-    """The base record's j dagger or q dagger solves no connection: their
-    forms are the centre rows of the base's one read of the ambient at
-    its 4m + 1 gate points.  Their probes read the ambient once more, at
-    the 4m (4m + 1) gate points of the ring, whose centre rows are the
-    ring's forms: no dG read.  Only sigma's probe reads dG, from that
-    same read of the ring's gates (the sub's dG reads G at the 4m ring
-    points once more), and the base's sigma solves A_E and A_S one row
-    each from the base's read."""
+    """j dagger or q dagger and their probes solve no connection: their
+    forms are the centre rows of the record's one read of the ambient at
+    the 4m + 1 gate points of each of its 4m + 1 points: no dG read.  Only
+    sigma reads dG, for one solve of the ambient and one of the sub over
+    all the record's points, from that same read (the sub's dG reads G at
+    the 4m + 1 points once more); its probe and z's row share them."""
     seq, z = sequence_instance(3)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
-    n = 4 * seq.m
+    b = 4 * seq.m + 1
     at = seq.at(z)
     calls = _count_solves(monkeypatch)
     reads, d_reads = _count_ambient_reads(seq, monkeypatch)
-    getattr(at, name)  # the base record's forms
-    assert (reads, d_reads, calls) == ([n + 1], [], [])
+    getattr(at, name)  # z's row, from the record's forms
+    assert (reads, d_reads, calls) == ([b * b], [], [])
     at.probe(name)
     at.probe(name, conjugate=True)
-    assert (reads, d_reads, calls) == ([n + 1, n * (n + 1)], [], [])
+    assert (reads, d_reads, calls) == ([b * b], [], [])
     at.probe("sigma")  # dG of the ambient and of the sub
-    ring = [(seq.ambient, n), (seq.sub_field, n)]
-    assert (reads, d_reads, calls) == ([n + 1, n * (n + 1), n], [n, n], ring)
-    at.sigma  # the second fundamental form does need A_E and A_S
-    assert calls == ring + [(seq.ambient, 1), (seq.sub_field, 1)]
-    assert reads[3:] == [1]  # the sub jet's G; the gates were read
+    solves = [(seq.ambient, b), (seq.sub_field, b)]
+    assert (reads, d_reads, calls) == ([b * b, b], [b, b], solves)
+    at.sigma  # z's row of the same solves
+    assert (reads, d_reads, calls) == ([b * b, b], [b, b], solves)
 
 
 def _stack_error(exact, fd):
@@ -525,7 +525,7 @@ def test_probe_ring_equals_fresh_records(seed):
             for a in range(seq.m):
                 slow = wirtinger_fd(lambda w: getattr(SeqPoint(seq, w), name), at.z, a, PROBE_STEP, conj)
                 assert np.array_equal(fast[a], slow), (name, a, conj)
-    assert np.array_equal(at.ring.zs, charts._stencil_ring(at.z, PROBE_STEP))
+    assert np.array_equal(at.zs[1:], charts._stencil_ring(at.z, PROBE_STEP))
 
 
 def _ring_cases():
@@ -555,49 +555,54 @@ def _ring_cases():
 
 
 @pytest.mark.parametrize("case", range(len(SEQUENCE_SEEDS) + 3))
-def test_stacked_ring_equals_fresh_per_point_records(case):
-    """The base record's row and every row of its probe ring, each record
-    solved from its one read of the ambient at its gate points, equal the
-    per-point oracle (SeqPoint) bit for bit: each field's form, rank,
-    pinv, dG, A and residual, and j, dj, q, dq, j dagger, q dagger, sigma
-    and sigma dagger; the base row its three tensors too.  Every probe
-    equals ring_fd over the oracle."""
+def test_stacked_ring_equals_fresh_per_point_records(case, monkeypatch):
+    """Every row of the record, z and its probe ring, solved from the
+    record's one read of the ambient at its gate points, equals the
+    per-point oracle (SeqPoint) there bit for bit: each field's form,
+    rank and pinv, the ambient's and the sub's dG, A and residual, and j,
+    dj, q, dq, j dagger, q dagger, sigma and sigma dagger; z's row the
+    quotient's solve and the three tensors too, which the record takes
+    at z alone.  Every probe equals ring_fd over the oracle.  q, dq and
+    the quotient's forms come from one quotient frame of the record's j:
+    one ExactSeqChart._frames call over its 4m + 1 points."""
     seq, z = _ring_cases()[case]
     for field in (seq.sub_field, seq.quot_field):
         assert (field.fd_step, field.fd_outer_step) == (seq.ambient.fd_step, seq.ambient.fd_outer_step)
+    frames = _count_rows(seq, "_frames", monkeypatch)
     at = seq.at(z)
     names = ("jdag", "qdag", "sigma", "sigma_dagger")
     probes = {(name, conj): at.probe(name, conj) for name in names for conj in (False, True)}
-    assert np.array_equal(at.ring.zs, charts._stencil_ring(at.z, PROBE_STEP))
+    at.dq
+    assert frames == [4 * seq.m + 1]
+    assert np.array_equal(at.zs, charts._gate_stencil(z, PROBE_STEP))
+    assert (len(at.quot.solves.a), len(at.ambient.tensor), len(at.sub.tensor), len(at.quot.tensor)) == (1, 1, 1, 1)
     oracle = {}
-    for record in (at, at.ring):
-        for i, w in enumerate(record.zs):
-            want = oracle[w.tobytes()] = SeqPoint(seq, w)
-            for part in ("ambient", "sub", "quot"):
-                got, field = getattr(record, part), getattr(want, part)
-                assert np.array_equal(got.forms.gram[i], field.form.gram), part
-                assert got.forms.rank[i] == field.form.rank, part
-                assert np.array_equal(got.forms.pinv[i], field.form.pinv), part
+    for i, w in enumerate(at.zs):
+        want = oracle[w.tobytes()] = SeqPoint(seq, w)
+        for part in ("ambient", "sub", "quot"):
+            got, field = getattr(at, part), getattr(want, part)
+            assert np.array_equal(got.forms.gram[i], field.form.gram), part
+            assert got.forms.rank[i] == field.form.rank, part
+            assert np.array_equal(got.forms.pinv[i], field.form.pinv), part
+            if part != "quot" or i == 0:
                 for name in ("dg", "a", "residual"):
                     assert np.array_equal(getattr(got.solves, name)[i], getattr(field, name)), (part, name)
-                if record is at:
-                    assert np.array_equal(got.tensor[i], field.tensor), part
-            for name in ("j", "dj", "q", "dq") + names:
-                assert np.array_equal(getattr(record, name)[i], getattr(want, name)), name
+            if i == 0:
+                assert np.array_equal(got.tensor[0], field.tensor), part
+        for name in ("j", "dj", "q", "dq") + names:
+            assert np.array_equal(getattr(at, name)[i], getattr(want, name)), name
     for (name, conj), fast in probes.items():
         slow = ring_fd(lambda w: getattr(oracle[w.tobytes()], name), at.z, PROBE_STEP, conj)
         assert np.array_equal(fast, slow), (name, conj)
-    # solved before their forms are read, the records take the solves'
-    # forms, the gates' centre rows: the same bits
+    # solved before their forms or adjoints are read: the same bits
     solved_first = sequences._SeqRows(seq, at.zs)
     solved_first.probe("sigma")
-    for record, want in ((solved_first, at), (solved_first.ring, at.ring)):
-        for part in ("ambient", "sub"):
-            got, field = getattr(record, part), getattr(want, part)
-            assert np.array_equal(got.forms.gram, field.forms.gram), part
-            assert np.array_equal(got.forms.pinv, field.forms.pinv), part
-        for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
-            assert np.array_equal(getattr(record, name), getattr(want, name)), name
+    for part in ("ambient", "sub"):
+        got, field = getattr(solved_first, part), getattr(at, part)
+        assert np.array_equal(got.forms.gram, field.forms.gram), part
+        assert np.array_equal(got.forms.pinv, field.forms.pinv), part
+    for name in names:
+        assert np.array_equal(getattr(solved_first, name), getattr(at, name)), name
 
 
 def test_a_rank_jump_at_one_ring_point_names_it():
@@ -674,8 +679,9 @@ def test_a_ring_that_leaves_the_chart_reads_only_inside_it():
     leaves the chart by the gate's margin.  The ring's forms are the
     centre rows of the read of its gates, so every probe, of j dagger and
     q dagger as of sigma and sigma dagger, raises the per-point ring's
-    OutOfDomain, having read the ambient only at points the per-point
-    ring reads, none of them at that ring point's stencil."""
+    OutOfDomain, the record having read the ambient only at points that
+    the per-point records at z and on the ring read, none of them at that
+    ring point's stencil."""
     z = np.array([1j * (0.9 - 1.15e-3)])
     poly = MatrixPolynomial(np.eye(3) + 0.1 * np.eye(3, k=1), c1=0.2 * np.eye(3, k=-1)[None])
     seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), np.eye(3, 1))
@@ -688,10 +694,11 @@ def test_a_ring_that_leaves_the_chart_reads_only_inside_it():
     seq.ambient.stack_fn = counted
     want = _first_ring_error(seq, z)
     assert want[0] is OutOfDomain
+    SeqPoint(seq, z).sigma
     oracle_reads = set(reads)
+    reads.clear()
     at = seq.at(z)
     at.ambient.solves, at.sub.solves, at.quot.solves
-    reads.clear()
     for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
         with pytest.raises(OutOfDomain) as stacked:
             at.probe(name)
@@ -723,6 +730,83 @@ def test_a_sub_jump_before_an_ambient_jump_raises_first():
     with pytest.raises(RankJump) as stacked:
         at.probe("sigma")
     assert str(stacked.value) == named
+
+
+def _ring_fault_cases():
+    """The charts and points z of the four tests above whose probe ring
+    fails at a ring point while z passes: a rank jump of the ambient at a
+    gate neighbor of a ring point, a singular inclusion at a ring point, a
+    ring point outside the chart, and a rank jump of the sub before one of
+    the ambient."""
+    z, h, s = np.array([0.1 + 0.05j]), PROBE_STEP, 1e-3
+
+    def jump_at(p):
+        poly = MatrixPolynomial(np.diag([1.0, 1.0, -10.0 * p[0]]), c1=np.diag([0.0, 0.0, 10.0])[None])
+        return from_factor(poly, 1, radius=0.9)
+
+    tilted = MatrixPolynomial(np.eye(3) + 0.1 * np.eye(3, k=1), c1=0.2 * np.eye(3, k=-1)[None])
+    return [
+        (ExactSeqChart(jump_at(z + h + s), np.eye(3, 1)), z),
+        (ExactSeqChart(constant_field(np.eye(2), 1, radius=0.9), *vanishing_line(z + 1j * h, 2)), z),
+        (ExactSeqChart(from_factor(tilted, 1, radius=0.9), np.eye(3, 1)), np.array([1j * (0.9 - 1.15e-3)])),
+        (ExactSeqChart(jump_at(z - 1j * h + s), *vanishing_line(z - h + s, 3)), z),
+    ]
+
+
+def _point_record(seq, z):
+    """The per-point oracle at z (SeqPoint) shaped as row 0 of a record,
+    as far as the Codazzi corollaries and the second fundamental form
+    read it."""
+    p = SeqPoint(seq, z)
+
+    def forms(field):
+        return SimpleNamespace(forms=SimpleNamespace(gram=field.form.gram[None]))
+
+    return SimpleNamespace(
+        z=p.z,
+        zs=p.z[None],
+        j=p.j[None],
+        q=p.q[None],
+        qdag=p.qdag[None],
+        sigma=p.sigma[None],
+        sigma_dagger=p.sigma_dagger[None],
+        ambient=SimpleNamespace(tensor=p.ambient.tensor[None]),
+        sub=forms(p.sub),
+        quot=forms(p.quot),
+    )
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_a_failing_ring_point_leaves_the_readers_at_z_exact(case, monkeypatch):
+    """Where a ring point fails and z does not, codazzi_sub, codazzi_quot
+    and second_fundamental_form at z return exactly what they return when
+    fed the per-point oracle at z: the record's rows at z carry no error
+    of its ring."""
+    seq, z = _ring_fault_cases()[case]
+    failing = []
+    for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
+        try:
+            seq.at(z).probe(name)
+        except HermitiaError:
+            failing.append(name)
+    assert failing
+
+    def read():
+        out = [second_fundamental_form(seq, z)]
+        size = seq.r - seq.k
+        for a in range(seq.m):
+            for b in range(seq.m):
+                out.append(codazzi_sub(seq, z, a, b, np.ones(seq.k), np.arange(seq.k) + 1j))
+                out.append(codazzi_quot(seq, z, a, b, np.ones(size), np.arange(size) - 2j))
+        return out
+
+    got = read()
+    monkeypatch.setattr(seq, "at", lambda w: _point_record(seq, w))
+    want = read()
+    for name in ("point", "sigma", "sigma_dagger"):
+        assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
+    assert got[0].dbar_part_residual == want[0].dbar_part_residual
+    assert got[1:] == want[1:]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -782,26 +866,23 @@ def _count_records(monkeypatch):
 
 @pytest.mark.parametrize("seed", JET_SEEDS)
 def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
-    """Identities, splitting, sigma and Codazzi at one point: two records,
-    the base point's and its probe ring's, each with one read of the
-    ambient at its gate points, whose centre rows give the forms of all
-    three fields, and one solve_rows call per field solved: all three at
-    the base, the ambient and the sub on the ring.  The ambient kernel
-    reads the 4m + 1 base gate points once, one row for each of the
-    base's sub jet (its d and dd reads share one first-order part) and
-    quotient jet, the 4m (4m + 1) gate points of the ring once, and the
-    4m ring points once for the ring's sub dG: 5 calls.  When m > 1 the
-    identity table probes sigma before the splitting reads the sub
-    curvature, so the ring's sub solve has replaced the sub jet kept for
-    the base row, which the sub's dd reads again: one more one-row read
-    of G and of dG.  The ambient's dG is read in one row for the base's
-    ambient solve and each jet, and at the 4m ring points once for each
-    of the two ring solves.  The inclusion's two kernels read every stack
-    in one call: j at the gate points of each record, whose centre rows
-    are its j (shared by q, dq and sigma), and dj once per record."""
+    """Identities, splitting, sigma and Codazzi at one point: one record
+    of the 4m + 1 points z and its probe ring, with one read of the
+    ambient at their gate points, whose centre rows give the forms of all
+    three fields, and one solve_rows call per field: the ambient and the
+    sub at all 4m + 1 points, the quotient at z.  The ambient kernel
+    reads the (4m + 1)^2 gate points once, the 4m + 1 points once for the
+    sub's dG, and z once for each of the sub's and the quotient's jets at
+    z (the d and dd reads of each sharing its first-order part): 4 calls,
+    whatever m.  Its dG is read at the 4m + 1 points for each of the two
+    solves, and at z for each jet.  The inclusion's two kernels read
+    every stack in one call: j at the gate points, whose centre rows are
+    the record's j (shared by q, dq and sigma), dj once at the 4m + 1
+    points, and each at the sub's solve and the two jets."""
     seq, z = sequence_instance(seed)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
     n = 4 * seq.m
+    rows = n + 1
     solves = _count_solves(monkeypatch)
     records = _count_records(monkeypatch)
     reads, d_reads = _count_ambient_reads(seq, monkeypatch)
@@ -816,50 +897,46 @@ def test_one_point_builds_one_ring_and_one_solve_per_field(seed, monkeypatch):
             codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
-    assert records == [1, n]
-    base = [(seq.ambient, 1), (seq.sub_field, 1), (seq.quot_field, 1)]
-    assert solves == base + [(seq.ambient, n), (seq.sub_field, n)]
-    again = [1] * (seq.m > 1)  # the sub jet at the base row, read again
-    assert Counter(reads) == Counter([n + 1, 1, 1] + [n * (n + 1), n] + again)
-    assert len(reads) == 5 + len(again)
-    assert Counter(d_reads) == Counter([1, 1, 1] + [n, n] + again)
-    # the base gates; the two jets; the ring's gates and sub dG; the (0,1)
-    # check of sigma at the 4m stencil points
-    assert Counter(j_reads) == Counter([n + 1] + [1, 1] + [n * (n + 1), n] + [n] + again)
-    # the base's dj, read once for sigma and dq; the two jets; the ring's
-    # sigma and sub dG
-    assert Counter(dj_reads) == Counter([1] + [1, 1] + [n, n] + again)
+    assert records == [rows]
+    assert solves == [(seq.ambient, rows), (seq.sub_field, rows), (seq.quot_field, 1)]
+    assert Counter(reads) == Counter([rows * rows, rows, 1, 1])
+    assert Counter(d_reads) == Counter([rows, rows, 1, 1])
+    # the gates; the sub's solve; the two jets; the (0,1) check of sigma
+    # at the 4m stencil points of z
+    assert Counter(j_reads) == Counter([rows * rows, rows, 1, 1, n])
+    # the record's dj, read once for sigma and dq; the sub's solve; the two jets
+    assert Counter(dj_reads) == Counter([rows, rows, 1, 1])
 
 
 def test_reading_the_ambient_alone_reads_nothing_else(monkeypatch):
     """at.ambient.solves reads the ambient's Gram kernel once, at the
-    4m + 1 base gate points, and its dG once; it reads no inclusion,
-    builds no quotient frame, no sub or quotient rows and no probe ring."""
+    (4m + 1)^2 gate points of the record, and its dG once, at its 4m + 1
+    points; it reads no inclusion, builds no quotient frame and no sub or
+    quotient rows."""
     seq, z = sequence_instance(1)
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
-    n = 4 * seq.m
+    b = 4 * seq.m + 1
     calls = _count_solves(monkeypatch)
     reads, d_reads = _count_ambient_reads(seq, monkeypatch)
     j_reads = _count_rows(seq, "_j_fn", monkeypatch)
     frames = _count_rows(seq, "_frames", monkeypatch)
     at = seq.at(z)
     at.ambient.solves
-    assert (reads, d_reads, j_reads, frames) == ([n + 1], [1], [], [])
-    assert calls == [(seq.ambient, 1)]
-    assert {"ring", "sub", "quot", "_gate_j"}.isdisjoint(vars(at))
+    assert (reads, d_reads, j_reads, frames) == ([b * b], [b], [], [])
+    assert calls == [(seq.ambient, b)]
+    assert {"sub", "quot", "_gate_j", "_j", "_frames"}.isdisjoint(vars(at))
 
 
 @pytest.mark.parametrize("codazzi", [codazzi_sub, codazzi_quot])
 def test_codazzi_builds_no_probe_ring(codazzi, monkeypatch):
-    """The Codazzi corollaries read only the base point's record: no
-    probe ring is built."""
+    """The Codazzi corollaries build one record, of z and its probe ring:
+    4m + 1 points, and no other."""
     records = _count_records(monkeypatch)
     for seed in JET_SEEDS:
         seq, z = sequence_instance(seed)
         size = seq.k if codazzi is codazzi_sub else seq.r - seq.k
         codazzi(seq, z, 0, seq.m - 1, np.ones(size), np.arange(size) + 1j)
-        assert "ring" not in vars(seq.at(z))
-    assert records == [1] * len(JET_SEEDS)
+    assert records == [4 * sequence_instance(seed)[0].m + 1 for seed in JET_SEEDS]
 
 
 @pytest.mark.parametrize(
@@ -1024,6 +1101,27 @@ def test_a_dropped_record_leaves_no_cyclic_garbage():
     assert found == 0
 
 
+@pytest.mark.parametrize("case", range(4))
+def test_a_record_that_raised_leaves_no_cyclic_garbage(case):
+    """A record keeps the errors of its failing points, stripped of their
+    tracebacks and chained errors, and raises a copy of one when read, so
+    a record whose probe raised holds no reference cycle either: on five
+    copies of each ring fault fixture, a splitting that raises, then
+    dropping the chart's kept record, leave nothing for gc.collect."""
+    copies = [_ring_fault_cases()[case] for _ in range(5)]
+    gc.collect()
+    gc.disable()
+    try:
+        for seq, z in copies:
+            with pytest.raises(HermitiaError):
+                splitting_curvature_blocks(seq, z)
+            del seq._at  # the chart's cache of its latest record
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
 def test_results_do_not_alias_the_shared_record():
     seq, z = sequence_instance(3)
     first = second_fundamental_form(seq, z)
@@ -1038,10 +1136,10 @@ def test_results_do_not_alias_the_shared_record():
 
 def test_codazzi_reads_the_ambient_curvature_once(monkeypatch):
     """One ambient solve gives A_E and the curvature, and sigma adds the
-    sub solve, both from the base's one read of the ambient at its 4m + 1
-    gate points; the sub solve's dG reads G at the point once more.  The
-    quotient form is the centre row of the quotient gate rows of that
-    read, so it reads no ambient."""
+    sub solve, both over the record's 4m + 1 points from its one read of
+    the ambient at their gate points; the sub solve's dG reads G at the
+    4m + 1 points once more.  The quotient forms are the centre rows of
+    that read, so they read no ambient."""
     seq, z = sequence_instance(1)
     assert seq.m == 2
     seq.quot_field  # built ahead: its choice of route reads G at the chart centre
@@ -1053,8 +1151,9 @@ def test_codazzi_reads_the_ambient_curvature_once(monkeypatch):
             codazzi_sub(seq, z, a, b, rand_vec(rng, seq.k), rand_vec(rng, seq.k))
             rk = seq.r - seq.k
             codazzi_quot(seq, z, a, b, rand_vec(rng, rk), rand_vec(rng, rk))
-    assert calls == [(seq.ambient, 1), (seq.sub_field, 1)]
-    assert (reads, d_reads) == ([4 * seq.m + 1, 1], [1, 1])
+    b = 4 * seq.m + 1
+    assert calls == [(seq.ambient, b), (seq.sub_field, b)]
+    assert (reads, d_reads) == ([b * b, b], [b, b])
 
 
 def test_constructing_a_sequence_reads_no_quotient_form(monkeypatch):
