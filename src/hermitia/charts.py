@@ -28,9 +28,10 @@ reads dG once and solves in batched products, and it is the one home of
 the gate verdict, the form guard, the dG finiteness check and the
 residual.  A form read before the solve comes as its
 :class:`~hermitia.forms.FormStack`, whose factorization the solve
-reuses.  :func:`solve_points` reads the gates of a stack of points for
-it; the sequence records of :mod:`hermitia.sequences` call it with the
-gate rows and forms they read themselves.  The curvature assembly has
+reuses.  :func:`_gated_solves` reads the gates of a stack of points for
+it, and :func:`solve_points` raises what that finds; the sequence records
+of :mod:`hermitia.sequences` call it with the gate rows and forms they
+read themselves.  The curvature assembly has
 one path too, :func:`assemble_rows`: the tensors of one field at a stack
 of solved points, from one read of the mixed second derivatives, in one
 stacked product.  A :class:`FieldAt` is one field at one point: the form
@@ -40,6 +41,14 @@ first read.  :func:`chern_connection` and :func:`curvature_tensor`
 return such a record with its solve or its tensor already run.
 :func:`gauge_independence_residual` and :func:`curvature_20_defect`
 solve a point and its 4m probe points in one :func:`solve_points`.
+
+Every stacked step keeps one stop rule: it keeps its leading points that
+pass, plus the error of the first point that fails, which is the error a
+loop over the points one at a time raises first.  Such a step returns a
+:class:`_Rows` (value, n, error).  :func:`_leading` runs a step that
+raises at its first failing point, :func:`_first` takes the cut of the
+steps that compute one quantity, and a caller raises the error it keeps
+only where it reads a point that failed.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -271,16 +280,13 @@ class ChartField:
         return (np.abs(z - self.center) <= self.radius - margin).all(axis=-1)
 
     def _require_domain(self, z, margin):
-        """Raise OutOfDomain naming the first point of ``z``, one point or
-        a stack of them, that lies within ``margin`` of the chart's
-        boundary or outside it; a stack is checked by one comparison."""
+        """Raise the OutOfDomain (:func:`_outside`) of the first point of
+        ``z``, one point or a stack of them, that lies within ``margin`` of
+        the chart's boundary or outside it; a stack is checked by one
+        comparison."""
         inside = self.in_domain(z, margin)
         if not inside.all():
-            w = z.reshape(-1, self.m)[np.argmin(inside.reshape(-1))]
-            raise OutOfDomain(
-                "point %s (with stencil margin %g) leaves the chart polydisc"
-                % (np.array2string(w, precision=3), margin)
-            )
+            raise _outside(z.reshape(-1, self.m)[np.argmin(inside.reshape(-1))], margin)
 
     def rank_at(self, z):
         return gram_rank(self.gram(z), RANK_TOL, "Gram matrix of the rank gate", z)
@@ -473,28 +479,98 @@ def _gate_error(zs, ranks, i):
     )
 
 
-def _leading_gates(field: ChartField, zs):
-    """The (n, 4m + 1, m) gate stencils (:func:`_gate_stencil`) of the n
-    leading points of a (B, m) stack that lie inside the chart with the
-    gate's margin to spare, from one comparison for the whole stack;
-    OutOfDomain if the first point does not.  A caller with n < B raises
-    the OutOfDomain of zs[n] by calling it again on zs[n:]."""
-    margin = field.fd_outer_step + field.fd_step
-    inside = field.in_domain(zs, margin)
-    n = len(zs) if inside.all() else int(np.argmin(inside))
+class _Rows(namedtuple("_Rows", "value n error")):
+    """The result of a stacked step (see the module docstring): ``value``
+    at the leading n points of its stack, those where every step that
+    computes it passes, with the points on the leading axis, and the
+    error of the first point that fails, or None when all pass.  A kept
+    error is never raised itself: it is built unraised, or detached
+    (:func:`_detached`) where :func:`_leading` catches it."""
+
+    __slots__ = ()
+
+    def rows(self):
+        """The value, raising the error when no point passes."""
+        if not self.n:
+            self.raise_error()
+        return self.value
+
+    def raise_error(self):
+        """Raise a copy of the error, so that the kept one never holds a
+        traceback, whose frames would hold its keeper in a cycle."""
+        raise type(self.error)(*self.error.args)
+
+
+def _detached(error):
+    """``error`` (or None) without its traceback and the errors chained to
+    it, whose frames would hold the record that keeps it in a cycle."""
+    if error is not None:
+        error.__cause__ = error.__context__ = None
+        error.with_traceback(None)
+    return error
+
+
+def _first(*inputs):
+    """(n, error) of the step that fails first among ``inputs`` (each a
+    :class:`_Rows`): the least n, and at a tie the error of the first of
+    them that holds one there (a step without one was not given that
+    point)."""
+    first = min(inputs, key=lambda rows: (rows.n, rows.error is None))
+    return first.n, first.error
+
+
+def _leading(fn, zs, n, error, *args):
+    """``fn`` of the leading n points of zs and of the rows of ``args``
+    there, as :class:`_Rows` whose error is ``error`` unless fn fails
+    first.  ``fn`` takes a stack of points and the rows of each arg at
+    them, each row of its result a function of its own point alone, and
+    raises HermitiaError at the first point that fails.  Where the call
+    for all n points raises, the leading points are taken in stacks of
+    1, 2, ... until one raises, whose last point is the first to fail."""
     if not n:
-        field._require_domain(zs[0], margin)
-    return _gate_stencil(zs[:n], field.fd_outer_step)
+        return _Rows(None, 0, error)
+    args = [a[:n] for a in args]
+    try:
+        return _Rows(fn(zs[:n], *args), n, error)
+    except HermitiaError:
+        pass
+    value = None
+    for i in range(n):
+        try:
+            last = fn(zs[: i + 1], *(a[: i + 1] for a in args))
+        except HermitiaError as err:
+            return _Rows(value, i, _detached(err))
+        value = last
+    return _Rows(value, n, error)
+
+
+def _outside(w, margin):
+    """The OutOfDomain of a point w within ``margin`` of the chart's
+    boundary or outside it."""
+    return OutOfDomain(
+        "point %s (with stencil margin %g) leaves the chart polydisc"
+        % (np.array2string(w, precision=3), margin)
+    )
 
 
 def _gate_reads(field: ChartField, zs):
-    """The gate stencils of the n leading points of a (B, m) stack inside
-    the chart by the gate's margin (:func:`_leading_gates`), shape
-    (n, 4m + 1, m), and G at all of them, shape (n, 4m + 1, r, r), read
-    in one :meth:`ChartField.gram_stack` call."""
-    stencils = _leading_gates(field, zs)
-    g = field.gram_stack(stencils.reshape(-1, field.m))
-    return stencils, g.reshape(stencils.shape[:2] + g.shape[1:])
+    """The gate stencils (:func:`_gate_stencil`) of the n leading points
+    of a (B, m) stack that lie inside the chart with the gate's margin to
+    spare, from one comparison for the whole stack, shape (n, 4m + 1, m),
+    and G at all of them, shape (n, 4m + 1, r, r), read in one
+    :meth:`ChartField.gram_stack` call: the :class:`_Rows` of the pair,
+    whose error is the OutOfDomain of zs[n], if n < B.  No point after
+    zs[n] is read."""
+    margin = field.fd_outer_step + field.fd_step
+    inside = field.in_domain(zs, margin)
+    n, error = len(zs), None
+    if not inside.all():
+        n = int(np.argmin(inside))
+        error = _outside(zs[n], margin)
+    stencils = _gate_stencil(zs[:n], field.fd_outer_step)
+    r = field.shape
+    g = field.gram_stack(stencils.reshape(-1, field.m)) if n else np.empty((0, r, r), dtype=complex)
+    return _Rows((stencils, g.reshape(stencils.shape[:2] + (r, r))), n, error)
 
 
 _FORM_GUARD = "the form read at this point is not the gate's G(z)"
@@ -546,14 +622,14 @@ class FieldAt:
     @cached_property
     def _solved(self):
         """The :class:`RowSolves` of :func:`solve_rows` at the record's
-        point, whose form is the gate's centre row unless one was read
-        first."""
+        point from its gate read (:func:`_gate_reads`), whose form is the
+        gate's centre row unless one was read first; the OutOfDomain of a
+        point outside the chart raises before any solve."""
         field, zs = self.field, self.point[None]
-        grams = _gate_reads(field, zs)[1]
-        solves, error = solve_rows(field, zs, grams, self.__dict__.get("_forms"))
+        (_, grams), _, error = _gate_reads(field, zs)
         if error is not None:
             raise error
-        return solves
+        return solve_rows(field, zs, grams, self.__dict__.get("_forms")).rows()
 
     @property
     def dg(self):
@@ -603,20 +679,25 @@ def curvature_tensor(field: ChartField, z) -> FieldAt:
 
 def solve_points(field: ChartField, zs):
     """The connection solves of ``field`` at a (B, m) stack of points, as
-    the :class:`RowSolves` of :func:`solve_rows`: the gates of all B
-    points read G at their B(4m + 1) stencil points in one
-    :meth:`ChartField.gram_stack` call, and the forms are the gates'
-    centre rows.  The error is the one raised at the first point that
-    fails, in order: OutOfDomain, then those of :func:`solve_rows`.  No
-    point after the first one outside the chart is read."""
-    grams = _gate_reads(field, zs)[1]
-    n = len(grams)
-    solves, error = solve_rows(field, zs[:n], grams, None)
-    if error is not None:
-        raise error
-    if n < len(zs):
-        _leading_gates(field, zs[n:])
-    return solves
+    the :class:`RowSolves` of :func:`_gated_solves`, whose forms are the
+    gates' centre rows; it raises the error of the first point that
+    fails, in order: the errors of :func:`solve_rows`, then OutOfDomain.
+    No point after the first one outside the chart is read."""
+    solved = _gated_solves(field, zs, None)
+    if solved.error is not None:
+        solved.raise_error()
+    return solved.value
+
+
+def _gated_solves(field: ChartField, zs, forms):
+    """:func:`solve_rows` of ``field`` at the leading points of a (B, m)
+    stack that lie inside the chart, from their gates read by
+    :func:`_gate_reads` and ``forms`` as solve_rows takes them: the
+    :class:`_Rows` of its :class:`RowSolves`, whose error, when every
+    point inside passes, is the OutOfDomain of the first point outside."""
+    reads = _gate_reads(field, zs)
+    solved = solve_rows(field, zs[: reads.n], reads.value[1], forms)
+    return _Rows(solved.value, *_first(solved, reads))
 
 
 RowSolves = namedtuple("RowSolves", "forms dg a residual")
@@ -632,18 +713,16 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
     for the gates' centre rows.  The gates are ranked by one batched
     ``eigvalsh``; forms read apart must equal their gate's centre row bit
     for bit; the forms are factorized by one batched ``eigh`` (a stack
-    read apart keeps its own), dG is one
-    :meth:`ChartField.d_stack` read, and A = G^+ dG and its residual are
-    batched products, each row the arithmetic of one point.
+    read apart keeps its own), dG is one :meth:`ChartField.d_stack` read
+    (by :func:`_leading`), and A = G^+ dG and its residual are batched
+    products, each row the arithmetic of one point.
 
-    Returns ``(solves, error)``: the :class:`RowSolves` of the leading
-    points that pass (their forms, dG, A and residual), and the error at
-    the first point that fails, or None.  A point's checks come in the
-    order: the gate's NonFinite or RankJump, the form guard's
-    HermitiaError, the read of dG, NonFinite of dG, SolverResidual.
-    Should the stacked read of dG raise, the points read their own rows
-    in turn, so that the error is the one raised at the first point whose
-    read raises."""
+    Returns the :class:`_Rows` of the :class:`RowSolves` (forms, dG, A
+    and residual) at the leading points that pass, and the error at the
+    first point that fails; its value holds no rows when the first point
+    fails.  A point's checks come in the order: the gate's NonFinite or
+    RankJump, the form guard's HermitiaError, the read of dG, NonFinite
+    of dG, SolverResidual."""
     b, m, r = len(zs), field.m, field.shape
     ranks = gram_ranks(grams.reshape(-1, r, r), RANK_TOL).reshape(b, 4 * m + 1)
     stops = np.flatnonzero((ranks < 0) | (ranks != ranks[:, :1]))
@@ -657,23 +736,13 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
         same = (grams[:n, 0] == forms.gram[:n]).all(axis=(-2, -1))
         if not same.all():
             n, error = int(np.argmin(same)), HermitiaError(_FORM_GUARD)
-    try:
-        dg = field.d_stack(zs[:n]) if n else np.zeros((0, m, r, r), dtype=complex)
-    except HermitiaError:
-        dg = []
-        for z in zs[:n]:
-            try:
-                dg.append(field.d(z))
-            except HermitiaError as err:
-                error = err
-                break
-        n = len(dg)
-        dg = np.array(dg, dtype=complex).reshape(n, m, r, r)
-    if not np.isfinite(dg).all():
+    dg, n, error = _leading(field.d_stack, zs, n, error)
+    if n and not np.isfinite(dg).all():
         n = int(np.argmin(np.isfinite(dg).all(axis=(1, 2, 3))))
         error = _non_finite("first derivative", zs[n])
     if not n:
-        return RowSolves(forms, dg[:0], dg[:0], np.zeros(0)), error
+        empty = np.zeros((0, m, r, r), dtype=complex)
+        return _Rows(RowSolves(forms, empty, empty, np.zeros(0)), 0, error)
     dg = dg[:n]
     a = forms.pinv[:n, None] @ dg
     # the norms of G A_a - d_a G and of d_a G at every point, in one pass
@@ -683,7 +752,7 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
     if over.any():
         n = int(np.argmax(over))
         error = _solver_residual(residual[n])
-    return RowSolves(forms, dg[:n], a[:n], residual[:n]), error
+    return _Rows(RowSolves(forms, dg[:n], a[:n], residual[:n]), n, error)
 
 
 def assemble_rows(field: ChartField, zs, solves):

@@ -24,7 +24,7 @@ from .fields import (
     sum_field,
     twisted_fiber_monomials,
 )
-from .forms import HermitianForm, limit_form, projection_limit_gram
+from .forms import HermitianForm, limit_form, projection_limit_gram, require_finite
 from .models import (
     DEFAULT_FIBRATION_REGION,
     _sample_polydisc,
@@ -108,6 +108,7 @@ class FibrationModel:
         for _ in range(VALIDATION_POINTS):
             z = _sample_polydisc(rng, self.total_m, DEFAULT_FIBRATION_REGION)
             g1 = self.b1_field.gram(z)
+            require_finite(g1, "fiberwise Gram matrix", z)
             if not _is_pd(g1[v, v], VERTICAL_PD_FLOOR):
                 raise NotPositive(
                     "fiberwise form is not positive-definite on the vertical "
@@ -186,20 +187,10 @@ def _is_pd(gram, floor):
 
 
 def _pd_rows(grams, floor):
-    """:func:`_is_pd` of each matrix of a (B, n, n) stack, from one
-    batched ``eigvalsh``: row i equals ``_is_pd(grams[i], floor)``.
-    Should that call raise LinAlgError, the matrices are tested one at a
-    time up to the first that fails the test, so the error is the one the
-    first of them whose own call raises; later rows read False."""
-    try:
-        w = np.linalg.eigvalsh(grams)
-    except np.linalg.LinAlgError:
-        passed = np.zeros(len(grams), dtype=bool)
-        for i, g in enumerate(grams):
-            if not _is_pd(g, floor):
-                break
-            passed[i] = True
-        return passed
+    """:func:`_is_pd` of each matrix of a (B, n, n) stack of finite
+    matrices, from one batched ``eigvalsh``: row i equals
+    ``_is_pd(grams[i], floor)``."""
+    w = np.linalg.eigvalsh(grams)
     return w[:, 0] > floor * np.maximum(np.abs(w[:, -1]), 1.0)
 
 
@@ -222,7 +213,9 @@ def r_lambda_decomposed(model: FibrationModel, lam, z) -> DecomposedCurvature:
     """
     z = np.asarray(z, dtype=complex)
     field = h_lambda(model, lam)
-    if not _is_pd(field.gram(z), PD_FLOOR):
+    g = field.gram(z)
+    require_finite(g, "Gram matrix", z)
+    if not _is_pd(g, PD_FLOOR):
         raise NotPositive("h_lambda is not positive-definite at the point")
     direct = curvature_tensor(field, z)
     from .sequences import sum_curvature

@@ -27,16 +27,20 @@ import numpy as np
 
 from .charts import (
     ChartField,
+    _first,
+    _gated_solves,
+    _leading,
     _row_norms,
+    _Rows,
     assemble_rows,
     curvature_tensor,
     hsc_of_tensor,
     metric_curvature,
     sample_box,
-    solve_points,
 )
 from .errors import ConfigError, HermitiaError
 from .fields import MonomialMap, _logdet_derivatives, from_potential_map, fs_monomials
+from .forms import require_finite_rows
 from .report import encode_complex
 
 FS_CHART_RADIUS = 2.0
@@ -384,25 +388,24 @@ def _point_rows(field, zs):
 
 
 def _block_rows(field, zs, gate):
-    """The leading points that ``gate`` passes, as their count n, and
-    their (tensor, Gram) rows.  G is read at all points in one
-    :meth:`ChartField.gram_stack` call and gated in one ``gate`` call; the
-    n points before the first rejected one go through one
-    :func:`charts.solve_points` and one :func:`charts.assemble_rows`, and
-    no later point is solved.  Should either raise, the n points are read
-    again by :func:`_point_rows`, so that the error is the one the first
-    failing point raises when the points are read one at a time."""
-    passed = gate(field.gram_stack(zs))
-    n = len(zs) if passed.all() else int(np.argmin(passed))
-    if not n:
-        return 0, ()
-    zs = zs[:n]
-    try:
-        solves = solve_points(field, zs)
-        tensors = assemble_rows(field, zs, solves)
-    except HermitiaError:
-        return n, _point_rows(field, zs)
-    return n, zip(tensors, solves.forms.gram)
+    """The (tensor, Gram) rows of the leading points that pass the finite
+    check of G, ``gate`` and the curvature read, as :class:`charts._Rows`
+    whose error is the first failing point's; a gate's rejection is a cut
+    without one.  G is read at all points in one
+    :meth:`ChartField.gram_stack` call; a non-finite G raises NonFinite
+    naming its point, and the gate, one call, sees G at the points before
+    it.  The points before the cut are solved by one
+    :func:`charts._gated_solves` and assembled by one
+    :func:`charts.assemble_rows` read by :func:`charts._leading`, and no
+    later point is solved."""
+    g = field.gram_stack(zs)
+    cut = _leading(lambda zs, g: require_finite_rows(g, "Gram matrix", zs), zs, len(zs), None, g)
+    passed = gate(g[: cut.n])
+    if not passed.all():
+        cut = _Rows(None, int(np.argmin(passed)), None)
+    solved = _gated_solves(field, zs[: cut.n], None)
+    tensors = _leading(lambda zs: assemble_rows(field, zs, solved.value), zs, *_first(solved, cut))
+    return tensors._replace(value=zip(tensors.value, solved.value.forms.gram) if tensors.n else ())
 
 
 def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs, gate=None):
@@ -420,29 +423,31 @@ def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs,
 
     Without a gate each point is read by its own curvature_tensor call
     (:func:`_point_rows`).  With ``gate``, a test of a (B, n, n) stack of
-    Gram matrices that returns one bool per matrix, each a function of
-    its matrix alone, the points are read as one block
-    (:func:`_block_rows`): the gate sees G at all points in one call, the
-    points before the first one it rejects are solved and assembled
-    together and scored, and the scan then returns None.  Results, None
-    and errors are those of gating and reading the points one at a time.
+    finite Gram matrices that returns one bool per matrix, each a function
+    of its matrix alone, the points are read as one block
+    (:func:`_block_rows`): the points before the first that fails are
+    scored, and the scan then raises that point's error, or returns None
+    when the gate rejected it.  Results, None and errors are those of
+    checking, gating and reading the points one at a time.
     """
     zs, dirs = _draw(field.m, region, n_points, directions_per_point, seed_key)
     if gate is None:
         # hsc_extremes keeps one curvature_tensor call per point: the
         # gr-scan benchmark clocks a point as the wall time of that call,
         # so the block read waits for a benchmark that clocks it another way.
-        n, rows = n_points, _point_rows(field, zs)
+        rows = _Rows(_point_rows(field, zs), n_points, None)
     else:
-        n, rows = _block_rows(field, zs, gate)
+        rows = _block_rows(field, zs, gate)
     incumbents = [None] * len(signs)
-    for z, d, (tensor, g) in zip(zs, dirs, rows):
+    for z, d, (tensor, g) in zip(zs, dirs, rows.value):
         h = hsc_of_tensor(tensor, g, d)
         for k, sign in enumerate(signs):
             i = np.argmax(sign * h)
             if incumbents[k] is None or sign * h[i] > sign * incumbents[k][0]:
                 incumbents[k] = (h[i], z, d[i], tensor, g)
-    if n < n_points:
+    if rows.error is not None:
+        rows.raise_error()
+    if rows.n < n_points:
         return None
     extremes = []
     for sign, (_, z, v, tensor, g) in zip(signs, incumbents):

@@ -59,18 +59,16 @@ splitting, sigma and the Codazzi pairs calls the ambient kernel 4 times,
 whatever m: at the gate points, at the 4m + 1 points for the sub's dG,
 and once each for the sub's and the quotient's jets at z (the d and dd
 reads of each jet sharing its first-order part).  Errors stay with their
-point: each stacked step keeps the leading points that pass and the
-error of the first that fails, so a reader of z's row raises only z's
-error, and a probe the first failing point's (see :class:`_SeqRows`).
+point: each stacked step keeps the stop rule of :mod:`hermitia.charts`,
+so a reader of z's row raises only z's error, and a probe the first
+failing point's (see :class:`_SeqRows`).
 The finite-difference dj of an inclusion given without dj, and the
 holomorphy checks of j, read j at the stencils of a whole stack of
 points in one call (:meth:`ExactSeqChart._j_fd`).
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -82,10 +80,12 @@ from .charts import (
     FieldAt,
     _as_point,
     _combine_ring,
+    _first,
     _gate_reads,
     _gate_stencil,
-    _leading_gates,
+    _leading,
     _named,
+    _Rows,
     _stencil_ring,
     assemble_rows,
     curvature_tensor,
@@ -93,7 +93,7 @@ from .charts import (
     sample_box,
     solve_rows,
 )
-from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint, OutOfDomain
+from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
 from .fields import sum_field
 from .forms import (
     FormStack,
@@ -422,81 +422,6 @@ def _pd_inverse(g, zs):
     return conj_transpose(inv_low) @ inv_low
 
 
-class _Rows(namedtuple("_Rows", "value n error")):
-    """A quantity of a sequence record at the record's leading n points,
-    those where every step that computes it passes, with the points on
-    the leading axis of ``value``, and the error of the first point that
-    fails, or None when all pass."""
-
-    __slots__ = ()
-
-    def __new__(cls, value, n, error):
-        return super().__new__(cls, value, n, _detached(error))
-
-    def rows(self):
-        """The value, raising the error when no point passes."""
-        if not self.n:
-            self.raise_error()
-        return self.value
-
-    def raise_error(self):
-        """Raise a copy of the error, so that the kept one never holds a
-        traceback, whose frames would hold the record in a cycle."""
-        raise type(self.error)(*self.error.args)
-
-
-def _detached(error):
-    """``error`` (or None) without its traceback and the errors chained to
-    it, whose frames would hold the record that keeps it in a cycle."""
-    if error is not None:
-        error.__cause__ = error.__context__ = None
-        error.with_traceback(None)
-    return error
-
-
-def _first(*inputs):
-    """(n, error) of the input (a :class:`_Rows`) that fails first, the
-    first of them at a tie."""
-    first = min(inputs, key=attrgetter("n"))
-    return first.n, first.error
-
-
-def _leading(fn, zs, n, error, *args):
-    """``fn`` of the leading n points of zs and of the rows of ``args``
-    there, as :class:`_Rows` whose error is ``error`` unless fn fails
-    first.  ``fn`` takes a stack of points and the rows of each arg at
-    them, each row of its result a function of its own point alone, and
-    raises HermitiaError at the first point that fails.  Where the call
-    for all n points raises, the leading points are taken in stacks of
-    1, 2, ... until one raises, whose last point is the first to fail."""
-    if not n:
-        return _Rows(None, 0, error)
-    args = [a[:n] for a in args]
-    try:
-        return _Rows(fn(zs[:n], *args), n, error)
-    except HermitiaError:
-        pass
-    value = None
-    for i in range(n):
-        try:
-            last = fn(zs[: i + 1], *(a[: i + 1] for a in args))
-        except HermitiaError as err:
-            return _Rows(value, i, err)
-        value = last
-    return _Rows(value, n, error)
-
-
-def _outside(field: ChartField, zs):
-    """The OutOfDomain that the gate raises at zs[0], or None for no
-    points."""
-    try:
-        if len(zs):
-            _leading_gates(field, zs)
-    except OutOfDomain as err:
-        return _detached(err)
-    return None
-
-
 def _form_stack(zs, grams):
     return FormStack(np.ascontiguousarray(grams), zs, RANK_TOL)
 
@@ -511,10 +436,11 @@ class _FieldRows:
     """One field (``part``) of a sequence record.  ``forms`` is the
     :class:`~hermitia.forms.FormStack` of G at the record's leading points
     that pass, from the centre rows of the record's read (``_forms``, a
-    :class:`_Rows`).  ``solved`` is the :class:`_Rows` of
+    :class:`~hermitia.charts._Rows`).  ``solved`` is the :class:`_Rows` of
     :func:`~hermitia.charts.solve_rows` at ``zs``, the points it solves,
     from :meth:`ExactSeqChart._grams` of ``reads``, G at their gate
-    stencils, taking those forms; ``solves`` are those solves, raising
+    stencils, taking those forms, and cut where the forms fail first
+    (:func:`~hermitia.charts._first`); ``solves`` are those solves, raising
     when z's fails; ``tensor`` is :func:`~hermitia.charts.assemble_rows`
     at z alone.  The ambient and the sub solve every point inside the
     chart, the quotient z alone: the probes need its forms, never its
@@ -531,8 +457,8 @@ class _FieldRows:
         forms = self._forms
         grams = self.seq._grams(self.part, *self._reads)
         taken = forms.value if forms.n >= len(self.zs) else None
-        solves, error = solve_rows(self.field, self.zs, grams, taken)
-        return _Rows(solves, len(solves.a), error or forms.error)
+        solved = solve_rows(self.field, self.zs, grams, taken)
+        return _Rows(solved.value, *_first(solved, forms))
 
     solves = property(lambda self: self.solved.rows())
 
@@ -562,12 +488,12 @@ class _SeqRows:
     (:func:`~hermitia.forms.adjoint_stack`), each row the arithmetic of
     one point.
 
-    Errors stay with their point.  Each quantity holds the leading points
-    where every step that computes it passes, and the error of the first
-    that fails (:class:`_Rows`): per point, the ambient solve, then the
-    sub solve, then the quotient frame, and OutOfDomain at the first
-    point outside the chart.  Reading a quantity raises only z's error;
-    a probe raises the first failing point's."""
+    Errors stay with their point, by the stop rule of
+    :mod:`hermitia.charts`: each quantity is a :class:`~hermitia.charts._Rows`
+    whose steps are, per point, the ambient solve, then the sub solve,
+    then the quotient frame, and OutOfDomain at the first point outside
+    the chart.  Reading a quantity raises only z's error; a probe raises
+    the first failing point's."""
 
     def __init__(self, seq: ExactSeqChart, zs):
         self.seq = seq
@@ -579,22 +505,20 @@ class _SeqRows:
 
     @cached_property
     def _read(self):
-        """The gate stencils of the leading points inside the chart, the
-        ambient's Gram matrices there (:func:`charts._gate_reads`) and the
-        OutOfDomain of the first point outside, or None."""
-        stencils, g = _gate_reads(self.seq.ambient, self.zs)
-        return stencils, g, _outside(self.seq.ambient, self.zs[len(g):])
+        """The gate stencils of the leading points inside the chart and
+        the ambient's Gram matrices there, with the OutOfDomain of the
+        first point outside (:func:`charts._gate_reads`)."""
+        return _gate_reads(self.seq.ambient, self.zs)
 
     @cached_property
     def _gate_j(self):
-        stencils = self._read[0]
+        stencils = self._read.value[0]
         j = self.seq._j_stack(stencils.reshape(-1, self.seq.m))
         return j.reshape(stencils.shape[:2] + j.shape[1:])
 
     @cached_property
     def _j(self):
-        _, g, error = self._read
-        return _Rows(self._gate_j[:, 0], len(g), error)
+        return self._read._replace(value=self._gate_j[:, 0])
 
     j = property(lambda self: self._j.value)  # z is inside: the read raises otherwise
 
@@ -620,13 +544,13 @@ class _SeqRows:
 
     @cached_property
     def ambient(self):
-        stencils, g, error = self._read
-        forms = _leading(_form_stack, self.zs, len(g), error, g[:, 0])
-        return _FieldRows(self.seq, "ambient", self.seq.ambient, self.zs[: len(g)], (stencils, g), forms)
+        (stencils, g), n, error = self._read
+        forms = _leading(_form_stack, self.zs, n, error, g[:, 0])
+        return _FieldRows(self.seq, "ambient", self.seq.ambient, self.zs[:n], (stencils, g), forms)
 
     @cached_property
     def sub(self):
-        (stencils, g, _), seq, j = self._read, self.seq, self._j
+        (stencils, g), seq, j = self._read.value, self.seq, self._j
         forms = _leading(
             lambda zs, g, j: _form_stack(zs, seq._grams("sub", zs, g, j)),
             self.zs, j.n, j.error, g[:, 0], j.value,
@@ -635,13 +559,13 @@ class _SeqRows:
 
     @cached_property
     def quot(self):
-        (stencils, g, _), seq, q = self._read, self.seq, self._frames[1]
+        (stencils, g), seq, q = self._read.value, self.seq, self._frames[1]
         forms = _leading(
             lambda zs, g, q: _form_stack(zs, seq._quot_grams(zs, g, q)),
             self.zs, q.n, q.error, g[:, 0], q.value,
         )
         reads = (stencils[:1], g[:1], self._gate_j[:1])
-        return _FieldRows(seq, "quot", seq.quot_field, self.zs[:1], reads, forms)
+        return _FieldRows(seq, "quot", seq.quot_field, self.zs[: len(g[:1])], reads, forms)
 
     def _adjoints(self, f, v, w):
         """:func:`~hermitia.forms.adjoint_stack` of the maps f between the
@@ -896,29 +820,20 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
 # curvature of a sum of two forms
 
 
-def sum_curvature(
-    b1_field: ChartField, b2_field: ChartField, z, perturb1=None, perturb2=None
-) -> FieldAt:
+def sum_curvature(b1_field: ChartField, b2_field: ChartField, z) -> FieldAt:
     """Contracted curvature of b1 + b2 assembled from the summands: the
     record of the sum field at z, its ``tensor`` from this formula.
 
     M^h_ab = M^1_ab + M^2_ab - sigma_b^H G_q sigma_a with sigma_a =
     A_1(d_a) - A_2(d_a) and G_q the Gram matrix of the induced sum
     quotient form.  Kernel-valued changes of either connection leave the
-    result unchanged because G_q annihilates both kernels; optional
-    ``perturb1``/``perturb2`` (z -> (m, r, r) stacks) exist to let tests
-    exercise exactly that.
+    result unchanged because G_q annihilates both kernels.
     """
     z = np.asarray(z, dtype=complex)
     t1 = curvature_tensor(b1_field, z)
     t2 = curvature_tensor(b2_field, z)
-    a1, a2 = t1.a, t2.a
-    if perturb1 is not None:
-        a1 = a1 + np.asarray(perturb1(z), dtype=complex)
-    if perturb2 is not None:
-        a2 = a2 + np.asarray(perturb2(z), dtype=complex)
     gq = sum_quotient_form(t1.form, t2.form).gram
-    sigma = a1 - a2
+    sigma = t1.a - t2.a
     # x[a, b] = sigma_b^H G_q sigma_a, all pairs in one stacked product
     x = (conj_transpose(sigma)[None, :] @ gq) @ sigma[:, None]
     out = FieldAt(sum_field(b1_field, b2_field), z)

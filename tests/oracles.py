@@ -397,17 +397,21 @@ def refine_direction_walk(tensor, g, v0, steps, sign):
 
 def point_scan(field, region, n_points, directions_per_point, seed_key, steps, signs, gate=None):
     """``models._scan`` one point at a time: draw point idx and its
-    directions, gate G at that point (a stack of one), read its curvature by
-    ``curvature_tensor``, score its directions, then move to the next
-    point; None at the first point the gate rejects.  The incumbents are
-    refined by :func:`refine_direction_walk`.  The per-point oracle of
-    the block read of a gated scan."""
+    directions; with a gate, check that G at that point is finite (else
+    NonFinite naming the point) and gate it (a stack of one); read its
+    curvature by ``curvature_tensor``, score its directions, then move to
+    the next point; None at the first point the gate rejects.  The
+    incumbents are refined by :func:`refine_direction_walk`.  The
+    per-point oracle of the block read of a gated scan."""
     incumbents = [None] * len(signs)
     for idx in range(n_points):
         rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
         z = _sample_polydisc(rng, field.m, region)
-        if gate is not None and not gate(field.gram(z)[None])[0]:
-            return None
+        if gate is not None:
+            g = field.gram(z)
+            require_finite(g, "Gram matrix", z)
+            if not gate(g[None])[0]:
+                return None
         curv = curvature_tensor(field, z)
         dirs = _unit_directions(rng, field.m, directions_per_point)
         h = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)

@@ -1154,14 +1154,69 @@ def test_stacked_solve_keeps_the_per_point_order_when_its_derivative_read_raises
     assert _outcomes_match_the_oracle(field, points) == {SolverResidual, NonFinite}
 
 
+def _step_failing_at(fault):
+    """A stacked step under the stop rule's contract: row i of its value
+    is 2 sin(x_i), a function of point i alone, and on a stack holding the
+    point ``fault`` it raises RankJump naming that point, raised while
+    another error is handled and chained to it, as an error caught deep
+    in a solve would be."""
+    def step(zs, x):
+        bad = np.flatnonzero(zs[:, 0].real == fault)
+        if bad.size:
+            try:
+                raise KeyError("inner")
+            except KeyError as exc:
+                raise RankJump("the step fails at point %g" % zs[bad[0], 0].real) from exc
+        return 2.0 * np.sin(x)
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "size, fault",
+    [(size, fault) for size in range(7) for fault in [None, *range(size)]],
+)
+def test_the_stop_rule_keeps_the_leading_rows_and_the_first_error(size, fault):
+    """charts._leading on stacks of 0 to 6 points with a fault at each
+    point or at none: its n, error type and error message are those of
+    running the step one point at a time, its value is the step of the
+    leading n points bit for bit, and a caught error is kept with no
+    traceback, cause or context, so it holds no frame."""
+    rng = np.random.default_rng(np.random.SeedSequence([83, size]))
+    zs = np.arange(size, dtype=complex)[:, None]
+    x = rng.standard_normal((size, 3))
+    step, later = _step_failing_at(fault), OutOfDomain("the point after the stack")
+    n, error = size, later
+    for i in range(size):
+        try:
+            step(zs[i : i + 1], x[i : i + 1])
+        except HermitiaError as exc:
+            n, error = i, exc
+            break
+    got = charts._leading(step, zs, size, later, x)
+    assert got.n == n
+    assert (type(got.error), str(got.error)) == (type(error), str(error))
+    if n:
+        assert np.array_equal(got.value, step(zs[:n], x[:n]))
+    else:
+        assert got.value is None
+    if fault is None:
+        assert got.error is later
+    else:
+        assert got.error.__traceback__ is None
+        assert got.error.__cause__ is None and got.error.__context__ is None
+        with pytest.raises(RankJump, match=re.escape(str(error))):
+            got.raise_error()
+
+
 def test_stacked_solve_keeps_and_guards_a_form_read_first():
     """A kernel that breaks the row contract where Re w > 0.05 (a one-row
     read differs from a stacked one there), so a form read first at such
     a point is not the gate's G(z).  With any of the records' forms read
     first, in every order, the records raise what the oracle raises
-    first, and so does one solve_rows of the gate rows with every form
-    read first, as its FormStack; a record whose form was read keeps
-    it."""
+    first, and so does one solve of the gate rows with every form read
+    first, as its FormStack (``charts._gated_solves``); a record whose
+    form was read keeps it."""
     def stack_fn(zs):
         out = np.zeros((len(zs), 2, 2), dtype=complex)
         out[:, 0, 0] = 1.0 + (len(zs) == 1) * 1e-9 * (zs[:, 0].real > 0.05)
@@ -1184,17 +1239,9 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
             connection_at(field, w, field.form_at(w) if read else None)
 
     def solve_read_first(zs, read):
-        # the gates of the points inside the chart, read as solve_points
-        # reads them, then one solve_rows with the forms read first
-        stencils = charts._leading_gates(field, zs)
-        n = len(stencils)
-        m, r = field.m, field.shape
-        grams = field.gram_stack(stencils.reshape(-1, m)).reshape(n, 4 * m + 1, r, r)
-        error = charts.solve_rows(field, zs[:n], grams, read)[1]
-        if error is not None:
-            raise error
-        if n < len(zs):
-            charts._leading_gates(field, zs[n:])
+        solved = charts._gated_solves(field, zs, read)
+        if solved.error is not None:
+            solved.raise_error()
 
     kinds = set()
     for order in itertools.permutations(points):

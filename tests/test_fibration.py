@@ -1,9 +1,10 @@
 import copy
+import re
 
 import numpy as np
 import pytest
 
-from hermitia import ConfigError, HermitiaError, NotPositive, NotPositiveAtPoint, fibration, models
+from hermitia import ConfigError, HermitiaError, NonFinite, NotPositive, NotPositiveAtPoint, charts, fibration, models
 from hermitia.charts import ChartField, curvature_tensor, hsc_of_tensor, torsion_defect
 from hermitia.fibration import (
     DEFAULT_LAMBDA_SCHEDULE,
@@ -354,13 +355,25 @@ def _counting(calls, name, fn):
 
 
 def test_each_scanned_lambda_is_one_solve_and_one_assembly(registry_fibrations, monkeypatch):
-    """hirz:2 scans lambda = 0, 1, 2 and then bisects at 1.5."""
-    calls = {"solve_points": 0, "assemble_rows": 0, "curvature_tensor": 0}
-    for name in calls:
+    """hirz:2 scans lambda = 0, 1, 2 and then bisects at 1.5.  Each
+    scanned lambda reads h_lambda twice, G at its points for the gate and
+    then at their gate stencils, and makes one solve_rows and one
+    assemble_rows, and no curvature_tensor call."""
+    calls = {"gram_stack": 0, "solve_rows": 0, "assemble_rows": 0, "curvature_tensor": 0}
+    monkeypatch.setattr(charts, "solve_rows", _counting(calls, "solve_rows", charts.solve_rows))
+    for name in ("assemble_rows", "curvature_tensor"):
         monkeypatch.setattr(models, name, _counting(calls, name, getattr(models, name)))
+    gram_stack = ChartField.gram_stack
+
+    def counting(field, zs):
+        calls["gram_stack"] += ".h(" in field.name
+        return gram_stack(field, zs)
+
+    monkeypatch.setattr(ChartField, "gram_stack", counting)
     scan = find_lambda0(registry_fibrations["hirz:2"], sphere_samples=200, seed=0)
     assert [r["lambda"] for r in scan.records] == [0.0, 1.0, 2.0, 1.5]
-    assert calls == {"solve_points": len(scan.records), "assemble_rows": len(scan.records), "curvature_tensor": 0}
+    k = len(scan.records)
+    assert calls == {"gram_stack": 2 * k, "solve_rows": k, "assemble_rows": k, "curvature_tensor": 0}
 
 
 def test_the_gate_tests_a_block_in_one_eigvalsh(registry_fibrations, monkeypatch):
@@ -375,27 +388,65 @@ def test_the_gate_tests_a_block_in_one_eigvalsh(registry_fibrations, monkeypatch
 
 def test_the_stacked_pd_test_equals_the_per_matrix_test(registry_fibrations):
     """_pd_rows of a stack equals _is_pd of each matrix: on the centres of
-    a gated scan, with one of them not positive and with a NaN on the
-    diagonal of another.  Where the batched eigvalsh raises (a NaN on the
-    diagonal of a real 3 x 3 identity), the matrices are tested one at a
-    time: a matrix that fails the test before the NaN stops them, else
-    the NaN raises as _is_pd of it raises."""
+    a gated scan, with one of them not positive."""
     model = registry_fibrations["hirz:1"]
     field = fibration.h_lambda(model, 0.0)
     grams = field.gram_stack(_draw(field.m, 0.7, 10, 5, [0])[0])
     grams[3] = np.diag([1.0, -1.0])
-    grams[6, 0, 0] = np.nan
     want = [fibration._is_pd(g, fibration.PD_FLOOR) for g in grams]
     assert want[3] is False
     assert want == list(fibration._pd_rows(grams, fibration.PD_FLOOR))
-    eye, nan = np.eye(3), np.eye(3)
-    nan[1, 1] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        fibration._is_pd(nan, fibration.PD_FLOOR)
-    stopped = fibration._pd_rows(np.stack([eye, np.diag([1.0, -1.0, 1.0]), nan]), fibration.PD_FLOOR)
-    assert list(stopped[:2]) == [True, False]
-    with pytest.raises(np.linalg.LinAlgError):
-        fibration._pd_rows(np.stack([eye, nan]), fibration.PD_FLOOR)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_non_finite_gram_before_the_cut_raises_non_finite_naming_its_point(n):
+    """fs:n with G read as NaN on its diagonal at scan point 2, under the
+    positive-definite gate of find_lambda0: the gated scan raises the
+    per-point scan's NonFinite naming that point, where the gate once
+    read the NaN matrix as not positive-definite (2 x 2) or raised
+    numpy's LinAlgError (3 x 3)."""
+    fs = fubini_study_chart(n)
+    args = (0.7, 8, 5, [4], 5, (-1.0,))
+    points = _draw(n, *args[:4])[0]
+
+    def stack_fn(ws):
+        g = fs.stack_fn(ws).copy()
+        g[(ws == points[2]).all(axis=1), 1, 1] = np.nan
+        return g
+
+    field = ChartField(n, n, stack_fn, radius=fs.radius, d_fn=fs.d_fn, dd_fn=fs.dd_fn, self_check=False)
+
+    def gate(grams):
+        return fibration._pd_rows(grams, fibration.PD_FLOOR)
+
+    with pytest.raises(NonFinite) as got:
+        models._scan(field, *args, gate=gate)
+    with pytest.raises(NonFinite) as want:
+        point_scan(field, *args, gate=gate)
+    assert str(got.value) == str(want.value)
+    assert np.array2string(points[2], precision=3) in str(got.value)
+
+
+def test_a_non_finite_gram_before_the_pd_test_raises_non_finite(hirz1):
+    """A NaN in b1 at z makes r_lambda_decomposed raise NonFinite naming
+    z, and a fiberwise form read as NaN everywhere makes the model's
+    construction raise NonFinite, before the positive-definite test reads
+    either."""
+    z = np.array([0.2 + 0.1j, 0.3 - 0.2j])
+    b1, b2 = hirz1.b1_field, hirz1.b2_field
+
+    def stack_fn(ws):
+        g = b1.stack_fn(ws).copy()
+        g[(ws == z).all(axis=1)] = np.nan
+        return g
+
+    nan_at_z = ChartField(2, 2, stack_fn, radius=b1.radius, d_fn=b1.d_fn, dd_fn=b1.dd_fn, self_check=False)
+    model = FibrationModel(1, 1, nan_at_z, b2, hirz1.fiber_field_factory, name="nan")
+    with pytest.raises(NonFinite, match=re.escape(np.array2string(z, precision=3))):
+        r_lambda_decomposed(model, 0.0, z)
+    nan = ChartField(2, 2, lambda ws: np.full((len(ws), 2, 2), np.nan), radius=b1.radius, self_check=False)
+    with pytest.raises(NonFinite):
+        FibrationModel(1, 1, nan, b2, hirz1.fiber_field_factory)
 
 
 def _rejecting(k):
