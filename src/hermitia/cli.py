@@ -22,7 +22,7 @@ from .forms import HermitianForm, LinearMap, adjoint, adjoint_freedom_dims, kern
 from .instances import adjointable_map, hermitian_form
 from .models import einstein_residual, hsc_extremes, pluecker_gap, resolve_model
 from .fibration import find_lambda0
-from .report import Report, encode_matrix, fmt_matrix
+from .report import Report, encode_matrix, fmt_matrix, worst_of
 
 # Largest norm of the purge quotient map on the kernel of the form.
 PURGE_ANNIHILATION_TOL = 1e-9
@@ -250,8 +250,7 @@ def cmd_codazzi_check(cfg, report):
 def cmd_demailly_check(cfg, report):
     for seed in range(cfg["seed"], cfg["seed"] + cfg["instances"]):
         table = acceptance.identity_table_instance(seed)
-        worst = max(table.values())
-        report.add("instance_%03d" % seed, residual=float(worst), tolerance=cfg["tol"],
+        report.add("instance_%03d" % seed, residual=worst_of(table.values()), tolerance=cfg["tol"],
                    lines={k: float(v) for k, v in table.items()})
 
 
@@ -289,8 +288,8 @@ def cmd_acceptance(cfg, report):
             raise ConfigError("no such criterion: %s" % unknown)
     for result in acceptance.run_all(numbers=numbers):
         report.add("criterion_%02d_%s" % (result.number, result.name.replace(" ", "_")),
-                   value="%.2fs" % result.elapsed, passed=result.passed,
-                   failures=result.failures, details=result.as_dict()["details"])
+                   passed=result.passed, elapsed_s=round(result.elapsed, 3),
+                   failures=result.failures, details=result.details)
 
 
 _COMMANDS = {

@@ -41,7 +41,7 @@ from .charts import (
 from .errors import ConfigError, HermitiaError
 from .fields import MonomialMap, _logdet_derivatives, from_potential_map, fs_monomials
 from .forms import require_finite_rows
-from .report import encode_complex
+from .report import encode_complex, worst_of
 
 FS_CHART_RADIUS = 2.0
 GR_CHART_RADIUS = 2.0
@@ -247,15 +247,15 @@ def ricci(field: ChartField, z):
 
 
 def einstein_residual(field: ChartField, constant, seed=0):
-    """max over EINSTEIN_POINTS sampled points of ||Ric - c G|| / ||G||."""
+    """max over EINSTEIN_POINTS sampled points of ||Ric - c G|| / ||G||,
+    a :func:`~hermitia.report.worst_of`, so a NaN at any point is kept."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    worst = 0.0
+    resids = []
     for _ in range(EINSTEIN_POINTS):
         z = _sample_polydisc(rng, field.m, EINSTEIN_REGION)
         g = field.gram(z)
-        resid = np.linalg.norm(ricci(field, z) - constant * g) / np.linalg.norm(g)
-        worst = max(worst, float(resid))
-    return worst
+        resids.append(np.linalg.norm(ricci(field, z) - constant * g) / np.linalg.norm(g))
+    return worst_of(resids)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Run reports: versioned JSON plus a plain table for standard output.
 
 A Report collects named check records; each record carries a value, an
-optional residual with its tolerance, and the derived pass flag.  Two
-runs with the same configuration produce identical reports except for
-the wall-time field.
+optional residual with its tolerance, and the derived pass flag.  The
+one gate rule of every check: a record passes iff its residual is at
+most its tolerance, so a NaN residual fails; a record with no residual
+passes unless it states ``passed=False``.  A worst-over-the-suite
+residual is a :func:`worst_of`, which keeps a NaN for the gate to fail.
+Two runs with the same configuration produce identical reports except
+for the time fields.
 """
 
 import json
@@ -52,6 +56,13 @@ def _plain(value):
     return value
 
 
+def worst_of(values):
+    """The largest of ``values`` (0.0 for none) as a float.  A NaN among
+    them is the result, where Python's ``max`` drops a NaN that comes
+    after a number."""
+    return float(np.max(list(values), initial=0.0))
+
+
 class Report:
     def __init__(self, command, config):
         self.command = command
@@ -60,8 +71,8 @@ class Report:
         self._t0 = time.perf_counter()
 
     def add(self, name, value=None, residual=None, tolerance=None, passed=None, **extra):
-        """Append one check record; pass/fail derives from the residual
-        when not stated explicitly."""
+        """Append one check record.  Unless ``passed`` is stated, it
+        passes iff ``residual <= tolerance``, so a NaN residual fails."""
         if passed is None:
             passed = True if residual is None else bool(residual <= tolerance)
         record = {"name": name, "passed": bool(passed)}

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hermitia
+from hermitia import acceptance
 from hermitia.cli import main
 from hermitia.report import encode_matrix, fmt_matrix
 
@@ -108,6 +109,24 @@ def test_acceptance_subset(capsys):
     code, out, _ = run(capsys, "acceptance", "--criteria", "1,9")
     assert code == 0
     assert "criterion_01" in out and "criterion_09" in out
+
+
+def test_acceptance_records_hold_their_run_time_as_elapsed_s(tmp_path):
+    code, report = report_of(tmp_path, "acceptance", "--criteria", "1")
+    assert code == 0
+    (record,) = report["records"]
+    assert "value" not in record
+    assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] >= 0.0
+    assert record["failures"] == []
+    assert sorted(record["details"]) == ["analytic_worst", "finite_difference_worst"]
+
+
+def test_a_nan_identity_line_fails_demailly_check(monkeypatch, capsys):
+    table = {"first": 1e-9, "second": float("nan")}
+    monkeypatch.setattr(acceptance, "identity_table_instance", lambda seed: table)
+    code, out, _ = run(capsys, "demailly-check", "--instances", "1")
+    assert code == 1
+    assert "FAIL" in out
 
 
 # ---------------------------------------------------------------------------

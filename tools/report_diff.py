@@ -7,8 +7,7 @@ twice checks that the reports are deterministic).  Each run of ``RUNS``
 is made once in each checkout, as ``python -m hermitia.cli ARGS --out
 FILE`` with that checkout's ``src`` on ``PYTHONPATH``, and the two
 reports are compared after the time fields (``wall_time_s`` and
-``elapsed_s``, wherever they sit, and the run time that each record of
-``acceptance`` holds as its value) and ``config.out`` are removed.  Prints
+``elapsed_s``, wherever they sit) and ``config.out`` are removed.  Prints
 one line per run, ``same`` or ``DIFFERENT``, and exits 1 when a run
 fails or any pair of reports differs.
 """
@@ -67,9 +66,6 @@ def report(checkout, args, out):
     with open(out) as f:
         data = without_times(json.load(f))
     data.get("config", {}).pop("out", None)
-    if args == "acceptance":  # a criterion's record holds its run time as its value
-        for record in data["records"]:
-            record.pop("value")
     return data
 
 
