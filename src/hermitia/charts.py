@@ -28,19 +28,22 @@ reads dG once and solves in batched products, and it is the one home of
 the gate verdict, the form guard, the dG finiteness check and the
 residual.  A form read before the solve comes as its
 :class:`~hermitia.forms.FormStack`, whose factorization the solve
-reuses.  :func:`_gated_solves` reads the gates of a stack of points for
-it, and :func:`solve_points` raises what that finds; the sequence records
-of :mod:`hermitia.sequences` call it with the gate rows and forms they
-read themselves.  The curvature assembly has
-one path too, :func:`assemble_rows`: the tensors of one field at a stack
-of solved points, from one read of the mixed second derivatives, in one
-stacked product.  A :class:`FieldAt` is one field at one point: the form
-of G(z), then its solve, a one-row :func:`solve_rows` of its gate read,
-then the curvature tensor, the one-row :func:`assemble_rows`, each on
-first read.  :func:`chern_connection` and :func:`curvature_tensor`
-return such a record with its solve or its tensor already run.
-:func:`gauge_independence_residual` and :func:`curvature_20_defect`
-solve a point and its 4m probe points in one :func:`solve_points`.
+reuses.  The curvature assembly has one path too, :func:`assemble_rows`:
+the tensors of one field at a stack of solved points, from one read of
+the mixed second derivatives, in one stacked product.
+
+One record holds a field at points: :class:`FieldRows`, one field at a
+stack of points, z first, with its forms, its solve (the one call of
+:func:`solve_rows`, on the gate rows it reads by :func:`_gate_reads` or
+is given) and z's curvature tensor, each computed on first read.  A
+:class:`FieldAt` is the one-row record of one point, which
+:func:`chern_connection` and :func:`curvature_tensor` return with its
+solve or its tensor already run; :func:`solve_points` raises what the
+record of a stack finds, and :func:`gauge_independence_residual` and
+:func:`curvature_20_defect` solve a point and its 4m probe points by it;
+the gated scan of :mod:`hermitia.models` reads the record of its block,
+and a sequence record of :mod:`hermitia.sequences` holds one per field,
+over the gate rows and the forms of its own read.
 
 Every stacked step keeps one stop rule: it keeps its leading points that
 pass, plus the error of the first point that fails, which is the error a
@@ -58,7 +61,7 @@ tensor read as an (m^2, m^2) matrix, one row product per direction.
 """
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -74,7 +77,6 @@ from .errors import (
 )
 from .forms import (
     FormStack,
-    HermitianForm,
     Subspace,
     _non_finite,
     conj_transpose,
@@ -82,7 +84,6 @@ from .forms import (
     gram_ranks,
     hermitize,
     rank_of,
-    require_finite,
     require_finite_rows,
 )
 
@@ -269,10 +270,9 @@ class ChartField:
         return np.ascontiguousarray(hermitize(self._checked(self.stack_fn(zs), (len(zs), r, r))))
 
     def form_at(self, z):
-        """The form of G(z); a NaN or inf in G(z) raises NonFinite naming z."""
-        g = self.gram(z)
-        require_finite(g, "Gram matrix", z)
-        return HermitianForm(g, rank_tol=RANK_TOL)
+        """The form of G(z), read first by the record of z
+        (:class:`FieldAt`); a NaN or inf in G(z) raises NonFinite naming z."""
+        return FieldAt(self, z).form
 
     def in_domain(self, z, margin=0.0):
         """Whether the point z keeps ``margin`` from the chart's boundary;
@@ -554,13 +554,12 @@ def _outside(w, margin):
 
 
 def _gate_reads(field: ChartField, zs):
-    """The gate stencils (:func:`_gate_stencil`) of the n leading points
-    of a (B, m) stack that lie inside the chart with the gate's margin to
-    spare, from one comparison for the whole stack, shape (n, 4m + 1, m),
-    and G at all of them, shape (n, 4m + 1, r, r), read in one
-    :meth:`ChartField.gram_stack` call: the :class:`_Rows` of the pair,
-    whose error is the OutOfDomain of zs[n], if n < B.  No point after
-    zs[n] is read."""
+    """G at the gate stencils (:func:`_gate_stencil`) of the n leading
+    points of a (B, m) stack that lie inside the chart with the gate's
+    margin to spare, from one comparison for the whole stack, shape (n,
+    4m + 1, r, r), read in one :meth:`ChartField.gram_stack` call: a
+    :class:`_Rows` whose error is the OutOfDomain of zs[n], if n < B.  No
+    point after zs[n] is read."""
     margin = field.fd_outer_step + field.fd_step
     inside = field.in_domain(zs, margin)
     n, error = len(zs), None
@@ -570,7 +569,7 @@ def _gate_reads(field: ChartField, zs):
     stencils = _gate_stencil(zs[:n], field.fd_outer_step)
     r = field.shape
     g = field.gram_stack(stencils.reshape(-1, field.m)) if n else np.empty((0, r, r), dtype=complex)
-    return _Rows((stencils, g.reshape(stencils.shape[:2] + (r, r))), n, error)
+    return _Rows(g.reshape(stencils.shape[:2] + (r, r)), n, error)
 
 
 _FORM_GUARD = "the form read at this point is not the gate's G(z)"
@@ -583,74 +582,98 @@ def _solver_residual(residual):
     )
 
 
-class FieldAt:
-    """One field at one point: the form of G(z), the gated connection
-    solve and the curvature tensor, each computed on first read.
+class FieldRows:
+    """One field at a (B, m) stack of points ``zs``, z = zs[0] first: its
+    forms, its gated connection solve and z's curvature tensor, each
+    computed on first read.
 
-    ``form`` is the :class:`HermitianForm` of G(z), a view of a one-row
-    :class:`~hermitia.forms.FormStack`.  The solve (``dg``, ``a``,
-    ``residual``) is :func:`solve_rows` of G at the 4m + 1 points of the
-    gate stencil of z (:func:`_gate_stencil`, centre first), read in one
-    :meth:`ChartField.gram_stack` call after the domain check, and it
-    raises its error on first read.  Solved first, the form is the gate's
-    centre row, factorized by the solve.  Read first, from the field's
-    one-row read, the form must equal the gate's centre row bit for bit,
-    else HermitiaError: the guard of the kernel's row contract; the solve
-    then reuses its factorization.  ``tensor`` is the one-row
-    :func:`assemble_rows` of the solve.  ``kernel_basis`` (a
-    :class:`Subspace`) is built only when read.
+    ``reads``, a function of no argument, returns the :class:`_Rows` of G
+    at the gate stencils of the leading points (by default
+    :func:`_gate_reads`, whose error is the OutOfDomain of the first point
+    outside the chart).  ``solved`` is the :class:`_Rows` of the
+    :class:`RowSolves` of one :func:`solve_rows` of those rows, cut by
+    :func:`_first` of the solve, the reads and the forms; ``solves`` is
+    its value, raising z's error when z fails.
+
+    ``forms``, the :class:`_Rows` of a
+    :class:`~hermitia.forms.FormStack`, are given, or read first: one read
+    of G at zs apart from the gates, with no domain check, which raises
+    NonFinite naming the first point where G is not finite.  The solve
+    takes them when they cover its points, and each must then equal its
+    gate's centre row bit for bit, else HermitiaError: the guard of the
+    kernel's row contract.  Read after a solve that kept every point, the
+    forms are the solve's, the gates' centre rows; after one that did
+    not, they are read apart.
+
+    z's readers are ``form``, ``dg``, ``a``, ``residual`` and ``tensor``,
+    the one-row :func:`assemble_rows` at z.
     """
 
-    def __init__(self, field: ChartField, z):
-        self.field = field
-        self.point = _as_point(z, field.m)
+    def __init__(self, field: ChartField, zs, reads=None, forms=None):
+        self.field, self.zs = field, zs
+        self._reads = partial(_gate_reads, field, zs) if reads is None else reads
+        if forms is not None:
+            self._forms = forms
 
     @cached_property
     def _forms(self):
-        """The one-row FormStack of G(z): the solve's when it ran first,
-        else that of the one-row read."""
-        solved = self.__dict__.get("_solved")
-        if solved is not None:
-            return solved.forms
-        zs = self.point[None]
-        return FormStack(self.field.gram_stack(zs), zs, RANK_TOL)
+        solved = self.__dict__.get("solved")
+        if solved is not None and solved.n == len(self.zs):
+            return _Rows(solved.value.forms, solved.n, None)
+        return _Rows(FormStack(self.field.gram_stack(self.zs), self.zs, RANK_TOL), len(self.zs), None)
+
+    forms = property(lambda self: self._forms.rows())
+
+    @cached_property
+    def solved(self):
+        reads, forms = self._reads(), self.__dict__.get("_forms")
+        steps = (reads,) if forms is None else (reads, forms)
+        taken = forms.value if forms is not None and forms.n >= reads.n else None
+        solved = solve_rows(self.field, self.zs[: reads.n], reads.value, taken)
+        return _Rows(solved.value, *_first(solved, *steps))
+
+    solves = property(lambda self: self.solved.rows())
 
     @cached_property
     def form(self):
-        return self._forms.form(0)
-
-    @cached_property
-    def _solved(self):
-        """The :class:`RowSolves` of :func:`solve_rows` at the record's
-        point from its gate read (:func:`_gate_reads`), whose form is the
-        gate's centre row unless one was read first; the OutOfDomain of a
-        point outside the chart raises before any solve."""
-        field, zs = self.field, self.point[None]
-        (_, grams), _, error = _gate_reads(field, zs)
-        if error is not None:
-            raise error
-        return solve_rows(field, zs, grams, self.__dict__.get("_forms")).rows()
+        """The :class:`~hermitia.forms.HermitianForm` of G(z), a view of
+        its row of the forms."""
+        return self.forms.form(0)
 
     @property
     def dg(self):
-        """(m, shape, shape) first derivatives d_a G."""
-        return self._solved.dg[0]
+        """(m, shape, shape) first derivatives d_a G at z."""
+        return self.solves.dg[0]
 
     @property
     def a(self):
-        """(m, shape, shape) minimum-norm connection; for nondegenerate G
-        the usual G^-1 dG, in general unique only modulo matrices with
-        columns in Ker G."""
-        return self._solved.a[0]
+        """(m, shape, shape) minimum-norm connection at z; for
+        nondegenerate G the usual G^-1 dG, in general unique only modulo
+        matrices with columns in Ker G."""
+        return self.solves.a[0]
 
     @property
     def residual(self):
-        return self._solved.residual[0]
+        return self.solves.residual[0]
 
     @cached_property
     def tensor(self):
-        """(m, m, shape, shape) contracted curvature R[a][b][s][t]."""
-        return assemble_rows(self.field, self.point[None], self._solved)[0]
+        """(m, m, shape, shape) contracted curvature R[a][b][s][t] at z."""
+        return assemble_rows(self.field, self.zs[:1], self.solves)[0]
+
+
+class FieldAt(FieldRows):
+    """One field at one point z (``point``): the one-row
+    :class:`FieldRows`.  Its form read first is a one-row read of G(z),
+    which the solve takes under the guard, and so is a form read after a
+    solve that failed.  ``kernel_basis`` (a :class:`Subspace`) is built
+    only when read, and ``tensor`` may be assigned, as
+    :func:`~hermitia.sequences.sum_curvature` does.
+    """
+
+    def __init__(self, field: ChartField, z):
+        self.point = _as_point(z, field.m)
+        super().__init__(field, self.point[None])
 
     @cached_property
     def kernel_basis(self):
@@ -679,25 +702,14 @@ def curvature_tensor(field: ChartField, z) -> FieldAt:
 
 def solve_points(field: ChartField, zs):
     """The connection solves of ``field`` at a (B, m) stack of points, as
-    the :class:`RowSolves` of :func:`_gated_solves`, whose forms are the
+    the :class:`RowSolves` of :class:`FieldRows`, whose forms are the
     gates' centre rows; it raises the error of the first point that
     fails, in order: the errors of :func:`solve_rows`, then OutOfDomain.
     No point after the first one outside the chart is read."""
-    solved = _gated_solves(field, zs, None)
+    solved = FieldRows(field, zs).solved
     if solved.error is not None:
         solved.raise_error()
     return solved.value
-
-
-def _gated_solves(field: ChartField, zs, forms):
-    """:func:`solve_rows` of ``field`` at the leading points of a (B, m)
-    stack that lie inside the chart, from their gates read by
-    :func:`_gate_reads` and ``forms`` as solve_rows takes them: the
-    :class:`_Rows` of its :class:`RowSolves`, whose error, when every
-    point inside passes, is the OutOfDomain of the first point outside."""
-    reads = _gate_reads(field, zs)
-    solved = solve_rows(field, zs[: reads.n], reads.value[1], forms)
-    return _Rows(solved.value, *_first(solved, reads))
 
 
 RowSolves = namedtuple("RowSolves", "forms dg a residual")
@@ -877,18 +889,19 @@ def hsc(field: ChartField, z, v):
 
 
 def metric_curvature(field: ChartField, z, what="metric"):
-    """:func:`curvature_tensor` of a field that must be positive-definite
-    at z, checked on the solve's own G(z).
+    """The record of :func:`curvature_tensor` of a field that must be
+    positive-definite at z, checked on the solve's own G(z).
 
-    When the solve fails, G(z) is read once more, so a form that is not
-    positive-definite raises NotPositiveAtPoint whatever else is wrong.
+    When the solve fails, the record's form is a one-row read of G(z), so
+    a form that is not positive-definite raises NotPositiveAtPoint
+    whatever else is wrong.
     """
+    curv = FieldAt(field, z)
     try:
-        curv = curvature_tensor(field, z)
+        curv.tensor
     except HermitiaError:
-        if not field.form_at(z).is_positive_definite():
-            raise NotPositiveAtPoint("%s is not positive-definite at this point" % what) from None
-        raise
+        if curv.form.is_positive_definite():
+            raise
     if not curv.form.is_positive_definite():
         raise NotPositiveAtPoint("%s is not positive-definite at this point" % what)
     return curv

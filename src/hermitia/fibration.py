@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartField, curvature_tensor, hsc_of_tensor, metric_curvature
+from .charts import ChartField, FieldAt, curvature_tensor, hsc_of_tensor, metric_curvature
 from .errors import ConfigError, HermitiaError, NotPositive, RankJump
 from .fields import (
     MonomialMap,
@@ -36,7 +36,7 @@ from .models import (
 from .report import encode_complex
 
 VERTICAL_LEAK_TOL = 1e-12
-# Relative floors of the positive-definiteness test _is_pd: the lowest
+# Relative floors of the positive-definiteness test _pd_rows: the lowest
 # eigenvalue must exceed the floor times max(|largest eigenvalue|, 1).
 # PD_FLOOR gates h_lambda before a curvature read; VERTICAL_PD_FLOOR gates
 # the vertical block of the fiberwise form and of the limit form.
@@ -109,7 +109,7 @@ class FibrationModel:
             z = _sample_polydisc(rng, self.total_m, DEFAULT_FIBRATION_REGION)
             g1 = self.b1_field.gram(z)
             require_finite(g1, "fiberwise Gram matrix", z)
-            if not _is_pd(g1[v, v], VERTICAL_PD_FLOOR):
+            if not _pd_rows(g1[None, v, v], VERTICAL_PD_FLOOR)[0]:
                 raise NotPositive(
                     "fiberwise form is not positive-definite on the vertical "
                     "block (min eigenvalue %.2e)" % np.linalg.eigvalsh(g1[v, v])[0]
@@ -181,15 +181,11 @@ def h_lambda(model: FibrationModel, lam) -> ChartField:
     )
 
 
-def _is_pd(gram, floor):
-    w = np.linalg.eigvalsh(gram)
-    return bool(w[0] > floor * max(abs(w[-1]), 1.0))
-
-
 def _pd_rows(grams, floor):
-    """:func:`_is_pd` of each matrix of a (B, n, n) stack of finite
-    matrices, from one batched ``eigvalsh``: row i equals
-    ``_is_pd(grams[i], floor)``."""
+    """Whether each matrix of a (B, n, n) stack of finite Hermitian
+    matrices is positive-definite, from one batched ``eigvalsh``: its
+    lowest eigenvalue exceeds ``floor`` times max(|largest eigenvalue|,
+    1)."""
     w = np.linalg.eigvalsh(grams)
     return w[:, 0] > floor * np.maximum(np.abs(w[:, -1]), 1.0)
 
@@ -212,12 +208,12 @@ def r_lambda_decomposed(model: FibrationModel, lam, z) -> DecomposedCurvature:
     is reported.
     """
     z = np.asarray(z, dtype=complex)
-    field = h_lambda(model, lam)
-    g = field.gram(z)
-    require_finite(g, "Gram matrix", z)
-    if not _is_pd(g, PD_FLOOR):
+    direct = FieldAt(h_lambda(model, lam), z)
+    # the finite and positive-definite tests read the form first, and the
+    # solve takes it
+    if not _pd_rows(direct.forms.gram, PD_FLOOR)[0]:
         raise NotPositive("h_lambda is not positive-definite at the point")
-    direct = curvature_tensor(field, z)
+    direct.tensor  # runs the solve and the assembly
     from .sequences import sum_curvature
 
     try:
@@ -282,7 +278,7 @@ def q_lambda_limit(model: FibrationModel, z) -> QuotientLimitRecord:
     projection_residual = float(np.linalg.norm(check - q_inf.gram)) / scale
 
     v = slice(model.base_dim, model.total_m)
-    positive_on_vertical = _is_pd(q_inf.gram[v, v], VERTICAL_PD_FLOOR)
+    positive_on_vertical = bool(_pd_rows(q_inf.gram[None, v, v], VERTICAL_PD_FLOOR)[0])
 
     return QuotientLimitRecord(
         point=z,

@@ -27,8 +27,8 @@ import numpy as np
 
 from .charts import (
     ChartField,
+    FieldRows,
     _first,
-    _gated_solves,
     _leading,
     _row_norms,
     _Rows,
@@ -238,23 +238,27 @@ def grassmannian_chart(k, n, certify=True):
 
 
 def ricci(field: ChartField, z):
-    """Ricci Gram matrix -d dbar log det G at a point (analytic route):
-    Ric[j, k] = sum_st G^+[s, t] R[k, j, s, t] from the one curvature
-    record of :func:`charts.metric_curvature`."""
-    curv = metric_curvature(field, z)
+    """Ricci Gram matrix -d dbar log det G at a point (analytic route),
+    from the one curvature record of :func:`charts.metric_curvature`."""
+    return _ricci(metric_curvature(field, z))
+
+
+def _ricci(curv):
+    """Ric[j, k] = sum_st G^+[s, t] R[k, j, s, t] from a curvature record."""
     ric = np.einsum("st,kjst->jk", curv.form.pinv, curv.tensor)
     return 0.5 * (ric + ric.conj().T)
 
 
 def einstein_residual(field: ChartField, constant, seed=0):
     """max over EINSTEIN_POINTS sampled points of ||Ric - c G|| / ||G||,
-    a :func:`~hermitia.report.worst_of`, so a NaN at any point is kept."""
+    a :func:`~hermitia.report.worst_of`, so a NaN at any point is kept.
+    Ric and G come from one curvature record per point."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     resids = []
     for _ in range(EINSTEIN_POINTS):
-        z = _sample_polydisc(rng, field.m, EINSTEIN_REGION)
-        g = field.gram(z)
-        resids.append(np.linalg.norm(ricci(field, z) - constant * g) / np.linalg.norm(g))
+        curv = metric_curvature(field, _sample_polydisc(rng, field.m, EINSTEIN_REGION))
+        g = curv.form.gram
+        resids.append(np.linalg.norm(_ricci(curv) - constant * g) / np.linalg.norm(g))
     return worst_of(resids)
 
 
@@ -395,7 +399,7 @@ def _block_rows(field, zs, gate):
     :meth:`ChartField.gram_stack` call; a non-finite G raises NonFinite
     naming its point, and the gate, one call, sees G at the points before
     it.  The points before the cut are solved by one
-    :func:`charts._gated_solves` and assembled by one
+    :class:`charts.FieldRows` and assembled by one
     :func:`charts.assemble_rows` read by :func:`charts._leading`, and no
     later point is solved."""
     g = field.gram_stack(zs)
@@ -403,7 +407,7 @@ def _block_rows(field, zs, gate):
     passed = gate(g[: cut.n])
     if not passed.all():
         cut = _Rows(None, int(np.argmin(passed)), None)
-    solved = _gated_solves(field, zs[: cut.n], None)
+    solved = FieldRows(field, zs[: cut.n]).solved
     tensors = _leading(lambda zs: assemble_rows(field, zs, solved.value), zs, *_first(solved, cut))
     return tensors._replace(value=zip(tensors.value, solved.value.forms.gram) if tensors.n else ())
 

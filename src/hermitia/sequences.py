@@ -44,31 +44,35 @@ Per-point data: one record, :class:`_SeqRows`, holds the sequence data
 at a point z and its probe ring, the 4m + 1 points of the gate stencil
 of step ``PROBE_STEP`` (z first), as arrays, each quantity computed on
 first read.  :meth:`ExactSeqChart.at` is the record of z, kept for the
-latest point.  The readers below take row 0; the finite differences of
-j dagger, q dagger, sigma and sigma dagger in the identity table and the
-splitting blocks, the independent side of each identity, combine rows 1
-to 4m (:meth:`_SeqRows.probe`).  A record makes one read: the ambient's
-Gram kernel at the 4m + 1 gate points of each of its points in one call
-and, when the sub or quotient is needed, the inclusion there in one
-call.  The forms of all three fields are the centre rows of that read.
-The ambient and the sub are each one :func:`~hermitia.charts.solve_rows`
-over all the record's points; the quotient is solved at z alone, as the
-probes need its forms, never its connection; each curvature tensor is
-assembled at z alone.  So one point of the identity table, the
-splitting, sigma and the Codazzi pairs calls the ambient kernel 4 times,
-whatever m: at the gate points, at the 4m + 1 points for the sub's dG,
-and once each for the sub's and the quotient's jets at z (the d and dd
-reads of each jet sharing its first-order part).  Errors stay with their
-point: each stacked step keeps the stop rule of :mod:`hermitia.charts`,
-so a reader of z's row raises only z's error, and a probe the first
-failing point's (see :class:`_SeqRows`).
+latest point.  The finite differences of j dagger, q dagger, sigma and
+sigma dagger in the identity table and the splitting blocks, the
+independent side of each identity, combine rows 1 to 4m
+(:meth:`_SeqRows.probe`); every other reader takes z's row.  A record
+makes one read: the ambient's Gram kernel at the 4m + 1 gate points of
+each of its points in one call and, when the sub or quotient is needed,
+the inclusion there in one call.  Its ambient, sub and quotient are each
+a :class:`~hermitia.charts.FieldRows` over the record's points, the one
+field record of :mod:`hermitia.charts`, given the centre rows of that
+read as forms and their rows of it as gate rows: the ambient and the
+sub solve all the record's points, the quotient z alone, as the probes
+need its forms, never its connection, and each curvature tensor is z's.
+So one point of the identity table, the splitting, sigma and the
+Codazzi pairs calls the ambient kernel 4 times, whatever m: at the gate
+points, at the 4m + 1 points for the sub's dG, and once each for the
+sub's and the quotient's jets at z (the d and dd reads of each jet
+sharing its first-order part).  Errors stay with their point: each
+stacked step keeps the stop rule of :mod:`hermitia.charts`, so a reader
+of z's row raises only z's error, and a probe the first failing point's
+(see :class:`_SeqRows`).  Each identity line, the splitting's
+reassembly residual and the (0,1)-part of sigma reduce by
+:func:`~hermitia.report.worst_of`, so a NaN among them is kept.
 The finite-difference dj of an inclusion given without dj, and the
 holomorphy checks of j, read j at the stencils of a whole stack of
 points in one call (:meth:`ExactSeqChart._j_fd`).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -78,6 +82,7 @@ from .charts import (
     RANK_TOL,
     ChartField,
     FieldAt,
+    FieldRows,
     _as_point,
     _combine_ring,
     _first,
@@ -87,11 +92,9 @@ from .charts import (
     _named,
     _Rows,
     _stencil_ring,
-    assemble_rows,
     curvature_tensor,
     last_point_cache,
     sample_box,
-    solve_rows,
 )
 from .errors import HermitiaError, NotHolomorphic, NotPositiveAtPoint
 from .fields import sum_field
@@ -107,6 +110,7 @@ from .forms import (
     stacked_linalg,
     sum_quotient_form,
 )
+from .report import worst_of
 
 SIGMA_DBAR_TOL = 1e-6
 
@@ -432,61 +436,38 @@ def _sigma_rows(zs, q, dj, j, a_e, a_s):
     return q[:, None] @ (dj + a_e @ j - j @ a_s)
 
 
-class _FieldRows:
-    """One field (``part``) of a sequence record.  ``forms`` is the
-    :class:`~hermitia.forms.FormStack` of G at the record's leading points
-    that pass, from the centre rows of the record's read (``_forms``, a
-    :class:`~hermitia.charts._Rows`).  ``solved`` is the :class:`_Rows` of
-    :func:`~hermitia.charts.solve_rows` at ``zs``, the points it solves,
-    from :meth:`ExactSeqChart._grams` of ``reads``, G at their gate
-    stencils, taking those forms, and cut where the forms fail first
-    (:func:`~hermitia.charts._first`); ``solves`` are those solves, raising
-    when z's fails; ``tensor`` is :func:`~hermitia.charts.assemble_rows`
-    at z alone.  The ambient and the sub solve every point inside the
-    chart, the quotient z alone: the probes need its forms, never its
-    connection."""
-
-    def __init__(self, seq: ExactSeqChart, part, field: ChartField, zs, reads, forms):
-        self.seq, self.part, self.field, self.zs = seq, part, field, zs
-        self._reads, self._forms = reads, forms
-
-    forms = property(lambda self: self._forms.rows())
-
-    @cached_property
-    def solved(self):
-        forms = self._forms
-        grams = self.seq._grams(self.part, *self._reads)
-        taken = forms.value if forms.n >= len(self.zs) else None
-        solved = solve_rows(self.field, self.zs, grams, taken)
-        return _Rows(solved.value, *_first(solved, forms))
-
-    solves = property(lambda self: self.solved.rows())
-
-    @cached_property
-    def tensor(self):
-        return assemble_rows(self.field, self.zs[:1], self.solves)
+def _part_reads(seq, part, read, stencils, gate_j, n):
+    """The :class:`~hermitia.charts._Rows` of the gate rows of the sub or
+    the quotient (``part``) at a record's leading n points, from the
+    record's read of the ambient there (``read``), its gate stencils and
+    the inclusion there; its error is the read's when n is the read's
+    length."""
+    grams = seq._grams(part, stencils[:n], read.value[:n], gate_j[:n])
+    return _Rows(grams, n, read.error if n == read.n else None)
 
 
 class _SeqRows:
     """All sequence data at a point z and its probe ring: the 4m + 1
     points ``zs`` of :func:`~hermitia.charts._gate_stencil` with step
     ``PROBE_STEP``, z first.  Each quantity is an array with the points
-    on the leading axis, computed on first read.  The readers take row 0;
-    :meth:`probe` differences rows 1 to 4m.
+    on the leading axis, computed on first read.  The readers take z's
+    row; :meth:`probe` differences rows 1 to 4m.
 
     One read: the ambient's Gram kernel at the gate stencils of the
     leading points inside the chart by the gate's margin, in one call
     (OutOfDomain if z is not), then, for the sub or the quotient, the
     inclusion there in one call.  ``ambient``, ``sub`` and ``quot`` (each
-    a :class:`_FieldRows`) take the forms of their field from the centre
-    rows of that read and their gate rows from all of it, so each field
-    is solved once, by one :func:`~hermitia.charts.solve_rows`.  Reading
-    the ambient alone reads no inclusion.  ``j`` is the centre rows of the
-    inclusion's read, ``dj`` one read at zs, and ``q``, ``dq`` and the
-    quotient's forms come from one quotient frame of j.  j dagger,
-    q dagger, sigma and sigma dagger are stacked products over all points
-    (:func:`~hermitia.forms.adjoint_stack`), each row the arithmetic of
-    one point.
+    a :class:`~hermitia.charts.FieldRows`) are given the forms of their
+    field at the centre rows of that read and their gate rows from all of
+    it (:func:`_part_reads`, computed when the field is solved; the
+    quotient's are z's alone), so each field is solved once.  Their
+    closures bind locals, never the record, which would then hold itself
+    in a cycle.  Reading the ambient alone reads no inclusion.  ``j`` is
+    the centre rows of the inclusion's read, ``dj`` one read at zs, and
+    ``q``, ``dq`` and the quotient's forms come from one quotient frame
+    of j.  j dagger, q dagger, sigma and sigma dagger are stacked
+    products over all points (:func:`~hermitia.forms.adjoint_stack`),
+    each row the arithmetic of one point.
 
     Errors stay with their point, by the stop rule of
     :mod:`hermitia.charts`: each quantity is a :class:`~hermitia.charts._Rows`
@@ -505,14 +486,18 @@ class _SeqRows:
 
     @cached_property
     def _read(self):
-        """The gate stencils of the leading points inside the chart and
-        the ambient's Gram matrices there, with the OutOfDomain of the
-        first point outside (:func:`charts._gate_reads`)."""
+        """The ambient's Gram matrices at the gate stencils of the leading
+        points inside the chart, with the OutOfDomain of the first point
+        outside (:func:`charts._gate_reads`)."""
         return _gate_reads(self.seq.ambient, self.zs)
 
     @cached_property
+    def _stencils(self):
+        return _gate_stencil(self.zs[: self._read.n], self.seq.ambient.fd_outer_step)
+
+    @cached_property
     def _gate_j(self):
-        stencils = self._read.value[0]
+        stencils = self._stencils
         j = self.seq._j_stack(stencils.reshape(-1, self.seq.m))
         return j.reshape(stencils.shape[:2] + j.shape[1:])
 
@@ -544,28 +529,29 @@ class _SeqRows:
 
     @cached_property
     def ambient(self):
-        (stencils, g), n, error = self._read
-        forms = _leading(_form_stack, self.zs, n, error, g[:, 0])
-        return _FieldRows(self.seq, "ambient", self.seq.ambient, self.zs[:n], (stencils, g), forms)
+        read = self._read
+        forms = _leading(_form_stack, self.zs, read.n, read.error, read.value[:, 0])
+        return FieldRows(self.seq.ambient, self.zs, lambda: read, forms)
 
     @cached_property
     def sub(self):
-        (stencils, g), seq, j = self._read.value, self.seq, self._j
+        seq, g, j = self.seq, self._read.value, self._j
         forms = _leading(
             lambda zs, g, j: _form_stack(zs, seq._grams("sub", zs, g, j)),
             self.zs, j.n, j.error, g[:, 0], j.value,
         )
-        return _FieldRows(seq, "sub", seq.sub_field, self.zs[: j.n], (stencils, g, self._gate_j), forms)
+        reads = partial(_part_reads, seq, "sub", self._read, self._stencils, self._gate_j, j.n)
+        return FieldRows(seq.sub_field, self.zs, reads, forms)
 
     @cached_property
     def quot(self):
-        (stencils, g), seq, q = self._read.value, self.seq, self._frames[1]
+        seq, read, q = self.seq, self._read, self._frames[1]
         forms = _leading(
             lambda zs, g, q: _form_stack(zs, seq._quot_grams(zs, g, q)),
-            self.zs, q.n, q.error, g[:, 0], q.value,
+            self.zs, q.n, q.error, read.value[:, 0], q.value,
         )
-        reads = (stencils[:1], g[:1], self._gate_j[:1])
-        return _FieldRows(seq, "quot", seq.quot_field, self.zs[: len(g[:1])], reads, forms)
+        reads = partial(_part_reads, seq, "quot", read, self._stencils, self._gate_j, min(read.n, 1))
+        return FieldRows(seq.quot_field, self.zs, reads, forms)
 
     def _adjoints(self, f, v, w):
         """:func:`~hermitia.forms.adjoint_stack` of the maps f between the
@@ -628,10 +614,10 @@ def second_fundamental_form(seq: ExactSeqChart, z) -> SecondFundamentalFormAt:
     at = seq.at(z)
     dbar_j = seq._j_fd(at.zs[:1], conjugate=True)[0]
     q = at.q[0]
-    worst = max(float(np.linalg.norm(q @ db)) for db in dbar_j)
+    worst = worst_of(np.linalg.norm(q @ db) for db in dbar_j)
     sigma = at.sigma[0]
     scale = 1.0 + float(np.linalg.norm(sigma))
-    if worst > SIGMA_DBAR_TOL * scale:
+    if not worst <= SIGMA_DBAR_TOL * scale:
         raise HermitiaError(
             "second fundamental form has a (0,1)-part of size %.2e" % worst
         )
@@ -661,48 +647,48 @@ def demailly_residuals(seq: ExactSeqChart, z):
     """
     at = seq.at(z)
     m = seq.m
-    a_e, a_s, a_q = at.ambient.solves.a[0], at.sub.solves.a[0], at.quot.solves.a[0]
-    g_e, g_s, g_q = at.ambient.forms.gram[0], at.sub.forms.gram[0], at.quot.forms.gram[0]
+    a_e, a_s, a_q = at.ambient.a, at.sub.a, at.quot.a
+    g_e, g_s, g_q = at.ambient.form.gram, at.sub.form.gram, at.quot.form.gram
     j, dj, q, dq = at.j[0], at.dj[0], at.q[0], at.dq[0]
     jdag, qdag, sigma, sigdag = at.jdag[0], at.qdag[0], at.sigma[0], at.sigma_dagger[0]
 
     out = {}
 
-    r1 = 0.0
+    r1 = []
     for a in range(m):
         dpj = dj[a] + a_e[a] @ j - j @ a_s[a]
         lhs = g_e @ dpj
         rhs = g_e @ (qdag @ sigma[a])
-        r1 = max(r1, _rel(lhs - rhs, lhs, rhs))
-    out["inclusion"] = r1
+        r1.append(_rel(lhs - rhs, lhs, rhs))
+    out["inclusion"] = worst_of(r1)
 
-    r2 = 0.0
+    r2 = []
     for a in range(m):
         dpq = dq[a] + a_q[a] @ q - q @ a_e[a]
         lhs = g_q @ dpq
         rhs = -g_q @ (sigma[a] @ jdag)
-        r2 = max(r2, _rel(lhs - rhs, lhs, rhs))
-    out["projection"] = r2
+        r2.append(_rel(lhs - rhs, lhs, rhs))
+    out["projection"] = worst_of(r2)
 
-    r3 = 0.0
+    r3 = []
     djdag, dbjdag = at.probe("jdag"), at.probe("jdag", conjugate=True)
     for a in range(m):
         dpjdag = djdag[a] + a_s[a] @ jdag - jdag @ a_e[a]
-        r3 = max(r3, _rel(g_s @ dpjdag, g_s @ djdag[a]))
+        r3.append(_rel(g_s @ dpjdag, g_s @ djdag[a]))
         rhs = sigdag[a] @ q
-        r3 = max(r3, _rel(g_s @ (dbjdag[a] - rhs), g_s @ dbjdag[a], g_s @ rhs))
-    out["inclusion_adjoint"] = r3
+        r3.append(_rel(g_s @ (dbjdag[a] - rhs), g_s @ dbjdag[a], g_s @ rhs))
+    out["inclusion_adjoint"] = worst_of(r3)
 
-    r4 = 0.0
+    r4 = []
     dqdag, dbqdag = at.probe("qdag"), at.probe("qdag", conjugate=True)
     for a in range(m):
         dpqdag = dqdag[a] + a_e[a] @ qdag - qdag @ a_q[a]
-        r4 = max(r4, _rel(g_e @ dpqdag, g_e @ dqdag[a]))
+        r4.append(_rel(g_e @ dpqdag, g_e @ dqdag[a]))
         rhs = -j @ sigdag[a]
-        r4 = max(r4, _rel(g_e @ (dbqdag[a] - rhs), g_e @ dbqdag[a], g_e @ rhs))
-    out["projection_adjoint"] = r4
+        r4.append(_rel(g_e @ (dbqdag[a] - rhs), g_e @ dbqdag[a], g_e @ rhs))
+    out["projection_adjoint"] = worst_of(r4)
 
-    r5 = 0.0
+    r5 = []
     if m > 1:
         dsig = at.probe("sigma")
         dbsigdag = at.probe("sigma_dagger", conjugate=True)
@@ -710,11 +696,11 @@ def demailly_residuals(seq: ExactSeqChart, z):
             for b in range(a + 1, m):
                 dpsab = dsig[a][b] + a_q[a] @ sigma[b] - sigma[b] @ a_s[a]
                 dpsba = dsig[b][a] + a_q[b] @ sigma[a] - sigma[a] @ a_s[b]
-                r5 = max(r5, _rel(g_q @ (dpsab - dpsba), g_q @ dpsab, g_q @ dpsba))
+                r5.append(_rel(g_q @ (dpsab - dpsba), g_q @ dpsab, g_q @ dpsba))
                 dbsab = dbsigdag[a][b]
                 dbsba = dbsigdag[b][a]
-                r5 = max(r5, _rel(g_s @ (dbsab - dbsba), g_s @ dbsab, g_s @ dbsba))
-    out["second_form_closed"] = r5
+                r5.append(_rel(g_s @ (dbsab - dbsba), g_s @ dbsab, g_s @ dbsba))
+    out["second_form_closed"] = worst_of(r5)
     return out
 
 
@@ -736,9 +722,9 @@ def codazzi_sub(seq: ExactSeqChart, z, alpha, beta, s, t):
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
     j = at.j[0]
-    ambient_term = _contract(at.ambient.tensor[0, alpha, beta], j @ s, j @ t)
+    ambient_term = _contract(at.ambient.tensor[alpha, beta], j @ s, j @ t)
     sigma = at.sigma[0]
-    sq = np.vdot(sigma[beta] @ t, at.quot.forms.gram[0] @ (sigma[alpha] @ s))
+    sq = np.vdot(sigma[beta] @ t, at.quot.form.gram @ (sigma[alpha] @ s))
     return ambient_term - complex(sq)
 
 
@@ -748,9 +734,9 @@ def codazzi_quot(seq: ExactSeqChart, z, alpha, beta, u, v):
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     qdag = at.qdag[0]
-    ambient_term = _contract(at.ambient.tensor[0, alpha, beta], qdag @ u, qdag @ v)
+    ambient_term = _contract(at.ambient.tensor[alpha, beta], qdag @ u, qdag @ v)
     sigdag = at.sigma_dagger[0]
-    sq = np.vdot(sigdag[alpha] @ v, at.sub.forms.gram[0] @ (sigdag[beta] @ u))
+    sq = np.vdot(sigdag[alpha] @ v, at.sub.form.gram @ (sigdag[beta] @ u))
     return ambient_term + complex(sq)
 
 
@@ -780,9 +766,9 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
     at = seq.at(z)
     m, k, rk = seq.m, seq.k, seq.r - seq.k
 
-    r_e, r_s, r_q = at.ambient.tensor[0], at.sub.tensor[0], at.quot.tensor[0]
-    a_s, a_q = at.sub.solves.a[0], at.quot.solves.a[0]
-    g_s, g_q = at.sub.forms.gram[0], at.quot.forms.gram[0]
+    r_e, r_s, r_q = at.ambient.tensor, at.sub.tensor, at.quot.tensor
+    a_s, a_q = at.sub.a, at.quot.a
+    g_s, g_q = at.sub.form.gram, at.quot.form.gram
     dsig = at.probe("sigma", conjugate=True)
     dpsigdag = at.probe("sigma_dagger")
     jdag, q, sigma, sigdag = at.jdag[0], at.q[0], at.sigma[0], at.sigma_dagger[0]
@@ -791,7 +777,7 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
     sq = np.empty((m, m, k, rk), dtype=complex)
     qs = np.empty((m, m, rk, k), dtype=complex)
     qq = np.empty((m, m, rk, rk), dtype=complex)
-    worst = 0.0
+    residuals = []
     for a in range(m):
         for b in range(m):
             m_e = r_e[a, b].T
@@ -810,9 +796,9 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
                 - q.conj().T @ qs[a, b] @ jdag
                 + q.conj().T @ (m_q - sigdag_sq) @ q
             )
-            worst = max(worst, _rel(rebuilt - m_e, m_e, rebuilt))
+            residuals.append(_rel(rebuilt - m_e, m_e, rebuilt))
     return SplittingBlocks(
-        point=at.z.copy(), ss=ss, sq=sq, qs=qs, qq=qq, reassembly_residual=worst
+        point=at.z.copy(), ss=ss, sq=sq, qs=qs, qq=qq, reassembly_residual=worst_of(residuals)
     )
 
 

@@ -7,9 +7,8 @@ from hermitia import charts
 def gate_points(monkeypatch):
     """The point of every constant-rank gate run in the test, as bytes:
     one gate per connection solve, counted at the one solve entry point
-    ``charts.solve_rows``, whether the solve is a record's one-row solve
-    or a stacked one.  The sequence records call solve_rows through
-    their own binding in ``hermitia.sequences``, which is not counted."""
+    ``charts.solve_rows``, which every ``charts.FieldRows`` calls, whether
+    the solve is a record's one-row solve or a stacked one."""
     points = []
     solve_rows = charts.solve_rows
 

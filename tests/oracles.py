@@ -64,6 +64,15 @@ def form_factors(gram, rank_tol):
     )
 
 
+def is_pd(gram, floor):
+    """Whether one Hermitian matrix is positive-definite by its own
+    ``eigvalsh``: its lowest eigenvalue exceeds ``floor`` times
+    max(|largest eigenvalue|, 1).  The per-matrix oracle of
+    ``fibration._pd_rows``."""
+    w = np.linalg.eigvalsh(gram)
+    return bool(w[0] > floor * max(abs(w[-1]), 1.0))
+
+
 def wirtinger_fd(fn, z, a, step, conjugate=False):
     """Central Wirtinger difference of an array-valued ``fn`` along z_a:
     d_a (or dbar_a when ``conjugate``) from four reads at z +- step e_a

@@ -5,9 +5,11 @@ runtime budget and fails with the criterion's own clause messages, so
 ``pytest -v`` reads as the acceptance report.
 """
 
+import itertools
+
 import numpy as np
 
-from hermitia import acceptance, models
+from hermitia import acceptance, models, report, sequences
 
 
 def _run(criterion):
@@ -82,16 +84,42 @@ def test_a_nan_einstein_residual_fails_criterion_03(monkeypatch):
 
 
 def test_a_nan_at_the_third_ricci_point_makes_the_einstein_residual_nan(monkeypatch):
-    ricci, calls = models.ricci, []
+    ricci, calls = models._ricci, []
 
-    def third_is_nan(field, z):
-        calls.append(z)
-        out = ricci(field, z)
+    def third_is_nan(curv):
+        calls.append(curv.point)
+        out = ricci(curv)
         return out * np.nan if len(calls) == 3 else out
 
-    monkeypatch.setattr(models, "ricci", third_is_nan)
+    monkeypatch.setattr(models, "_ricci", third_is_nan)
     assert np.isnan(models.einstein_residual(models.fubini_study_chart(1), 2.0))
     assert len(calls) == models.EINSTEIN_POINTS
+
+
+def test_worst_of_equals_the_numpy_reduction():
+    """report.worst_of equals float(np.max(values, initial=0.0)) bit for
+    bit, the sign of a zero and a NaN anywhere included, on every
+    sequence of up to four of these values."""
+    values = [0.0, -0.0, 1e-9, -3.0, np.inf, -np.inf, np.nan, np.float64(7.0)]
+    for k in range(5):
+        for seq in itertools.product(values, repeat=k):
+            got, want = report.worst_of(iter(seq)), float(np.max(list(seq), initial=0.0))
+            assert np.array_equal(got, want, equal_nan=True), seq
+            assert np.signbit(got) == np.signbit(want), seq
+
+
+def test_a_nan_identity_line_fails_criterion_08(monkeypatch):
+    rel, calls = sequences._rel, []
+
+    def first_is_nan(*args):
+        calls.append(1)
+        return float("nan") if len(calls) == 1 else rel(*args)
+
+    monkeypatch.setattr(sequences, "_rel", first_is_nan)
+    result = acceptance.derivative_identity_table()
+    assert not result.passed
+    assert np.isnan(result.details["inclusion"])
+    assert result.failures == ["inclusion: residual nan is not within 1e-05"]
 
 
 def test_the_decomposition_count_stops_at_the_draw_that_broke(monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import re
 
@@ -45,7 +46,7 @@ from hermitia.fields import (
     sum_field,
     twisted_fiber_monomials,
 )
-from hermitia.instances import gauge_instance, random_degenerate_field, random_pd_field
+from hermitia.instances import gauge_instance, random_degenerate_field, random_pd_field, sequence_instance
 from hermitia.models import grassmannian_chart
 
 from oracles import (
@@ -1044,6 +1045,59 @@ def test_stacked_ring_solve_equals_per_point_solves(seed):
     assert curvature_20_defect(field, z) == curvature_20_oracle(field, z)
 
 
+FIELD_ROWS_SEQUENCE = sequence_instance(1)
+
+
+def _field_rows_cases():
+    """Every metric model of the registry at a seeded point inside its
+    region, and the three fields of a sequence instance at its point."""
+    from hermitia.models import resolve_model
+
+    cases = {}
+    for mid in ("fs:1", "fs:2", "fs:3", "gr:1:3", "gr:2:4", "gr:3:6"):
+        field = resolve_model(mid).field
+        rng = np.random.default_rng(np.random.SeedSequence([61, field.m]))
+        cases[mid] = (field, charts.sample_box(rng, field.m, 0.3))
+    seq, z = FIELD_ROWS_SEQUENCE
+    for part, field in (("ambient", seq.ambient), ("sub", seq.sub_field), ("quot", seq.quot_field)):
+        cases["sequence " + part] = (field, z)
+    return cases
+
+
+FIELD_ROWS_CASES = _field_rows_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_ROWS_CASES))
+@pytest.mark.parametrize("forms_first", [False, True], ids=["solved", "forms_first"])
+def test_field_rows_equal_the_one_point_records(name, forms_first):
+    """FieldRows of a field at z and its probe ring, solved first or with
+    its forms read first: row i of its forms, dG, A and residual equals
+    FieldAt at that point bit for bit, and its tensor, z's, equals
+    curvature_tensor at z.  On every metric model of the registry and on
+    the three fields of a sequence, whose record's own FieldRows equal
+    the same, the quotient's solve at z alone."""
+    field, z = FIELD_ROWS_CASES[name]
+    zs = charts._gate_stencil(z, charts.PROBE_STEP)
+    rows = charts.FieldRows(field, zs)
+    if forms_first:
+        rows.forms
+    want = [FieldAt(field, w) for w in zs]
+    for i, rec in enumerate(want):
+        assert np.array_equal(rows.forms.gram[i], rec.form.gram), i
+        assert np.array_equal(rows.forms.pinv[i], rec.form.pinv), i
+        for what in ("dg", "a", "residual"):
+            assert np.array_equal(getattr(rows.solves, what)[i], getattr(rec, what)), (i, what)
+    assert np.array_equal(rows.tensor, curvature_tensor(field, z).tensor)
+    if name.startswith("sequence"):
+        seq = FIELD_ROWS_SEQUENCE[0]
+        record = getattr(seq.at(z), name.split()[1])
+        solved = 1 if field is seq.quot_field else len(zs)
+        assert np.array_equal(record.forms.gram, rows.forms.gram)
+        for what in ("dg", "a", "residual"):
+            assert np.array_equal(getattr(record.solves, what), getattr(rows.solves, what)[:solved]), what
+        assert np.array_equal(record.tensor, rows.tensor)
+
+
 def _oracle_fields():
     from hermitia.fibration import h_lambda, hirzebruch_model
     from hermitia.models import resolve_model
@@ -1209,14 +1263,79 @@ def test_the_stop_rule_keeps_the_leading_rows_and_the_first_error(size, fault):
             got.raise_error()
 
 
+def _raising_field_rows():
+    """Records whose solve raises at z: FieldRows at stacks whose first
+    point has a rank jump as a gate neighbor, holds a NaN, lies outside
+    the chart, or fails a derivative read that raises for the whole
+    stack; and a FieldAt whose form, read first, is not its gate's
+    G(z)."""
+    def fn(w):
+        return np.nan if abs(w[0] + 0.2) < 1e-12 else 100.0 * abs(w[0] - 0.3) ** 2
+
+    field = ChartField(1, 2, diag_kernel(fn), radius=0.5, self_check=False)
+
+    def d_fn(zs):
+        if (zs.real < -0.2).any():
+            raise NonFinite("dG is not finite on this stack")
+        return np.zeros((len(zs), 1, 2, 2), dtype=complex)
+
+    d_raises = ChartField(
+        1, 2, lambda zs: np.stack([np.eye(2)] * len(zs)), radius=0.9,
+        d_fn=d_fn, dd_fn=lambda zs: np.zeros((len(zs), 1, 1, 2, 2)), self_check=False,
+    )
+
+    def off_kernel(zs):
+        return np.stack([np.eye(2) * (1.0 + 1e-9 * (len(zs) == 1))] * len(zs))
+
+    off = ChartField(1, 2, off_kernel, radius=0.5, self_check=False)
+
+    def form_read_first():
+        rec = FieldAt(off, [0.1])
+        rec.form
+        return rec
+
+    cases = [
+        lambda first=first: charts.FieldRows(field, np.array([[first], [0.1 + 0.1j]]))
+        for first in (0.3 - 1e-3, -0.2 - 1e-3, 0.4995)
+    ]
+    return cases + [lambda: charts.FieldRows(d_raises, np.array([[-0.3], [0.1j]])), form_read_first]
+
+
+def test_a_field_rows_whose_solve_raised_leaves_no_cyclic_garbage():
+    """A FieldRows keeps the error of its first failing point built
+    unraised or detached, and raises a copy of it, so one whose solve
+    raised holds no reference cycle: with the collector off, five
+    records of each kind that raise, then dropped, and a FieldAt whose
+    form is read after its solve raised, leave nothing for gc.collect."""
+    makers = _raising_field_rows()
+    gc.collect()
+    gc.disable()
+    try:
+        for make in makers * 5:
+            rows = make()
+            with pytest.raises(HermitiaError):
+                rows.solves
+            del rows
+        rec = makers[0]()
+        rec = FieldAt(rec.field, rec.zs[0])
+        with pytest.raises(RankJump):
+            rec.tensor
+        rec.form
+        del rec
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
 def test_stacked_solve_keeps_and_guards_a_form_read_first():
     """A kernel that breaks the row contract where Re w > 0.05 (a one-row
     read differs from a stacked one there), so a form read first at such
     a point is not the gate's G(z).  With any of the records' forms read
     first, in every order, the records raise what the oracle raises
     first, and so does one solve of the gate rows with every form read
-    first, as its FormStack (``charts._gated_solves``); a record whose
-    form was read keeps it."""
+    first, as the _Rows of its FormStack (``charts.FieldRows``); a record
+    whose form was read keeps it."""
     def stack_fn(zs):
         out = np.zeros((len(zs), 2, 2), dtype=complex)
         out[:, 0, 0] = 1.0 + (len(zs) == 1) * 1e-9 * (zs[:, 0].real > 0.05)
@@ -1239,7 +1358,7 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
             connection_at(field, w, field.form_at(w) if read else None)
 
     def solve_read_first(zs, read):
-        solved = charts._gated_solves(field, zs, read)
+        solved = charts.FieldRows(field, zs, forms=charts._Rows(read, len(zs), None)).solved
         if solved.error is not None:
             solved.raise_error()
 

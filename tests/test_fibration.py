@@ -21,7 +21,7 @@ from hermitia.fibration import (
 from hermitia.fields import constant_field, embedded_factor_field, scaled_field, sum_field
 from hermitia.models import _draw, _refine_direction, fubini_study_chart, resolve_model
 
-from oracles import point_scan
+from oracles import is_pd, point_scan
 
 
 @pytest.fixture(scope="module")
@@ -224,14 +224,13 @@ def test_vertical_check_reads_one_fiber_curvature_per_point(which, prod, hirz1, 
 
     model = {"prod": prod, "hirz1": hirz1}[which]
     calls = []
-    original = charts.curvature_tensor
+    original = charts.assemble_rows
 
-    def counted(field, z):
-        calls.append(field.m)
-        return original(field, z)
+    def counted(field, zs, solves):
+        calls.extend([field.m] * len(zs))
+        return original(field, zs, solves)
 
-    monkeypatch.setattr(charts, "curvature_tensor", counted)
-    monkeypatch.setattr(fibration, "curvature_tensor", counted)
+    monkeypatch.setattr(charts, "assemble_rows", counted)
     grid = vertical_grid(n=3)
     rep = vertical_hsc_check(model, grid)
     assert calls.count(model.fiber_dim) == len(grid)
@@ -378,22 +377,27 @@ def test_each_scanned_lambda_is_one_solve_and_one_assembly(registry_fibrations, 
 
 def test_the_gate_tests_a_block_in_one_eigvalsh(registry_fibrations, monkeypatch):
     """find_lambda0 gates each scanned lambda's block of points with one
-    _pd_rows call and no per-point _is_pd."""
-    calls = {"_pd_rows": 0, "_is_pd": 0}
-    for name in calls:
-        monkeypatch.setattr(fibration, name, _counting(calls, name, getattr(fibration, name)))
+    _pd_rows call on the whole block, not one per point."""
+    rows, pd_rows = [], fibration._pd_rows
+
+    def counting(grams, floor):
+        rows.append(len(grams))
+        return pd_rows(grams, floor)
+
+    monkeypatch.setattr(fibration, "_pd_rows", counting)
     scan = find_lambda0(registry_fibrations["hirz:2"], sphere_samples=200, seed=0)
-    assert calls == {"_pd_rows": len(scan.records), "_is_pd": 0}
+    assert rows == [200 // fibration.LAMBDA_SCAN_DIRECTIONS] * len(scan.records)
 
 
 def test_the_stacked_pd_test_equals_the_per_matrix_test(registry_fibrations):
-    """_pd_rows of a stack equals _is_pd of each matrix: on the centres of
-    a gated scan, with one of them not positive."""
+    """_pd_rows of a stack equals the per-matrix oracle is_pd of each
+    matrix: on the centres of a gated scan, with one of them not
+    positive."""
     model = registry_fibrations["hirz:1"]
     field = fibration.h_lambda(model, 0.0)
     grams = field.gram_stack(_draw(field.m, 0.7, 10, 5, [0])[0])
     grams[3] = np.diag([1.0, -1.0])
-    want = [fibration._is_pd(g, fibration.PD_FLOOR) for g in grams]
+    want = [is_pd(g, fibration.PD_FLOOR) for g in grams]
     assert want[3] is False
     assert want == list(fibration._pd_rows(grams, fibration.PD_FLOOR))
 

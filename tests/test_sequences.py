@@ -198,7 +198,7 @@ SEQ_NAMES = ["j", "dj", "q", "dq"] + [
 def _read(record, name, row=None):
     """The quantity ``name`` (``j``, or a field's ``form``, ``a`` or
     ``tensor`` as ``sub.a``) of the per-point oracle, or of row ``row`` of
-    a stacked record."""
+    a stacked record, whose field tensor is z's alone."""
     part, _, what = name.rpartition(".")
     if row is None:
         value = getattr(getattr(record, part), what) if part else getattr(record, name)
@@ -206,7 +206,7 @@ def _read(record, name, row=None):
     if not part:
         return getattr(record, name)[row]
     rows = getattr(record, part)
-    return {"form": lambda: rows.forms.gram, "a": lambda: rows.solves.a, "tensor": lambda: rows.tensor}[what]()[row]
+    return {"form": lambda: rows.forms.gram[row], "a": lambda: rows.solves.a[row], "tensor": lambda: rows.tensor}[what]()
 
 
 @pytest.mark.parametrize("case", range(7))
@@ -254,7 +254,7 @@ def test_base_records_equal_the_fields_solved_alone(case, forms_first):
         assert np.array_equal(got.forms.pinv[0], want.form.pinv), part
         for name in ("dg", "a", "residual"):
             assert np.array_equal(getattr(got.solves, name)[0], getattr(want, name)), (part, name)
-        assert np.array_equal(got.tensor[0], want.tensor), part
+        assert np.array_equal(got.tensor, want.tensor), part
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -296,9 +296,8 @@ def test_a_sub_jet_is_read_once_per_stack(monkeypatch):
 def _count_solves(monkeypatch):
     """Record (field, points) of every connection solve of a sequence
     record and of its probe ring, counted at their one solve entry point,
-    ``solve_rows``, through its bindings in ``hermitia.sequences`` and
-    ``hermitia.charts`` (a FieldAt's); a multi-point solve of its own
-    (``charts.solve_points``) fails the test."""
+    ``charts.solve_rows``, which every FieldRows calls; a multi-point
+    solve of its own (``charts.solve_points``) fails the test."""
     calls = []
     solve_rows = charts.solve_rows
 
@@ -310,7 +309,6 @@ def _count_solves(monkeypatch):
         raise AssertionError("a sequence record solved through solve_points")
 
     monkeypatch.setattr(charts, "solve_rows", counting)
-    monkeypatch.setattr(sequences, "solve_rows", counting)
     monkeypatch.setattr(charts, "solve_points", unexpected)
     return calls
 
@@ -575,7 +573,10 @@ def test_stacked_ring_equals_fresh_per_point_records(case, monkeypatch):
     at.dq
     assert frames == [4 * seq.m + 1]
     assert np.array_equal(at.zs, charts._gate_stencil(z, PROBE_STEP))
-    assert (len(at.quot.solves.a), len(at.ambient.tensor), len(at.sub.tensor), len(at.quot.tensor)) == (1, 1, 1, 1)
+    assert len(at.quot.solves.a) == 1
+    m, k, r = seq.m, seq.k, seq.r
+    shapes = [(m, m, r, r), (m, m, k, k), (m, m, r - k, r - k)]
+    assert [at.ambient.tensor.shape, at.sub.tensor.shape, at.quot.tensor.shape] == shapes
     oracle = {}
     for i, w in enumerate(at.zs):
         want = oracle[w.tobytes()] = SeqPoint(seq, w)
@@ -588,7 +589,7 @@ def test_stacked_ring_equals_fresh_per_point_records(case, monkeypatch):
                 for name in ("dg", "a", "residual"):
                     assert np.array_equal(getattr(got.solves, name)[i], getattr(field, name)), (part, name)
             if i == 0:
-                assert np.array_equal(got.tensor[0], field.tensor), part
+                assert np.array_equal(got.tensor, field.tensor), part
         for name in ("j", "dj", "q", "dq") + names:
             assert np.array_equal(getattr(at, name)[i], getattr(want, name)), name
     for (name, conj), fast in probes.items():
@@ -756,12 +757,8 @@ def _ring_fault_cases():
 def _point_record(seq, z):
     """The per-point oracle at z (SeqPoint) shaped as row 0 of a record,
     as far as the Codazzi corollaries and the second fundamental form
-    read it."""
+    read it: its fields are FieldAt records at z."""
     p = SeqPoint(seq, z)
-
-    def forms(field):
-        return SimpleNamespace(forms=SimpleNamespace(gram=field.form.gram[None]))
-
     return SimpleNamespace(
         z=p.z,
         zs=p.z[None],
@@ -770,9 +767,9 @@ def _point_record(seq, z):
         qdag=p.qdag[None],
         sigma=p.sigma[None],
         sigma_dagger=p.sigma_dagger[None],
-        ambient=SimpleNamespace(tensor=p.ambient.tensor[None]),
-        sub=forms(p.sub),
-        quot=forms(p.quot),
+        ambient=p.ambient,
+        sub=p.sub,
+        quot=p.quot,
     )
 
 
@@ -1120,6 +1117,46 @@ def test_a_record_that_raised_leaves_no_cyclic_garbage(case):
     finally:
         gc.enable()
     assert found == 0
+
+
+def _nan_on_first_call(monkeypatch):
+    """Make sequences._rel return NaN on its first call and its own value
+    after."""
+    rel, calls = sequences._rel, []
+
+    def first_is_nan(*args):
+        calls.append(1)
+        return float("nan") if len(calls) == 1 else rel(*args)
+
+    monkeypatch.setattr(sequences, "_rel", first_is_nan)
+
+
+def test_a_nan_identity_residual_makes_its_line_nan(monkeypatch):
+    """The first residual of the inclusion line read as NaN: the line is
+    NaN, where a running max from 0.0 once read it as a number."""
+    _nan_on_first_call(monkeypatch)
+    out = demailly_residuals(*sequence_instance(0))
+    assert np.isnan(out["inclusion"])
+    assert all(np.isfinite(v) for key, v in out.items() if key != "inclusion")
+
+
+def test_a_nan_reassembly_residual_makes_the_splitting_residual_nan(monkeypatch):
+    _nan_on_first_call(monkeypatch)
+    assert np.isnan(splitting_curvature_blocks(*sequence_instance(0)).reassembly_residual)
+
+
+def test_a_nan_dbar_part_fails_the_second_fundamental_form(monkeypatch):
+    """dbar j read as NaN: the (0,1)-part gate of sigma raises, where it
+    once returned a NaN residual."""
+    seq, z = sequence_instance(0)
+    j_fd = seq._j_fd
+
+    def nan_dbar(zs, conjugate=False):
+        return j_fd(zs, conjugate) * (np.nan if conjugate else 1.0)
+
+    monkeypatch.setattr(seq, "_j_fd", nan_dbar)
+    with pytest.raises(HermitiaError, match=r"\(0,1\)-part of size nan"):
+        second_fundamental_form(seq, z)
 
 
 def test_results_do_not_alias_the_shared_record():

@@ -18,8 +18,9 @@ import subprocess
 import sys
 import tempfile
 
-# The CI's north-star CLI runs, then the seeded identity and Codazzi
-# checks, which draw other instances than the defaults.
+# The north-star CLI runs (the one list of them, which CI runs through
+# this tool), then the seeded identity and Codazzi checks, which draw
+# other instances than the defaults.
 RUNS = (
     "hsc --model gr:2:4",
     "hsc --model fs:2",
