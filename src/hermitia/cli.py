@@ -104,23 +104,27 @@ def _effective_config(args):
     return cfg
 
 
+# The largest lambda_max: e^lambda of h_lambda overflows above ln(max float).
+LAMBDA_MAX = float(np.log(np.finfo(float).max))
 # The values of the keys that take one of a fixed set of words.
 _CHOICES = {"derivatives": ("analytic", "fd"), "demo": ("degenerate", "random")}
 
 
 def _check_ranges(cfg):
     """Raise ConfigError for a value out of its range: seed >= 0; dim,
-    dimv, dimw, samples and instances >= 1; 0 <= rank <= dim; lambda_max
-    finite and >= 0; region and tol finite and > 0; derivatives and demo
-    one of their ``_CHOICES``.  A config file bypasses argparse, so every
-    range is checked here."""
+    dimv, dimw, samples and instances >= 1; 0 <= rank <= dim; 0 <=
+    lambda_max <= LAMBDA_MAX; region and tol finite and > 0; derivatives
+    and demo one of their ``_CHOICES``.  A config file bypasses argparse,
+    so every range is checked here."""
     lowest = dict(seed=0, rank=0, lambda_max=0.0, dim=1, dimv=1, dimw=1, samples=1, instances=1)
     for key, low in lowest.items():
         if key in cfg and not cfg[key] >= low:
             raise ConfigError("%s must be at least %s, got %r" % (key, low, cfg[key]))
     if "rank" in cfg and "dim" in cfg and cfg["rank"] > cfg["dim"]:
         raise ConfigError("rank cannot exceed dim")
-    for key in ("lambda_max", "region", "tol"):
+    if "lambda_max" in cfg and not cfg["lambda_max"] <= LAMBDA_MAX:
+        raise ConfigError("lambda_max must be at most %.2f, got %r" % (LAMBDA_MAX, cfg["lambda_max"]))
+    for key in ("region", "tol"):
         if key in cfg and not np.isfinite(cfg[key]):
             raise ConfigError("%s must be finite, got %r" % (key, cfg[key]))
     for key in ("region", "tol"):

@@ -17,14 +17,13 @@ import numpy as np
 from .charts import ChartField, FieldAt, curvature_tensor, hsc_of_tensor, metric_curvature
 from .errors import ConfigError, HermitiaError, NotPositive, RankJump
 from .fields import (
-    MonomialMap,
     embedded_factor_field,
     from_potential_map,
     scaled_field,
     sum_field,
     twisted_fiber_monomials,
 )
-from .forms import HermitianForm, limit_form, projection_limit_gram, require_finite
+from .forms import HermitianForm, limit_form, require_finite
 from .models import (
     DEFAULT_FIBRATION_REGION,
     _sample_polydisc,
@@ -34,6 +33,7 @@ from .models import (
     single_threaded,
 )
 from .report import encode_complex
+from .sequences import ExactSeqChart, sum_curvature
 
 VERTICAL_LEAK_TOL = 1e-12
 # Relative floors of the positive-definiteness test _pd_rows: the lowest
@@ -69,7 +69,9 @@ class FibrationModel:
     b1_field is the fiberwise form (positive-definite on the vertical
     block at sampled points); b2_field is the base pullback (vanishing
     against every vertical direction).  Both invariants are checked at
-    seeded sample points on construction.
+    seeded sample points on construction.  The two fields are the whole
+    description: the fiber metric is b1 restricted to the vertical
+    sub-bundle (see :func:`vertical_field`).
     """
 
     def __init__(
@@ -78,7 +80,6 @@ class FibrationModel:
         fiber_dim,
         b1_field: ChartField,
         b2_field: ChartField,
-        fiber_field_factory=None,
         name="",
     ):
         if base_dim < 1 or fiber_dim < 1:
@@ -92,7 +93,6 @@ class FibrationModel:
             raise HermitiaError("summand fields are not tangent-bundle sized")
         self.b1_field = b1_field
         self.b2_field = b2_field
-        self.fiber_field_factory = fiber_field_factory
         self.name = name
         self._validate()
 
@@ -131,14 +131,7 @@ def product_model(base_field: ChartField, fiber_field: ChartField, name=""):
     )
     b2 = embedded_factor_field(base_field, total, 0, radius=radius, name=name + ".base")
     b1 = embedded_factor_field(fiber_field, total, mb, radius=radius, name=name + ".fiber")
-    return FibrationModel(
-        mb,
-        mf,
-        b1,
-        b2,
-        fiber_field_factory=lambda zb: fiber_field,
-        name=name or "prod",
-    )
+    return FibrationModel(mb, mf, b1, b2, name=name or "prod")
 
 
 def hirzebruch_model(k):
@@ -157,13 +150,7 @@ def hirzebruch_model(k):
     b2 = embedded_factor_field(
         fubini_study_chart(1), 2, 0, radius=np.array([2.0, 2.0]), name="hirz%d.base" % k
     )
-
-    def fiber_at(zb):
-        c = (1.0 + float(np.vdot(zb, zb).real)) ** k
-        mono = MonomialMap(1, [[(1.0, (0,))], [(np.sqrt(c), (1,))]])
-        return from_potential_map(mono, radius=2.0, self_check=False)
-
-    return FibrationModel(1, 1, b1, b2, fiber_field_factory=fiber_at, name="hirz:%d" % k)
+    return FibrationModel(1, 1, b1, b2, name="hirz:%d" % k)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +201,6 @@ def r_lambda_decomposed(model: FibrationModel, lam, z) -> DecomposedCurvature:
     if not _pd_rows(direct.forms.gram, PD_FLOOR)[0]:
         raise NotPositive("h_lambda is not positive-definite at the point")
     direct.tensor  # runs the solve and the assembly
-    from .sequences import sum_curvature
-
     try:
         formula = sum_curvature(
             model.b1_field, scaled_field(model.b2_field, np.exp(float(lam))), z
@@ -264,7 +249,7 @@ def q_lambda_limit(model: FibrationModel, z) -> QuotientLimitRecord:
     z = np.asarray(z, dtype=complex)
     b1 = model.b1_field.form_at(z)
     b2 = model.b2_field.form_at(z)
-    q_values, q_inf = limit_form(b1, b2, Q_LAMBDA_GRID)
+    q_values, q_inf, projection_residual = limit_form(b1, b2, Q_LAMBDA_GRID)
 
     errors = [float(np.linalg.norm(q.gram - q_inf.gram)) for q in q_values]
     scale = 1.0 + float(np.linalg.norm(q_inf.gram))
@@ -273,11 +258,7 @@ def q_lambda_limit(model: FibrationModel, z) -> QuotientLimitRecord:
         for prev, cur in zip(errors, errors[1:])
     ]
 
-    # independent projection route, same recipe the form layer certifies
-    check = projection_limit_gram(b1, b2)
-    projection_residual = float(np.linalg.norm(check - q_inf.gram)) / scale
-
-    v = slice(model.base_dim, model.total_m)
+    v = model.vertical
     positive_on_vertical = bool(_pd_rows(q_inf.gram[None, v, v], VERTICAL_PD_FLOOR)[0])
 
     return QuotientLimitRecord(
@@ -307,43 +288,53 @@ class VerticalHscReport:
     positive: bool
 
 
+def vertical_field(model: FibrationModel) -> ChartField:
+    """The Gram field of b1 on the vertical sub-bundle V, the sub field
+    of :class:`~hermitia.sequences.ExactSeqChart` for the constant
+    inclusion j = [0; I] of the fiber directions.  At (z_B, w) its
+    curvature on vertical index pairs is that of the fiber over z_B."""
+    j = np.eye(model.total_m, model.fiber_dim, -model.base_dim)
+    return ExactSeqChart(model.b1_field, j, name=model.name + ".vertical").sub_field
+
+
 def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
     """Sectional curvature of h_lambda along vertical directions.
 
     At every grid point, VERTICAL_DIRECTIONS seeded vertical directions
     are scored in one stacked contraction per curvature tensor: H must
     stay positive for every lambda in VERTICAL_LAMBDAS, and the gap to the
-    intrinsic fiber curvature, read from one fiber curvature tensor per
-    point, must shrink as lambda grows.  A flat fiber metric is reported
-    via ``fiber_flat`` instead of failing.
+    intrinsic fiber curvature must shrink as lambda grows.  The fiber
+    curvature is read once per point, as the vertical index pairs of the
+    curvature of :func:`vertical_field`.  A flat fiber metric is reported
+    via ``fiber_flat`` instead of failing.  On an empty grid ``positive``
+    and ``fiber_flat`` hold vacuously.
     """
     z_grid = [np.asarray(z, dtype=complex) for z in z_grid]
-    mb = model.base_dim
+    v = model.vertical
     rng = np.random.default_rng(np.random.SeedSequence([0, 53]))
     dirs = _unit_directions(rng, model.fiber_dim, VERTICAL_DIRECTIONS)
     vfull = np.zeros((VERTICAL_DIRECTIONS, model.total_m), dtype=complex)
-    vfull[:, mb:] = dirs
+    vfull[:, v] = dirs
 
-    fiber_h = {}
-    if model.fiber_field_factory is not None:
-        for i, z in enumerate(z_grid):
-            curv = metric_curvature(model.fiber_field_factory(z[:mb]), z[mb:], "fiber metric")
-            fiber_h[i] = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
+    fiber = vertical_field(model)
+    fiber_h = []
+    for z in z_grid:
+        curv = metric_curvature(fiber, z, "fiber metric")
+        fiber_h.append(hsc_of_tensor(curv.tensor[v, v], curv.form.gram, dirs))
 
     min_h = np.inf
     gap_by_lambda = {}
     for lam in VERTICAL_LAMBDAS:
         field = h_lambda(model, lam)
         worst_gap = 0.0
-        for i, z in enumerate(z_grid):
+        for z, h_fiber in zip(z_grid, fiber_h):
             curv = curvature_tensor(field, z)
             h = hsc_of_tensor(curv.tensor, curv.form.gram, vfull)
             min_h = min(min_h, float(np.min(h)))
-            if i in fiber_h:
-                worst_gap = max(worst_gap, float(np.max(np.abs(h - fiber_h[i]))))
+            worst_gap = max(worst_gap, float(np.max(np.abs(h - h_fiber))))
         gap_by_lambda[lam] = worst_gap
 
-    flat = bool(fiber_h and max(np.max(np.abs(h)) for h in fiber_h.values()) < FLAT_FIBER_TOL)
+    flat = bool(np.max(np.abs(fiber_h), initial=0.0) < FLAT_FIBER_TOL)
     return VerticalHscReport(
         points=len(z_grid),
         lambdas=VERTICAL_LAMBDAS,

@@ -634,8 +634,7 @@ def projection_limit_gram(b1: HermitianForm, b2: HermitianForm) -> np.ndarray:
     a complement of Ker b2, where h0 = b1 + b2.
 
     This is the closed-form target the scaled quotient family converges
-    to; limit_form cross-checks against it, and callers can recompute it
-    for an independent residual.
+    to; limit_form cross-checks against it and returns the residual.
     """
     tol = max(b1.rank_tol, b2.rank_tol)
     h0 = b1.gram + b2.gram
@@ -656,7 +655,8 @@ def limit_form(b1: HermitianForm, b2: HermitianForm, lambda_grid):
     e^lambda x y / (x + e^lambda y), whose limit is x_j when |y_j| >
     LIMIT_COEFF_CUT and 0 otherwise.  The limit is cross-checked against
     the projection form (j j_dag)^* b1, where j includes the h0-orthogonal
-    complement of Ker b2 and j_dag is its h0-adjoint, to
+    complement of Ker b2 and j_dag is its h0-adjoint: their gap relative
+    to 1 + ||q_inf|| is returned as the third value, and must not exceed
     LIMIT_PROJECTION_TOL.
 
     Both forms must be positive-semidefinite with h0 positive-definite
@@ -683,14 +683,14 @@ def limit_form(b1: HermitianForm, b2: HermitianForm, lambda_grid):
     y = 1.0 - x
     coeff = np.where(np.abs(y) > LIMIT_COEFF_CUT, x, 0.0)
     hv = l @ u
-    gram_inf = hermitize(hv @ np.diag(coeff) @ hv.conj().T)
-    q_inf = HermitianForm(gram_inf, rank_tol=tol)
+    q_inf = HermitianForm(hv @ np.diag(coeff) @ hv.conj().T, rank_tol=tol)
 
-    gram_check = projection_limit_gram(b1, b2)
-    if np.linalg.norm(gram_check - gram_inf) > LIMIT_PROJECTION_TOL * (1.0 + np.linalg.norm(gram_inf)):
+    gap = np.linalg.norm(projection_limit_gram(b1, b2) - q_inf.gram)
+    residual = float(gap) / (1.0 + float(np.linalg.norm(q_inf.gram)))
+    if residual > LIMIT_PROJECTION_TOL:
         raise HermitiaError("limit form disagrees with its projection formula")
 
-    return q_values, q_inf
+    return q_values, q_inf, residual
 
 
 def equiv_mod_kernel(s, t, b: HermitianForm) -> bool:

@@ -31,7 +31,15 @@ from hermitia.forms import (
     rank_of,
     require_finite,
 )
-from hermitia.models import GRADIENT_FLOOR, _hsc_gradient, _sample_polydisc, _unit_directions
+from hermitia.fields import MonomialMap, from_potential_map
+from hermitia.models import (
+    GRADIENT_FLOOR,
+    _hsc_gradient,
+    _parse_fs_token,
+    _sample_polydisc,
+    _unit_directions,
+    fubini_study_chart,
+)
 
 FormFactors = namedtuple(
     "FormFactors",
@@ -102,6 +110,20 @@ def grassmann_gram(z, k, n):
     p = np.linalg.inv(np.eye(k) + zm @ zm.conj().T)
     q = np.linalg.inv(np.eye(n - k) + zm.conj().T @ zm)
     return np.kron(p, q.T)
+
+
+def fiber_field(model_id, zb):
+    """The fiber metric of a registered fibration over the base point zb,
+    a field of the fiber coordinates alone built for that point: for
+    "hirz:k" the Gram field of log(1 + c |w|^2) with c = (1 + |zb|^2)^k,
+    for "prod:fsA:fsB" the round metric of the fiber factor.  The
+    per-point oracle of ``fibration.vertical_field``."""
+    kind, *rest = model_id.split(":")
+    if kind == "prod":
+        return fubini_study_chart(_parse_fs_token(rest[1]))
+    c = (1.0 + float(np.vdot(zb, zb).real)) ** int(rest[0])
+    mono = MonomialMap(1, [[(1.0, (0,))], [(np.sqrt(c), (1,))]])
+    return from_potential_map(mono, radius=2.0, self_check=False)
 
 
 def smooth_kernel_perturbation(field, z, seed=0):

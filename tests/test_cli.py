@@ -227,6 +227,7 @@ def test_matrix_encoding():
         ["hsc", "--region", "nan"],
         ["fibration-scan", "--lambda-max", "-1"],
         ["fibration-scan", "--lambda-max", "inf"],
+        ["fibration-scan", "--lambda-max", "1e300"],
         ["hsc", "--tol", "-1"],
         ["hsc", "--tol", "0"],
         ["hsc", "--tol", "nan"],

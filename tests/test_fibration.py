@@ -21,6 +21,7 @@ from hermitia.fibration import (
 from hermitia.fields import constant_field, embedded_factor_field, scaled_field, sum_field
 from hermitia.models import _draw, _refine_direction, fubini_study_chart, resolve_model
 
+import oracles
 from oracles import is_pd, point_scan
 
 
@@ -227,7 +228,7 @@ def test_vertical_check_reads_one_fiber_curvature_per_point(which, prod, hirz1, 
     original = charts.assemble_rows
 
     def counted(field, zs, solves):
-        calls.extend([field.m] * len(zs))
+        calls.extend([field.shape] * len(zs))
         return original(field, zs, solves)
 
     monkeypatch.setattr(charts, "assemble_rows", counted)
@@ -237,30 +238,69 @@ def test_vertical_check_reads_one_fiber_curvature_per_point(which, prod, hirz1, 
     assert calls.count(model.total_m) == len(grid) * len(rep.lambdas)
 
 
-def test_vertical_check_reads_each_fiber_gram_4m_plus_1_times(hirz1):
-    model = copy.copy(hirz1)
+def test_vertical_check_reads_each_fiber_gram_4m_plus_1_times(hirz1, monkeypatch):
+    """The fiber field lives on the whole chart, so its gate reads the
+    4m + 1 points of the stencil with m the total dimension."""
+    original = fibration.vertical_field
     reads = []
 
-    def fiber_at(zb):
-        base = hirz1.fiber_field_factory(zb)
+    def counted_vertical(model):
+        base = original(model)
 
         def counted(zs):
             reads.extend(zs)
             return base.stack_fn(zs)
 
-        return ChartField(1, 1, counted, radius=2.0, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
+        return ChartField(base.m, base.shape, counted, center=base.center, radius=base.radius,
+                          d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False)
 
-    model.fiber_field_factory = fiber_at
+    monkeypatch.setattr(fibration, "vertical_field", counted_vertical)
     grid = vertical_grid(n=3)
-    vertical_hsc_check(model, grid)
-    assert len(reads) == len(grid) * (4 * model.fiber_dim + 1)
+    vertical_hsc_check(hirz1, grid)
+    assert len(reads) == len(grid) * (4 * hirz1.total_m + 1)
 
 
 def test_vertical_check_rejects_a_fiber_that_is_not_positive(hirz1):
     model = copy.copy(hirz1)
-    model.fiber_field_factory = lambda zb: constant_field(np.diag([-1.0]), 1, radius=2.0)
+    model.b1_field = scaled_field(hirz1.b1_field, -1.0)
     with pytest.raises(NotPositiveAtPoint, match="fiber metric is not positive-definite"):
         vertical_hsc_check(model, vertical_grid(n=2))
+
+
+# Relative bound between the curvature of the vertical sub-bundle and the
+# per-point fiber oracle: tensor, Gram matrix and H.
+FIBER_ORACLE_TOL = 1e-14
+
+
+@pytest.mark.parametrize("model_id", ["hirz:1", "hirz:2", "hirz:3", "prod:fs1:fs1", "prod:fs2:fs1", "prod:fs1:fs2"])
+def test_vertical_field_curvature_equals_the_per_point_fiber_oracle(model_id):
+    """On vertical index pairs, the curvature of b1 on the vertical
+    sub-bundle at (z_B, w) is the curvature of the fiber over z_B at w,
+    at seeded points of the 0.7 region and on the zero section w = 0."""
+    model = resolve_model(model_id).fibration
+    fiber, v = fibration.vertical_field(model), model.vertical
+    rng = np.random.default_rng(np.random.SeedSequence([67]))
+    dirs = models._unit_directions(rng, model.fiber_dim, 4)
+    points = [models._sample_polydisc(rng, model.total_m, 0.7) for _ in range(5)]
+    points.append(np.where(np.arange(model.total_m) < model.base_dim, points[0], 0.0))
+    for z in points:
+        got = charts.metric_curvature(fiber, z)
+        want = charts.metric_curvature(oracles.fiber_field(model_id, z[: model.base_dim]), z[v])
+        pairs = (
+            (got.tensor[v, v], want.tensor),
+            (got.form.gram, want.form.gram),
+            (hsc_of_tensor(got.tensor[v, v], got.form.gram, dirs), hsc_of_tensor(want.tensor, want.form.gram, dirs)),
+        )
+        for a, b in pairs:
+            assert np.linalg.norm(a - b) <= FIBER_ORACLE_TOL * np.linalg.norm(b)
+
+
+def test_a_model_of_b1_and_b2_alone_reports_computed_gaps(hirz1):
+    """The fiber comes from b1, so a model built from hirz:1's two fields
+    reports the same vertical check as hirz:1, gaps included."""
+    bare = FibrationModel(1, 1, hirz1.b1_field, hirz1.b2_field)
+    grid = vertical_grid(n=3)
+    assert vertical_hsc_check(bare, grid) == vertical_hsc_check(hirz1, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +485,12 @@ def test_a_non_finite_gram_before_the_pd_test_raises_non_finite(hirz1):
         return g
 
     nan_at_z = ChartField(2, 2, stack_fn, radius=b1.radius, d_fn=b1.d_fn, dd_fn=b1.dd_fn, self_check=False)
-    model = FibrationModel(1, 1, nan_at_z, b2, hirz1.fiber_field_factory, name="nan")
+    model = FibrationModel(1, 1, nan_at_z, b2, name="nan")
     with pytest.raises(NonFinite, match=re.escape(np.array2string(z, precision=3))):
         r_lambda_decomposed(model, 0.0, z)
     nan = ChartField(2, 2, lambda ws: np.full((len(ws), 2, 2), np.nan), radius=b1.radius, self_check=False)
     with pytest.raises(NonFinite):
-        FibrationModel(1, 1, nan, b2, hirz1.fiber_field_factory)
+        FibrationModel(1, 1, nan, b2)
 
 
 def _rejecting(k):

@@ -28,11 +28,13 @@ from hermitia import charts
 from hermitia.forms import (
     DEFAULT_RANK_TOL,
     LIMIT_COEFF_CUT,
+    LIMIT_PROJECTION_TOL,
     FormStack,
     adjoint_stack,
     gram_rank,
     gram_ranks,
     hermitize,
+    projection_limit_gram,
     rank_of,
     require_finite,
 )
@@ -546,7 +548,7 @@ def test_sum_quotient_needs_positive_sum():
 
 
 def test_limit_form_scalar():
-    q_vals, q_inf = limit_form(form([[1]]), form([[2]]), [0.0])
+    q_vals, q_inf, _ = limit_form(form([[1]]), form([[2]]), [0.0])
     assert abs(q_vals[0].gram[0, 0] - 2.0 / 3.0) < 1e-12
     assert abs(q_inf.gram[0, 0] - 1.0) < 1e-10
 
@@ -554,14 +556,14 @@ def test_limit_form_scalar():
 def test_limit_form_zero_b2():
     rng = np.random.default_rng(7)
     b1 = random_psd_form(rng, 2)
-    q_vals, q_inf = limit_form(b1, HermitianForm(np.zeros((2, 2))), [0.0, 2.0])
+    q_vals, q_inf, _ = limit_form(b1, HermitianForm(np.zeros((2, 2))), [0.0, 2.0])
     for q in q_vals:
         assert np.linalg.norm(q.gram) < 1e-12
     assert np.linalg.norm(q_inf.gram) < 1e-10
 
 
 def test_limit_form_diagonal_limit():
-    q_vals, q_inf = limit_form(form(np.diag([1, 3])), form(np.diag([2, 0])), [2.0])
+    q_vals, q_inf, _ = limit_form(form(np.diag([1, 3])), form(np.diag([2, 0])), [2.0])
     assert np.linalg.norm(q_inf.gram - np.diag([1.0, 0.0])) < 1e-10
 
 
@@ -591,7 +593,7 @@ def test_limit_form_equals_the_scipy_generalized_eigensolve_on_balanced_pairs():
     rng = np.random.default_rng(np.random.SeedSequence([47]))
     for _ in range(40):
         b1, b2 = balanced_limit_pair(rng, int(rng.integers(2, 6)))
-        _, q_inf = limit_form(b1, b2, [2.0])
+        _, q_inf, _ = limit_form(b1, b2, [2.0])
         assert _oracle_gap(q_inf, b1, b2) <= LIMIT_ORACLE_TOL
 
 
@@ -612,6 +614,27 @@ def test_limit_form_equals_the_scipy_generalized_eigensolve_on_fibrations(model_
         assert _oracle_gap(rec.q_inf, b1, b2) <= LIMIT_ORACLE_TOL
 
 
+def _projection_gap(b1, b2, q_inf):
+    return np.linalg.norm(projection_limit_gram(b1, b2) - q_inf.gram) / (1.0 + np.linalg.norm(q_inf.gram))
+
+
+def test_limit_form_returns_the_projection_residual_it_gates():
+    """The third value of limit_form, and q_lambda_limit's
+    projection_residual, equal the gap between the limit and
+    projection_limit_gram relative to 1 + the limit's norm, bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence([49]))
+    for _ in range(20):
+        b1, b2 = balanced_limit_pair(rng, int(rng.integers(2, 6)))
+        _, q_inf, residual = limit_form(b1, b2, [2.0])
+        assert residual == _projection_gap(b1, b2, q_inf) <= LIMIT_PROJECTION_TOL
+    for model_id in ("hirz:1", "prod:fs1:fs1"):
+        model = resolve_model(model_id).fibration
+        for z in ([0.3 - 0.2j, 0.0], [0.2 + 0.1j, -0.4 + 0.3j]):
+            rec = q_lambda_limit(model, z)
+            b1, b2 = model.b1_field.form_at(z), model.b2_field.form_at(z)
+            assert rec.projection_residual == _projection_gap(b1, b2, rec.q_inf)
+
+
 def test_limit_form_exponential_decay():
     rng = np.random.default_rng(8)
     tested = 0
@@ -619,7 +642,7 @@ def test_limit_form_exponential_decay():
         dim = int(rng.integers(2, 6))
         b1, b2 = balanced_limit_pair(rng, dim)
         lams = [2.0, 4.0, 6.0, 8.0]
-        q_vals, q_inf = limit_form(b1, b2, lams)
+        q_vals, q_inf, _ = limit_form(b1, b2, lams)
         errs = [np.linalg.norm(q.gram - q_inf.gram) for q in q_vals]
         if max(errs) < 1e-13:
             continue  # exact limit, nothing to rate-test

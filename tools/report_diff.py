@@ -8,8 +8,9 @@ is made once in each checkout, as ``python -m hermitia.cli ARGS --out
 FILE`` with that checkout's ``src`` on ``PYTHONPATH``, and the two
 reports are compared after the time fields (``wall_time_s`` and
 ``elapsed_s``, wherever they sit) and ``config.out`` are removed.  Prints
-one line per run, ``same`` or ``DIFFERENT``, and exits 1 when a run
-fails or any pair of reports differs.
+one line per run, ``same``, ``DIFFERENT`` or ``FAILED (exit N)`` with the
+first non-zero exit status of its two runs, and exits 1 when a run fails
+or any pair of reports differs.
 """
 
 import json
@@ -60,7 +61,7 @@ def without_times(value):
 
 def report(checkout, args, out):
     """The report of one run in ``checkout``, without its time fields and
-    its ``config.out``."""
+    its ``config.out``; CalledProcessError when the run exits non-zero."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
     cmd = [sys.executable, "-m", "hermitia.cli", *args.split(), "--out", out]
     subprocess.run(cmd, cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL)
@@ -77,11 +78,15 @@ def main(argv=None):
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for args in RUNS:
-            a, b = (report(side, args, os.path.join(tmp, "%d.json" % i)) for i, side in enumerate(argv))
-            differ += a != b
-            print("%-45s %s" % (args, "same" if a == b else "DIFFERENT"), flush=True)
+            try:
+                a, b = (report(side, args, os.path.join(tmp, "%d.json" % i)) for i, side in enumerate(argv))
+                verdict = "same" if a == b else "DIFFERENT"
+            except subprocess.CalledProcessError as failed:
+                verdict = "FAILED (exit %d)" % failed.returncode
+            differ += verdict != "same"
+            print("%-45s %s" % (args, verdict), flush=True)
     if differ:
-        sys.exit("%d of %d runs wrote different reports" % (differ, len(RUNS)))
+        sys.exit("%d of %d runs failed or wrote different reports" % (differ, len(RUNS)))
 
 
 if __name__ == "__main__":
