@@ -5,13 +5,22 @@ a seeded instance family, prints a fixed-width summary table, and can
 write the versioned JSON report with --out.  Configuration comes from
 flags, optionally layered over a plain key=value file (flags win).
 
+Each option is declared once, in ``OPTIONS``: its type and its valid
+range or words.  Each command is declared once, in ``COMMANDS``: its
+help line and the options its body reads, with their defaults.  The
+argparse subcommands, the config-file reader and the range check are
+built from these two tables, so a command takes only its own options
+(and ``--out`` and ``--config``): an unread flag is a usage error and an
+unread config key a ConfigError.
+
 Exit codes: 0 all checks passed, 1 a check failed or aborted, 2 bad
-configuration (including a value out of range, see _check_ranges), 3
-unexpected internal error.
+configuration (a flag or key the command does not take, or a value out
+of its option's range), 3 unexpected internal error.
 """
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,42 +42,59 @@ CURVATURE_TOL = 1e-8
 CURVATURE_FD_TOL = 1e-4
 TORSION_FLOOR = 1e-6
 
-# Per-command defaults, applied under the config file and the flags.
-_DEFAULTS = {
-    "purge": {"dim": 3, "rank": 2, "seed": 0},
-    "adjoint": {"dimv": 2, "dimw": 1, "demo": "degenerate", "seed": 0, "tol": 1e-9},
-    "curvature": {"model": "fs:1", "samples": 5, "seed": 0, "derivatives": "analytic"},
-    "hsc": {"model": "fs:1", "samples": 100, "seed": 0, "tol": 1e-5,
-            "derivatives": "analytic"},
-    "grassmannian": {"model": "gr:2:4", "samples": 20, "seed": 0, "tol": 1e-8},
-    "codazzi-check": {"instances": 10, "seed": 0, "tol": 1e-4},
-    "demailly-check": {"instances": 10, "seed": 0, "tol": 1e-5},
-    "sum-check": {"instances": 10, "seed": 0, "tol": 1e-4},
-    "fibration-scan": {"model": "hirz:1", "samples": 200, "seed": 0, "lambda_max": 12.0},
-    "acceptance": {},
+# The largest lambda_max: e^lambda of h_lambda overflows above ln(max float).
+LAMBDA_MAX = float(np.log(np.finfo(float).max))
+
+
+class Option(NamedTuple):
+    """One option: the type of its value and its valid range, as the
+    error states it (``rule``) and as a test (``valid``); its argparse
+    ``choices`` when it takes one of a fixed set of words; its flag when
+    that is not --key with '-' for '_'."""
+
+    type: type = str
+    rule: str = None
+    valid: Callable = None
+    words: tuple = None
+    flag: str = None
+    help: str = None
+
+
+def _at_least(low, flag=None):
+    return Option(int, "at least %d" % low, lambda v: v >= low, flag=flag)
+
+
+def _one_of(*words):
+    return Option(str, "one of " + ", ".join(words), words.__contains__, words)
+
+
+_FINITE_POSITIVE = Option(float, "finite and positive", lambda v: 0 < v < np.inf)
+
+# Every option, by its config key.  A config file bypasses argparse, so
+# every rule here is checked on the layered configuration.
+OPTIONS = {
+    "seed": _at_least(0),
+    "rank": _at_least(0),
+    "dim": _at_least(1),
+    "dimv": _at_least(1, "--dimV"),
+    "dimw": _at_least(1, "--dimW"),
+    "samples": _at_least(1),
+    "instances": _at_least(1),
+    "lambda_max": Option(float, "between 0 and %.2f" % LAMBDA_MAX, lambda v: 0 <= v <= LAMBDA_MAX),
+    "region": _FINITE_POSITIVE,
+    "tol": _FINITE_POSITIVE,
+    "derivatives": _one_of("analytic", "fd"),
+    "demo": _one_of("degenerate", "random"),
+    "model": Option(help="model id, e.g. fs:1, gr:2:4, hirz:1"),
+    "criteria": Option(help="comma-separated criterion numbers, e.g. 1,3,11"),
+    "out": Option(help="write the JSON report here"),
 }
 
-_COERCE = {
-    "seed": int,
-    "samples": int,
-    "instances": int,
-    "dim": int,
-    "rank": int,
-    "dimv": int,
-    "dimw": int,
-    "region": float,
-    "tol": float,
-    "lambda_max": float,
-    "model": str,
-    "demo": str,
-    "derivatives": str,
-    "criteria": str,
-    "out": str,
-}
 
-
-def _read_config_file(path):
-    values = {}
+def _read_config_file(path, command):
+    """The values of a key=value file; ConfigError for a key that is not
+    an option of ``command``."""
+    keys, values = _options(command), {}
     try:
         with open(path) as handle:
             lines = handle.readlines()
@@ -82,57 +108,36 @@ def _read_config_file(path):
             raise ConfigError("config line %d is not key=value: %r" % (lineno, line))
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _COERCE:
-            raise ConfigError("unknown config key %r on line %d" % (key, lineno))
+        if key not in keys:
+            raise ConfigError("%s takes no config key %r (line %d)" % (command, key, lineno))
         try:
-            values[key] = _COERCE[key](value.strip())
+            values[key] = OPTIONS[key].type(value.strip())
         except ValueError:
             raise ConfigError("bad value for %r on line %d: %r" % (key, lineno, value))
     return values
 
 
+def _options(command):
+    """The options of ``command`` with their defaults: those its body
+    reads, and ``out``, which :func:`main` reads."""
+    return dict(COMMANDS[command].options, out=None)
+
+
 def _effective_config(args):
-    """Layer defaults, then the config file, then explicit flags."""
-    cfg = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
-        cfg.update(_read_config_file(args.config))
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg[key] = value
-    _check_ranges(cfg)
-    return cfg
-
-
-# The largest lambda_max: e^lambda of h_lambda overflows above ln(max float).
-LAMBDA_MAX = float(np.log(np.finfo(float).max))
-# The values of the keys that take one of a fixed set of words.
-_CHOICES = {"derivatives": ("analytic", "fd"), "demo": ("degenerate", "random")}
-
-
-def _check_ranges(cfg):
-    """Raise ConfigError for a value out of its range: seed >= 0; dim,
-    dimv, dimw, samples and instances >= 1; 0 <= rank <= dim; 0 <=
-    lambda_max <= LAMBDA_MAX; region and tol finite and > 0; derivatives
-    and demo one of their ``_CHOICES``.  A config file bypasses argparse,
-    so every range is checked here."""
-    lowest = dict(seed=0, rank=0, lambda_max=0.0, dim=1, dimv=1, dimw=1, samples=1, instances=1)
-    for key, low in lowest.items():
-        if key in cfg and not cfg[key] >= low:
-            raise ConfigError("%s must be at least %s, got %r" % (key, low, cfg[key]))
-    if "rank" in cfg and "dim" in cfg and cfg["rank"] > cfg["dim"]:
+    """Layer the command's defaults, then the config file, then explicit
+    flags; drop the options left without a value and check the rest."""
+    cfg = _options(args.command)
+    if args.config:
+        cfg.update(_read_config_file(args.config, args.command))
+    cfg.update((key, value) for key, value in vars(args).items() if key in cfg and value is not None)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
+    for key, value in cfg.items():
+        option = OPTIONS[key]
+        if option.valid is not None and not option.valid(value):
+            raise ConfigError("%s must be %s, got %r" % (key, option.rule, value))
+    if cfg.get("rank", 0) > cfg.get("dim", np.inf):
         raise ConfigError("rank cannot exceed dim")
-    if "lambda_max" in cfg and not cfg["lambda_max"] <= LAMBDA_MAX:
-        raise ConfigError("lambda_max must be at most %.2f, got %r" % (LAMBDA_MAX, cfg["lambda_max"]))
-    for key in ("region", "tol"):
-        if key in cfg and not np.isfinite(cfg[key]):
-            raise ConfigError("%s must be finite, got %r" % (key, cfg[key]))
-    for key in ("region", "tol"):
-        if key in cfg and not cfg[key] > 0:
-            raise ConfigError("%s must be positive, got %r" % (key, cfg[key]))
-    for key, choices in _CHOICES.items():
-        if key in cfg and cfg[key] not in choices:
-            raise ConfigError("%s must be one of %s, got %r" % (key, ", ".join(choices), cfg[key]))
+    return cfg
 
 
 def _metric_entry(cfg):
@@ -144,7 +149,7 @@ def _metric_entry(cfg):
 
 def _field_for(entry, cfg):
     field = entry.field
-    if cfg.get("derivatives", "analytic") == "fd":
+    if cfg["derivatives"] == "fd":
         field = field.finite_difference_copy()
     return field
 
@@ -296,17 +301,35 @@ def cmd_acceptance(cfg, report):
                    failures=result.failures, details=result.details)
 
 
-_COMMANDS = {
-    "purge": cmd_purge,
-    "adjoint": cmd_adjoint,
-    "curvature": cmd_curvature,
-    "hsc": cmd_hsc,
-    "grassmannian": cmd_grassmannian,
-    "codazzi-check": cmd_codazzi_check,
-    "demailly-check": cmd_demailly_check,
-    "sum-check": cmd_sum_check,
-    "fibration-scan": cmd_fibration_scan,
-    "acceptance": cmd_acceptance,
+class Command(NamedTuple):
+    """One command: its body, its help line, and the options its body
+    reads with their defaults (None where the body falls back on its own)."""
+
+    run: Callable
+    help: str
+    options: dict
+
+
+COMMANDS = {
+    "purge": Command(cmd_purge, "quotient a seeded degenerate form by its kernel",
+                     dict(dim=3, rank=2, seed=0)),
+    "adjoint": Command(cmd_adjoint, "adjoint of a map between formed spaces",
+                       dict(dimv=2, dimw=1, demo="degenerate", seed=0, tol=1e-9)),
+    "curvature": Command(cmd_curvature, "curvature sanity checks at sampled points",
+                         dict(model="fs:1", samples=5, seed=0, derivatives="analytic", region=None, tol=None)),
+    "hsc": Command(cmd_hsc, "extremal holomorphic sectional curvature scan",
+                   dict(model="fs:1", samples=100, seed=0, tol=1e-5, derivatives="analytic", region=None)),
+    "grassmannian": Command(cmd_grassmannian, "two-route equality and Einstein checks",
+                            dict(model="gr:2:4", samples=20, seed=0, tol=1e-8, region=None)),
+    "codazzi-check": Command(cmd_codazzi_check, "curvature-correction oracle suite",
+                             dict(instances=10, seed=0, tol=1e-4)),
+    "demailly-check": Command(cmd_demailly_check, "derivative identity table suite",
+                              dict(instances=10, seed=0, tol=1e-5)),
+    "sum-check": Command(cmd_sum_check, "sum-of-forms curvature oracle suite",
+                         dict(instances=10, seed=0, tol=1e-4)),
+    "fibration-scan": Command(cmd_fibration_scan, "positivity threshold scan",
+                              dict(model="hirz:1", samples=200, seed=0, lambda_max=12.0, region=None)),
+    "acceptance": Command(cmd_acceptance, "run the bundled acceptance criteria", dict(criteria=None)),
 }
 
 
@@ -316,60 +339,13 @@ def _build_parser():
         description="Curvature checks and scans for degenerate Hermitian metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model=False, samples=False, instances=False, scan=False):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out", help="write the JSON report here")
+    for command, spec in COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for key in _options(command):
+            option = OPTIONS[key]
+            p.add_argument(option.flag or "--" + key.replace("_", "-"), dest=key, type=option.type,
+                           choices=option.words, help=option.help)
         p.add_argument("--config", help="key=value file; flags override it")
-        if model:
-            p.add_argument("--model", help="model id, e.g. fs:1, gr:2:4, hirz:1")
-            p.add_argument("--region", type=float)
-        if samples:
-            p.add_argument("--samples", type=int)
-        if instances:
-            p.add_argument("--instances", type=int)
-        if scan:
-            p.add_argument("--lambda-max", type=float, dest="lambda_max")
-
-    p = sub.add_parser("purge", help="quotient a seeded degenerate form by its kernel")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--rank", type=int)
-    common(p)
-
-    p = sub.add_parser("adjoint", help="adjoint of a map between formed spaces")
-    p.add_argument("--dimV", type=int, dest="dimv")
-    p.add_argument("--dimW", type=int, dest="dimw")
-    p.add_argument("--demo", choices=_CHOICES["demo"])
-    common(p)
-
-    p = sub.add_parser("curvature", help="curvature sanity checks at sampled points")
-    p.add_argument("--derivatives", choices=_CHOICES["derivatives"])
-    common(p, model=True, samples=True)
-
-    p = sub.add_parser("hsc", help="extremal holomorphic sectional curvature scan")
-    p.add_argument("--derivatives", choices=_CHOICES["derivatives"])
-    common(p, model=True, samples=True)
-
-    p = sub.add_parser("grassmannian", help="two-route equality and Einstein checks")
-    common(p, model=True, samples=True)
-
-    p = sub.add_parser("codazzi-check", help="curvature-correction oracle suite")
-    common(p, instances=True)
-
-    p = sub.add_parser("demailly-check", help="derivative identity table suite")
-    common(p, instances=True)
-
-    p = sub.add_parser("sum-check", help="sum-of-forms curvature oracle suite")
-    common(p, instances=True)
-
-    p = sub.add_parser("fibration-scan", help="positivity threshold scan")
-    common(p, model=True, samples=True, scan=True)
-
-    p = sub.add_parser("acceptance", help="run the bundled acceptance criteria")
-    p.add_argument("--criteria", help="comma-separated criterion numbers, e.g. 1,3,11")
-    common(p)
-
     return parser
 
 
@@ -379,7 +355,7 @@ def main(argv=None):
     try:
         cfg = _effective_config(args)
         report = Report(args.command, cfg)
-        _COMMANDS[args.command](cfg, report)
+        COMMANDS[args.command].run(cfg, report)
         print(report.table())
         if cfg.get("out"):
             report.write(cfg["out"])

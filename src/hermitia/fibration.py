@@ -306,10 +306,12 @@ def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
     intrinsic fiber curvature must shrink as lambda grows.  The fiber
     curvature is read once per point, as the vertical index pairs of the
     curvature of :func:`vertical_field`.  A flat fiber metric is reported
-    via ``fiber_flat`` instead of failing.  On an empty grid ``positive``
-    and ``fiber_flat`` hold vacuously.
+    via ``fiber_flat`` instead of failing.  An empty grid scores no point,
+    so it is a ConfigError.
     """
     z_grid = [np.asarray(z, dtype=complex) for z in z_grid]
+    if not z_grid:
+        raise ConfigError("vertical_hsc_check got an empty grid: no point to score")
     v = model.vertical
     rng = np.random.default_rng(np.random.SeedSequence([0, 53]))
     dirs = _unit_directions(rng, model.fiber_dim, VERTICAL_DIRECTIONS)
@@ -334,7 +336,7 @@ def vertical_hsc_check(model: FibrationModel, z_grid) -> VerticalHscReport:
             worst_gap = max(worst_gap, float(np.max(np.abs(h - h_fiber))))
         gap_by_lambda[lam] = worst_gap
 
-    flat = bool(np.max(np.abs(fiber_h), initial=0.0) < FLAT_FIBER_TOL)
+    flat = bool(np.max(np.abs(fiber_h)) < FLAT_FIBER_TOL)
     return VerticalHscReport(
         points=len(z_grid),
         lambdas=VERTICAL_LAMBDAS,

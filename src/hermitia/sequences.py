@@ -226,16 +226,13 @@ class ExactSeqChart:
 
     # -- induced fields --------------------------------------------------
 
-    def _grams(self, part, zs, g, j=None):
-        """The Gram matrices of the ambient, sub or quotient field
-        (``part``) at a stack of points zs of any leading shape, from the
-        ambient's Gram matrices g and the inclusion matrices j read there:
-        g itself, the sub kernel j^H G j, or :meth:`_quot_grams` of the
-        quotient frames of j.  Hermitian-averaged, so each row equals the
-        field's read of its point bit for bit, and the fields' kernels are
-        these of one read."""
-        if part == "ambient":
-            return g
+    def _grams(self, part, zs, g, j):
+        """The Gram matrices of the sub or quotient field (``part``) at a
+        stack of points zs of any leading shape, from the ambient's Gram
+        matrices g and the inclusion matrices j read there: the sub kernel
+        j^H G j, or :meth:`_quot_grams` of the quotient frames of j.
+        Hermitian-averaged, so each row equals the field's read of its
+        point bit for bit, and the fields' kernels are these of one read."""
         lead, zs = zs.shape[:-1], zs.reshape(-1, self.m)
         g, j = g.reshape((-1,) + g.shape[-2:]), j.reshape((-1,) + j.shape[-2:])
         if part == "sub":

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hermitia
-from hermitia import acceptance
+from hermitia import ConfigError, acceptance, cli
 from hermitia.cli import main
 from hermitia.report import encode_matrix, fmt_matrix
 
@@ -274,6 +274,126 @@ def test_flag_words_are_checked_by_the_parser(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# each command takes exactly the options it reads
+
+
+# The options each command's body reads; every command also takes --out,
+# which main reads, and --config.
+READS = {
+    "purge": {"dim", "rank", "seed"},
+    "adjoint": {"dimv", "dimw", "demo", "seed", "tol"},
+    "curvature": {"model", "samples", "seed", "derivatives", "region", "tol"},
+    "hsc": {"model", "samples", "seed", "tol", "derivatives", "region"},
+    "grassmannian": {"model", "samples", "seed", "tol", "region"},
+    "codazzi-check": {"instances", "seed", "tol"},
+    "demailly-check": {"instances", "seed", "tol"},
+    "sum-check": {"instances", "seed", "tol"},
+    "fibration-scan": {"model", "samples", "seed", "lambda_max", "region"},
+    "acceptance": {"criteria"},
+}
+# Cheap runs whose bodies reach every option they read.
+READ_RUNS = {
+    "purge": [],
+    "adjoint": ["--demo", "random"],
+    "curvature": ["--samples", "1"],
+    "hsc": ["--samples", "2"],
+    "grassmannian": ["--samples", "1"],
+    "codazzi-check": ["--instances", "1"],
+    "demailly-check": ["--instances", "1"],
+    "sum-check": ["--instances", "1"],
+    "fibration-scan": ["--samples", "2", "--lambda-max", "0"],
+    "acceptance": ["--criteria", "4"],
+}
+# A valid value of every option, by its flag.
+FLAG_VALUES = {
+    "--seed": "1", "--rank": "1", "--dim": "2", "--dimV": "2", "--dimW": "1",
+    "--samples": "1", "--instances": "1", "--lambda-max": "1", "--region": "0.5",
+    "--tol": "1e-3", "--derivatives": "fd", "--demo": "random", "--model": "fs:1",
+    "--criteria": "1", "--out": "report.json",
+}
+
+
+def config_key(flag):
+    return flag[2:].lower().replace("-", "_")
+
+
+class ReadLog(dict):
+    """A configuration that records every key read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.reads = set()
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", sorted(READ_RUNS))
+def test_each_command_declares_the_options_it_reads(command, monkeypatch, capsys):
+    logs = []
+    effective = cli._effective_config
+
+    def logged(args):
+        logs.append(ReadLog(effective(args)))
+        return logs[-1]
+
+    monkeypatch.setattr(cli, "_effective_config", logged)
+    code, _, _ = run(capsys, command, *READ_RUNS[command])
+    assert code == 0
+    assert logs[0].reads == READS[command] | {"out"} == set(cli.COMMANDS[command].options) | {"out"}
+
+
+def takes_flag(command, flag, value):
+    try:
+        cli._build_parser().parse_args([command, flag, value])
+    except SystemExit:
+        return False
+    return True
+
+
+def takes_config_key(tmp_path, command, flag):
+    path = tmp_path / "one.cfg"
+    path.write_text("%s = %s\n" % (config_key(flag), FLAG_VALUES[flag]))
+    try:
+        cli._effective_config(cli._build_parser().parse_args([command, "--config", str(path)]))
+    except ConfigError:
+        return False
+    return True
+
+
+def test_the_ten_commands_take_60_flags_and_50_config_keys(tmp_path, capsys):
+    flags = keys = 0
+    for command, reads in READS.items():
+        taken = {config_key(f) for f, v in FLAG_VALUES.items() if takes_flag(command, f, v)}
+        assert taken == reads | {"out"} and takes_flag(command, "--config", "run.cfg")
+        flags += len(taken) + 1
+        taken = {config_key(f) for f in FLAG_VALUES if takes_config_key(tmp_path, command, f)}
+        assert taken == reads | {"out"}
+        keys += len(taken)
+    assert (len(cli.COMMANDS), flags, keys) == (10, 60, 50)
+
+
+UNREAD = [(c, f) for c, reads in READS.items() for f in FLAG_VALUES if config_key(f) not in reads | {"out"}]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_an_option_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text("%s = %s\n" % (config_key(flag), FLAG_VALUES[flag]))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert "config error" in err and config_key(flag) in err and out == ""
 
 
 def test_curvature_solves_each_sample_once(gate_points, capsys):

@@ -267,6 +267,14 @@ def test_vertical_check_rejects_a_fiber_that_is_not_positive(hirz1):
         vertical_hsc_check(model, vertical_grid(n=2))
 
 
+def test_vertical_check_on_an_empty_grid_is_a_config_error(hirz1, monkeypatch):
+    """A grid with no point scores nothing, so no report is made: the
+    error names the empty grid and comes before any read of b1."""
+    monkeypatch.setattr(fibration, "vertical_field", lambda model: pytest.fail("read a field"))
+    with pytest.raises(ConfigError, match="empty grid"):
+        vertical_hsc_check(hirz1, [])
+
+
 # Relative bound between the curvature of the vertical sub-bundle and the
 # per-point fiber oracle: tensor, Gram matrix and H.
 FIBER_ORACLE_TOL = 1e-14
