@@ -38,20 +38,24 @@ stack of points, z first, with its forms, its solve (the one call of
 is given) and z's curvature tensor, each computed on first read.  A
 :class:`FieldAt` is the one-row record of one point, which
 :func:`chern_connection` and :func:`curvature_tensor` return with its
-solve or its tensor already run; :func:`solve_points` raises what the
-record of a stack finds, and :func:`gauge_independence_residual` and
-:func:`curvature_20_defect` solve a point and its 4m probe points by it;
-the gated scan of :mod:`hermitia.models` reads the record of its block,
-and a sequence record of :mod:`hermitia.sequences` holds one per field,
-over the gate rows and the forms of its own read.
+solve or its tensor already run; :func:`solve_points` raises the error
+of the first failing point of a stack, and
+:func:`gauge_independence_residual` and :func:`curvature_20_defect`
+solve a point and its 4m probe points by it; the gated scan of
+:mod:`hermitia.models` reads the record of its block, and a sequence
+record of :mod:`hermitia.sequences` holds one per field, over the gate
+rows and the forms of its own read.
 
-Every stacked step keeps one stop rule: it keeps its leading points that
-pass, plus the error of the first point that fails, which is the error a
-loop over the points one at a time raises first.  Such a step returns a
-:class:`_Rows` (value, n, error).  :func:`_leading` runs a step that
-raises at its first failing point, :func:`_first` takes the cut of the
-steps that compute one quantity, and a caller raises the error it keeps
-only where it reads a point that failed.
+One stop rule for stacked steps: a step over a stack of points raises
+at a point that fails and otherwise returns its whole stack, and
+:func:`_leading` alone decides where a stack is cut.  It runs the step
+on the whole stack; only when that raises does it bisect the length of
+the leading part to find the first failing point, and it keeps the
+value of the points before it and that point's error, the error a loop
+over the points one at a time raises first.  This holds because each
+row of a step is a function of its own point (the row contract), so a
+leading part fails exactly when it holds a failing point.  A caller
+raises the error it keeps only where it reads a point that failed.
 
 Curvature is stored as a 4-index tensor R[a][b][s][t] = R(d_a, dbar_b,
 e_s, conj(e_t)).  The sign and normalization are pinned by a calibration
@@ -61,7 +65,7 @@ tensor read as an (m^2, m^2) matrix, one row product per direction.
 """
 
 from collections import namedtuple
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -480,11 +484,10 @@ def _gate_error(zs, ranks, i):
 
 
 class _Rows(namedtuple("_Rows", "value n error")):
-    """The result of a stacked step (see the module docstring): ``value``
-    at the leading n points of its stack, those where every step that
-    computes it passes, with the points on the leading axis, and the
-    error of the first point that fails, or None when all pass.  A kept
-    error is never raised itself: it is built unraised, or detached
+    """The result of :func:`_leading`: ``value`` at the leading n points
+    of its stack, those before the first point that fails, with the
+    points on the leading axis, and the error of that point, or None when
+    all pass.  A kept error is never raised itself: it is detached
     (:func:`_detached`) where :func:`_leading` catches it."""
 
     __slots__ = ()
@@ -502,46 +505,34 @@ class _Rows(namedtuple("_Rows", "value n error")):
 
 
 def _detached(error):
-    """``error`` (or None) without its traceback and the errors chained to
-    it, whose frames would hold the record that keeps it in a cycle."""
-    if error is not None:
-        error.__cause__ = error.__context__ = None
-        error.with_traceback(None)
-    return error
+    """``error`` without its traceback and the errors chained to it,
+    whose frames would hold the record that keeps it in a cycle."""
+    error.__cause__ = error.__context__ = None
+    return error.with_traceback(None)
 
 
-def _first(*inputs):
-    """(n, error) of the step that fails first among ``inputs`` (each a
-    :class:`_Rows`): the least n, and at a tie the error of the first of
-    them that holds one there (a step without one was not given that
-    point)."""
-    first = min(inputs, key=lambda rows: (rows.n, rows.error is None))
-    return first.n, first.error
-
-
-def _leading(fn, zs, n, error, *args):
-    """``fn`` of the leading n points of zs and of the rows of ``args``
-    there, as :class:`_Rows` whose error is ``error`` unless fn fails
-    first.  ``fn`` takes a stack of points and the rows of each arg at
-    them, each row of its result a function of its own point alone, and
-    raises HermitiaError at the first point that fails.  Where the call
-    for all n points raises, the leading points are taken in stacks of
-    1, 2, ... until one raises, whose last point is the first to fail."""
-    if not n:
-        return _Rows(None, 0, error)
-    args = [a[:n] for a in args]
+def _leading(fn, zs):
+    """``fn`` of the longest leading part of the stack zs where it
+    passes, as :class:`_Rows` whose error is that of the first point that
+    fails.  ``fn`` takes a stack of points, each row of its result a
+    function of its own point alone, and raises HermitiaError when a point
+    fails, so a leading part fails exactly when it holds a failing point.
+    ``fn`` runs on the whole stack; only when that raises is the length of
+    the leading part bisected, so fn runs at most ceil(log2 B) + 1 times
+    on B points.  The error kept is that of the shortest failing part,
+    whose last point alone fails."""
     try:
-        return _Rows(fn(zs[:n], *args), n, error)
-    except HermitiaError:
-        pass
-    value = None
-    for i in range(n):
+        return _Rows(fn(zs), len(zs), None)
+    except HermitiaError as err:
+        error = _detached(err)
+    value, passing, failing = None, 0, len(zs)
+    while failing - passing > 1:
+        mid = (passing + failing) // 2
         try:
-            last = fn(zs[: i + 1], *(a[: i + 1] for a in args))
+            value, passing = fn(zs[:mid]), mid
         except HermitiaError as err:
-            return _Rows(value, i, _detached(err))
-        value = last
-    return _Rows(value, n, error)
+            error, failing = _detached(err), mid
+    return _Rows(value, passing, error)
 
 
 def _outside(w, margin):
@@ -554,22 +545,16 @@ def _outside(w, margin):
 
 
 def _gate_reads(field: ChartField, zs):
-    """G at the gate stencils (:func:`_gate_stencil`) of the n leading
-    points of a (B, m) stack that lie inside the chart with the gate's
-    margin to spare, from one comparison for the whole stack, shape (n,
-    4m + 1, r, r), read in one :meth:`ChartField.gram_stack` call: a
-    :class:`_Rows` whose error is the OutOfDomain of zs[n], if n < B.  No
-    point after zs[n] is read."""
-    margin = field.fd_outer_step + field.fd_step
-    inside = field.in_domain(zs, margin)
-    n, error = len(zs), None
-    if not inside.all():
-        n = int(np.argmin(inside))
-        error = _outside(zs[n], margin)
-    stencils = _gate_stencil(zs[:n], field.fd_outer_step)
-    r = field.shape
-    g = field.gram_stack(stencils.reshape(-1, field.m)) if n else np.empty((0, r, r), dtype=complex)
-    return _Rows(g.reshape(stencils.shape[:2] + (r, r)), n, error)
+    """G at the gate stencils (:func:`_gate_stencil`) of a (B, m) stack
+    of points, shape (B, 4m + 1, r, r), read in one
+    :meth:`ChartField.gram_stack` call, and those stencils, shape (B,
+    4m + 1, m).  The OutOfDomain of the first point that is not inside
+    the chart with the gate's margin to spare raises first, from one
+    comparison for the whole stack, before any read."""
+    field._require_domain(zs, field.fd_outer_step + field.fd_step)
+    stencils = _gate_stencil(zs, field.fd_outer_step)
+    g = field.gram_stack(stencils.reshape(-1, field.m))
+    return g.reshape(stencils.shape[:2] + g.shape[1:]), stencils
 
 
 _FORM_GUARD = "the form read at this point is not the gate's G(z)"
@@ -585,25 +570,22 @@ def _solver_residual(residual):
 class FieldRows:
     """One field at a (B, m) stack of points ``zs``, z = zs[0] first: its
     forms, its gated connection solve and z's curvature tensor, each
-    computed on first read.
+    computed on first read, each raising what its step raises.
 
-    ``reads``, a function of no argument, returns the :class:`_Rows` of G
-    at the gate stencils of the leading points (by default
-    :func:`_gate_reads`, whose error is the OutOfDomain of the first point
-    outside the chart).  ``solved`` is the :class:`_Rows` of the
-    :class:`RowSolves` of one :func:`solve_rows` of those rows, cut by
-    :func:`_first` of the solve, the reads and the forms; ``solves`` is
-    its value, raising z's error when z fails.
+    ``reads``, a function of no argument, returns G at the gate stencils
+    of the leading points to solve (by default all of them, read by
+    :func:`_gate_reads`, which raises the OutOfDomain of the first point
+    outside the chart).  ``solves`` is the :class:`RowSolves` of one
+    :func:`solve_rows` of those rows.
 
-    ``forms``, the :class:`_Rows` of a
-    :class:`~hermitia.forms.FormStack`, are given, or read first: one read
-    of G at zs apart from the gates, with no domain check, which raises
-    NonFinite naming the first point where G is not finite.  The solve
-    takes them when they cover its points, and each must then equal its
-    gate's centre row bit for bit, else HermitiaError: the guard of the
-    kernel's row contract.  Read after a solve that kept every point, the
-    forms are the solve's, the gates' centre rows; after one that did
-    not, they are read apart.
+    ``forms``, a function of no argument, returns the
+    :class:`~hermitia.forms.FormStack` at zs (by default one read of G at
+    zs apart from the gates, with no domain check, which raises NonFinite
+    naming the first point where G is not finite).  Read before the
+    solve, they are the solve's, and each must then equal its gate's
+    centre row bit for bit, else HermitiaError: the guard of the kernel's
+    row contract.  Read after a solve of every point, the forms are the
+    solve's, the gates' centre rows; else they are read by ``forms``.
 
     z's readers are ``form``, ``dg``, ``a``, ``residual`` and ``tensor``,
     the one-row :func:`assemble_rows` at z.
@@ -611,28 +593,21 @@ class FieldRows:
 
     def __init__(self, field: ChartField, zs, reads=None, forms=None):
         self.field, self.zs = field, zs
-        self._reads = partial(_gate_reads, field, zs) if reads is None else reads
-        if forms is not None:
-            self._forms = forms
+        self._reads, self._read_forms = reads, forms
 
     @cached_property
-    def _forms(self):
-        solved = self.__dict__.get("solved")
-        if solved is not None and solved.n == len(self.zs):
-            return _Rows(solved.value.forms, solved.n, None)
-        return _Rows(FormStack(self.field.gram_stack(self.zs), self.zs, RANK_TOL), len(self.zs), None)
-
-    forms = property(lambda self: self._forms.rows())
+    def forms(self):
+        solves = self.__dict__.get("solves")
+        if solves is not None and len(solves.a) == len(self.zs):
+            return solves.forms
+        if self._read_forms is not None:
+            return self._read_forms()
+        return FormStack(self.field.gram_stack(self.zs), self.zs, RANK_TOL)
 
     @cached_property
-    def solved(self):
-        reads, forms = self._reads(), self.__dict__.get("_forms")
-        steps = (reads,) if forms is None else (reads, forms)
-        taken = forms.value if forms is not None and forms.n >= reads.n else None
-        solved = solve_rows(self.field, self.zs[: reads.n], reads.value, taken)
-        return _Rows(solved.value, *_first(solved, *steps))
-
-    solves = property(lambda self: self.solved.rows())
+    def solves(self):
+        grams = _gate_reads(self.field, self.zs)[0] if self._reads is None else self._reads()
+        return solve_rows(self.field, self.zs[: len(grams)], grams, self.__dict__.get("forms"))
 
     @cached_property
     def form(self):
@@ -703,10 +678,11 @@ def curvature_tensor(field: ChartField, z) -> FieldAt:
 def solve_points(field: ChartField, zs):
     """The connection solves of ``field`` at a (B, m) stack of points, as
     the :class:`RowSolves` of :class:`FieldRows`, whose forms are the
-    gates' centre rows; it raises the error of the first point that
-    fails, in order: the errors of :func:`solve_rows`, then OutOfDomain.
-    No point after the first one outside the chart is read."""
-    solved = FieldRows(field, zs).solved
+    gates' centre rows.  It raises the error of the first point that
+    fails (:func:`_leading`), a point's checks in the order: OutOfDomain,
+    then those of :func:`solve_rows`.  No point after the first one
+    outside the chart is read."""
+    solved = _leading(lambda zs: FieldRows(field, zs).solves, zs)
     if solved.error is not None:
         solved.raise_error()
     return solved.value
@@ -725,46 +701,35 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
     for the gates' centre rows.  The gates are ranked by one batched
     ``eigvalsh``; forms read apart must equal their gate's centre row bit
     for bit; the forms are factorized by one batched ``eigh`` (a stack
-    read apart keeps its own), dG is one :meth:`ChartField.d_stack` read
-    (by :func:`_leading`), and A = G^+ dG and its residual are batched
-    products, each row the arithmetic of one point.
+    read apart keeps its own), dG is one :meth:`ChartField.d_stack` read,
+    and A = G^+ dG and its residual are batched products, each row the
+    arithmetic of one point.
 
-    Returns the :class:`_Rows` of the :class:`RowSolves` (forms, dG, A
-    and residual) at the leading points that pass, and the error at the
-    first point that fails; its value holds no rows when the first point
-    fails.  A point's checks come in the order: the gate's NonFinite or
+    Returns the :class:`RowSolves` (forms, dG, A and residual) of every
+    point, or raises when a point fails (:func:`_leading` finds the first
+    one).  A point's checks come in the order: the gate's NonFinite or
     RankJump, the form guard's HermitiaError, the read of dG, NonFinite
     of dG, SolverResidual."""
     b, m, r = len(zs), field.m, field.shape
     ranks = gram_ranks(grams.reshape(-1, r, r), RANK_TOL).reshape(b, 4 * m + 1)
     stops = np.flatnonzero((ranks < 0) | (ranks != ranks[:, :1]))
-    n, error = b, None
     if stops.size:
         n, i = divmod(int(stops[0]), 4 * m + 1)
-        error = _gate_error(_gate_stencil(zs[n], field.fd_outer_step), ranks[n], i)
+        raise _gate_error(_gate_stencil(zs[n], field.fd_outer_step), ranks[n], i)
     if forms is None:
-        forms = FormStack(grams[:n, 0], zs[:n], RANK_TOL)
-    else:
-        same = (grams[:n, 0] == forms.gram[:n]).all(axis=(-2, -1))
-        if not same.all():
-            n, error = int(np.argmin(same)), HermitiaError(_FORM_GUARD)
-    dg, n, error = _leading(field.d_stack, zs, n, error)
-    if n and not np.isfinite(dg).all():
-        n = int(np.argmin(np.isfinite(dg).all(axis=(1, 2, 3))))
-        error = _non_finite("first derivative", zs[n])
-    if not n:
-        empty = np.zeros((0, m, r, r), dtype=complex)
-        return _Rows(RowSolves(forms, empty, empty, np.zeros(0)), 0, error)
-    dg = dg[:n]
-    a = forms.pinv[:n, None] @ dg
+        forms = FormStack(grams[:, 0], zs, RANK_TOL)
+    elif not (grams[:, 0] == forms.gram[:b]).all():
+        raise HermitiaError(_FORM_GUARD)
+    dg = field.d_stack(zs)
+    require_finite_rows(dg, "first derivative", zs)
+    a = forms.pinv[:b, None] @ dg
     # the norms of G A_a - d_a G and of d_a G at every point, in one pass
-    norms = _row_norms(np.concatenate([forms.gram[:n, None] @ a - dg, dg]).reshape(-1, r, r))
-    residual = (norms[: n * m] / (1.0 + norms[n * m:])).reshape(n, m).max(axis=1)
+    norms = _row_norms(np.concatenate([forms.gram[:b, None] @ a - dg, dg]).reshape(-1, r, r))
+    residual = (norms[: b * m] / (1.0 + norms[b * m:])).reshape(b, m).max(axis=1)
     over = residual > SOLVER_TOL
     if over.any():
-        n = int(np.argmax(over))
-        error = _solver_residual(residual[n])
-    return _Rows(RowSolves(forms, dg[:n], a[:n], residual[:n]), n, error)
+        raise _solver_residual(residual[np.argmax(over)])
+    return RowSolves(forms, dg, a, residual)
 
 
 def assemble_rows(field: ChartField, zs, solves):

@@ -173,11 +173,13 @@ def cmd_adjoint(cfg, report):
     if cfg["demo"] == "degenerate":
         if dv < 2:
             raise ConfigError("the degenerate demo needs dimV >= 2")
+        if "seed" in cfg:
+            raise ConfigError("the degenerate demo reads no seed")
         bV = HermitianForm(np.diag([1.0] * (dv - 1) + [0.0]))
         bW = HermitianForm(np.eye(dw))
         f = LinearMap(np.eye(dw, dv))
-    else:  # random
-        rng = np.random.default_rng(cfg["seed"])
+    else:  # random, recording the seed it falls back to
+        rng = np.random.default_rng(report.config.setdefault("seed", cfg.get("seed", 0)))
         bV = hermitian_form(rng, dv, rank=int(rng.integers(1, dv + 1)))
         bW = hermitian_form(rng, dw, rank=int(rng.integers(1, dw + 1)))
         f = adjointable_map(rng, bV, bW)
@@ -314,7 +316,7 @@ COMMANDS = {
     "purge": Command(cmd_purge, "quotient a seeded degenerate form by its kernel",
                      dict(dim=3, rank=2, seed=0)),
     "adjoint": Command(cmd_adjoint, "adjoint of a map between formed spaces",
-                       dict(dimv=2, dimw=1, demo="degenerate", seed=0, tol=1e-9)),
+                       dict(dimv=2, dimw=1, demo="degenerate", seed=None, tol=1e-9)),
     "curvature": Command(cmd_curvature, "curvature sanity checks at sampled points",
                          dict(model="fs:1", samples=5, seed=0, derivatives="analytic", region=None, tol=None)),
     "hsc": Command(cmd_hsc, "extremal holomorphic sectional curvature scan",
@@ -346,12 +348,14 @@ def _build_parser():
             p.add_argument(option.flag or "--" + key.replace("_", "-"), dest=key, type=option.type,
                            choices=option.words, help=option.help)
         p.add_argument("--config", help="key=value file; flags override it")
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:  # reported with the usage of the command, not of hermitia
+        args.parser.error("unrecognized arguments: %s" % " ".join(unread))
     try:
         cfg = _effective_config(args)
         report = Report(args.command, cfg)

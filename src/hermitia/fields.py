@@ -13,7 +13,7 @@ Both routes carry exact first and mixed second derivatives, so the
 resulting fields run in analytic mode and self-check against finite
 differences on construction.  The derivatives of every potential field,
 here and in :func:`models.grassmannian_chart`, come from one pair of
-routines, :func:`_logdet_first` and :func:`_logdet_second`: the
+routines, :func:`_logdet_order1` and :func:`_logdet_order2`: the
 potential is log det(A A^H) for a holomorphic frame A, the one-row
 A = w^T here.  Their Gram kernels stay separate routes, so the two
 Grassmannian Grams remain independent.
@@ -132,7 +132,7 @@ def _singular_frame(z):
     return NonFinite("d dbar log det(A A^H) is not finite at %s: A A^H is singular there" % where)
 
 
-def _logdet_first(zs, a, da, dda):
+def _logdet_order1(zs, a, da, dda):
     """The first-order part of the log-det jet at a (B, m) stack of points
     zs: (J, H, d) for a holomorphic frame A of shape (B, k, N) with
     derivatives dA (B, m, k, N) and ddA (B, m, m, k, N), or None where A
@@ -173,9 +173,9 @@ def _logdet_first(zs, a, da, dda):
     return j, hf, d.transpose(0, 2, 3, 1)
 
 
-def _logdet_second(j, hf):
+def _logdet_order2(j, hf):
     """The mixed second derivatives of the log-det Gram field from the J
-    and flattened H of :func:`_logdet_first`, at each row of their stack:
+    and flattened H of :func:`_logdet_order1`, at each row of their stack:
     with C_ab = J_a J_b^H,
 
         d_g dbar_d G[b, a] = <H_ag, H_bd> - tr(C_gd C_ab) - tr(C_ad C_gb).
@@ -191,13 +191,13 @@ def _logdet_second(j, hf):
 def _logdet_derivatives(frame):
     """d_fn and dd_fn of the Gram field of d dbar log det(A A^H) for
     frame(zs) = (A, dA, ddA) at a (B, m) stack of points as
-    :func:`_logdet_first` takes them.  A d read builds only the
+    :func:`_logdet_order1` takes them.  A d read builds only the
     first-order part; the first dd read of a stack adds the second-order
-    products (:func:`_logdet_second`) from it.  Both are kept for the
+    products (:func:`_logdet_order2`) from it.  Both are kept for the
     latest stack read (:func:`charts.last_point_cache`), so a d read and
     a dd read of the same rows build the first-order part once."""
-    first = last_point_cache(lambda zs: _logdet_first(zs, *frame(zs)))
-    second = last_point_cache(lambda zs: _logdet_second(*first(zs)[:2]))
+    first = last_point_cache(lambda zs: _logdet_order1(zs, *frame(zs)))
+    second = last_point_cache(lambda zs: _logdet_order2(*first(zs)[:2]))
     return lambda zs: first(zs)[2], second
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .charts import (
     ChartField,
     FieldRows,
-    _first,
     _leading,
     _row_norms,
     _Rows,
@@ -391,25 +390,34 @@ def _point_rows(field, zs):
         yield curv.tensor, curv.form.gram
 
 
+class _Rejected(HermitiaError):
+    """The gate of a gated scan rejects a point: raised in the block read
+    (:func:`_block_rows`) so that :func:`charts._leading` cuts there, and
+    read by :func:`_scan` as None, never raised to a caller."""
+
+
 def _block_rows(field, zs, gate):
-    """The (tensor, Gram) rows of the leading points that pass the finite
-    check of G, ``gate`` and the curvature read, as :class:`charts._Rows`
-    whose error is the first failing point's; a gate's rejection is a cut
-    without one.  G is read at all points in one
-    :meth:`ChartField.gram_stack` call; a non-finite G raises NonFinite
-    naming its point, and the gate, one call, sees G at the points before
-    it.  The points before the cut are solved by one
-    :class:`charts.FieldRows` and assembled by one
-    :func:`charts.assemble_rows` read by :func:`charts._leading`, and no
-    later point is solved."""
+    """The (tensor, Gram) rows of the points of zs before the first that
+    fails, as :class:`charts._Rows` whose error is that point's: a
+    point's checks are, in order, the finite check of G, ``gate`` (a
+    rejection is :class:`_Rejected`) and the curvature read.  G is read
+    at all points in one :meth:`ChartField.gram_stack` call, and one
+    :func:`charts._leading` call runs the rest on a stack of them: the
+    gate, one call, then one :class:`charts.FieldRows` solve and one
+    :func:`charts.assemble_rows` read, so no point after the first that
+    fails is solved.  A block that fails runs them again on the leading
+    parts that :func:`charts._leading` bisects."""
     g = field.gram_stack(zs)
-    cut = _leading(lambda zs, g: require_finite_rows(g, "Gram matrix", zs), zs, len(zs), None, g)
-    passed = gate(g[: cut.n])
-    if not passed.all():
-        cut = _Rows(None, int(np.argmin(passed)), None)
-    solved = FieldRows(field, zs[: cut.n]).solved
-    tensors = _leading(lambda zs: assemble_rows(field, zs, solved.value), zs, *_first(solved, cut))
-    return tensors._replace(value=zip(tensors.value, solved.value.forms.gram) if tensors.n else ())
+
+    def rows(zs):
+        n = len(zs)
+        require_finite_rows(g[:n], "Gram matrix", zs)
+        if not gate(g[:n]).all():
+            raise _Rejected("the gate rejects a point of the block")
+        solves = FieldRows(field, zs).solves
+        return zip(assemble_rows(field, zs, solves), solves.forms.gram)
+
+    return _leading(rows, zs)
 
 
 def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs, gate=None):
@@ -430,8 +438,8 @@ def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs,
     finite Gram matrices that returns one bool per matrix, each a function
     of its matrix alone, the points are read as one block
     (:func:`_block_rows`): the points before the first that fails are
-    scored, and the scan then raises that point's error, or returns None
-    when the gate rejected it.  Results, None and errors are those of
+    scored, and the scan then returns None when the gate rejected that
+    point, or raises its error.  Results, None and errors are those of
     checking, gating and reading the points one at a time.
     """
     zs, dirs = _draw(field.m, region, n_points, directions_per_point, seed_key)
@@ -443,16 +451,16 @@ def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs,
     else:
         rows = _block_rows(field, zs, gate)
     incumbents = [None] * len(signs)
-    for z, d, (tensor, g) in zip(zs, dirs, rows.value):
+    for z, d, (tensor, g) in zip(zs, dirs, rows.value or ()):
         h = hsc_of_tensor(tensor, g, d)
         for k, sign in enumerate(signs):
             i = np.argmax(sign * h)
             if incumbents[k] is None or sign * h[i] > sign * incumbents[k][0]:
                 incumbents[k] = (h[i], z, d[i], tensor, g)
+    if isinstance(rows.error, _Rejected):
+        return None
     if rows.error is not None:
         rows.raise_error()
-    if rows.n < n_points:
-        return None
     extremes = []
     for sign, (_, z, v, tensor, g) in zip(signs, incumbents):
         v, h = _refine_direction(tensor, g, v, steps, sign)

@@ -61,7 +61,9 @@ Codazzi pairs calls the ambient kernel 4 times, whatever m: at the gate
 points, at the 4m + 1 points for the sub's dG, and once each for the
 sub's and the quotient's jets at z (the d and dd reads of each jet
 sharing its first-order part).  Errors stay with their point: each
-stacked step keeps the stop rule of :mod:`hermitia.charts`, so a reader
+quantity of a record raises when one of its points fails, and its
+readers are views onto the longest leading prefix record where it
+passes, which the stop rule of :mod:`hermitia.charts` finds, so a reader
 of z's row raises only z's error, and a probe the first failing point's
 (see :class:`_SeqRows`).  Each identity line, the splitting's
 reassembly residual and the (0,1)-part of sigma reduce by
@@ -72,7 +74,7 @@ points in one call (:meth:`ExactSeqChart._j_fd`).
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -85,12 +87,10 @@ from .charts import (
     FieldRows,
     _as_point,
     _combine_ring,
-    _first,
     _gate_reads,
     _gate_stencil,
     _leading,
     _named,
-    _Rows,
     _stencil_ring,
     curvature_tensor,
     last_point_cache,
@@ -433,14 +433,13 @@ def _sigma_rows(zs, q, dj, j, a_e, a_s):
     return q[:, None] @ (dj + a_e @ j - j @ a_s)
 
 
-def _part_reads(seq, part, read, stencils, gate_j, n):
-    """The :class:`~hermitia.charts._Rows` of the gate rows of the sub or
-    the quotient (``part``) at a record's leading n points, from the
-    record's read of the ambient there (``read``), its gate stencils and
-    the inclusion there; its error is the read's when n is the read's
-    length."""
-    grams = seq._grams(part, stencils[:n], read.value[:n], gate_j[:n])
-    return _Rows(grams, n, read.error if n == read.n else None)
+def _view(name, part=None):
+    """The reader ``name`` of a :class:`_SeqRows`: its quantity ``_`` +
+    name, or for a field its record with ``part`` (``solves`` or
+    ``forms``) read, on the longest leading prefix record where that
+    passes (:meth:`_SeqRows._cut`); it raises the error of z when z
+    fails."""
+    return property(lambda rec: rec._cut("_" + name, part).rows())
 
 
 class _SeqRows:
@@ -451,58 +450,80 @@ class _SeqRows:
     row; :meth:`probe` differences rows 1 to 4m.
 
     One read: the ambient's Gram kernel at the gate stencils of the
-    leading points inside the chart by the gate's margin, in one call
-    (OutOfDomain if z is not), then, for the sub or the quotient, the
-    inclusion there in one call.  ``ambient``, ``sub`` and ``quot`` (each
-    a :class:`~hermitia.charts.FieldRows`) are given the forms of their
-    field at the centre rows of that read and their gate rows from all of
-    it (:func:`_part_reads`, computed when the field is solved; the
-    quotient's are z's alone), so each field is solved once.  Their
-    closures bind locals, never the record, which would then hold itself
-    in a cycle.  Reading the ambient alone reads no inclusion.  ``j`` is
-    the centre rows of the inclusion's read, ``dj`` one read at zs, and
-    ``q``, ``dq`` and the quotient's forms come from one quotient frame
-    of j.  j dagger, q dagger, sigma and sigma dagger are stacked
+    points, in one call (OutOfDomain if a point is not inside the chart
+    by the gate's margin), then, for the sub or the quotient, the
+    inclusion there in one call.  ``_ambient``, ``_sub`` and ``_quot``
+    (each a :class:`~hermitia.charts.FieldRows`) take the forms of their
+    field from the centre rows of that read and their gate rows from all
+    of it (the quotient's at z alone), so each field is solved once.
+    Their closures bind locals, never the record, which would then hold
+    itself in a cycle.  Reading the ambient alone reads no inclusion.
+    ``j`` is the centre rows of the inclusion's read, ``dj`` one read at
+    zs, and ``q``, ``dq`` and the quotient's forms come from one quotient
+    frame of j.  j dagger, q dagger, sigma and sigma dagger are stacked
     products over all points (:func:`~hermitia.forms.adjoint_stack`),
     each row the arithmetic of one point.
 
-    Errors stay with their point, by the stop rule of
-    :mod:`hermitia.charts`: each quantity is a :class:`~hermitia.charts._Rows`
-    whose steps are, per point, the ambient solve, then the sub solve,
-    then the quotient frame, and OutOfDomain at the first point outside
-    the chart.  Reading a quantity raises only z's error; a probe raises
-    the first failing point's."""
+    Each quantity raises when a point fails, a point's steps being the
+    read, then, in the order of the per-point oracle, the ambient solve,
+    the sub solve and the quotient frame.  The readers (``j``, ``q``,
+    ``dq``, ``jdag``, ``qdag``, ``sigma``, ``sigma_dagger``, and
+    ``ambient``, ``sub`` and ``quot`` with their solves, or the
+    quotient's forms, read) are views onto the longest leading prefix
+    record ``_SeqRows(seq, zs[:k])`` where the quantity passes, found by
+    :func:`~hermitia.charts._leading` and built once per k: the record
+    itself when every point passes.  So a reader of z's row raises only
+    z's error, and a probe the first failing point's."""
 
     def __init__(self, seq: ExactSeqChart, zs):
         self.seq = seq
         self.zs = zs
+        self._prefixes, self._cuts = {}, {}
 
     @property
     def z(self):
         return self.zs[0]
 
+    def _prefix(self, k):
+        """The record of the leading k points, built once."""
+        if k == len(self.zs):
+            return self
+        if k not in self._prefixes:
+            self._prefixes[k] = _SeqRows(self.seq, self.zs[:k])
+        return self._prefixes[k]
+
+    def _cut(self, name, part=None):
+        """The :class:`~hermitia.charts._Rows` of the quantity ``name``
+        (with ``part`` of a field record read, the same part on every
+        call) on the longest leading prefix record where it passes, and
+        the error of the first point that fails; found once per
+        quantity."""
+        if name not in self._cuts:
+
+            def step(zs):
+                value = getattr(self._prefix(len(zs)), name)
+                if part is not None:
+                    getattr(value, part)
+                return value
+
+            self._cuts[name] = _leading(step, self.zs)
+        return self._cuts[name]
+
     @cached_property
     def _read(self):
-        """The ambient's Gram matrices at the gate stencils of the leading
-        points inside the chart, with the OutOfDomain of the first point
-        outside (:func:`charts._gate_reads`)."""
+        """The ambient's Gram matrices at the gate stencils of the points
+        and those stencils (:func:`charts._gate_reads`)."""
         return _gate_reads(self.seq.ambient, self.zs)
 
     @cached_property
-    def _stencils(self):
-        return _gate_stencil(self.zs[: self._read.n], self.seq.ambient.fd_outer_step)
-
-    @cached_property
     def _gate_j(self):
-        stencils = self._stencils
+        stencils = self._read[1]
         j = self.seq._j_stack(stencils.reshape(-1, self.seq.m))
         return j.reshape(stencils.shape[:2] + j.shape[1:])
 
     @cached_property
     def _j(self):
-        return self._read._replace(value=self._gate_j[:, 0])
-
-    j = property(lambda self: self._j.value)  # z is inside: the read raises otherwise
+        return self._gate_j[:, 0]
 
     @cached_property
     def dj(self):
@@ -510,75 +531,67 @@ class _SeqRows:
 
     @cached_property
     def _frames(self):
-        """C and q (:meth:`ExactSeqChart._frames`) at the leading points
-        where w0 j is invertible, each a :class:`_Rows`."""
-        j = self._j
-        both = _leading(self.seq._frames, self.zs, j.n, j.error, j.value)
-        return [both._replace(value=both.value[i] if both.n else None) for i in (0, 1)]
+        """C and q (:meth:`ExactSeqChart._frames`) at the points."""
+        return self.seq._frames(self.zs, self._j)
 
-    q = property(lambda self: self._frames[1].rows())
-
-    @cached_property
-    def dq(self):
-        core = self._frames[0].rows()
-        n = len(core)
-        return self.seq._dq_of(self.j[:n], core, self.dj[:n])
+    @property
+    def _q(self):
+        return self._frames[1]
 
     @cached_property
-    def ambient(self):
-        read = self._read
-        forms = _leading(_form_stack, self.zs, read.n, read.error, read.value[:, 0])
-        return FieldRows(self.seq.ambient, self.zs, lambda: read, forms)
+    def _dq(self):
+        return self.seq._dq_of(self._j, self._frames[0], self.dj)
 
     @cached_property
-    def sub(self):
-        seq, g, j = self.seq, self._read.value, self._j
-        forms = _leading(
-            lambda zs, g, j: _form_stack(zs, seq._grams("sub", zs, g, j)),
-            self.zs, j.n, j.error, g[:, 0], j.value,
-        )
-        reads = partial(_part_reads, seq, "sub", self._read, self._stencils, self._gate_j, j.n)
-        return FieldRows(seq.sub_field, self.zs, reads, forms)
+    def _ambient(self):
+        zs, grams = self.zs, self._read[0]
+        return FieldRows(self.seq.ambient, zs, lambda: grams, lambda: _form_stack(zs, grams[:, 0]))
 
     @cached_property
-    def quot(self):
-        seq, read, q = self.seq, self._read, self._frames[1]
-        forms = _leading(
-            lambda zs, g, q: _form_stack(zs, seq._quot_grams(zs, g, q)),
-            self.zs, q.n, q.error, read.value[:, 0], q.value,
-        )
-        reads = partial(_part_reads, seq, "quot", read, self._stencils, self._gate_j, min(read.n, 1))
-        return FieldRows(seq.quot_field, self.zs, reads, forms)
+    def _sub(self):
+        seq, zs, (grams, stencils) = self.seq, self.zs, self._read
+        sub = seq._grams("sub", stencils, grams, self._gate_j)
+        return FieldRows(seq.sub_field, zs, lambda: sub, lambda: _form_stack(zs, sub[:, 0]))
 
-    def _adjoints(self, f, v, w):
-        """:func:`~hermitia.forms.adjoint_stack` of the maps f between the
-        forms v and w, each a :class:`_Rows`, at their leading points."""
-        return _leading(
-            lambda zs, f: adjoint_stack(f, v.value, w.value), self.zs, *_first(f, v, w), f.value
+    @cached_property
+    def _quot(self):
+        seq, zs, (grams, stencils), gate_j, q = self.seq, self.zs, self._read, self._gate_j, self._q
+        return FieldRows(
+            seq.quot_field,
+            zs,
+            lambda: seq._grams("quot", stencils[:1], grams[:1], gate_j[:1]),
+            lambda: _form_stack(zs, seq._quot_grams(zs, grams[:, 0], q)),
         )
 
     @cached_property
     def _jdag(self):
-        return self._adjoints(self._j, self.sub._forms, self.ambient._forms)
+        return adjoint_stack(self._j, self._sub.forms, self._ambient.forms)
 
     @cached_property
     def _qdag(self):
-        return self._adjoints(self._frames[1], self.ambient._forms, self.quot._forms)
+        return adjoint_stack(self._q, self._ambient.forms, self._quot.forms)
 
     @cached_property
     def _sigma(self):
-        ambient, sub, q = self.ambient.solved, self.sub.solved, self._frames[1]
-        args = (q.value, self.dj, self.j, ambient.value.a, sub.value.a)
-        return _leading(_sigma_rows, self.zs, *_first(ambient, sub, q), *args)
+        a_e, a_s = self._ambient.solves.a, self._sub.solves.a
+        return _sigma_rows(self.zs, self._q, self.dj, self._j, a_e, a_s)
 
     @cached_property
     def _sigma_dagger(self):
-        return self._adjoints(self._sigma, self.sub._forms, self.quot._forms)
+        return adjoint_stack(self._sigma, self._sub.forms, self._quot.forms)
 
-    jdag = property(lambda self: self._jdag.rows())
-    qdag = property(lambda self: self._qdag.rows())
-    sigma = property(lambda self: self._sigma.rows())
-    sigma_dagger = property(lambda self: self._sigma_dagger.rows())
+    j = _view("j")
+    q = _view("q")
+    dq = _view("dq")
+    jdag = _view("jdag")
+    qdag = _view("qdag")
+    sigma = _view("sigma")
+    sigma_dagger = _view("sigma_dagger")
+    ambient = _view("ambient", "solves")
+    sub = _view("sub", "solves")
+    # the quotient is solved at z alone, so its record is cut where its
+    # forms fail, and its solve raises only z's error
+    quot = _view("quot", "forms")
 
     def probe(self, name, conjugate=False):
         """d_a (or dbar_a when ``conjugate``) at z of the quantity ``name``
@@ -587,7 +600,7 @@ class _SeqRows:
         ``PROBE_STEP`` of rows 1 to 4m, combined by
         :func:`~hermitia.charts._combine_ring`; the error of the first
         point that fails, if any does."""
-        rows = getattr(self, "_" + name)
+        rows = self._cut("_" + name)
         if rows.n < len(self.zs):
             rows.raise_error()
         return _combine_ring(rows.value[1:], PROBE_STEP, conjugate)

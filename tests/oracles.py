@@ -226,10 +226,10 @@ def curvature_at(field, z):
     return np.array([[(dbg[b] @ a[i] - ddg[i, b]).T for b in range(m)] for i in range(m)])
 
 
-def logdet_first(a, da, dda):
+def logdet_order1(a, da, dda):
     """The first-order part (J, flattened H, d) of the log-det jet at one
     point, for a frame A (k, N) with dA (m, k, N) and ddA (m, m, k, N) or
-    None: the per-point oracle of ``fields._logdet_first``, the same
+    None: the per-point oracle of ``fields._logdet_order1``, the same
     products on one point's arrays.  Raises LinAlgError where A A^H is
     singular."""
     m, k, n = da.shape
@@ -249,10 +249,10 @@ def logdet_first(a, da, dda):
     return j, hf, d.transpose(1, 2, 0)
 
 
-def logdet_second(j, hf):
+def logdet_order2(j, hf):
     """The mixed second derivatives of the log-det Gram field at one point
-    from :func:`logdet_first`'s J and H: the per-point oracle of
-    ``fields._logdet_second``."""
+    from :func:`logdet_order1`'s J and H: the per-point oracle of
+    ``fields._logdet_order2``."""
     m, k = j.shape[:2]
     hh = (hf @ hf.conj().T).reshape(m, m, m, m)
     c = j[:, None] @ j.conj().swapaxes(-1, -2)[None, :]
@@ -263,8 +263,8 @@ def logdet_second(j, hf):
 def logdet_jet(frame, z):
     """(d, dd) of the log-det Gram field at one point z from the frame
     there, frame(z) = (A, dA, ddA)."""
-    j, hf, d = logdet_first(*frame(z))
-    return d, logdet_second(j, hf)
+    j, hf, d = logdet_order1(*frame(z))
+    return d, logdet_order2(j, hf)
 
 
 def potential_frame(mono_map):

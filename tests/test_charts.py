@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import re
 
 import numpy as np
@@ -1228,35 +1229,43 @@ def _step_failing_at(fault):
 
 @pytest.mark.parametrize(
     "size, fault",
-    [(size, fault) for size in range(7) for fault in [None, *range(size)]],
+    [(size, fault) for size in range(34) for fault in [None, *range(size)]],
 )
 def test_the_stop_rule_keeps_the_leading_rows_and_the_first_error(size, fault):
-    """charts._leading on stacks of 0 to 6 points with a fault at each
+    """charts._leading on stacks of 0 to 33 points with a fault at each
     point or at none: its n, error type and error message are those of
     running the step one point at a time, its value is the step of the
-    leading n points bit for bit, and a caught error is kept with no
+    leading n points bit for bit, it runs the step at most
+    ceil(log2 B) + 1 times on B points, and a caught error is kept with no
     traceback, cause or context, so it holds no frame."""
     rng = np.random.default_rng(np.random.SeedSequence([83, size]))
     zs = np.arange(size, dtype=complex)[:, None]
     x = rng.standard_normal((size, 3))
-    step, later = _step_failing_at(fault), OutOfDomain("the point after the stack")
-    n, error = size, later
+    failing = _step_failing_at(fault)
+    n, error = size, None
     for i in range(size):
         try:
-            step(zs[i : i + 1], x[i : i + 1])
+            failing(zs[i : i + 1], x[i : i + 1])
         except HermitiaError as exc:
             n, error = i, exc
             break
-    got = charts._leading(step, zs, size, later, x)
+    calls = []
+
+    def step(zs):
+        calls.append(len(zs))
+        return failing(zs, x[: len(zs)])
+
+    got = charts._leading(step, zs)
+    assert len(calls) <= math.ceil(math.log2(max(size, 1))) + 1
     assert got.n == n
-    assert (type(got.error), str(got.error)) == (type(error), str(error))
-    if n:
-        assert np.array_equal(got.value, step(zs[:n], x[:n]))
+    if n or error is None:
+        assert np.array_equal(got.value, failing(zs[:n], x[:n]))
     else:
         assert got.value is None
-    if fault is None:
-        assert got.error is later
+    if error is None:
+        assert got.error is None
     else:
+        assert (type(got.error), str(got.error)) == (type(error), str(error))
         assert got.error.__traceback__ is None
         assert got.error.__cause__ is None and got.error.__context__ is None
         with pytest.raises(RankJump, match=re.escape(str(error))):
@@ -1333,9 +1342,9 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
     read differs from a stacked one there), so a form read first at such
     a point is not the gate's G(z).  With any of the records' forms read
     first, in every order, the records raise what the oracle raises
-    first, and so does one solve of the gate rows with every form read
-    first, as the _Rows of its FormStack (``charts.FieldRows``); a record
-    whose form was read keeps it."""
+    first, and so does the stacked solve of records whose forms, one
+    FormStack of those reads, are read first (``charts.FieldRows`` under
+    ``charts._leading``); a record whose form was read keeps it."""
     def stack_fn(zs):
         out = np.zeros((len(zs), 2, 2), dtype=complex)
         out[:, 0, 0] = 1.0 + (len(zs) == 1) * 1e-9 * (zs[:, 0].real > 0.05)
@@ -1358,7 +1367,12 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
             connection_at(field, w, field.form_at(w) if read else None)
 
     def solve_read_first(zs, read):
-        solved = charts.FieldRows(field, zs, forms=charts._Rows(read, len(zs), None)).solved
+        def solve(zs):
+            rows = charts.FieldRows(field, zs, forms=lambda: FormStack(read[: len(zs)], zs, charts.RANK_TOL))
+            rows.forms
+            return rows.solves
+
+        solved = charts._leading(solve, zs)
         if solved.error is not None:
             solved.raise_error()
 
@@ -1369,7 +1383,7 @@ def test_stacked_solve_keeps_and_guards_a_form_read_first():
             assert want == _first_error(lambda: solve(order, read_first))
             kinds.add(want[0])
         zs = np.stack(order)
-        read = FormStack(np.stack([field.form_at(w).gram for w in order]), zs, charts.RANK_TOL)
+        read = np.stack([field.form_at(w).gram for w in order])
         want = _first_error(lambda: oracle(order, (True,) * len(order)))
         assert want == _first_error(lambda: solve_read_first(zs, read))
     assert kinds == {HermitiaError, OutOfDomain}

@@ -164,6 +164,30 @@ def test_removed_threads_flag_is_a_usage_error(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_an_unread_flag_is_reported_with_its_command_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["acceptance", "--criteria", "4", "--seed", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hermitia acceptance") and "unrecognized arguments: --seed 7" in err
+
+
+def test_the_degenerate_adjoint_demo_reads_no_seed(tmp_path, capsys):
+    """The degenerate demo's report holds no seed, and a seed given to it,
+    as a flag or a config key, is a config error; the random demo
+    records the seed it falls back to."""
+    code, report = report_of(tmp_path, "adjoint", "--demo", "degenerate")
+    assert code == 0 and "seed" not in report["config"]
+    code, _, err = run(capsys, "adjoint", "--demo", "degenerate", "--seed", "5")
+    assert code == 2 and "reads no seed" in err
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 5\n")
+    code, _, err = run(capsys, "adjoint", "--config", str(cfg))
+    assert code == 2 and "reads no seed" in err
+    code, report = report_of(tmp_path, "adjoint", "--demo", "random", "--dimV", "3")
+    assert code == 0 and report["config"]["seed"] == 0
+
+
 def test_removed_threads_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "old.cfg"
     cfg.write_text("threads = 2\n")

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hermitia import ConfigError, HermitiaError, NonFinite, NotPositive, NotPositiveAtPoint, charts, fibration, models
+from hermitia import ConfigError, HermitiaError, NonFinite, NotPositive, NotPositiveAtPoint, RankJump, charts, fibration, models
 from hermitia.charts import ChartField, curvature_tensor, hsc_of_tensor, torsion_defect
 from hermitia.fibration import (
     DEFAULT_LAMBDA_SCHEDULE,
@@ -423,6 +423,27 @@ def test_each_scanned_lambda_is_one_solve_and_one_assembly(registry_fibrations, 
     assert calls == {"gram_stack": 2 * k, "solve_rows": k, "assemble_rows": k, "curvature_tensor": 0}
 
 
+def test_a_one_row_record_at_the_zero_section_solves_once(hirz1, monkeypatch):
+    """b1 of hirz:1 jumps in rank on the zero section w = 0.  Its one-row
+    record there raises RankJump from one solve, which reads G once, at
+    its gate stencil, and dG nowhere; so does the stacked solve of that
+    one point; and r_lambda_decomposed there, whose summand route meets
+    the jump, solves h_lambda once and b1 once."""
+    z = np.array([0.3 + 0.1j, 0.0])
+    calls = {"solve_rows": 0, "gram_stack": 0, "d_stack": 0}
+    monkeypatch.setattr(charts, "solve_rows", _counting(calls, "solve_rows", charts.solve_rows))
+    for name in ("gram_stack", "d_stack"):
+        monkeypatch.setattr(ChartField, name, _counting(calls, name, getattr(ChartField, name)))
+    for read in (lambda: curvature_tensor(hirz1.b1_field, z), lambda: charts.solve_points(hirz1.b1_field, z[None])):
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(RankJump, match="rank 1 at"):
+            read()
+        assert calls == {"solve_rows": 1, "gram_stack": 1, "d_stack": 0}
+    calls["solve_rows"] = 0
+    assert not r_lambda_decomposed(hirz1, 0.5, z).applicable
+    assert calls["solve_rows"] == 2
+
+
 def test_the_gate_tests_a_block_in_one_eigvalsh(registry_fibrations, monkeypatch):
     """find_lambda0 gates each scanned lambda's block of points with one
     _pd_rows call on the whole block, not one per point."""
@@ -501,15 +522,13 @@ def test_a_non_finite_gram_before_the_pd_test_raises_non_finite(hirz1):
         FibrationModel(1, 1, nan, b2)
 
 
-def _rejecting(k):
-    """A gate that passes k points and rejects the next, over the stacks
-    of Gram matrices it sees in turn."""
-    seen = []
+def _rejecting(field, points, k):
+    """A gate that rejects G at points[k] and at every later point, each
+    Gram matrix tested on its own, as the gate of a scan must be."""
+    rejected = field.gram_stack(points[k:])
 
     def gate(grams):
-        start = len(seen)
-        seen.extend(grams)
-        return start + np.arange(len(grams)) < k
+        return ~(grams[:, None] == rejected[None]).all(axis=(-2, -1)).any(axis=1)
 
     return gate
 
@@ -551,13 +570,16 @@ SCAN_ARGS = (0.7, 8, 5, [4], 5, (-1.0,))
 
 @pytest.mark.parametrize("k", [0, 1, 3, 7])
 def test_a_gate_cut_solves_only_the_leading_points(k):
-    """A gate that rejects point k makes the scan return None after one
-    solve and one assembly of the k points before it; no derivative of a
+    """A gate that rejects point k of 8 makes the scan return None after
+    at most log2(8) = 3 solves and assemblies, each of leading points
+    before k, the last of all k of them; no derivative of point k or of a
     later point is read."""
-    field, rows = _fs2_variant(_draw(2, *SCAN_ARGS[:4])[0])
-    assert models._scan(field, *SCAN_ARGS, gate=_rejecting(k)) is None
-    assert rows == ({"d": [k], "dd": [k]} if k else {"d": [], "dd": []})
-    assert point_scan(field, *SCAN_ARGS, gate=_rejecting(k)) is None
+    points = _draw(2, *SCAN_ARGS[:4])[0]
+    field, rows = _fs2_variant(points)
+    assert models._scan(field, *SCAN_ARGS, gate=_rejecting(field, points, k)) is None
+    assert rows["d"] == rows["dd"] and len(rows["d"]) <= 3
+    assert all(n <= k for n in rows["d"]) and rows["d"][-1:] == ([k] if k else [])
+    assert point_scan(field, *SCAN_ARGS, gate=_rejecting(field, points, k)) is None
 
 
 @pytest.mark.parametrize(
@@ -569,11 +591,12 @@ def test_a_point_before_the_cut_raises_its_per_point_error(faults):
     """A point before the gate's cut whose solve or assembly fails raises
     the error, type and message, of reading the points one at a time, the
     first failing point's in point order."""
-    field, _ = _fs2_variant(_draw(2, *SCAN_ARGS[:4])[0], **faults)
+    points = _draw(2, *SCAN_ARGS[:4])[0]
+    field, _ = _fs2_variant(points, **faults)
     with pytest.raises(HermitiaError) as got:
-        models._scan(field, *SCAN_ARGS, gate=_rejecting(4))
+        models._scan(field, *SCAN_ARGS, gate=_rejecting(field, points, 4))
     with pytest.raises(HermitiaError) as want:
-        point_scan(field, *SCAN_ARGS, gate=_rejecting(4))
+        point_scan(field, *SCAN_ARGS, gate=_rejecting(field, points, 4))
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 

@@ -247,13 +247,13 @@ def test_a_d_read_builds_no_second_order_products(name, monkeypatch):
     it, and d and dd equal those of a freshly built field."""
     build = SHARED_JET_FIELDS[name]
     coords = [0.1, -0.2, 0.3, 0.25, -0.35, 0.15, 0.05, -0.4]
-    first, second = fields._logdet_first, fields._logdet_second
+    first, second = fields._logdet_order1, fields._logdet_order2
     for rows in (1, 4):
         field = build()
         zs = np.array([_point(field, np.roll(coords, i)) for i in range(rows)])
         calls = []
-        monkeypatch.setattr(fields, "_logdet_first", lambda *a: calls.append("first") or first(*a))
-        monkeypatch.setattr(fields, "_logdet_second", lambda *a: calls.append("second") or second(*a))
+        monkeypatch.setattr(fields, "_logdet_order1", lambda *a: calls.append("first") or first(*a))
+        monkeypatch.setattr(fields, "_logdet_order2", lambda *a: calls.append("second") or second(*a))
         d = field.d_stack(zs)
         assert calls == ["first"]
         dd = field.dd_stack(zs)

@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 from collections import Counter
 from types import SimpleNamespace
 
@@ -606,62 +607,81 @@ def test_stacked_ring_equals_fresh_per_point_records(case, monkeypatch):
         assert np.array_equal(getattr(solved_first, name), getattr(at, name)), name
 
 
+def _jump_at(p):
+    """G = diag(1, 1, |10 (w - p)|^2) on the disc of radius 0.9, which
+    drops rank only at p."""
+    poly = MatrixPolynomial(np.diag([1.0, 1.0, -10.0 * p[0]]), c1=np.diag([0.0, 0.0, 10.0])[None])
+    return from_factor(poly, 1, radius=0.9)
+
+
+Z_RING = np.array([0.1 + 0.05j])
+# the four ring points of Z_RING, the rows 1 to 4 of its record
+RING = charts._stencil_ring(Z_RING, PROBE_STEP)
+# the one-point ring offsets, and a point near the edge of the disc of
+# radius 0.9 whose ring point along each of them alone leaves the chart
+# by the gate's margin
+RING_STEPS = (PROBE_STEP, -PROBE_STEP, 1j * PROBE_STEP, -1j * PROBE_STEP)
+TILTED = MatrixPolynomial(np.eye(3) + 0.1 * np.eye(3, k=1), c1=0.2 * np.eye(3, k=-1)[None])
+
+
+def _near_the_edge(step):
+    return np.array([step / abs(step) * (0.9 - 1.15e-3)])
+
+
 def test_a_rank_jump_at_one_ring_point_names_it():
-    """G = diag(1, 1, |10 (w - p)|^2) drops rank only at p, the gate
-    neighbor z + h + s of the first ring point z + h and of no other gate
-    point.  The base point, the adjoint probes and the identity table
+    """At each ring point w of z in turn, G = diag(1, 1, |10 (w' - p)|^2)
+    drops rank only at p = w + s, the gate neighbor of w and of no other
+    gate point.  The base point, the adjoint probes and the identity table
     (which probes no sigma when m = 1) pass; sigma's probe and the
     splitting raise RankJump naming that ring point and p, as a fresh
     record there does."""
-    z = np.array([0.1 + 0.05j])
-    w = z + PROBE_STEP
-    p = w + 1e-3
-    poly = MatrixPolynomial(np.diag([1.0, 1.0, -10.0 * p[0]]), c1=np.diag([0.0, 0.0, 10.0])[None])
-    seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), np.eye(3, 1))
-    named = "rank 3 at %s but 2 at its stencil neighbor %s" % (charts._named(w), charts._named(p))
-    with pytest.raises(RankJump) as fresh:
-        SeqPoint(seq, w).sigma
-    assert str(fresh.value) == named
-    at = seq.at(z)
-    at.ambient.solves, at.sub.solves, at.quot.solves
-    at.probe("jdag"), at.probe("qdag")
-    with pytest.raises(RankJump) as stacked:
-        at.probe("sigma")
-    assert str(stacked.value) == named
-    demailly_residuals(seq, z)  # with m = 1 the table probes no sigma
-    with pytest.raises(RankJump) as blocks:
-        splitting_curvature_blocks(seq, z)
-    assert str(blocks.value) == named
+    z = Z_RING
+    for w in RING:
+        p = w + 1e-3
+        seq = ExactSeqChart(_jump_at(p), np.eye(3, 1))
+        named = "rank 3 at %s but 2 at its stencil neighbor %s" % (charts._named(w), charts._named(p))
+        with pytest.raises(RankJump) as fresh:
+            SeqPoint(seq, w).sigma
+        assert str(fresh.value) == named
+        at = seq.at(z)
+        at.ambient.solves, at.sub.solves, at.quot.solves
+        at.probe("jdag"), at.probe("qdag")
+        with pytest.raises(RankJump) as stacked:
+            at.probe("sigma")
+        assert str(stacked.value) == named
+        demailly_residuals(seq, z)  # with m = 1 the table probes no sigma
+        with pytest.raises(RankJump) as blocks:
+            splitting_curvature_blocks(seq, z)
+        assert str(blocks.value) == named
 
 
 def test_a_singular_inclusion_at_a_ring_point_names_it():
-    """j(w) = 10 (w - p) e1 vanishes at p, the ring point z + i h, where
-    w0 j is singular and the quotient frame is not defined.  The base
-    point passes, and so does the probe of j dagger, which needs no
+    """j(w) = 10 (w - p) e1 vanishes at p, each ring point of z in turn,
+    where w0 j is singular and the quotient frame is not defined.  The
+    base point passes, and so does the probe of j dagger, which needs no
     quotient frame; the probe of q dagger, a fresh record's q at p, dq at
     p and the quotient's reads of a stack whose third row is p raise
     HermitiaError naming p, not numpy's LinAlgError."""
-    z = np.array([0.1 + 0.05j])
-    p = z + 1j * PROBE_STEP
-    assert any(np.array_equal(w, p) for w in charts._stencil_ring(z, PROBE_STEP))
-    j, dj = vanishing_line(p, 2)
-    seq = ExactSeqChart(constant_field(np.eye(2), 1, radius=0.9), j, dj=dj)
-    at = seq.at(z)
-    at.q, at.dq, at.ambient.solves, at.sub.solves
-    at.probe("jdag")
-    stack = np.array([z, z + 0.01, p, z - 0.01])
-    reads = (
-        lambda: at.probe("qdag"),
-        lambda: seq.at(p).q,
-        lambda: seq.at(p).dq,
-        lambda: seq.quot_field.gram_stack(stack),
-        lambda: seq.quot_field.d_stack(stack),
-    )
-    for read in reads:
-        with pytest.raises(HermitiaError) as info:
-            read()
-        assert type(info.value) is HermitiaError
-        assert str(info.value).startswith("w0 j is singular at %s:" % charts._named(p))
+    z = Z_RING
+    for p in RING:
+        j, dj = vanishing_line(p, 2)
+        seq = ExactSeqChart(constant_field(np.eye(2), 1, radius=0.9), j, dj=dj)
+        at = seq.at(z)
+        at.q, at.dq, at.ambient.solves, at.sub.solves
+        at.probe("jdag")
+        stack = np.array([z, z + 0.01, p, z - 0.01])
+        reads = (
+            lambda: at.probe("qdag"),
+            lambda: seq.at(p).q,
+            lambda: seq.at(p).dq,
+            lambda: seq.quot_field.gram_stack(stack),
+            lambda: seq.quot_field.d_stack(stack),
+        )
+        for read in reads:
+            with pytest.raises(HermitiaError) as info:
+                read()
+            assert type(info.value) is HermitiaError
+            assert str(info.value).startswith("w0 j is singular at %s:" % charts._named(p))
 
 
 def _first_ring_error(seq, z):
@@ -676,82 +696,85 @@ def _first_ring_error(seq, z):
 
 
 def test_a_ring_that_leaves_the_chart_reads_only_inside_it():
-    """The base point z passes its gate, but the third ring point z + ih
-    leaves the chart by the gate's margin.  The ring's forms are the
-    centre rows of the read of its gates, so every probe, of j dagger and
-    q dagger as of sigma and sigma dagger, raises the per-point ring's
-    OutOfDomain, the record having read the ambient only at points that
-    the per-point records at z and on the ring read, none of them at that
-    ring point's stencil."""
-    z = np.array([1j * (0.9 - 1.15e-3)])
-    poly = MatrixPolynomial(np.eye(3) + 0.1 * np.eye(3, k=1), c1=0.2 * np.eye(3, k=-1)[None])
-    seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), np.eye(3, 1))
-    kernel, reads = seq.ambient.stack_fn, []
+    """The base point z passes its gate, but its ring point z + step
+    leaves the chart by the gate's margin, for each of the four ring
+    offsets.  The ring's forms are the centre rows of the read of its
+    gates, so every probe, of j dagger and q dagger as of sigma and sigma
+    dagger, raises the per-point ring's OutOfDomain, the record having
+    read the ambient only at points that the per-point records at z and
+    on the ring read, none of them at that ring point's stencil."""
+    for step in RING_STEPS:
+        z = _near_the_edge(step)
+        seq = ExactSeqChart(from_factor(TILTED, 1, radius=0.9), np.eye(3, 1))
+        kernel, reads = seq.ambient.stack_fn, []
 
-    def counted(zs):
-        reads.extend(w.tobytes() for w in zs)
-        return kernel(zs)
+        def counted(zs, kernel=kernel, reads=reads):
+            reads.extend(w.tobytes() for w in zs)
+            return kernel(zs)
 
-    seq.ambient.stack_fn = counted
-    want = _first_ring_error(seq, z)
-    assert want[0] is OutOfDomain
-    SeqPoint(seq, z).sigma
-    oracle_reads = set(reads)
-    reads.clear()
-    at = seq.at(z)
-    at.ambient.solves, at.sub.solves, at.quot.solves
-    for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
-        with pytest.raises(OutOfDomain) as stacked:
-            at.probe(name)
-        assert (type(stacked.value), str(stacked.value)) == want, name
-    assert reads and set(reads) <= oracle_reads
-    outside = charts._gate_stencil(z + 1j * PROBE_STEP, seq.ambient.fd_outer_step)
-    assert not {w.tobytes() for w in outside} & set(reads)
+        seq.ambient.stack_fn = counted
+        want = _first_ring_error(seq, z)
+        assert want[0] is OutOfDomain
+        SeqPoint(seq, z).sigma
+        oracle_reads = set(reads)
+        reads.clear()
+        at = seq.at(z)
+        at.ambient.solves, at.sub.solves, at.quot.solves
+        for name in ("jdag", "qdag", "sigma", "sigma_dagger"):
+            with pytest.raises(OutOfDomain) as stacked:
+                at.probe(name)
+            assert (type(stacked.value), str(stacked.value)) == want, (step, name)
+        assert reads and set(reads) <= oracle_reads
+        outside = charts._gate_stencil(z + step, seq.ambient.fd_outer_step)
+        assert not {w.tobytes() for w in outside} & set(reads)
+
+
+def _sub_and_ambient_jumps(i, k):
+    """The inclusion j = 10 (w - p1) e1, which vanishes at p1 = RING[i] +
+    s, so the sub form drops rank at that gate neighbor of ring point i,
+    in the ambient of :func:`_jump_at` p3 = RING[k] + s."""
+    p1, p3 = RING[i] + 1e-3, RING[k] + 1e-3
+    return ExactSeqChart(_jump_at(p3), *vanishing_line(p1, 3)), p1
 
 
 def test_a_sub_jump_before_an_ambient_jump_raises_first():
-    """The inclusion j = 10 (w - p1) e1 vanishes at p1, the gate neighbor
-    z - h + s of ring point 1, so the sub form drops rank there; the
-    ambient G = diag(1, 1, |10 (w - p3)|^2) drops rank at p3, the gate
-    neighbor of ring point 3.  The per-point ring solves A_E, then A_S, at
-    each ring point, so it raises the sub's RankJump at ring point 1, and
-    the stacked ring raises the same."""
-    z = np.array([0.1 + 0.05j])
-    h, s = PROBE_STEP, 1e-3
-    p1, p3 = z - h + s, z - 1j * h + s
-    poly = MatrixPolynomial(np.diag([1.0, 1.0, -10.0 * p3[0]]), c1=np.diag([0.0, 0.0, 10.0])[None])
-    j, dj = vanishing_line(p1, 3)
-    seq = ExactSeqChart(from_factor(poly, 1, radius=0.9), j, dj=dj)
-    named = "rank 1 at %s but 0 at its stencil neighbor %s" % (charts._named(z - h), charts._named(p1))
-    assert _first_ring_error(seq, z) == (RankJump, named)
-    with pytest.raises(RankJump):
-        chern_connection(seq.ambient, z - 1j * h)  # the later ambient jump
-    at = seq.at(z)
-    at.ambient.solves, at.sub.solves, at.quot.solves
-    with pytest.raises(RankJump) as stacked:
-        at.probe("sigma")
-    assert str(stacked.value) == named
+    """The sub form drops rank at the gate neighbor RING[i] + s of one
+    ring point and the ambient at that of another, RING[k] + s, for every
+    pair of distinct ring points.  The per-point ring solves A_E, then
+    A_S, at each ring point, so it raises the RankJump of the earlier of
+    the two: the sub's when i < k, though the ambient's jump is a real
+    one; and the stacked ring raises the same."""
+    z = Z_RING
+    for i, k in itertools.permutations(range(4), 2):
+        seq, p1 = _sub_and_ambient_jumps(i, k)
+        want = _first_ring_error(seq, z)
+        if i < k:
+            named = "rank 1 at %s but 0 at its stencil neighbor %s" % (charts._named(RING[i]), charts._named(p1))
+            assert want == (RankJump, named)
+            with pytest.raises(RankJump):
+                chern_connection(seq.ambient, RING[k])  # the later ambient jump
+        at = seq.at(z)
+        at.ambient.solves, at.sub.solves, at.quot.solves
+        with pytest.raises(RankJump) as stacked:
+            at.probe("sigma")
+        assert (RankJump, str(stacked.value)) == want, (i, k)
 
 
 def _ring_fault_cases():
     """The charts and points z of the four tests above whose probe ring
-    fails at a ring point while z passes: a rank jump of the ambient at a
-    gate neighbor of a ring point, a singular inclusion at a ring point, a
-    ring point outside the chart, and a rank jump of the sub before one of
-    the ambient."""
-    z, h, s = np.array([0.1 + 0.05j]), PROBE_STEP, 1e-3
-
-    def jump_at(p):
-        poly = MatrixPolynomial(np.diag([1.0, 1.0, -10.0 * p[0]]), c1=np.diag([0.0, 0.0, 10.0])[None])
-        return from_factor(poly, 1, radius=0.9)
-
-    tilted = MatrixPolynomial(np.eye(3) + 0.1 * np.eye(3, k=1), c1=0.2 * np.eye(3, k=-1)[None])
-    return [
-        (ExactSeqChart(jump_at(z + h + s), np.eye(3, 1)), z),
-        (ExactSeqChart(constant_field(np.eye(2), 1, radius=0.9), *vanishing_line(z + 1j * h, 2)), z),
-        (ExactSeqChart(from_factor(tilted, 1, radius=0.9), np.eye(3, 1)), np.array([1j * (0.9 - 1.15e-3)])),
-        (ExactSeqChart(jump_at(z - 1j * h + s), *vanishing_line(z - h + s, 3)), z),
-    ]
+    fails at a ring point while z passes, with the fault at each ring
+    point in turn: a rank jump of the ambient at a gate neighbor of a ring
+    point, a singular inclusion at a ring point, a ring point outside the
+    chart, and a rank jump of the sub before one of the ambient."""
+    cases = []
+    for i, step in enumerate(RING_STEPS):
+        cases += [
+            (ExactSeqChart(_jump_at(RING[i] + 1e-3), np.eye(3, 1)), Z_RING),
+            (ExactSeqChart(constant_field(np.eye(2), 1, radius=0.9), *vanishing_line(RING[i], 2)), Z_RING),
+            (ExactSeqChart(from_factor(TILTED, 1, radius=0.9), np.eye(3, 1)), _near_the_edge(step)),
+            (_sub_and_ambient_jumps(i, (i + 1) % 4)[0], Z_RING),
+        ]
+    return cases
 
 
 def _point_record(seq, z):
@@ -773,7 +796,7 @@ def _point_record(seq, z):
     )
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(16))
 def test_a_failing_ring_point_leaves_the_readers_at_z_exact(case, monkeypatch):
     """Where a ring point fails and z does not, codazzi_sub, codazzi_quot
     and second_fundamental_form at z return exactly what they return when
@@ -921,7 +944,7 @@ def test_reading_the_ambient_alone_reads_nothing_else(monkeypatch):
     at.ambient.solves
     assert (reads, d_reads, j_reads, frames) == ([b * b], [b], [], [])
     assert calls == [(seq.ambient, b)]
-    assert {"sub", "quot", "_gate_j", "_j", "_frames"}.isdisjoint(vars(at))
+    assert {"_sub", "_quot", "_gate_j", "_j", "_frames"}.isdisjoint(vars(at))
 
 
 @pytest.mark.parametrize("codazzi", [codazzi_sub, codazzi_quot])
@@ -1098,7 +1121,7 @@ def test_a_dropped_record_leaves_no_cyclic_garbage():
     assert found == 0
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(16))
 def test_a_record_that_raised_leaves_no_cyclic_garbage(case):
     """A record keeps the errors of its failing points, stripped of their
     tracebacks and chained errors, and raises a copy of one when read, so
