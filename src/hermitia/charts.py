@@ -19,18 +19,22 @@ Gram matrix, or of one constant-rank gate, in one
 of a stack of points too, so a read at one point is a one-row stack and
 the construction self-check reads each order in one call.
 
-A connection solve has one path, :func:`solve_rows`: the minimum-norm
-solve G @ A_a = d_a G of one field at a stack of points, as arrays,
-which requires the rank of G to be constant across each point's gate
-stencil (a rank change is a first-class error, not a warning).  It ranks
-all the gates in one pass, factorizes the forms in one batched ``eigh``,
-reads dG once and solves in batched products, and it is the one home of
-the gate verdict, the form guard, the dG finiteness check and the
-residual.  A form read before the solve comes as its
-:class:`~hermitia.forms.FormStack`, whose factorization the solve
-reuses.  The curvature assembly has one path too, :func:`assemble_rows`:
-the tensors of one field at a stack of solved points, from one read of
-the mixed second derivatives, in one stacked product.
+A connection solve has one path, :func:`_solve_read`: the minimum-norm
+solve G @ A_a = d_a G of a stack of rows, as arrays, from the gate reads
+the caller made, which requires the rank of G to be constant across each
+row's gate stencil (a rank change is a first-class error, not a
+warning).  It ranks all the gates in one pass, factorizes the forms in
+one batched ``eigh``, reads dG once and solves in batched products, and
+it is the one home of the gate verdict, the form guard, the dG
+finiteness check and the residual.  A form read before the solve comes
+as its :class:`~hermitia.forms.FormStack`, whose factorization the solve
+reuses.  The curvature assembly has one path too,
+:func:`_assemble_read`: the tensors of a stack of solved rows, from the
+reads of the mixed second derivatives the caller made, in one stacked
+product.  Their readers are :func:`solve_rows` and
+:func:`assemble_rows`, one field at a stack of points, and
+:class:`~hermitia.sequences.SumAt`, the rows b1, b2 and b1 + b2 of two
+summand fields at one point.
 
 One record holds a field at points: :class:`FieldRows`, one field at a
 stack of points, z first, with its forms, its solve (the one call of
@@ -642,8 +646,7 @@ class FieldAt(FieldRows):
     :class:`FieldRows`.  Its form read first is a one-row read of G(z),
     which the solve takes under the guard, and so is a form read after a
     solve that failed.  ``kernel_basis`` (a :class:`Subspace`) is built
-    only when read, and ``tensor`` may be assigned, as
-    :func:`~hermitia.sequences.sum_curvature` does.
+    only when read.
     """
 
     def __init__(self, field: ChartField, z):
@@ -698,29 +701,45 @@ def solve_rows(field: ChartField, zs, grams, forms=None):
     gates in :func:`_gate_stencil` order, and ``forms``, the
     :class:`~hermitia.forms.FormStack` whose leading B rows are the forms
     of G at zs when the caller read them apart from the gates, or None
-    for the gates' centre rows.  The gates are ranked by one batched
-    ``eigvalsh``; forms read apart must equal their gate's centre row bit
-    for bit; the forms are factorized by one batched ``eigh`` (a stack
-    read apart keeps its own), dG is one :meth:`ChartField.d_stack` read,
-    and A = G^+ dG and its residual are batched products, each row the
-    arithmetic of one point.
+    for the gates' centre rows.  The one-field reader of
+    :func:`_solve_read`, whose dG is one :meth:`ChartField.d_stack` read
+    at zs; see there for the arithmetic and the order of the checks."""
+    return _solve_read(zs, grams, forms, field.fd_outer_step, field.d_stack)
+
+
+def _solve_read(zs, grams, forms, step, read_dg):
+    """The connection solves of a stack of rows, each the gate reads
+    ``grams`` (B, 4m + 1, r, r) of a field at its point zs[i], in
+    :func:`_gate_stencil` order of the gate step ``step`` (one for all
+    rows, or one per row), and, when ``forms`` is not None, the forms of
+    G at zs read apart from the gates (the leading B rows of a
+    :class:`~hermitia.forms.FormStack`).  ``read_dg(zs)`` reads the rows'
+    (B, m, r, r) first derivatives, after the gates and the guard pass.
+    Rows may belong to different fields of one chart dimension and one
+    Gram size.
+
+    The gates are ranked by one batched ``eigvalsh``; forms read apart
+    must equal their gate's centre row bit for bit; the forms are
+    factorized by one batched ``eigh`` (a stack read apart keeps its
+    own), and A = G^+ dG and its residual are batched products, each row
+    the arithmetic of one row alone.
 
     Returns the :class:`RowSolves` (forms, dG, A and residual) of every
-    point, or raises when a point fails (:func:`_leading` finds the first
-    one).  A point's checks come in the order: the gate's NonFinite or
+    row, or raises when a row fails (:func:`_leading` finds the first
+    one).  A row's checks come in the order: the gate's NonFinite or
     RankJump, the form guard's HermitiaError, the read of dG, NonFinite
     of dG, SolverResidual."""
-    b, m, r = len(zs), field.m, field.shape
+    b, m, r = len(zs), zs.shape[1], grams.shape[-1]
     ranks = gram_ranks(grams.reshape(-1, r, r), RANK_TOL).reshape(b, 4 * m + 1)
     stops = np.flatnonzero((ranks < 0) | (ranks != ranks[:, :1]))
     if stops.size:
         n, i = divmod(int(stops[0]), 4 * m + 1)
-        raise _gate_error(_gate_stencil(zs[n], field.fd_outer_step), ranks[n], i)
+        raise _gate_error(_gate_stencil(zs[n], step[n] if np.ndim(step) else step), ranks[n], i)
     if forms is None:
         forms = FormStack(grams[:, 0], zs, RANK_TOL)
     elif not (grams[:, 0] == forms.gram[:b]).all():
         raise HermitiaError(_FORM_GUARD)
-    dg = field.d_stack(zs)
+    dg = read_dg(zs)
     require_finite_rows(dg, "first derivative", zs)
     a = forms.pinv[:b, None] @ dg
     # the norms of G A_a - d_a G and of d_a G at every point, in one pass
@@ -736,21 +755,30 @@ def assemble_rows(field: ChartField, zs, solves):
     """The curvature tensors R[i][a][b][s][t] of ``field`` at a (B, m)
     stack of points from their solves (the :class:`RowSolves` of
     :func:`solve_rows` at zs, or at more points, whose leading B rows are
-    taken), shape (B, m, m, shape, shape), C-contiguous.
+    taken), shape (B, m, m, shape, shape), C-contiguous: the one-field
+    reader of :func:`_assemble_read`.  dbar G is (dG)^H on an analytic
+    field, else the stencils of all points in one read; d dbar G is one
+    :meth:`ChartField.dd_stack` read.
+    """
+    dg, gp = solves.dg[: len(zs)], solves.forms.pinv[: len(zs)]
+    dbg = conj_transpose(dg) if field.analytic else field._fd(zs, True)
+    return _assemble_read(zs, dg, gp, dbg, field.dd_stack(zs))
+
+
+def _assemble_read(zs, dg, gp, dbg, ddg):
+    """The curvature tensors of a stack of solved rows, row i at the
+    point zs[i], from its first derivatives ``dg``, its pseudoinverse
+    ``gp`` and the reads ``dbg`` (dbar G) and ``ddg`` (d dbar G) the
+    caller made, shape (B, m, m, r, r), C-contiguous.
 
     M_ab = (dbar_b G) G^+ (d_a G) - d_a dbar_b G, which on admissible
     constant-rank fields equals -G dbar_b A_a for any choice of
     compatible connection; the tensor entry is R[a][b][s][t] = M_ab[t, s].
-    dbar G is (dG)^H on an analytic field, else the stencils of all points
-    in one read; d dbar G is one :meth:`ChartField.dd_stack` read, and a
-    NaN or inf there raises NonFinite naming the first point where it is
-    read.  All rows and pairs are one stacked product, each row the
-    arithmetic of one point, so row i equals the assembly at zs[i] alone
+    A NaN or inf in ``ddg`` raises NonFinite naming the first point where
+    it is read.  All rows and pairs are one stacked product, each row the
+    arithmetic of one row, so row i equals the assembly of that row alone
     bit for bit.
     """
-    dg, gp = solves.dg[: len(zs)], solves.forms.pinv[: len(zs)]
-    dbg = conj_transpose(dg) if field.analytic else field._fd(zs, True)
-    ddg = field.dd_stack(zs)
     require_finite_rows(ddg, "mixed second derivative", zs)
     # m_ab = (dbar_b G G^+) d_a G - d_a dbar_b G for all pairs at once;
     # in C order, hsc_of_tensor's (m^2, m^2) matrix is a view, not a copy

@@ -30,7 +30,7 @@ from .errors import ConfigError, HermitiaError
 from .forms import HermitianForm, LinearMap, adjoint, adjoint_freedom_dims, kernel, purge
 from .instances import adjointable_map, hermitian_form
 from .models import einstein_residual, hsc_extremes, pluecker_gap, resolve_model
-from .fibration import find_lambda0
+from .fibration import LAMBDA_MAX, find_lambda0
 from .report import Report, encode_matrix, fmt_matrix, worst_of
 
 # Largest norm of the purge quotient map on the kernel of the form.
@@ -41,9 +41,6 @@ PURGE_ANNIHILATION_TOL = 1e-9
 CURVATURE_TOL = 1e-8
 CURVATURE_FD_TOL = 1e-4
 TORSION_FLOOR = 1e-6
-
-# The largest lambda_max: e^lambda of h_lambda overflows above ln(max float).
-LAMBDA_MAX = float(np.log(np.finfo(float).max))
 
 
 class Option(NamedTuple):

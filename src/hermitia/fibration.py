@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartField, FieldAt, curvature_tensor, hsc_of_tensor, metric_curvature
+from .charts import ChartField, curvature_tensor, hsc_of_tensor, metric_curvature
 from .errors import ConfigError, HermitiaError, NotPositive, RankJump
 from .fields import (
     embedded_factor_field,
@@ -33,9 +33,11 @@ from .models import (
     single_threaded,
 )
 from .report import encode_complex
-from .sequences import ExactSeqChart, sum_curvature
+from .sequences import ExactSeqChart, SumAt
 
 VERTICAL_LEAK_TOL = 1e-12
+# The largest lambda of the family: e^lambda overflows above ln(max float).
+LAMBDA_MAX = float(np.log(np.finfo(float).max))
 # Relative floors of the positive-definiteness test _pd_rows: the lowest
 # eigenvalue must exceed the floor times max(|largest eigenvalue|, 1).
 # PD_FLOOR gates h_lambda before a curvature read; VERTICAL_PD_FLOOR gates
@@ -157,9 +159,21 @@ def hirzebruch_model(k):
 # the lambda family
 
 
+def lambda_checked(lam):
+    """``lam`` as a float, or ConfigError naming it when e^lam is not a
+    finite float: lam must be a number at most LAMBDA_MAX.  Every lambda
+    of the family passes here before any read."""
+    lam = float(lam)
+    if not -np.inf < lam <= LAMBDA_MAX:
+        raise ConfigError(
+            "lambda = %r has no finite e^lambda: it must be a number at most %.2f" % (lam, LAMBDA_MAX)
+        )
+    return lam
+
+
 def h_lambda(model: FibrationModel, lam) -> ChartField:
     """Gram field of b1 + e^lambda b2."""
-    lam = float(lam)
+    lam = lambda_checked(lam)
     return sum_field(
         model.b1_field,
         model.b2_field,
@@ -181,41 +195,38 @@ def _pd_rows(grams, floor):
 class DecomposedCurvature:
     point: np.ndarray
     lam: float
-    direct: object  # charts.FieldAt of h_lambda
-    formula: object  # FieldAt of the sum assembled from the summands, or None
+    direct: np.ndarray  # curvature tensor of h_lambda at the point
+    formula: object  # the tensor assembled from the summands, or None
     residual: float  # relative gap between the two routes, or None
     applicable: bool  # False when a rank jump blocks the formula route
 
 
 def r_lambda_decomposed(model: FibrationModel, lam, z) -> DecomposedCurvature:
-    """Curvature of h_lambda, by the direct route and by summand assembly.
+    """Curvature of h_lambda, by the direct route and by summand assembly:
+    the rows of one :class:`~hermitia.sequences.SumAt` of b1 and e^lambda
+    b2, whose sum row is h_lambda's bit for bit.
 
-    The assembled route needs constant-rank summands near the point; at a
-    rank jump it is marked not applicable and only the direct curvature
-    is reported.
+    The checks come in the order: lambda (:func:`lambda_checked`), the
+    sum's form at z (NonFinite, then the positive-definite floor), the sum
+    row's error, then the summand rows'.  The assembled route needs
+    constant-rank summands near the point; at a rank jump it is marked
+    not applicable and only the direct curvature is reported.
     """
-    z = np.asarray(z, dtype=complex)
-    direct = FieldAt(h_lambda(model, lam), z)
-    # the finite and positive-definite tests read the form first, and the
-    # solve takes it
-    if not _pd_rows(direct.forms.gram, PD_FLOOR)[0]:
+    lam = lambda_checked(lam)
+    rec = SumAt(model.b1_field, scaled_field(model.b2_field, np.exp(lam)), z)
+    if not _pd_rows(rec.form.gram[None], PD_FLOOR)[0]:
         raise NotPositive("h_lambda is not positive-definite at the point")
-    direct.tensor  # runs the solve and the assembly
+    direct = rec.direct
     try:
-        formula = sum_curvature(
-            model.b1_field, scaled_field(model.b2_field, np.exp(float(lam))), z
-        )
+        formula = rec.tensor
     except RankJump:
         return DecomposedCurvature(
-            point=z, lam=float(lam), direct=direct, formula=None,
+            point=rec.point, lam=lam, direct=direct, formula=None,
             residual=None, applicable=False,
         )
-    residual = np.linalg.norm(formula.tensor - direct.tensor) / (
-        1.0 + np.linalg.norm(direct.tensor)
-    )
     return DecomposedCurvature(
-        point=z, lam=float(lam), direct=direct, formula=formula,
-        residual=float(residual), applicable=True,
+        point=rec.point, lam=lam, direct=direct, formula=formula,
+        residual=float(rec.residual), applicable=True,
     )
 
 
@@ -416,17 +427,20 @@ def find_lambda0(
     so a lambda whose gate fails at some point is not positive-definite
     and no later point is solved.  One bisection pass between the last failing
     and first passing schedule entries sharpens the reported threshold.
-    Everything is deterministic in (seed, schedule, sample counts).
+    Every lambda of the schedule is checked (:func:`lambda_checked`)
+    before the first scan.  Everything is deterministic in (seed,
+    schedule, sample counts).
     ``threads`` is accepted only as None (see
     :func:`models.single_threaded`).
     """
     single_threaded(threads)
     region = DEFAULT_FIBRATION_REGION if region is None else float(region)
     n_points = max(1, int(sphere_samples) // LAMBDA_SCAN_DIRECTIONS)
+    schedule = [lambda_checked(lam) for lam in lambda_schedule]
     records = []
     passing = None
     failing = None
-    for lam in lambda_schedule:
+    for lam in schedule:
         rec = _scan_one_lambda(model, lam, region, n_points, seed)
         records.append(rec)
         if rec["positive_definite"] and rec["min_H"] is not None and rec["min_H"] > margin:

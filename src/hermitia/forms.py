@@ -619,14 +619,22 @@ def sum_quotient_form(b1: HermitianForm, b2: HermitianForm) -> HermitianForm:
     """
     if b1.dim != b2.dim:
         raise ValueError("forms must share a space")
-    h = b1.gram + b2.gram
     tol = max(b1.rank_tol, b2.rank_tol)
-    if not HermitianForm(h, rank_tol=tol).is_positive_definite():
+    return _sum_quotient(b1.gram, b2.gram, HermitianForm(b1.gram + b2.gram, rank_tol=tol))
+
+
+def _sum_quotient(g1, g2, h: HermitianForm) -> HermitianForm:
+    """:func:`sum_quotient_form` of the Gram matrices g1 and g2, given h,
+    the form of g1 + g2 (a caller that holds it factorized, as a row of a
+    :class:`FormStack`, passes it on); the quotient takes h's rank
+    tolerance."""
+    if not h.is_positive_definite():
         raise NotPositive("b1 + b2 is not positive-definite")
-    m1 = np.linalg.solve(h, b1.gram)
-    m2 = np.linalg.solve(h, b2.gram)
-    gram = m2.conj().T @ b1.gram @ m2 + m1.conj().T @ b2.gram @ m1
-    return HermitianForm(gram, rank_tol=tol)
+    h_gram = g1 + g2
+    m1 = np.linalg.solve(h_gram, g1)
+    m2 = np.linalg.solve(h_gram, g2)
+    gram = m2.conj().T @ g1 @ m2 + m1.conj().T @ g2 @ m1
+    return HermitianForm(gram, rank_tol=h.rank_tol)
 
 
 def projection_limit_gram(b1: HermitianForm, b2: HermitianForm) -> np.ndarray:

@@ -71,6 +71,11 @@ reassembly residual and the (0,1)-part of sigma reduce by
 The finite-difference dj of an inclusion given without dj, and the
 holomorphy checks of j, read j at the stencils of a whole stack of
 points in one call (:meth:`ExactSeqChart._j_fd`).
+
+Sums: :class:`SumAt` holds two summand fields and their sum at a point
+as the rows of one stacked solve and assembly, from one read of each
+summand; :func:`sum_curvature` and the h_lambda decomposition of
+:mod:`hermitia.fibration` read both curvature routes from it.
 """
 
 from dataclasses import dataclass
@@ -83,16 +88,17 @@ from .charts import (
     PROBE_STEP,
     RANK_TOL,
     ChartField,
-    FieldAt,
     FieldRows,
     _as_point,
+    _assemble_read,
     _combine_ring,
     _gate_reads,
     _gate_stencil,
     _leading,
     _named,
+    _outside,
+    _solve_read,
     _stencil_ring,
-    curvature_tensor,
     last_point_cache,
     sample_box,
 )
@@ -107,8 +113,8 @@ from .forms import (
     quotient_form,
     rank_of,
     require_finite_rows,
+    _sum_quotient,
     stacked_linalg,
-    sum_quotient_form,
 )
 from .report import worst_of
 
@@ -816,22 +822,147 @@ def splitting_curvature_blocks(seq: ExactSeqChart, z) -> SplittingBlocks:
 # curvature of a sum of two forms
 
 
-def sum_curvature(b1_field: ChartField, b2_field: ChartField, z) -> FieldAt:
-    """Contracted curvature of b1 + b2 assembled from the summands: the
-    record of the sum field at z, its ``tensor`` from this formula.
+class SumAt:
+    """Two summand fields b1 and b2 and their sum b1 + b2 at one point z:
+    the rows b1, b2 and b1 + b2 of one stacked pass.  ``fields`` is (b1,
+    b2, :func:`~hermitia.fields.sum_field` of the two).
 
-    M^h_ab = M^1_ab + M^2_ab - sigma_b^H G_q sigma_a with sigma_a =
-    A_1(d_a) - A_2(d_a) and G_q the Gram matrix of the induced sum
-    quotient form.  Kernel-valued changes of either connection leave the
-    result unchanged because G_q annihilates both kernels.
+    Each summand is read once, each read on first need: G at its gate
+    stencil, dG and d dbar G at z.  The sum row takes the sums of those
+    reads, which equal its own field's reads bit for bit, where its field
+    reads them so: G when the three fields share their gate step, dG and
+    d dbar G when the sum has analytic derivatives; else it reads through
+    its own field.  The rows are gated, factorized, solved
+    (:func:`~hermitia.charts._solve_read`) and assembled
+    (:func:`~hermitia.charts._assemble_read`) together, each row the
+    arithmetic of its field's :func:`~hermitia.charts.curvature_tensor`,
+    so each row equals that record bit for bit and fails with its first
+    error, a row's checks in the order: OutOfDomain, then those of the
+    solve and the assembly.  :func:`~hermitia.charts._leading` cuts the
+    rows at the first that fails; when that is a summand, the sum row is
+    solved alone, when it is read.
+
+    Readers: ``form``, the sum's form at z, its gate's centre read (or a
+    read of G(z) apart when z is outside the sum's chart), which raises
+    NonFinite naming z; ``tensor``, the sum's curvature assembled from
+    the summand rows, which raises the first summand row's error;
+    ``direct``, the sum row's own tensor, which raises the sum row's
+    error; and ``residual``, the relative gap between the two.
     """
-    z = np.asarray(z, dtype=complex)
-    t1 = curvature_tensor(b1_field, z)
-    t2 = curvature_tensor(b2_field, z)
-    gq = sum_quotient_form(t1.form, t2.form).gram
-    sigma = t1.a - t2.a
-    # x[a, b] = sigma_b^H G_q sigma_a, all pairs in one stacked product
-    x = (conj_transpose(sigma)[None, :] @ gq) @ sigma[:, None]
-    out = FieldAt(sum_field(b1_field, b2_field), z)
-    out.tensor = t1.tensor + t2.tensor - x.swapaxes(-1, -2)
+
+    _ROWS = range(3)
+
+    def __init__(self, b1_field: ChartField, b2_field: ChartField, z):
+        self.fields = (b1_field, b2_field, sum_field(b1_field, b2_field))
+        self.point = _as_point(z, b1_field.m)
+        self._reads = {}
+
+    def _read(self, kind, i):
+        """The read ``kind`` ("gram" at the gate stencil, "d", "dbar" or
+        "dd" at z) of row i, made once."""
+        key = (kind, i)
+        if key not in self._reads:
+            self._reads[key] = self._make_read(kind, i)
+        return self._reads[key]
+
+    def _make_read(self, kind, i):
+        field, z = self.fields[i], self.point
+        if kind == "dbar":
+            return conj_transpose(self._read("d", i)) if field.analytic else field._fd(z[None], True)[0]
+        if i == 2:
+            # the sum field reads G as the sum of the summands' reads at a
+            # shared gate step, and dG and d dbar G when it is analytic
+            one_step = len({f.fd_outer_step for f in self.fields}) == 1
+            if one_step if kind == "gram" else field.analytic:
+                return self._read(kind, 0) + self._read(kind, 1)
+        if kind == "gram":
+            return field.gram_stack(_gate_stencil(z, field.fd_outer_step))
+        return getattr(field, kind + "_stack")(z[None])[0]
+
+    def _stack(self, kind, rows):
+        return np.stack([self._read(kind, i) for i in rows])
+
+    @cached_property
+    def _inside(self):
+        """Whether z keeps each field's gate margin from its chart's
+        boundary."""
+        return [f.in_domain(self.point, f.fd_outer_step + f.fd_step) for f in self.fields]
+
+    def _step(self, rows):
+        """The solves and the tensors of ``rows``, a range of row
+        indices, as (RowSolves, tensors); raises the error of a row that
+        fails."""
+        z = self.point
+        for i in rows:
+            if not self._inside[i]:
+                field = self.fields[i]
+                raise _outside(z, field.fd_outer_step + field.fd_step)
+        zs = np.broadcast_to(z, (len(rows), len(z)))
+        steps = [self.fields[i].fd_outer_step for i in rows]
+        solves = _solve_read(zs, self._stack("gram", rows), None, steps, lambda zs: self._stack("d", rows))
+        tensors = _assemble_read(
+            zs, solves.dg, solves.forms.pinv, self._stack("dbar", rows), self._stack("dd", rows)
+        )
+        return solves, tensors
+
+    @cached_property
+    def _rows(self):
+        return _leading(self._step, self._ROWS)
+
+    @cached_property
+    def _sum_row(self):
+        """(cut, i): the sum row is row i of the cut, or fails with the
+        cut's error when i is the cut's n."""
+        if self._rows.n >= 2:
+            return self._rows, 2
+        return _leading(self._step, self._ROWS[2:]), 0
+
+    @cached_property
+    def form(self):
+        z = self.point
+        g = self._read("gram", 2)[:1] if self._inside[2] else self.fields[2].gram_stack(z[None])
+        return FormStack(g, z[None], RANK_TOL).form(0)
+
+    @cached_property
+    def tensor(self):
+        """(m, m, r, r) curvature of b1 + b2 assembled from the summand
+        rows: M^h_ab = M^1_ab + M^2_ab - sigma_b^H G_q sigma_a with
+        sigma_a = A_1(d_a) - A_2(d_a) and G_q the Gram matrix of the
+        induced sum quotient form.  Kernel-valued changes of either
+        connection leave it unchanged because G_q annihilates both
+        kernels."""
+        cut = self._rows
+        if cut.n < 2:
+            cut.raise_error()
+        solves, tensors = cut.value
+        # the form of G1 + G2: the sum row's, factorized by the pass, when
+        # that row passed
+        h = solves.forms.form(2) if cut.n == len(self._ROWS) else self.form
+        gq = _sum_quotient(solves.forms.gram[0], solves.forms.gram[1], h).gram
+        sigma = solves.a[0] - solves.a[1]
+        # x[a, b] = sigma_b^H G_q sigma_a, all pairs in one stacked product
+        x = (conj_transpose(sigma)[None, :] @ gq) @ sigma[:, None]
+        return tensors[0] + tensors[1] - x.swapaxes(-1, -2)
+
+    @property
+    def direct(self):
+        """(m, m, r, r) curvature of the sum field itself: its row."""
+        cut, i = self._sum_row
+        if i == cut.n:
+            cut.raise_error()
+        return cut.value[1][i]
+
+    @property
+    def residual(self):
+        """|tensor - direct| / (1 + |direct|)."""
+        formula, direct = self.tensor, self.direct
+        return np.linalg.norm(formula - direct) / (1.0 + np.linalg.norm(direct))
+
+
+def sum_curvature(b1_field: ChartField, b2_field: ChartField, z) -> SumAt:
+    """The record of b1 + b2 at z (:class:`SumAt`) with its ``tensor``
+    assembled from the summands, so a summand's error raises here; the
+    sum field's own error raises where ``direct`` is read."""
+    out = SumAt(b1_field, b2_field, z)
+    out.tensor
     return out

@@ -30,6 +30,7 @@ from hermitia.forms import (
     gram_rank,
     rank_of,
     require_finite,
+    sum_quotient_form,
 )
 from hermitia.fields import MonomialMap, from_potential_map
 from hermitia.models import (
@@ -339,6 +340,73 @@ def sum_curvature_loop(t1, t2, a1, a2, gq):
             m_h = t1[a, b].T + t2[a, b].T - sig_b.conj().T @ gq @ sig_a
             tensor[a, b] = m_h.T
     return tensor
+
+
+def outcome(read):
+    """``read()``, or the (type, message) of the HermitiaError it raises."""
+    try:
+        return read()
+    except HermitiaError as exc:
+        return type(exc), str(exc)
+
+
+def same(got, want):
+    """Whether two outcomes (arrays, numbers, errors as (type, message),
+    or tuples of them) are equal, arrays bit for bit."""
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and len(got) == len(want) and all(map(same, got, want))
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and np.array_equal(got, want)
+    return type(got) is type(want) and got == want
+
+
+def per_field_row(field, z):
+    """One row of a sum record the per-field way: the record of
+    ``curvature_tensor(field, z)`` as (G(z), A, residual, tensor), or its
+    error."""
+    def read():
+        rec = curvature_tensor(field, z)
+        return rec.form.gram, rec.a, rec.residual, rec.tensor
+
+    return outcome(read)
+
+
+def per_field_sum(b1, b2, z):
+    """The curvature of b1 + b2 assembled from the summands' own records,
+    read one field at a time, and :func:`sum_curvature_loop`: the
+    per-field route of ``sequences.SumAt.tensor``."""
+    t1, t2 = curvature_tensor(b1, z), curvature_tensor(b2, z)
+    gq = sum_quotient_form(t1.form, t2.form).gram
+    return sum_curvature_loop(t1.tensor, t2.tensor, t1.a, t2.a, gq)
+
+
+def sum_record_rows(rec):
+    """The rows b1, b2 and b1 + b2 of a ``sequences.SumAt`` record, each
+    as :func:`per_field_row` gives it, or None for a summand row after
+    the first that fails, which the record does not solve."""
+    rows = []
+    for i in range(3):
+        cut, j = rec._sum_row if i == 2 else (rec._rows, i)
+        if j < cut.n:
+            solves, tensors = cut.value
+            rows.append((solves.forms.gram[j], solves.a[j], solves.residual[j], tensors[j]))
+        else:
+            rows.append((type(cut.error), str(cut.error)) if j == cut.n else None)
+    return rows
+
+
+def sum_record_matches(rec):
+    """Whether every row a ``sequences.SumAt`` record solves equals its
+    field's per-field record (or raises its error) bit for bit, its
+    ``tensor`` the per-field :func:`per_field_sum`, and ``direct`` the
+    sum field's record."""
+    z = rec.point
+    want = [per_field_row(field, z) for field in rec.fields]
+    return (
+        all(got is None or same(got, row) for got, row in zip(sum_record_rows(rec), want))
+        and same(outcome(lambda: rec.direct), outcome(lambda: curvature_tensor(rec.fields[2], z).tensor))
+        and same(outcome(lambda: rec.tensor), outcome(lambda: per_field_sum(*rec.fields[:2], z)))
+    )
 
 
 class SeqPoint:

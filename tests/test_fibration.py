@@ -4,8 +4,20 @@ import re
 import numpy as np
 import pytest
 
-from hermitia import ConfigError, HermitiaError, NonFinite, NotPositive, NotPositiveAtPoint, RankJump, charts, fibration, models
-from hermitia.charts import ChartField, curvature_tensor, hsc_of_tensor, torsion_defect
+from hermitia import (
+    ConfigError,
+    HermitiaError,
+    NonFinite,
+    NotPositive,
+    NotPositiveAtPoint,
+    OutOfDomain,
+    RankJump,
+    charts,
+    cli,
+    fibration,
+    models,
+)
+from hermitia.charts import ChartField, FieldAt, curvature_tensor, hsc_of_tensor, torsion_defect
 from hermitia.fibration import (
     DEFAULT_LAMBDA_SCHEDULE,
     FibrationModel,
@@ -18,8 +30,16 @@ from hermitia.fibration import (
     r_lambda_decomposed,
     vertical_hsc_check,
 )
-from hermitia.fields import constant_field, embedded_factor_field, scaled_field, sum_field
+from hermitia.fields import (
+    MatrixPolynomial,
+    constant_field,
+    embedded_factor_field,
+    from_factor,
+    scaled_field,
+    sum_field,
+)
 from hermitia.models import _draw, _refine_direction, fubini_study_chart, resolve_model
+from hermitia.sequences import SumAt, sum_curvature
 
 import oracles
 from oracles import is_pd, point_scan
@@ -427,8 +447,10 @@ def test_a_one_row_record_at_the_zero_section_solves_once(hirz1, monkeypatch):
     """b1 of hirz:1 jumps in rank on the zero section w = 0.  Its one-row
     record there raises RankJump from one solve, which reads G once, at
     its gate stencil, and dG nowhere; so does the stacked solve of that
-    one point; and r_lambda_decomposed there, whose summand route meets
-    the jump, solves h_lambda once and b1 once."""
+    one point.  r_lambda_decomposed there, whose summand route meets the
+    jump, makes no one-field solve: it reads each summand's kernels once,
+    G at the 4m + 1 gate points and dG and d dbar G at z, which its sum
+    row, solved alone after the b1 row stops at the gate, takes too."""
     z = np.array([0.3 + 0.1j, 0.0])
     calls = {"solve_rows": 0, "gram_stack": 0, "d_stack": 0}
     monkeypatch.setattr(charts, "solve_rows", _counting(calls, "solve_rows", charts.solve_rows))
@@ -440,8 +462,171 @@ def test_a_one_row_record_at_the_zero_section_solves_once(hirz1, monkeypatch):
             read()
         assert calls == {"solve_rows": 1, "gram_stack": 1, "d_stack": 0}
     calls["solve_rows"] = 0
+    rows = {}
+    for summand in (hirz1.b1_field, hirz1.b2_field):
+        for kernel in ("stack_fn", "d_fn", "dd_fn"):
+            read = getattr(summand, kernel)
+
+            def counting(zs, read=read, key=(summand.name, kernel)):
+                rows.setdefault(key, []).append(len(zs))
+                return read(zs)
+
+            monkeypatch.setattr(summand, kernel, counting)
     assert not r_lambda_decomposed(hirz1, 0.5, z).applicable
-    assert calls["solve_rows"] == 2
+    assert calls["solve_rows"] == 0
+    gate = 4 * hirz1.total_m + 1
+    assert rows == {
+        (summand.name, kernel): [gate if kernel == "stack_fn" else 1]
+        for summand in (hirz1.b1_field, hirz1.b2_field)
+        for kernel in ("stack_fn", "d_fn", "dd_fn")
+    }
+
+
+def _r_lambda_per_field(model, lam, z):
+    """r_lambda_decomposed one field record at a time: h_lambda's record,
+    its form read first for the finite and positive-definite tests, then
+    its tensor, then the summands' records and the per-pair loop (a rank
+    jump there makes the formula route not applicable).  Returns
+    (direct, formula, residual, applicable)."""
+    direct = FieldAt(h_lambda(model, lam), z)
+    if not is_pd(direct.form.gram, fibration.PD_FLOOR):
+        raise NotPositive("h_lambda is not positive-definite at the point")
+    tensor = direct.tensor
+    try:
+        formula = oracles.per_field_sum(model.b1_field, scaled_field(model.b2_field, np.exp(lam)), z)
+    except RankJump:
+        return tensor, None, None, False
+    residual = np.linalg.norm(formula - tensor) / (1.0 + np.linalg.norm(tensor))
+    return tensor, formula, float(residual), True
+
+
+def _r_lambda(model, lam, z):
+    rec = r_lambda_decomposed(model, lam, z)
+    return rec.direct, rec.formula, rec.residual, rec.applicable
+
+
+DECOMPOSITION_LAMBDAS = (0.0, 0.5, 2.0, 6.0, 12.0)
+
+
+@pytest.mark.parametrize("model_id", ["hirz:1", "hirz:2", "hirz:3", "prod:fs1:fs1"])
+def test_the_decomposition_rows_equal_the_per_field_route(registry_fibrations, model_id):
+    """At seeded points of region 0.7 (and, on hirz, one on the zero
+    section, where b1 jumps in rank) and lambda in
+    DECOMPOSITION_LAMBDAS, every row the sum record of (b1, e^lambda b2)
+    solves equals its field's own curvature_tensor record bit for bit, or
+    raises its error, its sum row is h_lambda's record, and
+    r_lambda_decomposed returns or raises what the per-field route does."""
+    model = registry_fibrations[model_id]
+    points = list(_draw(model.total_m, 0.7, 4, 1, [61])[0])
+    if model_id.startswith("hirz"):
+        points.append(np.array([0.3 + 0.1j, 0.0]))
+    kinds = set()
+    for z in points:
+        for lam in DECOMPOSITION_LAMBDAS:
+            rec = SumAt(model.b1_field, scaled_field(model.b2_field, np.exp(lam)), z)
+            assert oracles.sum_record_matches(rec), (z, lam)
+            assert oracles.same(rec.direct, curvature_tensor(h_lambda(model, lam), z).tensor), (z, lam)
+            want = oracles.outcome(lambda: _r_lambda_per_field(model, lam, z))
+            assert oracles.same(oracles.outcome(lambda: _r_lambda(model, lam, z)), want), (z, lam)
+            kinds.add(want[3])
+    assert kinds == ({False, True} if model_id.startswith("hirz") else {True})
+
+
+def _nan_at(field, z):
+    """``field`` with G read as NaN at the point z."""
+    def stack_fn(ws):
+        g = field.stack_fn(ws).copy()
+        g[(ws == z).all(axis=1)] = np.nan
+        return g
+
+    return ChartField(field.m, field.shape, stack_fn, radius=field.radius, d_fn=field.d_fn,
+                      dd_fn=field.dd_fn, self_check=False)
+
+
+def _sum_jump_pair(p):
+    """Two rank-one fields on a line whose sum has rank two except at
+    the point p, where it drops to one: the constant e1 e1^H and l^H l
+    with l(z) = (1, z - p).  Each summand keeps its rank everywhere."""
+    b1 = constant_field(np.diag([1.0, 0.0]), 1, radius=1.0)
+    factor = MatrixPolynomial([[1.0, -p], [0.0, 0.0]], c1=[[[0.0, 1.0], [0.0, 0.0]]])
+    return b1, from_factor(factor, 1, radius=1.0)
+
+
+def test_the_decomposition_errors_match_the_per_field_route(hirz1):
+    """The error table of sum_curvature and r_lambda_decomposed: each
+    raises the type and the message the per-field route raises first, or
+    returns what it returns, and r_lambda_decomposed's direct route is
+    present where the summand route is not applicable."""
+    zero_section = np.array([0.3 + 0.1j, 0.0])
+    z = np.array([0.2 + 0.1j, 0.3 - 0.2j])
+    nan_model = FibrationModel(1, 1, _nan_at(hirz1.b1_field, z), hirz1.b2_field, name="nan")
+    not_pd = FibrationModel(1, 1, fiber_only_field(), constant_field(np.zeros((2, 2)), 2, radius=2.0))
+    outside = np.array([2.5 + 0.0j, 0.3])
+    cases = [
+        (hirz1, 0.5, zero_section, False),
+        (nan_model, 0.0, z, NonFinite),
+        (not_pd, 1.0, np.array([0.1, 0.1]), NotPositive),
+        (hirz1, 2.0, outside, OutOfDomain),
+    ]
+    for model, lam, w, want_kind in cases:
+        want = oracles.outcome(lambda: _r_lambda_per_field(model, lam, w))
+        got = oracles.outcome(lambda: _r_lambda(model, lam, w))
+        assert oracles.same(got, want), (model.name, lam, w)
+        assert (want[0] if isinstance(want[0], type) else want[3]) == want_kind
+        b2 = scaled_field(model.b2_field, np.exp(lam))
+        want = oracles.outcome(lambda: oracles.per_field_sum(model.b1_field, b2, w))
+        assert oracles.same(oracles.outcome(lambda: sum_curvature(model.b1_field, b2, w).tensor), want)
+    assert not r_lambda_decomposed(hirz1, 0.5, zero_section).applicable
+    # a sum whose own gate jumps in rank while both summands pass
+    p = 0.2
+    b1, b2 = _sum_jump_pair(p)
+    w = np.array([p - 1e-3 + 0.0j])
+    rec = sum_curvature(b1, b2, w)
+    assert oracles.same(rec.tensor, oracles.per_field_sum(b1, b2, w))
+    want = oracles.outcome(lambda: curvature_tensor(sum_field(b1, b2), w))
+    assert want[0] is RankJump
+    assert oracles.same(oracles.outcome(lambda: rec.direct), want)
+    assert oracles.sum_record_matches(rec)
+
+
+def test_the_sum_record_reads_through_the_sum_field_where_it_reads_otherwise(hirz1):
+    """With a summand by finite differences the sum field is one too, and
+    with a summand of another gate step the sum's gate stencil is not the
+    summand's: the sum row then reads through its own field.  Off and on
+    the zero section of hirz:1 every row still equals its field's own
+    record bit for bit, or raises its error, which names the gate
+    neighbor at the step of that row's field."""
+    b1, b2 = hirz1.b1_field, hirz1.b2_field
+    wide = ChartField(2, 2, b1.stack_fn, radius=b1.radius, d_fn=b1.d_fn, dd_fn=b1.dd_fn,
+                      fd_outer_step=2e-3, self_check=False)
+    pairs = [(b1.finite_difference_copy(), b2), (b1, b2.finite_difference_copy()), (wide, b2)]
+    for z in (np.array([0.2 + 0.1j, 0.3 - 0.2j]), np.array([0.3 + 0.1j, 0.0])):
+        for pair in pairs:
+            rec = SumAt(*pair, z)
+            assert oracles.sum_record_matches(rec), (pair[0].analytic, pair[1].analytic, z)
+    rows = oracles.sum_record_rows(SumAt(wide, b2, np.array([0.3 + 0.1j, 0.0])))
+    assert rows[0][0] is RankJump and rows[0][1].endswith("neighbor [0.300000+0.100000j 0.002000+0.000000j]")
+
+
+@pytest.mark.parametrize("lam", [800.0, np.nan, np.inf, -np.inf])
+def test_a_lambda_without_a_finite_exponential_is_a_config_error(hirz1, lam, recwarn):
+    """A lambda whose e^lambda is not a finite float (above LAMBDA_MAX,
+    or not a finite number) raises ConfigError naming it before any
+    read, in h_lambda, r_lambda_decomposed and find_lambda0, which checks
+    its whole schedule before the first scan; the CLI's bound is the
+    same one."""
+    z = np.array([0.2 + 0.1j, 0.3 - 0.2j])
+    message = re.escape("lambda = %r" % lam)
+    with pytest.raises(ConfigError, match=message):
+        h_lambda(hirz1, lam)
+    with pytest.raises(ConfigError, match=message):
+        r_lambda_decomposed(hirz1, lam, z)
+    with pytest.raises(ConfigError, match=message):
+        find_lambda0(hirz1, lambda_schedule=(12.0, lam))
+    assert not recwarn.list
+    assert cli.LAMBDA_MAX == fibration.LAMBDA_MAX
+    assert np.isfinite(np.exp(fibration.LAMBDA_MAX))
+    assert fibration.lambda_checked(fibration.LAMBDA_MAX) == fibration.LAMBDA_MAX
 
 
 def test_the_gate_tests_a_block_in_one_eigvalsh(registry_fibrations, monkeypatch):

@@ -35,8 +35,10 @@ from hermitia.instances import (
     sequence_instance,
     sum_instance,
 )
+from hermitia.acceptance import sum_instance_residual
 from hermitia.sequences import (
     ExactSeqChart,
+    SumAt,
     codazzi_quot,
     codazzi_sub,
     demailly_residuals,
@@ -45,7 +47,15 @@ from hermitia.sequences import (
     sum_curvature,
 )
 
-from oracles import SeqPoint, smooth_kernel_perturbation, sum_curvature_loop, wirtinger_fd
+from oracles import (
+    SeqPoint,
+    per_field_sum,
+    smooth_kernel_perturbation,
+    sum_curvature_loop,
+    sum_record_matches,
+    sum_record_rows,
+    wirtinger_fd,
+)
 
 
 def line_j(zs):
@@ -1441,14 +1451,20 @@ def test_sum_curvature_matches_direct_route(seed):
 
 
 def test_stacked_sum_curvature_equals_the_per_pair_loop():
-    """The sum's tensor, one stacked product over all coordinate pairs,
-    equals the per-pair loop bit for bit on every sum instance."""
-    for seed in range(60):
+    """On sum instances 0-299 the sum's tensor, one stacked product over
+    all coordinate pairs, equals the per-pair loop over the summands' own
+    records bit for bit; so does every row of the sum record, b1, b2 and
+    b1 + b2 solved in one stacked pass, against its field's own
+    curvature_tensor record (G(z), A, residual and tensor); and
+    sum_instance_residual is the gap of those two routes."""
+    for seed in range(300):
         b1, b2, z, _ = sum_instance(seed)
-        t1, t2 = curvature_tensor(b1, z), curvature_tensor(b2, z)
-        gq = sum_quotient_form(t1.form, t2.form).gram
-        want = sum_curvature_loop(t1.tensor, t2.tensor, t1.a, t2.a, gq)
-        assert np.array_equal(sum_curvature(b1, b2, z).tensor, want), seed
+        rec = SumAt(b1, b2, z)
+        assert sum_record_matches(rec), seed
+        assert all(row is not None and len(row) == 4 for row in sum_record_rows(rec)), seed
+        direct = curvature_tensor(sum_field(b1, b2), z).tensor
+        gap = np.linalg.norm(per_field_sum(b1, b2, z) - direct) / (1.0 + np.linalg.norm(direct))
+        assert sum_instance_residual(seed) == (gap, seed % 3), seed
 
 
 def test_sum_instances_cover_degenerate_kinds():
@@ -1476,30 +1492,41 @@ def test_sum_curvature_blind_to_kernel_gauge(seed):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_sum_curvature_reuses_the_summand_solves(m, monkeypatch):
+    """sum_curvature and its direct route read each summand once: G at
+    the 4m + 1 points of its gate in one kernel call, dG and d dbar G at
+    z in one call each.  The rows b1, b2 and b1 + b2 are solved in one
+    stacked pass, the sum row from the sums of those reads, so no
+    one-field solve (charts.solve_rows) runs and reading ``direct`` reads
+    nothing more."""
     rng = np.random.default_rng(np.random.SeedSequence([59, m]))
-    reads = []
+    reads = {"gram": [], "d": [], "dd": []}
+
+    def counting(kind, kernel):
+        def read(zs):
+            reads[kind].append(len(zs))
+            return kernel(zs)
+
+        return read
 
     def counted(base):
-        def stack_fn(zs):
-            reads.extend(zs)
-            return base.stack_fn(zs)
-
         return ChartField(
-            m, 2, stack_fn, radius=base.radius, d_fn=base.d_fn, dd_fn=base.dd_fn, self_check=False
+            m, 2, counting("gram", base.stack_fn), radius=base.radius,
+            d_fn=counting("d", base.d_fn), dd_fn=counting("dd", base.dd_fn), self_check=False,
         )
 
     solves = []
     solve_rows = charts.solve_rows
 
-    def counting(field, zs, grams, forms):
-        solves.extend([field] * len(zs))
+    def counting_solves(field, zs, grams, forms):
+        solves.append(field)
         return solve_rows(field, zs, grams, forms)
 
-    monkeypatch.setattr(charts, "solve_rows", counting)
+    monkeypatch.setattr(charts, "solve_rows", counting_solves)
     b1, b2 = counted(random_pd_field(rng, m, 2)), counted(random_pd_field(rng, m, 2))
-    sum_curvature(b1, b2, np.full(m, 0.1 + 0.05j))
-    assert solves == [b1, b2]
-    assert len(reads) == 2 * (4 * m + 1)
+    out = sum_curvature(b1, b2, np.full(m, 0.1 + 0.05j))
+    out.direct
+    assert solves == []
+    assert reads == {"gram": [4 * m + 1] * 2, "d": [1, 1], "dd": [1, 1]}
 
 
 def test_sum_curvature_form_is_the_sum():

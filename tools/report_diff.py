@@ -20,7 +20,7 @@ import sys
 import tempfile
 
 # The north-star CLI runs (the one list of them, which CI runs through
-# this tool), then the seeded identity and Codazzi checks, which draw
+# this tool), then the seeded identity, Codazzi and sum checks, which draw
 # other instances than the defaults.
 RUNS = (
     "hsc --model gr:2:4",
@@ -46,6 +46,7 @@ RUNS = (
     "acceptance",
     "demailly-check --seed 3 --instances 40",
     "codazzi-check --seed 3 --instances 40",
+    "sum-check --seed 3 --instances 40",
 )
 TIME_FIELDS = ("wall_time_s", "elapsed_s")
 
