@@ -456,6 +456,13 @@ def _row_norms(x):
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
 
 
+def _norm(v):
+    """``np.linalg.norm`` of a 1-D complex vector without its dispatch:
+    the same two real dot products and sqrt, so equal bit for bit."""
+    re, im = v.real, v.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
 def _gate_stencil(z, s):
     """z, then z + s e_a, z - s e_a, z + i s e_a and z - i s e_a for each
     coordinate a: the 4m + 1 points of the constant-rank gate, shape
@@ -555,7 +562,18 @@ def _gate_reads(field: ChartField, zs):
     4m + 1, m).  The OutOfDomain of the first point that is not inside
     the chart with the gate's margin to spare raises first, from one
     comparison for the whole stack, before any read."""
+    _require_gate_domain(field, zs)
+    return _stencil_reads(field, zs)
+
+
+def _require_gate_domain(field: ChartField, zs):
+    """The OutOfDomain of the first point of zs that is not inside the
+    chart with the gate's margin to spare."""
     field._require_domain(zs, field.fd_outer_step + field.fd_step)
+
+
+def _stencil_reads(field: ChartField, zs):
+    """The reads of :func:`_gate_reads` without its domain check."""
     stencils = _gate_stencil(zs, field.fd_outer_step)
     g = field.gram_stack(stencils.reshape(-1, field.m))
     return g.reshape(stencils.shape[:2] + g.shape[1:]), stencils
@@ -907,22 +925,31 @@ def hsc_of_tensor(tensor, g, v):
     C-contiguous tensor), w_ab = v_a conj(v_b) and D = v^H G v, the
     numerator N = R(v, conj(v), v, conj(v)) is the product w R2 w^T.
     ``v`` is one direction, giving a float, or a stack (..., m) of
-    directions, giving the array of their H.  Each direction's products
-    are its own batched row, (1, m^2) @ (m^2, m^2), never a row of one
-    stacked gemm, so each entry equals the single-direction call bit for
-    bit.  A direction of the wrong length raises HermitiaError, a zero
-    direction ZeroVector, and one along which G is not positive
-    NotPositive; all are read off D, so the check costs one comparison.
+    directions, giving the array of their H.  ``tensor`` (..., m, m, m,
+    m) and ``g`` (..., m, m) may carry leading block axes, one tensor and
+    Gram matrix per block, as the points of a scan; ``v`` then starts
+    with the same axes, each block scoring its own stack of directions.
+    Each direction's products are its own batched row, (1, m^2) @ (m^2,
+    m^2), never a row of one stacked gemm, so each entry equals the
+    single-direction call on its block's tensor bit for bit.  A direction
+    of the wrong length raises HermitiaError, a zero direction
+    ZeroVector, and one along which G is not positive NotPositive, naming
+    the first such direction of the first block that holds one as
+    "direction i of d", d its block's count; all are read off D, so the
+    check costs one comparison.
     """
-    m = tensor.shape[0]
+    block = tensor.shape[:-4]
+    m = tensor.shape[-1]
     v = _direction(v, m)
-    col = v.reshape(-1, m, 1)
-    row = v.conj().reshape(-1, 1, m)
-    w = (col * row).reshape(-1, 1, m * m)
-    num = (w @ tensor.reshape(m * m, m * m)) @ w.swapaxes(-1, -2)
-    den = (row @ g @ col).real
+    col = v.reshape(block + (-1, m, 1))
+    row = v.conj().reshape(block + (-1, 1, m))
+    w = (col * row).reshape(block + (-1, 1, m * m))
+    num = (w @ tensor.reshape(block + (1, m * m, m * m))) @ w.swapaxes(-1, -2)
+    den = (row @ g.reshape(block + (1, m, m)) @ col).real
     if not (den > 0.0).all():
-        _reject_directions(v.reshape(-1, m), den.ravel())
+        per_block = den.reshape(int(np.prod(block)), -1)
+        b = int(np.argmin((per_block > 0.0).all(axis=1)))
+        _reject_directions(v.reshape(len(per_block), -1, m)[b], per_block[b])
     h = (num.real / den**2).reshape(v.shape[:-1])
     return float(h) if v.ndim == 1 else h
 

@@ -30,6 +30,7 @@ from .models import (
     _scan,
     _unit_directions,
     fubini_study_chart,
+    require_scan_arguments,
     single_threaded,
 )
 from .report import encode_complex
@@ -421,20 +422,24 @@ def find_lambda0(
     ``region`` (DEFAULT_FIBRATION_REGION when None), with directions drawn
     from the unit sphere of the standard chart Hermitian structure; the
     lowest H is refined for at most LAMBDA_SCAN_STEPS steps.  The points
-    of one lambda are read as one block: h_lambda at all of them in one
-    read, gated by positive-definiteness in point order, and the points
-    before the first that fails the gate solved and assembled together,
-    so a lambda whose gate fails at some point is not positive-definite
-    and no later point is solved.  One bisection pass between the last failing
-    and first passing schedule entries sharpens the reported threshold.
-    Every lambda of the schedule is checked (:func:`lambda_checked`)
-    before the first scan.  Everything is deterministic in (seed,
+    of one lambda are read as one block (:func:`models._block_rows`):
+    h_lambda once, at the gate stencils of all of them, its centre rows
+    gated by positive-definiteness in point order, and the points before
+    the first that fails the gate solved and assembled together, so a
+    lambda whose gate fails at some point is not positive-definite and
+    no later point is solved.  One bisection pass between the last
+    failing and first passing schedule entries sharpens the reported
+    threshold.
+    ``region``, ``sphere_samples`` and ``margin``
+    (:func:`models.require_scan_arguments`) and every lambda of the
+    schedule (:func:`lambda_checked`) are checked before the first scan.  Everything is deterministic in (seed,
     schedule, sample counts).
     ``threads`` is accepted only as None (see
     :func:`models.single_threaded`).
     """
     single_threaded(threads)
     region = DEFAULT_FIBRATION_REGION if region is None else float(region)
+    require_scan_arguments(region=region, sphere_samples=sphere_samples, margin=margin)
     n_points = max(1, int(sphere_samples) // LAMBDA_SCAN_DIRECTIONS)
     schedule = [lambda_checked(lam) for lam in lambda_schedule]
     records = []

@@ -28,9 +28,14 @@ import numpy as np
 from .charts import (
     ChartField,
     FieldRows,
+    _detached,
     _leading,
+    _norm,
+    _reject_directions,
+    _require_gate_domain,
     _row_norms,
     _Rows,
+    _stencil_reads,
     assemble_rows,
     curvature_tensor,
     hsc_of_tensor,
@@ -289,49 +294,44 @@ class HscScanResult:
         }
 
 
+def _polydisc(u, t, radius):
+    """Points of the polydisc of ``radius`` from uniform draws ``u`` (of
+    the squared modulus) and ``t`` (of the angle), elementwise."""
+    return radius * np.sqrt(u) * np.exp(2j * np.pi * t)
+
+
 def _sample_polydisc(rng, m, radius):
-    u = np.sqrt(rng.random(m))
-    t = rng.random(m)
-    return radius * u * np.exp(2j * np.pi * t)
+    return _polydisc(rng.random(m), rng.random(m), radius)
+
+
+def _unit_rows(x):
+    """Unit directions from normal draws ``x`` of shape (..., 2, m): each
+    row takes the real parts from x[..., 0, :] and the imaginary parts
+    from x[..., 1, :], and is divided by its norm."""
+    v = x[..., 0, :] + 1j * x[..., 1, :]
+    flat = v.reshape(-1, v.shape[-1])
+    return (flat / _row_norms(flat)[:, None]).reshape(v.shape)
 
 
 def _unit_directions(rng, m, count):
     """``count`` random unit directions in C^m, shape (count, m), from one
     draw: each row takes the real and then the imaginary parts of m
     normal samples in stream order, and is divided by its norm."""
-    x = rng.standard_normal((count, 2, m))
-    v = x[:, 0] + 1j * x[:, 1]
-    return v / _row_norms(v)[:, None]
-
-
-def _hsc_gradient(tensor, g, v):
-    """2 dH/dconj(v), the gradient of H over the real and imaginary parts
-    of v, in closed form.
-
-    With N = R(v, conj(v), v, conj(v)) and D = v^H G v, H = Re N / D^2 and
-    2 dH/dconj(v) = (dN/dconj(v) + conj(dN/dv)) / D^2 - 4 Re N (G v) / D^3,
-    where N = conj(v) . dN/dconj(v) / 2 because N has degree two in conj(v).
-    On the (m^2, m^2) matrix R2 of :func:`charts.hsc_of_tensor`, with
-    w_ab = v_a conj(v_b), X = (R2 w) and Y = (w R2) read as (m, m)
-    matrices give dN/dconj(v) = v (X + Y) and dN/dv = (X + Y) conj(v).
-    """
-    m = v.size
-    r2 = tensor.reshape(m * m, m * m)
-    vc = v.conj()
-    w = (v[:, None] * vc).reshape(m * m)
-    xy = (r2 @ w + w @ r2).reshape(m, m)
-    dn_dvbar = v @ xy
-    dn_dv = xy @ vc
-    num = 0.5 * np.real(vc @ dn_dvbar)
-    gv = g @ v
-    den = np.real(vc @ gv)
-    return (dn_dvbar + dn_dv.conj()) / den**2 - 4.0 * num * gv / den**3
+    return _unit_rows(rng.standard_normal((count, 2, m)))
 
 
 def _refine_direction(tensor, g, v0, steps, sign):
     """Projected gradient walk of H on the direction sphere, with the
-    closed-form gradient of :func:`_hsc_gradient` and a halving line
-    search; ``sign`` -1 descends, +1 ascends.
+    closed-form gradient and a halving line search; ``sign`` -1
+    descends, +1 ascends.
+
+    The gradient is 2 dH/dconj(v), over the real and imaginary parts of
+    v.  With N = R(v, conj(v), v, conj(v)) and D = v^H G v, H = Re N / D^2
+    and 2 dH/dconj(v) = (dN/dconj(v) + conj(dN/dv)) / D^2 - 4 Re N (G v) /
+    D^3, where N = conj(v) . dN/dconj(v) / 2 because N has degree two in
+    conj(v).  On the (m^2, m^2) matrix R2 of :func:`charts.hsc_of_tensor`,
+    with w_ab = v_a conj(v_b), X = (R2 w) and Y = (w R2) read as (m, m)
+    matrices give dN/dconj(v) = v (X + Y) and dN/dv = (X + Y) conj(v).
 
     Each step tries LINE_SEARCH_STEPS[0] first, alone; when it does not
     improve H, the other candidates are scored in one stacked
@@ -339,19 +339,42 @@ def _refine_direction(tensor, g, v0, steps, sign):
     :func:`charts._row_norms`, and the walk takes the first that
     improves.  Each candidate and its H equal those of the halving walk
     that tries the steps one at a time, bit for bit, so the walk is that
-    walk; the walk stops at a step where none improves."""
-    v = v0 / np.linalg.norm(v0)
+    walk; the walk stops at a step where none improves.
+
+    The loop pays no per-step overhead that would change no bit: R2 and
+    the step constants are set up once, the gradient and the
+    one-candidate score are written out on 1-D vectors (the products of
+    :func:`charts.hsc_of_tensor`, each one row), and each norm is
+    :func:`charts._norm`."""
+    m = v0.size
+    r2 = tensor.reshape(m * m, m * m)
+    first = sign * LINE_SEARCH_STEPS[0]
+    halvings = (sign * LINE_SEARCH_STEPS[1:])[:, None]
+    v = v0 / _norm(v0)
     best = hsc_of_tensor(tensor, g, v)
     for _ in range(steps):
-        grad = _hsc_gradient(tensor, g, v)
-        grad -= np.real(np.vdot(v, grad)) * v  # tangent to the sphere
-        if np.linalg.norm(grad) < GRADIENT_FLOOR:
+        vc = v.conj()
+        w = (v[:, None] * vc).reshape(m * m)
+        xy = (r2 @ w + w @ r2).reshape(m, m)
+        dn_dvbar = v @ xy
+        dn_dv = xy @ vc
+        num = 0.5 * (vc @ dn_dvbar).real
+        gv = g @ v
+        den = (vc @ gv).real
+        grad = (dn_dvbar + dn_dv.conj()) / den**2 - 4.0 * num * gv / den**3
+        grad -= np.vdot(v, grad).real * v  # tangent to the sphere
+        if _norm(grad) < GRADIENT_FLOOR:
             break
-        cand = v + sign * LINE_SEARCH_STEPS[0] * grad
-        cand /= np.linalg.norm(cand)
-        val = hsc_of_tensor(tensor, g, cand)
+        cand = v + first * grad
+        cand /= _norm(cand)
+        cc = cand.conj()
+        w = (cand[:, None] * cc).reshape(m * m)
+        den = (cc @ g @ cand).real
+        if not den > 0.0:
+            _reject_directions(cand[None], np.array([den]))
+        val = float((w @ r2 @ w).real / den**2)
         if not sign * (val - best) > 0:
-            cands = v + (sign * LINE_SEARCH_STEPS[1:])[:, None] * grad
+            cands = v + halvings * grad
             cands /= _row_norms(cands)[:, None]
             vals = hsc_of_tensor(tensor, g, cands)
             better = np.flatnonzero(sign * (vals - best) > 0)
@@ -370,24 +393,68 @@ def single_threaded(threads):
         raise ConfigError("scans run on one thread; threads must be None, got %r" % (threads,))
 
 
+# The range of each scan argument, by the name its scan takes it under:
+# (test, the rule a ConfigError states).
+_SCAN_ARGUMENTS = {
+    "samples": (lambda x: x >= 1, "at least 1"),
+    "sphere_samples": (lambda x: x >= 1, "at least 1"),
+    "directions_per_point": (lambda x: x >= 1, "at least 1"),
+    "optimizer_steps": (lambda x: x >= 0, "at least 0"),
+    "region": (lambda x: np.isfinite(x) and x > 0, "finite and > 0"),
+    "margin": (np.isfinite, "finite"),
+}
+
+
+def require_scan_arguments(**arguments):
+    """Raise ConfigError naming the first of ``arguments`` (keywords named
+    as the scan names them) out of its range in _SCAN_ARGUMENTS, before
+    any draw: a sample or direction count at least 1, a step count at
+    least 0, a region finite and > 0, a margin finite."""
+    for name, value in arguments.items():
+        test, rule = _SCAN_ARGUMENTS[name]
+        if not test(value):
+            raise ConfigError("%s = %r: it must be %s" % (name, value, rule))
+
+
 def _draw(m, region, n_points, directions_per_point, seed_key):
     """The scan's (n, m) points and (n, d, m) unit directions: point idx,
-    then its d directions, drawn from SeedSequence(seed_key + [idx])."""
-    zs = np.empty((n_points, m), dtype=complex)
-    dirs = np.empty((n_points, directions_per_point, m), dtype=complex)
+    then its d directions, drawn from SeedSequence(seed_key + [idx]) in
+    the stream order of :func:`_sample_polydisc` and then
+    :func:`_unit_directions`.  Only the raw draws are taken per point,
+    into preallocated arrays; the polydisc map (:func:`_polydisc`) and
+    the normalization (:func:`_unit_rows`) run once on the whole block,
+    elementwise and row by row, so every point and direction equals its
+    per-point draw bit for bit.  The generator stays one per point: one
+    stream for the block would move every sampled point."""
+    u = np.empty((n_points, m))
+    t = np.empty((n_points, m))
+    x = np.empty((n_points, directions_per_point, 2, m))
     for idx in range(n_points):
         rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
-        zs[idx] = _sample_polydisc(rng, m, region)
-        dirs[idx] = _unit_directions(rng, m, directions_per_point)
-    return zs, dirs
+        rng.random(out=u[idx])
+        rng.random(out=t[idx])
+        rng.standard_normal(out=x[idx])
+    return _polydisc(u, t, region), _unit_rows(x)
 
 
 def _point_rows(field, zs):
-    """(tensor, Gram) at each point in turn, from one
-    :func:`charts.curvature_tensor` call per point."""
-    for z in zs:
-        curv = curvature_tensor(field, z)
-        yield curv.tensor, curv.form.gram
+    """The stacked (tensors, Grams) of the points of zs before the first
+    whose read fails, as :class:`charts._Rows` whose error is that
+    point's: one :func:`charts.curvature_tensor` call per point, looked
+    up on this module, and no read after the first that fails.  Each
+    record is copied into the stacks and dropped, so a scan holds no more
+    than its stacks."""
+    n, m, r = len(zs), field.m, field.shape
+    tensors = np.empty((n, m, m, r, r), dtype=complex)
+    grams = np.empty((n, r, r), dtype=complex)
+    for k, z in enumerate(zs):
+        try:
+            curv = curvature_tensor(field, z)
+        except HermitiaError as err:
+            return _Rows((tensors[:k], grams[:k]), k, _detached(err))
+        tensors[k] = curv.tensor
+        grams[k] = curv.form.gram
+    return _Rows((tensors, grams), n, None)
 
 
 class _Rejected(HermitiaError):
@@ -397,25 +464,35 @@ class _Rejected(HermitiaError):
 
 
 def _block_rows(field, zs, gate):
-    """The (tensor, Gram) rows of the points of zs before the first that
-    fails, as :class:`charts._Rows` whose error is that point's: a
+    """The stacked (tensors, Grams) of the points of zs before the first
+    that fails, as :class:`charts._Rows` whose error is that point's: a
     point's checks are, in order, the finite check of G, ``gate`` (a
-    rejection is :class:`_Rejected`) and the curvature read.  G is read
-    at all points in one :meth:`ChartField.gram_stack` call, and one
-    :func:`charts._leading` call runs the rest on a stack of them: the
-    gate, one call, then one :class:`charts.FieldRows` solve and one
-    :func:`charts.assemble_rows` read, so no point after the first that
-    fails is solved.  A block that fails runs them again on the leading
-    parts that :func:`charts._leading` bisects."""
-    g = field.gram_stack(zs)
+    rejection is :class:`_Rejected`), OutOfDomain (the gate's margin),
+    then the rank gate, the solve and the assembly.
+
+    G is read once, at the gate stencils of all points, in one
+    :meth:`ChartField.gram_stack` call with no domain check before it;
+    the finite check and ``gate`` take its centre rows, which equal a
+    read of G at the points bit for bit under the kernel's row contract,
+    and one :class:`charts.FieldRows` solves on the stencil rows, then one
+    :func:`charts.assemble_rows` reads the tensors.  One
+    :func:`charts._leading` call runs these on the stack, so no point
+    after the first that fails is solved; a block that fails runs them
+    again on the leading parts that it bisects.  The stencils of the
+    points past a cut are read too (on the default lambda schedule no
+    registry model's gate rejects a point), and so are those of a point
+    past the chart's edge, which the kernel must accept."""
+    grams = _stencil_reads(field, zs)[0]
+    centres = grams[:, 0]
 
     def rows(zs):
         n = len(zs)
-        require_finite_rows(g[:n], "Gram matrix", zs)
-        if not gate(g[:n]).all():
+        require_finite_rows(centres[:n], "Gram matrix", zs)
+        if not gate(centres[:n]).all():
             raise _Rejected("the gate rejects a point of the block")
-        solves = FieldRows(field, zs).solves
-        return zip(assemble_rows(field, zs, solves), solves.forms.gram)
+        _require_gate_domain(field, zs)
+        solves = FieldRows(field, zs, reads=lambda: grams[:n]).solves
+        return assemble_rows(field, zs, solves), solves.forms.gram
 
     return _leading(rows, zs)
 
@@ -423,48 +500,49 @@ def _block_rows(field, zs, gate):
 def _scan(field, region, n_points, directions_per_point, seed_key, steps, signs, gate=None):
     """The seeded sample-then-refine pass of every HSC scan.
 
-    Point idx is drawn from SeedSequence(seed_key + [idx]), then its
-    ``directions_per_point`` unit directions from the same stream
-    (:func:`_draw`).  Each point's curvature tensor and Gram matrix are
-    read once and all of its directions are scored in one stacked
-    hsc_of_tensor call.  For each sign in ``signs`` (-1 for the minimum,
-    +1 for the maximum) the incumbent is the first strictly lower
-    (higher) H in (point, direction) order; its direction is then refined
-    on its point's curvature tensor by :func:`_refine_direction` for at
-    most ``steps`` steps.  Returns one (H, point, direction) per sign.
+    The block's points and their ``directions_per_point`` unit directions
+    are drawn by :func:`_draw`.  Each point's curvature tensor and Gram
+    matrix are read once, and the points read are scored in one stacked
+    :func:`charts.hsc_of_tensor` call, each direction its own row.  For
+    each sign in ``signs`` (-1 for the minimum, +1 for the maximum) the
+    incumbent is the first strictly lower (higher) H in (point,
+    direction) order, the first extreme of the block's finite H; its
+    direction is then refined on its point's curvature tensor by
+    :func:`_refine_direction` for at most ``steps`` steps.  Returns one
+    (H, point, direction) per sign.
 
     Without a gate each point is read by its own curvature_tensor call
     (:func:`_point_rows`).  With ``gate``, a test of a (B, n, n) stack of
     finite Gram matrices that returns one bool per matrix, each a function
     of its matrix alone, the points are read as one block
-    (:func:`_block_rows`): the points before the first that fails are
-    scored, and the scan then returns None when the gate rejected that
-    point, or raises its error.  Results, None and errors are those of
-    checking, gating and reading the points one at a time.
+    (:func:`_block_rows`).  Either way the points before the first that
+    fails are scored first, so a rejected direction among them raises
+    before that point's error; the scan then returns None when the gate
+    rejected that point, or raises its error.  Results, None and errors
+    are those of checking, gating, reading and scoring the points one at
+    a time.
     """
     zs, dirs = _draw(field.m, region, n_points, directions_per_point, seed_key)
     if gate is None:
         # hsc_extremes keeps one curvature_tensor call per point: the
         # gr-scan benchmark clocks a point as the wall time of that call,
-        # so the block read waits for a benchmark that clocks it another way.
-        rows = _Rows(_point_rows(field, zs), n_points, None)
+        # so the block read waits for a benchmark that clocks it another
+        # way.  The draw and the scoring are per block all the same.
+        rows = _point_rows(field, zs)
     else:
         rows = _block_rows(field, zs, gate)
-    incumbents = [None] * len(signs)
-    for z, d, (tensor, g) in zip(zs, dirs, rows.value or ()):
-        h = hsc_of_tensor(tensor, g, d)
-        for k, sign in enumerate(signs):
-            i = np.argmax(sign * h)
-            if incumbents[k] is None or sign * h[i] > sign * incumbents[k][0]:
-                incumbents[k] = (h[i], z, d[i], tensor, g)
+    if rows.n:
+        tensors, grams = rows.value
+        h = hsc_of_tensor(tensors, grams, dirs[: rows.n])
     if isinstance(rows.error, _Rejected):
         return None
     if rows.error is not None:
         rows.raise_error()
     extremes = []
-    for sign, (_, z, v, tensor, g) in zip(signs, incumbents):
-        v, h = _refine_direction(tensor, g, v, steps, sign)
-        extremes.append((float(h), z, v))
+    for sign in signs:
+        idx, i = divmod(int(np.argmax(sign * h)), directions_per_point)
+        v, h_best = _refine_direction(tensors[idx], grams[idx], dirs[idx, i], steps, sign)
+        extremes.append((float(h_best), zs[idx], v))
     return extremes
 
 
@@ -485,9 +563,14 @@ def hsc_extremes(
     directions of the lowest and of the highest sampled H are refined by
     descent and ascent for at most ``optimizer_steps`` steps.  The result
     depends on the seed and the sample counts only.  ``threads`` is
-    accepted only as None (see :func:`single_threaded`).
+    accepted only as None (see :func:`single_threaded`), and the other
+    arguments are checked before any draw (:func:`require_scan_arguments`).
     """
     single_threaded(threads)
+    require_scan_arguments(
+        region=region, samples=samples, directions_per_point=directions_per_point,
+        optimizer_steps=optimizer_steps,
+    )
     n_points = max(1, samples // directions_per_point)
     (h_min, z_min, v_min), (h_max, z_max, v_max) = _scan(
         field, region, n_points, directions_per_point, [seed], optimizer_steps,

@@ -35,10 +35,7 @@ from hermitia.forms import (
 from hermitia.fields import MonomialMap, from_potential_map
 from hermitia.models import (
     GRADIENT_FLOOR,
-    _hsc_gradient,
     _parse_fs_token,
-    _sample_polydisc,
-    _unit_directions,
     fubini_study_chart,
 )
 
@@ -464,6 +461,24 @@ class SeqPoint:
         return np.stack([adjoint(LinearMap(s), b_s, b_q).matrix for s in self.sigma])
 
 
+def hsc_gradient(tensor, g, v):
+    """2 dH/dconj(v), the gradient of H over the real and imaginary parts
+    of v, in closed form: the gradient of ``models._refine_direction``
+    as a function of its own (see there for the formula), on the
+    (m^2, m^2) matrix R2 of ``charts.hsc_of_tensor``."""
+    m = v.size
+    r2 = tensor.reshape(m * m, m * m)
+    vc = v.conj()
+    w = (v[:, None] * vc).reshape(m * m)
+    xy = (r2 @ w + w @ r2).reshape(m, m)
+    dn_dvbar = v @ xy
+    dn_dv = xy @ vc
+    num = 0.5 * np.real(vc @ dn_dvbar)
+    gv = g @ v
+    den = np.real(vc @ gv)
+    return (dn_dvbar + dn_dv.conj()) / den**2 - 4.0 * num * gv / den**3
+
+
 def refine_direction_walk(tensor, g, v0, steps, sign):
     """The projected gradient walk of ``models._refine_direction`` with
     its halving line search tried one step at a time: at most 20 steps
@@ -474,7 +489,7 @@ def refine_direction_walk(tensor, g, v0, steps, sign):
     best = hsc_of_tensor(tensor, g, v)
     alpha = 0.1
     for _ in range(steps):
-        grad = _hsc_gradient(tensor, g, v)
+        grad = hsc_gradient(tensor, g, v)
         grad -= np.real(np.vdot(v, grad)) * v
         if np.linalg.norm(grad) < GRADIENT_FLOOR:
             break
@@ -494,6 +509,24 @@ def refine_direction_walk(tensor, g, v0, steps, sign):
     return v, best
 
 
+def point_draw(m, region, directions_per_point, seed_key, idx):
+    """Point idx of a scan and its directions, drawn one at a time from
+    SeedSequence(seed_key + [idx]): the point of the polydisc (m uniform
+    draws of the squared modulus, then m of the angle), then each
+    direction (the real and then the imaginary parts of m normal draws,
+    divided by its norm)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
+    u = np.sqrt(rng.random(m))
+    t = rng.random(m)
+    z = region * u * np.exp(2j * np.pi * t)
+    dirs = []
+    for _ in range(directions_per_point):
+        x = rng.standard_normal((2, m))
+        v = x[0] + 1j * x[1]
+        dirs.append(v / np.linalg.norm(v))
+    return z, np.array(dirs).reshape(directions_per_point, m)
+
+
 def point_scan(field, region, n_points, directions_per_point, seed_key, steps, signs, gate=None):
     """``models._scan`` one point at a time: draw point idx and its
     directions; with a gate, check that G at that point is finite (else
@@ -504,15 +537,13 @@ def point_scan(field, region, n_points, directions_per_point, seed_key, steps, s
     per-point oracle of the block read of a gated scan."""
     incumbents = [None] * len(signs)
     for idx in range(n_points):
-        rng = np.random.default_rng(np.random.SeedSequence(seed_key + [idx]))
-        z = _sample_polydisc(rng, field.m, region)
+        z, dirs = point_draw(field.m, region, directions_per_point, seed_key, idx)
         if gate is not None:
             g = field.gram(z)
             require_finite(g, "Gram matrix", z)
             if not gate(g[None])[0]:
                 return None
         curv = curvature_tensor(field, z)
-        dirs = _unit_directions(rng, field.m, directions_per_point)
         h = hsc_of_tensor(curv.tensor, curv.form.gram, dirs)
         for k, sign in enumerate(signs):
             i = np.argmax(sign * h)

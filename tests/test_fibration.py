@@ -423,24 +423,28 @@ def _counting(calls, name, fn):
 
 def test_each_scanned_lambda_is_one_solve_and_one_assembly(registry_fibrations, monkeypatch):
     """hirz:2 scans lambda = 0, 1, 2 and then bisects at 1.5.  Each
-    scanned lambda reads h_lambda twice, G at its points for the gate and
-    then at their gate stencils, and makes one solve_rows and one
-    assemble_rows, and no curvature_tensor call."""
-    calls = {"gram_stack": 0, "solve_rows": 0, "assemble_rows": 0, "curvature_tensor": 0}
+    scanned lambda reads h_lambda once, G at the gate stencils of its n
+    points, n(4m + 1) rows, whose centre rows the gate tests, and makes
+    one solve_rows and one assemble_rows, and no curvature_tensor call."""
+    model = registry_fibrations["hirz:2"]
+    calls = {"solve_rows": 0, "assemble_rows": 0, "curvature_tensor": 0}
     monkeypatch.setattr(charts, "solve_rows", _counting(calls, "solve_rows", charts.solve_rows))
     for name in ("assemble_rows", "curvature_tensor"):
         monkeypatch.setattr(models, name, _counting(calls, name, getattr(models, name)))
-    gram_stack = ChartField.gram_stack
+    gram_stack, rows = ChartField.gram_stack, []
 
     def counting(field, zs):
-        calls["gram_stack"] += ".h(" in field.name
+        if ".h(" in field.name:
+            rows.append(len(zs))
         return gram_stack(field, zs)
 
     monkeypatch.setattr(ChartField, "gram_stack", counting)
-    scan = find_lambda0(registry_fibrations["hirz:2"], sphere_samples=200, seed=0)
+    scan = find_lambda0(model, sphere_samples=200, seed=0)
     assert [r["lambda"] for r in scan.records] == [0.0, 1.0, 2.0, 1.5]
     k = len(scan.records)
-    assert calls == {"gram_stack": 2 * k, "solve_rows": k, "assemble_rows": k, "curvature_tensor": 0}
+    n = 200 // fibration.LAMBDA_SCAN_DIRECTIONS
+    assert rows == [n * (4 * model.total_m + 1)] * k
+    assert calls == {"solve_rows": k, "assemble_rows": k, "curvature_tensor": 0}
 
 
 def test_a_one_row_record_at_the_zero_section_solves_once(hirz1, monkeypatch):
@@ -718,10 +722,13 @@ def _rejecting(field, points, k):
     return gate
 
 
-def _fs2_variant(points, rank_jump=None, nan_d=None, nan_dd=None):
+def _fs2_variant(points, rank_jump=None, nan_d=None, nan_dd=None, nan_g=None, negative=None):
     """fs:2 with G losing rank exactly at points[rank_jump], dG non-finite
-    at points[nan_d] and d dbar G non-finite at points[nan_dd], each of them
-    when given; the derivative kernels count the rows they read."""
+    at points[nan_d], d dbar G non-finite at points[nan_dd], G non-finite
+    at points[nan_g] and G negated within 0.01 of points[negative], the
+    gate stencil of that point included (so its curvature reads, and each
+    of its directions scores NotPositive), each of them when given; the
+    derivative kernels count the rows they read."""
     fs2 = fubini_study_chart(2)
     rows = {"d": [], "dd": []}
 
@@ -732,6 +739,10 @@ def _fs2_variant(points, rank_jump=None, nan_d=None, nan_dd=None):
         g = fs2.stack_fn(ws).copy()
         jump = at(ws, rank_jump)
         g[jump, 1] = g[jump, :, 1] = 0.0
+        g[at(ws, nan_g), 1, 1] = np.nan
+        if negative is not None:
+            near = (np.abs(ws - points[negative]) < 0.01).all(axis=1)
+            g[near] = -g[near]
         return g
 
     def d_fn(ws):
@@ -784,6 +795,69 @@ def test_a_point_before_the_cut_raises_its_per_point_error(faults):
         point_scan(field, *SCAN_ARGS, gate=_rejecting(field, points, 4))
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def _scan_outcome(scan):
+    """The outcome (:func:`oracles.outcome`) of a scan, its extremes as
+    tuples so that :func:`oracles.same` compares them bit for bit."""
+    found = oracles.outcome(scan)
+    return tuple(map(tuple, found)) if isinstance(found, list) else found
+
+
+@pytest.mark.parametrize("negative,nan_dd", [(1, 3), (3, 1), (2, None)])
+def test_an_ungated_scan_raises_the_first_error_in_point_order(negative, nan_dd):
+    """Without a gate, a point whose directions are rejected (NotPositive)
+    and a later point whose read fails raise the earlier point's error,
+    type and message, as the per-point scan does: the points read before
+    a read error are scored before it is raised."""
+    points = _draw(2, *SCAN_ARGS[:4])[0]
+    field, _ = _fs2_variant(points, negative=negative, nan_dd=nan_dd)
+    got = _scan_outcome(lambda: models._scan(field, *SCAN_ARGS))
+    assert oracles.same(got, _scan_outcome(lambda: point_scan(field, *SCAN_ARGS)))
+    assert got[0] is (NotPositive if nan_dd is None or negative < nan_dd else NonFinite)
+
+
+def _edge_draw():
+    """A seed key whose 8 points of region 2.2 put the first point past
+    the edge of fs:2's chart (radius 2, less the gate's margin) mid-block,
+    with that point's index and the points."""
+    fs2 = fubini_study_chart(2)
+    for key in range(100):
+        points = _draw(2, 2.2, 8, 5, [key])[0]
+        inside = fs2.in_domain(points, fs2.fd_outer_step + fs2.fd_step)
+        k = int(np.argmin(inside))
+        if 2 <= k <= 5 and not inside[k]:
+            return [key], k, points
+    raise AssertionError("no seed key in range(100) puts the edge mid-block")
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [{}, {"rejected": -1}, {"rejected": 0}, {"rejected": 1}, {"nan_g": -1}, {"nan_g": 1}],
+    ids=["edge", "reject-before", "reject-at", "reject-after", "nan-before", "nan-after"],
+)
+def test_a_gated_scan_meets_the_chart_edge_where_the_per_point_scan_does(faults):
+    """A point past the chart's edge mid-block, with a gate rejection or
+    a non-finite G just before it, at it or just after it: the gated
+    scan returns None or raises the error, type and message, of checking
+    the points one at a time, whose order is finite G, the gate, then the
+    chart's domain."""
+    key, k, points = _edge_draw()
+    args = (2.2, 8, 5, key, 5, (-1.0,))
+    nan_g = k + faults["nan_g"] if "nan_g" in faults else None
+    field, _ = _fs2_variant(points, nan_g=nan_g)
+    if "rejected" in faults:
+        gate = _rejecting(field, points, k + faults["rejected"])
+    else:
+        def gate(grams):
+            return np.ones(len(grams), bool)
+
+    got = _scan_outcome(lambda: models._scan(field, *args, gate=gate))
+    assert oracles.same(got, _scan_outcome(lambda: point_scan(field, *args, gate=gate)))
+    if faults.get("rejected", 1) <= 0:
+        assert got is None
+    else:
+        assert got[0] is (NonFinite if faults.get("nan_g") == -1 else OutOfDomain)
 
 
 def test_zero_section_direction_minimum_is_flat(hirz1):

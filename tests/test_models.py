@@ -2,10 +2,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hermitia import ConfigError, NotPositiveAtPoint, models
+from hermitia import ConfigError, NotPositive, NotPositiveAtPoint, models
 from hermitia.charts import curvature_tensor, hsc, hsc_of_tensor
 from hermitia.fields import (
     MatrixPolynomial,
@@ -19,7 +19,6 @@ from hermitia.instances import random_degenerate_field
 from hermitia.models import (
     DEFAULT_GR_REGION,
     GrassmannChartModel,
-    _hsc_gradient,
     _refine_direction,
     _sample_polydisc,
     _unit_directions,
@@ -34,7 +33,7 @@ from hermitia.models import (
     ricci,
 )
 
-from oracles import grassmann_gram, point_scan, refine_direction_walk
+from oracles import grassmann_gram, hsc_gradient, point_draw, point_scan, refine_direction_walk
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +448,7 @@ def _hsc_einsum(tensor, g, v):
 
 def _hsc_gradient_einsum(tensor, g, v):
     """2 dH/dconj(v) from four index contractions: the reference for
-    :func:`_hsc_gradient`."""
+    :func:`oracles.hsc_gradient`."""
     vc = v.conj()
     dn_dvbar = np.einsum("akst,a,s,t->k", tensor, v, v, vc) + np.einsum(
         "absk,a,b,s->k", tensor, v, vc, v
@@ -502,7 +501,7 @@ def test_direction_scoring_matches_the_einsum_references(make_field):
         assert np.max(np.abs(hsc_of_tensor(t, g, dirs) - want)) <= HSC_REFERENCE_TOL * scale
         for v in dirs[:5]:
             want = _hsc_gradient_einsum(t, g, v)
-            gap = np.linalg.norm(_hsc_gradient(t, g, v) - want)
+            gap = np.linalg.norm(hsc_gradient(t, g, v) - want)
             assert gap <= HSC_REFERENCE_TOL * max(np.linalg.norm(want), scale)
 
 
@@ -521,7 +520,7 @@ def test_direction_gradient_matches_central_differences(make_field):
         for _ in range(3):
             v = rng.standard_normal(field.m) + 1j * rng.standard_normal(field.m)
             v /= np.linalg.norm(v)
-            exact = _hsc_gradient(curv.tensor, g, v)
+            exact = hsc_gradient(curv.tensor, g, v)
             fd = _hsc_gradient_fd(curv.tensor, g, v)
             assert np.linalg.norm(exact - fd) <= 1e-7 * np.linalg.norm(fd)
 
@@ -539,14 +538,18 @@ def _walk_field(which):
     seed=st.integers(0, 10**6),
     steps=st.sampled_from([40, 200]),
     sign=st.sampled_from([-1.0, 1.0]),
+    region=st.just(0.7),
 )
-def test_two_stage_line_search_equals_the_halving_walk(which, seed, steps, sign):
+@example(which="gr:2:4", seed=0, steps=200, sign=-1.0, region=1.99)
+@example(which="gr:2:4", seed=1, steps=200, sign=1.0, region=1.99)
+def test_two_stage_line_search_equals_the_halving_walk(which, seed, steps, sign, region):
     """The walk that scores its first halving alone and then the other 19
     in one stack ends where the walk that tries them one at a time does,
-    bit for bit, in direction and H."""
+    bit for bit, in direction and H; near the chart's edge too, where
+    200 steps on gr:2:4 take both stages of the line search."""
     field = _walk_field(which)
     rng = np.random.default_rng(seed)
-    curv = curvature_tensor(field, _sample_polydisc(rng, field.m, 0.7))
+    curv = curvature_tensor(field, _sample_polydisc(rng, field.m, region))
     v0 = rng.standard_normal(field.m) + 1j * rng.standard_normal(field.m)
     v, h = _refine_direction(curv.tensor, curv.form.gram, v0, steps, sign)
     want_v, want_h = refine_direction_walk(curv.tensor, curv.form.gram, v0, steps, sign)
@@ -574,6 +577,104 @@ def test_an_ungated_scan_reads_each_point_by_its_own_curvature_call(gr24, monkey
     assert (scan.min_H, scan.max_H) == (h_min, h_max)
     for got, want in zip(scan.argmin + scan.argmax, (z_min, v_min, z_max, v_max)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "scan,arguments,name",
+    [
+        ("hsc", {"directions_per_point": 0}, "directions_per_point"),
+        ("hsc", {"samples": -5}, "samples"),
+        ("hsc", {"samples": 0}, "samples"),
+        ("hsc", {"optimizer_steps": -1}, "optimizer_steps"),
+        ("hsc", {"region": -0.5}, "region"),
+        ("hsc", {"region": 0.0}, "region"),
+        ("hsc", {"region": np.inf}, "region"),
+        ("lambda", {"region": np.nan}, "region"),
+        ("lambda", {"margin": np.nan}, "margin"),
+        ("lambda", {"margin": -np.inf}, "margin"),
+        ("lambda", {"sphere_samples": 0}, "sphere_samples"),
+        ("lambda", {"sphere_samples": -5}, "sphere_samples"),
+    ],
+)
+def test_a_scan_argument_out_of_range_is_a_config_error(fs1, scan, arguments, name, monkeypatch, recwarn):
+    """hsc_extremes and find_lambda0 raise ConfigError naming an argument
+    out of its range (a count of samples or directions below 1, of steps
+    below 0, a region not finite and > 0, a margin not finite) before any
+    draw and with no warning."""
+    from hermitia.fibration import find_lambda0, product_model
+
+    def no_draw(*args):
+        raise AssertionError("the scan drew before its arguments were checked")
+
+    monkeypatch.setattr(models, "_draw", no_draw)
+    with pytest.raises(ConfigError, match="^%s = " % name):
+        if scan == "hsc":
+            hsc_extremes(fs1, **{"region": 0.7, **arguments})
+        else:
+            find_lambda0(product_model(fs1, fs1), **arguments)
+    assert not recwarn.list
+
+
+def test_the_least_scan_arguments_run(fs1):
+    """One sample, one direction and no step is a scan."""
+    scan = hsc_extremes(fs1, 0.5, samples=1, optimizer_steps=0, directions_per_point=1)
+    assert scan.samples == 1 and abs(scan.min_H - 2.0) < 1e-8
+
+
+@pytest.mark.parametrize("m,directions", [(1, 1), (2, 20), (3, 5), (4, 20), (6, 3)])
+def test_the_block_draw_equals_the_per_point_draws(m, directions):
+    """models._draw equals the draws of the per-point scan, point by
+    point and direction by direction, bit for bit."""
+    for key in ([0], [5], [0, 1234], [7, 2**32 - 1]):
+        zs, dirs = models._draw(m, 0.7, 12, directions, key)
+        for idx in range(12):
+            z, want = point_draw(m, 0.7, directions, key, idx)
+            assert np.array_equal(zs[idx], z) and np.array_equal(dirs[idx], want), (key, idx)
+
+
+@lru_cache(maxsize=None)
+def _scored_field(which):
+    """A registry metric field, or h_lambda of a registry fibration as
+    "model@lambda"."""
+    from hermitia.fibration import h_lambda
+
+    model_id, _, lam = which.partition("@")
+    entry = resolve_model(model_id)
+    return entry.field if entry.kind == "metric" else h_lambda(entry.fibration, float(lam))
+
+
+SCORED_FIELDS = ["fs:1", "fs:2", "gr:2:4", "gr:3:6"] + [
+    "%s@%g" % (model_id, lam)
+    for model_id in ("hirz:1", "hirz:2", "hirz:3", "prod:fs1:fs1", "prod:fs2:fs1")
+    for lam in (0.0, 0.5, 3.0, 12.0)
+]
+
+
+@pytest.mark.parametrize("which", SCORED_FIELDS)
+def test_block_scoring_equals_the_per_point_scoring(which):
+    """The H of a scan's points, scored in one hsc_of_tensor call on the
+    stacked tensors of the per-point reads (_point_rows) and of the block
+    read (_block_rows), equal the per-point hsc_of_tensor call on each
+    point's own curvature_tensor record bit for bit."""
+    field = _scored_field(which)
+    zs, dirs = models._draw(field.m, 0.7, 6, 20, [3])
+    want = []
+    for z, d in zip(zs, dirs):
+        curv = curvature_tensor(field, z)
+        want.append(hsc_of_tensor(curv.tensor, curv.form.gram, d))
+    for rows in (models._point_rows(field, zs), models._block_rows(field, zs, lambda g: np.ones(len(g), bool))):
+        assert rows.n == len(zs) and rows.error is None
+        assert np.array_equal(hsc_of_tensor(*rows.value, dirs), np.array(want))
+
+
+def test_a_rejected_direction_is_named_within_its_block():
+    """Block scoring names a direction along which G is not positive by
+    its index among its own block's directions."""
+    g = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    tensor = np.zeros((2, 2, 2, 2, 2), dtype=complex)
+    dirs = np.array([[[1.0, 0.0]] * 3, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+    with pytest.raises(NotPositive, match="direction 1 of 3$"):
+        hsc_of_tensor(tensor, g, dirs)
 
 
 def test_scan_result_serializes(fs1):

@@ -21,7 +21,8 @@ import tempfile
 
 # The north-star CLI runs (the one list of them, which CI runs through
 # this tool), then the seeded identity, Codazzi and sum checks, which draw
-# other instances than the defaults.
+# other instances than the defaults, and two scans at another seed and
+# sample count (hsc) and at a three-dimensional chart (prod:fs2:fs1).
 RUNS = (
     "hsc --model gr:2:4",
     "hsc --model fs:2",
@@ -47,6 +48,8 @@ RUNS = (
     "demailly-check --seed 3 --instances 40",
     "codazzi-check --seed 3 --instances 40",
     "sum-check --seed 3 --instances 40",
+    "hsc --model gr:2:4 --samples 4000 --seed 7",
+    "fibration-scan --model prod:fs2:fs1 --seed 3",
 )
 TIME_FIELDS = ("wall_time_s", "elapsed_s")
 
